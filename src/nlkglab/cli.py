@@ -20,7 +20,6 @@ from . import __version__
 from .config import ConfigError, parse_config, serialize_config
 from .experiments import run_backward_construction
 from .fieldio import (
-    FieldFormatError,
     format_float,
     read_field,
     write_diagnostics_csv,
@@ -31,7 +30,6 @@ from .grids import Field, Grid
 from .integrator import BlowUpError, DiagnosticsRecord, IntegratorConfig, evolve
 from .modulation import NotInTubeError, fit_modulation
 from .profiles import (
-    DomainTooSmallError,
     ModelParams,
     SolitonParams,
     boost_profile,
@@ -158,11 +156,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_modulate(args: argparse.Namespace) -> int:
     w, _ = read_field(args.src)
-    try:
-        run = parse_config(Path(args.seed).read_text(encoding="utf-8"))
-    except OSError as exc:
-        print(f"cannot read seed config: {exc}", file=sys.stderr)
-        return EXIT_IO
+    run = parse_config(Path(args.seed).read_text(encoding="utf-8"))
     state = fit_modulation(w, run.soliton_params(), w.grid)
     print("j,theta,omega,x0,v")
     for j, s in enumerate(state.solitons):
@@ -207,7 +201,7 @@ def _write_multisoliton_outputs(outdir: Path, run, report) -> None:
         f"nlkglab multisoliton report (v{__version__})",
         f"solitons: {nsol}, window [{run.t_start}, {run.t_final}], dt={run.dt}",
         f"v_star = {report.config.v_star}, omega_star = {report.config.omega_star}",
-        f"reference rate (ceiling) = {report.reference_rate:.6g}",
+        f"reference rate (ceiling) = {report.config.reference_rate:.6g}",
         f"fitted log-error slope = {report.fitted_slope:.6g} "
         f"(stderr {report.slope_stderr:.2g}, rms {report.fit_rms:.2g}) "
         f"on window {report.fit_window}",
@@ -222,12 +216,7 @@ def _write_multisoliton_outputs(outdir: Path, run, report) -> None:
 
 
 def cmd_multisoliton(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.config).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
-    run = parse_config(text)
+    run = parse_config(Path(args.config).read_text(encoding="utf-8"))
     for warning in run.stability_warnings:
         print(f"warning: {warning}", file=sys.stderr)
     cfg = run.experiment()
@@ -241,14 +230,26 @@ def cmd_multisoliton(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _run_command(command, args: argparse.Namespace, label: str = "") -> int:
+    """Run one command; report an expected failure on stderr and return its exit code."""
+    try:
+        return command(args)
+    except ConfigError as exc:
+        code, message = EXIT_CONFIG, str(exc)
+    except ValueError as exc:
+        code, message = EXIT_CONFIG, f"configuration error: {exc}"
+    except (BlowUpError, NotInTubeError) as exc:
+        code, message = EXIT_NUMERICAL, f"numerical failure: {exc}"
+    except OSError as exc:  # FieldFormatError is an OSError
+        code, message = EXIT_IO, f"I/O error: {exc}"
+    print(label + message, file=sys.stderr)
+    return code
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     def one(path: str) -> tuple[str, int]:
         ns = argparse.Namespace(config=path, out_dir=None)
-        try:
-            return path, cmd_multisoliton(ns)
-        except (ConfigError, BlowUpError, NotInTubeError) as exc:
-            print(f"{path}: {exc}", file=sys.stderr)
-            return path, EXIT_NUMERICAL if not isinstance(exc, ConfigError) else EXIT_CONFIG
+        return path, _run_command(cmd_multisoliton, ns, f"{path}: ")
 
     worst = EXIT_OK
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
@@ -324,20 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as exc:
-        print(str(exc), file=sys.stderr)
-        return EXIT_CONFIG
-    except (DomainTooSmallError, ValueError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (BlowUpError, NotInTubeError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except (FieldFormatError, OSError) as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    return _run_command(args.func, args)
 
 
 if __name__ == "__main__":

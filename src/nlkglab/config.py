@@ -31,18 +31,18 @@ Format: bracketed section headers with ``key = value`` lines; the
     out_dir = runs/two
 
 Validation collects every violation before failing, so a bad file reports
-all its problems at once.
+all its problems at once.  Each rule lives with the class it guards; the
+one added here is that p be mass-subcritical.  ``dt`` is a magnitude.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .experiments import MultiSolitonConfig
-from .grids import Grid
-from .profiles import ModelParams, SolitonParams
+from .experiments import MultiSolitonConfig, run_problems
+from .grids import Grid, grid_problems
+from .profiles import ModelParams, SolitonParams, model_problems, soliton_problems
 
 __all__ = ["RunConfig", "ConfigError", "parse_config", "serialize_config"]
 
@@ -70,7 +70,16 @@ class RunConfig:
     diag_period: float = 0.5
     out_dir: str = "."
     seed: int = 0
-    stability_warnings: list[str] = field(default_factory=list)
+
+    @property
+    def stability_warnings(self) -> list[str]:
+        """One line per soliton outside the orbital-stability window."""
+        threshold = self.model().stability_threshold()
+        return [
+            f"soliton #{i}: omega^2/m={sp.omega**2 / sp.model.m:.4f} <= "
+            f"{threshold:.4f}, outside the orbital-stability window"
+            for i, sp in enumerate(self.soliton_params(), start=1) if not sp.stable
+        ]
 
     def model(self) -> ModelParams:
         return ModelParams(self.m, self.p, self.d)
@@ -139,7 +148,6 @@ def parse_config(text: str) -> RunConfig:
     """Parse and validate; raises ConfigError listing every violation."""
     problems: list[str] = []
     cfg = RunConfig()
-    cfg.solitons = []
     section: Optional[str] = None
     current_soliton: Optional[dict] = None
 
@@ -176,72 +184,47 @@ def parse_config(text: str) -> RunConfig:
             continue
         if section == "soliton":
             current_soliton[key] = val
-        elif section == "experiment" and key == "out_dir":
-            cfg.out_dir = val
         else:
             setattr(cfg, key, val)
 
-    _validate(cfg, problems)
+    problems += _validate(cfg)
     if problems:
         raise ConfigError(problems)
     return cfg
 
 
-def _validate(cfg: RunConfig, problems: list[str]) -> None:
-    if cfg.m <= 0:
-        problems.append(f"model.m must be positive (got {cfg.m})")
-    if cfg.d not in (1, 2, 3):
-        problems.append(f"model.d must be 1, 2 or 3 (got {cfg.d})")
-    elif not 1.0 < cfg.p < 1.0 + 4.0 / cfg.d:
-        problems.append(
-            f"model.p={cfg.p} outside the subcritical window (1, 1+4/d) for d={cfg.d}"
-        )
-    if cfg.length <= 0:
-        problems.append(f"grid.length must be positive (got {cfg.length})")
-    if cfg.points <= 0:
-        problems.append(f"grid.points must be positive (got {cfg.points})")
-    if cfg.dt == 0:
-        problems.append("integrator.dt must be nonzero")
-    elif cfg.points > 0 and cfg.length > 0 and abs(cfg.dt) > 0.5 * cfg.length / cfg.points:
-        problems.append(
-            f"integrator.dt={cfg.dt} exceeds the stability heuristic 0.5*spacing="
-            f"{0.5 * cfg.length / cfg.points}"
-        )
-    if cfg.t_final <= cfg.t_start:
-        problems.append(
-            f"experiment.t_final={cfg.t_final} must exceed t_start={cfg.t_start}"
-        )
-    if cfg.diag_period <= 0:
-        problems.append(f"experiment.diag_period must be positive (got {cfg.diag_period})")
+def _validate(cfg: RunConfig) -> list[str]:
+    """Every rule the values break, each stated by the class that owns it.
 
-    sqm = math.sqrt(cfg.m) if cfg.m > 0 else float("nan")
-    threshold = (
-        1.0 / (1.0 + 4.0 / (cfg.p - 1.0) - cfg.d) if cfg.p > 1 and cfg.d in (1, 2, 3) else None
-    )
+    The frequency band needs a valid model and the step heuristic a valid
+    grid, so those two are checked once their section holds.  No Grid is
+    built: its arrays would be allocated for any point count, however large.
+    """
+    grid_probs = grid_problems(cfg.length, cfg.points)
+    model_probs = model_problems(cfg.m, cfg.p, cfg.d)
+    problems = grid_probs + model_probs
+    model = None if model_probs else cfg.model()
+    if model is not None and not model.mass_subcritical:
+        problems.append(
+            f"model.p={cfg.p} is not mass-subcritical for d={cfg.d}: "
+            "no soliton is orbitally stable"
+        )
     for i, s in enumerate(cfg.solitons, start=1):
         if "omega" not in s:
             problems.append(f"soliton #{i}: missing required key 'omega'")
             continue
-        if cfg.m > 0 and abs(s["omega"]) >= sqm:
-            problems.append(
-                f"soliton #{i}: |omega|={abs(s['omega'])} not below sqrt(m)={sqm}"
-            )
-        v = s.get("v", 0.0)
-        if abs(v) >= 1.0:
-            problems.append(f"soliton #{i}: |v|={abs(v)} not below the speed of light 1")
-        if threshold is not None and cfg.m > 0 and s["omega"] ** 2 / cfg.m <= threshold:
-            cfg.stability_warnings.append(
-                f"soliton #{i}: omega^2/m={s['omega'] ** 2 / cfg.m:.4f} <= "
-                f"{threshold:.4f}, outside the orbital-stability window"
-            )
-    vels = [s.get("v", 0.0) for s in cfg.solitons]
-    for j in range(len(vels)):
-        for k in range(j + 1, len(vels)):
-            if vels[j] == vels[k]:
-                problems.append(
-                    f"solitons #{j + 1} and #{k + 1} share velocity v={vels[j]}: "
-                    "the construction requires pairwise distinct velocities"
-                )
+        problems += [
+            f"soliton #{i}: {msg}" for msg in soliton_problems(model, s["omega"], s.get("v", 0.0))
+        ]
+    problems += run_problems(
+        [s.get("v", 0.0) for s in cfg.solitons],
+        cfg.t_final,
+        cfg.t_start,
+        cfg.dt,
+        cfg.diag_period,
+        None if grid_probs else cfg.length / cfg.points,
+    )
+    return problems
 
 
 def serialize_config(cfg: RunConfig) -> str:

@@ -30,11 +30,16 @@ from .functionals import (
     LocalizedQuantities,
     action,
     build_cutoffs,
+    charge_density,
     localized_first_variation,
     localized_quantities,
+    momentum_density,
+    ramp,
+    ramp_derivative,
+    velocity_problems,
 )
-from .grids import Field, Grid, norm_h1l2, spectral_derivative
-from .integrator import DiagnosticsRecord, IntegratorConfig, evolve
+from .grids import Field, Grid, norm_h1l2, raise_problems, spectral_derivative
+from .integrator import DiagnosticsRecord, IntegratorConfig, evolve, step, step_problems
 from .modulation import (
     DegenerateConfigurationError,
     ModulationState,
@@ -52,7 +57,7 @@ __all__ = [
     "TaylorReport",
     "soliton_sum",
     "fit_log_slope",
-    "alpha_tilde",
+    "run_problems",
     "random_bump",
     "run_backward_construction",
     "run_ladder",
@@ -94,26 +99,33 @@ def fit_log_slope(times: np.ndarray, values: np.ndarray) -> tuple[float, float, 
     return float(coef[0]), stderr, rms
 
 
-def alpha_tilde(velocities: Sequence[float]) -> float:
-    """Directional separation factor of the velocity set (identically 1 in 1D).
+# The proof's rate constant is min(1/24, alpha_tilde/8), where alpha_tilde,
+# the directional separation of the velocity set, is identically 1 in 1D.
+REFERENCE_ALPHA = 1.0 / 24.0
 
-    The best axis maximizes the product of projected velocity gaps; with a
-    single spatial direction every gap projects onto itself, so the worst
-    pairwise ratio |(v_j - v_k) . e| / |v_j - v_k| is exactly 1.
-    """
-    vel = np.asarray(velocities, dtype=float)
-    if len(vel) < 2:
-        return 1.0
-    best = 1.0
-    for e in (1.0, -1.0):
-        ratios = [
-            abs((vel[j] - vel[k]) * e) / abs(vel[j] - vel[k])
-            for j in range(len(vel))
-            for k in range(len(vel))
-            if j != k
-        ]
-        best = min(best, min(ratios)) if ratios else best
-    return float(best)
+
+def run_problems(
+    velocities: Sequence[float],
+    t_final: float,
+    t_start: float,
+    dt: float,
+    diag_period: float,
+    spacing: Optional[float],
+) -> list[str]:
+    """The rules one construction run breaks.  ``dt`` is the step magnitude (the
+    run sets the direction); with a grid ``spacing`` the step rules apply too."""
+    problems = []
+    if not velocities:
+        problems.append("need at least one soliton")
+    if not (math.isfinite(t_start) and math.isfinite(t_final) and t_final > t_start):
+        problems.append(f"t_final={t_final} must exceed t_start={t_start}, both finite")
+    if not dt > 0:
+        problems.append(f"dt={dt} must be positive: it is the step magnitude")
+    elif spacing is not None:
+        problems += step_problems(dt, spacing)
+    if not diag_period > 0:
+        problems.append(f"diag_period must be positive (got {diag_period})")
+    return problems + velocity_problems(velocities)
 
 
 @dataclass
@@ -127,41 +139,21 @@ class MultiSolitonConfig:
     t_start: float
     dt: float
     diag_period: float = 0.5
-    alpha_ref: Optional[float] = None
     dealias: bool = False
     store_fields: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.solitons:
-            raise ValueError("need at least one soliton")
-        if self.t_final <= self.t_start:
-            raise ValueError("t_final must exceed t_start")
-        if self.dt <= 0:
-            raise ValueError("dt is a positive magnitude; direction is internal")
-        vels = [sp.v for sp in self.solitons]
-        for j in range(len(vels)):
-            for k in range(j + 1, len(vels)):
-                if vels[j] == vels[k]:
-                    raise ValueError(
-                        "solitons must have pairwise distinct velocities "
-                        f"(violated by #{j} and #{k})"
-                    )
+        vels, spacing = [sp.v for sp in self.solitons], self.grid.spacing
+        raise_problems(run_problems(vels, self.t_final, self.t_start, self.dt, self.diag_period, spacing))
         # cutoff cells are ordered by velocity; keep solitons aligned with them
         self.solitons = sorted(self.solitons, key=lambda sp: sp.v)
-        if self.alpha_ref is None:
-            self.alpha_ref = min(1.0 / 24.0, alpha_tilde(vels) / 8.0)
 
     @property
     def v_star(self) -> float:
+        """Smallest velocity gap (solitons are sorted by velocity)."""
         vels = [sp.v for sp in self.solitons]
-        if len(vels) < 2:
-            return 0.0
-        return min(
-            abs(vels[j] - vels[k])
-            for j in range(len(vels))
-            for k in range(j + 1, len(vels))
-        )
+        return min((b - a for a, b in zip(vels, vels[1:])), default=0.0)
 
     @property
     def omega_star(self) -> float:
@@ -169,14 +161,11 @@ class MultiSolitonConfig:
 
     @property
     def reference_rate(self) -> float:
-        """alpha_ref * sqrt(m - omega_star^2) * v_star, the proof-side ceiling rate."""
-        return self.alpha_ref * math.sqrt(self.model.m - self.omega_star**2) * self.v_star
+        """alpha * sqrt(m - omega_star^2) * v_star, the proof-side ceiling rate."""
+        return REFERENCE_ALPHA * math.sqrt(self.model.m - self.omega_star**2) * self.v_star
 
     def action_params(self) -> list[ActionParams]:
         return [ActionParams.from_soliton(sp) for sp in self.solitons]
-
-    def stability_flags(self) -> list[bool]:
-        return [sp.stable for sp in self.solitons]
 
 
 @dataclass
@@ -199,7 +188,6 @@ class DecayReport:
     slope_stderr: float
     fit_rms: float
     fit_window: tuple[float, float]
-    reference_rate: float
     runtime_seconds: float
     final_field: Optional[Field] = None
 
@@ -326,7 +314,6 @@ def _run_construction(
         slope_stderr=stderr,
         fit_rms=rms,
         fit_window=window,
-        reference_rate=cfg.reference_rate,
         runtime_seconds=_time.perf_counter() - wall0,
         final_field=final,
     )
@@ -445,9 +432,7 @@ def measure_interactions(cfg: MultiSolitonConfig, times: Sequence[float]) -> Int
             for c in comps
         ]
         cut = build_cutoffs([sp.v for sp in cfg.solitons], t, grid)
-        total = Field.zeros(grid)
-        for c in comps:
-            total = total + c
+        total = sum(comps[1:], comps[0])
         nl = np.abs(total.u1) ** (p + 1.0)
         for c in comps:
             nl = nl - np.abs(c.u1) ** (p + 1.0)
@@ -506,8 +491,6 @@ class AlmostConservationReport:
 
 
 def _microstep_pair(f: Field, cfg: MultiSolitonConfig):
-    from .integrator import step
-
     fwd = step(f, IntegratorConfig(dt=cfg.dt, dealias=cfg.dealias), cfg.model)
     bwd = step(f, IntegratorConfig(dt=-cfg.dt, dealias=cfg.dealias), cfg.model)
     return fwd, bwd
@@ -567,11 +550,11 @@ def almost_conservation_audit(
         w, dw = _smooth_window(grid, center, math.sqrt(t))
 
         def loc_q(g: Field, weight) -> float:
-            return float(np.sum(np.imag(g.u1 * np.conj(g.u2)) * weight) * h)
+            return float(np.sum(charge_density(g) * weight) * h)
 
         def loc_p(g: Field, weight) -> float:
             du = spectral_derivative(g.u1, grid)
-            return float(np.sum(np.real(du * np.conj(g.u2)) * weight) * h)
+            return float(np.sum(momentum_density(g, du) * weight) * h)
 
         lhs_q = (loc_q(fwd, w) - loc_q(bwd, w)) / (2.0 * cfg.dt)
         du1 = spectral_derivative(f.u1, grid)
@@ -592,8 +575,6 @@ def almost_conservation_audit(
         # same identity through a ramp-shaped window at the same center: the
         # sin^2 ramp is only C^1, so its quadrature is noisier than the
         # smooth window's; reported for comparison
-        from .functionals import ramp, ramp_derivative
-
         s = (grid.x - center) / math.sqrt(t)
         wr = ramp(s)
         dwr = ramp_derivative(s) / math.sqrt(t)
@@ -654,6 +635,9 @@ def localized_hessian_form(
     p = params[0].model.p
     m = params[0].model.m
     du1 = spectral_derivative(ups.u1, grid)
+    lin = np.abs(du1) ** 2 + m * np.abs(ups.u1) ** 2 + np.abs(ups.u2) ** 2
+    qq = 2.0 * charge_density(ups)
+    pp = 2.0 * momentum_density(ups, du1)
     total = 0.0
     for j, sp in enumerate(states):
         w = cut.weights[j]
@@ -664,9 +648,6 @@ def localized_hessian_form(
             pot = (p - 1.0) * np.where(absq > 0, absq ** (p - 3.0), 0.0) * np.real(
                 np.conj(q) * ups.u1
             ) ** 2 + absq ** (p - 1.0) * np.abs(ups.u1) ** 2
-        lin = np.abs(du1) ** 2 + m * np.abs(ups.u1) ** 2 + np.abs(ups.u2) ** 2
-        qq = 2.0 * np.imag(ups.u1 * np.conj(ups.u2))
-        pp = 2.0 * np.real(du1 * np.conj(ups.u2))
         total += float(
             np.sum(w * (lin - pot + params[j].omega_over_gamma * qq + params[j].v * pp)) * h
         )

@@ -10,12 +10,13 @@ bit-exact.
 from __future__ import annotations
 
 import io
+import math
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .grids import Field, Grid
+from .grids import Field, Grid, grid_problems, raise_problems
 
 __all__ = [
     "FieldFormatError",
@@ -37,19 +38,13 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _interleave(z: np.ndarray) -> np.ndarray:
-    out = np.empty(2 * len(z), dtype="<f8")
-    out[0::2] = np.real(z)
-    out[1::2] = np.imag(z)
-    return out
-
-
 def write_field(path: str | Path, w: Field, time: float = 0.0) -> None:
     with open(path, "wb") as fh:
         header = f"{MAGIC} {w.grid.points} {format_float(w.grid.length)} {format_float(time)}\n"
         fh.write(header.encode("ascii"))
-        fh.write(_interleave(w.u1).tobytes())
-        fh.write(_interleave(w.u2).tobytes())
+        # little-endian complex128 is the re/im interleaved float64 layout
+        fh.write(w.u1.astype("<c16").tobytes())
+        fh.write(w.u2.astype("<c16").tobytes())
 
 
 def read_field(path: str | Path, grid: Optional[Grid] = None) -> tuple[Field, float]:
@@ -61,18 +56,22 @@ def read_field(path: str | Path, grid: Optional[Grid] = None) -> tuple[Field, fl
             raise FieldFormatError(
                 f"unsupported dump header {header!r} (expected '{MAGIC} <points> <length> <time>')"
             )
-        points = int(parts[1])
-        length = float(parts[2])
-        time = float(parts[3])
+        try:
+            points, length, time = int(parts[1]), float(parts[2]), float(parts[3])
+        except ValueError as exc:
+            raise FieldFormatError(f"unreadable dump header {header!r}: {exc}") from exc
+        problems = grid_problems(length, points)
+        if not math.isfinite(time):
+            problems.append(f"time must be finite (got {time})")
+        raise_problems([f"bad dump header {header!r}: {p}" for p in problems], FieldFormatError)
         payload = fh.read()
     expected = 2 * 2 * points * 8
     if len(payload) != expected:
         raise FieldFormatError(
             f"truncated payload: {len(payload)} bytes, expected {expected}"
         )
-    raw = np.frombuffer(payload, dtype="<f8")
-    u1 = raw[: 2 * points : 2] + 1j * raw[1 : 2 * points : 2]
-    u2 = raw[2 * points :: 2] + 1j * raw[2 * points + 1 :: 2]
+    raw = np.frombuffer(payload, dtype="<c16")
+    u1, u2 = raw[:points], raw[points:]
     if grid is None:
         grid = Grid(length, points)
     elif grid.points != points or grid.length != length:

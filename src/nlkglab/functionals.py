@@ -38,6 +38,7 @@ from .grids import (
     Grid,
     norm_l2l2,
     pair_inner,
+    raise_problems,
     spectral_derivative,
     spectral_second_derivative,
 )
@@ -48,6 +49,10 @@ __all__ = [
     "CutoffPartition",
     "LocalizedQuantities",
     "NehariProjectionError",
+    "velocity_problems",
+    "energy_density",
+    "charge_density",
+    "momentum_density",
     "energy",
     "charge",
     "momentum",
@@ -68,41 +73,56 @@ class NehariProjectionError(ValueError):
     """The ray through W has no interior action maximum."""
 
 
+def velocity_problems(velocities: Sequence[float]) -> list[str]:
+    """Pairwise distinct velocities: one cutoff cell and one soliton per velocity."""
+    shared = sorted({v for v in velocities if list(velocities).count(v) > 1})
+    return [f"velocities {shared} repeat: pairwise distinct velocities required"] if shared else []
+
+
 @dataclass
 class ActionParams:
-    """Coefficients of S = E + omega_over_gamma * Q + v * P."""
+    """Coefficients of S = E + omega_over_gamma * Q + v * P; SolitonParams checks |v| < 1."""
 
     omega_over_gamma: float
     v: float
     model: ModelParams
-
-    def __post_init__(self) -> None:
-        if abs(self.v) >= 1.0:
-            raise ValueError(f"|v| must be < 1, got {self.v}")
 
     @classmethod
     def from_soliton(cls, sp: SolitonParams) -> "ActionParams":
         return cls(sp.omega / sp.gamma, sp.v, sp.model)
 
 
-def energy(w: Field, model: ModelParams) -> float:
-    du1 = spectral_derivative(w.u1, w.grid)
-    dens = (
-        0.5 * np.abs(w.u2) ** 2
-        + 0.5 * np.abs(du1) ** 2
+def energy_density(w: Field, du1: np.ndarray, model: ModelParams) -> np.ndarray:
+    """Pointwise energy; ``du1`` is the spectral derivative of w.u1."""
+    return (
+        0.5 * np.abs(du1) ** 2
         + 0.5 * model.m * np.abs(w.u1) ** 2
+        + 0.5 * np.abs(w.u2) ** 2
         - np.abs(w.u1) ** (model.p + 1.0) / (model.p + 1.0)
     )
-    return float(np.sum(dens) * w.grid.spacing)
+
+
+def charge_density(w: Field) -> np.ndarray:
+    return np.imag(w.u1 * np.conj(w.u2))
+
+
+def momentum_density(w: Field, du1: np.ndarray) -> np.ndarray:
+    """Pointwise momentum; ``du1`` is the spectral derivative of w.u1."""
+    return np.real(du1 * np.conj(w.u2))
+
+
+def energy(w: Field, model: ModelParams) -> float:
+    du1 = spectral_derivative(w.u1, w.grid)
+    return float(np.sum(energy_density(w, du1, model)) * w.grid.spacing)
 
 
 def charge(w: Field) -> float:
-    return float(np.sum(np.imag(w.u1 * np.conj(w.u2))) * w.grid.spacing)
+    return float(np.sum(charge_density(w)) * w.grid.spacing)
 
 
 def momentum(w: Field) -> float:
     du1 = spectral_derivative(w.u1, w.grid)
-    return float(np.sum(np.real(du1 * np.conj(w.u2))) * w.grid.spacing)
+    return float(np.sum(momentum_density(w, du1)) * w.grid.spacing)
 
 
 def action(w: Field, ap: ActionParams) -> float:
@@ -197,9 +217,8 @@ def build_cutoffs(velocities: Sequence[float], t: float, grid: Grid) -> CutoffPa
     """Instantiate the partition at time t > 0 (ramp width sqrt(t))."""
     if t <= 0:
         raise ValueError(f"cutoff time must be positive, got {t}")
+    raise_problems(velocity_problems(velocities))
     vel = np.asarray(sorted(velocities), dtype=float)
-    if np.any(np.diff(vel) <= 0):
-        raise ValueError("velocities must be strictly increasing")
     n = len(vel)
     mids = 0.5 * (vel[:-1] + vel[1:])
     w = math.sqrt(t)
@@ -252,17 +271,14 @@ def localized_quantities(
     """Cutoff-weighted energies, charges, momenta and their action sum."""
     if len(params) != cp.count:
         raise ValueError(f"need {cp.count} ActionParams, got {len(params)}")
-    model = params[0].model
     du1 = spectral_derivative(w.u1, w.grid)
-    e_dens = (
-        0.5 * np.abs(du1) ** 2
-        + 0.5 * model.m * np.abs(w.u1) ** 2
-        + 0.5 * np.abs(w.u2) ** 2
-        - np.abs(w.u1) ** (model.p + 1.0) / (model.p + 1.0)
+    return _localize(
+        energy_density(w, du1, params[0].model),
+        charge_density(w),
+        momentum_density(w, du1),
+        cp,
+        params,
     )
-    q_dens = np.imag(w.u1 * np.conj(w.u2))
-    p_dens = np.real(du1 * np.conj(w.u2))
-    return _localize(e_dens, q_dens, p_dens, cp, params)
 
 
 def localized_first_variation(

@@ -16,12 +16,15 @@ built on the uniform periodic grid defined here.  Conventions, fixed once:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 __all__ = [
     "Grid",
+    "grid_problems",
+    "raise_problems",
     "Field",
     "DimensionError",
     "spectral_derivative",
@@ -37,6 +40,22 @@ __all__ = [
 
 class DimensionError(ValueError):
     """Sample count does not match the grid."""
+
+
+def raise_problems(problems: list[str], error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` naming every broken rule, if there is one."""
+    if problems:
+        raise error("; ".join(problems))
+
+
+def grid_problems(length: float, points: int) -> list[str]:
+    """The rules a grid's length and point count break; empty when they hold."""
+    problems = []
+    if not (math.isfinite(length) and length > 0):
+        problems.append(f"grid length must be positive and finite (got {length})")
+    if not points > 0:
+        problems.append(f"grid points must be positive (got {points})")
+    return problems
 
 
 @dataclass
@@ -55,10 +74,7 @@ class Grid:
     deriv_wavenumbers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.length <= 0:
-            raise ValueError(f"grid length must be positive, got {self.length}")
-        if self.points <= 0:
-            raise ValueError(f"grid points must be positive, got {self.points}")
+        raise_problems(grid_problems(self.length, self.points))
         self.spacing = self.length / self.points
         self.x = -0.5 * self.length + self.spacing * np.arange(self.points)
         self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
@@ -101,9 +117,6 @@ class Field:
 
     def copy(self) -> "Field":
         return Field(self.u1.copy(), self.u2.copy(), self.grid)
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.u1)) and np.all(np.isfinite(self.u2)))
 
     def __add__(self, other: "Field") -> "Field":
         return Field(self.u1 + other.u1, self.u2 + other.u2, self.grid)

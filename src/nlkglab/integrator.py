@@ -17,17 +17,19 @@ O(dt^2) with no secular growth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .functionals import charge, energy, momentum
-from .grids import Field, Grid
+from .grids import Field, Grid, raise_problems
 from .profiles import ModelParams
 
 __all__ = [
     "IntegratorConfig",
+    "step_problems",
     "DiagnosticsRecord",
     "BlowUpError",
     "step",
@@ -46,32 +48,29 @@ class BlowUpError(RuntimeError):
         super().__init__(f"solution blew up at t={t:.6g} (sup|u1|={amplitude:.3e})")
 
 
+def step_problems(dt: float, spacing: Optional[float]) -> list[str]:
+    """The rules a signed step breaks, on a grid of ``spacing`` when one is given.
+    |dt| <= 0.5 * spacing is an accuracy heuristic for the splitting error;
+    the exact linear sub-flow is unconditionally stable."""
+    if not (dt != 0.0 and math.isfinite(dt)):
+        return [f"dt must be nonzero and finite (got {dt})"]
+    if spacing is not None and abs(dt) > 0.5 * spacing + 1e-15:
+        return [f"|dt|={abs(dt)} exceeds the stability heuristic 0.5*spacing={0.5 * spacing}"]
+    return []
+
+
 @dataclass
 class IntegratorConfig:
-    """Step size (sign = direction), scheme tag and dealias switch.
-
-    The |dt| <= 0.5 * spacing bound is a documented accuracy heuristic for
-    the splitting error; the exact linear sub-flow is unconditionally
-    stable.
-    """
+    """Step size (sign = direction) and dealias switch."""
 
     dt: float
-    steps: Optional[int] = None
-    scheme: str = "strang-split"
     dealias: bool = False
 
     def __post_init__(self) -> None:
-        if self.dt == 0.0:
-            raise ValueError("dt must be nonzero")
-        if self.scheme != "strang-split":
-            raise ValueError(f"unknown scheme {self.scheme!r}")
+        raise_problems(step_problems(self.dt, None))
 
     def check_grid(self, grid: Grid) -> None:
-        if abs(self.dt) > 0.5 * grid.spacing + 1e-15:
-            raise ValueError(
-                f"|dt|={abs(self.dt)} exceeds the stability heuristic "
-                f"0.5*spacing={0.5 * grid.spacing}"
-            )
+        raise_problems(step_problems(self.dt, grid.spacing))
 
 
 @dataclass

@@ -35,6 +35,7 @@ from .grids import (
     Field,
     Grid,
     norm_l2,
+    raise_problems,
     spectral_derivative,
     spectral_second_derivative,
     wrap_coordinate,
@@ -43,6 +44,9 @@ from .grids import (
 __all__ = [
     "ModelParams",
     "SolitonParams",
+    "model_problems",
+    "frequency_problems",
+    "soliton_problems",
     "GroundState",
     "FrequencyRangeError",
     "DomainTooSmallError",
@@ -55,7 +59,6 @@ __all__ = [
     "phi_omega",
     "standing_wave_energy",
     "standing_wave_energy_scaling",
-    "suggested_length",
 ]
 
 
@@ -71,6 +74,38 @@ class ShootingError(RuntimeError):
     """Radial shooting failed to bracket or converge."""
 
 
+def model_problems(m: float, p: float, d: int) -> list[str]:
+    """The rules (m, p, d) break.  Profiles exist for every energy-subcritical
+    p; the narrower ``mass_subcritical`` window only gates orbital stability."""
+    problems = []
+    if not (math.isfinite(m) and m > 0):
+        problems.append(f"mass m must be positive and finite (got {m})")
+    if d not in (1, 2, 3):
+        problems.append(f"dimension d must be 1, 2 or 3 (got {d})")
+    else:
+        h1_limit = math.inf if d <= 2 else 1.0 + 4.0 / (d - 2.0)
+        if not 1.0 < p < h1_limit:
+            problems.append(
+                f"exponent p={p} outside the energy-subcritical range (1, {h1_limit}) for d={d}"
+            )
+    return problems
+
+
+def frequency_problems(model: ModelParams, omega: float) -> list[str]:
+    """|omega| < sqrt(m): below it the standing wave exists and decays."""
+    if abs(omega) < math.sqrt(model.m):
+        return []
+    return [f"|omega|={abs(omega)} not below sqrt(m)={math.sqrt(model.m)}"]
+
+
+def soliton_problems(model: Optional[ModelParams], omega: float, v: float) -> list[str]:
+    """The rules one boosted standing wave breaks; the band only with a model."""
+    problems = frequency_problems(model, omega) if model is not None else []
+    if not abs(v) < 1.0:
+        problems.append(f"|v|={abs(v)} not below the speed of light 1")
+    return problems
+
+
 @dataclass
 class ModelParams:
     """Mass and nonlinearity exponent of u_tt - Lap u + m u - |u|^(p-1) u = 0."""
@@ -80,18 +115,7 @@ class ModelParams:
     d: int = 1
 
     def __post_init__(self) -> None:
-        if self.m <= 0:
-            raise ValueError(f"mass must be positive, got {self.m}")
-        if self.d not in (1, 2, 3):
-            raise ValueError(f"dimension must be 1, 2 or 3, got {self.d}")
-        # profiles exist in the full energy-subcritical range; the narrower
-        # p < 1 + 4/d window only gates orbital stability (see ``stable``)
-        h1_limit = math.inf if self.d <= 2 else 1.0 + 4.0 / (self.d - 2.0)
-        if not 1.0 < self.p < h1_limit:
-            raise ValueError(
-                f"exponent p={self.p} outside the energy-subcritical range "
-                f"(1, {h1_limit}) for d={self.d}"
-            )
+        raise_problems(model_problems(self.m, self.p, self.d))
 
     @property
     def mass_subcritical(self) -> bool:
@@ -116,12 +140,9 @@ class SolitonParams:
     x0: float = 0.0
 
     def __post_init__(self) -> None:
-        if abs(self.v) >= 1.0:
-            raise ValueError(f"|v| must be below the speed of light 1, got {self.v}")
-        if abs(self.omega) >= math.sqrt(self.model.m):
-            raise FrequencyRangeError(
-                f"|omega|={abs(self.omega)} must be below sqrt(m)={math.sqrt(self.model.m)}"
-            )
+        band = frequency_problems(self.model, self.omega)  # modulation Newton catches it
+        error = FrequencyRangeError if band else ValueError
+        raise_problems(soliton_problems(self.model, self.omega, self.v), error)
 
     @property
     def gamma(self) -> float:
@@ -143,16 +164,9 @@ def phi_tilde(y: np.ndarray | float, p: float):
 
 def phi_omega(y: np.ndarray | float, model: ModelParams, omega: float):
     """Ground state at frequency omega via the (m - omega^2) scaling."""
+    raise_problems(frequency_problems(model, omega), FrequencyRangeError)
     mu = model.m - omega * omega
-    if mu <= 0:
-        raise FrequencyRangeError(f"omega={omega} outside (-sqrt m, sqrt m)")
     return mu ** (1.0 / (model.p - 1.0)) * phi_tilde(math.sqrt(mu) * np.asarray(y), model.p)
-
-
-def suggested_length(model: ModelParams, omega: float, translation_extent: float = 0.0) -> float:
-    """Heuristic domain size: tails below ~1e-12 plus room for translations."""
-    mu = model.m - omega * omega
-    return 60.0 / math.sqrt(mu) + 2.0 * translation_extent
 
 
 @dataclass
@@ -377,9 +391,8 @@ def ground_state_radial(
     polishes the whole mesh with Newton on the 4th-order finite-difference
     system so the reported discrete residual is at rounding level.
     """
+    raise_problems(frequency_problems(model, omega), FrequencyRangeError)
     mu = model.m - omega * omega
-    if mu <= 0:
-        raise FrequencyRangeError(f"omega={omega} outside (-sqrt m, sqrt m)")
     p, d = model.p, float(model.d)
 
     a_lo = a_hi = None
@@ -425,53 +438,48 @@ def ground_state_radial(
     )
 
 
-def _resampled_profile(gs: GroundState, sp: SolitonParams, grid: Grid, shift: float):
-    """phi(gamma * y) and its x-derivative on the grid, y = wrapped(x - shift)."""
+def _boost(evaluate, sp: SolitonParams, grid: Grid, shift: float, angle: float):
+    """The boost formula of the module docstring for phi = ``evaluate``, at
+    y = wrapped(x - shift) and times e^{i angle}; also returns phi(gamma y)."""
     y = wrap_coordinate(grid.x - shift, grid.length)
-    prof = np.asarray(gs.evaluate(sp.gamma * y), dtype=float)
+    prof = np.asarray(evaluate(sp.gamma * y), dtype=float)
     dprof = spectral_derivative(prof, grid)  # = gamma * phi'(gamma y)
-    return y, prof, dprof
+    phase = np.exp(1j * angle) * np.exp(-1j * sp.gamma * sp.omega * sp.v * y)
+    u1 = phase * prof
+    u2 = phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof)
+    return Field(u1, u2, grid), prof
 
 
 def boost_profile(gs: GroundState, sp: SolitonParams, grid: Grid) -> Field:
     """Lorentz-boosted Hamiltonian profile of the standing wave."""
     if gs.model != sp.model or gs.omega != sp.omega:
         raise ValueError("ground state and soliton parameters disagree")
-    y, prof, dprof = _resampled_profile(gs, sp, grid, 0.0)
+    w, prof = _boost(gs.evaluate, sp, grid, 0.0, 0.0)
     _check_boundary_decay(prof, "boosted profile")
-    phase = np.exp(-1j * sp.gamma * sp.omega * sp.v * y)
-    u1 = phase * prof
-    u2 = phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof)
-    return Field(u1, u2, grid)
+    return w
 
 
 def sample_soliton(sp: SolitonParams, t: float, grid: Grid) -> Field:
-    """Exact soliton at time t, translation argument wrapped onto the torus."""
+    """Exact soliton at time t, translation argument wrapped onto the torus.
+
+    DomainTooSmallError when the unshifted profile has not decayed at the
+    boundary; modulation fitting reads it as the trajectory leaving the tube."""
     if sp.model.d != 1:
         raise ValueError("soliton sampling is implemented for d=1 dynamics")
-    gs = ground_state_1d(sp.model, sp.omega, grid)
-    shift = sp.v * t + sp.x0
-    y, prof, dprof = _resampled_profile(gs, sp, grid, shift)
-    phase = np.exp(1j * ((sp.omega / sp.gamma) * t + sp.theta)) * np.exp(
-        -1j * sp.gamma * sp.omega * sp.v * y
+    _check_boundary_decay(phi_omega(grid.x, sp.model, sp.omega), "ground state")
+    w, _ = _boost(
+        lambda z: phi_omega(z, sp.model, sp.omega), sp, grid,
+        sp.v * t + sp.x0, (sp.omega / sp.gamma) * t + sp.theta,
     )
-    u1 = phase * prof
-    u2 = phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof)
-    return Field(u1, u2, grid)
+    return w
 
 
 def standing_wave_energy(model: ModelParams, omega: float, grid: Grid) -> float:
     """Energy of the standing wave (phi_omega, i omega phi_omega) by quadrature."""
-    gs = ground_state_1d(model, omega, grid)
-    phi = gs.samples
-    dphi = spectral_derivative(phi, grid)
-    dens = (
-        0.5 * omega**2 * phi**2
-        + 0.5 * dphi**2
-        + 0.5 * model.m * phi**2
-        - np.abs(phi) ** (model.p + 1.0) / (model.p + 1.0)
-    )
-    return float(np.sum(dens) * grid.spacing)
+    from .functionals import energy  # functionals imports this module
+
+    phi = ground_state_1d(model, omega, grid).samples
+    return energy(Field(phi, 1j * omega * phi, grid), model)
 
 
 def standing_wave_energy_scaling(
@@ -491,7 +499,7 @@ def standing_wave_energy_scaling(
     mu = m - omega * omega
     a_grad = (p * (2 - d) + 2 + d) / (2 * (p - 1))
     a_mass = (4 - d * (p - 1)) / (2 * (p - 1))
-    poho = d * (p - 1) / (2 * d - (d - 2) * (p + 1)) if corrected else 1.0
+    poho = pohozaev_ratio(model) if corrected else 1.0
     return (
         (p - 1) / (2 * (p + 1)) * (poho * mu**a_grad + m * mu**a_mass)
         + (p + 3) / (2 * (p + 1)) * omega**2 * mu**a_mass

@@ -1,0 +1,60 @@
+"""The benchmark tracer wraps library attributes by name (bench/layers.py).
+
+Installing and restoring every wrapper here, without running a workload,
+makes a refactor that renames a traced attribute fail the unit tests.
+"""
+
+import sys
+from pathlib import Path
+
+from nlkglab import cli, experiments, integrator, modulation, profiles, spectrum
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+MODULES = (cli, experiments, integrator, modulation, profiles, spectrum)
+TRACED = {
+    ("experiments", name)
+    for name in (
+        "evolve", "soliton_sum", "sample_soliton", "norm_h1l2",
+        "build_cutoffs", "localized_quantities", "fit_modulation",
+    )
+} | {("integrator", name) for name in ("energy", "charge", "momentum", "np")} | {
+    ("modulation", "sample_soliton"),
+    ("profiles", "ground_state_1d"),
+    ("profiles", "ground_state_radial"),
+} | {
+    ("cli", name)
+    for name in ("parse_config", "run_backward_construction", "write_field", "write_diagnostics_csv")
+}
+
+
+def _import_bench():
+    sys.path.insert(0, str(BENCH))
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # read-only: no __pycache__ under bench/
+    try:
+        import layers
+        import tracer
+    finally:
+        sys.dont_write_bytecode = dont_write
+        sys.path.remove(str(BENCH))
+    return layers, tracer
+
+
+def test_tracer_patches_install_and_restore():
+    layers, tracer = _import_bench()
+    assert tracer.selftest() == []
+    before = {mod: dict(vars(mod)) for mod in MODULES}
+    tr = tracer.Tracer()
+    try:
+        layers.install(tr)
+        patched = {
+            (mod.__name__.rsplit(".", 1)[1], name)
+            for mod in MODULES
+            for name, value in vars(mod).items()
+            if value is not before[mod].get(name)
+        }
+    finally:
+        tr.restore()
+    assert TRACED <= patched
+    for mod in MODULES:
+        assert all(vars(mod)[name] is value for name, value in before[mod].items())

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nlkglab.config import ConfigError, parse_config, serialize_config
+from nlkglab.config import ConfigError, RunConfig, parse_config, serialize_config
 from nlkglab.fieldio import (
     FieldFormatError,
     read_csv_columns,
@@ -10,6 +12,7 @@ from nlkglab.fieldio import (
     write_field,
 )
 from nlkglab.grids import Field, Grid
+from nlkglab.integrator import IntegratorConfig
 
 GOOD = """
 [model]
@@ -76,6 +79,26 @@ def test_all_violations_reported():
     assert "dt" in text
 
 
+def test_negative_dt_rejected():
+    """dt is the step magnitude; the run sets the direction."""
+    with pytest.raises(ConfigError, match="dt=-0.005 must be positive"):
+        parse_config(GOOD.replace("dt = 0.005", "dt = -0.005"))
+
+
+def test_faults_in_three_sections_reported_together():
+    bad = (
+        GOOD.replace("m = 1.0", "m = -1.0")
+        .replace("v = -0.4", "v = 1.4")
+        .replace("t_final = 40.0", "t_final = 5.0")
+    )
+    with pytest.raises(ConfigError) as exc:
+        parse_config(bad)
+    text = str(exc.value)
+    assert "mass m must be positive" in text
+    assert "speed of light" in text
+    assert "t_final=5.0 must exceed t_start=10.0" in text
+
+
 def test_syntax_errors_have_line_numbers():
     with pytest.raises(ConfigError, match="line 2"):
         parse_config("[model]\nnot a kv line\n")
@@ -104,12 +127,13 @@ def test_field_dump_roundtrip(tmp_path):
         rng.standard_normal(256) + 1j * rng.standard_normal(256),
         g,
     )
+    w.u2[:3] = [complex(1.0, np.inf), complex(np.nan, 2.0), complex(-np.inf, np.nan)]
     path = tmp_path / "field.dump"
     write_field(path, w, time=12.25)
     back, t = read_field(path)
     assert t == 12.25
-    assert np.array_equal(back.u1, w.u1)
-    assert np.array_equal(back.u2, w.u2)
+    assert back.u1.tobytes() == w.u1.tobytes()
+    assert back.u2.tobytes() == w.u2.tobytes()  # bit-exact, non-finite samples too
     assert back.grid.points == 256
     assert back.grid.length == 40.0
 
@@ -280,3 +304,143 @@ def test_cli_multisoliton_small(tmp_path):
     header, data = read_csv_columns(outdir / "diagnostics.csv")
     assert header[:4] == ["t", "E", "Q", "P"]
     assert "S_localized" in header
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        b"NLKG1 abc 1 2\n",
+        b"NLKG1 -4 40.0 0.0\n",
+        b"NLKG1 4 0.0 0.0\n",
+        b"NLKG1 4 nan 0.0\n",
+        b"NLKG1 4 40.0 inf\n",
+    ],
+)
+def test_cli_bad_dump_header_is_io_error(tmp_path, capsys, header):
+    """A malformed header exits 4 (I/O), not 2, and names no negative byte count."""
+    from nlkglab.cli import main
+
+    dump = tmp_path / "bad.dump"
+    dump.write_bytes(header + b"\x00" * (4 * 2 * 2 * 8))
+    code = main(["evolve", "--from", str(dump), "--t0", "0", "--t1", "1", "--dt", "0.01",
+                 "--out", str(tmp_path / "o.dump")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "dump header" in err
+    assert "bytes" not in err
+
+
+def test_cli_sweep_isolates_a_failing_config(tmp_path, monkeypatch, capsys):
+    """A too-short domain fails its own config (exit 2); the other config still
+    runs, both status lines are printed and the sweep exits with the worst code."""
+    from nlkglab.cli import main
+
+    good = (
+        GOOD.replace("length = 160.0", "length = 80.0")
+        .replace("points = 2048", "points = 256")
+        .replace("dt = 0.005", "dt = 0.01")
+        .replace("t_final = 40.0", "t_final = 14.5")
+        .replace("t_start = 10.0", "t_start = 14.0")
+        .replace("diag_period = 0.5", "diag_period = 0.25")
+    )
+    short = good.replace("length = 80.0", "length = 10.0").replace("runs/two", "runs/short")
+    (tmp_path / "short.cfg").write_text(short, encoding="utf-8")
+    (tmp_path / "good.cfg").write_text(good, encoding="utf-8")
+    monkeypatch.setenv("NLKG_OUT_DIR", str(tmp_path))
+    code = main(["sweep", str(tmp_path / "short.cfg"), str(tmp_path / "good.cfg"), "--jobs", "1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert f"{tmp_path / 'short.cfg'}: exit 2" in out.out
+    assert f"{tmp_path / 'good.cfg'}: exit 0" in out.out
+    assert "enlarge the domain" in out.err
+    assert (tmp_path / "runs" / "two" / "summary.txt").exists()
+
+
+# --- property tests: outside input gets a result or the documented error
+
+# typical values per key, so that generated configs are often valid
+TYPICAL = {
+    "model": {"m": ["1.0", "2.0"], "p": ["3.0", "2.0", "6.0"], "d": ["1", "2", "3"]},
+    "grid": {"length": ["160.0", "80.0", "10.0"], "points": ["256", "512", "2048"]},
+    "integrator": {"dt": ["0.002", "0.01", "-0.005", "0.0"], "dealias": ["false", "true", "maybe"]},
+    "soliton": {
+        "omega": ["0.8", "0.6", "1.2"],
+        "v": ["-0.4", "0.4", "1.0"],
+        "theta": ["0.1"],
+        "x0": ["1.0"],
+    },
+    "experiment": {
+        "t_final": ["40.0", "12.0"],
+        "t_start": ["10.0", "50.0"],
+        "diag_period": ["0.5", "0", "-1"],
+        "out_dir": ["runs/x"],
+        "seed": ["7"],
+    },
+    "bogus": {"x": ["1"]},
+}
+# small integers only: a generated point count builds a Grid below
+ODD_VALUES = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.integers(-3, 3).map(str),
+    st.text(alphabet="01.-e nai#=", max_size=5),
+)
+
+
+@st.composite
+def config_texts(draw):
+    lines = []
+    for section in draw(st.lists(st.sampled_from(sorted(TYPICAL) + ["soliton"]), max_size=7)):
+        lines.append(f"[{section}]")
+        keys = TYPICAL[section]
+        for key in draw(st.lists(st.sampled_from(sorted(keys)), unique=True)):
+            value = draw(st.sampled_from(keys[key]) | ODD_VALUES)
+            lines.append(f"{key} = {value}")
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.text(max_size=12)))
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_texts())
+def test_parse_config_returns_runnable_config_or_config_error(text):
+    try:
+        cfg = parse_config(text)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+    cfg.experiment()
+    IntegratorConfig(dt=-cfg.dt).check_grid(cfg.grid())
+
+
+NUMBERS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.sampled_from(["40.0", "0.0", "abc", "1e3", ""]),
+)
+
+
+@st.composite
+def dumps(draw):
+    points = draw(st.one_of(st.integers(-3, 8).map(str), st.sampled_from(["abc", "4.0", "1_0"])))
+    tokens = [draw(st.sampled_from(["NLKG1", "NLKG9"])), points, draw(NUMBERS), draw(NUMBERS)]
+    if draw(st.booleans()):
+        del tokens[draw(st.integers(0, 3))]
+    n = int(points) if points.lstrip("-").isdigit() else 4
+    size = draw(st.sampled_from([32 * max(n, 0), 32 * max(n, 0) + 8, 16]))
+    return " ".join(tokens).encode() + b"\n" + draw(st.binary(min_size=size, max_size=size))
+
+
+@pytest.fixture(scope="module")
+def dump_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("dumps") / "f.dump"
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=dumps())
+def test_read_field_returns_field_or_format_error(dump_path, data):
+    dump_path.write_bytes(data)
+    try:
+        w, t = read_field(dump_path)
+    except FieldFormatError:
+        return
+    assert np.isfinite(t)
+    assert w.grid.points > 0 and np.isfinite(w.grid.length) and w.grid.length > 0

@@ -4,7 +4,6 @@ import pytest
 from nlkglab.experiments import (
     MultiSolitonConfig,
     almost_conservation_audit,
-    alpha_tilde,
     fit_log_slope,
     measure_interactions,
     run_backward_construction,
@@ -50,6 +49,16 @@ def test_config_rejects_equal_velocities(grid):
         )
 
 
+@pytest.mark.parametrize("period", [0.0, -1.0])
+def test_config_rejects_nonpositive_diag_period(grid, pair, period):
+    """A nonpositive period would fire the hook on every step (stride 1)."""
+    with pytest.raises(ValueError, match="diag_period"):
+        MultiSolitonConfig(
+            model=MODEL, grid=grid, solitons=pair,
+            t_final=20.0, t_start=10.0, dt=0.01, diag_period=period,
+        )
+
+
 def test_config_star_quantities(grid, pair):
     cfg = MultiSolitonConfig(
         model=MODEL, grid=grid, solitons=pair, t_final=20.0, t_start=10.0, dt=0.01
@@ -70,11 +79,6 @@ def test_config_orders_solitons_by_velocity(grid):
     )
     assert [sp.v for sp in cfg.solitons] == [-0.4, 0.4]
     assert cfg.solitons[0].omega == 0.75
-
-
-def test_alpha_tilde_is_one():
-    assert alpha_tilde([-0.4, 0.4]) == 1.0
-    assert alpha_tilde([-0.5, -0.1, 0.3]) == 1.0
 
 
 def test_fit_log_slope_recovers_exponential():
