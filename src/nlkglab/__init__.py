@@ -11,7 +11,6 @@ from .profiles import (  # noqa: F401
     GroundState,
     ModelParams,
     SolitonParams,
-    boost_profile,
     ground_state_1d,
     ground_state_radial,
     sample_soliton,
@@ -28,7 +27,7 @@ from .functionals import (  # noqa: F401
     nehari_project,
     nehari_value,
 )
-from .integrator import BlowUpError, IntegratorConfig, evolve, step  # noqa: F401
+from .integrator import BlowUpError, IntegratorConfig, evolve  # noqa: F401
 from .spectrum import assemble_second_variation, slope_test, spectrum_report  # noqa: F401
 from .modulation import fit_modulation, track_parameters  # noqa: F401
 from .experiments import (  # noqa: F401

@@ -12,12 +12,14 @@ import argparse
 import concurrent.futures
 import os
 import sys
+import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, parse_config, serialize_config
+from .config import ConfigError, RunConfig, parse_config, serialize_config
 from .experiments import run_backward_construction
 from .fieldio import (
     format_float,
@@ -27,12 +29,11 @@ from .fieldio import (
 )
 from .functionals import ActionParams, charge, energy, gradient_norm, momentum
 from .grids import Field, Grid
-from .integrator import BlowUpError, DiagnosticsRecord, IntegratorConfig, evolve
+from .integrator import BlowUpError, DiagnosticsRecord, IntegratorConfig, evolve, hook_stride
 from .modulation import NotInTubeError, fit_modulation
 from .profiles import (
     ModelParams,
     SolitonParams,
-    boost_profile,
     ground_state_1d,
     ground_state_radial,
     profile_norms,
@@ -118,7 +119,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     def hook(rec: DiagnosticsRecord) -> None:
         rows.append([rec.t, rec.energy, rec.charge, rec.momentum])
 
-    stride = max(1, int(round(args.diag_period / abs(args.dt)))) if args.diag else 0
+    stride = hook_stride(args.diag_period, args.dt)
     out = evolve(w, args.t0, args.t1, cfg, model, hooks=[hook] if args.diag else [], diag_stride=stride)
     write_field(args.out, out, args.t1)
     print(f"field written to {args.out}")
@@ -132,15 +133,12 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     model = ModelParams(args.m, args.p, 1)
     grid = Grid(args.length, args.grid_points)
     sp = _soliton_from_args(args, model)
-    gs = ground_state_1d(model, args.omega, grid)
-    phi = boost_profile(gs, sp, grid)
     ap = ActionParams.from_soliton(sp)
-    op = assemble_second_variation(phi, ap)
+    op = assemble_second_variation(sample_soliton(sp, 0.0, grid), ap)
     rep = spectrum_report(op)
 
     def family(om: float) -> Field:
-        fsp = SolitonParams(model, omega=om, theta=sp.theta, v=sp.v, x0=sp.x0)
-        return boost_profile(ground_state_1d(model, om, grid), fsp, grid)
+        return sample_soliton(replace(sp, omega=om), 0.0, grid)
 
     rep.slope = slope_test(family, ap, args.omega, op=op)
     print(f"negative eigenvalues : {rep.negative_count} (lowest {rep.negative_eigenvalue:.6g})")
@@ -215,13 +213,11 @@ def _write_multisoliton_outputs(outdir: Path, run, report) -> None:
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def cmd_multisoliton(args: argparse.Namespace) -> int:
-    run = parse_config(Path(args.config).read_text(encoding="utf-8"))
+def _multisoliton(run: RunConfig, outdir: Path) -> int:
+    """The backward construction of ``run``, its outputs written to ``outdir``."""
     for warning in run.stability_warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    cfg = run.experiment()
-    report = run_backward_construction(cfg)
-    outdir = Path(args.out_dir) if args.out_dir else _out_root() / Path(run.out_dir)
+    report = run_backward_construction(run.experiment())
     _write_multisoliton_outputs(outdir, run, report)
     print(f"outputs in {outdir}")
     if report.tube_exit_time is not None:
@@ -230,7 +226,12 @@ def cmd_multisoliton(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _run_command(command, args: argparse.Namespace, label: str = "") -> int:
+def cmd_multisoliton(args: argparse.Namespace) -> int:
+    run = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    return _multisoliton(run, Path(args.out_dir) if args.out_dir else _out_root() / run.out_dir)
+
+
+def _run_command(command, args, label: str = "") -> int:
     """Run one command; report an expected failure on stderr and return its exit code."""
     try:
         return command(args)
@@ -247,13 +248,27 @@ def _run_command(command, args: argparse.Namespace, label: str = "") -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    def one(path: str) -> tuple[str, int]:
-        ns = argparse.Namespace(config=path, out_dir=None)
-        return path, _run_command(cmd_multisoliton, ns, f"{path}: ")
+    """A config that leaves ``out_dir`` at "." writes to <root>/<config file stem>;
+    a config whose output directory another config of the sweep holds fails (exit 2)."""
+    owners: dict[Path, int] = {}
+    lock = threading.Lock()
+
+    def run_one(i: int) -> int:
+        path = Path(args.configs[i])
+        run = parse_config(path.read_text(encoding="utf-8"))
+        outdir = _out_root() / (path.stem if run.out_dir == "." else run.out_dir)
+        with lock:
+            owner = owners.setdefault(outdir.resolve(), i)
+        if owner != i:
+            raise ValueError(f"output directory {outdir} is already used by {args.configs[owner]}")
+        return _multisoliton(run, outdir)
+
+    def one(i: int) -> tuple[str, int]:
+        return args.configs[i], _run_command(run_one, i, f"{args.configs[i]}: ")
 
     worst = EXIT_OK
     with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for path, code in pool.map(one, args.configs):
+        for path, code in pool.map(one, range(len(args.configs))):
             print(f"{path}: exit {code}")
             worst = max(worst, code)
     return worst

@@ -39,7 +39,14 @@ from .functionals import (
     velocity_problems,
 )
 from .grids import Field, Grid, norm_h1l2, raise_problems, spectral_derivative
-from .integrator import DiagnosticsRecord, IntegratorConfig, evolve, step, step_problems
+from .integrator import (
+    DiagnosticsRecord,
+    IntegratorConfig,
+    evolve,
+    hook_stride,
+    period_problems,
+    step_problems,
+)
 from .modulation import (
     DegenerateConfigurationError,
     ModulationState,
@@ -123,9 +130,7 @@ def run_problems(
         problems.append(f"dt={dt} must be positive: it is the step magnitude")
     elif spacing is not None:
         problems += step_problems(dt, spacing)
-    if not diag_period > 0:
-        problems.append(f"diag_period must be positive (got {diag_period})")
-    return problems + velocity_problems(velocities)
+    return problems + period_problems(diag_period) + velocity_problems(velocities)
 
 
 @dataclass
@@ -214,14 +219,12 @@ def _run_construction(
     wall0 = _time.perf_counter()
     grid, model = cfg.grid, cfg.model
     params = cfg.action_params()
-    stride = max(1, int(round(cfg.diag_period / cfg.dt)))
+    stride = hook_stride(cfg.diag_period, cfg.dt)
     if backward:
         t0, t1, dt = cfg.t_final, cfg.t_start, -cfg.dt
-        start_time = cfg.t_final
     else:
         t0, t1, dt = cfg.t_start, cfg.t_final, cfg.dt
-        start_time = cfg.t_start
-    w0 = initial if initial is not None else soliton_sum(cfg.solitons, start_time, grid)
+    w0 = initial if initial is not None else soliton_sum(cfg.solitons, t0, grid)
 
     times: list[float] = []
     errors: list[float] = []
@@ -234,15 +237,7 @@ def _run_construction(
     fields: dict[float, Field] = {}
     tube_exit: list[Optional[float]] = [None]
 
-    seeds = [
-        replace(
-            sp,
-            theta=sp.theta + (sp.omega / sp.gamma) * start_time,
-            x0=sp.x0 + sp.v * start_time,
-        )
-        for sp in cfg.solitons
-    ]
-    seed_holder = {"params": seeds, "t": start_time}
+    seed_holder = {"params": [sp.advanced(t0) for sp in cfg.solitons], "t": t0}
 
     def hook(rec: DiagnosticsRecord) -> None:
         t = rec.t
@@ -259,15 +254,7 @@ def _run_construction(
         if cfg.store_fields:
             fields[round(t, 9)] = rec.field
         if tube_exit[0] is None:
-            dt_seed = t - seed_holder["t"]
-            pred = [
-                replace(
-                    sp,
-                    theta=sp.theta + dt_seed * sp.omega / sp.gamma,
-                    x0=sp.x0 + dt_seed * sp.v,
-                )
-                for sp in seed_holder["params"]
-            ]
+            pred = [sp.advanced(t - seed_holder["t"]) for sp in seed_holder["params"]]
             try:
                 st = fit_modulation(rec.field, pred, grid)
                 modstates.append(st)
@@ -283,22 +270,14 @@ def _run_construction(
     final = evolve(w0, t0, t1, icfg, model, hooks=[hook], diag_stride=stride)
 
     order = np.argsort(np.asarray(times))
-    times_a = np.asarray(times)[order]
-    errors_a = np.asarray(errors)[order]
-    window = _default_fit_window(cfg.t_start, cfg.t_final)
-    mask = (times_a >= window[0]) & (times_a <= window[1])
-    try:
-        slope, stderr, rms = fit_log_slope(times_a[mask], errors_a[mask])
-    except ValueError:
-        slope, stderr, rms = float("nan"), float("nan"), float("nan")
 
     def _sorted(seq: list) -> list:
         return [seq[i] for i in order]
 
-    return DecayReport(
+    report = DecayReport(
         config=cfg,
-        times=times_a,
-        errors=errors_a,
+        times=np.asarray(times)[order],
+        errors=np.asarray(errors)[order],
         energies=np.asarray(energies)[order],
         charges=np.asarray(charges)[order],
         momenta=np.asarray(momenta)[order],
@@ -310,13 +289,19 @@ def _run_construction(
         ),
         fields=fields,
         tube_exit_time=tube_exit[0],
-        fitted_slope=slope,
-        slope_stderr=stderr,
-        fit_rms=rms,
-        fit_window=window,
-        runtime_seconds=_time.perf_counter() - wall0,
+        fitted_slope=float("nan"),
+        slope_stderr=float("nan"),
+        fit_rms=float("nan"),
+        fit_window=_default_fit_window(cfg.t_start, cfg.t_final),
+        runtime_seconds=0.0,
         final_field=final,
     )
+    try:
+        report.fitted_slope, report.slope_stderr, report.fit_rms = report.refit(report.fit_window)
+    except ValueError:  # fewer than 3 positive errors in the window
+        pass
+    report.runtime_seconds = _time.perf_counter() - wall0
+    return report
 
 
 def run_backward_construction(cfg: MultiSolitonConfig) -> DecayReport:
@@ -491,8 +476,8 @@ class AlmostConservationReport:
 
 
 def _microstep_pair(f: Field, cfg: MultiSolitonConfig):
-    fwd = step(f, IntegratorConfig(dt=cfg.dt, dealias=cfg.dealias), cfg.model)
-    bwd = step(f, IntegratorConfig(dt=-cfg.dt, dealias=cfg.dealias), cfg.model)
+    fwd = evolve(f, 0.0, cfg.dt, IntegratorConfig(dt=cfg.dt, dealias=cfg.dealias), cfg.model)
+    bwd = evolve(f, 0.0, -cfg.dt, IntegratorConfig(dt=-cfg.dt, dealias=cfg.dealias), cfg.model)
     return fwd, bwd
 
 

@@ -31,7 +31,7 @@ MAGIC = "NLKG1"
 
 
 class FieldFormatError(IOError):
-    """Bad header or truncated payload in a field dump."""
+    """Bad header or a payload of the wrong size in a field dump."""
 
 
 def format_float(x: float) -> str:
@@ -67,9 +67,8 @@ def read_field(path: str | Path, grid: Optional[Grid] = None) -> tuple[Field, fl
         payload = fh.read()
     expected = 2 * 2 * points * 8
     if len(payload) != expected:
-        raise FieldFormatError(
-            f"truncated payload: {len(payload)} bytes, expected {expected}"
-        )
+        kind = "truncated" if len(payload) < expected else "over-long"
+        raise FieldFormatError(f"{kind} payload: {len(payload)} bytes, expected {expected}")
     raw = np.frombuffer(payload, dtype="<c16")
     u1, u2 = raw[:points], raw[points:]
     if grid is None:

@@ -32,7 +32,8 @@ __all__ = [
     "step_problems",
     "DiagnosticsRecord",
     "BlowUpError",
-    "step",
+    "period_problems",
+    "hook_stride",
     "evolve",
 ]
 
@@ -59,6 +60,19 @@ def step_problems(dt: float, spacing: Optional[float]) -> list[str]:
     return []
 
 
+def period_problems(period: float) -> list[str]:
+    """The rule a diagnostic period breaks: it must be positive and finite."""
+    if math.isfinite(period) and period > 0:
+        return []
+    return [f"diag_period must be positive and finite (got {period})"]
+
+
+def hook_stride(period: float, dt: float) -> int:
+    """Steps between diagnostic hooks: the period in steps of |dt|, at least 1."""
+    raise_problems(period_problems(period))
+    return max(1, int(round(period / abs(dt))))
+
+
 @dataclass
 class IntegratorConfig:
     """Step size (sign = direction) and dealias switch."""
@@ -75,13 +89,13 @@ class IntegratorConfig:
 
 @dataclass
 class DiagnosticsRecord:
-    """Snapshot of the conserved quantities (and optionally the field)."""
+    """Snapshot of the conserved quantities and the field."""
 
     t: float
     energy: float
     charge: float
     momentum: float
-    field: Optional[Field] = None
+    field: Field
 
 
 class _Stepper:
@@ -126,15 +140,6 @@ def _check_amplitude(u1: np.ndarray, t: float) -> None:
         raise BlowUpError(t, amp)
 
 
-def step(w: Field, cfg: IntegratorConfig, model: ModelParams) -> Field:
-    """One Strang step; convenience wrapper recomputing multipliers."""
-    cfg.check_grid(w.grid)
-    st = _Stepper(w.grid, model, cfg.dt, cfg.dealias)
-    u1, u2 = st.apply(w.u1, w.u2)
-    _check_amplitude(u1, cfg.dt)
-    return Field(u1, u2, w.grid)
-
-
 def evolve(
     w: Field,
     t0: float,
@@ -143,13 +148,13 @@ def evolve(
     model: ModelParams,
     hooks: Sequence[Callable[[DiagnosticsRecord], None]] = (),
     diag_stride: int = 0,
-    keep_fields_in_hooks: bool = True,
 ) -> Field:
     """Integrate from t0 to t1; t1 < t0 needs dt < 0.
 
     (t1 - t0)/dt must be a positive integer number of steps.  Hooks fire
     every ``diag_stride`` steps (and at the final step) with a
-    DiagnosticsRecord; blow-up aborts with the failure time attached.
+    DiagnosticsRecord; blow-up aborts with the failure time attached.  The
+    amplitude is checked every 16 steps, before each hook and at the end.
     """
     cfg.check_grid(w.grid)
     span = t1 - t0
@@ -167,21 +172,18 @@ def evolve(
     def fire(n: int) -> None:
         t = t0 + n * cfg.dt
         f = Field(u1.copy(), u2.copy(), w.grid)
-        rec = DiagnosticsRecord(
-            t, energy(f, model), charge(f), momentum(f), f if keep_fields_in_hooks else None
-        )
+        rec = DiagnosticsRecord(t, energy(f, model), charge(f), momentum(f), f)
         for hook in hooks:
             hook(rec)
 
-    if hooks and diag_stride > 0:
+    firing = bool(hooks) and diag_stride > 0
+    if firing:
         fire(0)
-    for n in range(nsteps):
+    for n in range(1, nsteps + 1):
         u1, u2 = st.apply(u1, u2)
-        t = t0 + (n + 1) * cfg.dt
-        if (n + 1) % 16 == 0 or n + 1 == nsteps:
-            _check_amplitude(u1, t)
-        if hooks and diag_stride > 0 and ((n + 1) % diag_stride == 0 or n + 1 == nsteps):
-            _check_amplitude(u1, t)
-            fire(n + 1)
-    _check_amplitude(u1, t0 + nsteps * cfg.dt)
+        hook_due = firing and (n % diag_stride == 0 or n == nsteps)
+        if n % 16 == 0 or n == nsteps or hook_due:
+            _check_amplitude(u1, t0 + n * cfg.dt)
+        if hook_due:
+            fire(n)
     return Field(u1, u2, w.grid)

@@ -69,12 +69,9 @@ class ModulationState:
         return norm_h1l2(self.residual)
 
 
-def _components(params: Sequence[SolitonParams], grid: Grid) -> list[Field]:
-    return [sample_soliton(sp, 0.0, grid) for sp in params]
-
-
-def _ortho_vector(u: Field, params: Sequence[SolitonParams], grid: Grid) -> np.ndarray:
-    comps = _components(params, grid)
+def _ortho_vector(u: Field, params: Sequence[SolitonParams], grid: Grid):
+    """The orthogonality residuals and the residue U - sum_j R_j."""
+    comps = [sample_soliton(sp, 0.0, grid) for sp in params]
     ups = u.copy()
     for c in comps:
         ups = ups - c
@@ -88,7 +85,7 @@ def _ortho_vector(u: Field, params: Sequence[SolitonParams], grid: Grid) -> np.n
             pair_inner(ups, d2),
             pair_inner(ups, d3),
         )
-    return out
+    return out, ups
 
 
 def _apply(params: Sequence[SolitonParams], vec: np.ndarray) -> list[SolitonParams]:
@@ -129,15 +126,11 @@ def fit_modulation(
     cond = float("nan")
     for it in range(max_iter):
         try:
-            f0 = _ortho_vector(u, _apply(params, vec), grid)
+            f0, ups = _ortho_vector(u, _apply(params, vec), grid)
         except (DomainTooSmallError, FrequencyRangeError) as exc:
             raise NotInTubeError(f"iterate left the profile family: {exc}") from exc
         if np.max(np.abs(f0)) < tol * scale:
-            fitted = _apply(params, vec)
-            ups = u.copy()
-            for c in _components(fitted, grid):
-                ups = ups - c
-            return ModulationState(fitted, ups, f0, True, it, cond)
+            return ModulationState(_apply(params, vec), ups, f0, True, it, cond)
         jac = np.empty((3 * len(params), 3 * len(params)))
         try:
             for col in range(3 * len(params)):
@@ -146,8 +139,8 @@ def fit_modulation(
                 vp[col] += fd_step
                 vm[col] -= fd_step
                 jac[:, col] = (
-                    _ortho_vector(u, _apply(params, vp), grid)
-                    - _ortho_vector(u, _apply(params, vm), grid)
+                    _ortho_vector(u, _apply(params, vp), grid)[0]
+                    - _ortho_vector(u, _apply(params, vm), grid)[0]
                 ) / (2.0 * fd_step)
         except (DomainTooSmallError, FrequencyRangeError) as exc:
             raise NotInTubeError(f"iterate left the profile family: {exc}") from exc
@@ -168,7 +161,7 @@ def fit_modulation(
             if admissible:
                 try:
                     descent = (
-                        np.max(np.abs(_ortho_vector(u, _apply(params, trial), grid)))
+                        np.max(np.abs(_ortho_vector(u, _apply(params, trial), grid)[0]))
                         < norm0
                     )
                 except (DomainTooSmallError, FrequencyRangeError):
@@ -222,21 +215,12 @@ def track_parameters(
     states: list[ModulationState] = []
     prev_t = times[0]
     for t, f in trajectory:
-        dt = t - prev_t
-        seeds = [
-            replace(
-                sp,
-                theta=sp.theta + dt * sp.omega / sp.gamma,
-                x0=sp.x0 + dt * sp.v,
-            )
-            for sp in seeds
-        ]
+        seeds = [sp.advanced(t - prev_t) for sp in seeds]
         st = fit_modulation(f, seeds, grid, tol=tol)
         states.append(st)
         seeds = st.solitons
         prev_t = t
 
-    nsol = len(initial)
     thetas = np.unwrap(np.array([st.thetas for st in states]), axis=0)
     omegas = np.array([st.omegas for st in states])
     positions = np.array([st.positions for st in states])

@@ -25,11 +25,10 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .grids import (
     Field,
@@ -53,7 +52,7 @@ __all__ = [
     "ShootingError",
     "ground_state_1d",
     "ground_state_radial",
-    "boost_profile",
+    "free_flow",
     "sample_soliton",
     "phi_tilde",
     "phi_omega",
@@ -153,6 +152,17 @@ class SolitonParams:
         """True when (omega, v) lies in the orbital-stability window."""
         return self.omega**2 / self.model.m > self.model.stability_threshold()
 
+    def advanced(self, t: float) -> SolitonParams:
+        """The same soliton with phase and position carried by the free flow for time t."""
+        theta, x0 = free_flow(self, t)
+        return replace(self, theta=theta, x0=x0)
+
+
+def free_flow(sp: SolitonParams, t: float) -> tuple[float, float]:
+    """Phase and position of the unperturbed soliton after time t:
+    (theta + t * omega/gamma, x0 + t * v)."""
+    return sp.theta + t * (sp.omega / sp.gamma), sp.x0 + t * sp.v
+
 
 def phi_tilde(y: np.ndarray | float, p: float):
     """Normalized 1D ground state of -phi'' + phi = phi^p."""
@@ -171,32 +181,13 @@ def phi_omega(y: np.ndarray | float, model: ModelParams, omega: float):
 
 @dataclass
 class GroundState:
-    """Sampled radial profile with its discrete ODE residual.
+    """Sampled profile with its discrete ODE residual: on a periodic ``grid``
+    (1D closed form) or on a ``radial_mesh`` (shooting)."""
 
-    ``kind`` selects how off-grid values are evaluated: the 1D closed form
-    is re-evaluated analytically, shooting output is interpolated with a
-    cubic spline in |x|.
-    """
-
-    model: ModelParams
-    omega: float
     samples: np.ndarray
     residual: float
-    kind: str
     grid: Optional[Grid] = None
     radial_mesh: Optional[np.ndarray] = None
-    _spline: Optional[CubicSpline] = field(default=None, repr=False, compare=False)
-
-    def evaluate(self, y: np.ndarray) -> np.ndarray:
-        if self.kind == "closed-form-1d":
-            return phi_omega(y, self.model, self.omega)
-        if self._spline is None:
-            self._spline = CubicSpline(self.radial_mesh, self.samples, bc_type="clamped")
-        r = np.abs(np.asarray(y, dtype=float))
-        out = np.zeros_like(r)
-        inside = r <= self.radial_mesh[-1]
-        out[inside] = self._spline(r[inside])
-        return out
 
 
 def _residual_1d(samples: np.ndarray, model: ModelParams, omega: float, grid: Grid) -> float:
@@ -233,7 +224,7 @@ def ground_state_1d(model: ModelParams, omega: float, grid: Grid) -> GroundState
     samples = np.asarray(phi_omega(grid.x, model, omega), dtype=float)
     _check_boundary_decay(samples, "ground state")
     res = _residual_1d(samples, model, omega, grid)
-    return GroundState(model, omega, samples, res, "closed-form-1d", grid=grid)
+    return GroundState(samples, res, grid=grid)
 
 
 def _shoot(a: float, mu: float, p: float, d: int, rmax: float, n: int):
@@ -311,6 +302,28 @@ def _radial_stencil_residual(phi: np.ndarray, r: np.ndarray, mu: float, p: float
     return res
 
 
+def _radial_jacobian_band(phi: np.ndarray, r: np.ndarray, mu: float, p: float, d: int):
+    """Jacobian of ``_radial_stencil_residual`` in phi[0..n-2], tail pinned, in
+    ``solve_banded((2, 2), ...)`` layout.
+
+    The stencil reaches two points each way, so comb probes with unit entries
+    at every fifth point (pinned tail at zero) read off each column without
+    overlap.  On 0/1 entries the nonlinear term equals the probe, which
+    leaves the linear part; the nonlinear part p |phi|^(p-1) is diagonal.
+    """
+    size = len(phi) - 2
+    cols = np.arange(size)
+    probes = np.zeros((5, len(phi)))
+    probes[cols % 5, cols] = 1.0
+    linear = np.array([_radial_stencil_residual(z, r, mu, p, d) - z[:size] for z in probes])
+    ab = np.zeros((5, size))  # ab[2 + i - j, j] = J[i, j]
+    for off in range(-2, 3):
+        ok = (cols + off >= 0) & (cols + off < size)
+        ab[2 + off, cols[ok]] = linear[cols[ok] % 5, cols[ok] + off]
+    ab[2] += p * np.abs(phi[:size]) ** (p - 1.0)
+    return ab
+
+
 def _polish_radial(phi: np.ndarray, r: np.ndarray, mu: float, p: float, d: int):
     """Newton iteration on the 4th-order FD system, pentadiagonal Jacobian.
 
@@ -321,56 +334,20 @@ def _polish_radial(phi: np.ndarray, r: np.ndarray, mu: float, p: float, d: int):
     from scipy.linalg import solve_banded
 
     n = len(phi) - 1
-    h = r[1] - r[0]
     kappa = math.sqrt(mu)
     tail = _linear_tail(r[-2:], kappa, d)
     scale = phi[-3] / _linear_tail(r[-3:-2], kappa, d)[0]
     pin = scale * tail
 
-    # band template for the interior 5-point stencil (rows 1..n-2)
     for _ in range(30):
         phi[-2:] = pin
         res = _radial_stencil_residual(phi, r, mu, p, d)
         # floor set by rounding in the 1/(12 h^2) stencil, well below 1e-8
         if np.max(np.abs(res)) < 1e-10:
             break
-        # assemble banded Jacobian for unknowns phi[0..n-2] (rows 0..n-2)
-        m_size = n - 1
-        ab = np.zeros((5, m_size))  # diagonals +2, +1, 0, -1, -2
-        c2 = 1.0 / (12 * h * h)
-        c1 = 1.0 / (12 * h)
-        dnl = mu - p * np.abs(phi[: n - 1]) ** (p - 1.0)
-        # row 0: d * d2(0) - mu phi0 + phi0^p, even fold: cols 0,1,2
-        ab[2, 0] += d * (-30 * c2) - dnl[0]
-        if m_size > 1:
-            ab[1, 1] += d * (16 + 16) * c2
-        if m_size > 2:
-            ab[0, 2] += d * (-1 - 1) * c2
-        # row 1: fold maps col -1 -> 1
-        i = 1
-        a_d1 = (d - 1) / r[i]
-        ab[2, i] += -30 * c2 - dnl[i]  # col 1
-        ab[3, i - 1] += 16 * c2 - 8 * c1 * a_d1  # col 0
-        ab[2, i] += (-1) * c2 + 1 * c1 * a_d1  # fold col -1 -> col 1
-        if m_size > 2:
-            ab[1, i + 1] += 16 * c2 + 8 * c1 * a_d1
-        if m_size > 3:
-            ab[0, i + 2] += (-1) * c2 - 1 * c1 * a_d1
-        # rows 2..n-2
-        for i in range(2, m_size):
-            a_d1 = (d - 1) / r[i]
-            if i - 2 >= 0:
-                ab[4, i - 2] += (-1) * c2 + 1 * c1 * a_d1
-            ab[3, i - 1] += 16 * c2 - 8 * c1 * a_d1
-            ab[2, i] += -30 * c2 - dnl[i]
-            if i + 1 < m_size:
-                ab[1, i + 1] += 16 * c2 + 8 * c1 * a_d1
-            if i + 2 < m_size:
-                ab[0, i + 2] += (-1) * c2 - 1 * c1 * a_d1
-        step = solve_banded((2, 2), ab, -res)
+        step = solve_banded((2, 2), _radial_jacobian_band(phi, r, mu, p, d), -res)
         phi[: n - 1] += step
         if np.max(np.abs(step)) < 1e-14 * max(1.0, float(np.max(np.abs(phi)))):
-            phi[-2:] = pin
             break
     phi[-2:] = pin
     return phi
@@ -433,45 +410,24 @@ def ground_state_radial(
     if np.any(phi < 0) or np.any(np.diff(phi) > 1e-12 * a_star):
         raise ShootingError("polished profile is not positive decreasing")
     res = _radial_stencil_residual(phi, r, mu, p, d)
-    return GroundState(
-        model, omega, phi, float(np.max(np.abs(res))), "radial-shooting", radial_mesh=r
-    )
-
-
-def _boost(evaluate, sp: SolitonParams, grid: Grid, shift: float, angle: float):
-    """The boost formula of the module docstring for phi = ``evaluate``, at
-    y = wrapped(x - shift) and times e^{i angle}; also returns phi(gamma y)."""
-    y = wrap_coordinate(grid.x - shift, grid.length)
-    prof = np.asarray(evaluate(sp.gamma * y), dtype=float)
-    dprof = spectral_derivative(prof, grid)  # = gamma * phi'(gamma y)
-    phase = np.exp(1j * angle) * np.exp(-1j * sp.gamma * sp.omega * sp.v * y)
-    u1 = phase * prof
-    u2 = phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof)
-    return Field(u1, u2, grid), prof
-
-
-def boost_profile(gs: GroundState, sp: SolitonParams, grid: Grid) -> Field:
-    """Lorentz-boosted Hamiltonian profile of the standing wave."""
-    if gs.model != sp.model or gs.omega != sp.omega:
-        raise ValueError("ground state and soliton parameters disagree")
-    w, prof = _boost(gs.evaluate, sp, grid, 0.0, 0.0)
-    _check_boundary_decay(prof, "boosted profile")
-    return w
+    return GroundState(phi, float(np.max(np.abs(res))), radial_mesh=r)
 
 
 def sample_soliton(sp: SolitonParams, t: float, grid: Grid) -> Field:
-    """Exact soliton at time t, translation argument wrapped onto the torus.
+    """Exact soliton at time t: the boost formula of the module docstring at
+    y = x - x0(t) wrapped onto the torus, times e^{i theta(t)} (``free_flow``).
 
     DomainTooSmallError when the unshifted profile has not decayed at the
     boundary; modulation fitting reads it as the trajectory leaving the tube."""
     if sp.model.d != 1:
         raise ValueError("soliton sampling is implemented for d=1 dynamics")
     _check_boundary_decay(phi_omega(grid.x, sp.model, sp.omega), "ground state")
-    w, _ = _boost(
-        lambda z: phi_omega(z, sp.model, sp.omega), sp, grid,
-        sp.v * t + sp.x0, (sp.omega / sp.gamma) * t + sp.theta,
-    )
-    return w
+    angle, shift = free_flow(sp, t)
+    y = wrap_coordinate(grid.x - shift, grid.length)
+    prof = phi_omega(sp.gamma * y, sp.model, sp.omega)
+    dprof = spectral_derivative(prof, grid)  # = gamma * phi'(gamma y)
+    phase = np.exp(1j * angle) * np.exp(-1j * sp.gamma * sp.omega * sp.v * y)
+    return Field(phase * prof, phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof), grid)
 
 
 def standing_wave_energy(model: ModelParams, omega: float, grid: Grid) -> float:

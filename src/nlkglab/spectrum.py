@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,15 +49,12 @@ class AssemblyError(RuntimeError):
     """Assembled operator failed a symmetry or precondition check."""
 
 
-@lru_cache(maxsize=8)
-def _derivative_matrices(points: int, length: float):
-    """Dense real first/second derivative matrices for the periodic grid."""
-    g = Grid(length, points)
-    eye = np.eye(points)
-    f = np.fft.fft(eye, axis=0)
-    finv = np.fft.ifft(eye, axis=0)
-    d1 = np.real(finv @ (1j * g.deriv_wavenumbers[:, None] * f))
-    d2 = np.real(finv @ (-(g.deriv_wavenumbers**2)[:, None] * f))
+def _derivative_matrices(grid: Grid):
+    """Dense real first/second derivative matrices for the periodic grid.
+    Both are circulant: column 0 is the inverse FFT of the symbol."""
+    k = grid.deriv_wavenumbers
+    d1 = sla.circulant(np.real(np.fft.ifft(1j * k)))
+    d2 = sla.circulant(np.real(np.fft.ifft(-(k**2))))
     return d1, d2
 
 
@@ -105,7 +101,7 @@ class SpectrumReport:
 
 
 def _h1l2_gram(grid: Grid) -> np.ndarray:
-    d1, d2 = _derivative_matrices(grid.points, grid.length)
+    _, d2 = _derivative_matrices(grid)
     n = grid.points
     k1 = np.eye(n) - d2
     gram = np.zeros((4 * n, 4 * n))
@@ -133,7 +129,7 @@ def assemble_second_variation(
     n = grid.points
     p = ap.model.p
     og, v = ap.omega_over_gamma, ap.v
-    d1, d2 = _derivative_matrices(n, grid.length)
+    d1, d2 = _derivative_matrices(grid)
     q = phi.u1
     absq = np.abs(q)
     w1 = 0.5 * (p + 1.0) * absq ** (p - 1.0)
@@ -210,6 +206,16 @@ def spectrum_report(op: RealizedOperator, kernel_tol_factor: float = 1e-6) -> Sp
     )
 
 
+def _frequency_derivative(phi_family, ap, omega, h_omega, op):
+    """The operator (assembled at phi_family(omega) unless given) and the
+    centered omega-difference of the profile family."""
+    if op is None:
+        op = assemble_second_variation(phi_family(omega), ap)
+    wp = phi_family(omega + h_omega)
+    wm = phi_family(omega - h_omega)
+    return op, (1.0 / (2.0 * h_omega)) * (wp - wm)
+
+
 def slope_test(
     phi_family: Callable[[float], Field],
     ap: ActionParams,
@@ -224,14 +230,9 @@ def slope_test(
     window.  The derivative is taken by centered differencing of the exact
     profile family.
     """
-    model = ap.model
-    if abs(omega) + h_omega >= math.sqrt(model.m):
+    if abs(omega) + h_omega >= math.sqrt(ap.model.m):
         raise ValueError("omega too close to sqrt(m) for centered differencing")
-    if op is None:
-        op = assemble_second_variation(phi_family(omega), ap)
-    wp = phi_family(omega + h_omega)
-    wm = phi_family(omega - h_omega)
-    lam = (1.0 / (2.0 * h_omega)) * (wp - wm)
+    op, lam = _frequency_derivative(phi_family, ap, omega, h_omega, op)
     return op.quadratic_form(lam)
 
 
@@ -255,11 +256,7 @@ def frequency_derivative_residual(
     Differentiating the critical-point equation in omega shows this vanishes;
     the discrete value is differencing plus assembly error.
     """
-    if op is None:
-        op = assemble_second_variation(phi_family(omega), ap)
-    wp = phi_family(omega + h_omega)
-    wm = phi_family(omega - h_omega)
-    lam = (1.0 / (2.0 * h_omega)) * (wp - wm)
+    op, lam = _frequency_derivative(phi_family, ap, omega, h_omega, op)
     out = op.apply(lam)
     phi = op.profile
     target = Field(out.u1 + (1.0 / gamma) * 1j * phi.u2, out.u2 - (1.0 / gamma) * 1j * phi.u1, op.grid)

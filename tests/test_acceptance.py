@@ -44,7 +44,6 @@ from nlkglab.modulation import fit_modulation, track_parameters
 from nlkglab.profiles import (
     ModelParams,
     SolitonParams,
-    boost_profile,
     ground_state_1d,
     profile_norms,
     sample_soliton,
@@ -93,7 +92,7 @@ def delta_single():
     """Coercivity constant of one (omega=0.8, v=0.4) soliton at N=512."""
     grid = Grid(80.0, 512)
     sp = SolitonParams(MODEL, omega=0.8, v=0.4)
-    phi = boost_profile(ground_state_1d(MODEL, 0.8, grid), sp, grid)
+    phi = sample_soliton(sp, 0.0, grid)
     rep = spectrum_report(assemble_second_variation(phi, ActionParams.from_soliton(sp)))
     return rep.coercivity_delta
 
@@ -134,10 +133,9 @@ def test_criterion_2_critical_points():
     worst_grad = 0.0
     worst_nehari = 0.0
     for om in (0.75, 0.8, 0.9):
-        gs = ground_state_1d(MODEL, om, grid)
         for v in (0.0, 0.3, 0.6):
             sp = SolitonParams(MODEL, omega=om, v=v)
-            phi = boost_profile(gs, sp, grid)
+            phi = sample_soliton(sp, 0.0, grid)
             ap = ActionParams.from_soliton(sp)
             worst_grad = max(worst_grad, gradient_norm(phi, ap))
             worst_nehari = max(worst_nehari, abs(nehari_value(phi, ap)))
@@ -208,7 +206,7 @@ def test_criterion_5_spectrum():
     reports = {}
     for n in (512, 1024):
         grid = Grid(80.0, n)
-        phi = boost_profile(ground_state_1d(MODEL, 0.8, grid), sp, grid)
+        phi = sample_soliton(sp, 0.0, grid)
         op = assemble_second_variation(phi, ap)
         reports[n] = (spectrum_report(op), op, grid)
 
@@ -218,7 +216,7 @@ def test_criterion_5_spectrum():
     def family(grid):
         def f(om):
             s2 = SolitonParams(MODEL, omega=om, v=0.0)
-            return boost_profile(ground_state_1d(MODEL, om, grid), s2, grid)
+            return sample_soliton(s2, 0.0, grid)
 
         return f
 
@@ -226,7 +224,7 @@ def test_criterion_5_spectrum():
     grid_c = Grid(80.0, 512)
     sp6 = SolitonParams(MODEL, omega=0.6, v=0.0)
     ap6 = ActionParams.from_soliton(sp6)
-    phi6 = boost_profile(ground_state_1d(MODEL, 0.6, grid_c), sp6, grid_c)
+    phi6 = sample_soliton(sp6, 0.0, grid_c)
     op6 = assemble_second_variation(phi6, ap6)
     slope_unstable = slope_test(family(grid_c), ap6, 0.6, op=op6)
 

@@ -151,9 +151,10 @@ def test_field_dump_truncated(tmp_path):
     path = tmp_path / "trunc.dump"
     write_field(path, w)
     data = path.read_bytes()
-    path.write_bytes(data[:-16])
-    with pytest.raises(FieldFormatError, match="truncated"):
-        read_field(path)
+    for payload, kind in ((data[:-16], "truncated"), (data + b"\x00" * 5, "over-long")):
+        path.write_bytes(payload)
+        with pytest.raises(FieldFormatError, match=kind):
+            read_field(path)
 
 
 def test_field_dump_grid_check(tmp_path):
@@ -330,19 +331,23 @@ def test_cli_bad_dump_header_is_io_error(tmp_path, capsys, header):
     assert "bytes" not in err
 
 
+# a run of two solitons on 256 points over half a time unit
+SMALL = (
+    GOOD.replace("length = 160.0", "length = 80.0")
+    .replace("points = 2048", "points = 256")
+    .replace("dt = 0.005", "dt = 0.01")
+    .replace("t_final = 40.0", "t_final = 14.5")
+    .replace("t_start = 10.0", "t_start = 14.0")
+    .replace("diag_period = 0.5", "diag_period = 0.25")
+)
+
+
 def test_cli_sweep_isolates_a_failing_config(tmp_path, monkeypatch, capsys):
     """A too-short domain fails its own config (exit 2); the other config still
     runs, both status lines are printed and the sweep exits with the worst code."""
     from nlkglab.cli import main
 
-    good = (
-        GOOD.replace("length = 160.0", "length = 80.0")
-        .replace("points = 2048", "points = 256")
-        .replace("dt = 0.005", "dt = 0.01")
-        .replace("t_final = 40.0", "t_final = 14.5")
-        .replace("t_start = 10.0", "t_start = 14.0")
-        .replace("diag_period = 0.5", "diag_period = 0.25")
-    )
+    good = SMALL
     short = good.replace("length = 80.0", "length = 10.0").replace("runs/two", "runs/short")
     (tmp_path / "short.cfg").write_text(short, encoding="utf-8")
     (tmp_path / "good.cfg").write_text(good, encoding="utf-8")
@@ -354,6 +359,47 @@ def test_cli_sweep_isolates_a_failing_config(tmp_path, monkeypatch, capsys):
     assert f"{tmp_path / 'good.cfg'}: exit 0" in out.out
     assert "enlarge the domain" in out.err
     assert (tmp_path / "runs" / "two" / "summary.txt").exists()
+
+
+def test_cli_sweep_keeps_outputs_apart(tmp_path, monkeypatch, capsys):
+    """Configs without an out_dir write to <root>/<config stem>; a config whose
+    directory an earlier config of the sweep took fails (exit 2), names that
+    config and writes nothing."""
+    from nlkglab.cli import main
+
+    base = SMALL.replace("out_dir = runs/two\n", "")
+    (tmp_path / "a.cfg").write_text(base, encoding="utf-8")
+    (tmp_path / "b.cfg").write_text(base.replace("omega = 0.8", "omega = 0.75"), encoding="utf-8")
+    clash = base.replace("omega = 0.8", "omega = 0.85") + "out_dir = a\n"
+    (tmp_path / "c.cfg").write_text(clash, encoding="utf-8")
+    monkeypatch.setenv("NLKG_OUT_DIR", str(tmp_path))
+    paths = [str(tmp_path / f"{name}.cfg") for name in "abc"]
+    code = main(["sweep", *paths, "--jobs", "1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert f"{paths[2]}: exit 2" in out.out
+    assert f"already used by {paths[0]}" in out.err
+    for path, name, omega in zip(paths, "ab", (0.8, 0.75)):
+        assert f"{path}: exit 0" in out.out
+        resolved = parse_config((tmp_path / name / "resolved.cfg").read_text(encoding="utf-8"))
+        assert [s["omega"] for s in resolved.solitons] == [omega, omega]
+    assert not (tmp_path / "summary.txt").exists()
+
+
+@pytest.mark.parametrize("period", ["-1", "0", "inf"])
+def test_cli_evolve_rejects_bad_diag_period(tmp_path, capsys, period):
+    """A diagnostic period that is not positive and finite is a configuration
+    error (exit 2), reported before anything is evolved or written."""
+    from nlkglab.cli import main
+
+    src = tmp_path / "zero.dump"
+    write_field(src, Field.zeros(Grid(40.0, 256)))
+    code = main(["evolve", "--from", str(src), "--t0", "0", "--t1", "0.1", "--dt", "0.01",
+                 "--diag", str(tmp_path / "d.csv"), "--diag-period", period,
+                 "--out", str(tmp_path / "o.dump")])
+    assert code == 2
+    assert "diag_period" in capsys.readouterr().err
+    assert not (tmp_path / "o.dump").exists()
 
 
 # --- property tests: outside input gets a result or the documented error

@@ -19,7 +19,7 @@ from nlkglab.functionals import (
     ramp_derivative,
 )
 from nlkglab.grids import Field, Grid, pair_inner
-from nlkglab.profiles import ModelParams, SolitonParams, boost_profile, ground_state_1d
+from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 
 MODEL = ModelParams(1.0, 3.0, 1)
 
@@ -32,13 +32,13 @@ def grid():
 @pytest.fixture(scope="module")
 def standing(grid):
     sp = SolitonParams(MODEL, omega=0.8, v=0.0)
-    return boost_profile(ground_state_1d(MODEL, 0.8, grid), sp, grid), sp
+    return sample_soliton(sp, 0.0, grid), sp
 
 
 @pytest.fixture(scope="module")
 def boosted(grid):
     sp = SolitonParams(MODEL, omega=0.8, v=0.4)
-    return boost_profile(ground_state_1d(MODEL, 0.8, grid), sp, grid), sp
+    return sample_soliton(sp, 0.0, grid), sp
 
 
 def _random_field(grid, seed, band=0.25):
@@ -65,7 +65,7 @@ def test_energy_positive_across_frequencies():
     long_grid = Grid(160.0, 2048)  # omega = 0.9 decays slowly
     for om in (0.75, 0.8, 0.9):
         sp = SolitonParams(MODEL, omega=om, v=0.0)
-        w = boost_profile(ground_state_1d(MODEL, om, long_grid), sp, long_grid)
+        w = sample_soliton(sp, 0.0, long_grid)
         assert energy(w, MODEL) > 0
 
 
@@ -301,7 +301,6 @@ def test_localized_well_separated_charge(grid):
     cp = build_cutoffs([-0.4, 0.4], 30.0, big)
     params = [ActionParams.from_soliton(s) for s in (s1, s2)]
     loc = localized_quantities(w, cp, params)
-    from nlkglab.profiles import sample_soliton
 
     for j, sp in enumerate((s1, s2)):
         qj = charge(sample_soliton(sp, 30.0, big))

@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from nlkglab import integrator
 from nlkglab.functionals import charge, energy, momentum
 from nlkglab.grids import Field, Grid, norm_h1l2
-from nlkglab.integrator import BlowUpError, IntegratorConfig, evolve, step
+from nlkglab.integrator import BlowUpError, IntegratorConfig, evolve
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 
 MODEL = ModelParams(1.0, 3.0, 1)
@@ -18,7 +19,7 @@ def grid():
 
 def test_zero_field_fixed_point(grid):
     w = Field.zeros(grid)
-    out = step(w, IntegratorConfig(dt=0.01), MODEL)
+    out = evolve(w, 0.0, 0.01, IntegratorConfig(dt=0.01), MODEL)
     assert np.max(np.abs(out.u1)) == 0.0
     assert np.max(np.abs(out.u2)) == 0.0
 
@@ -70,7 +71,8 @@ def test_reversibility(grid):
 def test_step_reversal_identity(grid):
     sp = SolitonParams(MODEL, omega=0.8, v=0.4)
     w = sample_soliton(sp, 0.0, grid)
-    out = step(step(w, IntegratorConfig(dt=0.01), MODEL), IntegratorConfig(dt=-0.01), MODEL)
+    fwd = evolve(w, 0.0, 0.01, IntegratorConfig(dt=0.01), MODEL)
+    out = evolve(fwd, 0.01, 0.0, IntegratorConfig(dt=-0.01), MODEL)
     assert norm_h1l2(out - w) < 1e-13 * norm_h1l2(w)
 
 
@@ -134,8 +136,8 @@ def test_flow_matches_hamiltonian_vector_field(grid):
     sp = SolitonParams(MODEL, omega=0.8, v=0.4)
     w = sample_soliton(sp, 1.3, grid)
     dt = 1e-4
-    fwd = step(w, IntegratorConfig(dt=dt), MODEL)
-    bwd = step(w, IntegratorConfig(dt=-dt), MODEL)
+    fwd = evolve(w, 0.0, dt, IntegratorConfig(dt=dt), MODEL)
+    bwd = evolve(w, 0.0, -dt, IntegratorConfig(dt=-dt), MODEL)
     du1 = (fwd.u1 - bwd.u1) / (2 * dt)
     du2 = (fwd.u2 - bwd.u2) / (2 * dt)
     g = action_gradient(w, ActionParams(0.0, 0.0, MODEL))  # = E'(W)
@@ -150,3 +152,15 @@ def test_hooks_fire_at_stride(grid):
     times = [rec.t for rec in recs]
     assert times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     assert recs[0].field is not None
+
+
+def test_amplitude_checked_once_per_check_point(grid, monkeypatch):
+    """Every 16th step, each hook step and the last step are checked, each once."""
+    checked = []
+    real = integrator._check_amplitude
+    monkeypatch.setattr(
+        integrator, "_check_amplitude", lambda u1, t: (checked.append(t), real(u1, t))
+    )
+    w = sample_soliton(SolitonParams(MODEL, omega=0.8), 0.0, grid)
+    evolve(w, 0.0, 0.36, IntegratorConfig(dt=0.01), MODEL, hooks=[lambda rec: None], diag_stride=12)
+    assert checked == pytest.approx([0.12, 0.16, 0.24, 0.32, 0.36])

@@ -10,7 +10,8 @@ from nlkglab.profiles import (
     FrequencyRangeError,
     ModelParams,
     SolitonParams,
-    boost_profile,
+    _radial_jacobian_band,
+    _radial_stencil_residual,
     ground_state_1d,
     ground_state_radial,
     phi_omega,
@@ -147,19 +148,42 @@ def test_radial_nonzero_frequency_scaling():
     assert gs8.samples[0] == pytest.approx(0.6 * gs0.samples[0], rel=1e-6)
 
 
+def test_radial_band_matches_difference_jacobian():
+    """The Newton band equals a central-difference Jacobian of the stencil
+    residual at the polished d=2 profile, and the Jacobian has no entry
+    outside the band."""
+    gs = ground_state_radial(ModelParams(1.0, 3.0, 2), 0.0, rmax=15.0, n=600)
+    phi, r = gs.samples, gs.radial_mesh
+    size, eps = len(phi) - 2, 1e-6
+    band = _radial_jacobian_band(phi, r, 1.0, 3.0, 2.0)
+    i, j = np.indices((size, size))
+    near = np.abs(i - j) <= 2
+    exact = np.zeros((size, size))
+    exact[near] = band[(2 + i - j)[near], j[near]]
+    diff = np.empty((size, size))
+    for col in range(size):
+        up, down = phi.copy(), phi.copy()
+        up[col] += eps
+        down[col] -= eps
+        diff[:, col] = (
+            _radial_stencil_residual(up, r, 1.0, 3.0, 2.0)
+            - _radial_stencil_residual(down, r, 1.0, 3.0, 2.0)
+        ) / (2 * eps)
+    assert np.max(np.abs(exact - diff)) < 1e-8 * np.max(np.abs(exact))
+
+
 # --- boosted profiles
 
 
 def test_boost_v0_relation(grid):
     sp = SolitonParams(MODEL, omega=0.8, v=0.0)
-    gs = ground_state_1d(MODEL, 0.8, grid)
-    w = boost_profile(gs, sp, grid)
+    w = sample_soliton(sp, 0.0, grid)
     assert np.max(np.abs(w.u2 - 1j * 0.8 * w.u1)) < 1e-14
 
 
 def test_boost_v0_norm(grid):
     sp = SolitonParams(MODEL, omega=0.8, v=0.0)
-    w = boost_profile(ground_state_1d(MODEL, 0.8, grid), sp, grid)
+    w = sample_soliton(sp, 0.0, grid)
     assert norm_l2(w.u1, grid) ** 2 == pytest.approx(2.4, rel=1e-10)
 
 
@@ -181,12 +205,15 @@ def test_speed_of_light_guard():
         SolitonParams(MODEL, omega=0.8, v=1.0)
 
 
-def test_sample_matches_boost_at_zero(grid):
-    sp = SolitonParams(MODEL, omega=0.8, v=0.4)
-    a = boost_profile(ground_state_1d(MODEL, 0.8, grid), sp, grid)
-    b = sample_soliton(sp, 0.0, grid)
-    assert np.max(np.abs(a.u1 - b.u1)) < 1e-14
-    assert np.max(np.abs(a.u2 - b.u2)) < 1e-14
+@pytest.mark.parametrize(
+    "t, v, theta, x0", [(3.7, 0.4, 0.0, 0.0), (-12.5, -0.3, 1.1, 2.5), (0.3, 0.6, -2.9, -7.25)]
+)
+def test_sample_at_t_is_advanced_sample_at_zero(grid, t, v, theta, x0):
+    """Sampling at time t is sampling the free-flow-advanced parameters at 0."""
+    sp = SolitonParams(MODEL, omega=0.8, theta=theta, v=v, x0=x0)
+    a = sample_soliton(sp, t, grid)
+    b = sample_soliton(sp.advanced(t), 0.0, grid)
+    assert np.array_equal(a.u1, b.u1) and np.array_equal(a.u2, b.u2)
 
 
 def test_standing_wave_rotation(grid):

@@ -5,7 +5,7 @@ import pytest
 
 from nlkglab.functionals import ActionParams, action, action_gradient
 from nlkglab.grids import Field, Grid, pair_inner
-from nlkglab.profiles import ModelParams, SolitonParams, boost_profile, ground_state_1d
+from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 from nlkglab.spectrum import (
     AssemblyError,
     assemble_second_variation,
@@ -28,7 +28,7 @@ def grid():
 
 def _profile(g, omega, v):
     sp = SolitonParams(MODEL, omega=omega, v=v)
-    w = boost_profile(ground_state_1d(MODEL, omega, g), sp, g)
+    w = sample_soliton(sp, 0.0, g)
     return w, ActionParams.from_soliton(sp), sp
 
 
@@ -41,7 +41,7 @@ def op(grid):
 def _family(grid, v):
     def f(om):
         sp = SolitonParams(MODEL, omega=om, v=v)
-        return boost_profile(ground_state_1d(MODEL, om, grid), sp, grid)
+        return sample_soliton(sp, 0.0, grid)
 
     return f
 
