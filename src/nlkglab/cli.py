@@ -2,8 +2,9 @@
 
 Subcommands: groundstate, soliton, evolve, spectrum, modulate,
 multisoliton, sweep.  NLKG_OUT_DIR sets the default output root.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure
-(blow-up or tube exit), 4 I/O error.
+Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
+(blow-up, tube exit, a degenerate modulation Jacobian, a failed operator
+assembly or radial shooting), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -30,16 +31,17 @@ from .fieldio import (
 from .functionals import ActionParams, charge, energy, gradient_norm, momentum
 from .grids import Field, Grid
 from .integrator import BlowUpError, DiagnosticsRecord, IntegratorConfig, evolve, hook_stride
-from .modulation import NotInTubeError, fit_modulation
+from .modulation import DegenerateConfigurationError, NotInTubeError, fit_modulation
 from .profiles import (
     ModelParams,
+    ShootingError,
     SolitonParams,
     ground_state_1d,
     ground_state_radial,
     profile_norms,
     sample_soliton,
 )
-from .spectrum import assemble_second_variation, slope_test, spectrum_report
+from .spectrum import AssemblyError, assemble_second_variation, slope_test, spectrum_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -54,7 +56,6 @@ def _out_root() -> Path:
 def _model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=float, default=1.0, help="mass coefficient")
     p.add_argument("--p", type=float, default=3.0, help="nonlinearity exponent")
-    p.add_argument("--d", type=int, default=1, help="spatial dimension (profiles only for d>1)")
 
 
 def _grid_args(p: argparse.ArgumentParser) -> None:
@@ -140,11 +141,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     def family(om: float) -> Field:
         return sample_soliton(replace(sp, omega=om), 0.0, grid)
 
-    rep.slope = slope_test(family, ap, args.omega, op=op)
+    slope = slope_test(family, ap, args.omega, op=op)
     print(f"negative eigenvalues : {rep.negative_count} (lowest {rep.negative_eigenvalue:.6g})")
     print(f"kernel dimension     : {rep.kernel_dimension} (tol {rep.kernel_tolerance:.3e})")
     print(f"coercivity delta     : {rep.coercivity_delta:.6g}")
-    print(f"frequency slope      : {rep.slope:.6g} ({'stable' if rep.slope < 0 else 'unstable'} sign)")
+    print(f"frequency slope      : {slope:.6g} ({'stable' if slope < 0 else 'unstable'} sign)")
     if args.out:
         low = np.sort(rep.eigenvalues)[:20]
         write_diagnostics_csv(args.out, ["index", "eigenvalue"], [[float(i), float(v)] for i, v in enumerate(low)])
@@ -155,7 +156,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 def cmd_modulate(args: argparse.Namespace) -> int:
     w, _ = read_field(args.src)
     run = parse_config(Path(args.seed).read_text(encoding="utf-8"))
-    state = fit_modulation(w, run.soliton_params(), w.grid)
+    state = fit_modulation(w, run.soliton_params())
     print("j,theta,omega,x0,v")
     for j, s in enumerate(state.solitons):
         print(
@@ -239,7 +240,9 @@ def _run_command(command, args, label: str = "") -> int:
         code, message = EXIT_CONFIG, str(exc)
     except ValueError as exc:
         code, message = EXIT_CONFIG, f"configuration error: {exc}"
-    except (BlowUpError, NotInTubeError) as exc:
+    except (
+        BlowUpError, NotInTubeError, DegenerateConfigurationError, AssemblyError, ShootingError
+    ) as exc:
         code, message = EXIT_NUMERICAL, f"numerical failure: {exc}"
     except OSError as exc:  # FieldFormatError is an OSError
         code, message = EXIT_IO, f"I/O error: {exc}"
@@ -280,6 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("groundstate", help="compute a ground-state profile")
     _model_args(g)
+    g.add_argument("--d", type=int, default=1, help="spatial dimension (radial profile for d>1)")
     _grid_args(g)
     g.add_argument("--omega", type=float, required=True)
     g.add_argument("--out", type=str, default="")

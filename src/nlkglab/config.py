@@ -37,7 +37,7 @@ one added here is that p be mass-subcritical.  ``dt`` is a magnitude.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Optional
 
 from .experiments import MultiSolitonConfig, run_problems
@@ -89,16 +89,7 @@ class RunConfig:
 
     def soliton_params(self) -> list[SolitonParams]:
         model = self.model()
-        return [
-            SolitonParams(
-                model,
-                omega=s["omega"],
-                theta=s.get("theta", 0.0),
-                v=s.get("v", 0.0),
-                x0=s.get("x0", 0.0),
-            )
-            for s in self.solitons
-        ]
+        return [SolitonParams(model, **s) for s in self.solitons]
 
     def experiment(self) -> MultiSolitonConfig:
         return MultiSolitonConfig(
@@ -127,6 +118,8 @@ _SECTION_KEYS = {
         "seed": int,
     },
 }
+# a [soliton] section starts from the defaults of SolitonParams
+_SOLITON_DEFAULTS = {f.name: f.default for f in fields(SolitonParams) if f.default is not MISSING}
 
 
 def _convert(raw: str, typ, lineno: int, problems: list[str]):
@@ -163,7 +156,7 @@ def parse_config(text: str) -> RunConfig:
                 current_soliton = None
                 continue
             if section == "soliton":
-                current_soliton = {}
+                current_soliton = dict(_SOLITON_DEFAULTS)
                 cfg.solitons.append(current_soliton)
             else:
                 current_soliton = None
@@ -213,11 +206,9 @@ def _validate(cfg: RunConfig) -> list[str]:
         if "omega" not in s:
             problems.append(f"soliton #{i}: missing required key 'omega'")
             continue
-        problems += [
-            f"soliton #{i}: {msg}" for msg in soliton_problems(model, s["omega"], s.get("v", 0.0))
-        ]
+        problems += [f"soliton #{i}: {msg}" for msg in soliton_problems(model, **s)]
     problems += run_problems(
-        [s.get("v", 0.0) for s in cfg.solitons],
+        [s["v"] for s in cfg.solitons],
         cfg.t_final,
         cfg.t_start,
         cfg.dt,
@@ -227,39 +218,17 @@ def _validate(cfg: RunConfig) -> list[str]:
     return problems
 
 
+def _format_value(val) -> str:
+    if isinstance(val, bool):
+        return str(val).lower()
+    return val if isinstance(val, str) else repr(val)
+
+
 def serialize_config(cfg: RunConfig) -> str:
     """Fully resolved round-trippable text form (written next to run outputs)."""
-    lines = [
-        "[model]",
-        f"m = {cfg.m!r}",
-        f"p = {cfg.p!r}",
-        f"d = {cfg.d}",
-        "",
-        "[grid]",
-        f"length = {cfg.length!r}",
-        f"points = {cfg.points}",
-        "",
-        "[integrator]",
-        f"dt = {cfg.dt!r}",
-        f"dealias = {str(cfg.dealias).lower()}",
-    ]
-    for s in cfg.solitons:
-        lines += [
-            "",
-            "[soliton]",
-            f"omega = {s['omega']!r}",
-            f"theta = {s.get('theta', 0.0)!r}",
-            f"v = {s.get('v', 0.0)!r}",
-            f"x0 = {s.get('x0', 0.0)!r}",
-        ]
-    lines += [
-        "",
-        "[experiment]",
-        f"t_final = {cfg.t_final!r}",
-        f"t_start = {cfg.t_start!r}",
-        f"diag_period = {cfg.diag_period!r}",
-        f"out_dir = {cfg.out_dir}",
-        f"seed = {cfg.seed}",
-        "",
-    ]
-    return "\n".join(lines)
+    blocks = []
+    for section, keys in _SECTION_KEYS.items():
+        for values in cfg.solitons if section == "soliton" else [vars(cfg)]:
+            lines = [f"[{section}]"] + [f"{key} = {_format_value(values[key])}" for key in keys]
+            blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n"

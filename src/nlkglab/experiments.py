@@ -145,7 +145,6 @@ class MultiSolitonConfig:
     dt: float
     diag_period: float = 0.5
     dealias: bool = False
-    store_fields: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -184,17 +183,26 @@ class DecayReport:
     charges: np.ndarray
     momenta: np.ndarray
     localized: list[LocalizedQuantities]
-    action_series: np.ndarray
     modulation: list[Optional[ModulationState]]
-    upsilon_norms: np.ndarray
     fields: dict[float, Field]
     tube_exit_time: Optional[float]
-    fitted_slope: float
-    slope_stderr: float
-    fit_rms: float
-    fit_window: tuple[float, float]
     runtime_seconds: float
     final_field: Optional[Field] = None
+
+    @property
+    def action_series(self) -> np.ndarray:
+        return np.array([loc.action_total for loc in self.localized])
+
+    @property
+    def upsilon_norms(self) -> np.ndarray:
+        """||Upsilon(t)|| of each fit, NaN after the tube exit."""
+        return np.array([np.nan if st is None else st.residual_norm for st in self.modulation])
+
+    @property
+    def fit_window(self) -> tuple[float, float]:
+        """The run's window less its last tenth, where the error is ~0."""
+        cfg = self.config
+        return (cfg.t_start, cfg.t_final - 0.1 * (cfg.t_final - cfg.t_start))
 
     def refit(self, window: tuple[float, float]) -> tuple[float, float, float]:
         """Log-error slope over an explicit window (slope, stderr, rms)."""
@@ -202,15 +210,28 @@ class DecayReport:
         mask = (self.times >= lo) & (self.times <= hi)
         return fit_log_slope(self.times[mask], self.errors[mask])
 
+    def _window_fit(self) -> tuple[float, float, float]:
+        try:
+            return self.refit(self.fit_window)
+        except ValueError:  # fewer than 3 positive errors in the window
+            return (math.nan, math.nan, math.nan)
+
+    @property
+    def fitted_slope(self) -> float:
+        return self._window_fit()[0]
+
+    @property
+    def slope_stderr(self) -> float:
+        return self._window_fit()[1]
+
+    @property
+    def fit_rms(self) -> float:
+        return self._window_fit()[2]
+
     def localized_charge_drift(self, j: int) -> np.ndarray:
         """|Q_j(t) - Q_j at the final time| over the series."""
         qj = np.array([loc.q[j] for loc in self.localized])
         return np.abs(qj - qj[-1])
-
-
-def _default_fit_window(t_start: float, t_final: float) -> tuple[float, float]:
-    # exclude the stretch next to the final time where the error is ~0
-    return (t_start, t_final - 0.1 * (t_final - t_start))
 
 
 def _run_construction(
@@ -232,7 +253,6 @@ def _run_construction(
     charges: list[float] = []
     momenta: list[float] = []
     localized: list[LocalizedQuantities] = []
-    actions: list[float] = []
     modstates: list[Optional[ModulationState]] = []
     fields: dict[float, Field] = {}
     tube_exit: list[Optional[float]] = [None]
@@ -248,15 +268,12 @@ def _run_construction(
         charges.append(rec.charge)
         momenta.append(rec.momentum)
         cut = build_cutoffs([sp.v for sp in cfg.solitons], max(t, 1e-6), grid)
-        loc = localized_quantities(rec.field, cut, params)
-        localized.append(loc)
-        actions.append(loc.action_total)
-        if cfg.store_fields:
-            fields[round(t, 9)] = rec.field
+        localized.append(localized_quantities(rec.field, cut, params))
+        fields[round(t, 9)] = rec.field
         if tube_exit[0] is None:
             pred = [sp.advanced(t - seed_holder["t"]) for sp in seed_holder["params"]]
             try:
-                st = fit_modulation(rec.field, pred, grid)
+                st = fit_modulation(rec.field, pred)
                 modstates.append(st)
                 seed_holder["params"] = st.solitons
                 seed_holder["t"] = t
@@ -274,7 +291,7 @@ def _run_construction(
     def _sorted(seq: list) -> list:
         return [seq[i] for i in order]
 
-    report = DecayReport(
+    return DecayReport(
         config=cfg,
         times=np.asarray(times)[order],
         errors=np.asarray(errors)[order],
@@ -282,26 +299,12 @@ def _run_construction(
         charges=np.asarray(charges)[order],
         momenta=np.asarray(momenta)[order],
         localized=_sorted(localized),
-        action_series=np.asarray(actions)[order],
         modulation=_sorted(modstates),
-        upsilon_norms=np.asarray(
-            [st.residual_norm if st is not None else np.nan for st in _sorted(modstates)]
-        ),
         fields=fields,
         tube_exit_time=tube_exit[0],
-        fitted_slope=float("nan"),
-        slope_stderr=float("nan"),
-        fit_rms=float("nan"),
-        fit_window=_default_fit_window(cfg.t_start, cfg.t_final),
-        runtime_seconds=0.0,
+        runtime_seconds=_time.perf_counter() - wall0,
         final_field=final,
     )
-    try:
-        report.fitted_slope, report.slope_stderr, report.fit_rms = report.refit(report.fit_window)
-    except ValueError:  # fewer than 3 positive errors in the window
-        pass
-    report.runtime_seconds = _time.perf_counter() - wall0
-    return report
 
 
 def run_backward_construction(cfg: MultiSolitonConfig) -> DecayReport:
@@ -311,12 +314,36 @@ def run_backward_construction(cfg: MultiSolitonConfig) -> DecayReport:
 
 @dataclass
 class LadderReport:
-    t_finals: list[float]
+    """Backward constructions of one configuration, one per final time."""
+
     reports: list[DecayReport]
-    errors_at_start: list[float]
-    strictly_decreasing: bool
-    successive_differences: list[float]
-    successive_distances: list[float]  # ||U_{T_k+1}(t_start) - U_{T_k}(t_start)||
+
+    @property
+    def t_finals(self) -> list[float]:
+        return [rep.config.t_final for rep in self.reports]
+
+    @property
+    def errors_at_start(self) -> list[float]:
+        """||U_T(t_start) - R(t_start)|| of each rung."""
+        return [
+            float(rep.errors[np.argmin(np.abs(rep.times - rep.config.t_start))])
+            for rep in self.reports
+        ]
+
+    @property
+    def strictly_decreasing(self) -> bool:
+        errs = self.errors_at_start
+        return all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
+
+    @property
+    def successive_differences(self) -> list[float]:
+        errs = self.errors_at_start
+        return [errs[i + 1] - errs[i] for i in range(len(errs) - 1)]
+
+    @property
+    def successive_distances(self) -> list[float]:
+        """||U_{T_k+1}(t_start) - U_{T_k}(t_start)|| of neighbouring rungs."""
+        return successive_distances([rep.final_field for rep in self.reports])
 
 
 def successive_distances(fields: Sequence[Field]) -> list[float]:
@@ -336,25 +363,21 @@ def run_ladder(cfg: MultiSolitonConfig, t_finals: Sequence[float]) -> LadderRepo
     solution to the bare sum, from below.  Both the distances and the
     differences carry the splitting error of the step size, which grows
     with the length of the run."""
-    reports = []
-    errs = []
-    for tf in t_finals:
-        sub = replace(cfg, t_final=float(tf))
-        rep = run_backward_construction(sub)
-        reports.append(rep)
-        errs.append(float(rep.errors[np.argmin(np.abs(rep.times - cfg.t_start))]))
-    decreasing = all(errs[i] > errs[i + 1] for i in range(len(errs) - 1))
-    diffs = [errs[i + 1] - errs[i] for i in range(len(errs) - 1)]
-    dists = successive_distances([rep.final_field for rep in reports])
-    return LadderReport(list(map(float, t_finals)), reports, errs, decreasing, diffs, dists)
+    return LadderReport(
+        [run_backward_construction(replace(cfg, t_final=float(tf))) for tf in t_finals]
+    )
 
 
-def random_bump(grid: Grid, seed: int, band_fraction: float = 0.25) -> Field:
+# random_bump keeps the wavenumbers up to this fraction of the largest
+BUMP_BAND = 0.25
+
+
+def random_bump(grid: Grid, seed: int) -> Field:
     """Smooth random field with unit H1 x L2 norm (band-limited, seeded)."""
     rng = np.random.default_rng(seed)
     k = grid.deriv_wavenumbers
     kmax = np.max(np.abs(k))
-    mask = np.abs(k) <= band_fraction * kmax
+    mask = np.abs(k) <= BUMP_BAND * kmax
     comps = []
     for _ in range(2):
         spec = (rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points))
@@ -364,14 +387,12 @@ def random_bump(grid: Grid, seed: int, band_fraction: float = 0.25) -> Field:
     return (1.0 / norm_h1l2(w)) * w
 
 
-def run_forward_stability(
-    cfg: MultiSolitonConfig, amplitude: float, seed: Optional[int] = None
-) -> DecayReport:
-    """Forward evolution of R(t_start) + amplitude * bump, tracking the error."""
-    seed = cfg.seed if seed is None else seed
+def run_forward_stability(cfg: MultiSolitonConfig, amplitude: float) -> DecayReport:
+    """Forward evolution of R(t_start) + amplitude * bump (seeded by ``cfg.seed``),
+    tracking the error."""
     w0 = soliton_sum(cfg.solitons, cfg.t_start, cfg.grid)
     if amplitude != 0.0:
-        w0 = w0 + amplitude * random_bump(cfg.grid, seed)
+        w0 = w0 + amplitude * random_bump(cfg.grid, cfg.seed)
     return _run_construction(cfg, backward=False, initial=w0)
 
 
@@ -475,15 +496,26 @@ class AlmostConservationReport:
     ramp_charge_flux_mismatch: np.ndarray  # informational: partition ramp window
 
 
+# the audits sample this many times, spread over the middle half of the window
+AUDIT_COUNT = 5
+
+
+def _audit_times(cfg: MultiSolitonConfig, available: np.ndarray) -> np.ndarray:
+    """AUDIT_COUNT times evenly spread over the middle half of the run's window,
+    each snapped to the nearest available time (duplicates dropped)."""
+    lo = cfg.t_start + 0.25 * (cfg.t_final - cfg.t_start)
+    hi = cfg.t_start + 0.75 * (cfg.t_final - cfg.t_start)
+    proto = np.linspace(lo, hi, AUDIT_COUNT)
+    return np.unique(available[np.argmin(np.abs(available[:, None] - proto[None, :]), axis=0)])
+
+
 def _microstep_pair(f: Field, cfg: MultiSolitonConfig):
     fwd = evolve(f, 0.0, cfg.dt, IntegratorConfig(dt=cfg.dt, dealias=cfg.dealias), cfg.model)
     bwd = evolve(f, 0.0, -cfg.dt, IntegratorConfig(dt=-cfg.dt, dealias=cfg.dealias), cfg.model)
     return fwd, bwd
 
 
-def almost_conservation_audit(
-    report: DecayReport, audit_count: int = 5
-) -> AlmostConservationReport:
+def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
     """Differencing audit of the localized action and the local flux identities.
 
     The charge identity d/dt Im int u1 conj(u2) w dx = Im int u1' conj(u1) w' dx
@@ -495,8 +527,6 @@ def almost_conservation_audit(
     noise); the ramp version is reported alongside.
     """
     cfg = report.config
-    if not report.fields:
-        raise ValueError("audit needs stored fields (store_fields=True)")
     grid, h = cfg.grid, cfg.grid.spacing
 
     t_arr = report.times
@@ -513,11 +543,7 @@ def almost_conservation_audit(
         # floor the scale at 1: symmetric configurations have P (or Q) ~ 0
         drift[name] = float(np.max(np.abs(series - ref)) / max(abs(ref), 1.0))
 
-    lo = cfg.t_start + 0.25 * (cfg.t_final - cfg.t_start)
-    hi = cfg.t_start + 0.75 * (cfg.t_final - cfg.t_start)
-    stored = np.array(sorted(report.fields.keys()))
-    proto = np.linspace(lo, hi, audit_count)
-    audit_times = np.unique(stored[np.argmin(np.abs(stored[:, None] - proto[None, :]), axis=0)])
+    audit_times = _audit_times(cfg, np.array(sorted(report.fields.keys())))
 
     # window midway between the velocity midline and the fastest soliton:
     # on the symmetry axis of a mirror pair both flux sides vanish identically
@@ -601,12 +627,15 @@ class TaylorReport:
     hessian_terms: np.ndarray
     remainders: np.ndarray  # S_loc(U) - constant - hessian_terms
     upsilon_norm2: np.ndarray
-    coercivity_ratios: np.ndarray  # hessian / ||Upsilon||^2
-    delta_single: Optional[float]
     interaction_tails: np.ndarray
     modulation_shifts: np.ndarray
     linear_terms: np.ndarray
     taylor_remainders: np.ndarray
+
+    @property
+    def coercivity_ratios(self) -> np.ndarray:
+        """hessian_terms / ||Upsilon||^2"""
+        return self.hessian_terms / self.upsilon_norm2
 
 
 def localized_hessian_form(
@@ -639,11 +668,7 @@ def localized_hessian_form(
     return 0.5 * total
 
 
-def taylor_expansion_audit(
-    report: DecayReport,
-    delta_single: Optional[float] = None,
-    sample_count: int = 5,
-) -> TaylorReport:
+def taylor_expansion_audit(report: DecayReport) -> TaylorReport:
     """Compare the localized action against constant + quadratic term.
 
     The constant is the (time-independent) sum of per-soliton action values
@@ -661,22 +686,19 @@ def taylor_expansion_audit(
     for sp, ap in zip(cfg.solitons, params):
         const += action(sample_soliton(sp, cfg.t_final, grid), ap)
 
-    lo = cfg.t_start + 0.25 * (cfg.t_final - cfg.t_start)
-    hi = cfg.t_start + 0.75 * (cfg.t_final - cfg.t_start)
-    proto = np.linspace(lo, hi, sample_count)
     have = np.array(
         [t for t, st in zip(report.times, report.modulation) if st is not None]
     )
     if len(have) == 0:
         raise ValueError("no modulated snapshots available (trajectory left the tube)")
-    audit_times = np.unique(have[np.argmin(np.abs(have[:, None] - proto[None, :]), axis=0)])
+    audit_times = _audit_times(cfg, have)
 
     svals, hvals, rvals, unorm2 = [], [], [], []
     tails, shifts, lins, tays = [], [], [], []
     for t in audit_times:
         i = int(np.argmin(np.abs(report.times - t)))
         st = report.modulation[i]
-        s_loc = report.action_series[i]
+        s_loc = report.localized[i].action_total
         cut = build_cutoffs([sp.v for sp in cfg.solitons], t, grid)
         hess = localized_hessian_form(st.residual, st.solitons, cut, params)
         comps = [sample_soliton(sp, 0.0, grid) for sp in st.solitons]
@@ -693,17 +715,13 @@ def taylor_expansion_audit(
         lins.append(lin)
         tays.append(s_loc - s_fit - lin - hess)
 
-    hval_arr = np.asarray(hvals)
-    unorm2_arr = np.asarray(unorm2)
     return TaylorReport(
         times=audit_times,
         action_values=np.asarray(svals),
         constant=const,
-        hessian_terms=hval_arr,
+        hessian_terms=np.asarray(hvals),
         remainders=np.asarray(rvals),
-        upsilon_norm2=unorm2_arr,
-        coercivity_ratios=hval_arr / unorm2_arr,
-        delta_single=delta_single,
+        upsilon_norm2=np.asarray(unorm2),
         interaction_tails=np.asarray(tails),
         modulation_shifts=np.asarray(shifts),
         linear_terms=np.asarray(lins),

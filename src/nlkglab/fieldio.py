@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,7 +47,7 @@ def write_field(path: str | Path, w: Field, time: float = 0.0) -> None:
         fh.write(w.u2.astype("<c16").tobytes())
 
 
-def read_field(path: str | Path, grid: Optional[Grid] = None) -> tuple[Field, float]:
+def read_field(path: str | Path) -> tuple[Field, float]:
     """Read a dump; returns (field, time).  Grid is rebuilt from the header."""
     with open(path, "rb") as fh:
         header = fh.readline().decode("ascii", errors="replace").strip()
@@ -71,14 +71,7 @@ def read_field(path: str | Path, grid: Optional[Grid] = None) -> tuple[Field, fl
         raise FieldFormatError(f"{kind} payload: {len(payload)} bytes, expected {expected}")
     raw = np.frombuffer(payload, dtype="<c16")
     u1, u2 = raw[:points], raw[points:]
-    if grid is None:
-        grid = Grid(length, points)
-    elif grid.points != points or grid.length != length:
-        raise FieldFormatError(
-            f"dump grid ({points}, {length}) does not match supplied grid "
-            f"({grid.points}, {grid.length})"
-        )
-    return Field(u1.copy(), u2.copy(), grid), time
+    return Field(u1.copy(), u2.copy(), Grid(length, points)), time
 
 
 def write_diagnostics_csv(

@@ -34,6 +34,7 @@ __all__ = [
     "norm_l2",
     "norm_l2l2",
     "norm_h1l2",
+    "symmetry_directions",
     "wrap_coordinate",
 ]
 
@@ -184,6 +185,17 @@ def norm_h1l2(w: Field) -> float:
         np.sqrt(
             np.sum(np.abs(w.u1) ** 2 + np.abs(du1) ** 2 + np.abs(w.u2) ** 2) * h
         )
+    )
+
+
+def symmetry_directions(w: Field) -> tuple[Field, Field, Field]:
+    """The symmetry directions at w that a modulation residue is kept
+    orthogonal to: i w (phase), i J w = (i u2, -i u1) and w' (translation)."""
+    g = w.grid
+    return (
+        Field(1j * w.u1, 1j * w.u2, g),
+        Field(1j * w.u2, -1j * w.u1, g),
+        Field(spectral_derivative(w.u1, g), spectral_derivative(w.u2, g), g),
     )
 
 

@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .grids import Field, Grid, norm_h1l2, pair_inner, spectral_derivative
+from .grids import Field, norm_h1l2, pair_inner, symmetry_directions
 from .profiles import DomainTooSmallError, FrequencyRangeError, SolitonParams, sample_soliton
 
 __all__ = [
@@ -31,6 +31,11 @@ __all__ = [
 ]
 
 OMEGA_MARGIN = 1e-3
+# convergence when every orthogonality residual is below NEWTON_TOL * ||U||
+NEWTON_TOL = 1e-12
+MAX_NEWTON_ITER = 50
+# parameter step of the centered-difference Jacobian
+JACOBIAN_STEP = 1e-6
 
 
 class NotInTubeError(RuntimeError):
@@ -69,22 +74,15 @@ class ModulationState:
         return norm_h1l2(self.residual)
 
 
-def _ortho_vector(u: Field, params: Sequence[SolitonParams], grid: Grid):
+def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     """The orthogonality residuals and the residue U - sum_j R_j."""
-    comps = [sample_soliton(sp, 0.0, grid) for sp in params]
+    comps = [sample_soliton(sp, 0.0, u.grid) for sp in params]
     ups = u.copy()
     for c in comps:
         ups = ups - c
     out = np.empty(3 * len(comps))
     for j, c in enumerate(comps):
-        d1 = Field(1j * c.u1, 1j * c.u2, grid)
-        d2 = Field(1j * c.u2, -1j * c.u1, grid)
-        d3 = Field(spectral_derivative(c.u1, grid), spectral_derivative(c.u2, grid), grid)
-        out[3 * j : 3 * j + 3] = (
-            pair_inner(ups, d1),
-            pair_inner(ups, d2),
-            pair_inner(ups, d3),
-        )
+        out[3 * j : 3 * j + 3] = [pair_inner(ups, d) for d in symmetry_directions(c)]
     return out, ups
 
 
@@ -97,22 +95,14 @@ def _apply(params: Sequence[SolitonParams], vec: np.ndarray) -> list[SolitonPara
     return out
 
 
-def fit_modulation(
-    u: Field,
-    initial: Sequence[SolitonParams],
-    grid: Optional[Grid] = None,
-    tol: float = 1e-12,
-    max_iter: int = 50,
-    fd_step: float = 1e-6,
-) -> ModulationState:
+def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationState:
     """Newton-solve the orthogonality system for (theta_j, omega_j, x_j).
 
     ``initial`` provides the seeds and the fixed velocities.  Convergence
-    is declared when every orthogonality residual is below tol * ||U||;
+    is declared when every orthogonality residual is below NEWTON_TOL * ||U||;
     leaving the admissible frequency band or exceeding condition number
     1e8 raises instead of silently projecting.
     """
-    grid = grid or u.grid
     params = list(initial)
     sqm = math.sqrt(params[0].model.m)
     scale = norm_h1l2(u)
@@ -124,24 +114,24 @@ def fit_modulation(
         vec[3 * j : 3 * j + 3] = (sp.theta, sp.omega, sp.x0)
 
     cond = float("nan")
-    for it in range(max_iter):
+    for it in range(MAX_NEWTON_ITER):
         try:
-            f0, ups = _ortho_vector(u, _apply(params, vec), grid)
+            f0, ups = _ortho_vector(u, _apply(params, vec))
         except (DomainTooSmallError, FrequencyRangeError) as exc:
             raise NotInTubeError(f"iterate left the profile family: {exc}") from exc
-        if np.max(np.abs(f0)) < tol * scale:
+        if np.max(np.abs(f0)) < NEWTON_TOL * scale:
             return ModulationState(_apply(params, vec), ups, f0, True, it, cond)
         jac = np.empty((3 * len(params), 3 * len(params)))
         try:
             for col in range(3 * len(params)):
                 vp = vec.copy()
                 vm = vec.copy()
-                vp[col] += fd_step
-                vm[col] -= fd_step
+                vp[col] += JACOBIAN_STEP
+                vm[col] -= JACOBIAN_STEP
                 jac[:, col] = (
-                    _ortho_vector(u, _apply(params, vp), grid)[0]
-                    - _ortho_vector(u, _apply(params, vm), grid)[0]
-                ) / (2.0 * fd_step)
+                    _ortho_vector(u, _apply(params, vp))[0]
+                    - _ortho_vector(u, _apply(params, vm))[0]
+                ) / (2.0 * JACOBIAN_STEP)
         except (DomainTooSmallError, FrequencyRangeError) as exc:
             raise NotInTubeError(f"iterate left the profile family: {exc}") from exc
         cond = float(np.linalg.cond(jac))
@@ -161,7 +151,7 @@ def fit_modulation(
             if admissible:
                 try:
                     descent = (
-                        np.max(np.abs(_ortho_vector(u, _apply(params, trial), grid)[0]))
+                        np.max(np.abs(_ortho_vector(u, _apply(params, trial))[0]))
                         < norm0
                     )
                 except (DomainTooSmallError, FrequencyRangeError):
@@ -176,8 +166,8 @@ def fit_modulation(
             )
         vec = trial
     raise NotInTubeError(
-        f"modulation Newton did not converge in {max_iter} iterations "
-        f"(last residual {np.max(np.abs(f0)):.3e}, tol {tol * scale:.3e})"
+        f"modulation Newton did not converge in {MAX_NEWTON_ITER} iterations "
+        f"(last residual {np.max(np.abs(f0)):.3e}, tol {NEWTON_TOL * scale:.3e})"
     )
 
 
@@ -187,18 +177,19 @@ class TrackReport:
 
     times: np.ndarray
     states: list[ModulationState]
-    residual_norms: np.ndarray
     # per (time, soliton): |d theta/dt - omega/gamma|, |d omega/dt|, |d x/dt - v|
     theta_rate_error: np.ndarray
     omega_rate: np.ndarray
     position_rate_error: np.ndarray
 
+    @property
+    def residual_norms(self) -> np.ndarray:
+        return np.array([st.residual_norm for st in self.states])
+
 
 def track_parameters(
     trajectory: Sequence[tuple[float, Field]],
     initial: Sequence[SolitonParams],
-    grid: Optional[Grid] = None,
-    tol: float = 1e-12,
 ) -> TrackReport:
     """Fit every snapshot, seeding each fit from the previous one.
 
@@ -209,14 +200,13 @@ def track_parameters(
     """
     if len(trajectory) < 3:
         raise ValueError("need at least 3 snapshots for centered differences")
-    grid = grid or trajectory[0][1].grid
     times = np.array([t for t, _ in trajectory])
     seeds = list(initial)
     states: list[ModulationState] = []
     prev_t = times[0]
     for t, f in trajectory:
         seeds = [sp.advanced(t - prev_t) for sp in seeds]
-        st = fit_modulation(f, seeds, grid, tol=tol)
+        st = fit_modulation(f, seeds)
         states.append(st)
         seeds = st.solitons
         prev_t = t
@@ -234,7 +224,6 @@ def track_parameters(
     return TrackReport(
         times=times,
         states=states,
-        residual_norms=np.array([st.residual_norm for st in states]),
         theta_rate_error=dth,
         omega_rate=dom,
         position_rate_error=dx,

@@ -97,11 +97,16 @@ def frequency_problems(model: ModelParams, omega: float) -> list[str]:
     return [f"|omega|={abs(omega)} not below sqrt(m)={math.sqrt(model.m)}"]
 
 
-def soliton_problems(model: Optional[ModelParams], omega: float, v: float) -> list[str]:
+def soliton_problems(
+    model: Optional[ModelParams], omega: float, theta: float, v: float, x0: float
+) -> list[str]:
     """The rules one boosted standing wave breaks; the band only with a model."""
     problems = frequency_problems(model, omega) if model is not None else []
     if not abs(v) < 1.0:
         problems.append(f"|v|={abs(v)} not below the speed of light 1")
+    for name, val in (("theta", theta), ("x0", x0)):
+        if not math.isfinite(val):
+            problems.append(f"{name}={val} must be finite")
     return problems
 
 
@@ -141,7 +146,8 @@ class SolitonParams:
     def __post_init__(self) -> None:
         band = frequency_problems(self.model, self.omega)  # modulation Newton catches it
         error = FrequencyRangeError if band else ValueError
-        raise_problems(soliton_problems(self.model, self.omega, self.v), error)
+        problems = soliton_problems(self.model, self.omega, self.theta, self.v, self.x0)
+        raise_problems(problems, error)
 
     @property
     def gamma(self) -> float:
@@ -353,17 +359,17 @@ def _polish_radial(phi: np.ndarray, r: np.ndarray, mu: float, p: float, d: int):
     return phi
 
 
+# relative tolerance of the bisection on the ground-state height phi(0)
+HEIGHT_TOL = 1e-12
+
+
 def ground_state_radial(
-    model: ModelParams,
-    omega: float,
-    rmax: float = 20.0,
-    n: int = 4000,
-    bisect_tol: float = 1e-12,
+    model: ModelParams, omega: float, rmax: float = 20.0, n: int = 4000
 ) -> GroundState:
     """Radial ground state by bisection shooting on phi(0), then an FD polish.
 
     Brackets the threshold height between turning-up (too small) and
-    zero-crossing (too large) trajectories, bisects phi(0) to ``bisect_tol``,
+    zero-crossing (too large) trajectories, bisects phi(0) to ``HEIGHT_TOL``,
     splices the matched decaying tail where the trajectory degenerates, and
     polishes the whole mesh with Newton on the 4th-order finite-difference
     system so the reported discrete residual is at rounding level.
@@ -384,7 +390,7 @@ def ground_state_radial(
     if a_hi is None or a_lo is None:
         raise ShootingError("failed to bracket the ground-state height")
 
-    while a_hi - a_lo > bisect_tol * max(1.0, a_hi):
+    while a_hi - a_lo > HEIGHT_TOL * max(1.0, a_hi):
         mid = 0.5 * (a_lo + a_hi)
         kind, _, _ = _shoot(mid, mu, p, model.d, rmax, n)
         if kind == "cross":
@@ -438,24 +444,21 @@ def standing_wave_energy(model: ModelParams, omega: float, grid: Grid) -> float:
     return energy(Field(phi, 1j * omega * phi, grid), model)
 
 
-def standing_wave_energy_scaling(
-    model: ModelParams, omega: float, corrected: bool = True
-) -> float:
+def standing_wave_energy_scaling(model: ModelParams, omega: float) -> float:
     """Closed-form standing-wave energy per unit ||phi_tilde||_2^2.
 
     The scaling relations reduce E(Phi_omega) to powers of (m - omega^2)
     times ||phi_tilde||^2.  The gradient term carries the Pohozaev factor
-    d(p-1)/(2d-(d-2)(p+1)); with ``corrected=False`` that factor is replaced
-    by 1, which reproduces a commonly quoted but inconsistent collapsed
-    formula (0.492 vs 0.456 at m=1, p=3, d=1, omega=0.8).  Direct quadrature
-    (``standing_wave_energy``) is the ground truth and matches the corrected
-    form.
+    d(p-1)/(2d-(d-2)(p+1)); replacing that factor by 1 reproduces a commonly
+    quoted but inconsistent collapsed formula (0.492 vs 0.456 at m=1, p=3,
+    d=1, omega=0.8).  Direct quadrature (``standing_wave_energy``) is the
+    ground truth and matches this form.
     """
     m, p, d = model.m, model.p, model.d
     mu = m - omega * omega
     a_grad = (p * (2 - d) + 2 + d) / (2 * (p - 1))
     a_mass = (4 - d * (p - 1)) / (2 * (p - 1))
-    poho = pohozaev_ratio(model) if corrected else 1.0
+    poho = pohozaev_ratio(model)
     return (
         (p - 1) / (2 * (p + 1)) * (poho * mu**a_grad + m * mu**a_mass)
         + (p + 3) / (2 * (p + 1)) * omega**2 * mu**a_mass

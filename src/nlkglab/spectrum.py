@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .functionals import ActionParams, gradient_norm
-from .grids import Field, Grid, spectral_derivative
+from .grids import Field, Grid, norm_l2l2, symmetry_directions
 from .profiles import ModelParams
 
 __all__ = [
@@ -43,6 +43,12 @@ __all__ = [
     "flatten_field",
     "unflatten_field",
 ]
+
+
+# eigenvalues below KERNEL_REL_TOL * spectral radius in magnitude count as kernel
+KERNEL_REL_TOL = 1e-6
+# frequency step of the centered difference of the profile family
+OMEGA_STEP = 1e-4
 
 
 class AssemblyError(RuntimeError):
@@ -71,10 +77,9 @@ def unflatten_field(z: np.ndarray, grid: Grid) -> Field:
 
 @dataclass
 class RealizedOperator:
-    """Symmetric matrix of the second variation plus the H1 x L2 Gram."""
+    """Symmetric matrix of the second variation at a profile."""
 
     matrix: np.ndarray
-    gram: np.ndarray
     grid: Grid
     profile: Field
     params: ActionParams
@@ -95,34 +100,28 @@ class SpectrumReport:
     kernel_dimension: int
     kernel_tolerance: float
     coercivity_delta: float
-    slope: float
-    spectral_radius: float
     eigenvalues: np.ndarray
 
 
-def _h1l2_gram(grid: Grid) -> np.ndarray:
+def _constrained_gram(basis: np.ndarray, grid: Grid) -> np.ndarray:
+    """basis^T G basis for the H1 x L2 Gram G of the flattening, which is the
+    identity plus -D2 on the two u1 blocks, rows [0, N) and [N, 2N)."""
     _, d2 = _derivative_matrices(grid)
     n = grid.points
-    k1 = np.eye(n) - d2
-    gram = np.zeros((4 * n, 4 * n))
-    gram[0:n, 0:n] = k1
-    gram[n : 2 * n, n : 2 * n] = k1
-    gram[2 * n : 3 * n, 2 * n : 3 * n] = np.eye(n)
-    gram[3 * n : 4 * n, 3 * n : 4 * n] = np.eye(n)
-    return 0.5 * (gram + gram.T)
+    b = basis.T @ basis
+    for blk in (basis[0:n], basis[n : 2 * n]):
+        b -= blk.T @ (d2 @ blk)
+    return b
 
 
 def assemble_second_variation(
-    phi: Field,
-    ap: ActionParams,
-    grid: Optional[Grid] = None,
-    check_critical: bool = True,
+    phi: Field, ap: ActionParams, check_critical: bool = True
 ) -> RealizedOperator:
     """Dense symmetric matrix realizing Z -> S''(Phi) Z in the real flattening."""
-    grid = grid or phi.grid
+    grid = phi.grid
     if check_critical:
         gn = gradient_norm(phi, ap)
-        if gn >= 1e-7:
+        if not gn < 1e-7:  # a NaN norm fails too
             raise AssemblyError(
                 f"profile is not a converged critical point (||S'|| = {gn:.3e})"
             )
@@ -160,35 +159,22 @@ def assemble_second_variation(
     if asym > 1e-9 * scale:
         raise AssemblyError(f"assembled operator asymmetric: {asym:.3e} vs scale {scale:.3e}")
     mat = 0.5 * (mat + mat.T)
-    return RealizedOperator(mat, _h1l2_gram(grid), grid, phi.copy(), ap, asym)
+    return RealizedOperator(mat, grid, phi.copy(), ap, asym)
 
 
-def _symmetry_directions(op: RealizedOperator) -> np.ndarray:
-    """Columns spanning {grad Phi, iJPhi, iPhi} in the flattening."""
-    phi, grid = op.profile, op.grid
-    dphi = Field(
-        spectral_derivative(phi.u1, grid), spectral_derivative(phi.u2, grid), grid
-    )
-    i_j_phi = Field(1j * phi.u2, -1j * phi.u1, grid)
-    i_phi = Field(1j * phi.u1, 1j * phi.u2, grid)
-    return np.column_stack(
-        [flatten_field(dphi), flatten_field(i_j_phi), flatten_field(i_phi)]
-    )
-
-
-def spectrum_report(op: RealizedOperator, kernel_tol_factor: float = 1e-6) -> SpectrumReport:
+def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     """Full L2 eigensolve plus the constrained H1 x L2 coercivity constant."""
     ev = sla.eigvalsh(op.matrix)
-    rho = float(np.max(np.abs(ev)))
-    ktol = kernel_tol_factor * rho
+    ktol = KERNEL_REL_TOL * float(np.max(np.abs(ev)))
     negative = ev[ev < -ktol]
     kernel_dim = int(np.sum(np.abs(ev) < ktol))
 
-    cons = _symmetry_directions(op)
+    i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
+    cons = np.column_stack([flatten_field(f) for f in (dphi, i_j_phi, i_phi)])
     qfull, _ = sla.qr(cons)  # 3 reflectors: full Q is cheap
     basis = qfull[:, 3:]
     a = basis.T @ (op.matrix @ basis)
-    b = basis.T @ (op.gram @ basis)
+    b = _constrained_gram(basis, op.grid)
     a = 0.5 * (a + a.T)
     b = 0.5 * (b + b.T)
     low = sla.eigh(a, b, subset_by_index=[0, 0], eigvals_only=True, driver="gvx")
@@ -200,27 +186,24 @@ def spectrum_report(op: RealizedOperator, kernel_tol_factor: float = 1e-6) -> Sp
         kernel_dimension=kernel_dim,
         kernel_tolerance=ktol,
         coercivity_delta=delta,
-        slope=float("nan"),
-        spectral_radius=rho,
         eigenvalues=ev,
     )
 
 
-def _frequency_derivative(phi_family, ap, omega, h_omega, op):
+def _frequency_derivative(phi_family, ap, omega, op):
     """The operator (assembled at phi_family(omega) unless given) and the
     centered omega-difference of the profile family."""
     if op is None:
         op = assemble_second_variation(phi_family(omega), ap)
-    wp = phi_family(omega + h_omega)
-    wm = phi_family(omega - h_omega)
-    return op, (1.0 / (2.0 * h_omega)) * (wp - wm)
+    wp = phi_family(omega + OMEGA_STEP)
+    wm = phi_family(omega - OMEGA_STEP)
+    return op, (1.0 / (2.0 * OMEGA_STEP)) * (wp - wm)
 
 
 def slope_test(
     phi_family: Callable[[float], Field],
     ap: ActionParams,
     omega: float,
-    h_omega: float = 1e-4,
     op: Optional[RealizedOperator] = None,
 ) -> float:
     """Quadratic form of S'' on the omega-derivative of the profile family.
@@ -230,9 +213,9 @@ def slope_test(
     window.  The derivative is taken by centered differencing of the exact
     profile family.
     """
-    if abs(omega) + h_omega >= math.sqrt(ap.model.m):
+    if abs(omega) + OMEGA_STEP >= math.sqrt(ap.model.m):
         raise ValueError("omega too close to sqrt(m) for centered differencing")
-    op, lam = _frequency_derivative(phi_family, ap, omega, h_omega, op)
+    op, lam = _frequency_derivative(phi_family, ap, omega, op)
     return op.quadratic_form(lam)
 
 
@@ -248,7 +231,6 @@ def frequency_derivative_residual(
     ap: ActionParams,
     omega: float,
     gamma: float,
-    h_omega: float = 1e-4,
     op: Optional[RealizedOperator] = None,
 ) -> float:
     """L2 norm of S''(Phi) dPhi/domega + (1/gamma) iJ Phi.
@@ -256,14 +238,9 @@ def frequency_derivative_residual(
     Differentiating the critical-point equation in omega shows this vanishes;
     the discrete value is differencing plus assembly error.
     """
-    op, lam = _frequency_derivative(phi_family, ap, omega, h_omega, op)
-    out = op.apply(lam)
-    phi = op.profile
-    target = Field(out.u1 + (1.0 / gamma) * 1j * phi.u2, out.u2 - (1.0 / gamma) * 1j * phi.u1, op.grid)
-    h = op.grid.spacing
-    return float(
-        np.sqrt(np.sum(np.abs(target.u1) ** 2 + np.abs(target.u2) ** 2) * h)
-    )
+    op, lam = _frequency_derivative(phi_family, ap, omega, op)
+    i_j_phi = symmetry_directions(op.profile)[1]
+    return norm_l2l2(op.apply(lam) + (1.0 / gamma) * i_j_phi)
 
 
 def free_operator_floor(ap: ActionParams, grid: Grid) -> float:

@@ -262,7 +262,7 @@ def test_criterion_6_modulation():
     u = soliton_sum([s1, s2], 0.0, grid)
 
     seeds = [replace(s, theta=s.theta + 0.04, omega=s.omega - 0.01, x0=s.x0 + 0.05) for s in (s1, s2)]
-    st = fit_modulation(u, seeds, grid)
+    st = fit_modulation(u, seeds)
     recovery = max(
         float(np.max(np.abs(st.thetas - [s1.theta, s2.theta]))),
         float(np.max(np.abs(st.omegas - [s1.omega, s2.omega]))),
@@ -276,14 +276,12 @@ def test_criterion_6_modulation():
     st_rot = fit_modulation(
         Field(np.exp(1j * alpha) * u.u1, np.exp(1j * alpha) * u.u2, grid),
         [replace(s, theta=s.theta + alpha) for s in seeds],
-        grid,
     )
     cells = 32
     shift = cells * grid.spacing
     st_mov = fit_modulation(
         Field(np.roll(u.u1, cells), np.roll(u.u2, cells), grid),
         [replace(s, x0=s.x0 + shift) for s in seeds],
-        grid,
     )
     gauge = max(
         float(np.max(np.abs(st_rot.thetas - st.thetas - alpha))),
@@ -307,7 +305,7 @@ def test_criterion_6_modulation():
         for i in range(10):
             cur = evolve(cur, i * 0.2, (i + 1) * 0.2, cfg, MODEL)
             snaps.append(((i + 1) * 0.2, cur))
-        rep = track_parameters(snaps, [sp], tgrid)
+        rep = track_parameters(snaps, [sp])
         om_rates.append(float(np.max(np.abs(rep.omega_rate))))
         th_rates.append(float(np.max(np.abs(rep.theta_rate_error))))
     la = np.log10(np.asarray(amps))
@@ -386,7 +384,7 @@ def test_criterion_8_ladder_monotonicity(ladder):
     """
     cfg = ladder.reports[0].config
     coarse = run_ladder(
-        replace(cfg, dt=2.0 * cfg.dt, diag_period=100.0, store_fields=False),
+        replace(cfg, dt=2.0 * cfg.dt, diag_period=100.0),
         ladder.t_finals,
     )
     extrapolated = [
@@ -495,7 +493,7 @@ def test_criterion_9_taylor_expansion(run40, delta_single):
     in the residue and exceeds the quadratic term by a factor ~1e6, plus
     the linear term and the O(delta omega^2) modulation shift.  The four
     pieces add up to the lumped value to rounding."""
-    tay = taylor_expansion_audit(run40, delta_single=delta_single)
+    tay = taylor_expansion_audit(run40)
     coercive = bool(np.all(tay.hessian_terms >= 0.5 * delta_single * tay.upsilon_norm2))
     positive = bool(np.all(tay.hessian_terms > 0))
     _report(

@@ -119,6 +119,59 @@ def test_serialize_roundtrip():
     assert cfg2.t_final == cfg.t_final
 
 
+def test_serialize_config_text():
+    """Every key of every section in table order, the soliton defaults filled in."""
+    assert serialize_config(parse_config(GOOD)) == """\
+[model]
+m = 1.0
+p = 3.0
+d = 1
+
+[grid]
+length = 160.0
+points = 2048
+
+[integrator]
+dt = 0.005
+dealias = false
+
+[soliton]
+omega = 0.8
+theta = 0.0
+v = -0.4
+x0 = 0.0
+
+[soliton]
+omega = 0.8
+theta = 0.1
+v = 0.4
+x0 = 1.0
+
+[experiment]
+t_final = 40.0
+t_start = 10.0
+diag_period = 0.5
+out_dir = runs/two
+seed = 7
+"""
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [("theta = 0.1", "theta = nan", "theta=nan"), ("x0 = 1.0", "x0 = inf", "x0=inf")],
+)
+def test_non_finite_soliton_phase_or_position_rejected(tmp_path, capsys, old, new, message):
+    """A phase or position that is not finite is a configuration error (exit 2)
+    that names the soliton, found before anything runs."""
+    from nlkglab.cli import main
+
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(GOOD.replace(old, new), encoding="utf-8")
+    assert main(["multisoliton", "--config", str(bad), "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"soliton #2: {message} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_field_dump_roundtrip(tmp_path):
     g = Grid(40.0, 256)
     rng = np.random.default_rng(0)
@@ -155,15 +208,6 @@ def test_field_dump_truncated(tmp_path):
         path.write_bytes(payload)
         with pytest.raises(FieldFormatError, match=kind):
             read_field(path)
-
-
-def test_field_dump_grid_check(tmp_path):
-    g = Grid(40.0, 256)
-    w = Field.zeros(g)
-    path = tmp_path / "f.dump"
-    write_field(path, w)
-    with pytest.raises(FieldFormatError, match="does not match"):
-        read_field(path, grid=Grid(40.0, 128))
 
 
 def test_csv_roundtrip(tmp_path):
@@ -284,6 +328,58 @@ def test_cli_missing_file_exit_code(tmp_path):
                  "--t0", "0", "--t1", "1", "--dt", "0.01",
                  "--out", str(tmp_path / "o.dump")])
     assert code == 4
+
+
+def test_cli_spectrum_assembly_failure_exit_code(capsys):
+    """A profile too coarse to be a critical point fails assembly: exit 3."""
+    from nlkglab.cli import main
+
+    code = main(["spectrum", "--omega", "0.8", "--grid-points", "256", "--length", "120"])
+    assert code == 3
+    assert "not a converged critical point" in capsys.readouterr().err
+
+
+def test_every_library_error_has_an_exit_code(capsys):
+    """Each exception class the package defines ends a command with exit 2, 3
+    or 4, never with a traceback."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    import nlkglab
+    from nlkglab.cli import _run_command
+
+    errors = set()
+    for info in pkgutil.iter_modules(nlkglab.__path__):
+        mod = importlib.import_module(f"nlkglab.{info.name}")
+        errors |= {
+            cls
+            for _, cls in inspect.getmembers(mod, inspect.isclass)
+            if issubclass(cls, Exception) and cls.__module__ == mod.__name__
+        }
+    assert {"AssemblyError", "ShootingError", "DegenerateConfigurationError"} <= {
+        cls.__name__ for cls in errors
+    }
+    for cls in errors:
+
+        def fail(args, cls=cls):
+            raise cls.__new__(cls)  # bypasses the constructors, whose arguments differ
+
+        assert _run_command(fail, None) in (2, 3, 4), cls.__name__
+
+
+@pytest.mark.parametrize("command", ["soliton", "spectrum"])
+def test_cli_d_is_a_usage_error_outside_groundstate(tmp_path, capsys, command):
+    """soliton and spectrum sample d = 1 solitons, so they reject --d (exit 2)."""
+    from nlkglab.cli import main
+
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--omega", "0.8", "--d", "3", "--grid-points", "512",
+              "--length", "120", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --d 3" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_multisoliton_small(tmp_path):

@@ -132,7 +132,7 @@ def test_localized_energy_sums_to_global(short_run):
 def test_ladder_report_structure(grid, pair):
     cfg = MultiSolitonConfig(
         model=MODEL, grid=grid, solitons=pair,
-        t_final=24.0, t_start=18.0, dt=0.01, diag_period=1.0, store_fields=False,
+        t_final=24.0, t_start=18.0, dt=0.01, diag_period=1.0,
     )
     lad = run_ladder(cfg, [21.0, 24.0])
     assert len(lad.reports) == 2
@@ -152,7 +152,7 @@ def test_forward_stability_zero_perturbation(grid, pair):
     # start late enough that the pair interaction is below the splitting error
     cfg = MultiSolitonConfig(
         model=MODEL, grid=grid, solitons=pair,
-        t_final=30.0, t_start=25.0, dt=0.005, diag_period=1.0, store_fields=False,
+        t_final=30.0, t_start=25.0, dt=0.005, diag_period=1.0,
     )
     rep = run_forward_stability(cfg, 0.0)
     assert np.max(rep.errors) < 1e-4  # integrator tolerance only
@@ -167,9 +167,9 @@ def test_forward_stability_bounded(grid):
     ]
     cfg = MultiSolitonConfig(
         model=MODEL, grid=grid, solitons=sols,
-        t_final=50.0, t_start=0.0, dt=0.005, diag_period=2.0, store_fields=False,
+        t_final=50.0, t_start=0.0, dt=0.005, diag_period=2.0, seed=3,
     )
-    rep = run_forward_stability(cfg, 1e-3, seed=3)
+    rep = run_forward_stability(cfg, 1e-3)
     assert rep.tube_exit_time is None
     valid = rep.upsilon_norms[np.isfinite(rep.upsilon_norms)]
     assert np.max(valid) < 10 * valid[0]
@@ -190,10 +190,10 @@ def test_unstable_frequency_grows_faster(grid):
     for om in (0.8, 0.6):
         cfg = MultiSolitonConfig(
             model=MODEL, grid=grid, solitons=mk(om),
-            t_final=26.0, t_start=10.0, dt=0.005, diag_period=2.0, store_fields=False,
+            t_final=26.0, t_start=10.0, dt=0.005, diag_period=2.0, seed=11,
         )
         try:
-            rep = run_forward_stability(cfg, 1e-2, seed=11)
+            rep = run_forward_stability(cfg, 1e-2)
             out[om] = rep.errors[-1] / rep.errors[0]
         except BlowUpError:
             out[om] = float("inf")
@@ -229,7 +229,7 @@ def test_three_soliton_construction_and_nonadjacent_leakage(grid):
     ]
     cfg = MultiSolitonConfig(
         model=MODEL, grid=grid, solitons=sols,
-        t_final=28.0, t_start=22.0, dt=0.005, diag_period=1.0, store_fields=False,
+        t_final=28.0, t_start=22.0, dt=0.005, diag_period=1.0,
     )
     rep = run_backward_construction(cfg)
     assert rep.tube_exit_time is None
@@ -252,10 +252,10 @@ def test_three_soliton_construction_and_nonadjacent_leakage(grid):
 def test_forward_run_deterministic(grid, pair):
     cfg = MultiSolitonConfig(
         model=MODEL, grid=grid, solitons=pair,
-        t_final=16.0, t_start=14.0, dt=0.01, diag_period=1.0, store_fields=False,
+        t_final=16.0, t_start=14.0, dt=0.01, diag_period=1.0, seed=5,
     )
-    a = run_forward_stability(cfg, 1e-3, seed=5)
-    b = run_forward_stability(cfg, 1e-3, seed=5)
+    a = run_forward_stability(cfg, 1e-3)
+    b = run_forward_stability(cfg, 1e-3)
     assert np.array_equal(a.errors, b.errors)
     assert np.array_equal(a.upsilon_norms, b.upsilon_norms)
 
@@ -298,7 +298,7 @@ def test_asymmetric_pair_drift_and_tube_exit(grid):
     ]
     cfg = MultiSolitonConfig(
         model=MODEL, grid=grid, solitons=sols,
-        t_final=30.0, t_start=10.0, dt=0.005, diag_period=0.5, store_fields=False,
+        t_final=30.0, t_start=10.0, dt=0.005, diag_period=0.5,
     )
     rep = run_backward_construction(cfg)
     assert rep.tube_exit_time is not None

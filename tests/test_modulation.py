@@ -33,7 +33,7 @@ def pair():
 def test_planted_recovery(grid, pair):
     u = soliton_sum(pair, 0.0, grid)
     seeds = [replace(sp, theta=sp.theta + 0.05, omega=sp.omega - 0.01, x0=sp.x0 + 0.1) for sp in pair]
-    st = fit_modulation(u, seeds, grid)
+    st = fit_modulation(u, seeds)
     assert st.converged
     assert np.max(np.abs(st.thetas - [sp.theta for sp in pair])) < 1e-8
     assert np.max(np.abs(st.omegas - [sp.omega for sp in pair])) < 1e-8
@@ -43,7 +43,7 @@ def test_planted_recovery(grid, pair):
 
 def test_orthogonality_residuals(grid, pair):
     u = soliton_sum(pair, 0.0, grid) + 0.01 * random_bump(grid, 4)
-    st = fit_modulation(u, list(pair), grid)
+    st = fit_modulation(u, list(pair))
     assert np.max(np.abs(st.ortho_residuals)) < 1e-10 * norm_h1l2(u)
     assert st.residual_norm < 0.05  # bounded by a modest multiple of the bump size
 
@@ -53,7 +53,7 @@ def test_planted_phase_offset(grid, pair):
     soliton's parameters move only at the interaction-tail level."""
     shifted = [replace(pair[0], theta=pair[0].theta + 0.05), pair[1]]
     u = soliton_sum(shifted, 0.0, grid)
-    st = fit_modulation(u, list(pair), grid)
+    st = fit_modulation(u, list(pair))
     assert st.thetas[0] == pytest.approx(pair[0].theta + 0.05, abs=1e-8)
     assert st.thetas[1] == pytest.approx(pair[1].theta, abs=1e-8)
     assert st.omegas[1] == pytest.approx(pair[1].omega, abs=1e-8)
@@ -64,12 +64,11 @@ def test_gauge_phase(grid, pair):
     alpha-shifted parameters, exactly."""
     u = soliton_sum(pair, 0.0, grid) + 0.004 * random_bump(grid, 13)
     alpha = 0.3
-    st0 = fit_modulation(u, list(pair), grid)
+    st0 = fit_modulation(u, list(pair))
     shifted_seeds = [replace(sp, theta=sp.theta + alpha) for sp in pair]
     st1 = fit_modulation(
         Field(np.exp(1j * alpha) * u.u1, np.exp(1j * alpha) * u.u2, grid),
         shifted_seeds,
-        grid,
     )
     assert np.max(np.abs(st1.thetas - st0.thetas - alpha)) < 1e-12
     assert np.max(np.abs(st1.omegas - st0.omegas)) < 1e-12
@@ -81,17 +80,17 @@ def test_gauge_translation(grid, pair):
     shift_cells = 16
     a = shift_cells * grid.spacing
     moved = Field(np.roll(u.u1, shift_cells), np.roll(u.u2, shift_cells), grid)
-    st0 = fit_modulation(u, list(pair), grid)
+    st0 = fit_modulation(u, list(pair))
     shifted_seeds = [replace(sp, x0=sp.x0 + a) for sp in pair]
-    st1 = fit_modulation(moved, shifted_seeds, grid)
+    st1 = fit_modulation(moved, shifted_seeds)
     assert np.max(np.abs(st1.positions - st0.positions - a)) < 1e-12
     assert np.max(np.abs(st1.thetas - st0.thetas)) < 1e-12
 
 
 def test_idempotence(grid, pair):
     u = soliton_sum(pair, 0.0, grid) + 0.005 * random_bump(grid, 8)
-    st = fit_modulation(u, list(pair), grid)
-    st2 = fit_modulation(u, st.solitons, grid)
+    st = fit_modulation(u, list(pair))
+    st2 = fit_modulation(u, st.solitons)
     assert np.max(np.abs(st2.thetas - st.thetas)) < 1e-12
     assert np.max(np.abs(st2.omegas - st.omegas)) < 1e-12
     assert np.max(np.abs(st2.positions - st.positions)) < 1e-12
@@ -102,7 +101,7 @@ def test_locality_of_perturbation(grid, pair):
     u = soliton_sum(pair, 0.0, grid)
     bump = np.exp(-((grid.x - pair[0].x0) ** 2)) * 0.01
     up = Field(u.u1 + bump, u.u2, grid)
-    st = fit_modulation(up, list(pair), grid)
+    st = fit_modulation(up, list(pair))
     # soliton 1 sits 17 units away; the tail scale there is ~ e^{-0.6*17}
     assert abs(st.omegas[1] - pair[1].omega) < 1e-4
     assert abs(st.positions[1] - pair[1].x0) < 1e-4
@@ -117,14 +116,14 @@ def test_divergence_raises(grid, pair):
         grid,
     )
     with pytest.raises(NotInTubeError):
-        fit_modulation(junk, list(pair), grid, max_iter=12)
+        fit_modulation(junk, list(pair))
 
 
 def test_track_exact_soliton(grid):
     """On an exact soliton trajectory the fitted laws are the free laws."""
     sp = SolitonParams(MODEL, omega=0.8, v=0.4)
     snaps = [(t, sample_soliton(sp, t, grid)) for t in np.arange(0.0, 2.01, 0.25)]
-    rep = track_parameters(snaps, [replace(sp, theta=0.0, x0=0.0)], grid)
+    rep = track_parameters(snaps, [replace(sp, theta=0.0, x0=0.0)])
     assert np.max(np.abs(rep.theta_rate_error)) < 1e-9
     assert np.max(np.abs(rep.omega_rate)) < 1e-9
     assert np.max(np.abs(rep.position_rate_error)) < 1e-9
@@ -139,7 +138,7 @@ def test_track_two_soliton_separation(grid):
         replace(s1, theta=s1.omega / s1.gamma * 10.0, x0=-4.0),
         replace(s2, theta=s2.omega / s2.gamma * 10.0, x0=4.0),
     ]
-    rep = track_parameters(snaps, seeds, grid)
+    rep = track_parameters(snaps, seeds)
     gaps = [st.positions[1] - st.positions[0] for st in rep.states]
     rate = (gaps[-1] - gaps[0]) / (rep.times[-1] - rep.times[0])
     assert rate == pytest.approx(0.8, rel=0.02)
@@ -159,7 +158,7 @@ def test_perturbed_rates_scale(grid):
         for i in range(8):
             cur = evolve(cur, i * 0.25, (i + 1) * 0.25, cfg, MODEL)
             snaps.append(((i + 1) * 0.25, cur))
-        rep = track_parameters(snaps, [sp], grid)
+        rep = track_parameters(snaps, [sp])
         rates[eps] = (np.max(np.abs(rep.omega_rate)), np.max(np.abs(rep.theta_rate_error)))
     om_slope = math.log(rates[1e-2][0] / rates[1e-3][0]) / math.log(10.0)
     th_slope = math.log(rates[1e-2][1] / rates[1e-3][1]) / math.log(10.0)

@@ -102,9 +102,12 @@ def test_energy_formula_discrepancy(grid):
     form without the Pohozaev factor overcounts the gradient term."""
     e_quad = standing_wave_energy(MODEL, 0.8, grid)
     assert e_quad == pytest.approx(1.824, rel=1e-6)
-    corrected = standing_wave_energy_scaling(MODEL, 0.8, corrected=True)
+    corrected = standing_wave_energy_scaling(MODEL, 0.8)
     assert e_quad / 4.0 == pytest.approx(corrected, rel=1e-8)
-    uncorrected = standing_wave_energy_scaling(MODEL, 0.8, corrected=False)
+    # the collapsed form at m=1, p=3, d=1: the gradient term mu^(3/2) keeps
+    # factor 1 instead of the Pohozaev factor 1/3 (mu = m - omega^2)
+    mu = 1.0 - 0.8**2
+    uncorrected = 0.25 * (mu**1.5 + mu**0.5) + 0.75 * 0.8**2 * mu**0.5
     assert uncorrected == pytest.approx(0.492, abs=1e-3)
     assert abs(uncorrected - corrected) > 0.03
 
@@ -203,6 +206,13 @@ def test_stability_window_flag():
 def test_speed_of_light_guard():
     with pytest.raises(ValueError):
         SolitonParams(MODEL, omega=0.8, v=1.0)
+
+
+@pytest.mark.parametrize("key", ["theta", "x0"])
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_phase_or_position_rejected(key, value):
+    with pytest.raises(ValueError, match=f"{key}={value} must be finite"):
+        SolitonParams(MODEL, omega=0.8, **{key: value})
 
 
 @pytest.mark.parametrize(

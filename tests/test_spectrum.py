@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from nlkglab.functionals import ActionParams, action, action_gradient
-from nlkglab.grids import Field, Grid, pair_inner
+from nlkglab.grids import Field, Grid, pair_inner, spectral_second_derivative
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 from nlkglab.spectrum import (
     AssemblyError,
+    _constrained_gram,
     assemble_second_variation,
     flatten_field,
     free_operator_floor,
@@ -71,6 +72,27 @@ def test_assembly_rejects_non_critical(grid):
     )
     with pytest.raises(AssemblyError):
         assemble_second_variation(w, ActionParams(0.8, 0.0, MODEL))
+
+
+def test_assembly_rejects_nan_profile(grid):
+    w = Field(np.full(grid.points, np.nan, complex), np.zeros(grid.points, complex), grid)
+    with pytest.raises(AssemblyError, match="not a converged critical point"):
+        assemble_second_variation(w, ActionParams(0.8, 0.0, MODEL))
+
+
+def test_constrained_gram_matches_dense_gram():
+    """The Gram formed from the u1 blocks of the basis equals basis^T G basis,
+    with G the dense H1 x L2 Gram: the identity, and I - D2 on both u1 blocks."""
+    g = Grid(40.0, 128)
+    n = g.points
+    d2 = np.column_stack([spectral_second_derivative(e, g) for e in np.eye(n)])
+    gram = np.eye(4 * n)
+    gram[0:n, 0:n] -= d2
+    gram[n : 2 * n, n : 2 * n] -= d2
+    basis, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4 * n, 4 * n - 3)))
+    want = basis.T @ gram @ basis
+    got = _constrained_gram(basis, g)
+    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
 
 
 def test_kernel_vectors(op, grid):
