@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import math
 import os
 import sys
 import threading
@@ -53,20 +54,40 @@ def _out_root() -> Path:
     return Path(os.environ.get("NLKG_OUT_DIR", "."))
 
 
+# defaults of the options that stay None when not given, so a command can tell
+M_DEFAULT, P_DEFAULT, GRID_POINTS_DEFAULT = 1.0, 3.0, 1024
+
+
 def _model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=float, default=1.0, help="mass coefficient")
-    p.add_argument("--p", type=float, default=3.0, help="nonlinearity exponent")
+    p.add_argument("--m", type=float, help=f"mass coefficient (default {M_DEFAULT})")
+    p.add_argument("--p", type=float, help=f"nonlinearity exponent (default {P_DEFAULT})")
+
+
+def _model(args: argparse.Namespace, d: int = 1) -> ModelParams:
+    return ModelParams(
+        M_DEFAULT if args.m is None else args.m, P_DEFAULT if args.p is None else args.p, d
+    )
 
 
 def _grid_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--grid-points", type=int, default=1024)
+    p.add_argument("--grid-points", type=int, help=f"default {GRID_POINTS_DEFAULT}")
     p.add_argument("--length", type=float, default=80.0)
 
 
+def _grid(args: argparse.Namespace) -> Grid:
+    points = GRID_POINTS_DEFAULT if args.grid_points is None else args.grid_points
+    return Grid(args.length, points)
+
+
 def cmd_groundstate(args: argparse.Namespace) -> int:
-    model = ModelParams(args.m, args.p, args.d)
+    if args.d > 1 and args.grid_points is not None:
+        raise ValueError(
+            "--grid-points applies to d = 1 only: a radial profile has its own "
+            "mesh on [0, length/2]"
+        )
+    model = _model(args, args.d)
     if args.d == 1:
-        grid = Grid(args.length, args.grid_points)
+        grid = _grid(args)
         gs = ground_state_1d(model, args.omega, grid)
         xs = grid.x
         n2, dn2 = profile_norms(gs)
@@ -91,8 +112,8 @@ def _soliton_from_args(args: argparse.Namespace, model: ModelParams) -> SolitonP
 
 
 def cmd_soliton(args: argparse.Namespace) -> int:
-    model = ModelParams(args.m, args.p, 1)
-    grid = Grid(args.length, args.grid_points)
+    model = _model(args)
+    grid = _grid(args)
     sp = _soliton_from_args(args, model)
     w = sample_soliton(sp, args.t, grid)
     if not sp.stable:
@@ -106,15 +127,14 @@ def cmd_soliton(args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(args: argparse.Namespace) -> int:
+    if args.config and (args.m is not None or args.p is not None):
+        raise ValueError("--m and --p cannot be given with --config: the model comes from the config")
     w, _ = read_field(args.src)
     if args.config:
-        run = parse_config(Path(args.config).read_text(encoding="utf-8"))
-        model = run.model()
-        dealias = run.dealias or args.dealias
+        model = parse_config(Path(args.config).read_text(encoding="utf-8")).model()
     else:
-        model = ModelParams(args.m, args.p, 1)
-        dealias = args.dealias
-    cfg = IntegratorConfig(dt=args.dt, dealias=dealias)
+        model = _model(args)
+    cfg = IntegratorConfig(dt=args.dt)
     rows: list[list[float]] = []
 
     def hook(rec: DiagnosticsRecord) -> None:
@@ -131,8 +151,8 @@ def cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    model = ModelParams(args.m, args.p, 1)
-    grid = Grid(args.length, args.grid_points)
+    model = _model(args)
+    grid = _grid(args)
     sp = _soliton_from_args(args, model)
     ap = ActionParams.from_soliton(sp)
     op = assemble_second_variation(sample_soliton(sp, 0.0, grid), ap)
@@ -184,14 +204,18 @@ def _write_multisoliton_outputs(outdir: Path, run, report) -> None:
     header = ["t", "E", "Q", "P"]
     for j in range(nsol):
         header += [f"E_{j}", f"Q_{j}", f"P_{j}"]
-    header += ["S_localized", "err_H1L2"]
+    # newton_iters and cond are NaN where no modulation fit ran (after a tube exit);
+    # cond is also NaN for a fit that converged before forming a Jacobian
+    header += ["S_localized", "err_H1L2", "newton_iters", "cond"]
     rows = []
     for i, t in enumerate(report.times):
         row = [t, report.energies[i], report.charges[i], report.momenta[i]]
         loc = report.localized[i]
         for j in range(nsol):
             row += [loc.e[j], loc.q[j], loc.p[j]]
-        row += [report.action_series[i], report.errors[i]]
+        st = report.modulation[i]
+        fit = [math.nan, math.nan] if st is None else [st.iterations, st.condition_number]
+        row += [report.action_series[i], report.errors[i], *fit]
         rows.append(row)
     write_diagnostics_csv(outdir / "diagnostics.csv", header, rows)
     if report.final_field is not None:
@@ -302,13 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     e = sub.add_parser("evolve", help="integrate a field dump in time")
     e.add_argument("--from", dest="src", type=str, required=True)
-    e.add_argument("--config", type=str, default="", help="take model/flags from a run config")
-    e.add_argument("--m", type=float, default=1.0)
-    e.add_argument("--p", type=float, default=3.0)
+    e.add_argument("--config", type=str, default="", help="take the model from a run config")
+    _model_args(e)
     e.add_argument("--t0", type=float, required=True)
     e.add_argument("--t1", type=float, required=True)
     e.add_argument("--dt", type=float, required=True)
-    e.add_argument("--dealias", action="store_true")
     e.add_argument("--diag", type=str, default="")
     e.add_argument("--diag-period", type=float, default=0.5)
     e.add_argument("--out", type=str, required=True)

@@ -14,7 +14,6 @@ Format: bracketed section headers with ``key = value`` lines; the
 
     [integrator]
     dt = 0.002
-    dealias = false
 
     [soliton]
     omega = 0.8
@@ -63,7 +62,6 @@ class RunConfig:
     length: float = 160.0
     points: int = 2048
     dt: float = 0.002
-    dealias: bool = False
     solitons: list[dict] = field(default_factory=list)
     t_final: float = 40.0
     t_start: float = 10.0
@@ -100,7 +98,6 @@ class RunConfig:
             t_start=self.t_start,
             dt=self.dt,
             diag_period=self.diag_period,
-            dealias=self.dealias,
             seed=self.seed,
         )
 
@@ -108,7 +105,7 @@ class RunConfig:
 _SECTION_KEYS = {
     "model": {"m": float, "p": float, "d": int},
     "grid": {"length": float, "points": int},
-    "integrator": {"dt": float, "dealias": bool},
+    "integrator": {"dt": float},
     "soliton": {"omega": float, "theta": float, "v": float, "x0": float},
     "experiment": {
         "t_final": float,
@@ -125,12 +122,6 @@ _SOLITON_DEFAULTS = {f.name: f.default for f in fields(SolitonParams) if f.defau
 def _convert(raw: str, typ, lineno: int, problems: list[str]):
     raw = raw.strip()
     try:
-        if typ is bool:
-            if raw.lower() in ("true", "yes", "1", "on"):
-                return True
-            if raw.lower() in ("false", "no", "0", "off"):
-                return False
-            raise ValueError(raw)
         return typ(raw)
     except ValueError:
         problems.append(f"line {lineno}: cannot parse {raw!r} as {typ.__name__}")
@@ -219,8 +210,6 @@ def _validate(cfg: RunConfig) -> list[str]:
 
 
 def _format_value(val) -> str:
-    if isinstance(val, bool):
-        return str(val).lower()
     return val if isinstance(val, str) else repr(val)
 
 

@@ -144,7 +144,6 @@ class MultiSolitonConfig:
     t_start: float
     dt: float
     diag_period: float = 0.5
-    dealias: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -283,8 +282,7 @@ def _run_construction(
         else:
             modstates.append(None)
 
-    icfg = IntegratorConfig(dt=dt, dealias=cfg.dealias)
-    final = evolve(w0, t0, t1, icfg, model, hooks=[hook], diag_stride=stride)
+    final = evolve(w0, t0, t1, IntegratorConfig(dt=dt), model, hooks=[hook], diag_stride=stride)
 
     order = np.argsort(np.asarray(times))
 
@@ -510,8 +508,8 @@ def _audit_times(cfg: MultiSolitonConfig, available: np.ndarray) -> np.ndarray:
 
 
 def _microstep_pair(f: Field, cfg: MultiSolitonConfig):
-    fwd = evolve(f, 0.0, cfg.dt, IntegratorConfig(dt=cfg.dt, dealias=cfg.dealias), cfg.model)
-    bwd = evolve(f, 0.0, -cfg.dt, IntegratorConfig(dt=-cfg.dt, dealias=cfg.dealias), cfg.model)
+    fwd = evolve(f, 0.0, cfg.dt, IntegratorConfig(dt=cfg.dt), cfg.model)
+    bwd = evolve(f, 0.0, -cfg.dt, IntegratorConfig(dt=-cfg.dt), cfg.model)
     return fwd, bwd
 
 

@@ -26,7 +26,6 @@ points = 2048
 
 [integrator]
 dt = 0.005
-dealias = false
 
 [soliton]
 omega = 0.8
@@ -111,6 +110,22 @@ def test_unknown_section_and_key():
     assert "unknown key" in str(exc.value)
 
 
+def test_dealias_key_is_unknown(tmp_path, capsys):
+    """The integrator has no dealias switch: a config naming one gets the
+    unknown-key error, and the CLI exits 2 before it runs anything."""
+    from nlkglab.cli import main
+
+    text = GOOD.replace("dt = 0.005\n", "dt = 0.005\ndealias = false\n")
+    with pytest.raises(ConfigError, match=r"line 13: unknown key 'dealias' in section \[integrator\]"):
+        parse_config(text)
+    path = tmp_path / "old.cfg"
+    path.write_text(text, encoding="utf-8")
+    code = main(["multisoliton", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown key 'dealias'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_serialize_roundtrip():
     cfg = parse_config(GOOD)
     cfg2 = parse_config(serialize_config(cfg))
@@ -133,7 +148,6 @@ points = 2048
 
 [integrator]
 dt = 0.005
-dealias = false
 
 [soliton]
 omega = 0.8
@@ -400,7 +414,41 @@ def test_cli_multisoliton_small(tmp_path):
     assert (outdir / "field_final.dump").exists()
     header, data = read_csv_columns(outdir / "diagnostics.csv")
     assert header[:4] == ["t", "E", "Q", "P"]
-    assert "S_localized" in header
+    assert header[-4:] == ["S_localized", "err_H1L2", "newton_iters", "cond"]
+    # every hook fitted (the run stays in the tube), with whole iteration counts; the
+    # fit at the final time starts from the exact sum, so it forms no Jacobian (cond NaN)
+    iters, cond = data[:, -2], data[:, -1]
+    assert iters[-1] == 0 and np.isnan(cond[-1])
+    assert np.all(iters[:-1] >= 1) and np.all(iters == np.round(iters))
+    assert np.all(np.isfinite(cond[:-1]) & (cond[:-1] >= 1.0))
+
+
+def test_diagnostics_fit_columns_are_nan_without_a_fit(tmp_path, monkeypatch):
+    """After a tube exit no modulation fit runs, and newton_iters and cond read NaN."""
+    from nlkglab import experiments
+    from nlkglab.cli import main
+    from nlkglab.modulation import NotInTubeError
+
+    real = experiments.fit_modulation
+    calls = []
+
+    def fit_once(field, seeds):
+        calls.append(1)
+        if len(calls) > 1:
+            raise NotInTubeError("forced")
+        return real(field, seeds)
+
+    monkeypatch.setattr(experiments, "fit_modulation", fit_once)
+    path = tmp_path / "run.cfg"
+    path.write_text(SMALL, encoding="utf-8")
+    code = main(["multisoliton", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 3
+    header, data = read_csv_columns(tmp_path / "out" / "diagnostics.csv")
+    iters, cond = data[:, header.index("newton_iters")], data[:, header.index("cond")]
+    # the hooks fire backward in time and the rows are in ascending time: the
+    # last row is the one fit, which started from the exact sum (0 iterations)
+    assert iters[-1] == 0
+    assert np.all(np.isnan(iters[:-1])) and np.all(np.isnan(cond))
 
 
 @pytest.mark.parametrize(
@@ -482,6 +530,55 @@ def test_cli_sweep_keeps_outputs_apart(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("option", [["--m", "2.0"], ["--p", "5.0"], ["--m", "1.0", "--p", "3.0"]])
+def test_cli_evolve_rejects_model_options_with_config(tmp_path, capsys, option):
+    """--config supplies the model, so --m or --p beside it is a usage error
+    (exit 2), reported before anything is evolved or written."""
+    from nlkglab.cli import main
+
+    src = tmp_path / "zero.dump"
+    write_field(src, Field.zeros(Grid(40.0, 256)))
+    cfg = tmp_path / "ev.cfg"
+    cfg.write_text(SMALL, encoding="utf-8")
+    code = main(["evolve", "--from", str(src), "--config", str(cfg), *option,
+                 "--t0", "0", "--t1", "0.1", "--dt", "0.01", "--out", str(tmp_path / "o.dump")])
+    assert code == 2
+    assert "cannot be given with --config" in capsys.readouterr().err
+    assert not (tmp_path / "o.dump").exists()
+
+
+def test_cli_evolve_model_options_without_config(tmp_path):
+    """Without --config, --m and --p still set the model: a field at rest
+    at m = 2 evolves differently from the default m = 1."""
+    from nlkglab.cli import main
+
+    src = tmp_path / "bump.dump"
+    grid = Grid(40.0, 256)
+    write_field(src, Field(np.exp(-grid.x**2) + 0j, np.zeros(256, complex), grid))
+    outs = []
+    for extra in ([], ["--m", "2.0"]):
+        out = tmp_path / f"o{len(outs)}.dump"
+        code = main(["evolve", "--from", str(src), *extra,
+                     "--t0", "0", "--t1", "0.1", "--dt", "0.01", "--out", str(out)])
+        assert code == 0
+        outs.append(read_field(out)[0])
+    assert np.max(np.abs(outs[0].u1 - outs[1].u1)) > 1e-4
+
+
+@pytest.mark.parametrize("d", ["2", "3"])
+def test_cli_groundstate_radial_rejects_grid_points(tmp_path, capsys, d):
+    """A radial profile has its own mesh, so --grid-points with d > 1 is a
+    usage error (exit 2) and nothing is computed or written."""
+    from nlkglab.cli import main
+
+    out = tmp_path / "gs.csv"
+    code = main(["groundstate", "--d", d, "--omega", "0", "--length", "40",
+                 "--grid-points", "64", "--out", str(out)])
+    assert code == 2
+    assert "--grid-points applies to d = 1 only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("period", ["-1", "0", "inf"])
 def test_cli_evolve_rejects_bad_diag_period(tmp_path, capsys, period):
     """A diagnostic period that is not positive and finite is a configuration
@@ -504,7 +601,7 @@ def test_cli_evolve_rejects_bad_diag_period(tmp_path, capsys, period):
 TYPICAL = {
     "model": {"m": ["1.0", "2.0"], "p": ["3.0", "2.0", "6.0"], "d": ["1", "2", "3"]},
     "grid": {"length": ["160.0", "80.0", "10.0"], "points": ["256", "512", "2048"]},
-    "integrator": {"dt": ["0.002", "0.01", "-0.005", "0.0"], "dealias": ["false", "true", "maybe"]},
+    "integrator": {"dt": ["0.002", "0.01", "-0.005", "0.0"]},
     "soliton": {
         "omega": ["0.8", "0.6", "1.2"],
         "v": ["-0.4", "0.4", "1.0"],
