@@ -4,7 +4,7 @@ Subcommands: groundstate, soliton, evolve, spectrum, modulate,
 multisoliton, sweep.  NLKG_OUT_DIR sets the default output root.
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
 (blow-up, tube exit, a degenerate modulation Jacobian, a failed operator
-assembly or radial shooting), 4 I/O error.
+assembly or radial ground-state iteration), 4 I/O error.
 """
 
 from __future__ import annotations

@@ -10,9 +10,9 @@ obtained from the scaling
 
     phi_omega(x) = (m - omega^2)^(1/(p-1)) * phi_tilde(sqrt(m - omega^2) x).
 
-For radial dimensions 2 and 3 the profile is computed by shooting on the
-radial ODE.  Boosting a standing wave with velocity v contracts the
-profile by the Lorentz factor gamma and tilts the phase:
+For radial dimensions 2 and 3 the profile is computed by Petviashvili's
+iteration on the radial ODE.  Boosting a standing wave with velocity v
+contracts the profile by the Lorentz factor gamma and tilts the phase:
 
     u1(x) = e^{-i gamma omega v x} phi(gamma x)
     u2(x) = e^{-i gamma omega v x} gamma (i omega phi(gamma x) - v phi'(gamma x))
@@ -70,7 +70,7 @@ class DomainTooSmallError(ValueError):
 
 
 class ShootingError(RuntimeError):
-    """Radial shooting failed to bracket or converge."""
+    """The radial ground-state iteration did not converge or is not positive decreasing."""
 
 
 def model_problems(m: float, p: float, d: int) -> list[str]:
@@ -188,7 +188,7 @@ def phi_omega(y: np.ndarray | float, model: ModelParams, omega: float):
 @dataclass
 class GroundState:
     """Sampled profile with its discrete ODE residual: on a periodic ``grid``
-    (1D closed form) or on a ``radial_mesh`` (shooting)."""
+    (1D closed form) or on a ``radial_mesh`` (Petviashvili iteration)."""
 
     samples: np.ndarray
     residual: float
@@ -206,17 +206,25 @@ def _residual_1d(samples: np.ndarray, model: ModelParams, omega: float, grid: Gr
     return float(np.max(np.abs(res)))
 
 
+# a boundary value above this fraction of the peak means the domain is too small
+BOUNDARY_DECAY_TOL = 1e-6
+
+
+def _raise_if_not_decayed(rel: float, what: str) -> None:
+    if rel > BOUNDARY_DECAY_TOL:
+        raise DomainTooSmallError(
+            f"{what}: boundary value {rel:.2e} of peak; enlarge the domain "
+            f"(heuristic: length >= 60/sqrt(m - omega^2) plus translation extent)"
+        )
+
+
 def _check_boundary_decay(samples: np.ndarray, what: str) -> None:
     peak = float(np.max(np.abs(samples)))
     edge = float(max(abs(samples[0]), abs(samples[-1])))
     if peak == 0.0:
         return
     rel = edge / peak
-    if rel > 1e-6:
-        raise DomainTooSmallError(
-            f"{what}: boundary value {rel:.2e} of peak; enlarge the domain "
-            f"(heuristic: length >= 60/sqrt(m - omega^2) plus translation extent)"
-        )
+    _raise_if_not_decayed(rel, what)
     if rel > 1e-10:
         warnings.warn(
             f"{what}: boundary value {rel:.2e} of peak exceeds 1e-10", stacklevel=3
@@ -231,43 +239,6 @@ def ground_state_1d(model: ModelParams, omega: float, grid: Grid) -> GroundState
     _check_boundary_decay(samples, "ground state")
     res = _residual_1d(samples, model, omega, grid)
     return GroundState(samples, res, grid=grid)
-
-
-def _shoot(a: float, mu: float, p: float, d: int, rmax: float, n: int):
-    """Integrate the radial ODE from phi(0)=a; RK4 with a series start at r=0.
-
-    Returns (classification, r, phi):
-      'cross' -- phi hit zero (initial height too large),
-      'turn'  -- phi turned upward while positive (too small),
-      'decay' -- reached rmax monotonically decaying.
-    """
-    h = rmax / n
-    r = np.linspace(0.0, rmax, n + 1)
-    phi = np.zeros(n + 1)
-    phi[0] = a
-
-    def rhs(rr, y):
-        f, g = y  # phi, phi'
-        curv = mu * f - np.sign(f) * abs(f) ** p
-        if rr == 0.0:
-            return np.array([g, curv / d])
-        return np.array([g, curv - (d - 1) / rr * g])
-
-    # series start: phi ~ a + phi''(0) r^2 / 2 with phi''(0) = (mu a - a^p)/d
-    y = np.array([a, 0.0])
-    for i in range(n):
-        rr = r[i]
-        k1 = rhs(rr, y)
-        k2 = rhs(rr + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(rr + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(rr + h, y + h * k3)
-        y = y + h / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        phi[i + 1] = y[0]
-        if y[0] <= 0.0:
-            return "cross", r[: i + 2], phi[: i + 2]
-        if y[1] > 0.0:
-            return "turn", r[: i + 2], phi[: i + 2]
-    return "decay", r, phi
 
 
 def _linear_tail(r: np.ndarray, kappa: float, d: int) -> np.ndarray:
@@ -333,20 +304,14 @@ def _radial_jacobian_band(phi: np.ndarray, r: np.ndarray, mu: float, p: float, d
 def _polish_radial(phi: np.ndarray, r: np.ndarray, mu: float, p: float, d: int):
     """Newton iteration on the 4th-order FD system, pentadiagonal Jacobian.
 
-    The last two mesh values are pinned to the matched linear tail, which
-    removes the kink left by the shooting splice and drives the discrete
+    The last two mesh values stay pinned where the caller's tail splice put
+    them; Newton removes the kink the splice leaves and drives the discrete
     residual to rounding level.
     """
     from scipy.linalg import solve_banded
 
     n = len(phi) - 1
-    kappa = math.sqrt(mu)
-    tail = _linear_tail(r[-2:], kappa, d)
-    scale = phi[-3] / _linear_tail(r[-3:-2], kappa, d)[0]
-    pin = scale * tail
-
     for _ in range(30):
-        phi[-2:] = pin
         res = _radial_stencil_residual(phi, r, mu, p, d)
         # floor set by rounding in the 1/(12 h^2) stencil, well below 1e-8
         if np.max(np.abs(res)) < 1e-10:
@@ -355,65 +320,58 @@ def _polish_radial(phi: np.ndarray, r: np.ndarray, mu: float, p: float, d: int):
         phi[: n - 1] += step
         if np.max(np.abs(step)) < 1e-14 * max(1.0, float(np.max(np.abs(phi)))):
             break
-    phi[-2:] = pin
     return phi
 
 
-# relative tolerance of the bisection on the ground-state height phi(0)
-HEIGHT_TOL = 1e-12
+# slow contraction near p = 1 and the d = 3 critical p = 5 (389 iterations at p = 4.9)
+PETVIASHVILI_MAX_ITER = 1000
+# sup update, relative to the iterate, at which the Newton polish takes over
+PETVIASHVILI_TOL = 1e-6
 
 
 def ground_state_radial(
     model: ModelParams, omega: float, rmax: float = 20.0, n: int = 4000
 ) -> GroundState:
-    """Radial ground state by bisection shooting on phi(0), then an FD polish.
+    """Radial ground state by Petviashvili's iteration, then an FD polish.
 
-    Brackets the threshold height between turning-up (too small) and
-    zero-crossing (too large) trajectories, bisects phi(0) to ``HEIGHT_TOL``,
-    splices the matched decaying tail where the trajectory degenerates, and
-    polishes the whole mesh with Newton on the 4th-order finite-difference
-    system so the reported discrete residual is at rounding level.
+    With the tail pinned at zero, iterates phi <- S^(p/(p-1)) M^-1 phi^p on the
+    4th-order stencil, M = mu - Lap_h and S = <M phi, phi> / <phi^p, phi>
+    weighted by r^(d-1), which converges to the ground state (Pelinovsky &
+    Stepanyants, SIAM J. Numer. Anal. 42, 2004).  It then splices the matched
+    decaying tail and polishes the whole mesh with Newton to rounding level.
     """
+    from scipy.linalg import solve_banded
+
     raise_problems(frequency_problems(model, omega), FrequencyRangeError)
     mu = model.m - omega * omega
     p, d = model.p, float(model.d)
-
-    a_lo = a_hi = None
-    a = mu ** (1.0 / (p - 1.0))  # below the ground-state height: starts as 'turn'
-    for _ in range(200):
-        kind, _, _ = _shoot(a, mu, p, model.d, rmax, n)
-        if kind == "cross":
-            a_hi = a
-            break
-        a_lo = a
-        a *= 1.3
-    if a_hi is None or a_lo is None:
-        raise ShootingError("failed to bracket the ground-state height")
-
-    while a_hi - a_lo > HEIGHT_TOL * max(1.0, a_hi):
-        mid = 0.5 * (a_lo + a_hi)
-        kind, _, _ = _shoot(mid, mu, p, model.d, rmax, n)
-        if kind == "cross":
-            a_hi = mid
-        else:
-            a_lo = mid
-
-    a_star = 0.5 * (a_lo + a_hi)
-    _, _, phi_part = _shoot(a_star, mu, p, model.d, rmax, n)
     r = np.linspace(0.0, rmax, n + 1)
+    free = slice(0, n - 1)
+    weight = r[free] ** (d - 1.0)
+    m_band = -_radial_jacobian_band(np.zeros(n + 1), r, mu, p, d)
     phi = np.zeros(n + 1)
-    kappa = math.sqrt(mu)
-    # keep the trajectory only while it is trusted (above 1e-4 of the height)
-    trusted = int(np.argmax(phi_part < 1e-4 * a_star)) or len(phi_part)
-    trusted = min(trusted, len(phi_part))
-    phi[:trusted] = phi_part[:trusted]
-    if trusted <= n:
-        base = _linear_tail(np.array([r[trusted - 1]]), kappa, model.d)[0]
-        phi[trusted - 1 :] = (
-            phi[trusted - 1] / base * _linear_tail(r[trusted - 1 :], kappa, model.d)
-        )
+    phi[free] = np.exp(-r[free] ** 2)
+    for _ in range(PETVIASHVILI_MAX_ITER):
+        power = np.abs(phi[free]) ** (p - 1.0) * phi[free]
+        m_phi = power - _radial_stencil_residual(phi, r, mu, p, d)
+        s = np.sum(weight * m_phi * phi[free]) / np.sum(weight * power * phi[free])
+        # unchecked: a diverging (non-finite) iterate runs on to the cap
+        new = s ** (p / (p - 1.0)) * solve_banded((2, 2), m_band, power, check_finite=False)
+        change = np.max(np.abs(new - phi[free]))
+        phi[free] = new
+        if change < PETVIASHVILI_TOL * np.max(np.abs(new)):
+            break
+    else:
+        raise ShootingError(f"Petviashvili iteration did not converge in {PETVIASHVILI_MAX_ITER} steps")
+
+    # keep the iterate only while it is trusted (above 1e-4 of the height):
+    # the Dirichlet zero pulls it down near rmax, and the polish keeps the tail
+    cut = int(np.argmax(phi[free] < 1e-4 * phi[0])) or n - 2
+    tail = _linear_tail(r[cut:], math.sqrt(mu), model.d)
+    phi[cut:] = phi[cut] / tail[0] * tail
     phi = _polish_radial(phi, r, mu, p, d)
-    if np.any(phi < 0) or np.any(np.diff(phi) > 1e-12 * a_star):
+    _raise_if_not_decayed(phi[-1] / phi[0], "radial ground state")
+    if not (np.all(phi >= 0) and np.all(np.diff(phi) <= 1e-12 * phi[0])):
         raise ShootingError("polished profile is not positive decreasing")
     res = _radial_stencil_residual(phi, r, mu, p, d)
     return GroundState(phi, float(np.max(np.abs(res))), radial_mesh=r)

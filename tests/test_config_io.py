@@ -579,6 +579,18 @@ def test_cli_groundstate_radial_rejects_grid_points(tmp_path, capsys, d):
     assert not out.exists()
 
 
+def test_cli_groundstate_radial_domain_too_small(tmp_path, capsys):
+    """A radial profile that has not decayed at length/2 is a configuration
+    error (exit 2), and no profile is written."""
+    from nlkglab.cli import main
+
+    out = tmp_path / "gs.csv"
+    code = main(["groundstate", "--d", "3", "--omega", "0", "--length", "6", "--out", str(out)])
+    assert code == 2
+    assert "enlarge the domain" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("period", ["-1", "0", "inf"])
 def test_cli_evolve_rejects_bad_diag_period(tmp_path, capsys, period):
     """A diagnostic period that is not positive and finite is a configuration

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from nlkglab import profiles
 from nlkglab.grids import Grid, norm_h1l2, norm_l2
 from nlkglab.integrator import IntegratorConfig, evolve
 from nlkglab.profiles import (
     DomainTooSmallError,
     FrequencyRangeError,
     ModelParams,
+    ShootingError,
     SolitonParams,
     _radial_jacobian_band,
     _radial_stencil_residual,
@@ -112,7 +114,7 @@ def test_energy_formula_discrepancy(grid):
     assert abs(uncorrected - corrected) > 0.03
 
 
-# --- radial shooting
+# --- radial ground states
 
 
 def test_radial_d1_matches_closed_form():
@@ -121,11 +123,20 @@ def test_radial_d1_matches_closed_form():
     assert gs.residual < 1e-8
 
 
+@pytest.mark.parametrize("omega, rmax, n", [(0.0, 20.0, 4000), (0.6, 30.0, 6000)])
+def test_radial_d1_whole_profile_matches_closed_form(omega, rmax, n):
+    """The whole d=1 profile, tail included, is the closed form: a tail left
+    at the Dirichlet-zero value of the seed would show near rmax."""
+    model = ModelParams(1.0, 3.0, 1)
+    gs = ground_state_radial(model, omega, rmax=rmax, n=n)
+    exact = phi_omega(gs.radial_mesh, model, omega)
+    assert np.max(np.abs(gs.samples - exact)) < 1e-9 * gs.samples[0]
+
+
 def test_radial_d3_height_and_residual():
-    gs = ground_state_radial(ModelParams(1.0, 3.0, 3), 0.0, rmax=15.0, n=3000)
-    assert 4.0 < gs.samples[0] < 4.5
-    # regression value from the converged solver
-    assert gs.samples[0] == pytest.approx(4.337387, abs=2e-5)
+    gs = ground_state_radial(ModelParams(1.0, 3.0, 3), 0.0, rmax=20.0, n=4000)
+    # the benchmark's fingerprint for this call
+    assert gs.samples[0] == pytest.approx(4.337387740294842, rel=1e-9)
     assert gs.residual < 1e-8
 
 
@@ -136,19 +147,45 @@ def test_radial_monotone_decreasing():
 
 
 def test_radial_d2():
-    gs = ground_state_radial(ModelParams(1.0, 3.0, 2), 0.0, rmax=15.0, n=3000)
-    # regression value from the converged solver
-    assert gs.samples[0] == pytest.approx(2.206201, abs=2e-5)
+    gs = ground_state_radial(ModelParams(1.0, 3.0, 2), 0.0, rmax=20.0, n=4000)
+    # the benchmark's fingerprint for this call
+    assert gs.samples[0] == pytest.approx(2.2062008656834404, rel=1e-9)
     assert gs.residual < 1e-8
     assert np.all(np.diff(gs.samples) <= 1e-14)
 
 
-def test_radial_nonzero_frequency_scaling():
-    # phi_omega(0) = (m - omega^2)^(1/(p-1)) * phi_tilde-height in any d
-    m3 = ModelParams(1.0, 3.0, 3)
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+def test_radial_nonzero_frequency_scaling(p):
+    # phi_omega(0) = (m - omega^2)^(1/(p-1)) * phi_tilde-height in any d; the
+    # omega = 0.8 mesh is the omega = 0 mesh stretched by 1/sqrt(m - omega^2),
+    # so both calls share one 4th-order discretization error (1.5e-6 at p=4)
+    m3 = ModelParams(1.0, p, 3)
     gs0 = ground_state_radial(m3, 0.0, rmax=15.0, n=3000)
-    gs8 = ground_state_radial(m3, 0.8, rmax=25.0, n=5000)
-    assert gs8.samples[0] == pytest.approx(0.6 * gs0.samples[0], rel=1e-6)
+    gs8 = ground_state_radial(m3, 0.8, rmax=25.0, n=3000)
+    assert gs8.samples[0] == pytest.approx(0.36 ** (1.0 / (p - 1.0)) * gs0.samples[0], rel=1e-6)
+
+
+@pytest.mark.parametrize("d, rmax", [(3, 3.0), (3, 10.0), (2, 12.0)])
+def test_radial_domain_too_small(d, rmax):
+    """A profile that has not decayed to 1e-6 of its height at rmax is an
+    error, as on the 1D grid; at rmax = 3 the d=3 height is 1.9% too high."""
+    with pytest.raises(DomainTooSmallError, match="enlarge the domain"):
+        ground_state_radial(ModelParams(1.0, 3.0, d), 0.0, rmax=rmax)
+
+
+def test_radial_tail_underflow_at_large_rmax():
+    """Past r ~ 745 the matched tail K0(r) underflows to zero; the profile
+    still comes back finite, decaying and at the converged height."""
+    gs = ground_state_radial(ModelParams(1.0, 3.0, 2), 0.0, rmax=800.0, n=16000)
+    assert gs.samples[0] == pytest.approx(2.2062008656834404, rel=1e-5)
+    assert gs.residual < 1e-8
+    assert np.all(np.isfinite(gs.samples)) and gs.samples[-1] == 0.0
+
+
+def test_radial_iteration_cap_raises(monkeypatch):
+    monkeypatch.setattr(profiles, "PETVIASHVILI_MAX_ITER", 1)
+    with pytest.raises(ShootingError, match="did not converge"):
+        ground_state_radial(ModelParams(1.0, 3.0, 2), 0.0, rmax=20.0, n=4000)
 
 
 def test_radial_band_matches_difference_jacobian():
