@@ -10,11 +10,9 @@ assembly or radial ground-state iteration), 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import math
 import os
 import sys
-import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -56,6 +54,8 @@ def _out_root() -> Path:
 
 # defaults of the options that stay None when not given, so a command can tell
 M_DEFAULT, P_DEFAULT, GRID_POINTS_DEFAULT = 1.0, 3.0, 1024
+# radial mesh on [0, length/2]: 4000 intervals at most 0.01 apart (as at length 80), so <= 10^6
+RADIAL_SPACING, RADIAL_MAX_LENGTH = 0.01, 20000.0
 
 
 def _model_args(p: argparse.ArgumentParser) -> None:
@@ -94,7 +94,10 @@ def cmd_groundstate(args: argparse.Namespace) -> int:
         print(f"phi(0) = {gs.samples[grid.points // 2]:.12g}")
         print(f"||phi||_2^2 = {n2:.12g}   ||phi'||_2^2 = {dn2:.12g}")
     else:
-        gs = ground_state_radial(model, args.omega, rmax=args.length / 2.0)
+        if not args.length <= RADIAL_MAX_LENGTH:  # NaN fails too
+            raise ValueError(f"--length must be at most {RADIAL_MAX_LENGTH:g} for d > 1")
+        n = max(4000, round(args.length / 2.0 / RADIAL_SPACING))
+        gs = ground_state_radial(model, args.omega, rmax=args.length / 2.0, n=n)
         xs = gs.radial_mesh
         print(f"phi(0) = {gs.samples[0]:.12g}")
     print(f"ODE residual (sup) = {gs.residual:.3e}")
@@ -276,28 +279,23 @@ def _run_command(command, args, label: str = "") -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """A config that leaves ``out_dir`` at "." writes to <root>/<config file stem>;
-    a config whose output directory another config of the sweep holds fails (exit 2)."""
+    a config whose output directory an earlier config of the sweep holds fails (exit 2)."""
     owners: dict[Path, int] = {}
-    lock = threading.Lock()
 
     def run_one(i: int) -> int:
         path = Path(args.configs[i])
         run = parse_config(path.read_text(encoding="utf-8"))
         outdir = _out_root() / (path.stem if run.out_dir == "." else run.out_dir)
-        with lock:
-            owner = owners.setdefault(outdir.resolve(), i)
+        owner = owners.setdefault(outdir.resolve(), i)
         if owner != i:
             raise ValueError(f"output directory {outdir} is already used by {args.configs[owner]}")
         return _multisoliton(run, outdir)
 
-    def one(i: int) -> tuple[str, int]:
-        return args.configs[i], _run_command(run_one, i, f"{args.configs[i]}: ")
-
     worst = EXIT_OK
-    with concurrent.futures.ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        for path, code in pool.map(one, range(len(args.configs))):
-            print(f"{path}: exit {code}")
-            worst = max(worst, code)
+    for i, path in enumerate(args.configs):
+        code = _run_command(run_one, i, f"{path}: ")
+        print(f"{path}: exit {code}")
+        worst = max(worst, code)
     return worst
 
 
@@ -357,9 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     mu.add_argument("--out-dir", type=str, default="")
     mu.set_defaults(func=cmd_multisoliton)
 
-    sw = sub.add_parser("sweep", help="run several multisoliton configs concurrently")
+    sw = sub.add_parser("sweep", help="run several multisoliton configs one after another")
     sw.add_argument("configs", nargs="+")
-    sw.add_argument("--jobs", type=int, default=2)
     sw.set_defaults(func=cmd_sweep)
     return ap
 

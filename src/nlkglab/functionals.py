@@ -206,7 +206,6 @@ class CutoffPartition:
     time: float
     grid: Grid
     weights: np.ndarray  # (N, points)
-    weight_derivatives: np.ndarray  # (N, points), analytic d/dx
 
     @property
     def count(self) -> int:
@@ -223,15 +222,11 @@ def build_cutoffs(velocities: Sequence[float], t: float, grid: Grid) -> CutoffPa
     mids = 0.5 * (vel[:-1] + vel[1:])
     w = math.sqrt(t)
     psi = np.ones((n + 1, grid.points))
-    dpsi = np.zeros((n + 1, grid.points))
     for j in range(1, n):
-        s = (grid.x - mids[j - 1] * t) / w
-        psi[j] = ramp(s)
-        dpsi[j] = ramp_derivative(s) / w
+        psi[j] = ramp((grid.x - mids[j - 1] * t) / w)
     psi[n] = 0.0  # sentinel psi_{N+1}
     weights = psi[:n] - psi[1 : n + 1]
-    dweights = dpsi[:n] - dpsi[1 : n + 1]
-    return CutoffPartition(vel, mids, t, grid, weights, dweights)
+    return CutoffPartition(vel, mids, t, grid, weights)
 
 
 @dataclass

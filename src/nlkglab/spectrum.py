@@ -13,15 +13,16 @@ symmetric real matrix of size (4N)^2.  Acting on Z = (z1, z2):
 with q the first component of the profile.  The kernel is spanned by the
 phase and translation modes i*Phi and Phi', there is exactly one negative
 eigenvalue inside the stability window, and on the subspace L2-orthogonal
-to {Phi', iJPhi, iPhi} the quadratic form is coercive in the H1 x L2
-metric; the minimal constrained Rayleigh quotient is reported as delta.
+to {Phi', iJPhi, iPhi} the quadratic form is coercive in the H1 x L2 metric;
+delta, the minimal constrained Rayleigh quotient, is one symmetric eigenvalue:
+that of the operator whitened by the (Fourier-diagonal) Gram, constraints deflated.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -103,15 +104,15 @@ class SpectrumReport:
     eigenvalues: np.ndarray
 
 
-def _constrained_gram(basis: np.ndarray, grid: Grid) -> np.ndarray:
-    """basis^T G basis for the H1 x L2 Gram G of the flattening, which is the
-    identity plus -D2 on the two u1 blocks, rows [0, N) and [N, 2N)."""
-    _, d2 = _derivative_matrices(grid)
+def _whiten(z: np.ndarray, grid: Grid) -> np.ndarray:
+    """G^(-1/2) z, column by column, for the H1 x L2 Gram G of the flattening: the
+    multiplier (1 + k^2)^(-1/2) on the u1 blocks, rows [0, 2N), identity elsewhere."""
     n = grid.points
-    b = basis.T @ basis
-    for blk in (basis[0:n], basis[n : 2 * n]):
-        b -= blk.T @ (d2 @ blk)
-    return b
+    mult = (1.0 + grid.deriv_wavenumbers[: n // 2 + 1] ** 2) ** -0.5
+    out = z.copy()
+    u1 = out[: 2 * n].reshape(2, n, -1)
+    u1[:] = np.fft.irfft(mult[:, None] * np.fft.rfft(u1, axis=1), n, axis=1)
+    return out
 
 
 def assemble_second_variation(
@@ -163,22 +164,23 @@ def assemble_second_variation(
 
 
 def spectrum_report(op: RealizedOperator) -> SpectrumReport:
-    """Full L2 eigensolve plus the constrained H1 x L2 coercivity constant."""
+    """Full L2 eigensolve, and delta: the lowest eigenvalue of P a P + s q q^T, with
+    a = G^(-1/2) M G^(-1/2), q orthonormal on G^(-1/2) Y, P = I - q q^T, s = ||a||_inf."""
     ev = sla.eigvalsh(op.matrix)
     ktol = KERNEL_REL_TOL * float(np.max(np.abs(ev)))
     negative = ev[ev < -ktol]
     kernel_dim = int(np.sum(np.abs(ev) < ktol))
 
+    a = _whiten(_whiten(op.matrix, op.grid).T, op.grid)
     i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
     cons = np.column_stack([flatten_field(f) for f in (dphi, i_j_phi, i_phi)])
-    qfull, _ = sla.qr(cons)  # 3 reflectors: full Q is cheap
-    basis = qfull[:, 3:]
-    a = basis.T @ (op.matrix @ basis)
-    b = _constrained_gram(basis, op.grid)
-    a = 0.5 * (a + a.T)
-    b = 0.5 * (b + b.T)
-    low = sla.eigh(a, b, subset_by_index=[0, 0], eigvals_only=True, driver="gvx")
-    delta = float(low[0])
+    q, _ = np.linalg.qr(_whiten(cons, op.grid))
+    s = np.linalg.norm(a, np.inf)  # bounds P a P, so s q q^T lifts the constraints above delta
+    aq = a @ q  # P a P through a q, without a 4N x 4N P
+    a -= aq @ q.T
+    a -= q @ aq.T
+    a += q @ (q.T @ aq + s * np.eye(3)) @ q.T
+    delta = float(sla.eigh(a, subset_by_index=[0, 0], eigvals_only=True)[0])
 
     return SpectrumReport(
         negative_count=int(len(negative)),
@@ -190,21 +192,18 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     )
 
 
-def _frequency_derivative(phi_family, ap, omega, op):
-    """The operator (assembled at phi_family(omega) unless given) and the
-    centered omega-difference of the profile family."""
-    if op is None:
-        op = assemble_second_variation(phi_family(omega), ap)
+def _frequency_derivative(phi_family, omega):
+    """Centered omega-difference of the profile family."""
     wp = phi_family(omega + OMEGA_STEP)
     wm = phi_family(omega - OMEGA_STEP)
-    return op, (1.0 / (2.0 * OMEGA_STEP)) * (wp - wm)
+    return (1.0 / (2.0 * OMEGA_STEP)) * (wp - wm)
 
 
 def slope_test(
     phi_family: Callable[[float], Field],
     ap: ActionParams,
     omega: float,
-    op: Optional[RealizedOperator] = None,
+    op: RealizedOperator,
 ) -> float:
     """Quadratic form of S'' on the omega-derivative of the profile family.
 
@@ -215,8 +214,7 @@ def slope_test(
     """
     if abs(omega) + OMEGA_STEP >= math.sqrt(ap.model.m):
         raise ValueError("omega too close to sqrt(m) for centered differencing")
-    op, lam = _frequency_derivative(phi_family, ap, omega, op)
-    return op.quadratic_form(lam)
+    return op.quadratic_form(_frequency_derivative(phi_family, omega))
 
 
 def slope_analytic(model: ModelParams, omega: float, gamma: float, phi_tilde_norm2: float) -> float:
@@ -231,14 +229,14 @@ def frequency_derivative_residual(
     ap: ActionParams,
     omega: float,
     gamma: float,
-    op: Optional[RealizedOperator] = None,
+    op: RealizedOperator,
 ) -> float:
     """L2 norm of S''(Phi) dPhi/domega + (1/gamma) iJ Phi.
 
     Differentiating the critical-point equation in omega shows this vanishes;
     the discrete value is differencing plus assembly error.
     """
-    op, lam = _frequency_derivative(phi_family, ap, omega, op)
+    lam = _frequency_derivative(phi_family, omega)
     i_j_phi = symmetry_directions(op.profile)[1]
     return norm_l2l2(op.apply(lam) + (1.0 / gamma) * i_j_phi)
 

@@ -496,7 +496,7 @@ def test_cli_sweep_isolates_a_failing_config(tmp_path, monkeypatch, capsys):
     (tmp_path / "short.cfg").write_text(short, encoding="utf-8")
     (tmp_path / "good.cfg").write_text(good, encoding="utf-8")
     monkeypatch.setenv("NLKG_OUT_DIR", str(tmp_path))
-    code = main(["sweep", str(tmp_path / "short.cfg"), str(tmp_path / "good.cfg"), "--jobs", "1"])
+    code = main(["sweep", str(tmp_path / "short.cfg"), str(tmp_path / "good.cfg")])
     out = capsys.readouterr()
     assert code == 2
     assert f"{tmp_path / 'short.cfg'}: exit 2" in out.out
@@ -518,7 +518,7 @@ def test_cli_sweep_keeps_outputs_apart(tmp_path, monkeypatch, capsys):
     (tmp_path / "c.cfg").write_text(clash, encoding="utf-8")
     monkeypatch.setenv("NLKG_OUT_DIR", str(tmp_path))
     paths = [str(tmp_path / f"{name}.cfg") for name in "abc"]
-    code = main(["sweep", *paths, "--jobs", "1"])
+    code = main(["sweep", *paths])
     out = capsys.readouterr()
     assert code == 2
     assert f"{paths[2]}: exit 2" in out.out
@@ -528,6 +528,16 @@ def test_cli_sweep_keeps_outputs_apart(tmp_path, monkeypatch, capsys):
         resolved = parse_config((tmp_path / name / "resolved.cfg").read_text(encoding="utf-8"))
         assert [s["omega"] for s in resolved.solitons] == [omega, omega]
     assert not (tmp_path / "summary.txt").exists()
+
+
+def test_cli_sweep_has_no_jobs_option(capsys):
+    """sweep runs its configs one after another: --jobs is a usage error."""
+    from nlkglab.cli import main
+
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "a.cfg", "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("option", [["--m", "2.0"], ["--p", "5.0"], ["--m", "1.0", "--p", "3.0"]])
@@ -588,6 +598,36 @@ def test_cli_groundstate_radial_domain_too_small(tmp_path, capsys):
     code = main(["groundstate", "--d", "3", "--omega", "0", "--length", "6", "--out", str(out)])
     assert code == 2
     assert "enlarge the domain" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _groundstate_phi0(capsys, *args) -> float:
+    from nlkglab.cli import main
+
+    assert main(["groundstate", "--omega", "0", *args]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    assert line.startswith("phi(0) = ")
+    return float(line.split("=")[1])
+
+
+@pytest.mark.parametrize("d", ["2", "3"])
+def test_cli_groundstate_radial_mesh_follows_length(capsys, d):
+    """Beyond the default length the radial mesh keeps its spacing, so a longer
+    domain gives the default-length phi(0), not a coarser one."""
+    want = _groundstate_phi0(capsys, "--d", d)
+    assert _groundstate_phi0(capsys, "--d", d, "--length", "400") == pytest.approx(want, rel=1e-9)
+
+
+@pytest.mark.parametrize("length", ["20000.5", "1e12", "inf", "nan"])
+def test_cli_groundstate_radial_rejects_huge_length(tmp_path, capsys, length):
+    """The radial mesh grows with the length, so a length beyond the cap is a
+    configuration error (exit 2), reported before any mesh is built."""
+    from nlkglab.cli import main
+
+    out = tmp_path / "gs.csv"
+    code = main(["groundstate", "--d", "2", "--omega", "0", f"--length={length}", "--out", str(out)])
+    assert code == 2
+    assert "--length must be at most 20000 for d > 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -2,13 +2,19 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from nlkglab.functionals import ActionParams, action, action_gradient
-from nlkglab.grids import Field, Grid, pair_inner, spectral_second_derivative
+from nlkglab.grids import (
+    Field,
+    Grid,
+    pair_inner,
+    spectral_second_derivative,
+    symmetry_directions,
+)
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 from nlkglab.spectrum import (
     AssemblyError,
-    _constrained_gram,
     assemble_second_variation,
     flatten_field,
     free_operator_floor,
@@ -80,19 +86,25 @@ def test_assembly_rejects_nan_profile(grid):
         assemble_second_variation(w, ActionParams(0.8, 0.0, MODEL))
 
 
-def test_constrained_gram_matches_dense_gram():
-    """The Gram formed from the u1 blocks of the basis equals basis^T G basis,
-    with G the dense H1 x L2 Gram: the identity, and I - D2 on both u1 blocks."""
-    g = Grid(40.0, 128)
-    n = g.points
-    d2 = np.column_stack([spectral_second_derivative(e, g) for e in np.eye(n)])
+@pytest.mark.parametrize("omega, v", [(0.6, 0.0), (0.7, 0.0), (0.8, 0.3), (0.75, 0.6)])
+def test_delta_matches_dense_generalized_eigenproblem(grid, omega, v):
+    """delta is the lowest eigenvalue of the dense constrained problem: M and the
+    H1 x L2 Gram (the identity, and I - D2 on both u1 blocks) projected on the QR
+    complement of the constraints; delta < 0 for omega = 0.6 and 0.7."""
+    w, ap, _ = _profile(grid, omega, v)
+    op = assemble_second_variation(w, ap, check_critical=False)
+    n = grid.points
+    d2 = np.column_stack([spectral_second_derivative(e, grid) for e in np.eye(n)])
     gram = np.eye(4 * n)
     gram[0:n, 0:n] -= d2
     gram[n : 2 * n, n : 2 * n] -= d2
-    basis, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((4 * n, 4 * n - 3)))
-    want = basis.T @ gram @ basis
-    got = _constrained_gram(basis, g)
-    assert np.max(np.abs(got - want)) < 1e-12 * np.max(np.abs(want))
+    cons = np.column_stack([flatten_field(f) for f in symmetry_directions(op.profile)])
+    basis = np.linalg.qr(cons, mode="complete")[0][:, 3:]
+    a = basis.T @ op.matrix @ basis
+    b = basis.T @ gram @ basis
+    want = sla.eigh(0.5 * (a + a.T), 0.5 * (b + b.T), subset_by_index=[0, 0], eigvals_only=True)[0]
+    assert (want < 0) == (omega < math.sqrt(0.5))  # outside the stability window
+    assert spectrum_report(op).coercivity_delta == pytest.approx(want, rel=1e-10)
 
 
 def test_kernel_vectors(op, grid):
