@@ -94,8 +94,8 @@ def cmd_groundstate(args: argparse.Namespace) -> int:
         print(f"phi(0) = {gs.samples[grid.points // 2]:.12g}")
         print(f"||phi||_2^2 = {n2:.12g}   ||phi'||_2^2 = {dn2:.12g}")
     else:
-        if not args.length <= RADIAL_MAX_LENGTH:  # NaN fails too
-            raise ValueError(f"--length must be at most {RADIAL_MAX_LENGTH:g} for d > 1")
+        if not 0 < args.length <= RADIAL_MAX_LENGTH:  # NaN fails too
+            raise ValueError(f"--length must be positive and at most {RADIAL_MAX_LENGTH:g} for d > 1")
         n = max(4000, round(args.length / 2.0 / RADIAL_SPACING))
         gs = ground_state_radial(model, args.omega, rmax=args.length / 2.0, n=n)
         xs = gs.radial_mesh
@@ -207,8 +207,7 @@ def _write_multisoliton_outputs(outdir: Path, run, report) -> None:
     header = ["t", "E", "Q", "P"]
     for j in range(nsol):
         header += [f"E_{j}", f"Q_{j}", f"P_{j}"]
-    # newton_iters and cond are NaN where no modulation fit ran (after a tube exit);
-    # cond is also NaN for a fit that converged before forming a Jacobian
+    # newton_iters and cond are NaN where no modulation fit ran (after a tube exit)
     header += ["S_localized", "err_H1L2", "newton_iters", "cond"]
     rows = []
     for i, t in enumerate(report.times):

@@ -5,9 +5,11 @@ phases, frequencies and positions (velocities stay fixed) so that the
 residue Upsilon = U - sum_j R_j(theta_j, omega_j, x_j) is L2 x L2
 orthogonal to the symmetry directions i R_j, i J R_j and R_j' of every
 component.  That is a 3N-dimensional root-finding problem solved by
-Newton with a finite-difference Jacobian; near a genuine soliton sum the
-Jacobian is diagonally dominant (cross terms decay exponentially in the
-separation), so convergence is quadratic from reasonable seeds.
+Newton; the theta and x tangents of R_j are its symmetry directions i R_j
+and -R_j', and dR_j/domega is a centered omega-difference.  Near a genuine
+soliton sum the Jacobian is diagonally dominant (cross terms decay
+exponentially in the separation), so convergence is quadratic from
+reasonable seeds.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from typing import Sequence
 import numpy as np
 
 from .grids import Field, norm_h1l2, pair_inner, symmetry_directions
-from .profiles import DomainTooSmallError, FrequencyRangeError, SolitonParams, sample_soliton
+from .profiles import DomainTooSmallError, FrequencyRangeError, SolitonParams
+from .profiles import _frequency_derivative, sample_soliton
 
 __all__ = [
     "ModulationState",
@@ -34,8 +37,6 @@ OMEGA_MARGIN = 1e-3
 # convergence when every orthogonality residual is below NEWTON_TOL * ||U||
 NEWTON_TOL = 1e-12
 MAX_NEWTON_ITER = 50
-# parameter step of the centered-difference Jacobian
-JACOBIAN_STEP = 1e-6
 
 
 class NotInTubeError(RuntimeError):
@@ -75,24 +76,39 @@ class ModulationState:
 
 
 def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
-    """The orthogonality residuals and the residue U - sum_j R_j."""
+    """The orthogonality residuals, the residue U - sum_j R_j and the
+    symmetry directions of every R_j."""
     comps = [sample_soliton(sp, 0.0, u.grid) for sp in params]
     ups = u.copy()
     for c in comps:
         ups = ups - c
-    out = np.empty(3 * len(comps))
-    for j, c in enumerate(comps):
-        out[3 * j : 3 * j + 3] = [pair_inner(ups, d) for d in symmetry_directions(c)]
-    return out, ups
+    dirs = [symmetry_directions(c) for c in comps]
+    out = np.array([pair_inner(ups, d) for dj in dirs for d in dj])
+    return out, ups, dirs
+
+
+def _jacobian(ups: Field, dirs, params: Sequence[SolitonParams]) -> np.ndarray:
+    """Derivative of the orthogonality residuals in (theta_l, omega_l, x_l).
+
+    With T_j = (i R_j, dR_j/domega, -R_j') the tangents of R_j and D_k the
+    real-linear symmetry maps, J[(i,k),(j,a)] = -<T_{j,a}, D_k R_i>
+    + delta_ij <Upsilon, D_k T_{j,a}>.
+    """
+    jac = np.empty((3 * len(params), 3 * len(params)))
+    for j, sp in enumerate(params):
+        d_omega = _frequency_derivative(
+            lambda om: sample_soliton(replace(sp, omega=om), 0.0, ups.grid), sp.omega
+        )
+        for a, tangent in enumerate((dirs[j][0], d_omega, -1.0 * dirs[j][2])):
+            col = np.array([-pair_inner(tangent, d) for dl in dirs for d in dl])
+            col[3 * j : 3 * j + 3] += [pair_inner(ups, d) for d in symmetry_directions(tangent)]
+            jac[:, 3 * j + a] = col
+    return jac
 
 
 def _apply(params: Sequence[SolitonParams], vec: np.ndarray) -> list[SolitonParams]:
-    out = []
-    for j, sp in enumerate(params):
-        out.append(
-            replace(sp, theta=vec[3 * j], omega=vec[3 * j + 1], x0=vec[3 * j + 2])
-        )
-    return out
+    triples = vec.reshape(-1, 3)
+    return [replace(sp, theta=th, omega=om, x0=x) for sp, (th, om, x) in zip(params, triples)]
 
 
 def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationState:
@@ -100,8 +116,9 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
 
     ``initial`` provides the seeds and the fixed velocities.  Convergence
     is declared when every orthogonality residual is below NEWTON_TOL * ||U||;
-    leaving the admissible frequency band or exceeding condition number
-    1e8 raises instead of silently projecting.
+    leaving the admissible frequency band or a Jacobian condition number
+    above 1e8 raises instead of silently projecting.  ``condition_number``
+    is that of the Jacobian at the returned parameters.
     """
     params = list(initial)
     sqm = math.sqrt(params[0].model.m)
@@ -109,29 +126,13 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     if scale == 0.0:
         raise NotInTubeError("zero field cannot be modulated")
 
-    vec = np.empty(3 * len(params))
-    for j, sp in enumerate(params):
-        vec[3 * j : 3 * j + 3] = (sp.theta, sp.omega, sp.x0)
+    vec = np.array([(sp.theta, sp.omega, sp.x0) for sp in params], dtype=float).ravel()
 
-    cond = float("nan")
     for it in range(MAX_NEWTON_ITER):
+        current = _apply(params, vec)
         try:
-            f0, ups = _ortho_vector(u, _apply(params, vec))
-        except (DomainTooSmallError, FrequencyRangeError) as exc:
-            raise NotInTubeError(f"iterate left the profile family: {exc}") from exc
-        if np.max(np.abs(f0)) < NEWTON_TOL * scale:
-            return ModulationState(_apply(params, vec), ups, f0, True, it, cond)
-        jac = np.empty((3 * len(params), 3 * len(params)))
-        try:
-            for col in range(3 * len(params)):
-                vp = vec.copy()
-                vm = vec.copy()
-                vp[col] += JACOBIAN_STEP
-                vm[col] -= JACOBIAN_STEP
-                jac[:, col] = (
-                    _ortho_vector(u, _apply(params, vp))[0]
-                    - _ortho_vector(u, _apply(params, vm))[0]
-                ) / (2.0 * JACOBIAN_STEP)
+            f0, ups, dirs = _ortho_vector(u, current)
+            jac = _jacobian(ups, dirs, current)
         except (DomainTooSmallError, FrequencyRangeError) as exc:
             raise NotInTubeError(f"iterate left the profile family: {exc}") from exc
         cond = float(np.linalg.cond(jac))
@@ -139,21 +140,18 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
             raise DegenerateConfigurationError(
                 f"modulation Jacobian condition number {cond:.3e}"
             )
+        norm0 = np.max(np.abs(f0))
+        if norm0 < NEWTON_TOL * scale:
+            return ModulationState(current, ups, f0, True, it, cond)
         full_step = np.linalg.solve(jac, f0)
         # backtracking keeps stray seeds from catapulting the iterate
-        norm0 = np.max(np.abs(f0))
         lam = 1.0
         for _ in range(8):
             trial = vec - lam * full_step
-            admissible = all(
-                abs(trial[3 * j + 1]) < sqm - OMEGA_MARGIN for j in range(len(params))
-            )
-            if admissible:
+            if np.all(np.abs(trial[1::3]) < sqm - OMEGA_MARGIN):  # admissible frequencies
                 try:
-                    descent = (
-                        np.max(np.abs(_ortho_vector(u, _apply(params, trial))[0]))
-                        < norm0
-                    )
+                    f_trial = _ortho_vector(u, _apply(params, trial))[0]
+                    descent = np.max(np.abs(f_trial)) < norm0
                 except (DomainTooSmallError, FrequencyRangeError):
                     descent = False
                 if descent:
@@ -167,7 +165,7 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
         vec = trial
     raise NotInTubeError(
         f"modulation Newton did not converge in {MAX_NEWTON_ITER} iterations "
-        f"(last residual {np.max(np.abs(f0)):.3e}, tol {NEWTON_TOL * scale:.3e})"
+        f"(last residual {norm0:.3e}, tol {NEWTON_TOL * scale:.3e})"
     )
 
 

@@ -394,6 +394,17 @@ def sample_soliton(sp: SolitonParams, t: float, grid: Grid) -> Field:
     return Field(phase * prof, phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof), grid)
 
 
+# frequency step of the centered difference of the profile family
+OMEGA_STEP = 1e-4
+
+
+def _frequency_derivative(phi_family, omega):
+    """Centered omega-difference of the profile family."""
+    wp = phi_family(omega + OMEGA_STEP)
+    wm = phi_family(omega - OMEGA_STEP)
+    return (1.0 / (2.0 * OMEGA_STEP)) * (wp - wm)
+
+
 def standing_wave_energy(model: ModelParams, omega: float, grid: Grid) -> float:
     """Energy of the standing wave (phi_omega, i omega phi_omega) by quadrature."""
     from .functionals import energy  # functionals imports this module

@@ -29,7 +29,7 @@ import scipy.linalg as sla
 
 from .functionals import ActionParams, gradient_norm
 from .grids import Field, Grid, norm_l2l2, symmetry_directions
-from .profiles import ModelParams
+from .profiles import OMEGA_STEP, ModelParams, _frequency_derivative
 
 __all__ = [
     "RealizedOperator",
@@ -48,8 +48,6 @@ __all__ = [
 
 # eigenvalues below KERNEL_REL_TOL * spectral radius in magnitude count as kernel
 KERNEL_REL_TOL = 1e-6
-# frequency step of the centered difference of the profile family
-OMEGA_STEP = 1e-4
 
 
 class AssemblyError(RuntimeError):
@@ -190,13 +188,6 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
         coercivity_delta=delta,
         eigenvalues=ev,
     )
-
-
-def _frequency_derivative(phi_family, omega):
-    """Centered omega-difference of the profile family."""
-    wp = phi_family(omega + OMEGA_STEP)
-    wm = phi_family(omega - OMEGA_STEP)
-    return (1.0 / (2.0 * OMEGA_STEP)) * (wp - wm)
 
 
 def slope_test(

@@ -416,11 +416,12 @@ def test_cli_multisoliton_small(tmp_path):
     assert header[:4] == ["t", "E", "Q", "P"]
     assert header[-4:] == ["S_localized", "err_H1L2", "newton_iters", "cond"]
     # every hook fitted (the run stays in the tube), with whole iteration counts; the
-    # fit at the final time starts from the exact sum, so it forms no Jacobian (cond NaN)
+    # fit at the final time starts from the exact sum and converges at iteration 0,
+    # and its cond is still that of the Jacobian at the returned parameters
     iters, cond = data[:, -2], data[:, -1]
-    assert iters[-1] == 0 and np.isnan(cond[-1])
+    assert iters[-1] == 0 and np.isfinite(cond[-1]) and cond[-1] >= 1.0
     assert np.all(iters[:-1] >= 1) and np.all(iters == np.round(iters))
-    assert np.all(np.isfinite(cond[:-1]) & (cond[:-1] >= 1.0))
+    assert np.all(np.isfinite(cond) & (cond >= 1.0))
 
 
 def test_diagnostics_fit_columns_are_nan_without_a_fit(tmp_path, monkeypatch):
@@ -448,7 +449,8 @@ def test_diagnostics_fit_columns_are_nan_without_a_fit(tmp_path, monkeypatch):
     # the hooks fire backward in time and the rows are in ascending time: the
     # last row is the one fit, which started from the exact sum (0 iterations)
     assert iters[-1] == 0
-    assert np.all(np.isnan(iters[:-1])) and np.all(np.isnan(cond))
+    assert np.all(np.isnan(iters[:-1]))
+    assert np.array_equal(np.isnan(cond), np.isnan(iters))
 
 
 @pytest.mark.parametrize(
@@ -618,16 +620,17 @@ def test_cli_groundstate_radial_mesh_follows_length(capsys, d):
     assert _groundstate_phi0(capsys, "--d", d, "--length", "400") == pytest.approx(want, rel=1e-9)
 
 
-@pytest.mark.parametrize("length", ["20000.5", "1e12", "inf", "nan"])
-def test_cli_groundstate_radial_rejects_huge_length(tmp_path, capsys, length):
-    """The radial mesh grows with the length, so a length beyond the cap is a
-    configuration error (exit 2), reported before any mesh is built."""
+@pytest.mark.parametrize("length", ["20000.5", "1e12", "inf", "nan", "0", "-5"])
+def test_cli_groundstate_radial_rejects_bad_length(tmp_path, capsys, length):
+    """The radial mesh grows with the length, so a length beyond the cap, and a
+    length that is not positive, is a configuration error (exit 2), reported
+    before any mesh is built."""
     from nlkglab.cli import main
 
     out = tmp_path / "gs.csv"
     code = main(["groundstate", "--d", "2", "--omega", "0", f"--length={length}", "--out", str(out)])
     assert code == 2
-    assert "--length must be at most 20000 for d > 1" in capsys.readouterr().err
+    assert "--length must be positive and at most 20000 for d > 1" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -7,8 +7,12 @@ import pytest
 from nlkglab.experiments import random_bump, soliton_sum
 from nlkglab.grids import Field, Grid, norm_h1l2
 from nlkglab.integrator import IntegratorConfig, evolve
+from nlkglab import modulation
 from nlkglab.modulation import (
     NotInTubeError,
+    _apply,
+    _jacobian,
+    _ortho_vector,
     fit_modulation,
     track_parameters,
 )
@@ -39,6 +43,58 @@ def test_planted_recovery(grid, pair):
     assert np.max(np.abs(st.omegas - [sp.omega for sp in pair])) < 1e-8
     assert np.max(np.abs(st.positions - [sp.x0 for sp in pair])) < 1e-8
     assert st.residual_norm < 1e-8
+
+
+def _fd_jacobian(u, params, step=1e-6):
+    """Oracle: centered difference of the residual map over all 3N parameters."""
+    vec = np.array([(sp.theta, sp.omega, sp.x0) for sp in params]).ravel()
+    cols = []
+    for col in range(len(vec)):
+        vp, vm = vec.copy(), vec.copy()
+        vp[col] += step
+        vm[col] -= step
+        fp = _ortho_vector(u, _apply(params, vp))[0]
+        fm = _ortho_vector(u, _apply(params, vm))[0]
+        cols.append((fp - fm) / (2.0 * step))
+    return np.column_stack(cols)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+@pytest.mark.parametrize("n", [2, 3])
+def test_jacobian_matches_finite_difference(grid, n, eps):
+    """The Jacobian from the symmetry directions and the omega-difference agrees
+    with a centered difference of the residual map, off the root so that the
+    residue term counts too."""
+    sols = [
+        SolitonParams(MODEL, omega=0.8, theta=0.2, v=-0.4, x0=-25.0),
+        SolitonParams(MODEL, omega=0.78, theta=-0.4, v=0.4, x0=25.0),
+        SolitonParams(MODEL, omega=0.82, theta=1.1, v=0.1, x0=0.0),
+    ][:n]
+    u = soliton_sum(sols, 0.0, grid) + eps * random_bump(grid, 5)
+    at = [replace(sp, theta=sp.theta + 0.05, omega=sp.omega - 0.01, x0=sp.x0 + 0.1) for sp in sols]
+    _, ups, dirs = _ortho_vector(u, at)
+    jac = _jacobian(ups, dirs, at)
+    oracle = _fd_jacobian(u, at)
+    assert np.max(np.abs(jac - oracle)) < 1e-6 * np.max(np.abs(oracle))
+
+
+def test_fit_samples_each_soliton_three_times_per_iterate(grid, pair, monkeypatch):
+    """Each iterate samples every soliton once for the residual and twice for
+    its omega-difference, and each accepted full Newton step once more."""
+    calls = []
+    real = modulation.sample_soliton
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(modulation, "sample_soliton", counted)
+    u = soliton_sum(pair, 0.0, grid)
+    seeds = [replace(sp, theta=sp.theta + 0.05, omega=sp.omega - 0.01, x0=sp.x0 + 0.1) for sp in pair]
+    st = fit_modulation(u, seeds)
+    n, it = len(pair), st.iterations
+    assert st.converged and it >= 2
+    assert len(calls) == 3 * n * (it + 1) + n * it
 
 
 def test_orthogonality_residuals(grid, pair):
