@@ -165,7 +165,10 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         return sample_soliton(replace(sp, omega=om), 0.0, grid)
 
     slope = slope_test(family, ap, args.omega, op=op)
-    print(f"negative eigenvalues : {rep.negative_count} (lowest {rep.negative_eigenvalue:.6g})")
+    print(
+        f"negative eigenvalues : {rep.negative_count} of the Schur complement A - B B^T "
+        f"(lowest {rep.negative_eigenvalue:.6g})"
+    )
     print(f"kernel dimension     : {rep.kernel_dimension} (tol {rep.kernel_tolerance:.3e})")
     print(f"coercivity delta     : {rep.coercivity_delta:.6g}")
     print(f"frequency slope      : {slope:.6g} ({'stable' if slope < 0 else 'unstable'} sign)")

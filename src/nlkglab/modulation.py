@@ -15,6 +15,7 @@ reasonable seeds.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -149,8 +150,12 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
         for _ in range(8):
             trial = vec - lam * full_step
             if np.all(np.abs(trial[1::3]) < sqm - OMEGA_MARGIN):  # admissible frequencies
+                # a trial's boundary-decay warning waits for the next iterate,
+                # which samples the trial again only if it is accepted
                 try:
-                    f_trial = _ortho_vector(u, _apply(params, trial))[0]
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore", UserWarning)
+                        f_trial = _ortho_vector(u, _apply(params, trial))[0]
                     descent = np.max(np.abs(f_trial)) < norm0
                 except (DomainTooSmallError, FrequencyRangeError):
                     descent = False

@@ -12,7 +12,8 @@ symmetric real matrix of size (4N)^2.  Acting on Z = (z1, z2):
 
 with q the first component of the profile.  The kernel is spanned by the
 phase and translation modes i*Phi and Phi', there is exactly one negative
-eigenvalue inside the stability window, and on the subspace L2-orthogonal
+eigenvalue inside the stability window (both counts are read off the 2N x 2N
+Schur complement of the identity u2 block), and on the subspace L2-orthogonal
 to {Phi', iJPhi, iPhi} the quadratic form is coercive in the H1 x L2 metric;
 delta, the minimal constrained Rayleigh quotient, is one symmetric eigenvalue:
 that of the operator whitened by the (Fourier-diagonal) Gram, constraints deflated.
@@ -46,7 +47,7 @@ __all__ = [
 ]
 
 
-# eigenvalues below KERNEL_REL_TOL * spectral radius in magnitude count as kernel
+# eigenvalues of S below KERNEL_REL_TOL * its spectral radius in magnitude count as kernel
 KERNEL_REL_TOL = 1e-6
 
 
@@ -161,10 +162,25 @@ def assemble_second_variation(
     return RealizedOperator(mat, grid, phi.copy(), ap, asym)
 
 
+def _schur_complement(op: RealizedOperator) -> np.ndarray:
+    """S = A - B B^T for M = [[A, B], [B^T, I]] split at the u1/u2 boundary.
+
+    By Haynsworth inertia additivity In(M) = In(I) + In(S), so S has M's negative
+    count and kernel dimension; AssemblyError unless the u2 block is exactly I."""
+    n2 = 2 * op.grid.points
+    mat = op.matrix
+    if not np.array_equal(mat[n2:, n2:], np.eye(n2)):
+        raise AssemblyError("u2 block of the second variation is not the identity")
+    b = mat[:n2, n2:]
+    return mat[:n2, :n2] - b @ b.T
+
+
 def spectrum_report(op: RealizedOperator) -> SpectrumReport:
-    """Full L2 eigensolve, and delta: the lowest eigenvalue of P a P + s q q^T, with
-    a = G^(-1/2) M G^(-1/2), q orthonormal on G^(-1/2) Y, P = I - q q^T, s = ||a||_inf."""
-    ev = sla.eigvalsh(op.matrix)
+    """Eigenvalues of the Schur complement S (``_schur_complement``), which carry
+    the Morse index and kernel of M, and delta: the lowest eigenvalue of
+    P a P + s q q^T, with a = G^(-1/2) M G^(-1/2), q orthonormal on G^(-1/2) Y,
+    P = I - q q^T, s = ||a||_inf."""
+    ev = sla.eigvalsh(_schur_complement(op))
     ktol = KERNEL_REL_TOL * float(np.max(np.abs(ev)))
     negative = ev[ev < -ktol]
     kernel_dim = int(np.sum(np.abs(ev) < ktol))
@@ -233,8 +249,12 @@ def frequency_derivative_residual(
 
 
 def free_operator_floor(ap: ActionParams, grid: Grid) -> float:
-    """Smallest eigenvalue of the potential-free operator (essential-spectrum floor)."""
-    zero = Field.zeros(grid)
-    op = assemble_second_variation(zero, ap, check_critical=False)
-    ev = sla.eigvalsh(op.matrix)
-    return float(ev[0])
+    """Smallest eigenvalue of the potential-free operator (essential-spectrum floor).
+
+    The operator is complex-linear and Fourier-diagonal: at wavenumber k its symbol
+    is [[a, i b], [-i b, 1]] with a = k^2 + m, b = omega/gamma - v k, whose lower
+    eigenvalue is ((a + 1) - sqrt((a - 1)^2 + 4 b^2)) / 2."""
+    k = grid.deriv_wavenumbers
+    a = k**2 + ap.model.m
+    b = ap.omega_over_gamma - ap.v * k
+    return float(np.min(0.5 * ((a + 1.0) - np.sqrt((a - 1.0) ** 2 + 4.0 * b**2))))

@@ -240,7 +240,8 @@ def test_criterion_5_spectrum():
     _report(
         "5",
         ok,
-        f"Morse={rep512.negative_count}, kernel={rep512.kernel_dimension}, "
+        f"Morse={rep512.negative_count} (lowest {rep512.negative_eigenvalue:.5f}, -3mu), "
+        f"kernel={rep512.kernel_dimension}, "
         f"delta={rep512.coercivity_delta:.5f} (N=1024 shift {delta_shift * 100:.2f}%), "
         f"slope(0.8)={slope_stable:.6f} (-28/15), slope(0.6)={slope_unstable:.4f}>0",
     )

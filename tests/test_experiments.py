@@ -286,6 +286,7 @@ def test_interaction_decay_rates(grid, pair):
     assert lslope < 0 and lstderr < 0.1 * abs(lslope)
 
 
+@pytest.mark.filterwarnings("error::UserWarning")  # rejected Newton trials must not warn
 def test_asymmetric_pair_drift_and_tube_exit(grid):
     """An asymmetric pair with one frequency near the stability boundary:
     the localized charges drift oppositely (they telescope to the conserved

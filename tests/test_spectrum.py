@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from nlkglab.grids import (
 )
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 from nlkglab.spectrum import (
+    KERNEL_REL_TOL,
     AssemblyError,
+    _schur_complement,
     assemble_second_variation,
     flatten_field,
     free_operator_floor,
@@ -104,7 +107,48 @@ def test_delta_matches_dense_generalized_eigenproblem(grid, omega, v):
     b = basis.T @ gram @ basis
     want = sla.eigh(0.5 * (a + a.T), 0.5 * (b + b.T), subset_by_index=[0, 0], eigvals_only=True)[0]
     assert (want < 0) == (omega < math.sqrt(0.5))  # outside the stability window
-    assert spectrum_report(op).coercivity_delta == pytest.approx(want, rel=1e-10)
+    delta = spectrum_report(op).coercivity_delta
+    assert delta == pytest.approx(want, rel=1e-10)
+    # Grillakis-Shatah-Strauss: with Morse index 1 and kernel 2, the constrained
+    # form is positive exactly when d/domega [omega ||phi||^2] < 0
+    assert np.sign(delta) == -np.sign(slope_test(_family(grid, v), ap, omega, op=op))
+
+
+@pytest.mark.parametrize("omega, v", [(0.6, 0.0), (0.8, 0.0), (0.8, 0.3), (0.75, 0.6)])
+def test_schur_counts_match_dense_eigensolve(grid, omega, v):
+    """The Morse index and kernel read off S = A - B B^T equal those of the full
+    4N x 4N eigensolve under its own rule (tolerance from max|eig(M)|)."""
+    w, ap, _ = _profile(grid, omega, v)
+    op = assemble_second_variation(w, ap, check_critical=False)
+    ev = sla.eigvalsh(op.matrix)
+    ktol = KERNEL_REL_TOL * np.max(np.abs(ev))
+    rep = spectrum_report(op)
+    assert rep.negative_count == np.sum(ev < -ktol)
+    assert rep.kernel_dimension == np.sum(np.abs(ev) < ktol)
+
+
+def test_schur_rejects_perturbed_u2_block(op, grid):
+    n2 = 2 * grid.points
+    mat = op.matrix.copy()
+    mat[n2 + 3, n2 + 3] = np.nextafter(1.0, 2.0)  # one ulp off the identity
+    with pytest.raises(AssemblyError, match="not the identity"):
+        spectrum_report(dataclasses.replace(op, matrix=mat))
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("omega, v", [(0.8, 0.0), (0.8, 0.3), (0.75, 0.6)])
+def test_schur_ground_state_closed_form(p, omega, v):
+    """S is L+ (+) L- at v = 0, both reflectionless sech^2 wells: the lowest
+    eigenvalue is -mu((p+1)^2/4 - 1), mu = m - omega^2, and each block has one
+    zero mode; the boost keeps both (Lorentz covariance).  Spacing 80/512; p = 2
+    decays slower and gets a longer box."""
+    grid = Grid(100.0, 640) if p == 2.0 else Grid(80.0, 512)
+    sp = SolitonParams(ModelParams(1.0, p, 1), omega=omega, v=v)
+    op = assemble_second_variation(sample_soliton(sp, 0.0, grid), ActionParams.from_soliton(sp))
+    ev = sla.eigvalsh(_schur_complement(op))
+    mu = 1.0 - omega**2
+    assert abs(ev[0] + mu * ((p + 1) ** 2 / 4 - 1)) < 1e-10 * mu
+    assert np.sum(np.abs(ev) < 1e-12) == 2
 
 
 def test_kernel_vectors(op, grid):
@@ -229,7 +273,11 @@ def test_frequency_derivative_identity(op, grid):
 def test_free_operator_positive(grid):
     for og, v in ((0.8, 0.0), (0.8 / 1.25, 0.6)):
         ap = ActionParams(og, v, MODEL)
-        assert free_operator_floor(ap, grid) > 0
+        floor = free_operator_floor(ap, grid)
+        assert floor > 0
+        # oracle: the dense 4N x 4N operator of the zero profile
+        dense = assemble_second_variation(Field.zeros(grid), ap, check_critical=False)
+        assert floor == pytest.approx(sla.eigvalsh(dense.matrix)[0], rel=1e-12)
 
 
 def test_coercivity_boosted(grid):
