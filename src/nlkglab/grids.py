@@ -134,14 +134,15 @@ class Field:
 def spectral_derivative(f: np.ndarray, grid: Grid) -> np.ndarray:
     """d/dx as the Fourier multiplier i*k (Nyquist zeroed).
 
-    Exact for band-limited samples; maps real input to real output up to
-    rounding.
+    Exact for band-limited samples.  Real input goes through the half-length
+    real transforms and returns a real array.
     """
     grid.check(np.asarray(f))
-    out = np.fft.ifft(1j * grid.deriv_wavenumbers * np.fft.fft(f))
     if np.isrealobj(f):
-        return np.real(out)
-    return out
+        n = grid.points
+        kd = grid.deriv_wavenumbers[: n // 2 + 1]
+        return np.fft.irfft(1j * kd * np.fft.rfft(f), n)
+    return np.fft.ifft(1j * grid.deriv_wavenumbers * np.fft.fft(f))
 
 
 def spectral_second_derivative(f: np.ndarray, grid: Grid) -> np.ndarray:

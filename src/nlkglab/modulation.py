@@ -10,6 +10,13 @@ and -R_j', and dR_j/domega is a centered omega-difference.  Near a genuine
 soliton sum the Jacobian is diagonally dominant (cross terms decay
 exponentially in the separation), so convergence is quadratic from
 reasonable seeds.
+
+The pairings are matrix products: every direction and tangent is one real
+row of length 4N, so the 3N residuals are one mat-vec and the Jacobian's
+cross term one (3N, 3N) Gram.  Its residue term moves the symmetry maps
+onto Upsilon by their adjoints, and an accepted backtracking trial's
+sample is the next iterate's, so an iterate samples each soliton three
+times (its residual and the two omega-neighbours).
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import Field, norm_h1l2, pair_inner, symmetry_directions
+from .grids import Field, norm_h1l2, symmetry_directions
 from .profiles import DomainTooSmallError, FrequencyRangeError, SolitonParams
 from .profiles import _frequency_derivative, sample_soliton
 
@@ -76,40 +83,68 @@ class ModulationState:
         return norm_h1l2(self.residual)
 
 
+def _flat(w: Field) -> np.ndarray:
+    """w as one real vector, so that pair_inner(a, b) = (_flat(a) @ _flat(b)) * h."""
+    return np.concatenate((w.u1, w.u2)).view(float)
+
+
 def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     """The orthogonality residuals, the residue U - sum_j R_j and the
-    symmetry directions of every R_j."""
+    symmetry directions D_k R_j of every component, stacked as the real
+    (3N, 4N) array of their ``_flat`` rows in (j, k) order."""
     comps = [sample_soliton(sp, 0.0, u.grid) for sp in params]
     ups = u.copy()
     for c in comps:
         ups = ups - c
-    dirs = [symmetry_directions(c) for c in comps]
-    out = np.array([pair_inner(ups, d) for dj in dirs for d in dj])
-    return out, ups, dirs
+    dirs = np.stack([_flat(d) for c in comps for d in symmetry_directions(c)])
+    return (dirs @ _flat(ups)) * u.grid.spacing, ups, dirs
 
 
-def _jacobian(ups: Field, dirs, params: Sequence[SolitonParams]) -> np.ndarray:
+# <a, D_k b> = ADJOINT_SIGNS[k] * <D_k a, b> under pair_inner: i and d/dx
+# (Nyquist zeroed) are skew, i J is symmetric
+ADJOINT_SIGNS = np.array([-1.0, 1.0, -1.0])
+
+
+def _jacobian(ups: Field, dirs: np.ndarray, params: Sequence[SolitonParams]) -> np.ndarray:
     """Derivative of the orthogonality residuals in (theta_l, omega_l, x_l).
 
     With T_j = (i R_j, dR_j/domega, -R_j') the tangents of R_j and D_k the
     real-linear symmetry maps, J[(i,k),(j,a)] = -<T_{j,a}, D_k R_i>
-    + delta_ij <Upsilon, D_k T_{j,a}>.
+    + delta_ij <Upsilon, D_k T_{j,a}>.  The residue term is taken through
+    the adjoint, s_k <D_k Upsilon, T_{j,a}>, so the symmetry maps act on
+    Upsilon once instead of on all 3N tangents.
     """
-    jac = np.empty((3 * len(params), 3 * len(params)))
+    grid = ups.grid
+    rows = []
     for j, sp in enumerate(params):
         d_omega = _frequency_derivative(
-            lambda om: sample_soliton(replace(sp, omega=om), 0.0, ups.grid), sp.omega
+            lambda om: sample_soliton(replace(sp, omega=om), 0.0, grid), sp.omega
         )
-        for a, tangent in enumerate((dirs[j][0], d_omega, -1.0 * dirs[j][2])):
-            col = np.array([-pair_inner(tangent, d) for dl in dirs for d in dl])
-            col[3 * j : 3 * j + 3] += [pair_inner(ups, d) for d in symmetry_directions(tangent)]
-            jac[:, 3 * j + a] = col
+        rows += [dirs[3 * j], _flat(d_omega), -dirs[3 * j + 2]]
+    tan = np.stack(rows)
+    jac = -(dirs @ tan.T) * grid.spacing
+    dups = np.stack([_flat(d) for d in symmetry_directions(ups)])
+    ups_term = ADJOINT_SIGNS[:, None] * (dups @ tan.T) * grid.spacing
+    for j in range(len(params)):
+        jac[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] += ups_term[:, 3 * j : 3 * j + 3]
     return jac
 
 
 def _apply(params: Sequence[SolitonParams], vec: np.ndarray) -> list[SolitonParams]:
     triples = vec.reshape(-1, 3)
     return [replace(sp, theta=th, omega=om, x0=x) for sp, (th, om, x) in zip(params, triples)]
+
+
+def _reissue(caught, accepted: bool) -> None:
+    """Issue a backtracking trial's recorded warnings where its sampling
+    raised them; a rejected trial's UserWarnings (tails of a step that is
+    not taken) are dropped."""
+    registry = globals().setdefault("__warningregistry__", {})
+    for w in caught:
+        if accepted or not issubclass(w.category, UserWarning):
+            warnings.warn_explicit(
+                w.message, w.category, w.filename, w.lineno, module=__name__, registry=registry
+            )
 
 
 def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationState:
@@ -119,7 +154,9 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     is declared when every orthogonality residual is below NEWTON_TOL * ||U||;
     leaving the admissible frequency band or a Jacobian condition number
     above 1e8 raises instead of silently projecting.  ``condition_number``
-    is that of the Jacobian at the returned parameters.
+    is that of the Jacobian at the returned parameters.  An accepted
+    backtracking trial's residuals, residue and directions are the next
+    iterate's, and the warnings its sampling raised are issued on acceptance.
     """
     params = list(initial)
     sqm = math.sqrt(params[0].model.m)
@@ -128,11 +165,12 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
         raise NotInTubeError("zero field cannot be modulated")
 
     vec = np.array([(sp.theta, sp.omega, sp.x0) for sp in params], dtype=float).ravel()
+    sampled = None
 
     for it in range(MAX_NEWTON_ITER):
         current = _apply(params, vec)
         try:
-            f0, ups, dirs = _ortho_vector(u, current)
+            f0, ups, dirs = sampled if sampled is not None else _ortho_vector(u, current)
             jac = _jacobian(ups, dirs, current)
         except (DomainTooSmallError, FrequencyRangeError) as exc:
             raise NotInTubeError(f"iterate left the profile family: {exc}") from exc
@@ -150,15 +188,14 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
         for _ in range(8):
             trial = vec - lam * full_step
             if np.all(np.abs(trial[1::3]) < sqm - OMEGA_MARGIN):  # admissible frequencies
-                # a trial's boundary-decay warning waits for the next iterate,
-                # which samples the trial again only if it is accepted
-                try:
-                    with warnings.catch_warnings():
-                        warnings.simplefilter("ignore", UserWarning)
-                        f_trial = _ortho_vector(u, _apply(params, trial))[0]
-                    descent = np.max(np.abs(f_trial)) < norm0
-                except (DomainTooSmallError, FrequencyRangeError):
-                    descent = False
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    try:
+                        sampled = _ortho_vector(u, _apply(params, trial))
+                        descent = np.max(np.abs(sampled[0])) < norm0
+                    except (DomainTooSmallError, FrequencyRangeError):
+                        descent = False
+                _reissue(caught, descent)
                 if descent:
                     break
             lam *= 0.5

@@ -10,8 +10,11 @@ from nlkglab.grids import (
     inner_product_l2,
     norm_h1l2,
     norm_l2,
+    norm_l2l2,
+    pair_inner,
     spectral_derivative,
     spectral_second_derivative,
+    symmetry_directions,
     wrap_coordinate,
 )
 
@@ -123,6 +126,39 @@ def test_integration_by_parts(grid):
     lhs = inner_product_l2(spectral_derivative(f, grid), g2, grid)
     rhs = -inner_product_l2(f, spectral_derivative(g2, grid), grid)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def _random_field(g, rng):
+    def part():
+        return rng.standard_normal(g.points) + 1j * rng.standard_normal(g.points)
+
+    return Field(part(), part(), g)
+
+
+@pytest.mark.parametrize("points", [256, 255])
+def test_symmetry_directions_adjoints(points):
+    """<a, D_k b> = s_k <D_k a, b> under pair_inner with s = (-1, +1, -1):
+    i and d/dx (Nyquist zeroed) are skew and i J is symmetric.  Modulation
+    fitting moves the maps onto the residue by these identities."""
+    g = Grid(40.0, points)
+    rng = np.random.default_rng(points)
+    a, b = _random_field(g, rng), _random_field(g, rng)
+    for k, sign in enumerate((-1.0, 1.0, -1.0)):
+        da, db = symmetry_directions(a)[k], symmetry_directions(b)[k]
+        lhs, rhs = pair_inner(a, db), sign * pair_inner(da, b)
+        assert abs(lhs - rhs) <= 1e-12 * norm_l2l2(a) * norm_l2l2(db)
+
+
+@pytest.mark.parametrize("points", [256, 255])
+def test_real_derivative_matches_complex_path(points):
+    """Real input takes the half-length real transforms; it agrees with the
+    full complex transform and returns a real array."""
+    g = Grid(40.0, points)
+    f = np.random.default_rng(points).standard_normal(points)
+    ref = np.real(np.fft.ifft(1j * g.deriv_wavenumbers * np.fft.fft(f)))
+    out = spectral_derivative(f, g)
+    assert out.dtype == np.float64
+    assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_norm_h1l2_zero(grid):

@@ -1,11 +1,12 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from nlkglab.experiments import random_bump, soliton_sum
-from nlkglab.grids import Field, Grid, norm_h1l2
+from nlkglab.grids import Field, Grid, norm_h1l2, pair_inner, symmetry_directions
 from nlkglab.integrator import IntegratorConfig, evolve
 from nlkglab import modulation
 from nlkglab.modulation import (
@@ -16,7 +17,7 @@ from nlkglab.modulation import (
     fit_modulation,
     track_parameters,
 )
-from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
+from nlkglab.profiles import ModelParams, SolitonParams, _frequency_derivative, sample_soliton
 
 MODEL = ModelParams(1.0, 3.0, 1)
 
@@ -59,12 +60,9 @@ def _fd_jacobian(u, params, step=1e-6):
     return np.column_stack(cols)
 
 
-@pytest.mark.parametrize("eps", [0.0, 0.01])
-@pytest.mark.parametrize("n", [2, 3])
-def test_jacobian_matches_finite_difference(grid, n, eps):
-    """The Jacobian from the symmetry directions and the omega-difference agrees
-    with a centered difference of the residual map, off the root so that the
-    residue term counts too."""
+def _jacobian_case(grid, n, eps):
+    """A field near n solitons (off the root when eps > 0) and the
+    parameters, off the planted ones, at which its Jacobian is taken."""
     sols = [
         SolitonParams(MODEL, omega=0.8, theta=0.2, v=-0.4, x0=-25.0),
         SolitonParams(MODEL, omega=0.78, theta=-0.4, v=0.4, x0=25.0),
@@ -72,15 +70,56 @@ def test_jacobian_matches_finite_difference(grid, n, eps):
     ][:n]
     u = soliton_sum(sols, 0.0, grid) + eps * random_bump(grid, 5)
     at = [replace(sp, theta=sp.theta + 0.05, omega=sp.omega - 0.01, x0=sp.x0 + 0.1) for sp in sols]
+    return u, at
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+@pytest.mark.parametrize("n", [2, 3])
+def test_jacobian_matches_finite_difference(grid, n, eps):
+    """The Jacobian from the symmetry directions and the omega-difference agrees
+    with a centered difference of the residual map, off the root so that the
+    residue term counts too."""
+    u, at = _jacobian_case(grid, n, eps)
     _, ups, dirs = _ortho_vector(u, at)
     jac = _jacobian(ups, dirs, at)
     oracle = _fd_jacobian(u, at)
     assert np.max(np.abs(jac - oracle)) < 1e-6 * np.max(np.abs(oracle))
 
 
+def _per_tangent_jacobian(ups, params):
+    """Reference path: J[(i,k),(j,a)] = -<T_{j,a}, D_k R_i> + delta_ij
+    <Upsilon, D_k T_{j,a}>, one pair_inner per entry, with the symmetry
+    maps applied to every tangent."""
+    g = ups.grid
+    dirs = [symmetry_directions(sample_soliton(sp, 0.0, g)) for sp in params]
+    jac = np.empty((3 * len(params), 3 * len(params)))
+    for j, sp in enumerate(params):
+        d_omega = _frequency_derivative(
+            lambda om: sample_soliton(replace(sp, omega=om), 0.0, g), sp.omega
+        )
+        for a, tangent in enumerate((dirs[j][0], d_omega, -1.0 * dirs[j][2])):
+            col = np.array([-pair_inner(tangent, d) for dl in dirs for d in dl])
+            col[3 * j : 3 * j + 3] += [pair_inner(ups, d) for d in symmetry_directions(tangent)]
+            jac[:, 3 * j + a] = col
+    return jac
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+@pytest.mark.parametrize("n", [2, 3])
+def test_jacobian_matches_per_tangent_reference(grid, n, eps):
+    """The stacked Gram with the residue term taken by adjoints is the
+    per-entry formula to rounding."""
+    u, at = _jacobian_case(grid, n, eps)
+    _, ups, dirs = _ortho_vector(u, at)
+    jac = _jacobian(ups, dirs, at)
+    ref = _per_tangent_jacobian(ups, at)
+    assert np.max(np.abs(jac - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
 def test_fit_samples_each_soliton_three_times_per_iterate(grid, pair, monkeypatch):
     """Each iterate samples every soliton once for the residual and twice for
-    its omega-difference, and each accepted full Newton step once more."""
+    its omega-difference; an accepted Newton step's sample is the next
+    iterate's residual sample, so nothing is sampled twice."""
     calls = []
     real = modulation.sample_soliton
 
@@ -94,7 +133,27 @@ def test_fit_samples_each_soliton_three_times_per_iterate(grid, pair, monkeypatc
     st = fit_modulation(u, seeds)
     n, it = len(pair), st.iterations
     assert st.converged and it >= 2
-    assert len(calls) == 3 * n * (it + 1) + n * it
+    assert len(calls) == 3 * n * (it + 1)
+
+
+def test_fit_warnings_are_those_of_its_samples():
+    """On a marginal domain every sample warns about its boundary value, and
+    the fit issues exactly one warning per sample, 3N(it + 1), from the
+    modulation module: an accepted trial's warnings are issued once, when it
+    becomes the iterate."""
+    g = Grid(80.0, 1024)
+    sp = SolitonParams(MODEL, omega=0.9, v=0.2)
+    seeds = [replace(sp, theta=0.05, omega=0.89, x0=0.1)]
+    with pytest.warns(UserWarning, match="boundary value"):
+        u = sample_soliton(sp, 0.0, g)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        st = fit_modulation(u, seeds)
+    user = [w for w in caught if issubclass(w.category, UserWarning)]
+    assert st.converged and st.iterations == 4
+    assert len(user) == 3 * (st.iterations + 1)
+    assert all("boundary value" in str(w.message) for w in user)
+    assert {w.filename for w in user} == {modulation.__file__}
 
 
 def test_orthogonality_residuals(grid, pair):

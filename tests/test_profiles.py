@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -225,6 +226,33 @@ def test_boost_v0_norm(grid):
     sp = SolitonParams(MODEL, omega=0.8, v=0.0)
     w = sample_soliton(sp, 0.0, grid)
     assert norm_l2(w.u1, grid) ** 2 == pytest.approx(2.4, rel=1e-10)
+
+
+def _decay_outcome(check):
+    """("raise" | "warn" | "pass", messages) of one boundary-decay check."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            check()
+        except DomainTooSmallError as exc:
+            return "raise", [str(exc)]
+    messages = [str(w.message) for w in caught if issubclass(w.category, UserWarning)]
+    return ("warn" if messages else "pass"), messages
+
+
+@pytest.mark.parametrize("points", [512, 511])
+@pytest.mark.parametrize("length", [10.0, 40.0, 80.0])
+@pytest.mark.parametrize("omega", [0.6, 0.8, 0.9, 0.95])
+def test_sample_boundary_check_matches_full_grid(omega, length, points):
+    """sample_soliton's check from the two ends and the grid point nearest 0
+    decides as the check on the whole sampled profile does, with the same
+    printed ratio; odd point counts have no grid point at 0."""
+    g = Grid(length, points)
+    three = _decay_outcome(lambda: sample_soliton(SolitonParams(MODEL, omega), 0.0, g))
+    full = _decay_outcome(
+        lambda: profiles._check_boundary_decay(phi_omega(g.x, MODEL, omega), "ground state")
+    )
+    assert three == full
 
 
 def test_gamma_value():
