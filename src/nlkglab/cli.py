@@ -37,6 +37,7 @@ from .profiles import (
     SolitonParams,
     ground_state_1d,
     ground_state_radial,
+    phi_omega,
     profile_norms,
     sample_soliton,
 )
@@ -91,7 +92,8 @@ def cmd_groundstate(args: argparse.Namespace) -> int:
         gs = ground_state_1d(model, args.omega, grid)
         xs = grid.x
         n2, dn2 = profile_norms(gs)
-        print(f"phi(0) = {gs.samples[grid.points // 2]:.12g}")
+        # an odd point count has no grid point at x = 0
+        print(f"phi(0) = {phi_omega(0.0, model, args.omega):.12g}")
         print(f"||phi||_2^2 = {n2:.12g}   ||phi'||_2^2 = {dn2:.12g}")
     else:
         if not 0 < args.length <= RADIAL_MAX_LENGTH:  # NaN fails too
@@ -212,7 +214,7 @@ def _write_multisoliton_outputs(outdir: Path, run, report) -> None:
         header += [f"E_{j}", f"Q_{j}", f"P_{j}"]
     # newton_iters and cond are NaN where no modulation fit ran (after a tube exit)
     header += ["S_localized", "err_H1L2", "newton_iters", "cond"]
-    rows = []
+    actions, rows = report.action_series, []
     for i, t in enumerate(report.times):
         row = [t, report.energies[i], report.charges[i], report.momenta[i]]
         loc = report.localized[i]
@@ -220,11 +222,10 @@ def _write_multisoliton_outputs(outdir: Path, run, report) -> None:
             row += [loc.e[j], loc.q[j], loc.p[j]]
         st = report.modulation[i]
         fit = [math.nan, math.nan] if st is None else [st.iterations, st.condition_number]
-        row += [report.action_series[i], report.errors[i], *fit]
+        row += [actions[i], report.errors[i], *fit]
         rows.append(row)
     write_diagnostics_csv(outdir / "diagnostics.csv", header, rows)
-    if report.final_field is not None:
-        write_field(outdir / "field_final.dump", report.final_field, report.config.t_start)
+    write_field(outdir / "field_final.dump", report.final_field, report.config.t_start)
     lines = [
         f"nlkglab multisoliton report (v{__version__})",
         f"solitons: {nsol}, window [{run.t_start}, {run.t_final}], dt={run.dt}",

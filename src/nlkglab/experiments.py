@@ -10,6 +10,10 @@ localized action around the modulated decomposition, and direct
 quadrature of the pairwise interaction integrals with fitted decay
 rates.
 
+A run's report keeps one entry per diagnostic hook, and every series
+(errors, conserved quantities, localized quantities, modulation fits,
+fields) is aligned with its ascending ``times``.
+
 Fitted decay slopes are reported with the standard error of the slope
 estimate; a slope counts as "negative" only when that standard error is
 below 10% of its magnitude.
@@ -34,8 +38,6 @@ from .functionals import (
     localized_first_variation,
     localized_quantities,
     momentum_density,
-    ramp,
-    ramp_derivative,
     velocity_problems,
 )
 from .grids import Field, Grid, norm_h1l2, raise_problems, spectral_derivative
@@ -182,11 +184,11 @@ class DecayReport:
     charges: np.ndarray
     momenta: np.ndarray
     localized: list[LocalizedQuantities]
-    modulation: list[Optional[ModulationState]]
-    fields: dict[float, Field]
+    modulation: list[Optional[ModulationState]]  # None at and beyond a tube exit
+    fields: list[Field]
     tube_exit_time: Optional[float]
     runtime_seconds: float
-    final_field: Optional[Field] = None
+    final_field: Field
 
     @property
     def action_series(self) -> np.ndarray:
@@ -246,60 +248,42 @@ def _run_construction(
         t0, t1, dt = cfg.t_start, cfg.t_final, cfg.dt
     w0 = initial if initial is not None else soliton_sum(cfg.solitons, t0, grid)
 
-    times: list[float] = []
-    errors: list[float] = []
-    energies: list[float] = []
-    charges: list[float] = []
-    momenta: list[float] = []
-    localized: list[LocalizedQuantities] = []
-    modstates: list[Optional[ModulationState]] = []
-    fields: dict[float, Field] = {}
-    tube_exit: list[Optional[float]] = [None]
-
-    seed_holder = {"params": [sp.advanced(t0) for sp in cfg.solitons], "t": t0}
+    # one record per hook: (t, error, E, Q, P, localized, fit or None, field)
+    records: list[tuple] = []
+    # the last fit's solitons and time seed the next fit; none runs after a tube exit
+    seeds, t_seed = [sp.advanced(t0) for sp in cfg.solitons], t0
+    tube_exit: Optional[float] = None
 
     def hook(rec: DiagnosticsRecord) -> None:
-        t = rec.t
-        ref = soliton_sum(cfg.solitons, t, grid)
-        times.append(t)
-        errors.append(norm_h1l2(rec.field - ref))
-        energies.append(rec.energy)
-        charges.append(rec.charge)
-        momenta.append(rec.momentum)
+        nonlocal seeds, t_seed, tube_exit
+        t, field = rec.t, rec.field
+        error = norm_h1l2(field - soliton_sum(cfg.solitons, t, grid))
         cut = build_cutoffs([sp.v for sp in cfg.solitons], max(t, 1e-6), grid)
-        localized.append(localized_quantities(rec.field, cut, params))
-        fields[round(t, 9)] = rec.field
-        if tube_exit[0] is None:
-            pred = [sp.advanced(t - seed_holder["t"]) for sp in seed_holder["params"]]
+        loc = localized_quantities(field, cut, params)
+        st = None
+        if tube_exit is None:
             try:
-                st = fit_modulation(rec.field, pred)
-                modstates.append(st)
-                seed_holder["params"] = st.solitons
-                seed_holder["t"] = t
+                st = fit_modulation(field, [sp.advanced(t - t_seed) for sp in seeds])
+                seeds, t_seed = st.solitons, t
             except (NotInTubeError, DegenerateConfigurationError):
-                tube_exit[0] = t
-                modstates.append(None)
-        else:
-            modstates.append(None)
+                tube_exit = t
+        records.append((t, error, rec.energy, rec.charge, rec.momentum, loc, st, field))
 
     final = evolve(w0, t0, t1, IntegratorConfig(dt=dt), model, hooks=[hook], diag_stride=stride)
-
-    order = np.argsort(np.asarray(times))
-
-    def _sorted(seq: list) -> list:
-        return [seq[i] for i in order]
-
+    if backward:  # hook times are monotone in the run's direction
+        records.reverse()
+    times, errors, energies, charges, momenta, localized, modulation, fields = zip(*records)
     return DecayReport(
         config=cfg,
-        times=np.asarray(times)[order],
-        errors=np.asarray(errors)[order],
-        energies=np.asarray(energies)[order],
-        charges=np.asarray(charges)[order],
-        momenta=np.asarray(momenta)[order],
-        localized=_sorted(localized),
-        modulation=_sorted(modstates),
-        fields=fields,
-        tube_exit_time=tube_exit[0],
+        times=np.asarray(times),
+        errors=np.asarray(errors),
+        energies=np.asarray(energies),
+        charges=np.asarray(charges),
+        momenta=np.asarray(momenta),
+        localized=list(localized),
+        modulation=list(modulation),
+        fields=list(fields),
+        tube_exit_time=tube_exit,
         runtime_seconds=_time.perf_counter() - wall0,
         final_field=final,
     )
@@ -322,11 +306,8 @@ class LadderReport:
 
     @property
     def errors_at_start(self) -> list[float]:
-        """||U_T(t_start) - R(t_start)|| of each rung."""
-        return [
-            float(rep.errors[np.argmin(np.abs(rep.times - rep.config.t_start))])
-            for rep in self.reports
-        ]
+        """||U_T(t_start) - R(t_start)|| of each rung (its first hook)."""
+        return [float(rep.errors[0]) for rep in self.reports]
 
     @property
     def strictly_decreasing(self) -> bool:
@@ -399,77 +380,60 @@ class InteractionReport:
     times: np.ndarray
     pair_products: dict[tuple[int, int], np.ndarray]  # int |R_j||R_k|
     pair_grad_products: dict[tuple[int, int], np.ndarray]  # int |dR_j||dR_k|
-    pair_mixed: dict[tuple[int, int], np.ndarray]  # int |R_j||dR_k| (ordered)
     cutoff_leakage: dict[tuple[int, int], np.ndarray]  # int |R_j| phi_k (ordered)
-    nonlinear_cross: np.ndarray  # int | |R|^(p+1) - sum |R_l|^(p+1) |
     rates: dict[str, tuple[float, float, float]]  # fit of the pair (1,2)-type series
+
+
+def _magnitude(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
 
 
 def measure_interactions(cfg: MultiSolitonConfig, times: Sequence[float]) -> InteractionReport:
     """Quadrature of pairwise interaction integrals and their decay-rate fits.
 
-    Pointwise magnitudes are Euclidean over the two components.  Valid for
-    t >= max(4 / v_star^2, 1), where the moving cutoffs have pulled apart.
+    Pointwise magnitudes are Euclidean over the two components; stacked as
+    (n, N) arrays, every pair's integral at one time comes from one Gram
+    product.  Valid for t >= max(4 / v_star^2, 1), where the moving cutoffs
+    have pulled apart.
     """
     n = len(cfg.solitons)
     if n < 2:
         raise ValueError("interaction measurement needs at least two solitons")
     tmin = max(4.0 / cfg.v_star**2, 1.0)
     times = np.asarray(sorted(times), dtype=float)
+    if len(times) == 0:
+        raise ValueError("interaction measurement needs at least one time")
     if times[0] < tmin:
         raise ValueError(f"times must be >= max(4/v_star^2, 1) = {tmin}")
-    grid, h, p = cfg.grid, cfg.grid.spacing, cfg.model.p
+    grid, h = cfg.grid, cfg.grid.spacing
 
-    prods: dict[tuple[int, int], list[float]] = {}
-    gprods: dict[tuple[int, int], list[float]] = {}
-    mixed: dict[tuple[int, int], list[float]] = {}
-    leak: dict[tuple[int, int], list[float]] = {}
-    nl_cross: list[float] = []
+    prods, gprods, leak = [], [], []  # one (n, n) matrix per time
     for t in times:
         comps = [sample_soliton(sp, t, grid) for sp in cfg.solitons]
-        mags = [np.sqrt(np.abs(c.u1) ** 2 + np.abs(c.u2) ** 2) for c in comps]
-        gmags = [
-            np.sqrt(
-                np.abs(spectral_derivative(c.u1, grid)) ** 2
-                + np.abs(spectral_derivative(c.u2, grid)) ** 2
-            )
-            for c in comps
-        ]
-        cut = build_cutoffs([sp.v for sp in cfg.solitons], t, grid)
-        total = sum(comps[1:], comps[0])
-        nl = np.abs(total.u1) ** (p + 1.0)
-        for c in comps:
-            nl = nl - np.abs(c.u1) ** (p + 1.0)
-        nl_cross.append(float(np.sum(np.abs(nl)) * h))
-        for j in range(n):
-            for k in range(n):
-                if j == k:
-                    continue
-                if j < k:
-                    prods.setdefault((j, k), []).append(float(np.sum(mags[j] * mags[k]) * h))
-                    gprods.setdefault((j, k), []).append(
-                        float(np.sum(gmags[j] * gmags[k]) * h)
-                    )
-                mixed.setdefault((j, k), []).append(float(np.sum(mags[j] * gmags[k]) * h))
-                leak.setdefault((j, k), []).append(
-                    float(np.sum(mags[j] * cut.weights[k]) * h)
-                )
+        mags = np.array([_magnitude(c.u1, c.u2) for c in comps])
+        dmags = np.array(
+            [
+                _magnitude(spectral_derivative(c.u1, grid), spectral_derivative(c.u2, grid))
+                for c in comps
+            ]
+        )
+        weights = build_cutoffs([sp.v for sp in cfg.solitons], t, grid).weights
+        prods.append(mags @ mags.T * h)
+        gprods.append(dmags @ dmags.T * h)
+        leak.append(mags @ weights.T * h)
+    prods, gprods, leak = np.array(prods), np.array(gprods), np.array(leak)
+    pairs = [(j, k) for j in range(n) for k in range(n) if j != k]
 
     rates = {}
     if len(times) >= 3:
-        first = (0, 1)
-        rates["pair_product"] = fit_log_slope(times, np.asarray(prods[first]))
-        rates["pair_grad_product"] = fit_log_slope(times, np.asarray(gprods[first]))
-        rates["pair_mixed"] = fit_log_slope(times, np.asarray(mixed[first]))
-        rates["cutoff_leakage"] = fit_log_slope(times, np.asarray(leak[first]))
-        rates["nonlinear_cross"] = fit_log_slope(times, np.asarray(nl_cross))
+        rates["pair_product"] = fit_log_slope(times, prods[:, 0, 1])
+        rates["pair_grad_product"] = fit_log_slope(times, gprods[:, 0, 1])
+        rates["cutoff_leakage"] = fit_log_slope(times, leak[:, 0, 1])
     return InteractionReport(
         times=times,
-        pair_products={k: np.asarray(v) for k, v in prods.items()},
-        pair_grad_products={k: np.asarray(v) for k, v in gprods.items()},
-        pair_mixed={k: np.asarray(v) for k, v in mixed.items()},
-        cutoff_leakage={k: np.asarray(v) for k, v in leak.items()},
-        nonlinear_cross=np.asarray(nl_cross),
+        pair_products={(j, k): prods[:, j, k] for j, k in pairs if j < k},
+        pair_grad_products={(j, k): gprods[:, j, k] for j, k in pairs if j < k},
+        cutoff_leakage={(j, k): leak[:, j, k] for j, k in pairs},
         rates=rates,
     )
 
@@ -490,27 +454,21 @@ class AlmostConservationReport:
     flux_times: np.ndarray
     charge_flux_mismatch: np.ndarray  # relative, smooth window
     momentum_flux_mismatch: np.ndarray
-    charge_flux_values: np.ndarray  # (lhs, rhs) pairs for the charge identity
-    ramp_charge_flux_mismatch: np.ndarray  # informational: partition ramp window
 
 
 # the audits sample this many times, spread over the middle half of the window
 AUDIT_COUNT = 5
 
 
-def _audit_times(cfg: MultiSolitonConfig, available: np.ndarray) -> np.ndarray:
-    """AUDIT_COUNT times evenly spread over the middle half of the run's window,
-    each snapped to the nearest available time (duplicates dropped)."""
+def _audit_indices(report: DecayReport, usable: Sequence[bool]) -> np.ndarray:
+    """Ascending indices of the usable hooks nearest to AUDIT_COUNT times evenly
+    spread over the middle half of the run's window (duplicates dropped)."""
+    cfg = report.config
     lo = cfg.t_start + 0.25 * (cfg.t_final - cfg.t_start)
     hi = cfg.t_start + 0.75 * (cfg.t_final - cfg.t_start)
     proto = np.linspace(lo, hi, AUDIT_COUNT)
-    return np.unique(available[np.argmin(np.abs(available[:, None] - proto[None, :]), axis=0)])
-
-
-def _microstep_pair(f: Field, cfg: MultiSolitonConfig):
-    fwd = evolve(f, 0.0, cfg.dt, IntegratorConfig(dt=cfg.dt), cfg.model)
-    bwd = evolve(f, 0.0, -cfg.dt, IntegratorConfig(dt=-cfg.dt), cfg.model)
-    return fwd, bwd
+    idx = np.flatnonzero(usable)
+    return np.unique(idx[np.argmin(np.abs(report.times[idx, None] - proto[None, :]), axis=0)])
 
 
 def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
@@ -519,10 +477,9 @@ def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
     The charge identity d/dt Im int u1 conj(u2) w dx = Im int u1' conj(u1) w' dx
     (w a fixed C^1 window) is evaluated on stored fields two ways: the left
     side by one integrator micro-step each way, the right side by spatial
-    quadrature with the analytic w'.  A smooth spectrally-decaying window is
-    used for the asserted check (the identity holds for any C^1 window and
-    the sin^2 partition ramp is only C^1, which injects avoidable quadrature
-    noise); the ramp version is reported alongside.
+    quadrature with the analytic w'.  The window is smooth and spectrally
+    decaying: the identity holds for any C^1 window, but the sin^2 partition
+    ramp is only C^1, which injects avoidable quadrature noise.
     """
     cfg = report.config
     grid, h = cfg.grid, cfg.grid.spacing
@@ -541,7 +498,7 @@ def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
         # floor the scale at 1: symmetric configurations have P (or Q) ~ 0
         drift[name] = float(np.max(np.abs(series - ref)) / max(abs(ref), 1.0))
 
-    audit_times = _audit_times(cfg, np.array(sorted(report.fields.keys())))
+    audit = _audit_indices(report, [True] * len(report.times))
 
     # window midway between the velocity midline and the fastest soliton:
     # on the symmetry axis of a mirror pair both flux sides vanish identically
@@ -551,25 +508,26 @@ def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
         mid_v = 0.5 * (sorted(sp.v for sp in cfg.solitons)[-2] + fastest.v)
     else:
         mid_v = fastest.v
-    q_mis, p_mis, ramp_mis, pairs = [], [], [], []
-    for t in audit_times:
-        f = report.fields[float(t)]
-        fwd, bwd = _microstep_pair(f, cfg)
+
+    def loc_q(g: Field, weight) -> float:
+        return float(np.sum(charge_density(g) * weight) * h)
+
+    def loc_p(g: Field, weight) -> float:
+        du = spectral_derivative(g.u1, grid)
+        return float(np.sum(momentum_density(g, du) * weight) * h)
+
+    q_mis, p_mis = [], []
+    for i in audit:
+        t, f = report.times[i], report.fields[i]
+        fwd = evolve(f, 0.0, cfg.dt, IntegratorConfig(dt=cfg.dt), cfg.model)
+        bwd = evolve(f, 0.0, -cfg.dt, IntegratorConfig(dt=-cfg.dt), cfg.model)
         center = 0.5 * (mid_v * t + (fastest.x0 + fastest.v * t))
         w, dw = _smooth_window(grid, center, math.sqrt(t))
-
-        def loc_q(g: Field, weight) -> float:
-            return float(np.sum(charge_density(g) * weight) * h)
-
-        def loc_p(g: Field, weight) -> float:
-            du = spectral_derivative(g.u1, grid)
-            return float(np.sum(momentum_density(g, du) * weight) * h)
 
         lhs_q = (loc_q(fwd, w) - loc_q(bwd, w)) / (2.0 * cfg.dt)
         du1 = spectral_derivative(f.u1, grid)
         rhs_q = float(np.sum(np.imag(du1 * np.conj(f.u1)) * dw) * h)
         q_mis.append(abs(lhs_q - rhs_q) / max(abs(lhs_q), abs(rhs_q)))
-        pairs.append((lhs_q, rhs_q))
 
         lhs_p = (loc_p(fwd, w) - loc_p(bwd, w)) / (2.0 * cfg.dt)
         dens = (
@@ -581,25 +539,13 @@ def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
         rhs_p = float(np.sum(dens * dw) * h)
         p_mis.append(abs(lhs_p - rhs_p) / max(abs(lhs_p), abs(rhs_p)))
 
-        # same identity through a ramp-shaped window at the same center: the
-        # sin^2 ramp is only C^1, so its quadrature is noisier than the
-        # smooth window's; reported for comparison
-        s = (grid.x - center) / math.sqrt(t)
-        wr = ramp(s)
-        dwr = ramp_derivative(s) / math.sqrt(t)
-        lhs_r = (loc_q(fwd, wr) - loc_q(bwd, wr)) / (2.0 * cfg.dt)
-        rhs_r = float(np.sum(np.imag(du1 * np.conj(f.u1)) * dwr) * h)
-        ramp_mis.append(abs(lhs_r - rhs_r) / max(abs(lhs_r), abs(rhs_r)))
-
     return AlmostConservationReport(
         times=t_arr[1:-1],
         action_rate=rate,
         global_drift=drift,
-        flux_times=audit_times,
+        flux_times=report.times[audit],
         charge_flux_mismatch=np.asarray(q_mis),
         momentum_flux_mismatch=np.asarray(p_mis),
-        charge_flux_values=np.asarray(pairs),
-        ramp_charge_flux_mismatch=np.asarray(ramp_mis),
     )
 
 
@@ -620,7 +566,6 @@ class TaylorReport:
     """
 
     times: np.ndarray
-    action_values: np.ndarray
     constant: float
     hessian_terms: np.ndarray
     remainders: np.ndarray  # S_loc(U) - constant - hessian_terms
@@ -684,19 +629,15 @@ def taylor_expansion_audit(report: DecayReport) -> TaylorReport:
     for sp, ap in zip(cfg.solitons, params):
         const += action(sample_soliton(sp, cfg.t_final, grid), ap)
 
-    have = np.array(
-        [t for t, st in zip(report.times, report.modulation) if st is not None]
-    )
-    if len(have) == 0:
+    fitted = [st is not None for st in report.modulation]
+    if not any(fitted):
         raise ValueError("no modulated snapshots available (trajectory left the tube)")
-    audit_times = _audit_times(cfg, have)
+    audit = _audit_indices(report, fitted)
 
-    svals, hvals, rvals, unorm2 = [], [], [], []
+    hvals, rvals, unorm2 = [], [], []
     tails, shifts, lins, tays = [], [], [], []
-    for t in audit_times:
-        i = int(np.argmin(np.abs(report.times - t)))
-        st = report.modulation[i]
-        s_loc = report.localized[i].action_total
+    for i in audit:
+        t, st, s_loc = report.times[i], report.modulation[i], report.localized[i].action_total
         cut = build_cutoffs([sp.v for sp in cfg.solitons], t, grid)
         hess = localized_hessian_form(st.residual, st.solitons, cut, params)
         comps = [sample_soliton(sp, 0.0, grid) for sp in st.solitons]
@@ -704,7 +645,6 @@ def taylor_expansion_audit(report: DecayReport) -> TaylorReport:
         s_fit = localized_quantities(r_fit, cut, params).action_total
         s_sep = sum(action(c, ap) for c, ap in zip(comps, params))
         lin = localized_first_variation(r_fit, st.residual, cut, params)
-        svals.append(s_loc)
         hvals.append(hess)
         rvals.append(s_loc - const - hess)
         unorm2.append(st.residual_norm**2)
@@ -714,8 +654,7 @@ def taylor_expansion_audit(report: DecayReport) -> TaylorReport:
         tays.append(s_loc - s_fit - lin - hess)
 
     return TaylorReport(
-        times=audit_times,
-        action_values=np.asarray(svals),
+        times=report.times[audit],
         constant=const,
         hessian_terms=np.asarray(hvals),
         remainders=np.asarray(rvals),

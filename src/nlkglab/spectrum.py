@@ -233,7 +233,6 @@ def slope_analytic(model: ModelParams, omega: float, gamma: float, phi_tilde_nor
 
 def frequency_derivative_residual(
     phi_family: Callable[[float], Field],
-    ap: ActionParams,
     omega: float,
     gamma: float,
     op: RealizedOperator,

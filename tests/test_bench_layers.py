@@ -1,9 +1,13 @@
-"""The benchmark tracer wraps library attributes by name (bench/layers.py).
+"""The benchmark tracer wraps library attributes by name (bench/layers.py),
+and each workload calls the library and checks a numerical fingerprint
+(bench/workloads.py).
 
 Installing and restoring every wrapper here, without running a workload,
-makes a refactor that renames a traced attribute fail the unit tests.
+makes a refactor that renames a traced attribute fail the unit tests; running
+each workload once does the same for a broken call or a moved fingerprint.
 """
 
+import importlib
 import sys
 from pathlib import Path
 
@@ -27,21 +31,19 @@ TRACED = {
 }
 
 
-def _import_bench():
+def _import_bench(*names):
     sys.path.insert(0, str(BENCH))
     dont_write = sys.dont_write_bytecode
     sys.dont_write_bytecode = True  # read-only: no __pycache__ under bench/
     try:
-        import layers
-        import tracer
+        return [importlib.import_module(name) for name in names]
     finally:
         sys.dont_write_bytecode = dont_write
         sys.path.remove(str(BENCH))
-    return layers, tracer
 
 
 def test_tracer_patches_install_and_restore():
-    layers, tracer = _import_bench()
+    layers, tracer = _import_bench("layers", "tracer")
     assert tracer.selftest() == []
     before = {mod: dict(vars(mod)) for mod in MODULES}
     tr = tracer.Tracer()
@@ -58,3 +60,17 @@ def test_tracer_patches_install_and_restore():
     assert TRACED <= patched
     for mod in MODULES:
         assert all(vars(mod)[name] is value for name, value in before[mod].items())
+
+
+def test_workloads_reproduce_their_fingerprints(tmp_path):
+    """Every benchmark case, called once untraced, passes its fingerprint check."""
+    (workloads,) = _import_bench("workloads")
+    problems = {}
+    for name, prepare in workloads.PREPARE.items():
+        case = prepare(1, tmp_path)
+        try:
+            case.before()
+            problems[name] = workloads.check(name, case.fingerprint(case.call()))
+        finally:
+            case.cleanup()
+    assert problems == {name: [] for name in workloads.PREPARE}

@@ -233,6 +233,17 @@ def test_csv_roundtrip(tmp_path):
     assert np.array_equal(data, np.array(rows))  # 17 significant digits round-trip
 
 
+@pytest.mark.parametrize("points", [1023, 1024])
+def test_cli_groundstate_prints_the_peak_at_x0(capsys, points):
+    """An odd point count has no grid point at x = 0; phi(0) is still the
+    peak sqrt(2) of the omega = 0, p = 3 ground state, as for an even count."""
+    from nlkglab.cli import main
+
+    code = main(["groundstate", "--omega", "0", "--grid-points", str(points), "--length", "80"])
+    assert code == 0
+    assert capsys.readouterr().out.splitlines()[0] == "phi(0) = 1.41421356237"
+
+
 def test_cli_groundstate_and_soliton(tmp_path, capsys):
     from nlkglab.cli import main
 

@@ -14,8 +14,10 @@ from nlkglab.experiments import (
     soliton_sum,
     taylor_expansion_audit,
 )
-from nlkglab.grids import Grid, norm_h1l2
-from nlkglab.profiles import ModelParams, SolitonParams
+from nlkglab.functionals import build_cutoffs, energy
+from nlkglab.grids import Grid, norm_h1l2, spectral_derivative
+from nlkglab.modulation import NotInTubeError
+from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 
 MODEL = ModelParams(1.0, 3.0, 1)
 
@@ -218,6 +220,8 @@ def test_interactions_early_times_rejected(grid, pair):
     )
     with pytest.raises(ValueError):
         measure_interactions(cfg, [2.0, 10.0])  # below max(4/v_star^2, 1) = 6.25
+    with pytest.raises(ValueError, match="at least one time"):
+        measure_interactions(cfg, [])
 
 
 def test_three_soliton_construction_and_nonadjacent_leakage(grid):
@@ -249,6 +253,86 @@ def test_three_soliton_construction_and_nonadjacent_leakage(grid):
     slope, stderr, _ = fit_log_slope(irep.times, far)
     assert slope < 0
     assert stderr < 0.1 * abs(slope)
+
+
+@pytest.mark.parametrize("backward", [True, False])
+def test_report_series_align_with_ascending_times(grid, pair, monkeypatch, backward):
+    """In either direction every series is aligned with the ascending times,
+    and after a (forced) tube exit no fit runs at or beyond the exit time in
+    the run's direction."""
+    from nlkglab import experiments
+
+    real, calls = experiments.fit_modulation, []
+
+    def fit_thrice(field, seeds):
+        calls.append(1)
+        if len(calls) > 3:
+            raise NotInTubeError("forced")
+        return real(field, seeds)
+
+    monkeypatch.setattr(experiments, "fit_modulation", fit_thrice)
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=grid, solitons=pair,
+        t_final=20.0, t_start=14.0, dt=0.01, diag_period=1.0, seed=2,
+    )
+    rep = run_backward_construction(cfg) if backward else run_forward_stability(cfg, 1e-3)
+    n = len(rep.times)
+    assert n == 7 and np.all(np.diff(rep.times) > 0)
+    series = (rep.errors, rep.energies, rep.charges, rep.momenta, rep.localized, rep.modulation)
+    assert all(len(s) == n for s in series + (rep.fields,))
+    for i, t in enumerate(rep.times):
+        f = rep.fields[i]
+        assert rep.errors[i] == norm_h1l2(f - soliton_sum(cfg.solitons, t, grid))
+        assert rep.energies[i] == energy(f, MODEL)
+    last = rep.fields[0] if backward else rep.fields[-1]
+    assert np.array_equal(last.u1, rep.final_field.u1)
+    assert np.array_equal(last.u2, rep.final_field.u2)
+    # three fits, then the exit at the fourth hook in the run's direction
+    assert len(calls) == 4
+    assert rep.tube_exit_time == rep.times[n - 4 if backward else 3]
+    fitted = [st is not None for st in rep.modulation]
+    if backward:
+        assert fitted == [t > rep.tube_exit_time for t in rep.times]
+    else:
+        assert fitted == [t < rep.tube_exit_time for t in rep.times]
+
+
+def test_interaction_gram_products_match_pointwise_quadrature(grid):
+    """The Gram products of the stacked magnitudes equal the pointwise
+    quadrature of every pair, ordered and unordered, for three solitons."""
+    sols = [
+        SolitonParams(MODEL, omega=0.8, v=-0.5, theta=0.3, x0=-1.0),
+        SolitonParams(MODEL, omega=0.75, v=0.0),
+        SolitonParams(MODEL, omega=0.85, v=0.5, theta=-1.1, x0=2.0),
+    ]
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=grid, solitons=sols, t_final=40.0, t_start=10.0, dt=0.01
+    )
+    times = [16.0, 20.0, 24.0]
+    rep = measure_interactions(cfg, times)
+    h = grid.spacing
+    pairs = [(j, k) for j in range(3) for k in range(3) if j != k]
+    assert list(rep.cutoff_leakage) == pairs
+    assert list(rep.pair_products) == list(rep.pair_grad_products) == [(0, 1), (0, 2), (1, 2)]
+
+    def mag(a, b):
+        return np.sqrt(np.abs(a) ** 2 + np.abs(b) ** 2)
+
+    for a, t in enumerate(times):
+        comps = [sample_soliton(sp, t, grid) for sp in cfg.solitons]
+        mags = [mag(c.u1, c.u2) for c in comps]
+        dmags = [
+            mag(spectral_derivative(c.u1, grid), spectral_derivative(c.u2, grid)) for c in comps
+        ]
+        weights = build_cutoffs([sp.v for sp in cfg.solitons], t, grid).weights
+        for j, k in pairs:
+            leak = np.sum(mags[j] * weights[k]) * h
+            assert rep.cutoff_leakage[(j, k)][a] == pytest.approx(leak, rel=1e-12)
+            if j < k:
+                prod = np.sum(mags[j] * mags[k]) * h
+                grad = np.sum(dmags[j] * dmags[k]) * h
+                assert rep.pair_products[(j, k)][a] == pytest.approx(prod, rel=1e-12)
+                assert rep.pair_grad_products[(j, k)][a] == pytest.approx(grad, rel=1e-12)
 
 
 def test_forward_run_deterministic(grid, pair):

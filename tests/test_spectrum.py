@@ -266,7 +266,7 @@ def test_slope_zero_at_window_boundary():
 
 
 def test_frequency_derivative_identity(op, grid):
-    res = frequency_derivative_residual(_family(grid, 0.0), op.params, 0.8, 1.0, op=op)
+    res = frequency_derivative_residual(_family(grid, 0.0), 0.8, 1.0, op=op)
     assert res < 1e-5
 
 
