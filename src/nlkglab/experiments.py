@@ -458,17 +458,22 @@ class AlmostConservationReport:
 
 # the audits sample this many times, spread over the middle half of the window
 AUDIT_COUNT = 5
+# a hook this close (times the window length) to the nearest one's distance ties with it
+AUDIT_TIE_TOL = 1e-9
 
 
 def _audit_indices(report: DecayReport, usable: Sequence[bool]) -> np.ndarray:
     """Ascending indices of the usable hooks nearest to AUDIT_COUNT times evenly
-    spread over the middle half of the run's window (duplicates dropped)."""
+    spread over the middle half of the run's window (duplicates dropped).  A time
+    midway between two hooks, to AUDIT_TIE_TOL, takes the earlier one."""
     cfg = report.config
-    lo = cfg.t_start + 0.25 * (cfg.t_final - cfg.t_start)
-    hi = cfg.t_start + 0.75 * (cfg.t_final - cfg.t_start)
-    proto = np.linspace(lo, hi, AUDIT_COUNT)
+    span = cfg.t_final - cfg.t_start
+    proto = np.linspace(cfg.t_start + 0.25 * span, cfg.t_start + 0.75 * span, AUDIT_COUNT)
     idx = np.flatnonzero(usable)
-    return np.unique(idx[np.argmin(np.abs(report.times[idx, None] - proto[None, :]), axis=0)])
+    dist = np.abs(report.times[idx, None] - proto[None, :])
+    # times ascend, so the first hook within the tolerance of the nearest is the earliest
+    near = dist <= dist.min(axis=0) + AUDIT_TIE_TOL * abs(span)
+    return np.unique(idx[np.argmax(near, axis=0)])
 
 
 def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:

@@ -15,8 +15,8 @@ phase and translation modes i*Phi and Phi', there is exactly one negative
 eigenvalue inside the stability window (both counts are read off the 2N x 2N
 Schur complement of the identity u2 block), and on the subspace L2-orthogonal
 to {Phi', iJPhi, iPhi} the quadratic form is coercive in the H1 x L2 metric;
-delta, the minimal constrained Rayleigh quotient, is one symmetric eigenvalue:
-that of the operator whitened by the (Fourier-diagonal) Gram, constraints deflated.
+delta, the minimal constrained Rayleigh quotient, is the lowest eigenvalue of the
+Gram-whitened operator, constraints lifted: Lanczos on products with the matrix.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ KERNEL_REL_TOL = 1e-6
 
 
 class AssemblyError(RuntimeError):
-    """Assembled operator failed a symmetry or precondition check."""
+    """Assembled operator failed a symmetry or precondition check, or its delta solve."""
 
 
 def _derivative_matrices(grid: Grid):
@@ -178,23 +178,39 @@ def _schur_complement(op: RealizedOperator) -> np.ndarray:
 def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     """Eigenvalues of the Schur complement S (``_schur_complement``), which carry
     the Morse index and kernel of M, and delta: the lowest eigenvalue of
-    P a P + s q q^T, with a = G^(-1/2) M G^(-1/2), q orthonormal on G^(-1/2) Y,
-    P = I - q q^T, s = ||a||_inf."""
+    x -> P W M W P x + s q q^T x, with W = G^(-1/2) (``_whiten``), q orthonormal
+    on W Y, P = I - q q^T and s = ||M||_inf >= ||W M W||_2, so the constraints sit
+    above delta.  Lanczos (ARPACK, to machine precision) starts from a fixed
+    vector with no symmetry (an even start could miss an odd lowest mode of an
+    unshifted profile) and a seeded generator, so repeated calls agree to the
+    bit.  AssemblyError if it does not converge."""
     ev = sla.eigvalsh(_schur_complement(op))
     ktol = KERNEL_REL_TOL * float(np.max(np.abs(ev)))
     negative = ev[ev < -ktol]
     kernel_dim = int(np.sum(np.abs(ev) < ktol))
 
-    a = _whiten(_whiten(op.matrix, op.grid).T, op.grid)
     i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
     cons = np.column_stack([flatten_field(f) for f in (dphi, i_j_phi, i_phi)])
     q, _ = np.linalg.qr(_whiten(cons, op.grid))
-    s = np.linalg.norm(a, np.inf)  # bounds P a P, so s q q^T lifts the constraints above delta
-    aq = a @ q  # P a P through a q, without a 4N x 4N P
-    a -= aq @ q.T
-    a -= q @ aq.T
-    a += q @ (q.T @ aq + s * np.eye(3)) @ q.T
-    delta = float(sla.eigh(a, subset_by_index=[0, 0], eigvals_only=True)[0])
+    s = np.linalg.norm(op.matrix, np.inf)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        qx = q.T @ x
+        y = _whiten(op.matrix @ _whiten(x - q @ qx, op.grid), op.grid)
+        return y - q @ (q.T @ y - s * qx)
+
+    # imported here: scipy.sparse adds about 40 ms and 4 MB to every start-up
+    from scipy.sparse import linalg as spla
+
+    n4 = op.matrix.shape[0]
+    rng = np.random.default_rng(0)  # ARPACK draws one vector of its own from it
+    try:
+        delta = float(spla.eigsh(
+            spla.LinearOperator((n4, n4), matvec=apply, dtype=float), k=1, which="SA",
+            tol=0, v0=rng.standard_normal(n4), rng=rng, return_eigenvectors=False,
+        )[0])
+    except spla.ArpackNoConvergence as exc:
+        raise AssemblyError(f"coercivity eigensolve did not converge: {exc}") from None
 
     return SpectrumReport(
         negative_count=int(len(negative)),

@@ -364,6 +364,27 @@ def test_cli_spectrum_assembly_failure_exit_code(capsys):
     assert "not a converged critical point" in capsys.readouterr().err
 
 
+def test_cli_spectrum_lanczos_no_convergence_exit_code(monkeypatch, capsys):
+    """ARPACK giving up on delta is a numerical failure (exit 3, one stderr
+    line), not a traceback."""
+    from scipy.sparse import linalg as spla
+
+    from nlkglab.cli import main
+
+    def no_convergence(a, **kwargs):
+        raise spla.ArpackNoConvergence(
+            "ARPACK error -1: No convergence (2561 iterations, 0/1 eigenvectors converged)",
+            np.zeros(0), np.zeros((a.shape[0], 0)),
+        )
+
+    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    code = main(["spectrum", "--omega", "0.8", "--grid-points", "256", "--length", "80"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numerical failure: coercivity eigensolve did not converge")
+
+
 def test_every_library_error_has_an_exit_code(capsys):
     """Each exception class the package defines ends a command with exit 2, 3
     or 4, never with a traceback."""

@@ -476,3 +476,32 @@ def test_localized_hessian_matches_dense_operator():
     z = random_bump(g, 3)
     quad = localized_hessian_form(z, [sp], cut, [ap])
     assert quad == pytest.approx(0.5 * op.quadratic_form(z), rel=1e-10)
+
+
+@pytest.mark.parametrize(
+    "t_final, t_start, dt, picks",
+    [
+        (25.0, 15.0, 0.005, [17.5, 18.5, 20.0, 21.0, 22.5]),  # short_run
+        (40.0, 10.0, 0.002, [17.5, 21.0, 25.0, 28.5, 32.5]),  # criterion 9's run40
+    ],
+)
+def test_audit_ties_go_to_the_earlier_hook(t_final, t_start, dt, picks):
+    """Audit times midway between two hooks (18.75, 21.25, 28.75 with hooks every
+    0.5) pick the earlier hook whatever the last bit of the hook times."""
+    from types import SimpleNamespace
+
+    from nlkglab.experiments import _audit_indices
+
+    stride = int(round(0.5 / dt))
+    steps = np.arange(0, int(round((t_final - t_start) / dt)) + 1, stride)
+    times = np.sort(t_final - steps * dt)  # t0 + n dt of a backward run, ascending
+    cfg = SimpleNamespace(t_start=t_start, t_final=t_final)
+    usable = [True] * len(times)
+    want = _audit_indices(SimpleNamespace(config=cfg, times=times), usable)
+    assert np.array_equal(times[want], picks)
+    rng = np.random.default_rng(4)
+    for direction in (np.full(len(times), np.inf), np.full(len(times), -np.inf),
+                      rng.choice([np.inf, -np.inf], len(times))):
+        nudged = np.nextafter(times, direction)  # each hook time one ulp off
+        got = _audit_indices(SimpleNamespace(config=cfg, times=nudged), usable)
+        assert np.array_equal(got, want)

@@ -18,6 +18,7 @@ from nlkglab.spectrum import (
     KERNEL_REL_TOL,
     AssemblyError,
     _schur_complement,
+    _whiten,
     assemble_second_variation,
     flatten_field,
     free_operator_floor,
@@ -112,6 +113,63 @@ def test_delta_matches_dense_generalized_eigenproblem(grid, omega, v):
     # Grillakis-Shatah-Strauss: with Morse index 1 and kernel 2, the constrained
     # form is positive exactly when d/domega [omega ||phi||^2] < 0
     assert np.sign(delta) == -np.sign(slope_test(_family(grid, v), ap, omega, op=op))
+
+
+def _dense_delta(op):
+    """delta as a dense eigensolve: the lowest eigenvalue of P a P + s q q^T with
+    a = G^(-1/2) M G^(-1/2) whitened in full, q orthonormal on G^(-1/2) Y,
+    P = I - q q^T applied as rank-3 updates and s = ||a||_inf."""
+    a = _whiten(_whiten(op.matrix, op.grid).T, op.grid)
+    i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
+    cons = np.column_stack([flatten_field(f) for f in (dphi, i_j_phi, i_phi)])
+    q, _ = np.linalg.qr(_whiten(cons, op.grid))
+    s = np.linalg.norm(a, np.inf)
+    aq = a @ q
+    a -= aq @ q.T
+    a -= q @ aq.T
+    a += q @ (q.T @ aq + s * np.eye(3)) @ q.T
+    return sla.eigh(a, subset_by_index=[0, 0], eigvals_only=True)[0]
+
+
+@pytest.mark.parametrize(
+    "n, omega, v, theta, cells",
+    [
+        (256, 0.6, 0.0, 0.0, 0),  # centred and unphased: parity-symmetric, delta < 0
+        (256, 0.8, 0.0, 0.0, 0),
+        (512, 0.8, 0.0, 1.3, 7),  # the spectrum benchmark's phased, shifted profile
+        (256, 0.8, 0.3, 0.0, 0),
+        (256, 0.75, 0.6, 0.0, 0),
+    ],
+)
+def test_lanczos_delta_matches_dense_oracle(n, omega, v, theta, cells):
+    """The Lanczos delta equals the dense whitened, deflated eigensolve, repeats
+    to the bit, and does not move when the lift s = ||M||_inf is doubled: the
+    three constraint directions sit above delta."""
+    g = Grid(80.0, n)
+    sp = SolitonParams(MODEL, omega=omega, v=v, theta=theta, x0=cells * g.spacing)
+    op = assemble_second_variation(
+        sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp), check_critical=False
+    )
+    want = _dense_delta(op)
+    delta = spectrum_report(op).coercivity_delta
+    assert delta == pytest.approx(want, rel=1e-12)
+    assert spectrum_report(op).coercivity_delta == delta
+
+    norm = np.linalg.norm
+    lifts = []
+
+    def doubled_inf_norm(x, ord=None, *args, **kwargs):
+        out = norm(x, ord, *args, **kwargs)
+        if ord == np.inf and x is op.matrix:
+            lifts.append(out)
+            return 2.0 * out
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np.linalg, "norm", doubled_inf_norm)
+        doubled = spectrum_report(op).coercivity_delta
+    assert lifts == [norm(op.matrix, np.inf)]
+    assert doubled == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("omega, v", [(0.6, 0.0), (0.8, 0.0), (0.8, 0.3), (0.75, 0.6)])
@@ -219,7 +277,7 @@ def test_morse_index_and_kernel(op):
 def test_morse_window_sample(grid):
     """Morse index 1 and kernel dim 2 across the sampled stability window.
 
-    Coarse grids here keep the dense eigensolves fast; the resulting
+    Coarse grids here keep the Schur eigensolves and the Lanczos delta fast; the resulting
     profile error (up to ~1e-5 in ||S'||) is far below the spectral gap,
     so the eigenvalue counts are unaffected (the criticality precondition
     is relaxed explicitly for this sweep).  omega >= 0.9 decays slowly and
