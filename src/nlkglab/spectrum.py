@@ -1,22 +1,25 @@
-"""Dense realization of the second variation of the action at a soliton.
+"""Structured realization of the second variation of the action at a soliton.
 
 The operator is real-linear but not complex-linear (the nonlinearity
 linearizes to terms in both z1 and conj(z1)), so fields are flattened to
 four real blocks [Re u1, Im u1, Re u2, Im u2] and the operator becomes a
-symmetric real matrix of size (4N)^2.  Acting on Z = (z1, z2):
+symmetric real operator M of size (4N)^2.  Acting on Z = (z1, z2):
 
     first component:  -z1'' + m z1 - (p+1)/2 |q|^(p-1) z1
                       - (p-1)/2 |q|^(p-3) q^2 conj(z1)
                       + i (omega/gamma) z2 - v z2'
     second component:  z2 - i (omega/gamma) z1 + v z1'
 
-with q the first component of the profile.  The kernel is spanned by the
-phase and translation modes i*Phi and Phi', there is exactly one negative
-eigenvalue inside the stability window (both counts are read off the 2N x 2N
-Schur complement of the identity u2 block), and on the subspace L2-orthogonal
-to {Phi', iJPhi, iPhi} the quadratic form is coercive in the H1 x L2 metric;
-delta, the minimal constrained Rayleigh quotient, is the lowest eigenvalue of the
-Gram-whitened operator, constraints lifted: Lanczos on products with the matrix.
+with q the first component of the profile.  M is never formed: it is held as
+its potential diagonals and constants, applied by real FFTs (the derivatives
+are Fourier multipliers), and its u2 block is the identity.  The kernel is
+spanned by the phase and translation modes i*Phi and Phi', there is exactly
+one negative eigenvalue inside the stability window (both counts are read off
+the 2N x 2N Schur complement of the identity u2 block, built directly from
+circulant blocks), and on the subspace L2-orthogonal to {Phi', iJPhi, iPhi}
+the quadratic form is coercive in the H1 x L2 metric; delta, the minimal
+constrained Rayleigh quotient, is the lowest eigenvalue of the Gram-whitened
+operator, constraints lifted: Lanczos on FFT products with M.
 """
 
 from __future__ import annotations
@@ -52,16 +55,7 @@ KERNEL_REL_TOL = 1e-6
 
 
 class AssemblyError(RuntimeError):
-    """Assembled operator failed a symmetry or precondition check, or its delta solve."""
-
-
-def _derivative_matrices(grid: Grid):
-    """Dense real first/second derivative matrices for the periodic grid.
-    Both are circulant: column 0 is the inverse FFT of the symbol."""
-    k = grid.deriv_wavenumbers
-    d1 = sla.circulant(np.real(np.fft.ifft(1j * k)))
-    d2 = sla.circulant(np.real(np.fft.ifft(-(k**2))))
-    return d1, d2
+    """Profile failed the criticality precondition, or the delta solve did not converge."""
 
 
 def flatten_field(w: Field) -> np.ndarray:
@@ -75,22 +69,95 @@ def unflatten_field(z: np.ndarray, grid: Grid) -> Field:
     return Field(z[0:n] + 1j * z[n : 2 * n], z[2 * n : 3 * n] + 1j * z[3 * n : 4 * n], grid)
 
 
+def _half_wavenumbers(grid: Grid) -> np.ndarray:
+    """The Nyquist-zeroed wavenumbers of the real FFT's half spectrum."""
+    return grid.deriv_wavenumbers[: grid.points // 2 + 1]
+
+
 @dataclass
 class RealizedOperator:
-    """Symmetric matrix of the second variation at a profile."""
+    """The second variation M at a profile, held as what defines it: the
+    potential diagonals w1 = (p+1)/2 |q|^(p-1) and w2 = (p-1)/2 |q|^(p-3) q^2
+    (real and imaginary parts) beside omega/gamma, v and m in ``params``.
 
-    matrix: np.ndarray
+    In the real flattening, with K0 = -D2 + m (symbol k^2 + m) and the
+    Nyquist-zeroed derivative D1 (symbol i k, skew):
+
+        M = [[K0 - diag(w1 + Re w2), -diag(Im w2),          -v D1, -og I ],
+             [-diag(Im w2),          K0 - diag(w1 - Re w2),  og I,  -v D1],
+             [ v D1,                  og I,                  I,      0   ],
+             [-og I,                  v D1,                  0,      I   ]]
+
+    with og = omega/gamma.  ``matvec`` applies it by real FFTs,
+    ``schur_complement`` and ``inf_norm`` build what the spectrum report needs
+    from the circulant first columns and the diagonals."""
+
     grid: Grid
     profile: Field
     params: ActionParams
-    asymmetry: float
+    w1: np.ndarray
+    w2r: np.ndarray
+    w2i: np.ndarray
+
+    def matvec(self, z: np.ndarray) -> np.ndarray:
+        """M z for a flattened field of length 4N, or for each column of a
+        (4N, k) stack: one real FFT pair per block."""
+        n = self.grid.points
+        og, v, m = self.params.omega_over_gamma, self.params.v, self.params.model.m
+        a1, b1, a2, b2 = blocks = z.reshape(4, n, -1)
+        k = _half_wavenumbers(self.grid)[:, None]
+        f = np.fft.rfft(blocks, axis=1)
+        spec = np.empty_like(f)
+        spec[:2] = (k * k + m) * f[:2] - (1j * v) * k * f[2:]
+        spec[2:] = (1j * v) * k * f[:2]
+        out = np.fft.irfft(spec, n, axis=1)
+        w1, w2r, w2i = self.w1[:, None], self.w2r[:, None], self.w2i[:, None]
+        out[0] -= (w1 + w2r) * a1 + w2i * b1 + og * b2
+        out[1] -= w2i * a1 + (w1 - w2r) * b1 - og * a2
+        out[2] += og * b1 + a2
+        out[3] += b2 - og * a1
+        return out.reshape(z.shape)
 
     def quadratic_form(self, z: Field) -> float:
         zf = flatten_field(z)
-        return float(self.grid.spacing * zf @ (self.matrix @ zf))
+        return float(self.grid.spacing * zf @ self.matvec(zf))
 
     def apply(self, z: Field) -> Field:
-        return unflatten_field(self.matrix @ flatten_field(z), self.grid)
+        return unflatten_field(self.matvec(flatten_field(z)), self.grid)
+
+    def schur_complement(self) -> np.ndarray:
+        """S = A - B B^T for M = [[A, B], [B^T, I]] split at the u1/u2 boundary.
+
+        D1 is skew and D1^2 = D2 on the same wavenumbers, so with
+        K = circulant(k^2 + m - v^2 k^2) - og^2 I and C = 2 og v D1,
+        S = [[K - diag(w1 + Re w2), C - diag(Im w2)],
+             [-C - diag(Im w2),     K - diag(w1 - Re w2)]].
+        By Haynsworth inertia additivity In(M) = In(I) + In(S), so S has M's
+        negative count and kernel dimension."""
+        n = self.grid.points
+        og, v, m = self.params.omega_over_gamma, self.params.v, self.params.model.m
+        k = _half_wavenumbers(self.grid)
+        kk = sla.circulant(np.fft.irfft((1.0 - v * v) * k * k + m - og * og, n))
+        c = sla.circulant(np.fft.irfft((2j * og * v) * k, n))
+        s = np.block([[kk, c], [-c, kk]])
+        i = np.arange(n)
+        s[i, i] -= self.w1 + self.w2r
+        s[i + n, i + n] -= self.w1 - self.w2r
+        s[i, i + n] -= self.w2i
+        s[i + n, i] -= self.w2i
+        return s
+
+    def inf_norm(self) -> float:
+        """||M||_inf, the largest absolute row sum, in O(N): every row of a
+        circulant holds the entries of its first column."""
+        n = self.grid.points
+        og, v, m = self.params.omega_over_gamma, self.params.v, self.params.model.m
+        k = _half_wavenumbers(self.grid)
+        k0 = np.fft.irfft(k * k + m, n)
+        coupling = abs(v) * np.sum(np.abs(np.fft.irfft(1j * k, n))) + abs(og)
+        d = k0[0] - self.w1
+        u1_rows = np.maximum(np.abs(d - self.w2r), np.abs(d + self.w2r)) + np.abs(self.w2i)
+        return float(max(np.max(u1_rows) + np.sum(np.abs(k0[1:])), 1.0) + coupling)
 
 
 @dataclass
@@ -107,7 +174,7 @@ def _whiten(z: np.ndarray, grid: Grid) -> np.ndarray:
     """G^(-1/2) z, column by column, for the H1 x L2 Gram G of the flattening: the
     multiplier (1 + k^2)^(-1/2) on the u1 blocks, rows [0, 2N), identity elsewhere."""
     n = grid.points
-    mult = (1.0 + grid.deriv_wavenumbers[: n // 2 + 1] ** 2) ** -0.5
+    mult = (1.0 + _half_wavenumbers(grid) ** 2) ** -0.5
     out = z.copy()
     u1 = out[: 2 * n].reshape(2, n, -1)
     u1[:] = np.fft.irfft(mult[:, None] * np.fft.rfft(u1, axis=1), n, axis=1)
@@ -117,74 +184,33 @@ def _whiten(z: np.ndarray, grid: Grid) -> np.ndarray:
 def assemble_second_variation(
     phi: Field, ap: ActionParams, check_critical: bool = True
 ) -> RealizedOperator:
-    """Dense symmetric matrix realizing Z -> S''(Phi) Z in the real flattening."""
-    grid = phi.grid
+    """The second variation Z -> S''(Phi) Z at a profile, as a structured operator."""
     if check_critical:
         gn = gradient_norm(phi, ap)
         if not gn < 1e-7:  # a NaN norm fails too
             raise AssemblyError(
                 f"profile is not a converged critical point (||S'|| = {gn:.3e})"
             )
-    n = grid.points
     p = ap.model.p
-    og, v = ap.omega_over_gamma, ap.v
-    d1, d2 = _derivative_matrices(grid)
     q = phi.u1
     absq = np.abs(q)
     w1 = 0.5 * (p + 1.0) * absq ** (p - 1.0)
     with np.errstate(divide="ignore", invalid="ignore"):
         w2 = 0.5 * (p - 1.0) * np.where(absq > 0, absq ** (p - 3.0), 0.0) * q * q
-    w2r, w2i = np.real(w2), np.imag(w2)
-
-    kin = -d2 + ap.model.m * np.eye(n)
-    eye = np.eye(n)
-    mat = np.zeros((4 * n, 4 * n))
-    mat[0:n, 0:n] = kin - np.diag(w1 + w2r)
-    mat[0:n, n : 2 * n] = -np.diag(w2i)
-    mat[n : 2 * n, 0:n] = -np.diag(w2i)
-    mat[n : 2 * n, n : 2 * n] = kin - np.diag(w1 - w2r)
-    mat[0:n, 2 * n : 3 * n] = -v * d1
-    mat[0:n, 3 * n : 4 * n] = -og * eye
-    mat[n : 2 * n, 2 * n : 3 * n] = og * eye
-    mat[n : 2 * n, 3 * n : 4 * n] = -v * d1
-    mat[2 * n : 3 * n, 0:n] = v * d1
-    mat[2 * n : 3 * n, n : 2 * n] = og * eye
-    mat[3 * n : 4 * n, 0:n] = -og * eye
-    mat[3 * n : 4 * n, n : 2 * n] = v * d1
-    mat[2 * n : 3 * n, 2 * n : 3 * n] = eye
-    mat[3 * n : 4 * n, 3 * n : 4 * n] = eye
-
-    scale = float(np.max(np.abs(mat)))
-    asym = float(np.max(np.abs(mat - mat.T)))
-    if asym > 1e-9 * scale:
-        raise AssemblyError(f"assembled operator asymmetric: {asym:.3e} vs scale {scale:.3e}")
-    mat = 0.5 * (mat + mat.T)
-    return RealizedOperator(mat, grid, phi.copy(), ap, asym)
-
-
-def _schur_complement(op: RealizedOperator) -> np.ndarray:
-    """S = A - B B^T for M = [[A, B], [B^T, I]] split at the u1/u2 boundary.
-
-    By Haynsworth inertia additivity In(M) = In(I) + In(S), so S has M's negative
-    count and kernel dimension; AssemblyError unless the u2 block is exactly I."""
-    n2 = 2 * op.grid.points
-    mat = op.matrix
-    if not np.array_equal(mat[n2:, n2:], np.eye(n2)):
-        raise AssemblyError("u2 block of the second variation is not the identity")
-    b = mat[:n2, n2:]
-    return mat[:n2, :n2] - b @ b.T
+    return RealizedOperator(phi.grid, phi.copy(), ap, w1, np.real(w2).copy(), np.imag(w2).copy())
 
 
 def spectrum_report(op: RealizedOperator) -> SpectrumReport:
-    """Eigenvalues of the Schur complement S (``_schur_complement``), which carry
+    """Eigenvalues of the Schur complement S (``op.schur_complement``), which carry
     the Morse index and kernel of M, and delta: the lowest eigenvalue of
     x -> P W M W P x + s q q^T x, with W = G^(-1/2) (``_whiten``), q orthonormal
-    on W Y, P = I - q q^T and s = ||M||_inf >= ||W M W||_2, so the constraints sit
-    above delta.  Lanczos (ARPACK, to machine precision) starts from a fixed
-    vector with no symmetry (an even start could miss an odd lowest mode of an
-    unshifted profile) and a seeded generator, so repeated calls agree to the
-    bit.  AssemblyError if it does not converge."""
-    ev = sla.eigvalsh(_schur_complement(op))
+    on W Y, P = I - q q^T and s = ||M||_inf >= ||W M W||_2 (``op.inf_norm``), so
+    the constraints sit above delta.  Lanczos (ARPACK, to machine precision) on
+    FFT products with M (``op.matvec``) starts from a fixed vector with no
+    symmetry (an even start could miss an odd lowest mode of an unshifted
+    profile) and a seeded generator, so repeated calls agree to the bit.
+    AssemblyError if it does not converge."""
+    ev = sla.eigvalsh(op.schur_complement())
     ktol = KERNEL_REL_TOL * float(np.max(np.abs(ev)))
     negative = ev[ev < -ktol]
     kernel_dim = int(np.sum(np.abs(ev) < ktol))
@@ -192,17 +218,17 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
     cons = np.column_stack([flatten_field(f) for f in (dphi, i_j_phi, i_phi)])
     q, _ = np.linalg.qr(_whiten(cons, op.grid))
-    s = np.linalg.norm(op.matrix, np.inf)
+    s = op.inf_norm()
 
     def apply(x: np.ndarray) -> np.ndarray:
         qx = q.T @ x
-        y = _whiten(op.matrix @ _whiten(x - q @ qx, op.grid), op.grid)
+        y = _whiten(op.matvec(_whiten(x - q @ qx, op.grid)), op.grid)
         return y - q @ (q.T @ y - s * qx)
 
     # imported here: scipy.sparse adds about 40 ms and 4 MB to every start-up
     from scipy.sparse import linalg as spla
 
-    n4 = op.matrix.shape[0]
+    n4 = 4 * op.grid.points
     rng = np.random.default_rng(0)  # ARPACK draws one vector of its own from it
     try:
         delta = float(spla.eigsh(

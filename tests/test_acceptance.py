@@ -227,6 +227,13 @@ def test_criterion_5_spectrum():
     phi6 = sample_soliton(sp6, 0.0, grid_c)
     op6 = assemble_second_variation(phi6, ap6)
     slope_unstable = slope_test(family(grid_c), ap6, 0.6, op=op6)
+    delta_unstable = spectrum_report(op6).coercivity_delta
+    # Grillakis-Shatah-Strauss with Morse index 1 and kernel 2: the constrained
+    # form is positive exactly when the frequency slope is negative
+    signs_ok = (
+        np.sign(rep512.coercivity_delta) == -np.sign(slope_stable)
+        and np.sign(delta_unstable) == -np.sign(slope_unstable)
+    )
 
     delta_shift = abs(rep1024.coercivity_delta - rep512.coercivity_delta) / rep512.coercivity_delta
     ok = (
@@ -236,6 +243,7 @@ def test_criterion_5_spectrum():
         and delta_shift < 0.05
         and abs(slope_stable + 28.0 / 15.0) < 1e-4
         and slope_unstable > 0
+        and signs_ok
     )
     _report(
         "5",
@@ -243,7 +251,8 @@ def test_criterion_5_spectrum():
         f"Morse={rep512.negative_count} (lowest {rep512.negative_eigenvalue:.5f}, -3mu), "
         f"kernel={rep512.kernel_dimension}, "
         f"delta={rep512.coercivity_delta:.5f} (N=1024 shift {delta_shift * 100:.2f}%), "
-        f"slope(0.8)={slope_stable:.6f} (-28/15), slope(0.6)={slope_unstable:.4f}>0",
+        f"slope(0.8)={slope_stable:.6f} (-28/15), slope(0.6)={slope_unstable:.4f}>0, "
+        f"delta(0.6)={delta_unstable:.5f} (sign -slope)",
     )
     assert rep512.negative_count == 1
     assert rep512.kernel_dimension == 2
@@ -251,6 +260,7 @@ def test_criterion_5_spectrum():
     assert delta_shift < 0.05
     assert abs(slope_stable - (-28.0 / 15.0)) < 1e-4
     assert slope_unstable > 0
+    assert signs_ok
 
 
 # ------------------------------------------------------------- criterion 6

@@ -461,9 +461,11 @@ def test_taylor_remainder_check_detects_wrong_quadratic_term(short_run, monkeypa
 def test_localized_hessian_matches_dense_operator():
     """With a single full-weight cell the quadrature form equals half the
     dense second-variation quadratic form (independent code paths)."""
+    from test_spectrum import _dense_matrix
+
     from nlkglab.experiments import localized_hessian_form, random_bump
     from nlkglab.functionals import ActionParams, build_cutoffs
-    from nlkglab.spectrum import assemble_second_variation
+    from nlkglab.spectrum import assemble_second_variation, flatten_field
 
     g = Grid(80.0, 256)
     sp = SolitonParams(MODEL, omega=0.8, theta=0.3, v=0.3, x0=2.0)
@@ -475,7 +477,8 @@ def test_localized_hessian_matches_dense_operator():
     cut = build_cutoffs([sp.v], 5.0, g)
     z = random_bump(g, 3)
     quad = localized_hessian_form(z, [sp], cut, [ap])
-    assert quad == pytest.approx(0.5 * op.quadratic_form(z), rel=1e-10)
+    zf = flatten_field(z)
+    assert quad == pytest.approx(0.5 * g.spacing * zf @ (_dense_matrix(op) @ zf), rel=1e-10)
 
 
 @pytest.mark.parametrize(
