@@ -35,9 +35,11 @@ from .functionals import (
     action,
     build_cutoffs,
     charge_density,
+    energy_density,
     localized_first_variation,
     localized_quantities,
     momentum_density,
+    second_variation_potential,
     velocity_problems,
 )
 from .grids import Field, Grid, norm_h1l2, raise_problems, spectral_derivative
@@ -535,12 +537,8 @@ def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
         q_mis.append(abs(lhs_q - rhs_q) / max(abs(lhs_q), abs(rhs_q)))
 
         lhs_p = (loc_p(fwd, w) - loc_p(bwd, w)) / (2.0 * cfg.dt)
-        dens = (
-            -0.5 * np.abs(du1) ** 2
-            + 0.5 * cfg.model.m * np.abs(f.u1) ** 2
-            - 0.5 * np.abs(f.u2) ** 2
-            - np.abs(f.u1) ** (cfg.model.p + 1.0) / (cfg.model.p + 1.0)
-        )
+        # momentum-flux density -|u1'|^2/2 + m|u1|^2/2 - |u2|^2/2 - |u1|^(p+1)/(p+1)
+        dens = energy_density(f, du1, cfg.model) - np.abs(du1) ** 2 - np.abs(f.u2) ** 2
         rhs_p = float(np.sum(dens * dw) * h)
         p_mis.append(abs(lhs_p - rhs_p) / max(abs(lhs_p), abs(rhs_p)))
 
@@ -588,32 +586,23 @@ class TaylorReport:
 
 def localized_hessian_form(
     ups: Field,
-    states: Sequence[SolitonParams],
+    comps: Sequence[Field],
     cut: CutoffPartition,
     params: Sequence[ActionParams],
 ) -> float:
-    """Quadratic Taylor term: 1/2 sum_j <S_j''(R_j) Y, Y> with cutoff weights."""
-    grid, h = ups.grid, ups.grid.spacing
-    p = params[0].model.p
-    m = params[0].model.m
-    du1 = spectral_derivative(ups.u1, grid)
-    lin = np.abs(du1) ** 2 + m * np.abs(ups.u1) ** 2 + np.abs(ups.u2) ** 2
+    """Quadratic Taylor term: 1/2 sum_j <S_j''(R_j) Y, Y> with cutoff weights, for
+    the sampled solitons R_j in ``comps``.  The weights sum to 1, so the part every
+    S_j'' shares, |y1'|^2 + m |y1|^2 + |y2|^2, is integrated once."""
+    y1 = ups.u1
+    du1 = spectral_derivative(y1, ups.grid)
+    dens = np.abs(du1) ** 2 + params[0].model.m * np.abs(y1) ** 2 + np.abs(ups.u2) ** 2
     qq = 2.0 * charge_density(ups)
     pp = 2.0 * momentum_density(ups, du1)
-    total = 0.0
-    for j, sp in enumerate(states):
-        w = cut.weights[j]
-        rj = sample_soliton(sp, 0.0, grid)
-        q = rj.u1
-        absq = np.abs(q)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            pot = (p - 1.0) * np.where(absq > 0, absq ** (p - 3.0), 0.0) * np.real(
-                np.conj(q) * ups.u1
-            ) ** 2 + absq ** (p - 1.0) * np.abs(ups.u1) ** 2
-        total += float(
-            np.sum(w * (lin - pot + params[j].omega_over_gamma * qq + params[j].v * pp)) * h
-        )
-    return 0.5 * total
+    for w, rj, ap in zip(cut.weights, comps, params):
+        w1, w2 = second_variation_potential(rj.u1, ap.model.p)
+        pot = np.real(np.conj(y1) * (w1 * y1 + w2 * np.conj(y1)))
+        dens = dens + w * (ap.omega_over_gamma * qq + ap.v * pp - pot)
+    return 0.5 * float(np.sum(dens) * ups.grid.spacing)
 
 
 def taylor_expansion_audit(report: DecayReport) -> TaylorReport:
@@ -644,8 +633,8 @@ def taylor_expansion_audit(report: DecayReport) -> TaylorReport:
     for i in audit:
         t, st, s_loc = report.times[i], report.modulation[i], report.localized[i].action_total
         cut = build_cutoffs([sp.v for sp in cfg.solitons], t, grid)
-        hess = localized_hessian_form(st.residual, st.solitons, cut, params)
         comps = [sample_soliton(sp, 0.0, grid) for sp in st.solitons]
+        hess = localized_hessian_form(st.residual, comps, cut, params)
         r_fit = sum(comps[1:], comps[0])
         s_fit = localized_quantities(r_fit, cut, params).action_total
         s_sep = sum(action(c, ap) for c, ap in zip(comps, params))

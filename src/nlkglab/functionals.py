@@ -53,6 +53,7 @@ __all__ = [
     "energy_density",
     "charge_density",
     "momentum_density",
+    "second_variation_potential",
     "energy",
     "charge",
     "momentum",
@@ -109,6 +110,16 @@ def charge_density(w: Field) -> np.ndarray:
 def momentum_density(w: Field, du1: np.ndarray) -> np.ndarray:
     """Pointwise momentum; ``du1`` is the spectral derivative of w.u1."""
     return np.real(du1 * np.conj(w.u2))
+
+
+def second_variation_potential(q: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
+    """The linearization of |u|^(p-1) u at q, z -> w1 z + w2 conj(z), as (w1, w2):
+    w1 = (p+1)/2 |q|^(p-1) and w2 = (p-1)/2 |q|^(p-3) q^2 (zero where q is)."""
+    absq = np.abs(q)
+    w1 = 0.5 * (p + 1.0) * absq ** (p - 1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w2 = 0.5 * (p - 1.0) * np.where(absq > 0, absq ** (p - 3.0), 0.0) * q * q
+    return w1, w2
 
 
 def energy(w: Field, model: ModelParams) -> float:

@@ -29,7 +29,6 @@ __all__ = [
     "DimensionError",
     "spectral_derivative",
     "spectral_second_derivative",
-    "inner_product_l2",
     "pair_inner",
     "norm_l2",
     "norm_l2l2",
@@ -71,15 +70,13 @@ class Grid:
     points: int
     spacing: float = field(init=False)
     x: np.ndarray = field(init=False, repr=False)
-    wavenumbers: np.ndarray = field(init=False, repr=False)
     deriv_wavenumbers: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         raise_problems(grid_problems(self.length, self.points))
         self.spacing = self.length / self.points
         self.x = -0.5 * self.length + self.spacing * np.arange(self.points)
-        self.wavenumbers = 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
-        kd = self.wavenumbers.copy()
+        kd = 2.0 * np.pi * np.fft.fftfreq(self.points, d=self.spacing)
         if self.points % 2 == 0:
             kd[self.points // 2] = 0.0  # keep i*k skew-symmetric
         self.deriv_wavenumbers = kd
@@ -152,13 +149,6 @@ def spectral_second_derivative(f: np.ndarray, grid: Grid) -> np.ndarray:
     if np.isrealobj(f):
         return np.real(out)
     return out
-
-
-def inner_product_l2(f: np.ndarray, g: np.ndarray, grid: Grid) -> float:
-    """Real L2 pairing Re sum(f * conj(g)) * h."""
-    grid.check(np.asarray(f))
-    grid.check(np.asarray(g))
-    return float(np.real(np.sum(f * np.conj(g))) * grid.spacing)
 
 
 def pair_inner(a: Field, b: Field) -> float:

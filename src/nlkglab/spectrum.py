@@ -19,7 +19,8 @@ the 2N x 2N Schur complement of the identity u2 block, built directly from
 circulant blocks), and on the subspace L2-orthogonal to {Phi', iJPhi, iPhi}
 the quadratic form is coercive in the H1 x L2 metric; delta, the minimal
 constrained Rayleigh quotient, is the lowest eigenvalue of the Gram-whitened
-operator, constraints lifted: Lanczos on FFT products with M.
+operator with the constraints lifted to the top of the whitened free symbol's
+spectrum, which bounds it: Lanczos on FFT products with M.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .functionals import ActionParams, gradient_norm
-from .grids import Field, Grid, norm_l2l2, symmetry_directions
+from .functionals import ActionParams, gradient_norm, second_variation_potential
+from .grids import Field, Grid, symmetry_directions
 from .profiles import OMEGA_STEP, ModelParams, _frequency_derivative
 
 __all__ = [
@@ -46,7 +47,6 @@ __all__ = [
     "frequency_derivative_residual",
     "free_operator_floor",
     "flatten_field",
-    "unflatten_field",
 ]
 
 
@@ -64,11 +64,6 @@ def flatten_field(w: Field) -> np.ndarray:
     )
 
 
-def unflatten_field(z: np.ndarray, grid: Grid) -> Field:
-    n = grid.points
-    return Field(z[0:n] + 1j * z[n : 2 * n], z[2 * n : 3 * n] + 1j * z[3 * n : 4 * n], grid)
-
-
 def _half_wavenumbers(grid: Grid) -> np.ndarray:
     """The Nyquist-zeroed wavenumbers of the real FFT's half spectrum."""
     return grid.deriv_wavenumbers[: grid.points // 2 + 1]
@@ -77,8 +72,8 @@ def _half_wavenumbers(grid: Grid) -> np.ndarray:
 @dataclass
 class RealizedOperator:
     """The second variation M at a profile, held as what defines it: the
-    potential diagonals w1 = (p+1)/2 |q|^(p-1) and w2 = (p-1)/2 |q|^(p-3) q^2
-    (real and imaginary parts) beside omega/gamma, v and m in ``params``.
+    potential diagonals w1 and w2 (real and imaginary parts) of
+    ``second_variation_potential`` beside omega/gamma, v and m in ``params``.
 
     In the real flattening, with K0 = -D2 + m (symbol k^2 + m) and the
     Nyquist-zeroed derivative D1 (symbol i k, skew):
@@ -88,9 +83,9 @@ class RealizedOperator:
              [ v D1,                  og I,                  I,      0   ],
              [-og I,                  v D1,                  0,      I   ]]
 
-    with og = omega/gamma.  ``matvec`` applies it by real FFTs,
-    ``schur_complement`` and ``inf_norm`` build what the spectrum report needs
-    from the circulant first columns and the diagonals."""
+    with og = omega/gamma.  ``matvec`` applies it by real FFTs and
+    ``schur_complement`` builds the spectrum report's S from the circulant first
+    columns and the diagonals."""
 
     grid: Grid
     profile: Field
@@ -122,9 +117,6 @@ class RealizedOperator:
         zf = flatten_field(z)
         return float(self.grid.spacing * zf @ self.matvec(zf))
 
-    def apply(self, z: Field) -> Field:
-        return unflatten_field(self.matvec(flatten_field(z)), self.grid)
-
     def schur_complement(self) -> np.ndarray:
         """S = A - B B^T for M = [[A, B], [B^T, I]] split at the u1/u2 boundary.
 
@@ -147,18 +139,6 @@ class RealizedOperator:
         s[i + n, i] -= self.w2i
         return s
 
-    def inf_norm(self) -> float:
-        """||M||_inf, the largest absolute row sum, in O(N): every row of a
-        circulant holds the entries of its first column."""
-        n = self.grid.points
-        og, v, m = self.params.omega_over_gamma, self.params.v, self.params.model.m
-        k = _half_wavenumbers(self.grid)
-        k0 = np.fft.irfft(k * k + m, n)
-        coupling = abs(v) * np.sum(np.abs(np.fft.irfft(1j * k, n))) + abs(og)
-        d = k0[0] - self.w1
-        u1_rows = np.maximum(np.abs(d - self.w2r), np.abs(d + self.w2r)) + np.abs(self.w2i)
-        return float(max(np.max(u1_rows) + np.sum(np.abs(k0[1:])), 1.0) + coupling)
-
 
 @dataclass
 class SpectrumReport:
@@ -168,6 +148,20 @@ class SpectrumReport:
     kernel_tolerance: float
     coercivity_delta: float
     eigenvalues: np.ndarray
+
+
+def _free_symbol_eigenvalues(
+    ap: ActionParams, k: np.ndarray, g: np.ndarray | float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) eigenvalues, at each wavenumber k, of the potential-free
+    operator's symbol whitened by g: [[a/g, i b/sqrt(g)], [-i b/sqrt(g), 1]] with
+    a = k^2 + m and b = omega/gamma - v k.  That operator is complex-linear and
+    Fourier-diagonal, so these are its eigenvalues (g = 1), or those of
+    W M_free W (g = 1 + k^2, the H1 x L2 whitening of ``_whiten``)."""
+    a = (k * k + ap.model.m) / g
+    b2 = (ap.omega_over_gamma - ap.v * k) ** 2 / g
+    root = np.sqrt((a - 1.0) ** 2 + 4.0 * b2)
+    return 0.5 * ((a + 1.0) - root), 0.5 * ((a + 1.0) + root)
 
 
 def _whiten(z: np.ndarray, grid: Grid) -> np.ndarray:
@@ -191,12 +185,7 @@ def assemble_second_variation(
             raise AssemblyError(
                 f"profile is not a converged critical point (||S'|| = {gn:.3e})"
             )
-    p = ap.model.p
-    q = phi.u1
-    absq = np.abs(q)
-    w1 = 0.5 * (p + 1.0) * absq ** (p - 1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w2 = 0.5 * (p - 1.0) * np.where(absq > 0, absq ** (p - 3.0), 0.0) * q * q
+    w1, w2 = second_variation_potential(phi.u1, ap.model.p)
     return RealizedOperator(phi.grid, phi.copy(), ap, w1, np.real(w2).copy(), np.imag(w2).copy())
 
 
@@ -204,8 +193,10 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     """Eigenvalues of the Schur complement S (``op.schur_complement``), which carry
     the Morse index and kernel of M, and delta: the lowest eigenvalue of
     x -> P W M W P x + s q q^T x, with W = G^(-1/2) (``_whiten``), q orthonormal
-    on W Y, P = I - q q^T and s = ||M||_inf >= ||W M W||_2 (``op.inf_norm``), so
-    the constraints sit above delta.  Lanczos (ARPACK, to machine precision) on
+    on W Y, P = I - q q^T and s the largest eigenvalue of W M_free W, M without
+    its potential (``_free_symbol_eigenvalues``).  The potential part of M is
+    negative semidefinite (w1 - |w2| = |q|^(p-1) >= 0), so W M W <= W M_free W <= s
+    and the constraints sit above delta.  Lanczos (ARPACK, to machine precision) on
     FFT products with M (``op.matvec``) starts from a fixed vector with no
     symmetry (an even start could miss an odd lowest mode of an unshifted
     profile) and a seeded generator, so repeated calls agree to the bit.
@@ -218,7 +209,8 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
     cons = np.column_stack([flatten_field(f) for f in (dphi, i_j_phi, i_phi)])
     q, _ = np.linalg.qr(_whiten(cons, op.grid))
-    s = op.inf_norm()
+    k = op.grid.deriv_wavenumbers
+    s = float(np.max(_free_symbol_eigenvalues(op.params, k, 1.0 + k * k)[1]))
 
     def apply(x: np.ndarray) -> np.ndarray:
         qx = q.T @ x
@@ -286,16 +278,11 @@ def frequency_derivative_residual(
     """
     lam = _frequency_derivative(phi_family, omega)
     i_j_phi = symmetry_directions(op.profile)[1]
-    return norm_l2l2(op.apply(lam) + (1.0 / gamma) * i_j_phi)
+    res = op.matvec(flatten_field(lam)) + (1.0 / gamma) * flatten_field(i_j_phi)
+    return float(np.linalg.norm(res) * math.sqrt(op.grid.spacing))
 
 
 def free_operator_floor(ap: ActionParams, grid: Grid) -> float:
-    """Smallest eigenvalue of the potential-free operator (essential-spectrum floor).
-
-    The operator is complex-linear and Fourier-diagonal: at wavenumber k its symbol
-    is [[a, i b], [-i b, 1]] with a = k^2 + m, b = omega/gamma - v k, whose lower
-    eigenvalue is ((a + 1) - sqrt((a - 1)^2 + 4 b^2)) / 2."""
-    k = grid.deriv_wavenumbers
-    a = k**2 + ap.model.m
-    b = ap.omega_over_gamma - ap.v * k
-    return float(np.min(0.5 * ((a + 1.0) - np.sqrt((a - 1.0) ** 2 + 4.0 * b**2))))
+    """Smallest eigenvalue of the potential-free operator (essential-spectrum floor):
+    the lowest unwhitened symbol eigenvalue (``_free_symbol_eigenvalues``, g = 1)."""
+    return float(np.min(_free_symbol_eigenvalues(ap, grid.deriv_wavenumbers, 1.0)[0]))

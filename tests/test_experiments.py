@@ -476,7 +476,7 @@ def test_localized_hessian_matches_dense_operator():
     op = assemble_second_variation(phi, ap)
     cut = build_cutoffs([sp.v], 5.0, g)
     z = random_bump(g, 3)
-    quad = localized_hessian_form(z, [sp], cut, [ap])
+    quad = localized_hessian_form(z, [phi], cut, [ap])
     zf = flatten_field(z)
     assert quad == pytest.approx(0.5 * g.spacing * zf @ (_dense_matrix(op) @ zf), rel=1e-10)
 

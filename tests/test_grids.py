@@ -7,7 +7,6 @@ from nlkglab.grids import (
     DimensionError,
     Field,
     Grid,
-    inner_product_l2,
     norm_h1l2,
     norm_l2,
     norm_l2l2,
@@ -26,10 +25,10 @@ def grid():
 
 def test_grid_invariants(grid):
     assert grid.spacing * grid.points == pytest.approx(grid.length, rel=1e-15)
-    k = grid.wavenumbers
-    # antisymmetric about zero except the (unpaired) Nyquist mode
+    k = grid.deriv_wavenumbers
+    # antisymmetric about zero except the (unpaired, zeroed) Nyquist mode
     assert np.allclose(k[1 : grid.points // 2], -k[-1 : grid.points // 2 : -1])
-    assert grid.deriv_wavenumbers[grid.points // 2] == 0.0
+    assert k[grid.points // 2] == 0.0
 
 
 def test_grid_rejects_bad_sizes():
@@ -74,14 +73,20 @@ def test_second_derivative_composition(grid):
     assert np.max(np.abs(twice - direct)) < 1e-10 * max(1.0, np.max(np.abs(direct)))
 
 
+def _l2(f, g, grid):
+    """The real L2 pairing Re sum(f conj(g)) h, as pair_inner with u2 = 0."""
+    zero = np.zeros(grid.points)
+    return pair_inner(Field(f, zero, grid), Field(g, zero, grid))
+
+
 def test_inner_product_sech(grid):
     f = 1.0 / np.cosh(grid.x)
-    assert inner_product_l2(f, f, grid) == pytest.approx(2.0, abs=1e-10)
+    assert _l2(f, f, grid) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_inner_product_imaginary_rotation(grid):
     f = (1.0 + 0.5j) / np.cosh(grid.x)
-    assert inner_product_l2(f, 1j * f, grid) == pytest.approx(0.0, abs=1e-14)
+    assert _l2(f, 1j * f, grid) == pytest.approx(0.0, abs=1e-14)
 
 
 @settings(max_examples=20, deadline=None)
@@ -91,7 +96,7 @@ def test_inner_product_symmetry(seed):
     rng = np.random.default_rng(seed)
     f = rng.standard_normal(128) + 1j * rng.standard_normal(128)
     h = rng.standard_normal(128) + 1j * rng.standard_normal(128)
-    assert inner_product_l2(f, h, g) == pytest.approx(inner_product_l2(h, f, g), rel=1e-12, abs=1e-12)
+    assert _l2(f, h, g) == pytest.approx(_l2(h, f, g), rel=1e-12, abs=1e-12)
 
 
 @settings(max_examples=20, deadline=None)
@@ -100,8 +105,8 @@ def test_inner_product_real_bilinear(seed, a, b):
     g = Grid(20.0, 128)
     rng = np.random.default_rng(seed)
     f, h, z = (rng.standard_normal(128) + 1j * rng.standard_normal(128) for _ in range(3))
-    lhs = inner_product_l2(a * f + b * h, z, g)
-    rhs = a * inner_product_l2(f, z, g) + b * inner_product_l2(h, z, g)
+    lhs = _l2(a * f + b * h, z, g)
+    rhs = a * _l2(f, z, g) + b * _l2(h, z, g)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 
@@ -123,8 +128,8 @@ def test_integration_by_parts(grid):
     f = np.fft.ifft(spec)
     spec2 = np.roll(spec, 7)
     g2 = np.fft.ifft(spec2)
-    lhs = inner_product_l2(spectral_derivative(f, grid), g2, grid)
-    rhs = -inner_product_l2(f, spectral_derivative(g2, grid), grid)
+    lhs = _l2(spectral_derivative(f, grid), g2, grid)
+    rhs = -_l2(f, spectral_derivative(g2, grid), grid)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
 
 

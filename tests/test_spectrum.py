@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import brentq
 
+from nlkglab import spectrum
 from nlkglab.functionals import ActionParams, action, action_gradient
 from nlkglab.grids import (
     Field,
@@ -17,7 +19,7 @@ from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 from nlkglab.spectrum import (
     KERNEL_REL_TOL,
     AssemblyError,
-    RealizedOperator,
+    _free_symbol_eigenvalues,
     _whiten,
     assemble_second_variation,
     flatten_field,
@@ -26,7 +28,6 @@ from nlkglab.spectrum import (
     slope_analytic,
     slope_test,
     spectrum_report,
-    unflatten_field,
 )
 
 MODEL = ModelParams(1.0, 3.0, 1)
@@ -107,9 +108,9 @@ def test_flatten_roundtrip(grid):
         rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points),
         grid,
     )
-    back = unflatten_field(flatten_field(w), grid)
-    assert np.array_equal(back.u1, w.u1)
-    assert np.array_equal(back.u2, w.u2)
+    re1, im1, re2, im2 = flatten_field(w).reshape(4, grid.points)
+    assert np.array_equal(re1 + 1j * im1, w.u1)
+    assert np.array_equal(re2 + 1j * im2, w.u2)
 
 
 def test_assembly_symmetric(op, grid):
@@ -162,11 +163,29 @@ def test_delta_matches_dense_generalized_eigenproblem(grid, omega, v):
     assert np.sign(delta) == -np.sign(slope_test(_family(grid, v), ap, omega, op=op))
 
 
+def _whitened_dense(op):
+    """a = G^(-1/2) M G^(-1/2), the dense oracle whitened in full."""
+    return _whiten(_whiten(_dense_matrix(op), op.grid).T, op.grid)
+
+
+def _top_eigenvalue(a):
+    return sla.eigvalsh(a, subset_by_index=[len(a) - 1, len(a) - 1])[0]
+
+
+def _assert_lift_bounds(op, s):
+    """The lift s is the top of the whitened potential-free operator W M_free W
+    (the zero profile's), and bounds W M W: the potential part is negative
+    semidefinite."""
+    free = assemble_second_variation(Field.zeros(op.grid), op.params, check_critical=False)
+    assert s == pytest.approx(_top_eigenvalue(_whitened_dense(free)), rel=1e-12)
+    assert _top_eigenvalue(_whitened_dense(op)) <= s
+
+
 def _dense_delta(op):
     """delta as a dense eigensolve: the lowest eigenvalue of P a P + s q q^T with
     a = G^(-1/2) M G^(-1/2) whitened in full, q orthonormal on G^(-1/2) Y,
     P = I - q q^T applied as rank-3 updates and s = ||a||_inf."""
-    a = _whiten(_whiten(_dense_matrix(op), op.grid).T, op.grid)
+    a = _whitened_dense(op)
     i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
     cons = np.column_stack([flatten_field(f) for f in (dphi, i_j_phi, i_phi)])
     q, _ = np.linalg.qr(_whiten(cons, op.grid))
@@ -186,12 +205,13 @@ def _dense_delta(op):
         (512, 0.8, 0.0, 1.3, 7),  # the spectrum benchmark's phased, shifted profile
         (256, 0.8, 0.3, 0.0, 0),
         (256, 0.75, 0.6, 0.0, 0),
+        (128, 0.3, -0.9, 0.0, 0),  # far outside the window, fast backward boost
     ],
 )
 def test_lanczos_delta_matches_dense_oracle(n, omega, v, theta, cells):
     """The Lanczos delta equals the dense whitened, deflated eigensolve, repeats
-    to the bit, and does not move when the lift s = ||M||_inf is doubled: the
-    three constraint directions sit above delta."""
+    to the bit, and does not move when the lift s, the top of the whitened free
+    symbol, is doubled: the three constraint directions sit above delta."""
     g = Grid(80.0, n)
     sp = SolitonParams(MODEL, omega=omega, v=v, theta=theta, x0=cells * g.spacing)
     op = assemble_second_variation(
@@ -202,18 +222,18 @@ def test_lanczos_delta_matches_dense_oracle(n, omega, v, theta, cells):
     assert delta == pytest.approx(want, rel=1e-12)
     assert spectrum_report(op).coercivity_delta == delta
 
-    inf_norm = RealizedOperator.inf_norm
     lifts = []
 
-    def doubled_inf_norm(self):
-        lifts.append(inf_norm(self))
-        return 2.0 * lifts[-1]
+    def doubled_lift(ap, k, g):
+        lower, upper = _free_symbol_eigenvalues(ap, k, g)
+        lifts.append(float(np.max(upper)))
+        return lower, 2.0 * upper
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(RealizedOperator, "inf_norm", doubled_inf_norm)
+        mp.setattr(spectrum, "_free_symbol_eigenvalues", doubled_lift)
         doubled = spectrum_report(op).coercivity_delta
     assert len(lifts) == 1
-    assert lifts[0] == pytest.approx(np.linalg.norm(_dense_matrix(op), np.inf), rel=1e-14)
+    _assert_lift_bounds(op, lifts[0])
     assert doubled == pytest.approx(want, rel=1e-12)
 
 
@@ -221,10 +241,10 @@ def test_lanczos_delta_matches_dense_oracle(n, omega, v, theta, cells):
 @pytest.mark.parametrize("v", [0.0, 0.3, 0.6])
 @pytest.mark.parametrize("n", [256, 255])
 def test_structured_operator_matches_dense_oracle(n, v, p):
-    """The FFT product, the directly built Schur complement and the O(N) lift
-    equal the dense oracle's M x, A - B B^T and ||M||_inf, on the benchmark's
-    phased, shifted profile; odd N has no Nyquist mode to zero.  p = 2 decays
-    slower and gets a longer box."""
+    """The FFT product and the directly built Schur complement equal the dense
+    oracle's M x and A - B B^T, and the lift from the whitened free symbol bounds
+    the dense W M W, on the benchmark's phased, shifted profile; odd N has no
+    Nyquist mode to zero.  p = 2 decays slower and gets a longer box."""
     g = Grid(100.0 if p == 2.0 else 80.0, n)
     sp = SolitonParams(ModelParams(1.0, p, 1), omega=0.8, v=v, theta=1.3, x0=7 * g.spacing)
     op = assemble_second_variation(
@@ -243,7 +263,8 @@ def test_structured_operator_matches_dense_oracle(n, v, p):
     schur = dense[:n2, :n2] - b @ b.T
     assert np.max(np.abs(op.schur_complement() - schur)) < 1e-13 * np.max(np.abs(schur))
 
-    assert op.inf_norm() == pytest.approx(np.linalg.norm(dense, np.inf), rel=1e-14)
+    k = g.deriv_wavenumbers
+    _assert_lift_bounds(op, np.max(_free_symbol_eigenvalues(op.params, k, 1.0 + k * k)[1]))
 
 
 @pytest.mark.parametrize("omega, v", [(0.6, 0.0), (0.8, 0.0), (0.8, 0.3), (0.75, 0.6)])
@@ -301,12 +322,7 @@ def test_kernel_vectors(op, grid):
         rayleigh = abs(zf @ (dense @ zf)) / (zf @ zf)
         assert rayleigh < 1e-6 * rho
         # the action of the operator is itself small on kernel vectors
-        out = op.apply(z)
-        assert (
-            np.sqrt(np.sum(np.abs(out.u1) ** 2 + np.abs(out.u2) ** 2))
-            / np.sqrt(np.sum(np.abs(z.u1) ** 2 + np.abs(z.u2) ** 2))
-            < 1e-7
-        )
+        assert np.linalg.norm(op.matvec(zf)) / np.linalg.norm(zf) < 1e-7
 
 
 def test_quadratic_form_matches_action_differences(op, grid):
@@ -374,6 +390,26 @@ def test_morse_window_sample(grid):
             assert rep.negative_count == 1, (om, v)
             assert rep.kernel_dimension == 2, (om, v)
             assert rep.coercivity_delta > 0, (om, v)
+
+
+@pytest.mark.parametrize("p, length, n", [(2.0, 80.0, 256), (3.0, 80.0, 256), (4.0, 120.0, 512)])
+def test_delta_vanishes_at_stability_threshold(p, length, n):
+    """delta changes sign with d/domega [omega ||phi_omega||^2], at the closed-form
+    threshold omega_c = sqrt((p - 1)/4) for m = 1, v = 0 (Shatah; Grillakis, Shatah
+    and Strauss): brentq on omega -> delta finds it to 1e-10.  p = 4 needs L = 120
+    (at L = 80 its profile's boundary value warns), and N = 512 there keeps the
+    profile critical."""
+    model = ModelParams(1.0, p, 1)
+    g = Grid(length, n)
+
+    def delta(omega):
+        sp = SolitonParams(model, omega=omega, v=0.0)
+        op = assemble_second_variation(sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp))
+        return spectrum_report(op).coercivity_delta
+
+    omega_c = math.sqrt((p - 1.0) / 4.0)
+    root = brentq(delta, omega_c - 0.03, omega_c + 0.03, xtol=1e-12)
+    assert abs(root - omega_c) <= 1e-10
 
 
 def test_slope_at_stable_point(op, grid):
