@@ -174,6 +174,8 @@ def parse_config(text: str) -> RunConfig:
     problems += _validate(cfg)
     if problems:
         raise ConfigError(problems)
+    # a run orders its solitons by velocity (MultiSolitonConfig): so do its outputs
+    cfg.solitons.sort(key=lambda s: s["v"])
     return cfg
 
 

@@ -1,8 +1,9 @@
 """Field dump and CSV persistence.
 
 Raw dump layout: one ASCII header line ``NLKG1 <points> <length> <time>``
-followed by little-endian float64 payload, re/im interleaved per sample,
-the u1 block then the u2 block (2*points doubles per component).  CSV
+followed by the little-endian float64 payload ``grids.flat(w)``: re/im
+interleaved per sample, the u1 block then the u2 block (2*points doubles
+per component).  CSV
 values are written with 17 significant digits so parsing them back is
 bit-exact.
 """
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import Field, Grid, grid_problems, raise_problems
+from .grids import Field, Grid, flat, grid_problems, raise_problems
 
 __all__ = [
     "FieldFormatError",
@@ -42,9 +43,7 @@ def write_field(path: str | Path, w: Field, time: float = 0.0) -> None:
     with open(path, "wb") as fh:
         header = f"{MAGIC} {w.grid.points} {format_float(w.grid.length)} {format_float(time)}\n"
         fh.write(header.encode("ascii"))
-        # little-endian complex128 is the re/im interleaved float64 layout
-        fh.write(w.u1.astype("<c16").tobytes())
-        fh.write(w.u2.astype("<c16").tobytes())
+        fh.write(flat(w).astype("<f8").tobytes())
 
 
 def read_field(path: str | Path) -> tuple[Field, float]:

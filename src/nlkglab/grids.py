@@ -30,6 +30,7 @@ __all__ = [
     "spectral_derivative",
     "spectral_second_derivative",
     "pair_inner",
+    "flat",
     "norm_l2",
     "norm_l2l2",
     "norm_h1l2",
@@ -157,6 +158,12 @@ def pair_inner(a: Field, b: Field) -> float:
     return float(
         np.real(np.sum(a.u1 * np.conj(b.u1) + a.u2 * np.conj(b.u2))) * g.spacing
     )
+
+
+def flat(w: Field) -> np.ndarray:
+    """w as one real vector, so that pair_inner(a, b) = (flat(a) @ flat(b)) * h:
+    u1 then u2, re/im interleaved, so its complex view is (u1, u2)."""
+    return np.concatenate((w.u1, w.u2)).view(float)
 
 
 def norm_l2(f: np.ndarray, grid: Grid) -> float:

@@ -12,11 +12,11 @@ exponentially in the separation), so convergence is quadratic from
 reasonable seeds.
 
 The pairings are matrix products: every direction and tangent is one real
-row of length 4N, so the 3N residuals are one mat-vec and the Jacobian's
-cross term one (3N, 3N) Gram.  Its residue term moves the symmetry maps
-onto Upsilon by their adjoints, and an accepted backtracking trial's
-sample is the next iterate's, so an iterate samples each soliton three
-times (its residual and the two omega-neighbours).
+row of length 4N (``grids.flat``), so the 3N residuals are one mat-vec and
+the Jacobian's cross term one (3N, 3N) Gram.  Its residue term moves the
+symmetry maps onto Upsilon by their adjoints, and an accepted backtracking
+trial's sample is the next iterate's, so an iterate samples each soliton
+three times (its residual and the two omega-neighbours).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import Field, norm_h1l2, symmetry_directions
+from .grids import Field, flat, norm_h1l2, symmetry_directions
 from .profiles import DomainTooSmallError, FrequencyRangeError, SolitonParams
 from .profiles import _frequency_derivative, sample_soliton
 
@@ -83,21 +83,16 @@ class ModulationState:
         return norm_h1l2(self.residual)
 
 
-def _flat(w: Field) -> np.ndarray:
-    """w as one real vector, so that pair_inner(a, b) = (_flat(a) @ _flat(b)) * h."""
-    return np.concatenate((w.u1, w.u2)).view(float)
-
-
 def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     """The orthogonality residuals, the residue U - sum_j R_j and the
     symmetry directions D_k R_j of every component, stacked as the real
-    (3N, 4N) array of their ``_flat`` rows in (j, k) order."""
+    (3N, 4N) array of their ``flat`` rows in (j, k) order."""
     comps = [sample_soliton(sp, 0.0, u.grid) for sp in params]
     ups = u.copy()
     for c in comps:
         ups = ups - c
-    dirs = np.stack([_flat(d) for c in comps for d in symmetry_directions(c)])
-    return (dirs @ _flat(ups)) * u.grid.spacing, ups, dirs
+    dirs = np.stack([flat(d) for c in comps for d in symmetry_directions(c)])
+    return (dirs @ flat(ups)) * u.grid.spacing, ups, dirs
 
 
 # <a, D_k b> = ADJOINT_SIGNS[k] * <D_k a, b> under pair_inner: i and d/dx
@@ -120,10 +115,10 @@ def _jacobian(ups: Field, dirs: np.ndarray, params: Sequence[SolitonParams]) -> 
         d_omega = _frequency_derivative(
             lambda om: sample_soliton(replace(sp, omega=om), 0.0, grid), sp.omega
         )
-        rows += [dirs[3 * j], _flat(d_omega), -dirs[3 * j + 2]]
+        rows += [dirs[3 * j], flat(d_omega), -dirs[3 * j + 2]]
     tan = np.stack(rows)
     jac = -(dirs @ tan.T) * grid.spacing
-    dups = np.stack([_flat(d) for d in symmetry_directions(ups)])
+    dups = np.stack([flat(d) for d in symmetry_directions(ups)])
     ups_term = ADJOINT_SIGNS[:, None] * (dups @ tan.T) * grid.spacing
     for j in range(len(params)):
         jac[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] += ups_term[:, 3 * j : 3 * j + 3]

@@ -1,9 +1,9 @@
 """Structured realization of the second variation of the action at a soliton.
 
 The operator is real-linear but not complex-linear (the nonlinearity
-linearizes to terms in both z1 and conj(z1)), so fields are flattened to
-four real blocks [Re u1, Im u1, Re u2, Im u2] and the operator becomes a
-symmetric real operator M of size (4N)^2.  Acting on Z = (z1, z2):
+linearizes to terms in both z1 and conj(z1)), so a field is flattened by
+``grids.flat`` and the operator becomes a symmetric real operator M of size
+(4N)^2.  Acting on the complex view Z = (z1, z2) of that vector:
 
     first component:  -z1'' + m z1 - (p+1)/2 |q|^(p-1) z1
                       - (p-1)/2 |q|^(p-3) q^2 conj(z1)
@@ -11,13 +11,13 @@ symmetric real operator M of size (4N)^2.  Acting on Z = (z1, z2):
     second component:  z2 - i (omega/gamma) z1 + v z1'
 
 with q the first component of the profile.  M is never formed: it is held as
-its potential diagonals and constants, applied by real FFTs (the derivatives
-are Fourier multipliers), and its u2 block is the identity.  The kernel is
-spanned by the phase and translation modes i*Phi and Phi', there is exactly
-one negative eigenvalue inside the stability window (both counts are read off
-the 2N x 2N Schur complement of the identity u2 block, built directly from
-circulant blocks), and on the subspace L2-orthogonal to {Phi', iJPhi, iPhi}
-the quadratic form is coercive in the H1 x L2 metric; delta, the minimal
+its potential and constants, applied by complex FFTs with the Fourier symbol
+of ``_symbol``, and its z2 block is the identity.  The kernel is spanned by
+the phase and translation modes i*Phi and Phi', there is exactly one negative
+eigenvalue inside the stability window (both counts are read off the 2N x 2N
+Schur complement of the identity z2 block, one complex circulant plus the
+potential), and on the subspace L2-orthogonal to {Phi', iJPhi, iPhi} the
+quadratic form is coercive in the H1 x L2 metric; delta, the minimal
 constrained Rayleigh quotient, is the lowest eigenvalue of the Gram-whitened
 operator with the constraints lifted to the top of the whitened free symbol's
 spectrum, which bounds it: Lanczos on FFT products with M.
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .functionals import ActionParams, gradient_norm, second_variation_potential
-from .grids import Field, Grid, symmetry_directions
+from .grids import Field, Grid, flat, symmetry_directions
 from .profiles import OMEGA_STEP, ModelParams, _frequency_derivative
 
 __all__ = [
@@ -46,7 +46,6 @@ __all__ = [
     "slope_analytic",
     "frequency_derivative_residual",
     "free_operator_floor",
-    "flatten_field",
 ]
 
 
@@ -58,86 +57,68 @@ class AssemblyError(RuntimeError):
     """Profile failed the criticality precondition, or the delta solve did not converge."""
 
 
-def flatten_field(w: Field) -> np.ndarray:
-    return np.concatenate(
-        [np.real(w.u1), np.imag(w.u1), np.real(w.u2), np.imag(w.u2)]
-    )
-
-
-def _half_wavenumbers(grid: Grid) -> np.ndarray:
-    """The Nyquist-zeroed wavenumbers of the real FFT's half spectrum."""
-    return grid.deriv_wavenumbers[: grid.points // 2 + 1]
+def _symbol(ap: ActionParams, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The potential-free part of M at wavenumbers k: a = k^2 + m on z1, and b =
+    omega/gamma - v k, the symbol of the coupling i b between z1 and z2."""
+    return k * k + ap.model.m, ap.omega_over_gamma - ap.v * k
 
 
 @dataclass
 class RealizedOperator:
     """The second variation M at a profile, held as what defines it: the
-    potential diagonals w1 and w2 (real and imaginary parts) of
-    ``second_variation_potential`` beside omega/gamma, v and m in ``params``.
+    potential w1 (real) and w2 (complex) of ``second_variation_potential``
+    beside omega/gamma, v and m in ``params``.
 
-    In the real flattening, with K0 = -D2 + m (symbol k^2 + m) and the
-    Nyquist-zeroed derivative D1 (symbol i k, skew):
+    On the complex view (z1, z2) of a flattened field, with the Fourier
+    multipliers a and b of ``_symbol`` on the Nyquist-zeroed wavenumbers:
 
-        M = [[K0 - diag(w1 + Re w2), -diag(Im w2),          -v D1, -og I ],
-             [-diag(Im w2),          K0 - diag(w1 - Re w2),  og I,  -v D1],
-             [ v D1,                  og I,                  I,      0   ],
-             [-og I,                  v D1,                  0,      I   ]]
+        M Z = (a z1 + i b z2 - w1 z1 - w2 conj(z1),  z2 - i b z1).
 
-    with og = omega/gamma.  ``matvec`` applies it by real FFTs and
-    ``schur_complement`` builds the spectrum report's S from the circulant first
-    columns and the diagonals."""
+    ``matvec`` applies it by complex FFTs and ``schur_complement`` builds the
+    spectrum report's S from one complex circulant and the potential."""
 
     grid: Grid
     profile: Field
     params: ActionParams
     w1: np.ndarray
-    w2r: np.ndarray
-    w2i: np.ndarray
+    w2: np.ndarray
 
     def matvec(self, z: np.ndarray) -> np.ndarray:
-        """M z for a flattened field of length 4N, or for each column of a
-        (4N, k) stack: one real FFT pair per block."""
+        """M z for a flattened field of length 4N, or for each row of a (k, 4N)
+        stack: one complex FFT pair per component."""
         n = self.grid.points
-        og, v, m = self.params.omega_over_gamma, self.params.v, self.params.model.m
-        a1, b1, a2, b2 = blocks = z.reshape(4, n, -1)
-        k = _half_wavenumbers(self.grid)[:, None]
-        f = np.fft.rfft(blocks, axis=1)
-        spec = np.empty_like(f)
-        spec[:2] = (k * k + m) * f[:2] - (1j * v) * k * f[2:]
-        spec[2:] = (1j * v) * k * f[:2]
-        out = np.fft.irfft(spec, n, axis=1)
-        w1, w2r, w2i = self.w1[:, None], self.w2r[:, None], self.w2i[:, None]
-        out[0] -= (w1 + w2r) * a1 + w2i * b1 + og * b2
-        out[1] -= w2i * a1 + (w1 - w2r) * b1 - og * a2
-        out[2] += og * b1 + a2
-        out[3] += b2 - og * a1
-        return out.reshape(z.shape)
+        a, b = _symbol(self.params, self.grid.deriv_wavenumbers)
+        zc = np.ascontiguousarray(z).view(complex)
+        z1, z2 = zc[..., :n], zc[..., n:]
+        f1 = np.fft.fft(z1)
+        m1 = np.fft.ifft(a * f1 + 1j * b * np.fft.fft(z2)) - self.w1 * z1 - self.w2 * np.conj(z1)
+        return np.concatenate((m1, z2 - 1j * np.fft.ifft(b * f1)), axis=-1).view(float)
 
     def quadratic_form(self, z: Field) -> float:
-        zf = flatten_field(z)
+        zf = flat(z)
         return float(self.grid.spacing * zf @ self.matvec(zf))
 
     def schur_complement(self) -> np.ndarray:
-        """S = A - B B^T for M = [[A, B], [B^T, I]] split at the u1/u2 boundary.
+        """S = A - B B^T for M = [[A, B], [B^T, I]] split at the z1/z2 boundary.
 
-        D1 is skew and D1^2 = D2 on the same wavenumbers, so with
-        K = circulant(k^2 + m - v^2 k^2) - og^2 I and C = 2 og v D1,
-        S = [[K - diag(w1 + Re w2), C - diag(Im w2)],
-             [-C - diag(Im w2),     K - diag(w1 - Re w2)]].
-        By Haynsworth inertia additivity In(M) = In(I) + In(S), so S has M's
-        negative count and kernel dimension."""
+        B z2 = i b z2 and B^T z1 = -i b z1, so B B^T = b^2 and
+        S z1 = (a - b^2) z1 - w1 z1 - w2 conj(z1): the real view of one complex
+        circulant, less a 2 x 2 potential block per sample.  By Haynsworth
+        inertia additivity In(M) = In(I) + In(S), so S has M's negative count
+        and kernel dimension."""
         n = self.grid.points
-        og, v, m = self.params.omega_over_gamma, self.params.v, self.params.model.m
-        k = _half_wavenumbers(self.grid)
-        kk = sla.circulant(np.fft.irfft((1.0 - v * v) * k * k + m - og * og, n))
-        c = sla.circulant(np.fft.irfft((2j * og * v) * k, n))
-        s = np.block([[kk, c], [-c, kk]])
+        a, b = _symbol(self.params, self.grid.deriv_wavenumbers)
+        c = sla.circulant(np.fft.ifft(a - b * b))
+        s = np.empty((n, 2, n, 2))
+        s[:, 0, :, 0] = s[:, 1, :, 1] = c.real
+        s[:, 1, :, 0] = c.imag
+        s[:, 0, :, 1] = -c.imag
         i = np.arange(n)
-        s[i, i] -= self.w1 + self.w2r
-        s[i + n, i + n] -= self.w1 - self.w2r
-        s[i, i + n] -= self.w2i
-        s[i + n, i] -= self.w2i
-        return s
+        s[i, 0, i, 0] -= self.w1 + self.w2.real
+        s[i, 1, i, 1] -= self.w1 - self.w2.real
+        s[i, 0, i, 1] -= self.w2.imag
+        s[i, 1, i, 0] -= self.w2.imag
+        return s.reshape(2 * n, 2 * n)
 
 
 @dataclass
@@ -155,23 +136,21 @@ def _free_symbol_eigenvalues(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) eigenvalues, at each wavenumber k, of the potential-free
     operator's symbol whitened by g: [[a/g, i b/sqrt(g)], [-i b/sqrt(g), 1]] with
-    a = k^2 + m and b = omega/gamma - v k.  That operator is complex-linear and
+    a and b from ``_symbol``.  That operator is complex-linear and
     Fourier-diagonal, so these are its eigenvalues (g = 1), or those of
     W M_free W (g = 1 + k^2, the H1 x L2 whitening of ``_whiten``)."""
-    a = (k * k + ap.model.m) / g
-    b2 = (ap.omega_over_gamma - ap.v * k) ** 2 / g
+    a, b = _symbol(ap, k)
+    a, b2 = a / g, b * b / g
     root = np.sqrt((a - 1.0) ** 2 + 4.0 * b2)
     return 0.5 * ((a + 1.0) - root), 0.5 * ((a + 1.0) + root)
 
 
 def _whiten(z: np.ndarray, grid: Grid) -> np.ndarray:
-    """G^(-1/2) z, column by column, for the H1 x L2 Gram G of the flattening: the
-    multiplier (1 + k^2)^(-1/2) on the u1 blocks, rows [0, 2N), identity elsewhere."""
-    n = grid.points
-    mult = (1.0 + _half_wavenumbers(grid) ** 2) ** -0.5
+    """G^(-1/2) z, row by row, for the H1 x L2 Gram G of the flattening: the
+    multiplier (1 + k^2)^(-1/2) on z1, the first half of the complex view."""
     out = z.copy()
-    u1 = out[: 2 * n].reshape(2, n, -1)
-    u1[:] = np.fft.irfft(mult[:, None] * np.fft.rfft(u1, axis=1), n, axis=1)
+    z1 = out.view(complex)[..., : grid.points]
+    z1[...] = np.fft.ifft((1.0 + grid.deriv_wavenumbers**2) ** -0.5 * np.fft.fft(z1))
     return out
 
 
@@ -186,7 +165,7 @@ def assemble_second_variation(
                 f"profile is not a converged critical point (||S'|| = {gn:.3e})"
             )
     w1, w2 = second_variation_potential(phi.u1, ap.model.p)
-    return RealizedOperator(phi.grid, phi.copy(), ap, w1, np.real(w2).copy(), np.imag(w2).copy())
+    return RealizedOperator(phi.grid, phi.copy(), ap, w1, w2)
 
 
 def spectrum_report(op: RealizedOperator) -> SpectrumReport:
@@ -207,8 +186,8 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     kernel_dim = int(np.sum(np.abs(ev) < ktol))
 
     i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
-    cons = np.column_stack([flatten_field(f) for f in (dphi, i_j_phi, i_phi)])
-    q, _ = np.linalg.qr(_whiten(cons, op.grid))
+    cons = np.stack([flat(f) for f in (dphi, i_j_phi, i_phi)])
+    q, _ = np.linalg.qr(_whiten(cons, op.grid).T)
     k = op.grid.deriv_wavenumbers
     s = float(np.max(_free_symbol_eigenvalues(op.params, k, 1.0 + k * k)[1]))
 
@@ -278,7 +257,7 @@ def frequency_derivative_residual(
     """
     lam = _frequency_derivative(phi_family, omega)
     i_j_phi = symmetry_directions(op.profile)[1]
-    res = op.matvec(flatten_field(lam)) + (1.0 / gamma) * flatten_field(i_j_phi)
+    res = op.matvec(flat(lam)) + (1.0 / gamma) * flat(i_j_phi)
     return float(np.linalg.norm(res) * math.sqrt(op.grid.spacing))
 
 

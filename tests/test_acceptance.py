@@ -18,6 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from nlkglab.experiments import (
     MultiSolitonConfig,
@@ -235,6 +236,18 @@ def test_criterion_5_spectrum():
         and np.sign(delta_unstable) == -np.sign(slope_unstable)
     )
 
+    # evidence only, no bound: delta changes sign at the closed-form threshold
+    # omega_c^2 / m = (p - 1)/4 (Shatah; Grillakis, Shatah and Strauss)
+    grid_r = Grid(80.0, 256)
+
+    def delta_at(om):
+        s = SolitonParams(MODEL, omega=om, v=0.0)
+        op = assemble_second_variation(sample_soliton(s, 0.0, grid_r), ActionParams.from_soliton(s))
+        return spectrum_report(op).coercivity_delta
+
+    omega_c = math.sqrt(MODEL.m * MODEL.stability_threshold())
+    root = brentq(delta_at, omega_c - 0.03, omega_c + 0.03, xtol=1e-12)
+
     delta_shift = abs(rep1024.coercivity_delta - rep512.coercivity_delta) / rep512.coercivity_delta
     ok = (
         rep512.negative_count == 1
@@ -252,7 +265,8 @@ def test_criterion_5_spectrum():
         f"kernel={rep512.kernel_dimension}, "
         f"delta={rep512.coercivity_delta:.5f} (N=1024 shift {delta_shift * 100:.2f}%), "
         f"slope(0.8)={slope_stable:.6f} (-28/15), slope(0.6)={slope_unstable:.4f}>0, "
-        f"delta(0.6)={delta_unstable:.5f} (sign -slope)",
+        f"delta(0.6)={delta_unstable:.5f} (sign -slope), "
+        f"delta root {root:.13f} (omega_c {root - omega_c:+.1e}, N=256)",
     )
     assert rep512.negative_count == 1
     assert rep512.kernel_dimension == 2

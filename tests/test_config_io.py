@@ -11,7 +11,7 @@ from nlkglab.fieldio import (
     write_diagnostics_csv,
     write_field,
 )
-from nlkglab.grids import Field, Grid
+from nlkglab.grids import Field, Grid, flat
 from nlkglab.integrator import IntegratorConfig
 
 GOOD = """
@@ -44,6 +44,12 @@ diag_period = 0.5
 out_dir = runs/two
 seed = 7
 """
+
+
+def _pair(first: str, second: str) -> str:
+    """GOOD with its two [soliton] sections replaced by ``first`` and ``second``."""
+    head, tail = GOOD.split("[soliton]", 1)[0], GOOD.split("[experiment]", 1)[1]
+    return f"{head}[soliton]\n{first}\n\n[soliton]\n{second}\n\n[experiment]{tail}"
 
 
 def test_parse_good_config():
@@ -203,6 +209,15 @@ def test_field_dump_roundtrip(tmp_path):
     assert back.u2.tobytes() == w.u2.tobytes()  # bit-exact, non-finite samples too
     assert back.grid.points == 256
     assert back.grid.length == 40.0
+
+
+def test_field_dump_payload_is_flat(tmp_path):
+    """The payload after the header line is flat(w) as little-endian float64."""
+    rng = np.random.default_rng(1)
+    w = Field(*(rng.standard_normal((2, 256)) + 1j * rng.standard_normal((2, 256))), Grid(40.0, 256))
+    path = tmp_path / "field.dump"
+    write_field(path, w, time=1.5)
+    assert path.read_bytes().split(b"\n", 1)[1] == flat(w).astype("<f8").tobytes()
 
 
 def test_field_dump_header_mismatch(tmp_path):
@@ -454,6 +469,45 @@ def test_cli_multisoliton_small(tmp_path):
     assert iters[-1] == 0 and np.isfinite(cond[-1]) and cond[-1] >= 1.0
     assert np.all(iters[:-1] >= 1) and np.all(iters == np.round(iters))
     assert np.all(np.isfinite(cond) & (cond >= 1.0))
+
+
+def test_parse_config_orders_solitons_by_velocity():
+    """Solitons come back sorted by v, the order of a run's cutoff cells; the
+    validation messages number them as the file does."""
+    cfg = parse_config(_pair("omega = 0.8\nv = 0.4", "omega = 0.75\nv = -0.4"))
+    assert [(s["omega"], s["v"]) for s in cfg.solitons] == [(0.75, -0.4), (0.8, 0.4)]
+    with pytest.raises(ConfigError) as exc:
+        parse_config(_pair("omega = 0.8\nv = 0.4", "omega = 1.5\nv = -0.4"))
+    assert [p.split(":")[0] for p in exc.value.problems] == ["soliton #2"]
+
+
+def test_cli_multisoliton_columns_follow_velocity_order(tmp_path):
+    """A stable pair listed out of velocity order: resolved.cfg lists v = -0.4
+    first, and E_0 is that soliton's localized energy."""
+    from nlkglab.cli import main
+    from nlkglab.functionals import energy
+    from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
+
+    text = _pair("omega = 0.8\nv = 0.4", "omega = 0.75\nv = -0.4")
+    for old, new in (
+        ("points = 2048", "points = 1024"),
+        ("t_final = 40.0", "t_final = 12.0"),
+        ("t_start = 10.0", "t_start = 11.0"),
+        ("diag_period = 0.5", "diag_period = 1.0"),
+    ):
+        text = text.replace(old, new)
+    path, outdir = tmp_path / "run.cfg", tmp_path / "out"
+    path.write_text(text, encoding="utf-8")
+    assert main(["multisoliton", "--config", str(path), "--out-dir", str(outdir)]) == 0
+    resolved = parse_config((outdir / "resolved.cfg").read_text(encoding="utf-8"))
+    assert [(s["omega"], s["v"]) for s in resolved.solitons] == [(0.75, -0.4), (0.8, 0.4)]
+
+    model, grid = ModelParams(1.0, 3.0, 1), Grid(160.0, 1024)
+    alone = [energy(sample_soliton(SolitonParams(model, omega=om, v=v), 0.0, grid), model)
+             for om, v in ((0.75, -0.4), (0.8, 0.4))]  # 2.0448 and 1.9901
+    header, data = read_csv_columns(outdir / "diagnostics.csv")
+    for j, e in enumerate(alone):
+        assert np.allclose(data[:, header.index(f"E_{j}")], e, rtol=5e-3)
 
 
 def test_diagnostics_fit_columns_are_nan_without_a_fit(tmp_path, monkeypatch):

@@ -15,7 +15,7 @@ from nlkglab.experiments import (
     taylor_expansion_audit,
 )
 from nlkglab.functionals import build_cutoffs, energy
-from nlkglab.grids import Grid, norm_h1l2, spectral_derivative
+from nlkglab.grids import Grid, flat, norm_h1l2, spectral_derivative
 from nlkglab.modulation import NotInTubeError
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 
@@ -465,7 +465,7 @@ def test_localized_hessian_matches_dense_operator():
 
     from nlkglab.experiments import localized_hessian_form, random_bump
     from nlkglab.functionals import ActionParams, build_cutoffs
-    from nlkglab.spectrum import assemble_second_variation, flatten_field
+    from nlkglab.spectrum import assemble_second_variation
 
     g = Grid(80.0, 256)
     sp = SolitonParams(MODEL, omega=0.8, theta=0.3, v=0.3, x0=2.0)
@@ -477,7 +477,7 @@ def test_localized_hessian_matches_dense_operator():
     cut = build_cutoffs([sp.v], 5.0, g)
     z = random_bump(g, 3)
     quad = localized_hessian_form(z, [phi], cut, [ap])
-    zf = flatten_field(z)
+    zf = flat(z)
     assert quad == pytest.approx(0.5 * g.spacing * zf @ (_dense_matrix(op) @ zf), rel=1e-10)
 
 

@@ -7,6 +7,7 @@ from nlkglab.grids import (
     DimensionError,
     Field,
     Grid,
+    flat,
     norm_h1l2,
     norm_l2,
     norm_l2l2,
@@ -108,6 +109,21 @@ def test_inner_product_real_bilinear(seed, a, b):
     lhs = _l2(a * f + b * h, z, g)
     rhs = a * _l2(f, z, g) + b * _l2(h, z, g)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+@pytest.mark.parametrize("seed", range(5))
+@pytest.mark.parametrize("points", [128, 127])
+def test_flat_pairs_like_pair_inner(seed, points):
+    """flat is the real layout of a field: its dot product times h is pair_inner,
+    to rounding relative to the Cauchy-Schwarz bound."""
+    g = Grid(20.0, points)
+    rng = np.random.default_rng(seed)
+    a, b = (
+        Field(*(rng.standard_normal((2, points)) + 1j * rng.standard_normal((2, points))), g)
+        for _ in range(2)
+    )
+    err = abs(flat(a) @ flat(b) * g.spacing - pair_inner(a, b))
+    assert err <= 1e-14 * norm_l2l2(a) * norm_l2l2(b)
 
 
 def test_parseval(grid):

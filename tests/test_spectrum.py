@@ -11,6 +11,7 @@ from nlkglab.functionals import ActionParams, action, action_gradient
 from nlkglab.grids import (
     Field,
     Grid,
+    flat,
     pair_inner,
     spectral_second_derivative,
     symmetry_directions,
@@ -22,7 +23,6 @@ from nlkglab.spectrum import (
     _free_symbol_eigenvalues,
     _whiten,
     assemble_second_variation,
-    flatten_field,
     free_operator_floor,
     frequency_derivative_residual,
     slope_analytic,
@@ -59,15 +59,22 @@ def _derivative_matrices(grid: Grid):
     return d1, d2
 
 
+def _flat_order(n):
+    """Positions in the blocks [Re u1, Im u1, Re u2, Im u2] of the entries of
+    ``flat`` (u1 then u2, re/im interleaved)."""
+    return np.arange(4 * n).reshape(2, 2, n).transpose(0, 2, 1).ravel()
+
+
 def _dense_matrix(op):
     """The dense symmetric 4N x 4N matrix of the structured operator, assembled
-    block by block from derivative matrices: the oracle for its product, Schur
-    complement and lift, and for the dense eigensolves below."""
+    block by block from derivative matrices and permuted to the ``flat`` layout:
+    the oracle for its product, Schur complement and lift, and for the dense
+    eigensolves below."""
     grid, ap = op.grid, op.params
     n = grid.points
     og, v = ap.omega_over_gamma, ap.v
     d1, d2 = _derivative_matrices(grid)
-    w1, w2r, w2i = op.w1, op.w2r, op.w2i
+    w1, w2r, w2i = op.w1, op.w2.real, op.w2.imag
 
     kin = -d2 + ap.model.m * np.eye(n)
     eye = np.eye(n)
@@ -90,7 +97,8 @@ def _dense_matrix(op):
     scale = float(np.max(np.abs(mat)))
     asym = float(np.max(np.abs(mat - mat.T)))
     assert asym <= 1e-9 * scale, f"dense operator asymmetric: {asym:.3e} vs scale {scale:.3e}"
-    return 0.5 * (mat + mat.T)
+    idx = _flat_order(n)
+    return 0.5 * (mat + mat.T)[np.ix_(idx, idx)]
 
 
 def _family(grid, v):
@@ -108,9 +116,12 @@ def test_flatten_roundtrip(grid):
         rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points),
         grid,
     )
-    re1, im1, re2, im2 = flatten_field(w).reshape(4, grid.points)
-    assert np.array_equal(re1 + 1j * im1, w.u1)
-    assert np.array_equal(re2 + 1j * im2, w.u2)
+    x = flat(w)
+    assert x.dtype == float and x.shape == (4 * grid.points,)
+    u1, u2 = x.view(complex).reshape(2, grid.points)
+    assert np.array_equal(u1, w.u1)
+    assert np.array_equal(u2, w.u2)
+    assert np.array_equal(x[1 : 2 * grid.points : 2], w.u1.imag)  # re/im interleaved
 
 
 def test_assembly_symmetric(op, grid):
@@ -150,7 +161,9 @@ def test_delta_matches_dense_generalized_eigenproblem(grid, omega, v):
     gram = np.eye(4 * n)
     gram[0:n, 0:n] -= d2
     gram[n : 2 * n, n : 2 * n] -= d2
-    cons = np.column_stack([flatten_field(f) for f in symmetry_directions(op.profile)])
+    idx = _flat_order(n)
+    gram = gram[np.ix_(idx, idx)]
+    cons = np.column_stack([flat(f) for f in symmetry_directions(op.profile)])
     basis = np.linalg.qr(cons, mode="complete")[0][:, 3:]
     a = basis.T @ _dense_matrix(op) @ basis
     b = basis.T @ gram @ basis
@@ -187,8 +200,8 @@ def _dense_delta(op):
     P = I - q q^T applied as rank-3 updates and s = ||a||_inf."""
     a = _whitened_dense(op)
     i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
-    cons = np.column_stack([flatten_field(f) for f in (dphi, i_j_phi, i_phi)])
-    q, _ = np.linalg.qr(_whiten(cons, op.grid))
+    cons = np.stack([flat(f) for f in (dphi, i_j_phi, i_phi)])
+    q, _ = np.linalg.qr(_whiten(cons, op.grid).T)
     s = np.linalg.norm(a, np.inf)
     aq = a @ q
     a -= aq @ q.T
@@ -254,7 +267,7 @@ def test_structured_operator_matches_dense_oracle(n, v, p):
 
     x = np.random.default_rng(3).standard_normal((4 * n, 3))
     want = dense @ x
-    assert np.max(np.abs(op.matvec(x) - want)) < 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(op.matvec(x.T) - want.T)) < 1e-13 * np.max(np.abs(want))
     assert np.max(np.abs(op.matvec(x[:, 0]) - want[:, 0])) < 1e-13 * np.max(np.abs(want[:, 0]))
 
     n2 = 2 * n
@@ -318,7 +331,7 @@ def test_kernel_vectors(op, grid):
         Field(1j * phi.u1, 1j * phi.u2, grid),
         Field(spectral_derivative(phi.u1, grid), spectral_derivative(phi.u2, grid), grid),
     ):
-        zf = flatten_field(z)
+        zf = flat(z)
         rayleigh = abs(zf @ (dense @ zf)) / (zf @ zf)
         assert rayleigh < 1e-6 * rho
         # the action of the operator is itself small on kernel vectors
