@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, parse_config, serialize_config
-from .experiments import run_backward_construction
+from .config import ConfigError, parse_config, serialize_config, stability_warnings
+from .experiments import MultiSolitonConfig, run_backward_construction
 from .fieldio import (
     format_float,
     read_field,
@@ -136,7 +136,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
         raise ValueError("--m and --p cannot be given with --config: the model comes from the config")
     w, _ = read_field(args.src)
     if args.config:
-        model = parse_config(Path(args.config).read_text(encoding="utf-8")).model()
+        model = parse_config(Path(args.config).read_text(encoding="utf-8"))[0].model
     else:
         model = _model(args)
     cfg = IntegratorConfig(dt=args.dt)
@@ -183,8 +183,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 def cmd_modulate(args: argparse.Namespace) -> int:
     w, _ = read_field(args.src)
-    run = parse_config(Path(args.seed).read_text(encoding="utf-8"))
-    state = fit_modulation(w, run.soliton_params())
+    cfg, _ = parse_config(Path(args.seed).read_text(encoding="utf-8"))
+    state = fit_modulation(w, cfg.solitons)
     print("j,theta,omega,x0,v")
     for j, s in enumerate(state.solitons):
         print(
@@ -205,10 +205,11 @@ def cmd_modulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_multisoliton_outputs(outdir: Path, run, report) -> None:
+def _write_multisoliton_outputs(outdir: Path, out_dir: str, report) -> None:
+    cfg = report.config
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "resolved.cfg").write_text(serialize_config(run), encoding="utf-8")
-    nsol = len(run.solitons)
+    (outdir / "resolved.cfg").write_text(serialize_config(cfg, out_dir), encoding="utf-8")
+    nsol = len(cfg.solitons)
     header = ["t", "E", "Q", "P"]
     for j in range(nsol):
         header += [f"E_{j}", f"Q_{j}", f"P_{j}"]
@@ -225,31 +226,31 @@ def _write_multisoliton_outputs(outdir: Path, run, report) -> None:
         row += [actions[i], report.errors[i], *fit]
         rows.append(row)
     write_diagnostics_csv(outdir / "diagnostics.csv", header, rows)
-    write_field(outdir / "field_final.dump", report.final_field, report.config.t_start)
+    write_field(outdir / "field_final.dump", report.final_field, cfg.t_start)
+    slope, stderr, rms = report.window_fit()
     lines = [
         f"nlkglab multisoliton report (v{__version__})",
-        f"solitons: {nsol}, window [{run.t_start}, {run.t_final}], dt={run.dt}",
-        f"v_star = {report.config.v_star}, omega_star = {report.config.omega_star}",
-        f"reference rate (ceiling) = {report.config.reference_rate:.6g}",
-        f"fitted log-error slope = {report.fitted_slope:.6g} "
-        f"(stderr {report.slope_stderr:.2g}, rms {report.fit_rms:.2g}) "
+        f"solitons: {nsol}, window [{cfg.t_start}, {cfg.t_final}], dt={cfg.dt}",
+        f"v_star = {cfg.v_star}, omega_star = {cfg.omega_star}",
+        f"reference rate (ceiling) = {cfg.reference_rate:.6g}",
+        f"fitted log-error slope = {slope:.6g} (stderr {stderr:.2g}, rms {rms:.2g}) "
         f"on window {report.fit_window}",
-        f"slope significant (stderr < 10% of |slope|): "
-        f"{report.slope_stderr < 0.1 * abs(report.fitted_slope)}",
+        f"slope significant (stderr < 10% of |slope|): {stderr < 0.1 * abs(slope)}",
         f"tube exit: {report.tube_exit_time}",
         f"runtime: {report.runtime_seconds:.1f} s",
     ]
-    for w in run.stability_warnings:
+    for w in stability_warnings(cfg):
         lines.append(f"warning: {w}")
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _multisoliton(run: RunConfig, outdir: Path) -> int:
-    """The backward construction of ``run``, its outputs written to ``outdir``."""
-    for warning in run.stability_warnings:
+def _multisoliton(cfg: MultiSolitonConfig, out_dir: str, outdir: Path) -> int:
+    """The backward construction of ``cfg``, its outputs written to ``outdir``;
+    ``out_dir`` is the config's own key, which ``resolved.cfg`` keeps."""
+    for warning in stability_warnings(cfg):
         print(f"warning: {warning}", file=sys.stderr)
-    report = run_backward_construction(run.experiment())
-    _write_multisoliton_outputs(outdir, run, report)
+    report = run_backward_construction(cfg)
+    _write_multisoliton_outputs(outdir, out_dir, report)
     print(f"outputs in {outdir}")
     if report.tube_exit_time is not None:
         print(f"trajectory left the modulation tube at t={report.tube_exit_time}", file=sys.stderr)
@@ -258,8 +259,8 @@ def _multisoliton(run: RunConfig, outdir: Path) -> int:
 
 
 def cmd_multisoliton(args: argparse.Namespace) -> int:
-    run = parse_config(Path(args.config).read_text(encoding="utf-8"))
-    return _multisoliton(run, Path(args.out_dir) if args.out_dir else _out_root() / run.out_dir)
+    cfg, out_dir = parse_config(Path(args.config).read_text(encoding="utf-8"))
+    return _multisoliton(cfg, out_dir, Path(args.out_dir) if args.out_dir else _out_root() / out_dir)
 
 
 def _run_command(command, args, label: str = "") -> int:
@@ -287,12 +288,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     def run_one(i: int) -> int:
         path = Path(args.configs[i])
-        run = parse_config(path.read_text(encoding="utf-8"))
-        outdir = _out_root() / (path.stem if run.out_dir == "." else run.out_dir)
+        cfg, out_dir = parse_config(path.read_text(encoding="utf-8"))
+        outdir = _out_root() / (path.stem if out_dir == "." else out_dir)
         owner = owners.setdefault(outdir.resolve(), i)
         if owner != i:
             raise ValueError(f"output directory {outdir} is already used by {args.configs[owner]}")
-        return _multisoliton(run, outdir)
+        return _multisoliton(cfg, out_dir, outdir)
 
     worst = EXIT_OK
     for i, path in enumerate(args.configs):

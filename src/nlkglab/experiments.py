@@ -30,7 +30,6 @@ import numpy as np
 
 from .functionals import (
     ActionParams,
-    CutoffPartition,
     LocalizedQuantities,
     action,
     build_cutoffs,
@@ -152,7 +151,13 @@ class MultiSolitonConfig:
 
     def __post_init__(self) -> None:
         vels, spacing = [sp.v for sp in self.solitons], self.grid.spacing
-        raise_problems(run_problems(vels, self.t_final, self.t_start, self.dt, self.diag_period, spacing))
+        problems = run_problems(vels, self.t_final, self.t_start, self.dt, self.diag_period, spacing)
+        # the run steps with its own model, so every soliton must be sampled with it
+        problems += [
+            f"soliton #{i}: model {sp.model} is not the run's model {self.model}"
+            for i, sp in enumerate(self.solitons, start=1) if sp.model != self.model
+        ]
+        raise_problems(problems)
         # cutoff cells are ordered by velocity; keep solitons aligned with them
         self.solitons = sorted(self.solitons, key=lambda sp: sp.v)
 
@@ -213,23 +218,13 @@ class DecayReport:
         mask = (self.times >= lo) & (self.times <= hi)
         return fit_log_slope(self.times[mask], self.errors[mask])
 
-    def _window_fit(self) -> tuple[float, float, float]:
+    def window_fit(self) -> tuple[float, float, float]:
+        """Log-error slope over ``fit_window`` (slope, stderr, rms), NaN when the
+        window holds fewer than 3 positive errors."""
         try:
             return self.refit(self.fit_window)
-        except ValueError:  # fewer than 3 positive errors in the window
+        except ValueError:
             return (math.nan, math.nan, math.nan)
-
-    @property
-    def fitted_slope(self) -> float:
-        return self._window_fit()[0]
-
-    @property
-    def slope_stderr(self) -> float:
-        return self._window_fit()[1]
-
-    @property
-    def fit_rms(self) -> float:
-        return self._window_fit()[2]
 
     def localized_charge_drift(self, j: int) -> np.ndarray:
         """|Q_j(t) - Q_j at the final time| over the series."""
@@ -419,7 +414,7 @@ def measure_interactions(cfg: MultiSolitonConfig, times: Sequence[float]) -> Int
                 for c in comps
             ]
         )
-        weights = build_cutoffs([sp.v for sp in cfg.solitons], t, grid).weights
+        weights = build_cutoffs([sp.v for sp in cfg.solitons], t, grid)
         prods.append(mags @ mags.T * h)
         gprods.append(dmags @ dmags.T * h)
         leak.append(mags @ weights.T * h)
@@ -587,7 +582,7 @@ class TaylorReport:
 def localized_hessian_form(
     ups: Field,
     comps: Sequence[Field],
-    cut: CutoffPartition,
+    cut: np.ndarray,
     params: Sequence[ActionParams],
 ) -> float:
     """Quadratic Taylor term: 1/2 sum_j <S_j''(R_j) Y, Y> with cutoff weights, for
@@ -598,7 +593,7 @@ def localized_hessian_form(
     dens = np.abs(du1) ** 2 + params[0].model.m * np.abs(y1) ** 2 + np.abs(ups.u2) ** 2
     qq = 2.0 * charge_density(ups)
     pp = 2.0 * momentum_density(ups, du1)
-    for w, rj, ap in zip(cut.weights, comps, params):
+    for w, rj, ap in zip(cut, comps, params):
         w1, w2 = second_variation_potential(rj.u1, ap.model.p)
         pot = np.real(np.conj(y1) * (w1 * y1 + w2 * np.conj(y1)))
         dens = dens + w * (ap.omega_over_gamma * qq + ap.v * pp - pot)

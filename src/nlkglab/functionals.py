@@ -46,7 +46,6 @@ from .profiles import ModelParams, SolitonParams
 
 __all__ = [
     "ActionParams",
-    "CutoffPartition",
     "LocalizedQuantities",
     "NehariProjectionError",
     "velocity_problems",
@@ -203,28 +202,15 @@ def ramp_derivative(s: np.ndarray | float):
     return out
 
 
-@dataclass
-class CutoffPartition:
-    """Moving partition of unity separating solitons by velocity.
+def build_cutoffs(velocities: Sequence[float], t: float, grid: Grid) -> np.ndarray:
+    """The moving partition of unity at time t > 0 separating solitons by
+    velocity, as its (N, points) weights, one row per velocity in ascending order.
 
-    weight j is psi_j - psi_{j+1} (the last one is psi_N), where
-    psi_j(x) = ramp((x - midpoint_j * t)/sqrt(t)) and psi_1 = 1. The
-    telescoping sum is identically 1.
+    Weight j is psi_j - psi_{j+1} (the last one is psi_N), where
+    psi_j(x) = ramp((x - midpoint_j * t)/sqrt(t)), the ramp width sqrt(t), and
+    psi_1 = 1; midpoint_j is the mean of velocities j-1 and j.  The telescoping
+    sum is identically 1.
     """
-
-    velocities: np.ndarray
-    midpoints: np.ndarray
-    time: float
-    grid: Grid
-    weights: np.ndarray  # (N, points)
-
-    @property
-    def count(self) -> int:
-        return len(self.velocities)
-
-
-def build_cutoffs(velocities: Sequence[float], t: float, grid: Grid) -> CutoffPartition:
-    """Instantiate the partition at time t > 0 (ramp width sqrt(t))."""
     if t <= 0:
         raise ValueError(f"cutoff time must be positive, got {t}")
     raise_problems(velocity_problems(velocities))
@@ -236,8 +222,7 @@ def build_cutoffs(velocities: Sequence[float], t: float, grid: Grid) -> CutoffPa
     for j in range(1, n):
         psi[j] = ramp((grid.x - mids[j - 1] * t) / w)
     psi[n] = 0.0  # sentinel psi_{N+1}
-    weights = psi[:n] - psi[1 : n + 1]
-    return CutoffPartition(vel, mids, t, grid, weights)
+    return psi[:n] - psi[1 : n + 1]
 
 
 @dataclass
@@ -254,48 +239,49 @@ def _localize(
     e_dens: np.ndarray,
     q_dens: np.ndarray,
     p_dens: np.ndarray,
-    cp: CutoffPartition,
+    weights: np.ndarray,
     params: Sequence[ActionParams],
+    h: float,
 ) -> LocalizedQuantities:
     """Weight the E, Q and P densities by the cutoffs and sum the actions."""
-    h = cp.grid.spacing
-    e_j = cp.weights @ e_dens * h
-    q_j = cp.weights @ q_dens * h
-    p_j = cp.weights @ p_dens * h
+    e_j = weights @ e_dens * h
+    q_j = weights @ q_dens * h
+    p_j = weights @ p_dens * h
     total = float(
         sum(
             e_j[j] + params[j].omega_over_gamma * q_j[j] + params[j].v * p_j[j]
-            for j in range(cp.count)
+            for j in range(len(weights))
         )
     )
     return LocalizedQuantities(e_j, q_j, p_j, total)
 
 
 def localized_quantities(
-    w: Field, cp: CutoffPartition, params: Sequence[ActionParams]
+    w: Field, weights: np.ndarray, params: Sequence[ActionParams]
 ) -> LocalizedQuantities:
     """Cutoff-weighted energies, charges, momenta and their action sum."""
-    if len(params) != cp.count:
-        raise ValueError(f"need {cp.count} ActionParams, got {len(params)}")
+    if len(params) != len(weights):
+        raise ValueError(f"need {len(weights)} ActionParams, got {len(params)}")
     du1 = spectral_derivative(w.u1, w.grid)
     return _localize(
         energy_density(w, du1, params[0].model),
         charge_density(w),
         momentum_density(w, du1),
-        cp,
+        weights,
         params,
+        w.grid.spacing,
     )
 
 
 def localized_first_variation(
-    r: Field, y: Field, cp: CutoffPartition, params: Sequence[ActionParams]
+    r: Field, y: Field, weights: np.ndarray, params: Sequence[ActionParams]
 ) -> float:
     """Linear Taylor term of the localized action at R in the direction Y.
 
     The densities of localized_quantities differentiated at R along Y, so
     the cutoff weights stay outside the derivative."""
-    if len(params) != cp.count:
-        raise ValueError(f"need {cp.count} ActionParams, got {len(params)}")
+    if len(params) != len(weights):
+        raise ValueError(f"need {len(weights)} ActionParams, got {len(params)}")
     model = params[0].model
     dr1 = spectral_derivative(r.u1, r.grid)
     dy1 = spectral_derivative(y.u1, r.grid)
@@ -308,4 +294,4 @@ def localized_first_variation(
     )
     q_dens = np.imag(y.u1 * np.conj(r.u2)) + np.imag(r.u1 * np.conj(y.u2))
     p_dens = np.real(dy1 * np.conj(r.u2)) + np.real(dr1 * np.conj(y.u2))
-    return _localize(e_dens, q_dens, p_dens, cp, params).action_total
+    return _localize(e_dens, q_dens, p_dens, weights, params, r.grid.spacing).action_total

@@ -279,30 +279,33 @@ def _radial_stencil_residual(phi: np.ndarray, r: np.ndarray, mu: float, p: float
     return res
 
 
-def _radial_jacobian_band(phi: np.ndarray, r: np.ndarray, mu: float, p: float, d: int):
-    """Jacobian of ``_radial_stencil_residual`` in phi[0..n-2], tail pinned, in
-    ``solve_banded((2, 2), ...)`` layout.
+def _radial_linear_band(r: np.ndarray, mu: float, p: float, d: int):
+    """Linear part of the Jacobian of ``_radial_stencil_residual`` in
+    phi[0..n-2], tail pinned, in ``solve_banded((2, 2), ...)`` layout; the
+    nonlinear part p |phi|^(p-1) is diagonal.
 
     The stencil reaches two points each way, so comb probes with unit entries
     at every fifth point (pinned tail at zero) read off each column without
     overlap.  On 0/1 entries the nonlinear term equals the probe, which
-    leaves the linear part; the nonlinear part p |phi|^(p-1) is diagonal.
+    leaves the linear part.
     """
-    size = len(phi) - 2
+    size = len(r) - 2
     cols = np.arange(size)
-    probes = np.zeros((5, len(phi)))
+    probes = np.zeros((5, len(r)))
     probes[cols % 5, cols] = 1.0
     linear = np.array([_radial_stencil_residual(z, r, mu, p, d) - z[:size] for z in probes])
     ab = np.zeros((5, size))  # ab[2 + i - j, j] = J[i, j]
     for off in range(-2, 3):
         ok = (cols + off >= 0) & (cols + off < size)
         ab[2 + off, cols[ok]] = linear[cols[ok] % 5, cols[ok] + off]
-    ab[2] += p * np.abs(phi[:size]) ** (p - 1.0)
     return ab
 
 
-def _polish_radial(phi: np.ndarray, r: np.ndarray, mu: float, p: float, d: int):
-    """Newton iteration on the 4th-order FD system, pentadiagonal Jacobian.
+def _polish_radial(
+    phi: np.ndarray, r: np.ndarray, mu: float, p: float, d: int, band: np.ndarray
+):
+    """Newton iteration on the 4th-order FD system, pentadiagonal Jacobian:
+    ``band`` (``_radial_linear_band``) plus p |phi|^(p-1) on its diagonal.
 
     The last two mesh values stay pinned where the caller's tail splice put
     them; Newton removes the kink the splice leaves and drives the discrete
@@ -316,7 +319,9 @@ def _polish_radial(phi: np.ndarray, r: np.ndarray, mu: float, p: float, d: int):
         # floor set by rounding in the 1/(12 h^2) stencil, well below 1e-8
         if np.max(np.abs(res)) < 1e-10:
             break
-        step = solve_banded((2, 2), _radial_jacobian_band(phi, r, mu, p, d), -res)
+        jac = band.copy()
+        jac[2] += p * np.abs(phi[: n - 1]) ** (p - 1.0)
+        step = solve_banded((2, 2), jac, -res)
         phi[: n - 1] += step
         if np.max(np.abs(step)) < 1e-14 * max(1.0, float(np.max(np.abs(phi)))):
             break
@@ -348,7 +353,8 @@ def ground_state_radial(
     r = np.linspace(0.0, rmax, n + 1)
     free = slice(0, n - 1)
     weight = r[free] ** (d - 1.0)
-    m_band = -_radial_jacobian_band(np.zeros(n + 1), r, mu, p, d)
+    band = _radial_linear_band(r, mu, p, d)
+    m_band = -band
     phi = np.zeros(n + 1)
     phi[free] = np.exp(-r[free] ** 2)
     for _ in range(PETVIASHVILI_MAX_ITER):
@@ -369,7 +375,7 @@ def ground_state_radial(
     cut = int(np.argmax(phi[free] < 1e-4 * phi[0])) or n - 2
     tail = _linear_tail(r[cut:], math.sqrt(mu), model.d)
     phi[cut:] = phi[cut] / tail[0] * tail
-    phi = _polish_radial(phi, r, mu, p, d)
+    phi = _polish_radial(phi, r, mu, p, d, band)
     _raise_if_not_decayed(phi[-1] / phi[0], "radial ground state")
     if not (np.all(phi >= 0) and np.all(np.diff(phi) <= 1e-12 * phi[0])):
         raise ShootingError("polished profile is not positive decreasing")

@@ -154,16 +154,12 @@ def _whiten(z: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def assemble_second_variation(
-    phi: Field, ap: ActionParams, check_critical: bool = True
-) -> RealizedOperator:
-    """The second variation Z -> S''(Phi) Z at a profile, as a structured operator."""
-    if check_critical:
-        gn = gradient_norm(phi, ap)
-        if not gn < 1e-7:  # a NaN norm fails too
-            raise AssemblyError(
-                f"profile is not a converged critical point (||S'|| = {gn:.3e})"
-            )
+def assemble_second_variation(phi: Field, ap: ActionParams) -> RealizedOperator:
+    """The second variation Z -> S''(Phi) Z at a profile, as a structured operator;
+    AssemblyError unless the profile is a converged critical point."""
+    gn = gradient_norm(phi, ap)
+    if not gn < 1e-7:  # a NaN norm fails too
+        raise AssemblyError(f"profile is not a converged critical point (||S'|| = {gn:.3e})")
     w1, w2 = second_variation_potential(phi.u1, ap.model.p)
     return RealizedOperator(phi.grid, phi.copy(), ap, w1, w2)
 

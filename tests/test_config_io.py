@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nlkglab.config import ConfigError, RunConfig, parse_config, serialize_config
+from nlkglab.config import ConfigError, parse_config, serialize_config, stability_warnings
+from nlkglab.experiments import MultiSolitonConfig
 from nlkglab.fieldio import (
     FieldFormatError,
     read_csv_columns,
@@ -53,15 +54,14 @@ def _pair(first: str, second: str) -> str:
 
 
 def test_parse_good_config():
-    cfg = parse_config(GOOD)
-    assert cfg.points == 2048
+    cfg, out_dir = parse_config(GOOD)
+    assert cfg.grid.points == 2048
     assert len(cfg.solitons) == 2
-    assert cfg.solitons[1]["theta"] == 0.1
-    assert cfg.out_dir == "runs/two"
+    assert cfg.solitons[1].theta == 0.1
+    assert out_dir == "runs/two"
     assert cfg.seed == 7
-    assert cfg.stability_warnings == []
-    exp = cfg.experiment()
-    assert exp.v_star == pytest.approx(0.8)
+    assert stability_warnings(cfg) == []
+    assert cfg.v_star == pytest.approx(0.8)
 
 
 def test_equal_velocities_rejected():
@@ -71,8 +71,8 @@ def test_equal_velocities_rejected():
 
 
 def test_stability_warning_for_low_frequency():
-    cfg = parse_config(GOOD.replace("omega = 0.8\nv = -0.4", "omega = 0.6\nv = -0.4"))
-    assert any("stability" in w for w in cfg.stability_warnings)
+    cfg, _ = parse_config(GOOD.replace("omega = 0.8\nv = -0.4", "omega = 0.6\nv = -0.4"))
+    assert any("stability" in w for w in stability_warnings(cfg))
 
 
 def test_all_violations_reported():
@@ -133,16 +133,17 @@ def test_dealias_key_is_unknown(tmp_path, capsys):
 
 
 def test_serialize_roundtrip():
-    cfg = parse_config(GOOD)
-    cfg2 = parse_config(serialize_config(cfg))
+    cfg, out_dir = parse_config(GOOD)
+    cfg2, out_dir2 = parse_config(serialize_config(cfg, out_dir))
     assert cfg2.dt == cfg.dt
-    assert cfg2.soliton_params() == cfg.soliton_params()
+    assert cfg2.solitons == cfg.solitons
     assert cfg2.t_final == cfg.t_final
+    assert out_dir2 == out_dir
 
 
 def test_serialize_config_text():
     """Every key of every section in table order, the soliton defaults filled in."""
-    assert serialize_config(parse_config(GOOD)) == """\
+    assert serialize_config(*parse_config(GOOD)) == """\
 [model]
 m = 1.0
 p = 3.0
@@ -327,8 +328,8 @@ def test_cli_spectrum_and_modulate(tmp_path, capsys):
 
     cfg_path = tmp_path / "seed.cfg"
     cfg_path.write_text(GOOD.replace("points = 2048", "points = 1024"), encoding="utf-8")
-    run = parse_config(cfg_path.read_text(encoding="utf-8"))
-    w = soliton_sum(run.soliton_params(), 0.0, run.grid())
+    run, _ = parse_config(cfg_path.read_text(encoding="utf-8"))
+    w = soliton_sum(run.solitons, 0.0, run.grid)
     dump = tmp_path / "pair.dump"
     write_field(dump, w, 0.0)
     code = main(["modulate", "--from", str(dump), "--seed", str(cfg_path)])
@@ -474,8 +475,8 @@ def test_cli_multisoliton_small(tmp_path):
 def test_parse_config_orders_solitons_by_velocity():
     """Solitons come back sorted by v, the order of a run's cutoff cells; the
     validation messages number them as the file does."""
-    cfg = parse_config(_pair("omega = 0.8\nv = 0.4", "omega = 0.75\nv = -0.4"))
-    assert [(s["omega"], s["v"]) for s in cfg.solitons] == [(0.75, -0.4), (0.8, 0.4)]
+    cfg, _ = parse_config(_pair("omega = 0.8\nv = 0.4", "omega = 0.75\nv = -0.4"))
+    assert [(s.omega, s.v) for s in cfg.solitons] == [(0.75, -0.4), (0.8, 0.4)]
     with pytest.raises(ConfigError) as exc:
         parse_config(_pair("omega = 0.8\nv = 0.4", "omega = 1.5\nv = -0.4"))
     assert [p.split(":")[0] for p in exc.value.problems] == ["soliton #2"]
@@ -499,8 +500,8 @@ def test_cli_multisoliton_columns_follow_velocity_order(tmp_path):
     path, outdir = tmp_path / "run.cfg", tmp_path / "out"
     path.write_text(text, encoding="utf-8")
     assert main(["multisoliton", "--config", str(path), "--out-dir", str(outdir)]) == 0
-    resolved = parse_config((outdir / "resolved.cfg").read_text(encoding="utf-8"))
-    assert [(s["omega"], s["v"]) for s in resolved.solitons] == [(0.75, -0.4), (0.8, 0.4)]
+    resolved, _ = parse_config((outdir / "resolved.cfg").read_text(encoding="utf-8"))
+    assert [(s.omega, s.v) for s in resolved.solitons] == [(0.75, -0.4), (0.8, 0.4)]
 
     model, grid = ModelParams(1.0, 3.0, 1), Grid(160.0, 1024)
     alone = [energy(sample_soliton(SolitonParams(model, omega=om, v=v), 0.0, grid), model)
@@ -613,8 +614,8 @@ def test_cli_sweep_keeps_outputs_apart(tmp_path, monkeypatch, capsys):
     assert f"already used by {paths[0]}" in out.err
     for path, name, omega in zip(paths, "ab", (0.8, 0.75)):
         assert f"{path}: exit 0" in out.out
-        resolved = parse_config((tmp_path / name / "resolved.cfg").read_text(encoding="utf-8"))
-        assert [s["omega"] for s in resolved.solitons] == [omega, omega]
+        resolved, _ = parse_config((tmp_path / name / "resolved.cfg").read_text(encoding="utf-8"))
+        assert [s.omega for s in resolved.solitons] == [omega, omega]
     assert not (tmp_path / "summary.txt").exists()
 
 
@@ -784,12 +785,68 @@ def config_texts(draw):
 @given(config_texts())
 def test_parse_config_returns_runnable_config_or_config_error(text):
     try:
-        cfg = parse_config(text)
+        cfg, _ = parse_config(text)
     except ConfigError:
         return
-    assert isinstance(cfg, RunConfig)
-    cfg.experiment()
-    IntegratorConfig(dt=-cfg.dt).check_grid(cfg.grid())
+    assert isinstance(cfg, MultiSolitonConfig)
+    IntegratorConfig(dt=-cfg.dt).check_grid(cfg.grid)
+
+
+# values every run accepts, whatever the other keys hold: only repeated velocities fail
+FINITE = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+RUN_VALUES = {
+    "model": {"m": ["1.0", "2"], "p": ["3.0", "2.0", "4.5"], "d": ["1"]},
+    "grid": {"length": ["160.0", "80.0"], "points": ["256", "1000", "2048"]},
+    "integrator": {"dt": ["0.002", "0.01", "1e-3"]},
+    "soliton": {
+        "omega": ["0.8", "0.6", "-0.3"],
+        "v": ["-0.4", "0.1", "0.4"],
+        "theta": FINITE,
+        "x0": FINITE,
+    },
+    "experiment": {
+        "t_final": ["40.0", "12.0"],
+        "t_start": ["10.0", "-1e3"],
+        "diag_period": ["0.5", "1e-3"],
+        "out_dir": ["runs/x", "a b", "."],
+        "seed": st.integers().map(str),
+    },
+}
+
+
+@st.composite
+def run_texts(draw):
+    """Every section, one to three solitons, sections and keys in any order."""
+    sections = ["model", "grid", "integrator", "experiment"] + ["soliton"] * draw(st.integers(1, 3))
+    lines = []
+    for section in draw(st.permutations(sections)):
+        lines.append(f"[{section}]")
+        values = RUN_VALUES[section]
+        keys = draw(st.lists(st.sampled_from(sorted(values)), unique=True))
+        if section == "soliton" and "omega" not in keys:
+            keys.append("omega")
+        for key in draw(st.permutations(keys)):
+            pick = values[key]
+            if isinstance(pick, list):
+                pick = st.sampled_from(pick)
+            lines.append(f"{key} = {draw(pick)}")
+    return "\n".join(lines)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config_texts() | run_texts())
+def test_serialize_parse_round_trip(text):
+    """A config that parses comes back from its resolved text as an equal run
+    with the same out_dir, and resolves to the same bytes again."""
+    try:
+        cfg, out_dir = parse_config(text)
+    except ConfigError:
+        return
+    resolved = serialize_config(cfg, out_dir)
+    cfg2, out_dir2 = parse_config(resolved)
+    assert cfg2 == cfg
+    assert out_dir2 == out_dir
+    assert serialize_config(cfg2, out_dir2) == resolved
 
 
 NUMBERS = st.one_of(

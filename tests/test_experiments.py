@@ -53,6 +53,23 @@ def test_config_rejects_equal_velocities(grid):
         )
 
 
+def test_config_rejects_solitons_of_another_model(grid):
+    """The run steps with its own model, so a soliton built on another one is
+    reported by its number in the list given."""
+    solitons = [
+        SolitonParams(ModelParams(1.0, 5.0, 1), omega=0.8, v=-0.4),
+        SolitonParams(ModelParams(1.0, 3.0, 1), omega=0.8, v=0.4),
+    ]
+    with pytest.raises(ValueError) as exc:
+        MultiSolitonConfig(
+            model=ModelParams(2.0, 3.0, 1), grid=grid, solitons=solitons,
+            t_final=20.0, t_start=10.0, dt=0.01,
+        )
+    assert str(exc.value).count("is not the run's model") == 2
+    assert str(exc.value).startswith("soliton #1: model ModelParams(m=1.0, p=5.0, d=1)")
+    assert "soliton #2: model ModelParams(m=1.0, p=3.0, d=1)" in str(exc.value)
+
+
 @pytest.mark.parametrize("period", [0.0, -1.0])
 def test_config_rejects_nonpositive_diag_period(grid, pair, period):
     """A nonpositive period would fire the hook on every step (stride 1)."""
@@ -108,8 +125,9 @@ def test_backward_run_basics(short_run):
     assert rep.tube_exit_time is None
     assert rep.errors[-1] == pytest.approx(0.0, abs=1e-12)  # final data exact
     assert np.all(np.isfinite(rep.errors))
-    assert rep.fitted_slope < 0
-    assert rep.slope_stderr < 0.1 * abs(rep.fitted_slope)
+    slope, stderr, _ = rep.window_fit()
+    assert slope < 0
+    assert stderr < 0.1 * abs(slope)
     # the field stays modulated and the residual decays toward the final time
     assert rep.upsilon_norms[0] > rep.upsilon_norms[-2]
 
@@ -324,7 +342,7 @@ def test_interaction_gram_products_match_pointwise_quadrature(grid):
         dmags = [
             mag(spectral_derivative(c.u1, grid), spectral_derivative(c.u2, grid)) for c in comps
         ]
-        weights = build_cutoffs([sp.v for sp in cfg.solitons], t, grid).weights
+        weights = build_cutoffs([sp.v for sp in cfg.solitons], t, grid)
         for j, k in pairs:
             leak = np.sum(mags[j] * weights[k]) * h
             assert rep.cutoff_leakage[(j, k)][a] == pytest.approx(leak, rel=1e-12)

@@ -248,21 +248,23 @@ def test_ramp_ims_bound():
 
 
 def test_single_cutoff_is_unity(grid):
-    cp = build_cutoffs([0.3], 10.0, grid)
-    assert np.all(cp.weights[0] == 1.0)
+    weights = build_cutoffs([0.3], 10.0, grid)
+    assert np.all(weights[0] == 1.0)
 
 
 def test_cutoff_midpoint(grid):
-    cp = build_cutoffs([-0.4, 0.4], 10.0, grid)
-    assert cp.midpoints[0] == pytest.approx(0.0)
+    """The ramp between v = -0.4 and 0.4 is centred on their midpoint x = 0."""
+    weights = build_cutoffs([-0.4, 0.4], 10.0, grid)
+    mid = int(np.flatnonzero(grid.x == 0.0)[0])
+    assert weights[:, mid] == pytest.approx([0.5, 0.5], abs=1e-15)
 
 
 def test_cutoff_partition_of_unity(grid):
-    cp = build_cutoffs([-0.5, -0.1, 0.2, 0.6], 7.3, grid)
-    total = np.sum(cp.weights, axis=0)
+    weights = build_cutoffs([-0.5, -0.1, 0.2, 0.6], 7.3, grid)
+    total = np.sum(weights, axis=0)
     assert np.max(np.abs(total - 1.0)) < 1e-15
-    assert np.all(cp.weights >= -1e-15)
-    assert np.all(cp.weights <= 1.0 + 1e-15)
+    assert np.all(weights >= -1e-15)
+    assert np.all(weights <= 1.0 + 1e-15)
 
 
 def test_cutoff_requires_positive_time(grid):

@@ -13,7 +13,7 @@ from nlkglab.profiles import (
     ModelParams,
     ShootingError,
     SolitonParams,
-    _radial_jacobian_band,
+    _radial_linear_band,
     _radial_stencil_residual,
     ground_state_1d,
     ground_state_radial,
@@ -190,13 +190,14 @@ def test_radial_iteration_cap_raises(monkeypatch):
 
 
 def test_radial_band_matches_difference_jacobian():
-    """The Newton band equals a central-difference Jacobian of the stencil
-    residual at the polished d=2 profile, and the Jacobian has no entry
-    outside the band."""
+    """The Newton band, the linear band plus p |phi|^(p-1) on its diagonal,
+    equals a central-difference Jacobian of the stencil residual at the
+    polished d=2 profile, and the Jacobian has no entry outside the band."""
     gs = ground_state_radial(ModelParams(1.0, 3.0, 2), 0.0, rmax=15.0, n=600)
     phi, r = gs.samples, gs.radial_mesh
     size, eps = len(phi) - 2, 1e-6
-    band = _radial_jacobian_band(phi, r, 1.0, 3.0, 2.0)
+    band = _radial_linear_band(r, 1.0, 3.0, 2.0)
+    band[2] += 3.0 * np.abs(phi[:size]) ** 2.0
     i, j = np.indices((size, size))
     near = np.abs(i - j) <= 2
     exact = np.zeros((size, size))

@@ -7,7 +7,12 @@ import scipy.linalg as sla
 from scipy.optimize import brentq
 
 from nlkglab import spectrum
-from nlkglab.functionals import ActionParams, action, action_gradient
+from nlkglab.functionals import (
+    ActionParams,
+    action,
+    action_gradient,
+    second_variation_potential,
+)
 from nlkglab.grids import (
     Field,
     Grid,
@@ -20,6 +25,7 @@ from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 from nlkglab.spectrum import (
     KERNEL_REL_TOL,
     AssemblyError,
+    RealizedOperator,
     _free_symbol_eigenvalues,
     _whiten,
     assemble_second_variation,
@@ -31,6 +37,11 @@ from nlkglab.spectrum import (
 )
 
 MODEL = ModelParams(1.0, 3.0, 1)
+
+
+def _operator(phi, ap):
+    """The second variation at any profile: assembly without its criticality check."""
+    return RealizedOperator(phi.grid, phi.copy(), ap, *second_variation_potential(phi.u1, ap.model.p))
 
 
 @pytest.fixture(scope="module")
@@ -155,7 +166,7 @@ def test_delta_matches_dense_generalized_eigenproblem(grid, omega, v):
     H1 x L2 Gram (the identity, and I - D2 on both u1 blocks) projected on the QR
     complement of the constraints; delta < 0 for omega = 0.6 and 0.7."""
     w, ap, _ = _profile(grid, omega, v)
-    op = assemble_second_variation(w, ap, check_critical=False)
+    op = _operator(w, ap)
     n = grid.points
     d2 = np.column_stack([spectral_second_derivative(e, grid) for e in np.eye(n)])
     gram = np.eye(4 * n)
@@ -189,7 +200,7 @@ def _assert_lift_bounds(op, s):
     """The lift s is the top of the whitened potential-free operator W M_free W
     (the zero profile's), and bounds W M W: the potential part is negative
     semidefinite."""
-    free = assemble_second_variation(Field.zeros(op.grid), op.params, check_critical=False)
+    free = _operator(Field.zeros(op.grid), op.params)
     assert s == pytest.approx(_top_eigenvalue(_whitened_dense(free)), rel=1e-12)
     assert _top_eigenvalue(_whitened_dense(op)) <= s
 
@@ -227,9 +238,7 @@ def test_lanczos_delta_matches_dense_oracle(n, omega, v, theta, cells):
     symbol, is doubled: the three constraint directions sit above delta."""
     g = Grid(80.0, n)
     sp = SolitonParams(MODEL, omega=omega, v=v, theta=theta, x0=cells * g.spacing)
-    op = assemble_second_variation(
-        sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp), check_critical=False
-    )
+    op = _operator(sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp))
     want = _dense_delta(op)
     delta = spectrum_report(op).coercivity_delta
     assert delta == pytest.approx(want, rel=1e-12)
@@ -260,9 +269,7 @@ def test_structured_operator_matches_dense_oracle(n, v, p):
     Nyquist mode to zero.  p = 2 decays slower and gets a longer box."""
     g = Grid(100.0 if p == 2.0 else 80.0, n)
     sp = SolitonParams(ModelParams(1.0, p, 1), omega=0.8, v=v, theta=1.3, x0=7 * g.spacing)
-    op = assemble_second_variation(
-        sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp), check_critical=False
-    )
+    op = _operator(sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp))
     dense = _dense_matrix(op)
 
     x = np.random.default_rng(3).standard_normal((4 * n, 3))
@@ -285,7 +292,7 @@ def test_schur_counts_match_dense_eigensolve(grid, omega, v):
     """The Morse index and kernel read off S = A - B B^T equal those of the full
     4N x 4N eigensolve under its own rule (tolerance from max|eig(M)|)."""
     w, ap, _ = _profile(grid, omega, v)
-    op = assemble_second_variation(w, ap, check_critical=False)
+    op = _operator(w, ap)
     ev = sla.eigvalsh(_dense_matrix(op))
     ktol = KERNEL_REL_TOL * np.max(np.abs(ev))
     rep = spectrum_report(op)
@@ -399,7 +406,7 @@ def test_morse_window_sample(grid):
         for v in (0.0, 0.3, 0.6):
             w, ap, _ = _profile(g, om, v)
             assert gradient_norm(w, ap) < 2e-5
-            rep = spectrum_report(assemble_second_variation(w, ap, check_critical=False))
+            rep = spectrum_report(_operator(w, ap))
             assert rep.negative_count == 1, (om, v)
             assert rep.kernel_dimension == 2, (om, v)
             assert rep.coercivity_delta > 0, (om, v)
@@ -438,8 +445,8 @@ def test_slope_matches_analytic_formula(op, grid):
 
 def test_slope_outside_window_positive(grid):
     w, ap, _ = _profile(grid, 0.6, 0.0)
-    # narrow profile, marginal resolution at this N: relax the criticality gate
-    op6 = assemble_second_variation(w, ap, check_critical=False)
+    # narrow profile, marginal resolution at this N: no criticality check
+    op6 = _operator(w, ap)
     slope = slope_test(_family(grid, 0.0), ap, 0.6, op=op6)
     assert slope > 0
     # analytic value: (1 - 2 w^2)/sqrt(1 - w^2) * 4 with w = 0.6
@@ -462,7 +469,7 @@ def test_free_operator_positive(grid):
         floor = free_operator_floor(ap, grid)
         assert floor > 0
         # oracle: the dense 4N x 4N operator of the zero profile
-        free = assemble_second_variation(Field.zeros(grid), ap, check_critical=False)
+        free = _operator(Field.zeros(grid), ap)
         assert floor == pytest.approx(sla.eigvalsh(_dense_matrix(free))[0], rel=1e-12)
 
 
