@@ -32,7 +32,7 @@ MAGIC = "NLKG1"
 
 
 class FieldFormatError(IOError):
-    """Bad header or a payload of the wrong size in a field dump."""
+    """Bad header, or a payload of the wrong size or with NaN or inf values, in a field dump."""
 
 
 def format_float(x: float) -> str:
@@ -68,7 +68,11 @@ def read_field(path: str | Path) -> tuple[Field, float]:
     if len(payload) != expected:
         kind = "truncated" if len(payload) < expected else "over-long"
         raise FieldFormatError(f"{kind} payload: {len(payload)} bytes, expected {expected}")
-    raw = np.frombuffer(payload, dtype="<c16")
+    values = np.frombuffer(payload, dtype="<f8")
+    bad = int(np.count_nonzero(~np.isfinite(values)))
+    if bad:
+        raise FieldFormatError(f"non-finite payload: {bad} of {values.size} values")
+    raw = values.view("<c16")
     u1, u2 = raw[:points], raw[points:]
     return Field(u1.copy(), u2.copy(), Grid(length, points)), time
 

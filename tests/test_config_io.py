@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlkglab.config import ConfigError, parse_config, serialize_config, stability_warnings
-from nlkglab.experiments import MultiSolitonConfig
+from nlkglab.experiments import MultiSolitonConfig, soliton_sum
 from nlkglab.fieldio import (
     FieldFormatError,
     read_csv_columns,
@@ -201,15 +201,25 @@ def test_field_dump_roundtrip(tmp_path):
         rng.standard_normal(256) + 1j * rng.standard_normal(256),
         g,
     )
-    w.u2[:3] = [complex(1.0, np.inf), complex(np.nan, 2.0), complex(-np.inf, np.nan)]
+    w.u2[:3] = [complex(5e-324, -0.0), complex(-np.finfo(float).max, 0.0), complex(-0.0, np.finfo(float).tiny)]
     path = tmp_path / "field.dump"
     write_field(path, w, time=12.25)
     back, t = read_field(path)
     assert t == 12.25
     assert back.u1.tobytes() == w.u1.tobytes()
-    assert back.u2.tobytes() == w.u2.tobytes()  # bit-exact, non-finite samples too
+    assert back.u2.tobytes() == w.u2.tobytes()  # bit-exact: signed zeros, subnormals, extremes
     assert back.grid.points == 256
     assert back.grid.length == 40.0
+
+
+def test_field_dump_non_finite_rejected(tmp_path):
+    """A dump holding NaN or inf is refused, with the count of bad values."""
+    w = Field.zeros(Grid(40.0, 256))
+    w.u2[:3] = [complex(1.0, np.inf), complex(np.nan, 2.0), complex(-np.inf, np.nan)]
+    path = tmp_path / "field.dump"
+    write_field(path, w)
+    with pytest.raises(FieldFormatError, match=r"^non-finite payload: 4 of 1024 values$"):
+        read_field(path)
 
 
 def test_field_dump_payload_is_flat(tmp_path):
@@ -573,6 +583,33 @@ SMALL = (
     .replace("t_start = 10.0", "t_start = 14.0")
     .replace("diag_period = 0.5", "diag_period = 0.25")
 )
+
+
+@pytest.mark.parametrize("component", ["u1", "u2"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("command", ["evolve", "modulate"])
+def test_cli_non_finite_dump_is_io_error(tmp_path, capsys, component, bad, command):
+    """One NaN or inf value in a dump is an I/O error (exit 4) with one stderr
+    line, before any step or fit: not a blow-up reported steps later, nor a
+    failed SVD in the modulation fit."""
+    from nlkglab.cli import main
+
+    cfg_path = tmp_path / "seed.cfg"
+    cfg_path.write_text(SMALL, encoding="utf-8")
+    run, _ = parse_config(SMALL)
+    w = soliton_sum(run.solitons, 14.0, run.grid)
+    getattr(w, component)[7] = complex(0.5, bad)
+    dump = tmp_path / "bad.dump"
+    write_field(dump, w, 14.0)
+    if command == "evolve":
+        argv = ["evolve", "--from", str(dump), "--t0", "14", "--t1", "13", "--dt", "-0.01",
+                "--diag", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o.dump")]
+    else:
+        argv = ["modulate", "--from", str(dump), "--seed", str(cfg_path)]
+    assert main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["I/O error: non-finite payload: 1 of 1024 values"]
+    assert not (tmp_path / "o.dump").exists()
 
 
 def test_cli_sweep_isolates_a_failing_config(tmp_path, monkeypatch, capsys):

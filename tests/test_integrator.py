@@ -1,5 +1,4 @@
 import math
-import types
 
 import numpy as np
 import pytest
@@ -228,36 +227,66 @@ def test_charge_drift_at_rounding(moving):
     assert max(abs(q - q0) for q in charges) < 1e-13 * abs(q0)
 
 
-class _CountingNumpy:
-    """numpy with ``fft.fft`` and ``fft.ifft`` counted."""
-
-    def __init__(self):
-        self.calls = 0
-        self.fft = types.SimpleNamespace(fft=self._counted(np.fft.fft), ifft=self._counted(np.fft.ifft))
-
-    def _counted(self, fn):
-        def call(*args, **kwargs):
-            self.calls += 1
-            return fn(*args, **kwargs)
-
-        return call
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
 @pytest.mark.parametrize("stride, syncs", [(0, 20), (100, 23)])
 def test_ffts_per_step(moving, monkeypatch, stride, syncs):
     """Two FFTs per step, two to enter Fourier space and two inverse FFTs per
     sync point: every 16th step (20 of 320), each hook step (100, 200 and 300
     are off that grid) and the last step (on it).  Without hooks that is
-    (2 + 2*320 + 2*20)/320 = 2.13 per step."""
-    counting = _CountingNumpy()
-    monkeypatch.setattr(integrator, "np", counting)
+    (2 + 2*320 + 2*20)/320 = 2.13 per step.  ``evolve`` imports its
+    transforms from ``scipy.fft`` when called, so counting wrappers set on
+    that module see every call."""
+    import scipy.fft
+
+    calls = []
+
+    def counted(transform):
+        def call(*args, **kwargs):
+            calls.append(transform)
+            return transform(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(scipy.fft, "fft", counted(scipy.fft.fft))
+    monkeypatch.setattr(scipy.fft, "ifft", counted(scipy.fft.ifft))
     hooks = [lambda rec: None] if stride else []
     evolve(moving, 0.0, 3.2, IntegratorConfig(dt=0.01), MODEL, hooks=hooks, diag_stride=stride)
-    assert counting.calls == 2 + 2 * 320 + 2 * syncs
-    assert counting.calls / 320 <= 2.2
+    assert len(calls) == 2 + 2 * 320 + 2 * syncs
+    assert len(calls) / 320 <= 2.2
+
+
+@pytest.mark.parametrize("n", [255, 256, 512, 1024, 2048])
+def test_scipy_fft_matches_numpy_bitwise(n):
+    """The stepper's transforms return the same bits as numpy's, so moving
+    the stepper between them leaves every field and printed value as it was."""
+    import scipy.fft
+
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for ours, theirs in ((scipy.fft.fft, np.fft.fft), (scipy.fft.ifft, np.fft.ifft)):
+        assert np.array_equal(ours(a).view(np.uint64), theirs(a).view(np.uint64))
+
+
+@pytest.mark.parametrize("stride", [0, 7])
+def test_evolve_writes_no_caller_array(moving, stride):
+    """The stepper works in place, but never on the caller's u1 and u2 nor on
+    a field a hook was given: each record's field still equals the copy the
+    hook took once ``evolve`` has returned."""
+    before = moving.copy()
+    records, copies = [], []
+
+    def hook(rec):
+        records.append(rec)
+        copies.append(rec.field.copy())
+
+    out = evolve(moving, 0.0, 0.5, IntegratorConfig(dt=0.01), MODEL,
+                 hooks=[hook] if stride else [], diag_stride=stride)
+    for got, want in ((moving.u1, before.u1), (moving.u2, before.u2)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert len(records) == (9 if stride else 0)  # t = 0, every 7th of 50 steps and the last
+    for rec, copy in zip(records, copies):
+        for got, want in ((rec.field.u1, copy.u1), (rec.field.u2, copy.u2)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert out.u1 is not moving.u1 and out.u2 is not moving.u2
 
 
 def test_hooks_fire_at_stride(grid):
