@@ -6,17 +6,17 @@ residue Upsilon = U - sum_j R_j(theta_j, omega_j, x_j) is L2 x L2
 orthogonal to the symmetry directions i R_j, i J R_j and R_j' of every
 component.  That is a 3N-dimensional root-finding problem solved by
 Newton; the theta and x tangents of R_j are its symmetry directions i R_j
-and -R_j', and dR_j/domega is a centered omega-difference.  Near a genuine
-soliton sum the Jacobian is diagonally dominant (cross terms decay
-exponentially in the separation), so convergence is quadratic from
-reasonable seeds.
+and -R_j', and dR_j/domega is the closed form ``profiles.frequency_tangent``
+of the sample R_j itself.  Near a genuine soliton sum the Jacobian is
+diagonally dominant (cross terms decay exponentially in the separation), so
+convergence is quadratic from reasonable seeds.
 
 The pairings are matrix products: every direction and tangent is one real
 row of length 4N (``grids.flat``), so the 3N residuals are one mat-vec and
 the Jacobian's cross term one (3N, 3N) Gram.  Its residue term moves the
 symmetry maps onto Upsilon by their adjoints, and an accepted backtracking
 trial's sample is the next iterate's, so an iterate samples each soliton
-three times (its residual and the two omega-neighbours).
+once: the residual's sample also gives the omega-tangent.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .grids import Field, flat, norm_h1l2, symmetry_directions
 from .profiles import DomainTooSmallError, FrequencyRangeError, SolitonParams
-from .profiles import _frequency_derivative, sample_soliton
+from .profiles import frequency_tangent, sample_soliton
 
 __all__ = [
     "ModulationState",
@@ -84,15 +84,15 @@ class ModulationState:
 
 
 def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
-    """The orthogonality residuals, the residue U - sum_j R_j and the
+    """The orthogonality residuals, the residue U - sum_j R_j, the
     symmetry directions D_k R_j of every component, stacked as the real
-    (3N, 4N) array of their ``flat`` rows in (j, k) order."""
+    (3N, 4N) array of their ``flat`` rows in (j, k) order, and the R_j."""
     comps = [sample_soliton(sp, 0.0, u.grid) for sp in params]
     ups = u.copy()
     for c in comps:
         ups = ups - c
     dirs = np.stack([flat(d) for c in comps for d in symmetry_directions(c)])
-    return (dirs @ flat(ups)) * u.grid.spacing, ups, dirs
+    return (dirs @ flat(ups)) * u.grid.spacing, ups, dirs, comps
 
 
 # <a, D_k b> = ADJOINT_SIGNS[k] * <D_k a, b> under pair_inner: i and d/dx
@@ -100,7 +100,9 @@ def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
 ADJOINT_SIGNS = np.array([-1.0, 1.0, -1.0])
 
 
-def _jacobian(ups: Field, dirs: np.ndarray, params: Sequence[SolitonParams]) -> np.ndarray:
+def _jacobian(
+    ups: Field, dirs: np.ndarray, comps: Sequence[Field], params: Sequence[SolitonParams]
+) -> np.ndarray:
     """Derivative of the orthogonality residuals in (theta_l, omega_l, x_l).
 
     With T_j = (i R_j, dR_j/domega, -R_j') the tangents of R_j and D_k the
@@ -111,11 +113,8 @@ def _jacobian(ups: Field, dirs: np.ndarray, params: Sequence[SolitonParams]) -> 
     """
     grid = ups.grid
     rows = []
-    for j, sp in enumerate(params):
-        d_omega = _frequency_derivative(
-            lambda om: sample_soliton(replace(sp, omega=om), 0.0, grid), sp.omega
-        )
-        rows += [dirs[3 * j], flat(d_omega), -dirs[3 * j + 2]]
+    for j, (sp, comp) in enumerate(zip(params, comps)):
+        rows += [dirs[3 * j], flat(frequency_tangent(sp, comp)), -dirs[3 * j + 2]]
     tan = np.stack(rows)
     jac = -(dirs @ tan.T) * grid.spacing
     dups = np.stack([flat(d) for d in symmetry_directions(ups)])
@@ -165,10 +164,10 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     for it in range(MAX_NEWTON_ITER):
         current = _apply(params, vec)
         try:
-            f0, ups, dirs = sampled if sampled is not None else _ortho_vector(u, current)
-            jac = _jacobian(ups, dirs, current)
+            f0, ups, dirs, comps = sampled if sampled is not None else _ortho_vector(u, current)
         except (DomainTooSmallError, FrequencyRangeError) as exc:
             raise NotInTubeError(f"iterate left the profile family: {exc}") from exc
+        jac = _jacobian(ups, dirs, comps, current)
         cond = float(np.linalg.cond(jac))
         if not np.isfinite(cond) or cond > 1e8:
             raise DegenerateConfigurationError(

@@ -54,6 +54,7 @@ __all__ = [
     "ground_state_radial",
     "free_flow",
     "sample_soliton",
+    "frequency_tangent",
     "phi_tilde",
     "phi_omega",
     "standing_wave_energy",
@@ -403,15 +404,33 @@ def sample_soliton(sp: SolitonParams, t: float, grid: Grid) -> Field:
     return Field(phase * prof, phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof), grid)
 
 
-# frequency step of the centered difference of the profile family
-OMEGA_STEP = 1e-4
+def frequency_tangent(sp: SolitonParams, sample: Field) -> Field:
+    """d/domega of ``sample_soliton(sp, 0, grid)`` in closed form, from that sample.
 
+    With y = wrap(x - x0), mu = m - omega^2, s = sqrt(mu) gamma y and
+    b = (p-1)/2, the profile phi_omega(gamma y) has the real log-derivatives
+    g = (omega/mu)(s tanh(bs) - 1/b) in omega and h = -gamma sqrt(mu) tanh(bs)
+    in x, and g' = dg/dx; the boost phase gives i a with a = -gamma v y.  Then
 
-def _frequency_derivative(phi_family, omega):
-    """Centered omega-difference of the profile family."""
-    wp = phi_family(omega + OMEGA_STEP)
-    wm = phi_family(omega - OMEGA_STEP)
-    return (1.0 / (2.0 * OMEGA_STEP)) * (wp - wm)
+        d u1 = u1 (g + i a),
+        d u2 = i a u2 + u1 (i gamma (1 + omega g) - v (g' + g h)).
+
+    The sample's u2 holds a spectral derivative where this formula holds the
+    exact one, so the two agree as far as the grid resolves the profile.
+    """
+    model, om, gam = sp.model, sp.omega, sp.gamma
+    mu = model.m - om * om
+    rmu = math.sqrt(mu)
+    b = 0.5 * (model.p - 1.0)
+    y = wrap_coordinate(sample.grid.x - sp.x0, sample.grid.length)
+    s = (rmu * gam) * y
+    th = np.tanh(b * s)
+    g = (om / mu) * (s * th - 1.0 / b)
+    h = -(gam * rmu) * th
+    dg = (om * gam / rmu) * (th + b * s * (1.0 - th * th))
+    ia = (-1j * gam * sp.v) * y
+    du2 = ia * sample.u2 + sample.u1 * (1j * gam * (1.0 + om * g) - sp.v * (dg + g * h))
+    return Field(sample.u1 * (g + ia), du2, sample.grid)
 
 
 def standing_wave_energy(model: ModelParams, omega: float, grid: Grid) -> float:

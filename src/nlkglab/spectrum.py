@@ -34,7 +34,7 @@ import scipy.linalg as sla
 
 from .functionals import ActionParams, gradient_norm, second_variation_potential
 from .grids import Field, Grid, flat, symmetry_directions
-from .profiles import OMEGA_STEP, ModelParams, _frequency_derivative
+from .profiles import ModelParams
 
 __all__ = [
     "RealizedOperator",
@@ -51,6 +51,17 @@ __all__ = [
 
 # eigenvalues of S below KERNEL_REL_TOL * its spectral radius in magnitude count as kernel
 KERNEL_REL_TOL = 1e-6
+
+
+# frequency step of the centered difference of the profile family
+OMEGA_STEP = 1e-4
+
+
+def _frequency_derivative(phi_family, omega):
+    """Centered omega-difference of the profile family."""
+    wp = phi_family(omega + OMEGA_STEP)
+    wm = phi_family(omega - OMEGA_STEP)
+    return (1.0 / (2.0 * OMEGA_STEP)) * (wp - wm)
 
 
 class AssemblyError(RuntimeError):

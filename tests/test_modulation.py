@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlkglab.experiments import random_bump, soliton_sum
+from nlkglab.experiments import MultiSolitonConfig, random_bump, soliton_sum
 from nlkglab.grids import Field, Grid, norm_h1l2, pair_inner, symmetry_directions
 from nlkglab.integrator import IntegratorConfig, evolve
-from nlkglab import modulation
+from nlkglab import experiments, modulation
 from nlkglab.modulation import (
     NotInTubeError,
     _apply,
@@ -17,7 +17,8 @@ from nlkglab.modulation import (
     fit_modulation,
     track_parameters,
 )
-from nlkglab.profiles import ModelParams, SolitonParams, _frequency_derivative, sample_soliton
+from nlkglab.profiles import ModelParams, SolitonParams, frequency_tangent, sample_soliton
+from nlkglab.spectrum import _frequency_derivative
 
 MODEL = ModelParams(1.0, 3.0, 1)
 
@@ -76,12 +77,12 @@ def _jacobian_case(grid, n, eps):
 @pytest.mark.parametrize("eps", [0.0, 0.01])
 @pytest.mark.parametrize("n", [2, 3])
 def test_jacobian_matches_finite_difference(grid, n, eps):
-    """The Jacobian from the symmetry directions and the omega-difference agrees
-    with a centered difference of the residual map, off the root so that the
-    residue term counts too."""
+    """The Jacobian from the symmetry directions and the closed-form omega-tangent
+    agrees with a centered difference of the residual map, off the root so
+    that the residue term counts too."""
     u, at = _jacobian_case(grid, n, eps)
-    _, ups, dirs = _ortho_vector(u, at)
-    jac = _jacobian(ups, dirs, at)
+    _, ups, dirs, comps = _ortho_vector(u, at)
+    jac = _jacobian(ups, dirs, comps, at)
     oracle = _fd_jacobian(u, at)
     assert np.max(np.abs(jac - oracle)) < 1e-6 * np.max(np.abs(oracle))
 
@@ -94,9 +95,7 @@ def _per_tangent_jacobian(ups, params):
     dirs = [symmetry_directions(sample_soliton(sp, 0.0, g)) for sp in params]
     jac = np.empty((3 * len(params), 3 * len(params)))
     for j, sp in enumerate(params):
-        d_omega = _frequency_derivative(
-            lambda om: sample_soliton(replace(sp, omega=om), 0.0, g), sp.omega
-        )
+        d_omega = frequency_tangent(sp, sample_soliton(sp, 0.0, g))
         for a, tangent in enumerate((dirs[j][0], d_omega, -1.0 * dirs[j][2])):
             col = np.array([-pair_inner(tangent, d) for dl in dirs for d in dl])
             col[3 * j : 3 * j + 3] += [pair_inner(ups, d) for d in symmetry_directions(tangent)]
@@ -110,16 +109,52 @@ def test_jacobian_matches_per_tangent_reference(grid, n, eps):
     """The stacked Gram with the residue term taken by adjoints is the
     per-entry formula to rounding."""
     u, at = _jacobian_case(grid, n, eps)
-    _, ups, dirs = _ortho_vector(u, at)
-    jac = _jacobian(ups, dirs, at)
+    _, ups, dirs, comps = _ortho_vector(u, at)
+    jac = _jacobian(ups, dirs, comps, at)
     ref = _per_tangent_jacobian(ups, at)
     assert np.max(np.abs(jac - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def test_fit_samples_each_soliton_three_times_per_iterate(grid, pair, monkeypatch):
-    """Each iterate samples every soliton once for the residual and twice for
-    its omega-difference; an accepted Newton step's sample is the next
-    iterate's residual sample, so nothing is sampled twice."""
+def _difference_tangent(sp, comp):
+    """Oracle: the omega-tangent as the centered omega-difference of two more
+    samples of the soliton."""
+    return _frequency_derivative(
+        lambda om: sample_soliton(replace(sp, omega=om), 0.0, comp.grid), sp.omega
+    )
+
+
+def test_fits_match_the_omega_difference_reference(monkeypatch):
+    """Every fit of a 21-hook backward pair run takes the iteration count and
+    lands on the roots (to 1e-12) of the same fit with the omega-difference
+    tangent."""
+    g = Grid(160.0, 1024)
+    sols = [SolitonParams(MODEL, omega=0.8, v=v, theta=0.3, x0=5 * g.spacing) for v in (-0.4, 0.4)]
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=g, solitons=sols, t_final=11.0, t_start=10.0, dt=0.002, diag_period=0.05
+    )
+    fits = []
+    real = experiments.fit_modulation
+
+    def both(field, seeds):
+        st = real(field, seeds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modulation, "frequency_tangent", _difference_tangent)
+            fits.append((st, real(field, seeds)))
+        return st
+
+    monkeypatch.setattr(experiments, "fit_modulation", both)
+    rep = experiments.run_backward_construction(cfg)
+    assert rep.tube_exit_time is None and len(fits) == 21
+    for st, ref in fits:
+        assert st.converged and st.iterations == ref.iterations
+        for name in ("thetas", "omegas", "positions"):
+            assert np.max(np.abs(getattr(st, name) - getattr(ref, name))) <= 1e-12
+
+
+def test_fit_samples_each_soliton_once_per_iterate(grid, pair, monkeypatch):
+    """Each iterate samples every soliton once, for the residual, and takes
+    its omega-tangent from that sample; an accepted Newton step's sample is
+    the next iterate's residual sample, so nothing is sampled twice."""
     calls = []
     real = modulation.sample_soliton
 
@@ -133,12 +168,12 @@ def test_fit_samples_each_soliton_three_times_per_iterate(grid, pair, monkeypatc
     st = fit_modulation(u, seeds)
     n, it = len(pair), st.iterations
     assert st.converged and it >= 2
-    assert len(calls) == 3 * n * (it + 1)
+    assert len(calls) == n * (it + 1)
 
 
 def test_fit_warnings_are_those_of_its_samples():
     """On a marginal domain every sample warns about its boundary value, and
-    the fit issues exactly one warning per sample, 3N(it + 1), from the
+    the fit issues exactly one warning per sample, N(it + 1), from the
     modulation module: an accepted trial's warnings are issued once, when it
     becomes the iterate."""
     g = Grid(80.0, 1024)
@@ -151,7 +186,7 @@ def test_fit_warnings_are_those_of_its_samples():
         st = fit_modulation(u, seeds)
     user = [w for w in caught if issubclass(w.category, UserWarning)]
     assert st.converged and st.iterations == 4
-    assert len(user) == 3 * (st.iterations + 1)
+    assert len(user) == st.iterations + 1
     assert all("boundary value" in str(w.message) for w in user)
     assert {w.filename for w in user} == {modulation.__file__}
 

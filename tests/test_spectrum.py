@@ -21,7 +21,7 @@ from nlkglab.grids import (
     spectral_second_derivative,
     symmetry_directions,
 )
-from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
+from nlkglab.profiles import ModelParams, SolitonParams, frequency_tangent, sample_soliton
 from nlkglab.spectrum import (
     KERNEL_REL_TOL,
     AssemblyError,
@@ -461,6 +461,20 @@ def test_slope_zero_at_window_boundary():
 def test_frequency_derivative_identity(op, grid):
     res = frequency_derivative_residual(_family(grid, 0.0), 0.8, 1.0, op=op)
     assert res < 1e-5
+
+
+@pytest.mark.parametrize("v", [-0.4, 0.4])
+@pytest.mark.parametrize("points", [1024, 2048])
+def test_frequency_tangent_identity(points, v):
+    """The closed-form omega-tangent solves the differentiated critical-point
+    equation S''(Phi) dPhi/domega + (1/gamma) iJ Phi = 0 to rounding, where
+    the omega-difference of ``frequency_derivative_residual`` leaves 2.6e-7."""
+    g = Grid(160.0, points)
+    sp = SolitonParams(MODEL, omega=0.8, v=v)
+    phi = sample_soliton(sp, 0.0, g)
+    op = assemble_second_variation(phi, ActionParams.from_soliton(sp))
+    res = op.matvec(flat(frequency_tangent(sp, phi))) + flat(symmetry_directions(phi)[1]) / sp.gamma
+    assert np.linalg.norm(res) * math.sqrt(g.spacing) < 1e-11
 
 
 def test_free_operator_positive(grid):
