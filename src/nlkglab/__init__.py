@@ -24,8 +24,6 @@ from .functionals import (  # noqa: F401
     energy,
     localized_quantities,
     momentum,
-    nehari_project,
-    nehari_value,
 )
 from .integrator import BlowUpError, IntegratorConfig, evolve  # noqa: F401
 from .spectrum import assemble_second_variation, slope_test, spectrum_report  # noqa: F401

@@ -117,6 +117,8 @@ def _soliton_from_args(args: argparse.Namespace, model: ModelParams) -> SolitonP
 
 
 def cmd_soliton(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.t):
+        raise ValueError(f"--t={args.t} must be finite: it is the time of the dump")
     model = _model(args)
     grid = _grid(args)
     sp = _soliton_from_args(args, model)

@@ -70,7 +70,6 @@ _DEFAULTS = {
         "t_start": 10.0,
         "diag_period": 0.5,
         "out_dir": ".",
-        "seed": 0,
     },
 }
 _SOLITON_DEFAULTS = {f.name: f.default for f in fields(SolitonParams) if f.default is not MISSING}
@@ -132,7 +131,6 @@ def parse_config(text: str) -> tuple[MultiSolitonConfig, str]:
         t_start=raw["t_start"],
         dt=raw["dt"],
         diag_period=raw["diag_period"],
-        seed=raw["seed"],
     )
     return cfg, raw["out_dir"]
 

@@ -147,7 +147,6 @@ class MultiSolitonConfig:
     t_start: float
     dt: float
     diag_period: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         vels, spacing = [sp.v for sp in self.solitons], self.grid.spacing
@@ -363,12 +362,12 @@ def random_bump(grid: Grid, seed: int) -> Field:
     return (1.0 / norm_h1l2(w)) * w
 
 
-def run_forward_stability(cfg: MultiSolitonConfig, amplitude: float) -> DecayReport:
-    """Forward evolution of R(t_start) + amplitude * bump (seeded by ``cfg.seed``),
+def run_forward_stability(cfg: MultiSolitonConfig, amplitude: float, seed: int = 0) -> DecayReport:
+    """Forward evolution of R(t_start) + amplitude * bump (seeded by ``seed``),
     tracking the error."""
     w0 = soliton_sum(cfg.solitons, cfg.t_start, cfg.grid)
     if amplitude != 0.0:
-        w0 = w0 + amplitude * random_bump(cfg.grid, cfg.seed)
+        w0 = w0 + amplitude * random_bump(cfg.grid, seed)
     return _run_construction(cfg, backward=False, initial=w0)
 
 

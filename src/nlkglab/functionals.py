@@ -1,4 +1,4 @@
-"""Conserved functionals, the action, Nehari projection and moving cutoffs.
+"""Conserved functionals, the action and moving cutoffs.
 
 The flow conserves the energy E, the charge Q = Im int u1 conj(u2) and the
 momentum P = Re int (d/dx u1) conj(u2).  A soliton with frequency omega and
@@ -10,11 +10,6 @@ whose gradient in the real L2 pairing is
 
     S'(W) = ( -u1'' + m u1 - |u1|^(p-1) u1 + i (omega/gamma) u2 - v u2',
               u2 - i (omega/gamma) u1 + v u1' ).
-
-Along a ray s -> S(sW) the quadratic part scales as s^2 and the nonlinear
-part as s^(p+1), so the Nehari constraint <S'(sW), sW> = 0 has the unique
-positive solution written in closed form below; it is the maximum of the
-ray, which is how the mountain-pass level is represented here.
 
 The moving cutoff partition splits the line between solitons with ramps of
 width sqrt(t) centered at the velocity midpoints; the ramp is
@@ -37,7 +32,6 @@ from .grids import (
     Field,
     Grid,
     norm_l2l2,
-    pair_inner,
     raise_problems,
     spectral_derivative,
     spectral_second_derivative,
@@ -47,7 +41,6 @@ from .profiles import ModelParams, SolitonParams
 __all__ = [
     "ActionParams",
     "LocalizedQuantities",
-    "NehariProjectionError",
     "velocity_problems",
     "energy_density",
     "charge_density",
@@ -59,18 +52,11 @@ __all__ = [
     "action",
     "action_gradient",
     "gradient_norm",
-    "nehari_value",
-    "nehari_project",
     "ramp",
-    "ramp_derivative",
     "build_cutoffs",
     "localized_quantities",
     "localized_first_variation",
 ]
-
-
-class NehariProjectionError(ValueError):
-    """The ray through W has no interior action maximum."""
 
 
 def velocity_problems(velocities: Sequence[float]) -> list[str]:
@@ -162,43 +148,10 @@ def gradient_norm(w: Field, ap: ActionParams) -> float:
     return norm_l2l2(action_gradient(w, ap))
 
 
-def nehari_value(w: Field, ap: ActionParams) -> float:
-    """Nehari functional I(W) = <S'(W), W>."""
-    return pair_inner(action_gradient(w, ap), w)
-
-
-def _ray_parts(w: Field, ap: ActionParams) -> tuple[float, float]:
-    """(quadratic part of I, nonlinear part of I): I(sW) = s^2 a - s^(p+1) b."""
-    p = ap.model.p
-    h = w.grid.spacing
-    nonlin = float(np.sum(np.abs(w.u1) ** (p + 1.0)) * h)
-    quad = nehari_value(w, ap) + nonlin
-    return quad, nonlin
-
-
-def nehari_project(w: Field, ap: ActionParams) -> tuple[float, Field]:
-    """Scale W onto the Nehari set: s* with I(s* W) = 0, maximizing s -> S(sW)."""
-    quad, nonlin = _ray_parts(w, ap)
-    if nonlin <= 0.0:
-        raise NehariProjectionError("first component vanishes; no ray maximum")
-    if quad <= 0.0:
-        raise NehariProjectionError("quadratic part non-positive; no interior maximum")
-    s_star = (quad / nonlin) ** (1.0 / (ap.model.p - 1.0))
-    return s_star, s_star * w
-
-
 def ramp(s: np.ndarray | float):
     """C^1 ramp: 0 for s < -1, sin^2(pi (s+1)/4) on [-1, 1], 1 above."""
     s = np.asarray(s, dtype=float)
     out = np.where(s <= -1.0, 0.0, np.where(s >= 1.0, 1.0, np.sin(np.pi * (s + 1.0) / 4.0) ** 2))
-    return out
-
-
-def ramp_derivative(s: np.ndarray | float):
-    s = np.asarray(s, dtype=float)
-    inside = (s > -1.0) & (s < 1.0)
-    out = np.zeros_like(s)
-    out[inside] = (np.pi / 4.0) * np.sin(np.pi * (s[inside] + 1.0) / 2.0)
     return out
 
 

@@ -29,7 +29,6 @@ __all__ = [
     "DimensionError",
     "spectral_derivative",
     "spectral_second_derivative",
-    "pair_inner",
     "flat",
     "norm_l2",
     "norm_l2l2",
@@ -152,16 +151,8 @@ def spectral_second_derivative(f: np.ndarray, grid: Grid) -> np.ndarray:
     return out
 
 
-def pair_inner(a: Field, b: Field) -> float:
-    """Real L2 x L2 pairing of two Hamiltonian states."""
-    g = a.grid
-    return float(
-        np.real(np.sum(a.u1 * np.conj(b.u1) + a.u2 * np.conj(b.u2))) * g.spacing
-    )
-
-
 def flat(w: Field) -> np.ndarray:
-    """w as one real vector, so that pair_inner(a, b) = (flat(a) @ flat(b)) * h:
+    """w as one real vector, so that (flat(a) @ flat(b)) * h is the real L2 x L2 pairing:
     u1 then u2, re/im interleaved, so its complex view is (u1, u2)."""
     return np.concatenate((w.u1, w.u2)).view(float)
 

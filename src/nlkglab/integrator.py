@@ -152,24 +152,26 @@ def evolve(
 ) -> Field:
     """Integrate from t0 to t1; t1 < t0 needs dt < 0.
 
-    (t1 - t0)/dt must be a positive integer number of steps.  Hooks fire
-    every ``diag_stride`` steps (and at the final step) with a
-    DiagnosticsRecord; blow-up aborts with the failure time attached.  The
-    amplitude is checked every 16 steps, before each hook and at the end;
-    these are the sync points, the only steps that return to physical space.
+    Both times must be finite and (t1 - t0)/dt a whole number of steps,
+    positive unless t1 == t0.  Hooks fire at t0, every ``diag_stride`` steps
+    and at the final step with a DiagnosticsRecord; blow-up aborts with the
+    failure time attached.  The amplitude is checked every 16 steps, before
+    each hook and at the end; these are the sync points, the only steps that
+    return to physical space.
     """
     from scipy.fft import fft, ifft  # lazy: see the module docstring
 
     cfg.check_grid(w.grid)
-    span = t1 - t0
-    if span == 0.0:
-        return w.copy()
-    ratio = span / cfg.dt
-    nsteps = int(round(ratio))
-    if nsteps <= 0 or abs(ratio - nsteps) > 1e-8 * max(1.0, abs(ratio)):
-        raise ValueError(
-            f"(t1-t0)/dt = {ratio} is not a positive integer step count"
-        )
+    times = {"t0": t0, "t1": t1}
+    raise_problems([f"{name}={t} must be finite" for name, t in times.items() if not math.isfinite(t)])
+    span, nsteps = t1 - t0, 0
+    if span != 0.0:
+        ratio = span / cfg.dt
+        nsteps = int(round(ratio))
+        if nsteps <= 0 or abs(ratio - nsteps) > 1e-8 * max(1.0, abs(ratio)):
+            raise ValueError(
+                f"(t1-t0)/dt = {ratio} is not a positive integer step count"
+            )
     k = w.grid.deriv_wavenumbers
     omega = np.sqrt(model.m + k * k)
     half, full = _Rotation(omega, 0.5 * cfg.dt), _Rotation(omega, cfg.dt)
@@ -184,6 +186,8 @@ def evolve(
     firing = bool(hooks) and diag_stride > 0
     if firing:
         fire(0, w.u1, w.u2)
+    if nsteps == 0:
+        return w.copy()
     f1, f2 = half(fft(w.u1), fft(w.u2))  # fresh arrays: f2 is written in place below
     for n in range(1, nsteps + 1):
         u1 = ifft(f1)

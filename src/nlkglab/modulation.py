@@ -95,7 +95,7 @@ def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     return (dirs @ flat(ups)) * u.grid.spacing, ups, dirs, comps
 
 
-# <a, D_k b> = ADJOINT_SIGNS[k] * <D_k a, b> under pair_inner: i and d/dx
+# <a, D_k b> = ADJOINT_SIGNS[k] * <D_k a, b> in the real L2 x L2 pairing: i and d/dx
 # (Nyquist zeroed) are skew, i J is symmetric
 ADJOINT_SIGNS = np.array([-1.0, 1.0, -1.0])
 

@@ -57,8 +57,6 @@ __all__ = [
     "frequency_tangent",
     "phi_tilde",
     "phi_omega",
-    "standing_wave_energy",
-    "standing_wave_energy_scaling",
 ]
 
 
@@ -433,41 +431,6 @@ def frequency_tangent(sp: SolitonParams, sample: Field) -> Field:
     return Field(sample.u1 * (g + ia), du2, sample.grid)
 
 
-def standing_wave_energy(model: ModelParams, omega: float, grid: Grid) -> float:
-    """Energy of the standing wave (phi_omega, i omega phi_omega) by quadrature."""
-    from .functionals import energy  # functionals imports this module
-
-    phi = ground_state_1d(model, omega, grid).samples
-    return energy(Field(phi, 1j * omega * phi, grid), model)
-
-
-def standing_wave_energy_scaling(model: ModelParams, omega: float) -> float:
-    """Closed-form standing-wave energy per unit ||phi_tilde||_2^2.
-
-    The scaling relations reduce E(Phi_omega) to powers of (m - omega^2)
-    times ||phi_tilde||^2.  The gradient term carries the Pohozaev factor
-    d(p-1)/(2d-(d-2)(p+1)); replacing that factor by 1 reproduces a commonly
-    quoted but inconsistent collapsed formula (0.492 vs 0.456 at m=1, p=3,
-    d=1, omega=0.8).  Direct quadrature (``standing_wave_energy``) is the
-    ground truth and matches this form.
-    """
-    m, p, d = model.m, model.p, model.d
-    mu = m - omega * omega
-    a_grad = (p * (2 - d) + 2 + d) / (2 * (p - 1))
-    a_mass = (4 - d * (p - 1)) / (2 * (p - 1))
-    poho = pohozaev_ratio(model)
-    return (
-        (p - 1) / (2 * (p + 1)) * (poho * mu**a_grad + m * mu**a_mass)
-        + (p + 3) / (2 * (p + 1)) * omega**2 * mu**a_mass
-    )
-
-
-def pohozaev_ratio(model: ModelParams) -> float:
-    """||grad phi_tilde||^2 / ||phi_tilde||^2 from the Pohozaev identity."""
-    p, d = model.p, model.d
-    return d * (p - 1) / (2 * d - (d - 2) * (p + 1))
-
-
 def profile_norms(gs: GroundState) -> tuple[float, float]:
     """(||phi||_2^2, ||phi'||_2^2) of a grid-sampled ground state."""
     if gs.grid is None:
@@ -475,18 +438,3 @@ def profile_norms(gs: GroundState) -> tuple[float, float]:
     n2 = norm_l2(gs.samples, gs.grid) ** 2
     dn2 = norm_l2(spectral_derivative(gs.samples, gs.grid), gs.grid) ** 2
     return n2, dn2
-
-
-def tail_log_slope(gs: GroundState) -> float:
-    """Log-linear slope of the profile tail over the outer quarter of the domain.
-
-    For an exponentially decaying profile this approaches -sqrt(m - omega^2).
-    """
-    if gs.grid is None:
-        raise ValueError("tail_log_slope needs a grid-sampled ground state")
-    x = gs.grid.x
-    mask = (x > 0.25 * gs.grid.length) & (x < 0.5 * gs.grid.length - 2 * gs.grid.spacing)
-    vals = gs.samples[mask]
-    usable = vals > 1e-280
-    coef = np.polyfit(x[mask][usable], np.log(vals[usable]), 1)
-    return float(coef[0])

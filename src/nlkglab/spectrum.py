@@ -34,7 +34,6 @@ import scipy.linalg as sla
 
 from .functionals import ActionParams, gradient_norm, second_variation_potential
 from .grids import Field, Grid, flat, symmetry_directions
-from .profiles import ModelParams
 
 __all__ = [
     "RealizedOperator",
@@ -43,9 +42,6 @@ __all__ = [
     "assemble_second_variation",
     "spectrum_report",
     "slope_test",
-    "slope_analytic",
-    "frequency_derivative_residual",
-    "free_operator_floor",
 ]
 
 
@@ -242,33 +238,3 @@ def slope_test(
     if abs(omega) + OMEGA_STEP >= math.sqrt(ap.model.m):
         raise ValueError("omega too close to sqrt(m) for centered differencing")
     return op.quadratic_form(_frequency_derivative(phi_family, omega))
-
-
-def slope_analytic(model: ModelParams, omega: float, gamma: float, phi_tilde_norm2: float) -> float:
-    """Closed form d/domega [omega (m - omega^2)^(2/(p-1) - d/2)] * ||phi_tilde||^2 / gamma."""
-    e = 2.0 / (model.p - 1.0) - model.d / 2.0
-    mu = model.m - omega * omega
-    return (mu**e - 2.0 * e * omega**2 * mu ** (e - 1.0)) * phi_tilde_norm2 / gamma
-
-
-def frequency_derivative_residual(
-    phi_family: Callable[[float], Field],
-    omega: float,
-    gamma: float,
-    op: RealizedOperator,
-) -> float:
-    """L2 norm of S''(Phi) dPhi/domega + (1/gamma) iJ Phi.
-
-    Differentiating the critical-point equation in omega shows this vanishes;
-    the discrete value is differencing plus assembly error.
-    """
-    lam = _frequency_derivative(phi_family, omega)
-    i_j_phi = symmetry_directions(op.profile)[1]
-    res = op.matvec(flat(lam)) + (1.0 / gamma) * flat(i_j_phi)
-    return float(np.linalg.norm(res) * math.sqrt(op.grid.spacing))
-
-
-def free_operator_floor(ap: ActionParams, grid: Grid) -> float:
-    """Smallest eigenvalue of the potential-free operator (essential-spectrum floor):
-    the lowest unwhitened symbol eigenvalue (``_free_symbol_eigenvalues``, g = 1)."""
-    return float(np.min(_free_symbol_eigenvalues(ap, grid.deriv_wavenumbers, 1.0)[0]))

@@ -37,7 +37,6 @@ from nlkglab.functionals import (
     energy,
     gradient_norm,
     momentum,
-    nehari_value,
 )
 from nlkglab.grids import Field, Grid, norm_h1l2, wrap_coordinate
 from nlkglab.integrator import IntegratorConfig, evolve
@@ -54,6 +53,7 @@ from nlkglab.spectrum import (
     slope_test,
     spectrum_report,
 )
+from oracles import nehari_value
 
 MODEL = ModelParams(1.0, 3.0, 1)
 

@@ -14,6 +14,7 @@ from nlkglab.fieldio import (
 )
 from nlkglab.grids import Field, Grid, flat
 from nlkglab.integrator import IntegratorConfig
+from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 
 GOOD = """
 [model]
@@ -43,7 +44,6 @@ t_final = 40.0
 t_start = 10.0
 diag_period = 0.5
 out_dir = runs/two
-seed = 7
 """
 
 
@@ -59,7 +59,6 @@ def test_parse_good_config():
     assert len(cfg.solitons) == 2
     assert cfg.solitons[1].theta == 0.1
     assert out_dir == "runs/two"
-    assert cfg.seed == 7
     assert stability_warnings(cfg) == []
     assert cfg.v_star == pytest.approx(0.8)
 
@@ -132,6 +131,19 @@ def test_dealias_key_is_unknown(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_seed_key_is_unknown(tmp_path, capsys):
+    """No command reads a seed: a config that sets one exits 2 with the
+    unknown-key error before it runs anything."""
+    from nlkglab.cli import main
+
+    path = tmp_path / "old.cfg"
+    path.write_text(GOOD + "seed = 7\n", encoding="utf-8")
+    code = main(["multisoliton", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert "unknown key 'seed' in section [experiment]" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_serialize_roundtrip():
     cfg, out_dir = parse_config(GOOD)
     cfg2, out_dir2 = parse_config(serialize_config(cfg, out_dir))
@@ -173,7 +185,6 @@ t_final = 40.0
 t_start = 10.0
 diag_period = 0.5
 out_dir = runs/two
-seed = 7
 """
 
 
@@ -774,6 +785,55 @@ def test_cli_evolve_rejects_bad_diag_period(tmp_path, capsys, period):
     assert not (tmp_path / "o.dump").exists()
 
 
+@pytest.mark.parametrize(
+    "times, message",
+    [
+        (["soliton", "--t", "nan"], "--t=nan must be finite"),
+        (["soliton", "--t", "inf"], "--t=inf must be finite"),
+        (["evolve", "--t0", "0", "--t1", "inf"], "t1=inf must be finite"),
+        (["evolve", "--t0", "nan", "--t1", "0.1"], "t0=nan must be finite"),
+        (["evolve", "--t0=-inf", "--t1", "0.1"], "t0=-inf must be finite"),
+    ],
+    ids=["soliton-t-nan", "soliton-t-inf", "evolve-t1-inf", "evolve-t0-nan", "evolve-t0-minus-inf"],
+)
+def test_cli_non_finite_time_is_a_config_error(tmp_path, capsys, times, message):
+    """A time that is not finite is a configuration error (exit 2) naming the
+    time, reported before anything is written: not a NaN energy and a dump
+    that cannot be read back, nor an overflow traceback."""
+    from nlkglab.cli import main
+
+    src = tmp_path / "zero.dump"
+    write_field(src, Field.zeros(Grid(40.0, 256)))
+    out = tmp_path / "o.dump"
+    if times[0] == "soliton":
+        argv = [*times, "--omega", "0.8", "--grid-points", "256", "--out", str(out)]
+    else:
+        argv = [*times, "--from", str(src), "--dt", "0.01", "--diag", str(tmp_path / "d.csv"),
+                "--out", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_zero_span_evolve_writes_its_t0_row(tmp_path):
+    """t0 == t1 evolves nothing but still records the diagnostics at t0, so the
+    CSV holds one row and reads back without numpy's empty-input warning."""
+    from nlkglab.cli import main
+
+    g = Grid(80.0, 256)
+    src, csv = tmp_path / "s.dump", tmp_path / "d.csv"
+    w = sample_soliton(SolitonParams(ModelParams(1.0, 3.0, 1), omega=0.8), 0.0, g)
+    write_field(src, w)
+    argv = ["evolve", "--from", str(src), "--t0", "0", "--t1", "0", "--dt", "0.01",
+            "--diag", str(csv), "--out", str(tmp_path / "o.dump")]
+    assert main(argv) == 0
+    header, data = read_csv_columns(csv)
+    assert header == ["t", "E", "Q", "P"]
+    assert data.shape == (1, 4) and data[0, 0] == 0.0
+    out, t = read_field(tmp_path / "o.dump")
+    assert t == 0.0 and np.array_equal(out.u1, w.u1) and np.array_equal(out.u2, w.u2)
+
+
 # --- property tests: outside input gets a result or the documented error
 
 # typical values per key, so that generated configs are often valid
@@ -792,7 +852,6 @@ TYPICAL = {
         "t_start": ["10.0", "50.0"],
         "diag_period": ["0.5", "0", "-1"],
         "out_dir": ["runs/x"],
-        "seed": ["7"],
     },
     "bogus": {"x": ["1"]},
 }
@@ -846,7 +905,6 @@ RUN_VALUES = {
         "t_start": ["10.0", "-1e3"],
         "diag_period": ["0.5", "1e-3"],
         "out_dir": ["runs/x", "a b", "."],
-        "seed": st.integers().map(str),
     },
 }
 

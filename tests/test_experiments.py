@@ -189,9 +189,9 @@ def test_forward_stability_bounded(grid):
     ]
     cfg = MultiSolitonConfig(
         model=MODEL, grid=grid, solitons=sols,
-        t_final=50.0, t_start=0.0, dt=0.005, diag_period=2.0, seed=3,
+        t_final=50.0, t_start=0.0, dt=0.005, diag_period=2.0,
     )
-    rep = run_forward_stability(cfg, 1e-3)
+    rep = run_forward_stability(cfg, 1e-3, seed=3)
     assert rep.tube_exit_time is None
     valid = rep.upsilon_norms[np.isfinite(rep.upsilon_norms)]
     assert np.max(valid) < 10 * valid[0]
@@ -212,10 +212,10 @@ def test_unstable_frequency_grows_faster(grid):
     for om in (0.8, 0.6):
         cfg = MultiSolitonConfig(
             model=MODEL, grid=grid, solitons=mk(om),
-            t_final=26.0, t_start=10.0, dt=0.005, diag_period=2.0, seed=11,
+            t_final=26.0, t_start=10.0, dt=0.005, diag_period=2.0,
         )
         try:
-            rep = run_forward_stability(cfg, 1e-2)
+            rep = run_forward_stability(cfg, 1e-2, seed=11)
             out[om] = rep.errors[-1] / rep.errors[0]
         except BlowUpError:
             out[om] = float("inf")
@@ -291,9 +291,9 @@ def test_report_series_align_with_ascending_times(grid, pair, monkeypatch, backw
     monkeypatch.setattr(experiments, "fit_modulation", fit_thrice)
     cfg = MultiSolitonConfig(
         model=MODEL, grid=grid, solitons=pair,
-        t_final=20.0, t_start=14.0, dt=0.01, diag_period=1.0, seed=2,
+        t_final=20.0, t_start=14.0, dt=0.01, diag_period=1.0,
     )
-    rep = run_backward_construction(cfg) if backward else run_forward_stability(cfg, 1e-3)
+    rep = run_backward_construction(cfg) if backward else run_forward_stability(cfg, 1e-3, seed=2)
     n = len(rep.times)
     assert n == 7 and np.all(np.diff(rep.times) > 0)
     series = (rep.errors, rep.energies, rep.charges, rep.momenta, rep.localized, rep.modulation)
@@ -356,10 +356,10 @@ def test_interaction_gram_products_match_pointwise_quadrature(grid):
 def test_forward_run_deterministic(grid, pair):
     cfg = MultiSolitonConfig(
         model=MODEL, grid=grid, solitons=pair,
-        t_final=16.0, t_start=14.0, dt=0.01, diag_period=1.0, seed=5,
+        t_final=16.0, t_start=14.0, dt=0.01, diag_period=1.0,
     )
-    a = run_forward_stability(cfg, 1e-3)
-    b = run_forward_stability(cfg, 1e-3)
+    a = run_forward_stability(cfg, 1e-3, seed=5)
+    b = run_forward_stability(cfg, 1e-3, seed=5)
     assert np.array_equal(a.errors, b.errors)
     assert np.array_equal(a.upsilon_norms, b.upsilon_norms)
 

@@ -3,7 +3,6 @@ import pytest
 
 from nlkglab.functionals import (
     ActionParams,
-    NehariProjectionError,
     action,
     action_gradient,
     build_cutoffs,
@@ -13,13 +12,17 @@ from nlkglab.functionals import (
     localized_first_variation,
     localized_quantities,
     momentum,
+    ramp,
+)
+from nlkglab.grids import Field, Grid
+from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
+from oracles import (
+    NehariProjectionError,
     nehari_project,
     nehari_value,
-    ramp,
+    pair_inner,
     ramp_derivative,
 )
-from nlkglab.grids import Field, Grid, pair_inner
-from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 
 MODEL = ModelParams(1.0, 3.0, 1)
 

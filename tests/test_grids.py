@@ -11,12 +11,12 @@ from nlkglab.grids import (
     norm_h1l2,
     norm_l2,
     norm_l2l2,
-    pair_inner,
     spectral_derivative,
     spectral_second_derivative,
     symmetry_directions,
     wrap_coordinate,
 )
+from oracles import pair_inner
 
 
 @pytest.fixture(scope="module")

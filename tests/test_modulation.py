@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlkglab.experiments import MultiSolitonConfig, random_bump, soliton_sum
-from nlkglab.grids import Field, Grid, norm_h1l2, pair_inner, symmetry_directions
+from nlkglab.grids import Field, Grid, norm_h1l2, symmetry_directions
 from nlkglab.integrator import IntegratorConfig, evolve
 from nlkglab import experiments, modulation
 from nlkglab.modulation import (
@@ -19,6 +19,7 @@ from nlkglab.modulation import (
 )
 from nlkglab.profiles import ModelParams, SolitonParams, frequency_tangent, sample_soliton
 from nlkglab.spectrum import _frequency_derivative
+from oracles import pair_inner
 
 MODEL = ModelParams(1.0, 3.0, 1)
 

@@ -21,9 +21,11 @@ from nlkglab.profiles import (
     ground_state_radial,
     phi_omega,
     phi_tilde,
-    pohozaev_ratio,
     profile_norms,
     sample_soliton,
+)
+from oracles import (
+    pohozaev_ratio,
     standing_wave_energy,
     standing_wave_energy_scaling,
     tail_log_slope,

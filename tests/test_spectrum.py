@@ -17,7 +17,6 @@ from nlkglab.grids import (
     Field,
     Grid,
     flat,
-    pair_inner,
     spectral_second_derivative,
     symmetry_directions,
 )
@@ -29,11 +28,14 @@ from nlkglab.spectrum import (
     _free_symbol_eigenvalues,
     _whiten,
     assemble_second_variation,
-    free_operator_floor,
-    frequency_derivative_residual,
-    slope_analytic,
     slope_test,
     spectrum_report,
+)
+from oracles import (
+    free_operator_floor,
+    frequency_derivative_residual,
+    pair_inner,
+    slope_analytic,
 )
 
 MODEL = ModelParams(1.0, 3.0, 1)
