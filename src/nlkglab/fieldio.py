@@ -40,30 +40,36 @@ def format_float(x: float) -> str:
 
 
 def write_field(path: str | Path, w: Field, time: float = 0.0) -> None:
-    with open(path, "wb") as fh:
-        header = f"{MAGIC} {w.grid.points} {format_float(w.grid.length)} {format_float(time)}\n"
-        fh.write(header.encode("ascii"))
-        fh.write(flat(w).astype("<f8").tobytes())
+    """Write a dump.  What ``read_field`` would refuse, such as a NaN time or an
+    inf value, raises its FieldFormatError before ``path`` is opened."""
+    header = f"{MAGIC} {w.grid.points} {format_float(w.grid.length)} {format_float(time)}\n"
+    data = header.encode("ascii") + flat(w).astype("<f8").tobytes()
+    _decode(data)
+    Path(path).write_bytes(data)
 
 
 def read_field(path: str | Path) -> tuple[Field, float]:
     """Read a dump; returns (field, time).  Grid is rebuilt from the header."""
-    with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii", errors="replace").strip()
-        parts = header.split()
-        if len(parts) != 4 or parts[0] != MAGIC:
-            raise FieldFormatError(
-                f"unsupported dump header {header!r} (expected '{MAGIC} <points> <length> <time>')"
-            )
-        try:
-            points, length, time = int(parts[1]), float(parts[2]), float(parts[3])
-        except ValueError as exc:
-            raise FieldFormatError(f"unreadable dump header {header!r}: {exc}") from exc
-        problems = grid_problems(length, points)
-        if not math.isfinite(time):
-            problems.append(f"time must be finite (got {time})")
-        raise_problems([f"bad dump header {header!r}: {p}" for p in problems], FieldFormatError)
-        payload = fh.read()
+    return _decode(Path(path).read_bytes())
+
+
+def _decode(data: bytes) -> tuple[Field, float]:
+    """(field, time) of a dump's bytes; FieldFormatError names what is wrong."""
+    line, _, payload = data.partition(b"\n")
+    header = line.decode("ascii", errors="replace").strip()
+    parts = header.split()
+    if len(parts) != 4 or parts[0] != MAGIC:
+        raise FieldFormatError(
+            f"unsupported dump header {header!r} (expected '{MAGIC} <points> <length> <time>')"
+        )
+    try:
+        points, length, time = int(parts[1]), float(parts[2]), float(parts[3])
+    except ValueError as exc:
+        raise FieldFormatError(f"unreadable dump header {header!r}: {exc}") from exc
+    problems = grid_problems(length, points)
+    if not math.isfinite(time):
+        problems.append(f"time must be finite (got {time})")
+    raise_problems([f"bad dump header {header!r}: {p}" for p in problems], FieldFormatError)
     expected = 2 * 2 * points * 8
     if len(payload) != expected:
         kind = "truncated" if len(payload) < expected else "over-long"

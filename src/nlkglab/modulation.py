@@ -28,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import Field, flat, norm_h1l2, symmetry_directions
-from .profiles import DomainTooSmallError, FrequencyRangeError, SolitonParams
+from .grids import Field, Grid, flat, norm_h1l2, symmetry_directions
+from .profiles import SolitonParams, boundary_ratio, domain_problems
 from .profiles import frequency_tangent, sample_soliton
 
 __all__ = [
@@ -87,7 +87,9 @@ def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     """The orthogonality residuals, the residue U - sum_j R_j, the
     symmetry directions D_k R_j of every component, stacked as the real
     (3N, 4N) array of their ``flat`` rows in (j, k) order, and the R_j."""
-    comps = [sample_soliton(sp, 0.0, u.grid) for sp in params]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)  # the fit warns for its iterates' tails
+        comps = [sample_soliton(sp, 0.0, u.grid) for sp in params]
     ups = u.copy()
     for c in comps:
         ups = ups - c
@@ -129,16 +131,10 @@ def _apply(params: Sequence[SolitonParams], vec: np.ndarray) -> list[SolitonPara
     return [replace(sp, theta=th, omega=om, x0=x) for sp, (th, om, x) in zip(params, triples)]
 
 
-def _reissue(caught, accepted: bool) -> None:
-    """Issue a backtracking trial's recorded warnings where its sampling
-    raised them; a rejected trial's UserWarnings (tails of a step that is
-    not taken) are dropped."""
-    registry = globals().setdefault("__warningregistry__", {})
-    for w in caught:
-        if accepted or not issubclass(w.category, UserWarning):
-            warnings.warn_explicit(
-                w.message, w.category, w.filename, w.lineno, module=__name__, registry=registry
-            )
+def _domain(params: Sequence[SolitonParams], grid: Grid) -> tuple[list[str], list[str]]:
+    """``profiles.domain_problems`` of every soliton: (errors, tail warnings)."""
+    rules = [domain_problems(boundary_ratio(sp.model, sp.omega, grid)) for sp in params]
+    return [e for r in rules for e in r[0]], [w for r in rules for w in r[1]]
 
 
 def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationState:
@@ -146,11 +142,11 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
 
     ``initial`` provides the seeds and the fixed velocities.  Convergence
     is declared when every orthogonality residual is below NEWTON_TOL * ||U||;
-    leaving the admissible frequency band or a Jacobian condition number
-    above 1e8 raises instead of silently projecting.  ``condition_number``
-    is that of the Jacobian at the returned parameters.  An accepted
-    backtracking trial's residuals, residue and directions are the next
-    iterate's, and the warnings its sampling raised are issued on acceptance.
+    seeds the domain cannot hold or a Jacobian condition number above 1e8
+    raise instead of silently projecting.  ``condition_number`` is that of
+    the Jacobian at the returned parameters.  A backtracking trial is sampled
+    only inside the frequency band and ``profiles.domain_problems``; once
+    accepted, it is the next iterate, which warns for every reported tail.
     """
     params = list(initial)
     sqm = math.sqrt(params[0].model.m)
@@ -159,14 +155,15 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
         raise NotInTubeError("zero field cannot be modulated")
 
     vec = np.array([(sp.theta, sp.omega, sp.x0) for sp in params], dtype=float).ravel()
-    sampled = None
+    current = _apply(params, vec)
+    errors, tails = _domain(current, u.grid)
+    if errors:
+        raise NotInTubeError(f"iterate left the profile family: {errors[0]}")
+    for tail in tails:
+        warnings.warn(tail)
+    f0, ups, dirs, comps = _ortho_vector(u, current)
 
     for it in range(MAX_NEWTON_ITER):
-        current = _apply(params, vec)
-        try:
-            f0, ups, dirs, comps = sampled if sampled is not None else _ortho_vector(u, current)
-        except (DomainTooSmallError, FrequencyRangeError) as exc:
-            raise NotInTubeError(f"iterate left the profile family: {exc}") from exc
         jac = _jacobian(ups, dirs, comps, current)
         cond = float(np.linalg.cond(jac))
         if not np.isfinite(cond) or cond > 1e8:
@@ -182,23 +179,22 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
         for _ in range(8):
             trial = vec - lam * full_step
             if np.all(np.abs(trial[1::3]) < sqm - OMEGA_MARGIN):  # admissible frequencies
-                with warnings.catch_warnings(record=True) as caught:
-                    warnings.simplefilter("always")
-                    try:
-                        sampled = _ortho_vector(u, _apply(params, trial))
-                        descent = np.max(np.abs(sampled[0])) < norm0
-                    except (DomainTooSmallError, FrequencyRangeError):
-                        descent = False
-                _reissue(caught, descent)
-                if descent:
-                    break
+                candidate = _apply(params, trial)
+                errors, tails = _domain(candidate, u.grid)
+                if not errors:
+                    sampled = _ortho_vector(u, candidate)
+                    if np.max(np.abs(sampled[0])) < norm0:
+                        break
             lam *= 0.5
         else:
             raise NotInTubeError(
                 "modulation Newton stalled (no descent direction within the "
                 "admissible frequency band)"
             )
-        vec = trial
+        for tail in tails:
+            warnings.warn(tail)
+        vec, current = trial, candidate
+        f0, ups, dirs, comps = sampled
     raise NotInTubeError(
         f"modulation Newton did not converge in {MAX_NEWTON_ITER} iterations "
         f"(last residual {norm0:.3e}, tol {NEWTON_TOL * scale:.3e})"

@@ -46,6 +46,8 @@ __all__ = [
     "model_problems",
     "frequency_problems",
     "soliton_problems",
+    "boundary_ratio",
+    "domain_problems",
     "GroundState",
     "FrequencyRangeError",
     "DomainTooSmallError",
@@ -109,6 +111,23 @@ def soliton_problems(
     return problems
 
 
+def boundary_ratio(model: ModelParams, omega: float, grid: Grid) -> float:
+    """phi_omega at the grid's ends over its value at x[N//2], the grid point
+    nearest 0, which holds the grid's peak as phi is even and decreasing in |x|."""
+    left, peak, right = phi_omega(grid.x[[0, grid.points // 2, -1]], model, omega)
+    return float(max(left, right) / peak)
+
+
+def domain_problems(rel: float, what: str = "ground state") -> tuple[list[str], list[str]]:
+    """(errors, warnings) of a profile's boundary-to-peak ratio ``rel``: above
+    1e-6 the domain is too small to hold it, and above 1e-10 its tail is reported."""
+    value = f"{what}: boundary value {rel:.2e} of peak"
+    if rel > 1e-6:
+        heuristic = "length >= 60/sqrt(m - omega^2) plus translation extent"
+        return [f"{value}; enlarge the domain (heuristic: {heuristic})"], []
+    return [], ([f"{value} exceeds 1e-10"] if rel > 1e-10 else [])
+
+
 @dataclass
 class ModelParams:
     """Mass and nonlinearity exponent of u_tt - Lap u + m u - |u|^(p-1) u = 0."""
@@ -143,10 +162,7 @@ class SolitonParams:
     x0: float = 0.0
 
     def __post_init__(self) -> None:
-        band = frequency_problems(self.model, self.omega)  # modulation Newton catches it
-        error = FrequencyRangeError if band else ValueError
-        problems = soliton_problems(self.model, self.omega, self.theta, self.v, self.x0)
-        raise_problems(problems, error)
+        raise_problems(soliton_problems(self.model, self.omega, self.theta, self.v, self.x0))
 
     @property
     def gamma(self) -> float:
@@ -205,37 +221,20 @@ def _residual_1d(samples: np.ndarray, model: ModelParams, omega: float, grid: Gr
     return float(np.max(np.abs(res)))
 
 
-# a boundary value above this fraction of the peak means the domain is too small
-BOUNDARY_DECAY_TOL = 1e-6
-
-
-def _raise_if_not_decayed(rel: float, what: str) -> None:
-    if rel > BOUNDARY_DECAY_TOL:
-        raise DomainTooSmallError(
-            f"{what}: boundary value {rel:.2e} of peak; enlarge the domain "
-            f"(heuristic: length >= 60/sqrt(m - omega^2) plus translation extent)"
-        )
-
-
-def _check_boundary_decay(samples: np.ndarray, what: str) -> None:
-    peak = float(np.max(np.abs(samples)))
-    edge = float(max(abs(samples[0]), abs(samples[-1])))
-    if peak == 0.0:
-        return
-    rel = edge / peak
-    _raise_if_not_decayed(rel, what)
-    if rel > 1e-10:
-        warnings.warn(
-            f"{what}: boundary value {rel:.2e} of peak exceeds 1e-10", stacklevel=3
-        )
+def _check_domain(model: ModelParams, omega: float, grid: Grid) -> None:
+    """The domain rule's errors raise DomainTooSmallError; its warnings go to the caller's caller."""
+    errors, tails = domain_problems(boundary_ratio(model, omega, grid))
+    raise_problems(errors, DomainTooSmallError)
+    for tail in tails:
+        warnings.warn(tail, stacklevel=3)
 
 
 def ground_state_1d(model: ModelParams, omega: float, grid: Grid) -> GroundState:
     """Closed-form 1D ground state sampled on the periodic grid."""
     if model.d != 1:
         raise ValueError("ground_state_1d requires d=1")
+    _check_domain(model, omega, grid)
     samples = np.asarray(phi_omega(grid.x, model, omega), dtype=float)
-    _check_boundary_decay(samples, "ground state")
     res = _residual_1d(samples, model, omega, grid)
     return GroundState(samples, res, grid=grid)
 
@@ -375,7 +374,8 @@ def ground_state_radial(
     tail = _linear_tail(r[cut:], math.sqrt(mu), model.d)
     phi[cut:] = phi[cut] / tail[0] * tail
     phi = _polish_radial(phi, r, mu, p, d, band)
-    _raise_if_not_decayed(phi[-1] / phi[0], "radial ground state")
+    errors, _ = domain_problems(phi[-1] / phi[0], "radial ground state")
+    raise_problems(errors, DomainTooSmallError)
     if not (np.all(phi >= 0) and np.all(np.diff(phi) <= 1e-12 * phi[0])):
         raise ShootingError("polished profile is not positive decreasing")
     res = _radial_stencil_residual(phi, r, mu, p, d)
@@ -386,14 +386,11 @@ def sample_soliton(sp: SolitonParams, t: float, grid: Grid) -> Field:
     """Exact soliton at time t: the boost formula of the module docstring at
     y = x - x0(t) wrapped onto the torus, times e^{i theta(t)} (``free_flow``).
 
-    DomainTooSmallError when the unshifted profile has not decayed at the
-    boundary; modulation fitting reads it as the trajectory leaving the tube."""
+    DomainTooSmallError, or a UserWarning, when the unshifted profile has not
+    decayed at the boundary (``domain_problems``)."""
     if sp.model.d != 1:
         raise ValueError("soliton sampling is implemented for d=1 dynamics")
-    # phi is even and decreasing in |x|, so the grid point nearest 0 holds the
-    # grid's peak: the two ends and that point decide the boundary check
-    ends_and_peak = grid.x[[0, grid.points // 2, -1]]
-    _check_boundary_decay(phi_omega(ends_and_peak, sp.model, sp.omega), "ground state")
+    _check_domain(sp.model, sp.omega, grid)
     angle, shift = free_flow(sp, t)
     y = wrap_coordinate(grid.x - shift, grid.length)
     prof = phi_omega(sp.gamma * y, sp.model, sp.omega)

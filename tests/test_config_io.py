@@ -223,14 +223,52 @@ def test_field_dump_roundtrip(tmp_path):
     assert back.grid.length == 40.0
 
 
+def _raw_dump(path, w, time=0.0):
+    """Write w as a dump without the writer's checks, as a damaged file holds it."""
+    header = f"NLKG1 {w.grid.points} {w.grid.length!r} {time!r}\n".encode("ascii")
+    path.write_bytes(header + flat(w).astype("<f8").tobytes())
+
+
 def test_field_dump_non_finite_rejected(tmp_path):
     """A dump holding NaN or inf is refused, with the count of bad values."""
     w = Field.zeros(Grid(40.0, 256))
     w.u2[:3] = [complex(1.0, np.inf), complex(np.nan, 2.0), complex(-np.inf, np.nan)]
     path = tmp_path / "field.dump"
-    write_field(path, w)
+    _raw_dump(path, w)
     with pytest.raises(FieldFormatError, match=r"^non-finite payload: 4 of 1024 values$"):
         read_field(path)
+
+
+@pytest.mark.parametrize(
+    "time, component, message",
+    [
+        (float("nan"), "", r"^bad dump header 'NLKG1 256 40 nan': time must be finite \(got nan\)$"),
+        (0.0, "u2", r"^non-finite payload: 1 of 1024 values$"),
+    ],
+    ids=["nan-time", "inf-in-u2"],
+)
+def test_write_field_refuses_what_read_field_refuses(tmp_path, time, component, message):
+    """A NaN time or an inf value raises the reader's FieldFormatError before the
+    file is opened: no file is created, and an existing one keeps its bytes."""
+    w = Field.zeros(Grid(40.0, 256))
+    if component:
+        getattr(w, component)[3] = complex(np.inf, 0.0)
+    new, old = tmp_path / "new.dump", tmp_path / "old.dump"
+    write_field(old, Field.zeros(Grid(40.0, 256)), 1.0)
+    before = old.read_bytes()
+    for path in (new, old):
+        with pytest.raises(FieldFormatError, match=message):
+            write_field(path, w, time)
+    assert not new.exists() and old.read_bytes() == before
+
+
+def test_finite_dump_bytes(tmp_path):
+    """A finite dump is its header line and the flat float64 payload, nothing else."""
+    rng = np.random.default_rng(2)
+    w = Field(*(rng.standard_normal((2, 64)) + 1j * rng.standard_normal((2, 64))), Grid(12.5, 64))
+    path = tmp_path / "field.dump"
+    write_field(path, w, time=-0.1)
+    assert path.read_bytes() == b"NLKG1 64 12.5 -0.10000000000000001\n" + flat(w).astype("<f8").tobytes()
 
 
 def test_field_dump_payload_is_flat(tmp_path):
@@ -611,7 +649,7 @@ def test_cli_non_finite_dump_is_io_error(tmp_path, capsys, component, bad, comma
     w = soliton_sum(run.solitons, 14.0, run.grid)
     getattr(w, component)[7] = complex(0.5, bad)
     dump = tmp_path / "bad.dump"
-    write_field(dump, w, 14.0)
+    _raw_dump(dump, w, 14.0)
     if command == "evolve":
         argv = ["evolve", "--from", str(dump), "--t0", "14", "--t1", "13", "--dt", "-0.01",
                 "--diag", str(tmp_path / "d.csv"), "--out", str(tmp_path / "o.dump")]
@@ -710,6 +748,69 @@ def test_cli_evolve_model_options_without_config(tmp_path):
         assert code == 0
         outs.append(read_field(out)[0])
     assert np.max(np.abs(outs[0].u1 - outs[1].u1)) > 1e-4
+
+
+def test_cli_evolve_takes_the_model_from_config(tmp_path):
+    """With --config the model is the config's: a field at rest evolves under
+    the config's m = 2 exactly as under --m 2, and not as under the default."""
+    from nlkglab.cli import main
+
+    src = tmp_path / "bump.dump"
+    grid = Grid(40.0, 256)
+    write_field(src, Field(np.exp(-grid.x**2) + 0j, np.zeros(256, complex), grid))
+    cfg = tmp_path / "m2.cfg"
+    cfg.write_text(SMALL.replace("m = 1.0", "m = 2.0"), encoding="utf-8")
+    outs = []
+    for extra in (["--config", str(cfg)], ["--m", "2.0"], []):
+        out = tmp_path / f"o{len(outs)}.dump"
+        code = main(["evolve", "--from", str(src), *extra,
+                     "--t0", "0", "--t1", "0.1", "--dt", "0.01", "--out", str(out)])
+        assert code == 0
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1] != outs[2]
+
+
+def test_cli_modulate_out_rows_are_the_printed_rows(tmp_path, capsys):
+    """The CSV that modulate --out writes holds the header and rows it prints."""
+    from nlkglab.cli import main
+
+    cfg_path = tmp_path / "seed.cfg"
+    cfg_path.write_text(SMALL, encoding="utf-8")
+    run, _ = parse_config(SMALL)
+    dump = tmp_path / "pair.dump"
+    write_field(dump, soliton_sum(run.solitons, 0.0, run.grid), 0.0)
+    out = tmp_path / "fit.csv"
+    assert main(["modulate", "--from", str(dump), "--seed", str(cfg_path), "--out", str(out)]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[0] == "j,theta,omega,x0,v"
+    assert out.read_text(encoding="ascii").splitlines() == printed[:3]
+
+
+def test_cli_multisoliton_warns_outside_stability_window(tmp_path, capsys):
+    """A soliton outside the orbital-stability window is reported on stderr
+    and in summary.txt, and the run still goes ahead."""
+    from nlkglab.cli import main
+
+    path = tmp_path / "low.cfg"
+    path.write_text(SMALL.replace("omega = 0.8\nv = -0.4", "omega = 0.6\nv = -0.4"), encoding="utf-8")
+    outdir = tmp_path / "out"
+    assert main(["multisoliton", "--config", str(path), "--out-dir", str(outdir)]) == 0
+    warning = (
+        "warning: soliton #1: omega^2/m=0.3600 <= 0.5000, outside the orbital-stability window"
+    )
+    assert warning in capsys.readouterr().err.splitlines()
+    assert warning in (outdir / "summary.txt").read_text(encoding="utf-8").splitlines()
+
+
+def test_cli_soliton_warns_outside_stability_window(tmp_path, capsys):
+    from nlkglab.cli import main
+
+    out = tmp_path / "s.dump"
+    argv = ["soliton", "--omega", "0.6", "--grid-points", "256", "--out", str(out)]
+    assert main(argv) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["warning: parameters outside the orbital-stability window"]
+    assert out.exists()
 
 
 @pytest.mark.parametrize("d", ["2", "3"])

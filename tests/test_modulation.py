@@ -10,6 +10,7 @@ from nlkglab.grids import Field, Grid, norm_h1l2, symmetry_directions
 from nlkglab.integrator import IntegratorConfig, evolve
 from nlkglab import experiments, modulation
 from nlkglab.modulation import (
+    DegenerateConfigurationError,
     NotInTubeError,
     _apply,
     _jacobian,
@@ -268,6 +269,35 @@ def test_divergence_raises(grid, pair):
     )
     with pytest.raises(NotInTubeError):
         fit_modulation(junk, list(pair))
+
+
+def test_zero_field_is_not_in_tube(grid, pair):
+    with pytest.raises(NotInTubeError, match="zero field"):
+        fit_modulation(Field.zeros(grid), list(pair))
+
+
+def test_seed_outside_the_domain_is_not_in_tube():
+    """A seed whose profile the grid cannot hold is not in the tube, and the
+    message names its boundary value: 1.04e-1 of the peak at length 10."""
+    g = Grid(10.0, 128)
+    bump = Field(np.exp(-g.x**2) + 0j, np.zeros(g.points, complex), g)
+    with pytest.raises(NotInTubeError, match=r"boundary value 1\.04e-01 of peak"):
+        fit_modulation(bump, [SolitonParams(MODEL, omega=0.8)])
+
+
+def test_near_coincident_pair_is_degenerate():
+    """Two solitons at one place with velocities +-1e-5 have nearly the same
+    symmetry directions: the Jacobian's condition number (5.8e10) is refused.
+    At +-1e-3 it is 5.8e6 and the fit converges."""
+    g = Grid(80.0, 1024)
+
+    def pair(v):
+        return [SolitonParams(MODEL, omega=0.8, v=-v), SolitonParams(MODEL, omega=0.8, v=v)]
+
+    with pytest.raises(DegenerateConfigurationError, match=r"5\.765e\+10"):
+        fit_modulation(soliton_sum(pair(1e-5), 0.0, g), pair(1e-5))
+    st = fit_modulation(soliton_sum(pair(1e-3), 0.0, g), pair(1e-3))
+    assert st.converged and st.condition_number == pytest.approx(5.7655e6, rel=1e-4)
 
 
 def test_track_exact_soliton(grid):

@@ -245,6 +245,20 @@ def _decay_outcome(check):
     return ("warn" if messages else "pass"), messages
 
 
+def _full_grid_decay_check(samples):
+    """Reference: the boundary-decay check on the whole sampled profile,
+    its peak the largest sample."""
+    peak = float(np.max(np.abs(samples)))
+    rel = float(max(abs(samples[0]), abs(samples[-1]))) / peak
+    if rel > 1e-6:
+        raise DomainTooSmallError(
+            f"ground state: boundary value {rel:.2e} of peak; enlarge the domain "
+            f"(heuristic: length >= 60/sqrt(m - omega^2) plus translation extent)"
+        )
+    if rel > 1e-10:
+        warnings.warn(f"ground state: boundary value {rel:.2e} of peak exceeds 1e-10")
+
+
 @pytest.mark.parametrize("points", [512, 511])
 @pytest.mark.parametrize("length", [10.0, 40.0, 80.0])
 @pytest.mark.parametrize("omega", [0.6, 0.8, 0.9, 0.95])
@@ -254,9 +268,19 @@ def test_sample_boundary_check_matches_full_grid(omega, length, points):
     printed ratio; odd point counts have no grid point at 0."""
     g = Grid(length, points)
     three = _decay_outcome(lambda: sample_soliton(SolitonParams(MODEL, omega), 0.0, g))
-    full = _decay_outcome(
-        lambda: profiles._check_boundary_decay(phi_omega(g.x, MODEL, omega), "ground state")
-    )
+    full = _decay_outcome(lambda: _full_grid_decay_check(phi_omega(g.x, MODEL, omega)))
+    assert three == full
+
+
+@pytest.mark.parametrize("points", [512, 511])
+@pytest.mark.parametrize("length", [10.0, 40.0, 80.0])
+@pytest.mark.parametrize("omega", [0.6, 0.8, 0.9, 0.95])
+def test_ground_state_boundary_check_matches_full_grid(omega, length, points):
+    """ground_state_1d checks its domain by the same three-point rule, and
+    decides as the check on all its samples does."""
+    g = Grid(length, points)
+    three = _decay_outcome(lambda: ground_state_1d(MODEL, omega, g))
+    full = _decay_outcome(lambda: _full_grid_decay_check(phi_omega(g.x, MODEL, omega)))
     assert three == full
 
 
