@@ -189,5 +189,11 @@ def symmetry_directions(w: Field) -> tuple[Field, Field, Field]:
 
 
 def wrap_coordinate(y: np.ndarray | float, length: float):
-    """Reduce positions modulo the period, recentered to [-length/2, length/2)."""
-    return (np.asarray(y) + 0.5 * length) % length - 0.5 * length
+    """Reduce positions modulo the period, recentered to [-length/2, length/2).
+
+    y - L floor((y + L/2)/L) keeps every y already in the period as it is, down
+    to the tiniest |y|; a y within rounding of L/2 + kL can land one ulp below
+    -L/2 (nextafter(L/2, 0) does).
+    """
+    y = np.asarray(y)
+    return y - length * np.floor((y + 0.5 * length) / length)

@@ -6,17 +6,18 @@ residue Upsilon = U - sum_j R_j(theta_j, omega_j, x_j) is L2 x L2
 orthogonal to the symmetry directions i R_j, i J R_j and R_j' of every
 component.  That is a 3N-dimensional root-finding problem solved by
 Newton; the theta and x tangents of R_j are its symmetry directions i R_j
-and -R_j', and dR_j/domega is the closed form ``profiles.frequency_tangent``
-of the sample R_j itself.  Near a genuine soliton sum the Jacobian is
-diagonally dominant (cross terms decay exponentially in the separation), so
-convergence is quadratic from reasonable seeds.
+and -R_j'.  R_j' and dR_j/domega are the closed forms
+``profiles.soliton_tangents`` of the sample R_j itself, so the soliton side
+takes no FFT.  Near a genuine soliton sum the Jacobian is diagonally dominant
+(cross terms decay exponentially in the separation), so convergence is
+quadratic from reasonable seeds.
 
 The pairings are matrix products: every direction and tangent is one real
 row of length 4N (``grids.flat``), so the 3N residuals are one mat-vec and
 the Jacobian's cross term one (3N, 3N) Gram.  Its residue term moves the
 symmetry maps onto Upsilon by their adjoints, and an accepted backtracking
 trial's sample is the next iterate's, so an iterate samples each soliton
-once: the residual's sample also gives the omega-tangent.
+once: that sample gives the residual, the directions and the omega-tangent.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import numpy as np
 
 from .grids import Field, Grid, flat, norm_h1l2, symmetry_directions
 from .profiles import SolitonParams, boundary_ratio, domain_problems
-from .profiles import frequency_tangent, sample_soliton
+from .profiles import sample_soliton, soliton_tangents
 
 __all__ = [
     "ModulationState",
@@ -85,16 +86,25 @@ class ModulationState:
 
 def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     """The orthogonality residuals, the residue U - sum_j R_j, the
-    symmetry directions D_k R_j of every component, stacked as the real
-    (3N, 4N) array of their ``flat`` rows in (j, k) order, and the R_j."""
+    symmetry directions i R_j, i J R_j and R_j' of every component, stacked
+    as the real (3N, 4N) array of their ``flat`` rows in (j, k) order, and the
+    (N, 4N) rows of the dR_j/domega.  R_j' and dR_j/domega are
+    ``profiles.soliton_tangents`` of the sample R_j, with no spectral derivative."""
+    g = u.grid
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the fit warns for its iterates' tails
-        comps = [sample_soliton(sp, 0.0, u.grid) for sp in params]
+        comps = [sample_soliton(sp, 0.0, g) for sp in params]
     ups = u.copy()
     for c in comps:
         ups = ups - c
-    dirs = np.stack([flat(d) for c in comps for d in symmetry_directions(c)])
-    return (dirs @ flat(ups)) * u.grid.spacing, ups, dirs, comps
+    tangents = [soliton_tangents(sp, c) for sp, c in zip(params, comps)]
+    dirs = np.stack([
+        flat(d)
+        for c, (dx, _) in zip(comps, tangents)
+        for d in (Field(1j * c.u1, 1j * c.u2, g), Field(1j * c.u2, -1j * c.u1, g), dx)
+    ])
+    d_omega = np.stack([flat(dw) for _, dw in tangents])
+    return (dirs @ flat(ups)) * g.spacing, ups, dirs, d_omega
 
 
 # <a, D_k b> = ADJOINT_SIGNS[k] * <D_k a, b> in the real L2 x L2 pairing: i and d/dx
@@ -102,9 +112,7 @@ def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
 ADJOINT_SIGNS = np.array([-1.0, 1.0, -1.0])
 
 
-def _jacobian(
-    ups: Field, dirs: np.ndarray, comps: Sequence[Field], params: Sequence[SolitonParams]
-) -> np.ndarray:
+def _jacobian(ups: Field, dirs: np.ndarray, d_omega: np.ndarray) -> np.ndarray:
     """Derivative of the orthogonality residuals in (theta_l, omega_l, x_l).
 
     With T_j = (i R_j, dR_j/domega, -R_j') the tangents of R_j and D_k the
@@ -114,14 +122,13 @@ def _jacobian(
     Upsilon once instead of on all 3N tangents.
     """
     grid = ups.grid
-    rows = []
-    for j, (sp, comp) in enumerate(zip(params, comps)):
-        rows += [dirs[3 * j], flat(frequency_tangent(sp, comp)), -dirs[3 * j + 2]]
-    tan = np.stack(rows)
+    tan = dirs.copy()
+    tan[1::3] = d_omega
+    tan[2::3] *= -1.0
     jac = -(dirs @ tan.T) * grid.spacing
     dups = np.stack([flat(d) for d in symmetry_directions(ups)])
     ups_term = ADJOINT_SIGNS[:, None] * (dups @ tan.T) * grid.spacing
-    for j in range(len(params)):
+    for j in range(len(d_omega)):
         jac[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] += ups_term[:, 3 * j : 3 * j + 3]
     return jac
 
@@ -161,10 +168,10 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
         raise NotInTubeError(f"iterate left the profile family: {errors[0]}")
     for tail in tails:
         warnings.warn(tail)
-    f0, ups, dirs, comps = _ortho_vector(u, current)
+    f0, ups, dirs, d_omega = _ortho_vector(u, current)
 
     for it in range(MAX_NEWTON_ITER):
-        jac = _jacobian(ups, dirs, comps, current)
+        jac = _jacobian(ups, dirs, d_omega)
         cond = float(np.linalg.cond(jac))
         if not np.isfinite(cond) or cond > 1e8:
             raise DegenerateConfigurationError(
@@ -194,7 +201,7 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
         for tail in tails:
             warnings.warn(tail)
         vec, current = trial, candidate
-        f0, ups, dirs, comps = sampled
+        f0, ups, dirs, d_omega = sampled
     raise NotInTubeError(
         f"modulation Newton did not converge in {MAX_NEWTON_ITER} iterations "
         f"(last residual {norm0:.3e}, tol {NEWTON_TOL * scale:.3e})"

@@ -24,6 +24,7 @@ with argument x - v t - x0.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -45,6 +46,7 @@ __all__ = [
     "SolitonParams",
     "model_problems",
     "frequency_problems",
+    "peak_problems",
     "soliton_problems",
     "boundary_ratio",
     "domain_problems",
@@ -56,7 +58,7 @@ __all__ = [
     "ground_state_radial",
     "free_flow",
     "sample_soliton",
-    "frequency_tangent",
+    "soliton_tangents",
     "phi_tilde",
     "phi_omega",
 ]
@@ -96,6 +98,24 @@ def frequency_problems(model: ModelParams, omega: float) -> list[str]:
     if abs(omega) < math.sqrt(model.m):
         return []
     return [f"|omega|={abs(omega)} not below sqrt(m)={math.sqrt(model.m)}"]
+
+
+# the logarithms of the smallest normal and the largest float
+_LOG_TINY, _LOG_HUGE = math.log(sys.float_info.min), math.log(sys.float_info.max)
+
+
+def peak_problems(model: ModelParams, omega: float) -> list[str]:
+    """For |omega| < sqrt(m): the closed-form peak ((p+1)(m - omega^2)/2)^(1/(p-1))
+    of phi_omega must be a positive finite float; near p = 1 it underflows to 0
+    (or overflows), and every sample of the profile with it."""
+    log_peak = math.log(0.5 * (model.p + 1.0) * (model.m - omega * omega)) / (model.p - 1.0)
+    if _LOG_TINY < log_peak < _LOG_HUGE:
+        return []
+    fate = "underflows to 0" if log_peak <= _LOG_TINY else "overflows"
+    return [
+        f"ground-state peak ((p+1)(m - omega^2)/2)^(1/(p-1)) = exp({log_peak:.6g}) {fate} "
+        f"at p={model.p}, omega={omega}"
+    ]
 
 
 def soliton_problems(
@@ -196,6 +216,7 @@ def phi_tilde(y: np.ndarray | float, p: float):
 def phi_omega(y: np.ndarray | float, model: ModelParams, omega: float):
     """Ground state at frequency omega via the (m - omega^2) scaling."""
     raise_problems(frequency_problems(model, omega), FrequencyRangeError)
+    raise_problems(peak_problems(model, omega))
     mu = model.m - omega * omega
     return mu ** (1.0 / (model.p - 1.0)) * phi_tilde(math.sqrt(mu) * np.asarray(y), model.p)
 
@@ -399,33 +420,39 @@ def sample_soliton(sp: SolitonParams, t: float, grid: Grid) -> Field:
     return Field(phase * prof, phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof), grid)
 
 
-def frequency_tangent(sp: SolitonParams, sample: Field) -> Field:
-    """d/domega of ``sample_soliton(sp, 0, grid)`` in closed form, from that sample.
+def soliton_tangents(sp: SolitonParams, sample: Field) -> tuple[Field, Field]:
+    """d/dx and d/domega of ``sample_soliton(sp, 0, grid)`` in closed form, from that sample.
 
     With y = wrap(x - x0), mu = m - omega^2, s = sqrt(mu) gamma y and
     b = (p-1)/2, the profile phi_omega(gamma y) has the real log-derivatives
-    g = (omega/mu)(s tanh(bs) - 1/b) in omega and h = -gamma sqrt(mu) tanh(bs)
-    in x, and g' = dg/dx; the boost phase gives i a with a = -gamma v y.  Then
+    h = -gamma sqrt(mu) tanh(bs) in x, with h' = -b gamma^2 mu sech^2(bs), and
+    g = (omega/mu)(s tanh(bs) - 1/b) in omega, with g' = dg/dx.  The boost
+    phase e^{cy}, c = -i gamma omega v, gives c in x and i a in omega, a = -gamma v y.  Then
 
-        d u1 = u1 (g + i a),
-        d u2 = i a u2 + u1 (i gamma (1 + omega g) - v (g' + g h)).
+        dx u1 = u1 (h + c),      dx u2 = c u2 + u1 (i gamma omega h - v (h' + h^2)),
+        dw u1 = u1 (g + i a),    dw u2 = i a u2 + u1 (i gamma (1 + omega g) - v (g' + g h)).
 
-    The sample's u2 holds a spectral derivative where this formula holds the
+    The sample's u2 holds a spectral derivative where these formulas hold the
     exact one, so the two agree as far as the grid resolves the profile.
     """
-    model, om, gam = sp.model, sp.omega, sp.gamma
+    model, om, gam, v = sp.model, sp.omega, sp.gamma, sp.v
+    u1, u2, grid = sample.u1, sample.u2, sample.grid
     mu = model.m - om * om
     rmu = math.sqrt(mu)
     b = 0.5 * (model.p - 1.0)
-    y = wrap_coordinate(sample.grid.x - sp.x0, sample.grid.length)
+    y = wrap_coordinate(grid.x - sp.x0, grid.length)
     s = (rmu * gam) * y
     th = np.tanh(b * s)
-    g = (om / mu) * (s * th - 1.0 / b)
+    sech2 = 1.0 - th * th
     h = -(gam * rmu) * th
-    dg = (om * gam / rmu) * (th + b * s * (1.0 - th * th))
-    ia = (-1j * gam * sp.v) * y
-    du2 = ia * sample.u2 + sample.u1 * (1j * gam * (1.0 + om * g) - sp.v * (dg + g * h))
-    return Field(sample.u1 * (g + ia), du2, sample.grid)
+    c = -1j * gam * om * v
+    dh = (-b * gam * gam * mu) * sech2
+    dx = Field(u1 * (h + c), c * u2 + u1 * ((1j * gam * om) * h - v * (dh + h * h)), grid)
+    g = (om / mu) * (s * th - 1.0 / b)
+    dg = (om * gam / rmu) * (th + b * s * sech2)
+    ia = (-1j * gam * v) * y
+    dw = Field(u1 * (g + ia), ia * u2 + u1 * (1j * gam * (1.0 + om * g) - v * (dg + g * h)), grid)
+    return dx, dw
 
 
 def profile_norms(gs: GroundState) -> tuple[float, float]:

@@ -839,6 +839,19 @@ def test_cli_groundstate_radial_domain_too_small(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_groundstate_peak_underflow_is_a_config_error(tmp_path, capsys):
+    """p = 1.0001 at omega = 0.5 puts the closed-form peak below the floats:
+    exit 2 naming the underflow, and no all-zero profile is written."""
+    from nlkglab.cli import main
+
+    out = tmp_path / "gs.csv"
+    args = ["--p", "1.0001", "--omega", "0.5", "--length", "80", "--grid-points", "1024"]
+    code = main(["groundstate", *args, "--out", str(out)])
+    assert code == 2
+    assert "underflows to 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _groundstate_phi0(capsys, *args) -> float:
     from nlkglab.cli import main
 

@@ -212,3 +212,29 @@ def test_wrap_coordinate():
     assert wrap_coordinate(41.0, 80.0) == pytest.approx(-39.0)
     assert wrap_coordinate(-41.0, 80.0) == pytest.approx(39.0)
     assert wrap_coordinate(12.0, 80.0) == pytest.approx(12.0)
+
+
+@pytest.mark.parametrize("length, periods", [(80.0, 7), (160.0, 7), (0.3, 2)])
+def test_wrap_coordinate_matches_the_remainder_form(length, periods):
+    """On a random sweep of 1e6 points the floor form agrees with
+    (y + L/2) % L - L/2 to one ulp of L.  Past one period each way a length
+    that is not a small dyadic rounds L k, so there the sweep stays within it."""
+    half = 0.5 * periods * length
+    y = np.random.default_rng(23).uniform(-half, half, 10**6)
+    remainder = (y + 0.5 * length) % length - 0.5 * length
+    assert np.max(np.abs(wrap_coordinate(y, length) - remainder)) <= np.spacing(length)
+
+
+def test_wrap_coordinate_edges():
+    """A y inside the period comes back as it is, even the tiniest (the
+    remainder form returns 0.0 for -1e-300); both ends of the period map to
+    -L/2; and nextafter(L/2, 0), whose y + L/2 rounds to L, lands one ulp
+    below -L/2, as the docstring states."""
+    L = 80.0
+    for y in (-1e-300, 1e-300, -0.0, 12.0, -39.999, np.nextafter(-0.5 * L, 0.0)):
+        assert wrap_coordinate(y, L) == y
+    assert wrap_coordinate(0.5 * L, L) == -0.5 * L
+    assert wrap_coordinate(-0.5 * L, L) == -0.5 * L
+    assert wrap_coordinate(np.nextafter(0.5 * L, 0.0), L) == np.nextafter(-0.5 * L, -np.inf)
+    grid = Grid(L, 1024)
+    assert np.array_equal(wrap_coordinate(grid.x, L), grid.x)

@@ -18,7 +18,7 @@ from nlkglab.modulation import (
     fit_modulation,
     track_parameters,
 )
-from nlkglab.profiles import ModelParams, SolitonParams, frequency_tangent, sample_soliton
+from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton, soliton_tangents
 from nlkglab.spectrum import _frequency_derivative
 from oracles import pair_inner
 
@@ -79,12 +79,12 @@ def _jacobian_case(grid, n, eps):
 @pytest.mark.parametrize("eps", [0.0, 0.01])
 @pytest.mark.parametrize("n", [2, 3])
 def test_jacobian_matches_finite_difference(grid, n, eps):
-    """The Jacobian from the symmetry directions and the closed-form omega-tangent
+    """The Jacobian from the closed-form symmetry directions and omega-tangent
     agrees with a centered difference of the residual map, off the root so
     that the residue term counts too."""
     u, at = _jacobian_case(grid, n, eps)
-    _, ups, dirs, comps = _ortho_vector(u, at)
-    jac = _jacobian(ups, dirs, comps, at)
+    _, ups, dirs, d_omega = _ortho_vector(u, at)
+    jac = _jacobian(ups, dirs, d_omega)
     oracle = _fd_jacobian(u, at)
     assert np.max(np.abs(jac - oracle)) < 1e-6 * np.max(np.abs(oracle))
 
@@ -92,12 +92,17 @@ def test_jacobian_matches_finite_difference(grid, n, eps):
 def _per_tangent_jacobian(ups, params):
     """Reference path: J[(i,k),(j,a)] = -<T_{j,a}, D_k R_i> + delta_ij
     <Upsilon, D_k T_{j,a}>, one pair_inner per entry, with the symmetry
-    maps applied to every tangent."""
+    maps applied to every tangent.  D_k R_i are i R_i, i J R_i and the
+    closed-form R_i' the fit pairs with."""
     g = ups.grid
-    dirs = [symmetry_directions(sample_soliton(sp, 0.0, g)) for sp in params]
+    dirs, d_omegas = [], []
+    for sp in params:
+        sample = sample_soliton(sp, 0.0, g)
+        dx, d_omega = soliton_tangents(sp, sample)
+        dirs.append((*symmetry_directions(sample)[:2], dx))
+        d_omegas.append(d_omega)
     jac = np.empty((3 * len(params), 3 * len(params)))
-    for j, sp in enumerate(params):
-        d_omega = frequency_tangent(sp, sample_soliton(sp, 0.0, g))
+    for j, d_omega in enumerate(d_omegas):
         for a, tangent in enumerate((dirs[j][0], d_omega, -1.0 * dirs[j][2])):
             col = np.array([-pair_inner(tangent, d) for dl in dirs for d in dl])
             col[3 * j : 3 * j + 3] += [pair_inner(ups, d) for d in symmetry_directions(tangent)]
@@ -111,24 +116,25 @@ def test_jacobian_matches_per_tangent_reference(grid, n, eps):
     """The stacked Gram with the residue term taken by adjoints is the
     per-entry formula to rounding."""
     u, at = _jacobian_case(grid, n, eps)
-    _, ups, dirs, comps = _ortho_vector(u, at)
-    jac = _jacobian(ups, dirs, comps, at)
+    _, ups, dirs, d_omega = _ortho_vector(u, at)
+    jac = _jacobian(ups, dirs, d_omega)
     ref = _per_tangent_jacobian(ups, at)
     assert np.max(np.abs(jac - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def _difference_tangent(sp, comp):
-    """Oracle: the omega-tangent as the centered omega-difference of two more
-    samples of the soliton."""
-    return _frequency_derivative(
+def _reference_tangents(sp, comp):
+    """Oracle: the path the closed forms replace, the spectral derivative of
+    the sample and the centered omega-difference of two more samples."""
+    d_omega = _frequency_derivative(
         lambda om: sample_soliton(replace(sp, omega=om), 0.0, comp.grid), sp.omega
     )
+    return symmetry_directions(comp)[2], d_omega
 
 
 def test_fits_match_the_omega_difference_reference(monkeypatch):
     """Every fit of a 21-hook backward pair run takes the iteration count and
-    lands on the roots (to 1e-12) of the same fit with the omega-difference
-    tangent."""
+    lands on the roots (to 1e-12) of the same fit with the reference tangents:
+    the spectral R_j' and the omega-difference dR_j/domega."""
     g = Grid(160.0, 1024)
     sols = [SolitonParams(MODEL, omega=0.8, v=v, theta=0.3, x0=5 * g.spacing) for v in (-0.4, 0.4)]
     cfg = MultiSolitonConfig(
@@ -140,7 +146,7 @@ def test_fits_match_the_omega_difference_reference(monkeypatch):
     def both(field, seeds):
         st = real(field, seeds)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(modulation, "frequency_tangent", _difference_tangent)
+            mp.setattr(modulation, "soliton_tangents", _reference_tangents)
             fits.append((st, real(field, seeds)))
         return st
 
@@ -155,8 +161,9 @@ def test_fits_match_the_omega_difference_reference(monkeypatch):
 
 def test_fit_samples_each_soliton_once_per_iterate(grid, pair, monkeypatch):
     """Each iterate samples every soliton once, for the residual, and takes
-    its omega-tangent from that sample; an accepted Newton step's sample is
-    the next iterate's residual sample, so nothing is sampled twice."""
+    its translation and omega tangents from that sample; an accepted Newton
+    step's sample is the next iterate's residual sample, so nothing is
+    sampled twice."""
     calls = []
     real = modulation.sample_soliton
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlkglab import profiles
-from nlkglab.grids import Grid, flat, norm_h1l2, norm_l2
+from nlkglab.grids import Grid, flat, norm_h1l2, norm_l2, symmetry_directions
 from nlkglab.integrator import IntegratorConfig, evolve
 from nlkglab.profiles import (
     DomainTooSmallError,
@@ -16,13 +16,13 @@ from nlkglab.profiles import (
     SolitonParams,
     _radial_linear_band,
     _radial_stencil_residual,
-    frequency_tangent,
     ground_state_1d,
     ground_state_radial,
     phi_omega,
     phi_tilde,
     profile_norms,
     sample_soliton,
+    soliton_tangents,
 )
 from oracles import (
     pohozaev_ratio,
@@ -90,6 +90,17 @@ def test_tail_slope(grid):
 def test_frequency_out_of_range(grid):
     with pytest.raises(FrequencyRangeError):
         ground_state_1d(MODEL, 1.01, grid)
+
+
+@pytest.mark.parametrize(
+    "m, omega, fate", [(1.0, 0.5, "underflows to 0"), (4.0, 0.0, "overflows")]
+)
+def test_ground_state_peak_must_be_a_positive_float(m, omega, fate):
+    """Near p = 1 the closed-form peak ((p+1) mu/2)^(1/(p-1)) leaves the floats:
+    at mu = 0.75 it underflows, and every sample with it (the ground state was
+    all zeros, with a 0/0 in the domain check); at mu = 4 it overflows."""
+    with pytest.raises(ValueError, match=fate):
+        ground_state_1d(ModelParams(m, 1.0001, 1), omega, Grid(80.0, 1024))
 
 
 def test_domain_too_small():
@@ -320,35 +331,67 @@ def test_sample_at_t_is_advanced_sample_at_zero(grid, t, v, theta, x0):
     assert np.array_equal(a.u1, b.u1) and np.array_equal(a.u2, b.u2)
 
 
-@pytest.mark.parametrize(
-    "m, p, omega, v, edge",
-    [
-        (1.0, 3.0, 0.8, 0.0, 0),
-        (1.0, 2.0, -0.7, 0.6, -1),
-        (2.0, 4.0, 1.1, -0.6, 1),
-        (0.5, 5.0, -0.5, 0.0, 1),
-        (1.0, 5.0, 0.9, -0.6, -1),
-        (1.5, 3.0, -1.0, 0.6, 0),
-    ],
-)
+# (m, p, omega, v, edge): edge = -1 or 1 centres the soliton within one cell
+# of an end of the box, where the sample wraps around
+TANGENT_CASES = [
+    (1.0, 3.0, 0.8, 0.0, 0),
+    (1.0, 2.0, -0.7, 0.6, -1),
+    (2.0, 4.0, 1.1, -0.6, 1),
+    (0.5, 5.0, -0.5, 0.0, 1),
+    (1.0, 5.0, 0.9, -0.6, -1),
+    (1.5, 3.0, -1.0, 0.6, 0),
+]
+
+
+def _tangent_case(m, p, omega, v, edge):
+    g = Grid(160.0, 2048)
+    x0 = edge * (0.5 * g.length - 0.4 * g.spacing) if edge else 3.3
+    return g, SolitonParams(ModelParams(m, p, 1), omega=omega, theta=0.7, v=v, x0=x0)
+
+
+def _richardson(sample, step):
+    """(4 D(step/2) - D(step)) / 3 of the centered differences D of ``sample(delta)``."""
+
+    def difference(h):
+        return (flat(sample(h)) - flat(sample(-h))) / (2.0 * h)
+
+    return (4.0 * difference(0.5 * step) - difference(step)) / 3.0
+
+
+@pytest.mark.parametrize("m, p, omega, v, edge", TANGENT_CASES)
 def test_frequency_tangent_matches_richardson_difference(m, p, omega, v, edge):
     """The closed-form omega-tangent of a sample equals the Richardson
     extrapolation of centered omega-differences of whole samples to 1e-8
-    relative, also for a soliton centred within one cell of an end of the box
-    (edge = -1 or 1), where the sample wraps around.  The grid resolves every
+    relative, also where the sample wraps around.  The grid resolves every
     profile: at N = 1024 the narrowest (m = 2, p = 4) differs by 1.6e-6, the
     gap between the sample's spectral derivative and the exact one."""
-    g = Grid(160.0, 2048)
-    x0 = edge * (0.5 * g.length - 0.4 * g.spacing) if edge else 3.3
-    sp = SolitonParams(ModelParams(m, p, 1), omega=omega, theta=0.7, v=v, x0=x0)
-
-    def difference(step):
-        plus, minus = (sample_soliton(replace(sp, omega=omega + s), 0.0, g) for s in (step, -step))
-        return (flat(plus) - flat(minus)) / (2.0 * step)
-
-    oracle = (4.0 * difference(5e-4) - difference(1e-3)) / 3.0
-    tangent = flat(frequency_tangent(sp, sample_soliton(sp, 0.0, g)))
+    g, sp = _tangent_case(m, p, omega, v, edge)
+    oracle = _richardson(lambda d: sample_soliton(replace(sp, omega=omega + d), 0.0, g), 1e-3)
+    tangent = flat(soliton_tangents(sp, sample_soliton(sp, 0.0, g))[1])
     assert np.max(np.abs(tangent - oracle)) <= 1e-8 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("m, p, omega, v, edge", TANGENT_CASES)
+def test_translation_tangent_matches_richardson_difference(m, p, omega, v, edge):
+    """The closed-form d/dx of a sample is minus the Richardson extrapolation
+    of centered x0-differences of whole samples, to 1e-8 relative, also where
+    the sample wraps around."""
+    g, sp = _tangent_case(m, p, omega, v, edge)
+    oracle = -_richardson(lambda d: sample_soliton(replace(sp, x0=sp.x0 + d), 0.0, g), 1e-3)
+    tangent = flat(soliton_tangents(sp, sample_soliton(sp, 0.0, g))[0])
+    assert np.max(np.abs(tangent - oracle)) <= 1e-8 * np.max(np.abs(oracle))
+
+
+@pytest.mark.parametrize("v", [-0.4, 0.0, 0.4])
+def test_translation_tangent_matches_spectral_derivative(v):
+    """On the acceptance grid (L = 160, N = 2048) the closed-form d/dx is the
+    spectral derivative ``symmetry_directions(sample)[2]`` it replaces in the fit."""
+    g = Grid(160.0, 2048)
+    sp = SolitonParams(MODEL, omega=0.8, theta=0.3, v=v, x0=5 * g.spacing)
+    sample = sample_soliton(sp, 0.0, g)
+    spectral = flat(symmetry_directions(sample)[2])
+    tangent = flat(soliton_tangents(sp, sample)[0])
+    assert np.max(np.abs(tangent - spectral)) <= 1e-12 * np.max(np.abs(spectral))
 
 
 def test_standing_wave_rotation(grid):
