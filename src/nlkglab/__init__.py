@@ -27,7 +27,7 @@ from .functionals import (  # noqa: F401
 )
 from .integrator import BlowUpError, IntegratorConfig, evolve  # noqa: F401
 from .spectrum import assemble_second_variation, slope_test, spectrum_report  # noqa: F401
-from .modulation import fit_modulation, track_parameters  # noqa: F401
+from .modulation import fit_modulation  # noqa: F401
 from .experiments import (  # noqa: F401
     MultiSolitonConfig,
     measure_interactions,

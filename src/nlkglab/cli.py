@@ -53,21 +53,21 @@ def _out_root() -> Path:
     return Path(os.environ.get("NLKG_OUT_DIR", "."))
 
 
-# defaults of the options that stay None when not given, so a command can tell
-M_DEFAULT, P_DEFAULT, GRID_POINTS_DEFAULT = 1.0, 3.0, 1024
+# --m, --p and --grid-points stay None when not given, so a command can tell; then
+# --m and --p take ModelParams' defaults and --grid-points this one
+GRID_POINTS_DEFAULT = 1024
 # radial mesh on [0, length/2]: 4000 intervals at most 0.01 apart (as at length 80), so <= 10^6
 RADIAL_SPACING, RADIAL_MAX_LENGTH = 0.01, 20000.0
 
 
 def _model_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=float, help=f"mass coefficient (default {M_DEFAULT})")
-    p.add_argument("--p", type=float, help=f"nonlinearity exponent (default {P_DEFAULT})")
+    p.add_argument("--m", type=float, help=f"mass coefficient (default {ModelParams.m})")
+    p.add_argument("--p", type=float, help=f"nonlinearity exponent (default {ModelParams.p})")
 
 
 def _model(args: argparse.Namespace, d: int = 1) -> ModelParams:
-    return ModelParams(
-        M_DEFAULT if args.m is None else args.m, P_DEFAULT if args.p is None else args.p, d
-    )
+    given = {key: getattr(args, key) for key in ("m", "p") if getattr(args, key) is not None}
+    return ModelParams(**given, d=d)
 
 
 def _grid_args(p: argparse.ArgumentParser) -> None:

@@ -58,9 +58,13 @@ class ConfigError(ValueError):
         super().__init__("invalid configuration:\n  " + "\n  ".join(problems))
 
 
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+
+
 # every key's default, whose type is the key's type; keys are unique across sections
 _DEFAULTS = {
-    "model": {"m": 1.0, "p": 3.0, "d": 1},
+    "model": _field_defaults(ModelParams),
     "grid": {"length": 160.0, "points": 2048},
     "integrator": {"dt": 0.002},
     # types only: a [soliton] section starts from the defaults of SolitonParams
@@ -68,11 +72,11 @@ _DEFAULTS = {
     "experiment": {
         "t_final": 40.0,
         "t_start": 10.0,
-        "diag_period": 0.5,
+        "diag_period": MultiSolitonConfig.diag_period,
         "out_dir": ".",
     },
 }
-_SOLITON_DEFAULTS = {f.name: f.default for f in fields(SolitonParams) if f.default is not MISSING}
+_SOLITON_DEFAULTS = _field_defaults(SolitonParams)
 
 
 def _convert(raw: str, typ, lineno: int, problems: list[str]):

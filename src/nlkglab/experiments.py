@@ -225,24 +225,42 @@ class DecayReport:
         except ValueError:
             return (math.nan, math.nan, math.nan)
 
+    def modulation_rates(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The modulation laws by centred differences of the fits over the hook
+        times: (dtheta/dt - omega/gamma, domega/dt, dx/dt - v), one row per interior
+        hook and one column per soliton.  Phases are unwrapped first; v and gamma
+        are the fitted solitons'.  Raises ValueError with fewer than 3 hooks or
+        after a tube exit."""
+        if len(self.times) < 3:
+            raise ValueError("need at least 3 hooks for centred differences")
+        if self.tube_exit_time is not None:
+            raise ValueError(f"no fits at and beyond the tube exit at t={self.tube_exit_time}")
+        fits = self.modulation
+        thetas = np.unwrap(np.array([st.thetas for st in fits]), axis=0)
+        omegas = np.array([st.omegas for st in fits])
+        positions = np.array([st.positions for st in fits])
+        gammas = np.array([sp.gamma for sp in fits[0].solitons])
+        vels = np.array([sp.v for sp in fits[0].solitons])
+        dt2 = (self.times[2:] - self.times[:-2])[:, None]
+        return (
+            (thetas[2:] - thetas[:-2]) / dt2 - omegas[1:-1] / gammas,
+            (omegas[2:] - omegas[:-2]) / dt2,
+            (positions[2:] - positions[:-2]) / dt2 - vels,
+        )
+
     def localized_charge_drift(self, j: int) -> np.ndarray:
         """|Q_j(t) - Q_j at the final time| over the series."""
         qj = np.array([loc.q[j] for loc in self.localized])
         return np.abs(qj - qj[-1])
 
 
-def _run_construction(
-    cfg: MultiSolitonConfig, backward: bool, initial: Optional[Field] = None
-) -> DecayReport:
+def _run_construction(cfg: MultiSolitonConfig, t0: float, t1: float, w0: Field) -> DecayReport:
+    """Evolve ``w0`` from t0 to t1 in steps of ``cfg.dt`` signed by t1 - t0, with a
+    hook every ``cfg.diag_period``."""
     wall0 = _time.perf_counter()
     grid, model = cfg.grid, cfg.model
     params = cfg.action_params()
     stride = hook_stride(cfg.diag_period, cfg.dt)
-    if backward:
-        t0, t1, dt = cfg.t_final, cfg.t_start, -cfg.dt
-    else:
-        t0, t1, dt = cfg.t_start, cfg.t_final, cfg.dt
-    w0 = initial if initial is not None else soliton_sum(cfg.solitons, t0, grid)
 
     # one record per hook: (t, error, E, Q, P, localized, fit or None, field)
     records: list[tuple] = []
@@ -265,8 +283,9 @@ def _run_construction(
                 tube_exit = t
         records.append((t, error, rec.energy, rec.charge, rec.momentum, loc, st, field))
 
+    dt = math.copysign(cfg.dt, t1 - t0)
     final = evolve(w0, t0, t1, IntegratorConfig(dt=dt), model, hooks=[hook], diag_stride=stride)
-    if backward:  # hook times are monotone in the run's direction
+    if dt < 0:  # hook times are monotone in the run's direction
         records.reverse()
     times, errors, energies, charges, momenta, localized, modulation, fields = zip(*records)
     return DecayReport(
@@ -287,7 +306,8 @@ def _run_construction(
 
 def run_backward_construction(cfg: MultiSolitonConfig) -> DecayReport:
     """Final data = exact soliton sum at t_final, integrated back to t_start."""
-    return _run_construction(cfg, backward=True)
+    w0 = soliton_sum(cfg.solitons, cfg.t_final, cfg.grid)
+    return _run_construction(cfg, cfg.t_final, cfg.t_start, w0)
 
 
 @dataclass
@@ -368,7 +388,7 @@ def run_forward_stability(cfg: MultiSolitonConfig, amplitude: float, seed: int =
     w0 = soliton_sum(cfg.solitons, cfg.t_start, cfg.grid)
     if amplitude != 0.0:
         w0 = w0 + amplitude * random_bump(cfg.grid, seed)
-    return _run_construction(cfg, backward=False, initial=w0)
+    return _run_construction(cfg, cfg.t_start, cfg.t_final, w0)
 
 
 @dataclass

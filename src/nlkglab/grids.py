@@ -53,7 +53,9 @@ def grid_problems(length: float, points: int) -> list[str]:
     problems = []
     if not (math.isfinite(length) and length > 0):
         problems.append(f"grid length must be positive and finite (got {length})")
-    if not points > 0:
+    if isinstance(points, bool) or not isinstance(points, (int, np.integer)):
+        problems.append(f"grid points must be an integer, not a bool or float (got {points!r})")
+    elif not points > 0:
         problems.append(f"grid points must be positive (got {points})")
     return problems
 

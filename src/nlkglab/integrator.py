@@ -154,16 +154,19 @@ def evolve(
 
     Both times must be finite and (t1 - t0)/dt a whole number of steps,
     positive unless t1 == t0.  Hooks fire at t0, every ``diag_stride`` steps
-    and at the final step with a DiagnosticsRecord; blow-up aborts with the
-    failure time attached.  The amplitude is checked every 16 steps, before
-    each hook and at the end; these are the sync points, the only steps that
-    return to physical space.
+    (at least 1 when there are hooks) and at the final step with a
+    DiagnosticsRecord; blow-up aborts with the failure time attached.  The
+    amplitude is checked every 16 steps, before each hook and at the end;
+    these are the sync points, the only steps that return to physical space.
     """
     from scipy.fft import fft, ifft  # lazy: see the module docstring
 
     cfg.check_grid(w.grid)
     times = {"t0": t0, "t1": t1}
-    raise_problems([f"{name}={t} must be finite" for name, t in times.items() if not math.isfinite(t)])
+    problems = [f"{name}={t} must be finite" for name, t in times.items() if not math.isfinite(t)]
+    if hooks and diag_stride < 1:
+        problems.append(f"diag_stride={diag_stride} must be at least 1 to fire the hooks")
+    raise_problems(problems)
     span, nsteps = t1 - t0, 0
     if span != 0.0:
         ratio = span / cfg.dt
@@ -183,7 +186,7 @@ def evolve(
         for hook in hooks:
             hook(rec)
 
-    firing = bool(hooks) and diag_stride > 0
+    firing = bool(hooks)
     if firing:
         fire(0, w.u1, w.u2)
     if nsteps == 0:

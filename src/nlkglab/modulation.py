@@ -35,11 +35,9 @@ from .profiles import sample_soliton, soliton_tangents
 
 __all__ = [
     "ModulationState",
-    "TrackReport",
     "NotInTubeError",
     "DegenerateConfigurationError",
     "fit_modulation",
-    "track_parameters",
 ]
 
 OMEGA_MARGIN = 1e-3
@@ -156,6 +154,8 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     accepted, it is the next iterate, which warns for every reported tail.
     """
     params = list(initial)
+    if not params:
+        raise ValueError("need at least one soliton to fit")
     sqm = math.sqrt(params[0].model.m)
     scale = norm_h1l2(u)
     if scale == 0.0:
@@ -207,61 +207,3 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
         f"(last residual {norm0:.3e}, tol {NEWTON_TOL * scale:.3e})"
     )
 
-
-@dataclass
-class TrackReport:
-    """Fitted parameters along a trajectory plus centered-difference laws."""
-
-    times: np.ndarray
-    states: list[ModulationState]
-    # per (time, soliton): |d theta/dt - omega/gamma|, |d omega/dt|, |d x/dt - v|
-    theta_rate_error: np.ndarray
-    omega_rate: np.ndarray
-    position_rate_error: np.ndarray
-
-    @property
-    def residual_norms(self) -> np.ndarray:
-        return np.array([st.residual_norm for st in self.states])
-
-
-def track_parameters(
-    trajectory: Sequence[tuple[float, Field]],
-    initial: Sequence[SolitonParams],
-) -> TrackReport:
-    """Fit every snapshot, seeding each fit from the previous one.
-
-    Seeds advance by the unperturbed laws (theta += dt * omega/gamma,
-    x += dt * v) to stay inside Newton's quadratic basin.  Parameter
-    derivatives are centered differences over the snapshot times; phases
-    are unwrapped before differencing.
-    """
-    if len(trajectory) < 3:
-        raise ValueError("need at least 3 snapshots for centered differences")
-    times = np.array([t for t, _ in trajectory])
-    seeds = list(initial)
-    states: list[ModulationState] = []
-    prev_t = times[0]
-    for t, f in trajectory:
-        seeds = [sp.advanced(t - prev_t) for sp in seeds]
-        st = fit_modulation(f, seeds)
-        states.append(st)
-        seeds = st.solitons
-        prev_t = t
-
-    thetas = np.unwrap(np.array([st.thetas for st in states]), axis=0)
-    omegas = np.array([st.omegas for st in states])
-    positions = np.array([st.positions for st in states])
-    gammas = np.array([sp.gamma for sp in initial])
-    vels = np.array([sp.v for sp in initial])
-
-    dt2 = (times[2:] - times[:-2])[:, None]
-    dth = (thetas[2:] - thetas[:-2]) / dt2 - omegas[1:-1] / gammas[None, :]
-    dom = (omegas[2:] - omegas[:-2]) / dt2
-    dx = (positions[2:] - positions[:-2]) / dt2 - vels[None, :]
-    return TrackReport(
-        times=times,
-        states=states,
-        theta_rate_error=dth,
-        omega_rate=dom,
-        position_rate_error=dx,
-    )

@@ -25,7 +25,7 @@ from nlkglab.experiments import (
     almost_conservation_audit,
     fit_log_slope,
     measure_interactions,
-    random_bump,
+    run_forward_stability,
     run_ladder,
     soliton_sum,
     successive_distances,
@@ -40,7 +40,7 @@ from nlkglab.functionals import (
 )
 from nlkglab.grids import Field, Grid, norm_h1l2, wrap_coordinate
 from nlkglab.integrator import IntegratorConfig, evolve
-from nlkglab.modulation import fit_modulation, track_parameters
+from nlkglab.modulation import fit_modulation
 from nlkglab.profiles import (
     ModelParams,
     SolitonParams,
@@ -316,23 +316,21 @@ def test_criterion_6_modulation():
         float(np.max(np.abs(st_mov.thetas - st.thetas))),
     )
 
-    # drift scaling: frequency quadratic, phase linear in the perturbation
+    # drift scaling: frequency quadratic, phase linear in the perturbation, read
+    # from the fits of forward runs from the soliton plus eps times one bump
     sp = SolitonParams(MODEL, omega=0.8, v=0.0)
-    tgrid = Grid(80.0, 1024)
-    base = sample_soliton(sp, 0.0, tgrid)
-    bump = random_bump(tgrid, 21)
-    cfg = IntegratorConfig(dt=0.0025)
+    run = MultiSolitonConfig(
+        model=MODEL, grid=Grid(80.0, 1024), solitons=[sp],
+        t_final=2.0, t_start=0.0, dt=0.0025, diag_period=0.2,
+    )
     amps = (1e-2, 1e-3, 1e-4)
     om_rates, th_rates = [], []
     for eps in amps:
-        cur = base + eps * bump
-        snaps = [(0.0, cur)]
-        for i in range(10):
-            cur = evolve(cur, i * 0.2, (i + 1) * 0.2, cfg, MODEL)
-            snaps.append(((i + 1) * 0.2, cur))
-        rep = track_parameters(snaps, [sp])
-        om_rates.append(float(np.max(np.abs(rep.omega_rate))))
-        th_rates.append(float(np.max(np.abs(rep.theta_rate_error))))
+        rep = run_forward_stability(run, eps, seed=21)
+        assert rep.tube_exit_time is None
+        theta_rate_error, omega_rate, _ = rep.modulation_rates()
+        om_rates.append(float(np.max(np.abs(omega_rate))))
+        th_rates.append(float(np.max(np.abs(theta_rate_error))))
     la = np.log10(np.asarray(amps))
     om_slope = float(np.polyfit(la, np.log10(om_rates), 1)[0])
     th_slope = float(np.polyfit(la, np.log10(th_rates), 1)[0])

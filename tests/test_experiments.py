@@ -413,6 +413,8 @@ def test_asymmetric_pair_drift_and_tube_exit(grid):
     assert not [w for w in caught if issubclass(w.category, UserWarning)]
     assert rep.tube_exit_time is not None
     assert 10.0 < rep.tube_exit_time < 14.0  # measured: 11.5
+    with pytest.raises(ValueError, match="tube exit"):
+        rep.modulation_rates()
     # fits valid above the exit time
     fitted = [st for t, st in zip(rep.times, rep.modulation) if t > rep.tube_exit_time]
     assert all(st is not None and st.converged for st in fitted)
@@ -423,6 +425,32 @@ def test_asymmetric_pair_drift_and_tube_exit(grid):
     slope, stderr, _ = fit_log_slope(rep.times[mask], d0[mask])
     assert slope < 0
     assert stderr < 0.1 * abs(slope)
+
+
+def test_modulation_rates_of_a_backward_run(short_run):
+    """After the reversal the hook times ascend, so the centred differences of
+    the fits are finite, small for a well-separated pair (measured: at most
+    1.0e-3, 2.4e-4 and 8.4e-4), and the omega rate is the centred difference of
+    the fitted frequencies over the ascending times."""
+    times = short_run.times
+    assert np.all(np.diff(times) > 0)
+    theta_rate_error, omega_rate, position_rate_error = short_run.modulation_rates()
+    for series in (theta_rate_error, omega_rate, position_rate_error):
+        assert series.shape == (len(times) - 2, 2)
+        assert np.max(np.abs(series)) < 5e-3
+    omegas = np.array([st.omegas for st in short_run.modulation])
+    assert np.array_equal(omega_rate, (omegas[2:] - omegas[:-2]) / (times[2:] - times[:-2])[:, None])
+
+
+def test_modulation_rates_need_three_hooks(grid, pair):
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=grid, solitons=pair,
+        t_final=15.5, t_start=15.0, dt=0.005, diag_period=0.5,
+    )
+    rep = run_backward_construction(cfg)
+    assert len(rep.times) == 2
+    with pytest.raises(ValueError, match="at least 3 hooks"):
+        rep.modulation_rates()
 
 
 def test_almost_conservation_audit(short_run):

@@ -39,6 +39,15 @@ def test_grid_rejects_bad_sizes():
         Grid(10.0, 0)
 
 
+@pytest.mark.parametrize("points", [2048.0, True, np.float64(64.0)])
+def test_grid_points_must_be_an_integer(points):
+    """A float or bool point count is refused with the rule named; numpy
+    integers pass."""
+    with pytest.raises(ValueError, match="grid points must be an integer, not a bool or float"):
+        Grid(80.0, points)
+    assert Grid(80.0, np.int64(64)).points == 64
+
+
 def test_derivative_of_constant(grid):
     f = np.full(grid.points, 2.7 + 0.0j)
     assert np.max(np.abs(spectral_derivative(f, grid))) < 1e-14

@@ -298,6 +298,16 @@ def test_hooks_fire_at_stride(grid):
     assert recs[0].field is not None
 
 
+@pytest.mark.parametrize("stride", [{}, {"diag_stride": -3}], ids=["default", "negative"])
+def test_hooks_need_a_stride(grid, stride):
+    """Hooks without a stride of at least 1 are refused before a step is taken."""
+    w = sample_soliton(SolitonParams(MODEL, omega=0.8), 0.0, grid)
+    calls = []
+    with pytest.raises(ValueError, match=r"diag_stride=-?\d+ must be at least 1 to fire the hooks"):
+        evolve(w, 0.0, 0.1, IntegratorConfig(dt=0.01), MODEL, hooks=[calls.append], **stride)
+    assert calls == []
+
+
 def test_amplitude_checked_once_per_check_point(grid, monkeypatch):
     """Every 16th step, each hook step and the last step are checked, each once."""
     checked = []

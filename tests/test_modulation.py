@@ -5,9 +5,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from nlkglab.experiments import MultiSolitonConfig, random_bump, soliton_sum
+from nlkglab.experiments import MultiSolitonConfig, random_bump, run_forward_stability, soliton_sum
 from nlkglab.grids import Field, Grid, norm_h1l2, symmetry_directions
-from nlkglab.integrator import IntegratorConfig, evolve
 from nlkglab import experiments, modulation
 from nlkglab.modulation import (
     DegenerateConfigurationError,
@@ -16,7 +15,6 @@ from nlkglab.modulation import (
     _jacobian,
     _ortho_vector,
     fit_modulation,
-    track_parameters,
 )
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton, soliton_tangents
 from nlkglab.spectrum import _frequency_derivative
@@ -307,48 +305,66 @@ def test_near_coincident_pair_is_degenerate():
     assert st.converged and st.condition_number == pytest.approx(5.7655e6, rel=1e-4)
 
 
+def _offset(sp):
+    """A seed off the soliton in all three fitted parameters."""
+    return replace(sp, theta=sp.theta + 0.04, omega=sp.omega - 0.01, x0=sp.x0 + 0.05)
+
+
+def _recovery_error(st, exact) -> float:
+    """Largest gap between the fitted and the exact theta, omega and x0."""
+    return max(
+        float(np.max(np.abs(st.thetas - [sp.theta for sp in exact]))),
+        float(np.max(np.abs(st.omegas - [sp.omega for sp in exact]))),
+        float(np.max(np.abs(st.positions - [sp.x0 for sp in exact]))),
+    )
+
+
 def test_track_exact_soliton(grid):
-    """On an exact soliton trajectory the fitted laws are the free laws."""
+    """Along an exact soliton trajectory every fit recovers the free laws'
+    parameters, theta + t omega/gamma, omega and x0 + t v, with no residue."""
     sp = SolitonParams(MODEL, omega=0.8, v=0.4)
-    snaps = [(t, sample_soliton(sp, t, grid)) for t in np.arange(0.0, 2.01, 0.25)]
-    rep = track_parameters(snaps, [replace(sp, theta=0.0, x0=0.0)])
-    assert np.max(np.abs(rep.theta_rate_error)) < 1e-9
-    assert np.max(np.abs(rep.omega_rate)) < 1e-9
-    assert np.max(np.abs(rep.position_rate_error)) < 1e-9
-    assert np.max(rep.residual_norms) < 1e-10
+    for t in np.arange(0.0, 2.01, 0.25):
+        exact = sp.advanced(t)
+        st = fit_modulation(sample_soliton(sp, t, grid), [_offset(exact)])
+        assert _recovery_error(st, [exact]) < 1e-9
+        assert st.residual_norm < 1e-10
 
 
 def test_track_two_soliton_separation(grid):
-    s1 = SolitonParams(MODEL, omega=0.8, v=-0.4)
-    s2 = SolitonParams(MODEL, omega=0.8, v=0.4)
-    snaps = [(t, soliton_sum([s1, s2], t, grid)) for t in np.arange(10.0, 14.01, 0.5)]
-    seeds = [
-        replace(s1, theta=s1.omega / s1.gamma * 10.0, x0=-4.0),
-        replace(s2, theta=s2.omega / s2.gamma * 10.0, x0=4.0),
-    ]
-    rep = track_parameters(snaps, seeds)
-    gaps = [st.positions[1] - st.positions[0] for st in rep.states]
-    rate = (gaps[-1] - gaps[0]) / (rep.times[-1] - rep.times[0])
+    """Every fit of a separating pair recovers both solitons' free-law
+    parameters, and the fitted gap grows at the relative speed 0.8."""
+    pair = [SolitonParams(MODEL, omega=0.8, v=-0.4), SolitonParams(MODEL, omega=0.8, v=0.4)]
+    times = np.arange(10.0, 14.01, 0.5)
+    gaps = []
+    for t in times:
+        exact = [sp.advanced(t) for sp in pair]
+        st = fit_modulation(soliton_sum(pair, t, grid), [_offset(sp) for sp in exact])
+        assert _recovery_error(st, exact) < 1e-9
+        gaps.append(st.positions[1] - st.positions[0])
+    rate = (gaps[-1] - gaps[0]) / (times[-1] - times[0])
     assert rate == pytest.approx(0.8, rel=0.02)
 
 
 def test_perturbed_rates_scale(grid):
-    """Frequency drift is quadratic in the perturbation size, phase drift linear."""
+    """Frequency drift is quadratic in the perturbation size, phase drift linear:
+    the modulation laws of forward runs from the soliton plus eps times one bump."""
     sp = SolitonParams(MODEL, omega=0.8, v=0.0)
-    base = sample_soliton(sp, 0.0, grid)
-    bump = random_bump(grid, 21)
-    cfg = IntegratorConfig(dt=0.0025)
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=grid, solitons=[sp],
+        t_final=2.0, t_start=0.0, dt=0.0025, diag_period=0.25,
+    )
     rates = {}
     for eps in (1e-2, 1e-3):
-        w = base + eps * bump
-        snaps = [(0.0, w)]
-        cur = w
-        for i in range(8):
-            cur = evolve(cur, i * 0.25, (i + 1) * 0.25, cfg, MODEL)
-            snaps.append(((i + 1) * 0.25, cur))
-        rep = track_parameters(snaps, [sp])
-        rates[eps] = (np.max(np.abs(rep.omega_rate)), np.max(np.abs(rep.theta_rate_error)))
+        rep = run_forward_stability(cfg, eps, seed=21)
+        assert rep.tube_exit_time is None
+        theta_rate_error, omega_rate, _ = rep.modulation_rates()
+        rates[eps] = (np.max(np.abs(omega_rate)), np.max(np.abs(theta_rate_error)))
     om_slope = math.log(rates[1e-2][0] / rates[1e-3][0]) / math.log(10.0)
     th_slope = math.log(rates[1e-2][1] / rates[1e-3][1]) / math.log(10.0)
     assert om_slope == pytest.approx(2.0, abs=0.2)
     assert th_slope == pytest.approx(1.0, abs=0.2)
+
+
+def test_fit_needs_a_soliton(grid):
+    with pytest.raises(ValueError, match="need at least one soliton to fit"):
+        fit_modulation(Field.zeros(grid), [])
