@@ -281,11 +281,10 @@ def _radial_stencil_residual(phi: np.ndarray, r: np.ndarray, mu: float, p: float
     n = len(phi) - 1
     h = r[1] - r[0]
     ext = np.concatenate([phi[2:0:-1], phi, phi[-1:]])  # phi[-2], phi[-1], ..., pad
-    idx = np.arange(0, n - 1) + 2
-    d2 = (
-        -ext[idx - 2] + 16 * ext[idx - 1] - 30 * ext[idx] + 16 * ext[idx + 1] - ext[idx + 2]
-    ) / (12 * h * h)
-    d1 = (ext[idx - 2] - 8 * ext[idx - 1] + 8 * ext[idx + 1] - ext[idx + 2]) / (12 * h)
+    # the neighbours at offsets -2..2 of rows 0..n-2 (ext[2 : n + 1])
+    back2, back1, mid, ahead1, ahead2 = (ext[k : n - 1 + k] for k in range(5))
+    d2 = (-back2 + 16 * back1 - 30 * mid + 16 * ahead1 - ahead2) / (12 * h * h)
+    d1 = (back2 - 8 * back1 + 8 * ahead1 - ahead2) / (12 * h)
     res = np.empty(n - 1)
     res[0] = d * d2[0] - mu * phi[0] + np.abs(phi[0]) ** (p - 1.0) * phi[0]
     ri = r[1 : n - 1]
@@ -328,29 +327,36 @@ def _polish_radial(
 
     The last two mesh values stay pinned where the caller's tail splice put
     them; Newton removes the kink the splice leaves and drives the discrete
-    residual to rounding level.
+    residual to rounding level.  ShootingError after POLISH_MAX_ITER steps.
     """
     from scipy.linalg import solve_banded
 
     n = len(phi) - 1
-    for _ in range(30):
+    for _ in range(POLISH_MAX_ITER):
         res = _radial_stencil_residual(phi, r, mu, p, d)
-        # floor set by rounding in the 1/(12 h^2) stencil, well below 1e-8
+        # the rounding floor of the 1/(12 h^2) stencil, about 64 eps max|phi| / (12 h^2),
+        # is 2e-10 at h = 0.005 and 2e-9 at h = 0.002: this test alone may never stop
         if np.max(np.abs(res)) < 1e-10:
-            break
+            return phi
         jac = band.copy()
         jac[2] += p * np.abs(phi[: n - 1]) ** (p - 1.0)
         step = solve_banded((2, 2), jac, -res)
         phi[: n - 1] += step
-        if np.max(np.abs(step)) < 1e-14 * max(1.0, float(np.max(np.abs(phi)))):
-            break
-    return phi
+        # converging quadratically, the next step would be below rounding
+        if np.max(np.abs(step)) < POLISH_STEP_TOL * max(1.0, float(np.max(np.abs(phi)))):
+            return phi
+    raise ShootingError(f"Newton polish did not converge in {POLISH_MAX_ITER} steps")
 
 
 # slow contraction near p = 1 and the d = 3 critical p = 5 (389 iterations at p = 4.9)
 PETVIASHVILI_MAX_ITER = 1000
 # sup update, relative to the iterate, at which the Newton polish takes over
 PETVIASHVILI_TOL = 1e-6
+# Newton steps of the polish; the usual meshes take 1 to 3
+POLISH_MAX_ITER = 30
+# sup Newton step, relative to max(1, max|phi|), after which the polish stops;
+# at the rounding floor the steps wander at 1e-13 to 4e-12 and settle no lower
+POLISH_STEP_TOL = 1e-11
 
 
 def ground_state_radial(
@@ -361,10 +367,12 @@ def ground_state_radial(
     With the tail pinned at zero, iterates phi <- S^(p/(p-1)) M^-1 phi^p on the
     4th-order stencil, M = mu - Lap_h and S = <M phi, phi> / <phi^p, phi>
     weighted by r^(d-1), which converges to the ground state (Pelinovsky &
-    Stepanyants, SIAM J. Numer. Anal. 42, 2004).  It then splices the matched
-    decaying tail and polishes the whole mesh with Newton to rounding level.
+    Stepanyants, SIAM J. Numer. Anal. 42, 2004).  M does not change, so it is
+    factored once (LAPACK gbtrf) and each iteration only solves with the
+    factors (gbtrs).  It then splices the matched decaying tail and polishes
+    the whole mesh with Newton to rounding level.
     """
-    from scipy.linalg import solve_banded
+    from scipy.linalg import get_lapack_funcs
 
     raise_problems(frequency_problems(model, omega), FrequencyRangeError)
     mu = model.m - omega * omega
@@ -373,7 +381,14 @@ def ground_state_radial(
     free = slice(0, n - 1)
     weight = r[free] ** (d - 1.0)
     band = _radial_linear_band(r, mu, p, d)
-    m_band = -band
+    # gbtrf's layout: two spare rows above the band for the pivoting fill-in,
+    # Fortran order so that the factors overwrite it in place
+    lu = np.zeros((7, n - 1), order="F")
+    lu[2:] = -band
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (lu,))
+    lu, piv, info = gbtrf(lu, 2, 2, overwrite_ab=True)
+    if info != 0:
+        raise ShootingError(f"Petviashvili operator mu - Lap_h is singular (gbtrf info {info})")
     phi = np.zeros(n + 1)
     phi[free] = np.exp(-r[free] ** 2)
     for _ in range(PETVIASHVILI_MAX_ITER):
@@ -381,7 +396,7 @@ def ground_state_radial(
         m_phi = power - _radial_stencil_residual(phi, r, mu, p, d)
         s = np.sum(weight * m_phi * phi[free]) / np.sum(weight * power * phi[free])
         # unchecked: a diverging (non-finite) iterate runs on to the cap
-        new = s ** (p / (p - 1.0)) * solve_banded((2, 2), m_band, power, check_finite=False)
+        new = s ** (p / (p - 1.0)) * gbtrs(lu, 2, 2, power, piv, overwrite_b=True)[0]
         change = np.max(np.abs(new - phi[free]))
         phi[free] = new
         if change < PETVIASHVILI_TOL * np.max(np.abs(new)):

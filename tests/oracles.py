@@ -4,7 +4,8 @@ Closed forms and second computations that no nlkglab program runs: the
 Nehari functional and its ray projection, the ramp derivative, the
 standing-wave energy by quadrature and by scaling, the Pohozaev ratio, the
 profile tail slope, the closed-form frequency slope, the differentiated
-critical-point residual and the essential-spectrum floor.
+critical-point residual, the essential-spectrum floor and the radial stencil
+residual by index gathers.
 """
 
 from __future__ import annotations
@@ -121,6 +122,32 @@ def tail_log_slope(gs: GroundState) -> float:
     usable = vals > 1e-280
     coef = np.polyfit(x[mask][usable], np.log(vals[usable]), 1)
     return float(coef[0])
+
+
+def radial_stencil_residual_gather(
+    phi: np.ndarray, r: np.ndarray, mu: float, p: float, d: int
+) -> np.ndarray:
+    """``profiles._radial_stencil_residual`` with its five neighbours taken by
+    index gathers ext[idx + k] instead of slices; the same arithmetic in the
+    same order, so the same bits."""
+    n = len(phi) - 1
+    h = r[1] - r[0]
+    ext = np.concatenate([phi[2:0:-1], phi, phi[-1:]])
+    idx = np.arange(0, n - 1) + 2
+    d2 = (
+        -ext[idx - 2] + 16 * ext[idx - 1] - 30 * ext[idx] + 16 * ext[idx + 1] - ext[idx + 2]
+    ) / (12 * h * h)
+    d1 = (ext[idx - 2] - 8 * ext[idx - 1] + 8 * ext[idx + 1] - ext[idx + 2]) / (12 * h)
+    res = np.empty(n - 1)
+    res[0] = d * d2[0] - mu * phi[0] + np.abs(phi[0]) ** (p - 1.0) * phi[0]
+    ri = r[1 : n - 1]
+    res[1:] = (
+        d2[1 : n - 1]
+        + (d - 1) / ri * d1[1 : n - 1]
+        - mu * phi[1 : n - 1]
+        + np.abs(phi[1 : n - 1]) ** (p - 1.0) * phi[1 : n - 1]
+    )
+    return res
 
 
 def slope_analytic(model: ModelParams, omega: float, gamma: float, phi_tilde_norm2: float) -> float:

@@ -26,6 +26,7 @@ from nlkglab.profiles import (
 )
 from oracles import (
     pohozaev_ratio,
+    radial_stencil_residual_gather,
     standing_wave_energy,
     standing_wave_energy_scaling,
     tail_log_slope,
@@ -202,6 +203,74 @@ def test_radial_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(profiles, "PETVIASHVILI_MAX_ITER", 1)
     with pytest.raises(ShootingError, match="did not converge"):
         ground_state_radial(ModelParams(1.0, 3.0, 2), 0.0, rmax=20.0, n=4000)
+
+
+def test_radial_polish_cap_raises(monkeypatch):
+    """A polish that spends its whole step budget is an error, not a silent
+    return; this d=3 case needs two Newton steps."""
+    monkeypatch.setattr(profiles, "POLISH_MAX_ITER", 1)
+    with pytest.raises(ShootingError, match="polish did not converge"):
+        ground_state_radial(ModelParams(1.0, 3.0, 3), 0.0, rmax=20.0, n=4000)
+
+
+def test_radial_singular_operator_raises(monkeypatch):
+    """A Petviashvili operator that LAPACK cannot factor is a ShootingError."""
+    monkeypatch.setattr(profiles, "_radial_linear_band", lambda r, *args: np.zeros((5, len(r) - 2)))
+    with pytest.raises(ShootingError, match="singular"):
+        ground_state_radial(ModelParams(1.0, 3.0, 3), 0.0, rmax=20.0, n=400)
+
+
+@pytest.mark.parametrize(
+    "m, p, d, rmax, n",
+    [
+        (1.0, 3.0, 3, 20.0, 4000),
+        (1.0, 3.0, 3, 15.0, 3000),
+        (1.0, 4.0, 3, 15.0, 3000),
+        (4.0, 3.0, 3, 10.0, 4000),
+        (4.0, 3.0, 2, 10.0, 4000),
+        (1.0, 4.5, 3, 20.0, 10000),
+    ],
+)
+def test_radial_polish_stops_at_rounding_floor(monkeypatch, m, p, d, rmax, n):
+    """Across heights 4 to 9 and meshes h = 0.002 to 0.005 the polish stops
+    after at most three Newton steps, one ``solve_banded`` each (Petviashvili
+    solves with its one factorization), with the residual at the stencil's
+    rounding floor."""
+    import scipy.linalg
+
+    solves = []
+    solve_banded = scipy.linalg.solve_banded
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "solve_banded", counted)
+    gs = ground_state_radial(ModelParams(m, p, d), 0.0, rmax=rmax, n=n)
+    assert len(solves) <= 3
+    assert gs.residual < 1e-8
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_radial_mass_scaling_is_exact(d):
+    """At p = 3 the m = 4 system on [0, 10] is the m = 1 system on [0, 20]
+    with r halved and phi doubled, so the two polished profiles agree to
+    rounding over the whole mesh, tail included."""
+    big = ground_state_radial(ModelParams(4.0, 3.0, d), 0.0, rmax=10.0, n=4000)
+    unit = ground_state_radial(ModelParams(1.0, 3.0, d), 0.0, rmax=20.0, n=4000)
+    assert np.max(np.abs(big.samples - 2.0 * unit.samples)) < 1e-11 * big.samples[0]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_radial_stencil_matches_gather_oracle(d):
+    """The sliced stencil gives the index-gather stencil's bits, on random
+    values and on a polished profile."""
+    gs = ground_state_radial(ModelParams(1.0, 3.0, d), 0.0, rmax=15.0, n=600)
+    r = gs.radial_mesh
+    for phi in (np.random.default_rng(7 + d).standard_normal(len(r)), gs.samples):
+        got = _radial_stencil_residual(phi, r, 1.0, 3.0, float(d))
+        want = radial_stencil_residual_gather(phi, r, 1.0, 3.0, float(d))
+        assert np.array_equal(got, want)
 
 
 def test_radial_band_matches_difference_jacobian():
