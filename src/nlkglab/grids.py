@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -168,9 +169,11 @@ def norm_l2l2(w: Field) -> float:
     return float(np.sqrt(np.sum(np.abs(w.u1) ** 2 + np.abs(w.u2) ** 2) * h))
 
 
-def norm_h1l2(w: Field) -> float:
-    """Energy-space norm sqrt(|u1|^2 + |du1|^2 + |u2|^2) with spectral gradient."""
-    du1 = spectral_derivative(w.u1, w.grid)
+def norm_h1l2(w: Field, du1: Optional[np.ndarray] = None) -> float:
+    """Energy-space norm sqrt(|u1|^2 + |du1|^2 + |u2|^2) with spectral gradient;
+    ``du1`` is that gradient when the caller already holds it."""
+    if du1 is None:
+        du1 = spectral_derivative(w.u1, w.grid)
     h = w.grid.spacing
     return float(
         np.sqrt(

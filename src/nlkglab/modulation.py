@@ -7,17 +7,19 @@ orthogonal to the symmetry directions i R_j, i J R_j and R_j' of every
 component.  That is a 3N-dimensional root-finding problem solved by
 Newton; the theta and x tangents of R_j are its symmetry directions i R_j
 and -R_j'.  R_j' and dR_j/domega are the closed forms
-``profiles.soliton_tangents`` of the sample R_j itself, so the soliton side
-takes no FFT.  Near a genuine soliton sum the Jacobian is diagonally dominant
+``profiles.soliton_tangents`` of the sample R_j itself, and the sample is
+closed-form too.  Near a genuine soliton sum the Jacobian is diagonally dominant
 (cross terms decay exponentially in the separation), so convergence is
 quadratic from reasonable seeds.
 
 The pairings are matrix products: every direction and tangent is one real
 row of length 4N (``grids.flat``), so the 3N residuals are one mat-vec and
 the Jacobian's cross term one (3N, 3N) Gram.  Its residue term moves the
-symmetry maps onto Upsilon by their adjoints, and an accepted backtracking
-trial's sample is the next iterate's, so an iterate samples each soliton
-once: that sample gives the residual, the directions and the omega-tangent.
+symmetry maps onto Upsilon by their adjoints, with Upsilon' = U' - sum_j R_j'
+from U', which the fit takes once: a Newton iterate takes no FFT.  An
+accepted backtracking trial's sample is the next iterate's, so an iterate
+samples each soliton once: that sample gives the residual, the directions
+and the omega-tangent.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import Field, Grid, flat, norm_h1l2, symmetry_directions
+from .grids import Field, Grid, flat, norm_h1l2, spectral_derivative
 from .profiles import SolitonParams, boundary_ratio, domain_problems
 from .profiles import sample_soliton, soliton_tangents
 
@@ -82,27 +84,51 @@ class ModulationState:
         return norm_h1l2(self.residual)
 
 
+def _write_directions(out: np.ndarray, u1, u2, d1, d2) -> None:
+    """Write the symmetry directions i w, i J w = (i u2, -i u1) and
+    w' = (d1, d2) of w = (u1, u2) into the three complex rows ``out``, each
+    the complex view of a ``flat`` row: u1's part, then u2's."""
+    size = len(u1)
+    np.multiply(1j, u1, out=out[0, :size])
+    np.multiply(1j, u2, out=out[0, size:])
+    np.multiply(1j, u2, out=out[1, :size])
+    np.multiply(-1j, u1, out=out[1, size:])
+    out[2, :size], out[2, size:] = d1, d2
+
+
 def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     """The orthogonality residuals, the residue U - sum_j R_j, the
-    symmetry directions i R_j, i J R_j and R_j' of every component, stacked
-    as the real (3N, 4N) array of their ``flat`` rows in (j, k) order, and the
+    symmetry directions i R_j, i J R_j and R_j' of every component as the
+    real (3N, 4N) array of their ``flat`` rows in (j, k) order, and the
     (N, 4N) rows of the dR_j/domega.  R_j' and dR_j/domega are
-    ``profiles.soliton_tangents`` of the sample R_j, with no spectral derivative."""
+    ``profiles.soliton_tangents`` of the sample R_j, with no spectral
+    derivative; all 4N rows are written straight into one array."""
     g = u.grid
+    n, size = len(params), g.points
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # the fit warns for its iterates' tails
         comps = [sample_soliton(sp, 0.0, g) for sp in params]
     ups = u.copy()
     for c in comps:
         ups = ups - c
-    tangents = [soliton_tangents(sp, c) for sp, c in zip(params, comps)]
-    dirs = np.stack([
-        flat(d)
-        for c, (dx, _) in zip(comps, tangents)
-        for d in (Field(1j * c.u1, 1j * c.u2, g), Field(1j * c.u2, -1j * c.u1, g), dx)
-    ])
-    d_omega = np.stack([flat(dw) for _, dw in tangents])
-    return (dirs @ flat(ups)) * g.spacing, ups, dirs, d_omega
+    rows = np.empty((4 * n, 2 * size), complex)  # the 3N directions, then the N omega-tangents
+    for j, (sp, c) in enumerate(zip(params, comps)):
+        dx, dw = soliton_tangents(sp, c)
+        _write_directions(rows[3 * j : 3 * j + 3], c.u1, c.u2, dx.u1, dx.u2)
+        rows[3 * n + j, :size], rows[3 * n + j, size:] = dw.u1, dw.u2
+    dirs = rows[: 3 * n].view(float)
+    return (dirs @ flat(ups)) * g.spacing, ups, dirs, rows[3 * n :].view(float)
+
+
+def _residue_directions(ups: Field, du: np.ndarray, dirs: np.ndarray) -> np.ndarray:
+    """The symmetry directions of Upsilon as three real ``flat`` rows, with
+    Upsilon' = U' - sum_j R_j' from the ``flat`` row ``du`` of U' and the
+    R_j' rows of ``dirs``: no FFT."""
+    size = ups.grid.points
+    d_ups = (du - dirs[2::3].sum(axis=0)).view(complex)
+    out = np.empty((3, 2 * size), complex)
+    _write_directions(out, ups.u1, ups.u2, d_ups[:size], d_ups[size:])
+    return out.view(float)
 
 
 # <a, D_k b> = ADJOINT_SIGNS[k] * <D_k a, b> in the real L2 x L2 pairing: i and d/dx
@@ -110,21 +136,22 @@ def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
 ADJOINT_SIGNS = np.array([-1.0, 1.0, -1.0])
 
 
-def _jacobian(ups: Field, dirs: np.ndarray, d_omega: np.ndarray) -> np.ndarray:
+def _jacobian(ups: Field, du: np.ndarray, dirs: np.ndarray, d_omega: np.ndarray) -> np.ndarray:
     """Derivative of the orthogonality residuals in (theta_l, omega_l, x_l).
 
     With T_j = (i R_j, dR_j/domega, -R_j') the tangents of R_j and D_k the
     real-linear symmetry maps, J[(i,k),(j,a)] = -<T_{j,a}, D_k R_i>
     + delta_ij <Upsilon, D_k T_{j,a}>.  The residue term is taken through
     the adjoint, s_k <D_k Upsilon, T_{j,a}>, so the symmetry maps act on
-    Upsilon once instead of on all 3N tangents.
+    Upsilon once instead of on all 3N tangents, and Upsilon' comes from the
+    fit's U' (``du``) and the R_j' rows (``_residue_directions``).
     """
     grid = ups.grid
     tan = dirs.copy()
     tan[1::3] = d_omega
     tan[2::3] *= -1.0
     jac = -(dirs @ tan.T) * grid.spacing
-    dups = np.stack([flat(d) for d in symmetry_directions(ups)])
+    dups = _residue_directions(ups, du, dirs)
     ups_term = ADJOINT_SIGNS[:, None] * (dups @ tan.T) * grid.spacing
     for j in range(len(d_omega)):
         jac[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] += ups_term[:, 3 * j : 3 * j + 3]
@@ -157,13 +184,16 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     if not params:
         raise ValueError("need at least one soliton to fit")
     sqm = math.sqrt(params[0].model.m)
-    scale = norm_h1l2(u)
+    g = u.grid
+    du1, du2 = spectral_derivative(u.u1, g), spectral_derivative(u.u2, g)  # U', once per fit
+    scale = norm_h1l2(u, du1)
     if scale == 0.0:
         raise NotInTubeError("zero field cannot be modulated")
 
+    du = flat(Field(du1, du2, g))
     vec = np.array([(sp.theta, sp.omega, sp.x0) for sp in params], dtype=float).ravel()
     current = _apply(params, vec)
-    errors, tails = _domain(current, u.grid)
+    errors, tails = _domain(current, g)
     if errors:
         raise NotInTubeError(f"iterate left the profile family: {errors[0]}")
     for tail in tails:
@@ -171,7 +201,7 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     f0, ups, dirs, d_omega = _ortho_vector(u, current)
 
     for it in range(MAX_NEWTON_ITER):
-        jac = _jacobian(ups, dirs, d_omega)
+        jac = _jacobian(ups, du, dirs, d_omega)
         cond = float(np.linalg.cond(jac))
         if not np.isfinite(cond) or cond > 1e8:
             raise DegenerateConfigurationError(
@@ -187,7 +217,7 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
             trial = vec - lam * full_step
             if np.all(np.abs(trial[1::3]) < sqm - OMEGA_MARGIN):  # admissible frequencies
                 candidate = _apply(params, trial)
-                errors, tails = _domain(candidate, u.grid)
+                errors, tails = _domain(candidate, g)
                 if not errors:
                     sampled = _ortho_vector(u, candidate)
                     if np.max(np.abs(sampled[0])) < norm0:

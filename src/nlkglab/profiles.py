@@ -359,28 +359,21 @@ POLISH_MAX_ITER = 30
 POLISH_STEP_TOL = 1e-11
 
 
-def ground_state_radial(
-    model: ModelParams, omega: float, rmax: float = 20.0, n: int = 4000
-) -> GroundState:
-    """Radial ground state by Petviashvili's iteration, then an FD polish.
+def _petviashvili(r: np.ndarray, mu: float, p: float, d: float, band: np.ndarray) -> np.ndarray:
+    """Petviashvili's iteration phi <- S^(p/(p-1)) M^-1 phi^p with the tail
+    (the last two mesh values) pinned at zero, to PETVIASHVILI_TOL.
 
-    With the tail pinned at zero, iterates phi <- S^(p/(p-1)) M^-1 phi^p on the
-    4th-order stencil, M = mu - Lap_h and S = <M phi, phi> / <phi^p, phi>
-    weighted by r^(d-1), which converges to the ground state (Pelinovsky &
-    Stepanyants, SIAM J. Numer. Anal. 42, 2004).  M does not change, so it is
-    factored once (LAPACK gbtrf) and each iteration only solves with the
-    factors (gbtrs).  It then splices the matched decaying tail and polishes
-    the whole mesh with Newton to rounding level.
+    M = mu - Lap_h is ``-band``: factored once (LAPACK gbtrf), each iteration
+    only solves with the factors (gbtrs).  S = <M phi, phi> / <phi^p, phi>
+    weighted by r^(d-1).  The solve gives the next M phi for free:
+    M phi_{k+1} = S_k^(p/(p-1)) phi_k^p, so the stencil runs once, on the
+    starting guess.
     """
     from scipy.linalg import get_lapack_funcs
 
-    raise_problems(frequency_problems(model, omega), FrequencyRangeError)
-    mu = model.m - omega * omega
-    p, d = model.p, float(model.d)
-    r = np.linspace(0.0, rmax, n + 1)
+    n = len(r) - 1
     free = slice(0, n - 1)
     weight = r[free] ** (d - 1.0)
-    band = _radial_linear_band(r, mu, p, d)
     # gbtrf's layout: two spare rows above the band for the pivoting fill-in,
     # Fortran order so that the factors overwrite it in place
     lu = np.zeros((7, n - 1), order="F")
@@ -391,22 +384,43 @@ def ground_state_radial(
         raise ShootingError(f"Petviashvili operator mu - Lap_h is singular (gbtrf info {info})")
     phi = np.zeros(n + 1)
     phi[free] = np.exp(-r[free] ** 2)
+    power = np.abs(phi[free]) ** (p - 1.0) * phi[free]
+    m_phi = power - _radial_stencil_residual(phi, r, mu, p, d)
     for _ in range(PETVIASHVILI_MAX_ITER):
-        power = np.abs(phi[free]) ** (p - 1.0) * phi[free]
-        m_phi = power - _radial_stencil_residual(phi, r, mu, p, d)
         s = np.sum(weight * m_phi * phi[free]) / np.sum(weight * power * phi[free])
         # unchecked: a diverging (non-finite) iterate runs on to the cap
-        new = s ** (p / (p - 1.0)) * gbtrs(lu, 2, 2, power, piv, overwrite_b=True)[0]
+        lift = s ** (p / (p - 1.0))
+        m_phi = lift * power
+        new = lift * gbtrs(lu, 2, 2, power, piv, overwrite_b=True)[0]
         change = np.max(np.abs(new - phi[free]))
         phi[free] = new
         if change < PETVIASHVILI_TOL * np.max(np.abs(new)):
-            break
-    else:
-        raise ShootingError(f"Petviashvili iteration did not converge in {PETVIASHVILI_MAX_ITER} steps")
+            return phi
+        power = np.abs(new) ** (p - 1.0) * new
+    raise ShootingError(f"Petviashvili iteration did not converge in {PETVIASHVILI_MAX_ITER} steps")
+
+
+def ground_state_radial(
+    model: ModelParams, omega: float, rmax: float = 20.0, n: int = 4000
+) -> GroundState:
+    """Radial ground state by Petviashvili's iteration, then an FD polish.
+
+    With the tail pinned at zero, ``_petviashvili`` iterates on the 4th-order
+    stencil, which converges to the ground state (Pelinovsky & Stepanyants,
+    SIAM J. Numer. Anal. 42, 2004), with one factorization of M = mu - Lap_h
+    and no stencil per iteration.  It then splices the matched decaying tail
+    and polishes the whole mesh with Newton to rounding level.
+    """
+    raise_problems(frequency_problems(model, omega), FrequencyRangeError)
+    mu = model.m - omega * omega
+    p, d = model.p, float(model.d)
+    r = np.linspace(0.0, rmax, n + 1)
+    band = _radial_linear_band(r, mu, p, d)
+    phi = _petviashvili(r, mu, p, d, band)
 
     # keep the iterate only while it is trusted (above 1e-4 of the height):
     # the Dirichlet zero pulls it down near rmax, and the polish keeps the tail
-    cut = int(np.argmax(phi[free] < 1e-4 * phi[0])) or n - 2
+    cut = int(np.argmax(phi[: n - 1] < 1e-4 * phi[0])) or n - 2
     tail = _linear_tail(r[cut:], math.sqrt(mu), model.d)
     phi[cut:] = phi[cut] / tail[0] * tail
     phi = _polish_radial(phi, r, mu, p, d, band)
@@ -418,9 +432,21 @@ def ground_state_radial(
     return GroundState(phi, float(np.max(np.abs(res))), radial_mesh=r)
 
 
+def _log_slope(sp: SolitonParams, y: np.ndarray):
+    """(s, tanh(bs), h) at the wrapped coordinate y: s = sqrt(mu) gamma y,
+    b = (p-1)/2 and h = -gamma sqrt(mu) tanh(bs), the log-derivative in x of
+    the boosted profile phi_omega(gamma y)."""
+    rmu = math.sqrt(sp.model.m - sp.omega * sp.omega)
+    s = (rmu * sp.gamma) * y
+    th = np.tanh(0.5 * (sp.model.p - 1.0) * s)
+    return s, th, -(sp.gamma * rmu) * th
+
+
 def sample_soliton(sp: SolitonParams, t: float, grid: Grid) -> Field:
     """Exact soliton at time t: the boost formula of the module docstring at
     y = x - x0(t) wrapped onto the torus, times e^{i theta(t)} (``free_flow``).
+    gamma phi'(gamma y) is the closed form h phi(gamma y) of ``_log_slope``, so
+    sampling takes no FFT.
 
     DomainTooSmallError, or a UserWarning, when the unshifted profile has not
     decayed at the boundary (``domain_problems``)."""
@@ -430,7 +456,7 @@ def sample_soliton(sp: SolitonParams, t: float, grid: Grid) -> Field:
     angle, shift = free_flow(sp, t)
     y = wrap_coordinate(grid.x - shift, grid.length)
     prof = phi_omega(sp.gamma * y, sp.model, sp.omega)
-    dprof = spectral_derivative(prof, grid)  # = gamma * phi'(gamma y)
+    dprof = _log_slope(sp, y)[2] * prof  # = gamma * phi'(gamma y)
     phase = np.exp(1j * angle) * np.exp(-1j * sp.gamma * sp.omega * sp.v * y)
     return Field(phase * prof, phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof), grid)
 
@@ -447,8 +473,8 @@ def soliton_tangents(sp: SolitonParams, sample: Field) -> tuple[Field, Field]:
         dx u1 = u1 (h + c),      dx u2 = c u2 + u1 (i gamma omega h - v (h' + h^2)),
         dw u1 = u1 (g + i a),    dw u2 = i a u2 + u1 (i gamma (1 + omega g) - v (g' + g h)).
 
-    The sample's u2 holds a spectral derivative where these formulas hold the
-    exact one, so the two agree as far as the grid resolves the profile.
+    The sample's u2 is itself written with h, so these are the exact
+    derivatives of the sampled formula.
     """
     model, om, gam, v = sp.model, sp.omega, sp.gamma, sp.v
     u1, u2, grid = sample.u1, sample.u2, sample.grid
@@ -456,10 +482,8 @@ def soliton_tangents(sp: SolitonParams, sample: Field) -> tuple[Field, Field]:
     rmu = math.sqrt(mu)
     b = 0.5 * (model.p - 1.0)
     y = wrap_coordinate(grid.x - sp.x0, grid.length)
-    s = (rmu * gam) * y
-    th = np.tanh(b * s)
+    s, th, h = _log_slope(sp, y)
     sech2 = 1.0 - th * th
-    h = -(gam * rmu) * th
     c = -1j * gam * om * v
     dh = (-b * gam * gam * mu) * sech2
     dx = Field(u1 * (h + c), c * u2 + u1 * ((1j * gam * om) * h - v * (dh + h * h)), grid)

@@ -4,8 +4,9 @@ Closed forms and second computations that no nlkglab program runs: the
 Nehari functional and its ray projection, the ramp derivative, the
 standing-wave energy by quadrature and by scaling, the Pohozaev ratio, the
 profile tail slope, the closed-form frequency slope, the differentiated
-critical-point residual, the essential-spectrum floor and the radial stencil
-residual by index gathers.
+critical-point residual, the essential-spectrum floor, the radial stencil
+residual by index gathers, Petviashvili's iteration with a stencil every
+step, and the soliton sample with a spectral derivative in u2.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ from typing import Callable
 import numpy as np
 
 from nlkglab.functionals import ActionParams, action_gradient, energy
-from nlkglab.grids import Field, Grid, flat, symmetry_directions
-from nlkglab.profiles import GroundState, ModelParams, ground_state_1d
+from nlkglab import profiles
+from nlkglab.grids import Field, Grid, flat, spectral_derivative, symmetry_directions
+from nlkglab.grids import wrap_coordinate
+from nlkglab.profiles import GroundState, ModelParams, SolitonParams, ground_state_1d
+from nlkglab.profiles import free_flow, phi_omega
 from nlkglab.spectrum import (
     RealizedOperator,
     _free_symbol_eigenvalues,
@@ -148,6 +152,47 @@ def radial_stencil_residual_gather(
         + np.abs(phi[1 : n - 1]) ** (p - 1.0) * phi[1 : n - 1]
     )
     return res
+
+
+def petviashvili_stencil_every_iteration(
+    r: np.ndarray, mu: float, p: float, d: float, band: np.ndarray
+) -> np.ndarray:
+    """``profiles._petviashvili`` taking M phi from the stencil at every
+    iterate, M phi = phi^p - ``_radial_stencil_residual(phi)``, instead of
+    carrying it over from the previous solve."""
+    from scipy.linalg import get_lapack_funcs
+
+    n = len(r) - 1
+    free = slice(0, n - 1)
+    weight = r[free] ** (d - 1.0)
+    lu = np.zeros((7, n - 1), order="F")
+    lu[2:] = -band
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (lu,))
+    lu, piv, info = gbtrf(lu, 2, 2, overwrite_ab=True)
+    assert info == 0
+    phi = np.zeros(n + 1)
+    phi[free] = np.exp(-r[free] ** 2)
+    for _ in range(profiles.PETVIASHVILI_MAX_ITER):
+        power = np.abs(phi[free]) ** (p - 1.0) * phi[free]
+        m_phi = power - profiles._radial_stencil_residual(phi, r, mu, p, d)
+        s = np.sum(weight * m_phi * phi[free]) / np.sum(weight * power * phi[free])
+        new = s ** (p / (p - 1.0)) * gbtrs(lu, 2, 2, power, piv, overwrite_b=True)[0]
+        change = np.max(np.abs(new - phi[free]))
+        phi[free] = new
+        if change < profiles.PETVIASHVILI_TOL * np.max(np.abs(new)):
+            return phi
+    raise profiles.ShootingError("Petviashvili iteration did not converge")
+
+
+def sample_soliton_spectral(sp: SolitonParams, t: float, grid: Grid) -> Field:
+    """``profiles.sample_soliton`` with gamma phi'(gamma y) in u2 taken as the
+    spectral derivative of the sampled profile; no domain check."""
+    angle, shift = free_flow(sp, t)
+    y = wrap_coordinate(grid.x - shift, grid.length)
+    prof = phi_omega(sp.gamma * y, sp.model, sp.omega)
+    dprof = spectral_derivative(prof, grid)
+    phase = np.exp(1j * angle) * np.exp(-1j * sp.gamma * sp.omega * sp.v * y)
+    return Field(phase * prof, phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof), grid)
 
 
 def slope_analytic(model: ModelParams, omega: float, gamma: float, phi_tilde_norm2: float) -> float:

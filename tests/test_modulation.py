@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlkglab.experiments import MultiSolitonConfig, random_bump, run_forward_stability, soliton_sum
-from nlkglab.grids import Field, Grid, norm_h1l2, symmetry_directions
+from nlkglab.grids import Field, Grid, flat, norm_h1l2, symmetry_directions
 from nlkglab import experiments, modulation
 from nlkglab.modulation import (
     DegenerateConfigurationError,
@@ -14,11 +14,12 @@ from nlkglab.modulation import (
     _apply,
     _jacobian,
     _ortho_vector,
+    _residue_directions,
     fit_modulation,
 )
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton, soliton_tangents
 from nlkglab.spectrum import _frequency_derivative
-from oracles import pair_inner
+from oracles import pair_inner, sample_soliton_spectral
 
 MODEL = ModelParams(1.0, 3.0, 1)
 
@@ -82,7 +83,7 @@ def test_jacobian_matches_finite_difference(grid, n, eps):
     that the residue term counts too."""
     u, at = _jacobian_case(grid, n, eps)
     _, ups, dirs, d_omega = _ortho_vector(u, at)
-    jac = _jacobian(ups, dirs, d_omega)
+    jac = _jacobian(ups, flat(symmetry_directions(u)[2]), dirs, d_omega)
     oracle = _fd_jacobian(u, at)
     assert np.max(np.abs(jac - oracle)) < 1e-6 * np.max(np.abs(oracle))
 
@@ -115,7 +116,7 @@ def test_jacobian_matches_per_tangent_reference(grid, n, eps):
     per-entry formula to rounding."""
     u, at = _jacobian_case(grid, n, eps)
     _, ups, dirs, d_omega = _ortho_vector(u, at)
-    jac = _jacobian(ups, dirs, d_omega)
+    jac = _jacobian(ups, flat(symmetry_directions(u)[2]), dirs, d_omega)
     ref = _per_tangent_jacobian(ups, at)
     assert np.max(np.abs(jac - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -176,6 +177,82 @@ def test_fit_samples_each_soliton_once_per_iterate(grid, pair, monkeypatch):
     n, it = len(pair), st.iterations
     assert st.converged and it >= 2
     assert len(calls) == n * (it + 1)
+
+
+def _counted(calls, fn):
+    def call(*args, **kwargs):
+        calls.append(fn)
+        return fn(*args, **kwargs)
+
+    return call
+
+
+def test_fit_takes_no_fft_per_iterate(grid, pair, monkeypatch):
+    """A fit takes U' (both components, four FFTs) once, and then no FFT:
+    the samples write u2 in closed form and Upsilon' is U' - sum_j R_j'.
+    So fits of 0, 5 and 6 iterations take the same four FFTs."""
+    calls = []
+    for name in ("fft", "ifft", "rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, _counted(calls, getattr(np.fft, name)))
+    u = soliton_sum(pair, 0.0, grid)
+    iterations = set()
+    for k in (0.0, 1.0, 4.0):
+        seeds = [replace(sp, theta=sp.theta + 0.05 * k, omega=sp.omega - 0.01 * k, x0=sp.x0 + 0.1 * k) for sp in pair]
+        calls.clear()
+        st = fit_modulation(u, seeds)
+        assert st.converged and len(calls) == 4
+        iterations.add(st.iterations)
+    assert len(iterations) == 3
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.01])
+@pytest.mark.parametrize("n", [2, 3])
+def test_residue_directions_match_spectral(grid, n, eps):
+    """i Upsilon and i J Upsilon are those of ``symmetry_directions``, and
+    U' - sum_j R_j' with the closed-form R_j' is the spectral derivative of
+    Upsilon to 1e-11 relative."""
+    u, at = _jacobian_case(grid, n, eps)
+    _, ups, dirs, _ = _ortho_vector(u, at)
+    got = _residue_directions(ups, flat(symmetry_directions(u)[2]), dirs)
+    want = np.stack([flat(d) for d in symmetry_directions(ups)])
+    assert np.array_equal(got[:2], want[:2])
+    assert np.max(np.abs(got[2] - want[2])) <= 1e-11 * np.max(np.abs(want[2]))
+
+
+def _spectral_residue_directions(ups, du, dirs):
+    """Reference: the symmetry directions of Upsilon with its spectral derivative."""
+    return np.stack([flat(d) for d in symmetry_directions(ups)])
+
+
+def test_dense_hook_fits_match_the_spectral_path(monkeypatch):
+    """Every fit of the dense-hook pair run (N = 2048, t = 11 -> 10, a hook
+    every 0.05) takes the iteration count, 40 over the 21 fits, and lands on
+    the roots (to 1e-13) of the same fit with spectral derivatives: in the
+    samples' u2 and in Upsilon'."""
+    g = Grid(160.0, 2048)
+    sols = [SolitonParams(MODEL, omega=0.8, v=v) for v in (-0.4, 0.4)]
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=g, solitons=sols, t_final=11.0, t_start=10.0, dt=0.002, diag_period=0.05
+    )
+    fits = []
+    real = experiments.fit_modulation
+
+    def both(field, seeds):
+        st = real(field, seeds)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(modulation, "sample_soliton", sample_soliton_spectral)
+            mp.setattr(modulation, "_residue_directions", _spectral_residue_directions)
+            fits.append((st, real(field, seeds)))
+        return st
+
+    monkeypatch.setattr(experiments, "fit_modulation", both)
+    rep = experiments.run_backward_construction(cfg)
+    assert rep.tube_exit_time is None and len(fits) == 21
+    assert sum(st.iterations for st, _ in fits) == 40
+    for st, ref in fits:
+        assert st.converged and st.iterations == ref.iterations
+        for name in ("thetas", "omegas", "positions"):
+            assert np.max(np.abs(getattr(st, name) - getattr(ref, name))) <= 1e-13
 
 
 def test_fit_warnings_are_those_of_its_samples():

@@ -25,8 +25,10 @@ from nlkglab.profiles import (
     soliton_tangents,
 )
 from oracles import (
+    petviashvili_stencil_every_iteration,
     pohozaev_ratio,
     radial_stencil_residual_gather,
+    sample_soliton_spectral,
     standing_wave_energy,
     standing_wave_energy_scaling,
     tail_log_slope,
@@ -251,6 +253,73 @@ def test_radial_polish_stops_at_rounding_floor(monkeypatch, m, p, d, rmax, n):
     assert gs.residual < 1e-8
 
 
+def _counting(counts, key, fn):
+    def call(*args, **kwargs):
+        counts[key] += 1
+        return fn(*args, **kwargs)
+
+    return call
+
+
+def _radial_with_counts(monkeypatch, petviashvili, m, p, d, omega, rmax, n):
+    """``ground_state_radial`` with ``petviashvili`` as its iteration, and
+    the counts of its gbtrs solves, stencil evaluations and (polish)
+    ``solve_banded`` calls."""
+    import scipy.linalg
+
+    counts = dict.fromkeys(("gbtrs", "stencil", "solve_banded"), 0)
+    lapack = scipy.linalg.get_lapack_funcs
+
+    def get_lapack_funcs(names, arrays):
+        funcs = lapack(names, arrays)
+        return [_counting(counts, "gbtrs", f) if k == "gbtrs" else f for k, f in zip(names, funcs)]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(scipy.linalg, "get_lapack_funcs", get_lapack_funcs)
+        mp.setattr(scipy.linalg, "solve_banded", _counting(counts, "solve_banded", scipy.linalg.solve_banded))
+        mp.setattr(profiles, "_radial_stencil_residual", _counting(counts, "stencil", _radial_stencil_residual))
+        mp.setattr(profiles, "_petviashvili", petviashvili)
+        gs = ground_state_radial(ModelParams(m, p, d), omega, rmax=rmax, n=n)
+    return gs, counts
+
+
+@pytest.mark.parametrize(
+    "m, p, d, omega, rmax, n",
+    [
+        (1.0, 3.0, 2, 0.0, 20.0, 4000),
+        (1.0, 3.0, 3, 0.0, 20.0, 4000),
+        (1.0, 3.0, 3, 0.5, 20.0, 4000),
+        (1.0, 2.0, 2, 0.0, 20.0, 4000),
+        (1.0, 1.5, 2, 0.0, 30.0, 4000),
+        (4.0, 3.0, 3, 0.0, 10.0, 4000),
+        (1.0, 4.5, 3, 0.0, 20.0, 10000),
+        (1.0, 3.0, 2, 0.9, 40.0, 4000),
+    ],
+)
+def test_petviashvili_takes_m_phi_from_its_solve(monkeypatch, m, p, d, omega, rmax, n):
+    """Carrying M phi over from the last solve takes as many Petviashvili
+    iterations (22 to 105 here) as taking it from the stencil at every
+    iterate, and gives the same profile over the whole mesh.  The stencil
+    then runs a fixed number of times per solve whatever that count: five
+    band probes, once before the loop, once per polish step (and once more
+    when the polish stops on its residual) and once for the final residual.
+
+    The two loops' S differ by about 1e-11 relative, the stencil's rounding,
+    so their last iterates differ by up to 7e-12 of the height before the
+    polish.  At (1, 3, 2, 0, 20, 4000) the stencil-every-step profile stops
+    its polish after one Newton step, its residual 9.1e-11 just under the
+    1e-10 stop, and this one after two, so the profiles differ by that step,
+    1.0e-12 of the height; the other cases agree to 7.5e-13."""
+    gs, counts = _radial_with_counts(monkeypatch, profiles._petviashvili, m, p, d, omega, rmax, n)
+    ref, ref_counts = _radial_with_counts(
+        monkeypatch, petviashvili_stencil_every_iteration, m, p, d, omega, rmax, n
+    )
+    assert counts["gbtrs"] == ref_counts["gbtrs"] >= 22
+    assert np.max(np.abs(gs.samples - ref.samples)) <= 2e-12 * ref.samples[0]
+    assert counts["stencil"] - counts["solve_banded"] in (7, 8)
+    assert ref_counts["stencil"] - ref_counts["solve_banded"] >= 6 + ref_counts["gbtrs"]
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_radial_mass_scaling_is_exact(d):
     """At p = 3 the m = 4 system on [0, 10] is the m = 1 system on [0, 20]
@@ -311,6 +380,31 @@ def test_boost_v0_norm(grid):
     sp = SolitonParams(MODEL, omega=0.8, v=0.0)
     w = sample_soliton(sp, 0.0, grid)
     assert norm_l2(w.u1, grid) ** 2 == pytest.approx(2.4, rel=1e-10)
+
+
+@pytest.mark.parametrize("omega", [0.6, 0.8, 0.95])
+@pytest.mark.parametrize("v", [-0.6, 0.4])
+def test_sample_u2_matches_spectral_derivative(v, omega):
+    """u2 from the closed-form gamma phi'(gamma y) = h phi(gamma y) equals
+    the spectral derivative of the sampled profile on a grid that resolves
+    it, also after the soliton has moved; u1 is the same array."""
+    g = Grid(160.0, 2048)
+    sp = SolitonParams(MODEL, omega=omega, theta=0.3, v=v, x0=5.3)
+    for t in (0.0, 2.5):
+        got, ref = sample_soliton(sp, t, g), sample_soliton_spectral(sp, t, g)
+        assert np.array_equal(got.u1, ref.u1)
+        assert np.max(np.abs(got.u2 - ref.u2)) <= 1e-12 * np.max(np.abs(ref.u2))
+
+
+@pytest.mark.parametrize("omega, length, points", [(0.6, 80.0, 512), (0.8, 80.0, 512), (0.95, 160.0, 1024)])
+def test_standing_sample_keeps_its_bits(omega, length, points):
+    """At v = 0 the derivative enters u2 times zero, so the sample is the
+    spectral-derivative one bit for bit (the spectrum report's input)."""
+    g = Grid(length, points)
+    for sp in (SolitonParams(MODEL, omega=omega), SolitonParams(MODEL, omega=omega, theta=0.7, x0=3 * g.spacing)):
+        got, ref = sample_soliton(sp, 0.0, g), sample_soliton_spectral(sp, 0.0, g)
+        for a, b in ((got.u1, ref.u1), (got.u2, ref.u2)):
+            assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def _decay_outcome(check):
