@@ -443,7 +443,6 @@ def measure_interactions(cfg: MultiSolitonConfig, times: Sequence[float]) -> Int
     rates = {}
     if len(times) >= 3:
         rates["pair_product"] = fit_log_slope(times, prods[:, 0, 1])
-        rates["pair_grad_product"] = fit_log_slope(times, gprods[:, 0, 1])
         rates["cutoff_leakage"] = fit_log_slope(times, leak[:, 0, 1])
     return InteractionReport(
         times=times,
@@ -467,7 +466,6 @@ class AlmostConservationReport:
     times: np.ndarray
     action_rate: np.ndarray  # centered d/dt of the localized action series
     global_drift: dict[str, float]  # max relative drift of E, Q, P
-    flux_times: np.ndarray
     charge_flux_mismatch: np.ndarray  # relative, smooth window
     momentum_flux_mismatch: np.ndarray
 
@@ -560,7 +558,6 @@ def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
         times=t_arr[1:-1],
         action_rate=rate,
         global_drift=drift,
-        flux_times=report.times[audit],
         charge_flux_mismatch=np.asarray(q_mis),
         momentum_flux_mismatch=np.asarray(p_mis),
     )

@@ -28,14 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import (
-    Field,
-    Grid,
-    norm_l2l2,
-    raise_problems,
-    spectral_derivative,
-    spectral_second_derivative,
-)
+from .grids import Field, Grid, norm_l2l2, raise_problems, spectral_derivative
 from .profiles import ModelParams, SolitonParams
 
 __all__ = [
@@ -50,6 +43,8 @@ __all__ = [
     "charge",
     "momentum",
     "action",
+    "action_symbol",
+    "quadratic_gradient",
     "action_gradient",
     "gradient_norm",
     "ramp",
@@ -125,22 +120,28 @@ def action(w: Field, ap: ActionParams) -> float:
     return energy(w, ap.model) + ap.omega_over_gamma * charge(w) + ap.v * momentum(w)
 
 
+def action_symbol(ap: ActionParams, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Fourier symbol of the quadratic part of S at wavenumbers k: a = k^2 + m
+    on u1, and b = omega/gamma - v k, the symbol of the coupling i b between u1
+    and u2.  S', S'' and the spectrum's Schur complement and lift all read it."""
+    return k * k + ap.model.m, ap.omega_over_gamma - ap.v * k
+
+
+def quadratic_gradient(
+    z1: np.ndarray, z2: np.ndarray, ap: ActionParams, grid: Grid
+) -> tuple[np.ndarray, np.ndarray]:
+    """L Z = (a z1 + i b z2, z2 - i b z1), the potential-free gradient of S with
+    a and b from ``action_symbol`` on the Nyquist-zeroed wavenumbers, for one
+    field or for each row of a stack: one complex FFT pair per component."""
+    a, b = action_symbol(ap, grid.deriv_wavenumbers)
+    f1 = np.fft.fft(z1)
+    return np.fft.ifft(a * f1 + 1j * b * np.fft.fft(z2)), z2 - 1j * np.fft.ifft(b * f1)
+
+
 def action_gradient(w: Field, ap: ActionParams) -> Field:
-    """S'(W) in the real L2 pairing, as a Field."""
-    g = w.grid
-    og, v, model = ap.omega_over_gamma, ap.v, ap.model
-    d2u1 = spectral_second_derivative(w.u1, g)
-    du1 = spectral_derivative(w.u1, g)
-    du2 = spectral_derivative(w.u2, g)
-    g1 = (
-        -d2u1
-        + model.m * w.u1
-        - np.abs(w.u1) ** (model.p - 1.0) * w.u1
-        + 1j * og * w.u2
-        - v * du2
-    )
-    g2 = w.u2 - 1j * og * w.u1 + v * du1
-    return Field(g1, g2, g)
+    """S'(W) = L W - (|u1|^(p-1) u1, 0) in the real L2 pairing, as a Field."""
+    g1, g2 = quadratic_gradient(w.u1, w.u2, ap, w.grid)
+    return Field(g1 - np.abs(w.u1) ** (ap.model.p - 1.0) * w.u1, g2, w.grid)
 
 
 def gradient_norm(w: Field, ap: ActionParams) -> float:

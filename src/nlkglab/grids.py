@@ -8,10 +8,10 @@ built on the uniform periodic grid defined here.  Conventions, fixed once:
   periodic data, and it is the rule the FFT diagonalizes);
 - first derivatives are Fourier multipliers i*k with the Nyquist
   coefficient zeroed, which keeps the derivative operator real and
-  skew-symmetric.  The same zeroed wavenumbers are used for second
-  derivatives so that every variational identity (integration by parts,
-  gradient of the energy, second variation) closes exactly in floating
-  point.
+  skew-symmetric.  The same zeroed wavenumbers carry the action's symbol
+  (``functionals.action_symbol``, k^2 = -(ik)^2), so that every variational
+  identity (integration by parts, gradient of the energy, second variation)
+  closes in floating point.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ __all__ = [
     "Field",
     "DimensionError",
     "spectral_derivative",
-    "spectral_second_derivative",
     "flat",
     "norm_l2",
     "norm_l2l2",
@@ -132,26 +131,10 @@ class Field:
 
 
 def spectral_derivative(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """d/dx as the Fourier multiplier i*k (Nyquist zeroed).
-
-    Exact for band-limited samples.  Real input goes through the half-length
-    real transforms and returns a real array.
-    """
+    """d/dx as the Fourier multiplier i*k (Nyquist zeroed), by one complex FFT
+    pair; exact for band-limited samples, and complex for real input too."""
     grid.check(np.asarray(f))
-    if np.isrealobj(f):
-        n = grid.points
-        kd = grid.deriv_wavenumbers[: n // 2 + 1]
-        return np.fft.irfft(1j * kd * np.fft.rfft(f), n)
     return np.fft.ifft(1j * grid.deriv_wavenumbers * np.fft.fft(f))
-
-
-def spectral_second_derivative(f: np.ndarray, grid: Grid) -> np.ndarray:
-    """d^2/dx^2 with the same zeroed-Nyquist wavenumbers as the first derivative."""
-    grid.check(np.asarray(f))
-    out = np.fft.ifft(-(grid.deriv_wavenumbers**2) * np.fft.fft(f))
-    if np.isrealobj(f):
-        return np.real(out)
-    return out
 
 
 def flat(w: Field) -> np.ndarray:

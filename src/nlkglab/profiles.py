@@ -31,15 +31,7 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import (
-    Field,
-    Grid,
-    norm_l2,
-    raise_problems,
-    spectral_derivative,
-    spectral_second_derivative,
-    wrap_coordinate,
-)
+from .grids import Field, Grid, norm_l2, raise_problems, spectral_derivative, wrap_coordinate
 
 __all__ = [
     "ModelParams",
@@ -235,7 +227,7 @@ class GroundState:
 def _residual_1d(samples: np.ndarray, model: ModelParams, omega: float, grid: Grid) -> float:
     mu = model.m - omega * omega
     res = (
-        -spectral_second_derivative(samples, grid)
+        -spectral_derivative(spectral_derivative(samples, grid), grid)
         + mu * samples
         - np.abs(samples) ** (model.p - 1.0) * samples
     )
@@ -334,10 +326,6 @@ def _polish_radial(
     n = len(phi) - 1
     for _ in range(POLISH_MAX_ITER):
         res = _radial_stencil_residual(phi, r, mu, p, d)
-        # the rounding floor of the 1/(12 h^2) stencil, about 64 eps max|phi| / (12 h^2),
-        # is 2e-10 at h = 0.005 and 2e-9 at h = 0.002: this test alone may never stop
-        if np.max(np.abs(res)) < 1e-10:
-            return phi
         jac = band.copy()
         jac[2] += p * np.abs(phi[: n - 1]) ** (p - 1.0)
         step = solve_banded((2, 2), jac, -res)
@@ -352,7 +340,7 @@ def _polish_radial(
 PETVIASHVILI_MAX_ITER = 1000
 # sup update, relative to the iterate, at which the Newton polish takes over
 PETVIASHVILI_TOL = 1e-6
-# Newton steps of the polish; the usual meshes take 1 to 3
+# Newton steps of the polish; the usual meshes take 2 or 3
 POLISH_MAX_ITER = 30
 # sup Newton step, relative to max(1, max|phi|), after which the polish stops;
 # at the rounding floor the steps wander at 1e-13 to 4e-12 and settle no lower

@@ -11,16 +11,17 @@ linearizes to terms in both z1 and conj(z1)), so a field is flattened by
     second component:  z2 - i (omega/gamma) z1 + v z1'
 
 with q the first component of the profile.  M is never formed: it is held as
-its potential and constants, applied by complex FFTs with the Fourier symbol
-of ``_symbol``, and its z2 block is the identity.  The kernel is spanned by
-the phase and translation modes i*Phi and Phi', there is exactly one negative
-eigenvalue inside the stability window (both counts are read off the 2N x 2N
-Schur complement of the identity z2 block, one complex circulant plus the
-potential), and on the subspace L2-orthogonal to {Phi', iJPhi, iPhi} the
-quadratic form is coercive in the H1 x L2 metric; delta, the minimal
-constrained Rayleigh quotient, is the lowest eigenvalue of the Gram-whitened
-operator with the constraints lifted to the top of the whitened free symbol's
-spectrum, which bounds it: Lanczos on FFT products with M.
+its potential and constants and applied as S' is, by the potential-free
+gradient ``functionals.quadratic_gradient`` less the potential; its z2 block
+is the identity.  The kernel is spanned by the phase and translation modes
+i*Phi and Phi', there is exactly one negative eigenvalue inside the stability
+window (both counts are read off the 2N x 2N Schur complement of the identity
+z2 block, one complex circulant plus the potential), and on the subspace
+L2-orthogonal to {Phi', iJPhi, iPhi} the quadratic form is coercive in the
+H1 x L2 metric; delta, the minimal constrained Rayleigh quotient, is the
+lowest eigenvalue of the Gram-whitened operator with the constraints lifted
+to the top of the whitened free symbol's spectrum, which bounds it: Lanczos
+on FFT products with M.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .functionals import ActionParams, gradient_norm, second_variation_potential
+from .functionals import ActionParams, action_symbol, gradient_norm, quadratic_gradient
+from .functionals import second_variation_potential
 from .grids import Field, Grid, flat, symmetry_directions
 
 __all__ = [
@@ -64,12 +66,6 @@ class AssemblyError(RuntimeError):
     """Profile failed the criticality precondition, or the delta solve did not converge."""
 
 
-def _symbol(ap: ActionParams, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The potential-free part of M at wavenumbers k: a = k^2 + m on z1, and b =
-    omega/gamma - v k, the symbol of the coupling i b between z1 and z2."""
-    return k * k + ap.model.m, ap.omega_over_gamma - ap.v * k
-
-
 @dataclass
 class RealizedOperator:
     """The second variation M at a profile, held as what defines it: the
@@ -77,12 +73,14 @@ class RealizedOperator:
     beside omega/gamma, v and m in ``params``.
 
     On the complex view (z1, z2) of a flattened field, with the Fourier
-    multipliers a and b of ``_symbol`` on the Nyquist-zeroed wavenumbers:
+    multipliers a and b of ``functionals.action_symbol`` on the Nyquist-zeroed
+    wavenumbers:
 
         M Z = (a z1 + i b z2 - w1 z1 - w2 conj(z1),  z2 - i b z1).
 
-    ``matvec`` applies it by complex FFTs and ``schur_complement`` builds the
-    spectrum report's S from one complex circulant and the potential."""
+    ``matvec`` applies it by ``functionals.quadratic_gradient`` less the
+    potential, and ``schur_complement`` builds the spectrum report's S from
+    one complex circulant and the potential."""
 
     grid: Grid
     profile: Field
@@ -94,12 +92,10 @@ class RealizedOperator:
         """M z for a flattened field of length 4N, or for each row of a (k, 4N)
         stack: one complex FFT pair per component."""
         n = self.grid.points
-        a, b = _symbol(self.params, self.grid.deriv_wavenumbers)
         zc = np.ascontiguousarray(z).view(complex)
         z1, z2 = zc[..., :n], zc[..., n:]
-        f1 = np.fft.fft(z1)
-        m1 = np.fft.ifft(a * f1 + 1j * b * np.fft.fft(z2)) - self.w1 * z1 - self.w2 * np.conj(z1)
-        return np.concatenate((m1, z2 - 1j * np.fft.ifft(b * f1)), axis=-1).view(float)
+        l1, l2 = quadratic_gradient(z1, z2, self.params, self.grid)
+        return np.concatenate((l1 - self.w1 * z1 - self.w2 * np.conj(z1), l2), axis=-1).view(float)
 
     def quadratic_form(self, z: Field) -> float:
         zf = flat(z)
@@ -114,7 +110,7 @@ class RealizedOperator:
         inertia additivity In(M) = In(I) + In(S), so S has M's negative count
         and kernel dimension."""
         n = self.grid.points
-        a, b = _symbol(self.params, self.grid.deriv_wavenumbers)
+        a, b = action_symbol(self.params, self.grid.deriv_wavenumbers)
         c = sla.circulant(np.fft.ifft(a - b * b))
         s = np.empty((n, 2, n, 2))
         s[:, 0, :, 0] = s[:, 1, :, 1] = c.real
@@ -143,10 +139,11 @@ def _free_symbol_eigenvalues(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lower, upper) eigenvalues, at each wavenumber k, of the potential-free
     operator's symbol whitened by g: [[a/g, i b/sqrt(g)], [-i b/sqrt(g), 1]] with
-    a and b from ``_symbol``.  That operator is complex-linear and
-    Fourier-diagonal, so these are its eigenvalues (g = 1), or those of
-    W M_free W (g = 1 + k^2, the H1 x L2 whitening of ``_whiten``)."""
-    a, b = _symbol(ap, k)
+    a and b from ``functionals.action_symbol``.  That operator is
+    complex-linear and Fourier-diagonal, so these are its eigenvalues
+    (g = 1), or those of W M_free W (g = 1 + k^2, the H1 x L2 whitening of
+    ``_whiten``)."""
+    a, b = action_symbol(ap, k)
     a, b2 = a / g, b * b / g
     root = np.sqrt((a - 1.0) ** 2 + 4.0 * b2)
     return 0.5 * ((a + 1.0) - root), 0.5 * ((a + 1.0) + root)

@@ -6,7 +6,8 @@ standing-wave energy by quadrature and by scaling, the Pohozaev ratio, the
 profile tail slope, the closed-form frequency slope, the differentiated
 critical-point residual, the essential-spectrum floor, the radial stencil
 residual by index gathers, Petviashvili's iteration with a stencil every
-step, and the soliton sample with a spectral derivative in u2.
+step, the soliton sample with a spectral derivative in u2, and the action
+gradient by three spectral derivatives in physical space.
 """
 
 from __future__ import annotations
@@ -50,6 +51,18 @@ class NehariProjectionError(ValueError):
 def nehari_value(w: Field, ap: ActionParams) -> float:
     """Nehari functional I(W) = <S'(W), W>."""
     return pair_inner(action_gradient(w, ap), w)
+
+
+def action_gradient_three_derivatives(w: Field, ap: ActionParams) -> Field:
+    """S'(W) term by term in physical space, from the spectral derivatives u1',
+    u1'' and u2' (ik and -k^2 on the Nyquist-zeroed wavenumbers), where
+    ``functionals.action_gradient`` applies the Fourier symbol once."""
+    g, og, v, model = w.grid, ap.omega_over_gamma, ap.v, ap.model
+    d2u1 = np.fft.ifft(-(g.deriv_wavenumbers**2) * np.fft.fft(w.u1))
+    du1 = spectral_derivative(w.u1, g)
+    du2 = spectral_derivative(w.u2, g)
+    g1 = -d2u1 + model.m * w.u1 - np.abs(w.u1) ** (model.p - 1.0) * w.u1 + 1j * og * w.u2 - v * du2
+    return Field(g1, w.u2 - 1j * og * w.u1 + v * du1, g)
 
 
 def _ray_parts(w: Field, ap: ActionParams) -> tuple[float, float]:

@@ -4,7 +4,9 @@ and each workload calls the library and checks a numerical fingerprint
 
 Installing and restoring every wrapper here, without running a workload,
 makes a refactor that renames a traced attribute fail the unit tests; running
-each workload once does the same for a broken call or a moved fingerprint.
+each workload once does the same for a broken call or a moved fingerprint,
+and running it once traced for a span the per-layer metrics read that a
+refactor no longer opens.
 """
 
 import importlib
@@ -71,6 +73,29 @@ def test_workloads_reproduce_their_fingerprints(tmp_path):
         try:
             case.before()
             problems[name] = workloads.check(name, case.fingerprint(case.call()))
+        finally:
+            case.cleanup()
+    assert problems == {name: [] for name in workloads.PREPARE}
+
+
+def test_traced_workloads_open_every_span(tmp_path):
+    """Every benchmark case, called once with the wrappers installed, opens each
+    span its per-layer metrics read, nested, with the coverage they require."""
+    layers, tracer, workloads = _import_bench("layers", "tracer", "workloads")
+    problems = {}
+    for name, prepare in workloads.PREPARE.items():
+        case = prepare(1, tmp_path)
+        tr = tracer.Tracer()
+        try:
+            case.before()
+            layers.install(tr)
+            root = tr.open(name)
+            try:
+                out = case.call()
+            finally:
+                tr.close(root)
+                tr.restore()
+            problems[name] = layers.layer_metrics(name, tr, root, out)[1] + tracer.check_nesting(tr.spans)
         finally:
             case.cleanup()
     assert problems == {name: [] for name in workloads.PREPARE}

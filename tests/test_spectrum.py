@@ -13,13 +13,7 @@ from nlkglab.functionals import (
     action_gradient,
     second_variation_potential,
 )
-from nlkglab.grids import (
-    Field,
-    Grid,
-    flat,
-    spectral_second_derivative,
-    symmetry_directions,
-)
+from nlkglab.grids import Field, Grid, flat, symmetry_directions
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton, soliton_tangents
 from nlkglab.spectrum import (
     KERNEL_REL_TOL,
@@ -170,7 +164,7 @@ def test_delta_matches_dense_generalized_eigenproblem(grid, omega, v):
     w, ap, _ = _profile(grid, omega, v)
     op = _operator(w, ap)
     n = grid.points
-    d2 = np.column_stack([spectral_second_derivative(e, grid) for e in np.eye(n)])
+    d2 = _derivative_matrices(grid)[1]
     gram = np.eye(4 * n)
     gram[0:n, 0:n] -= d2
     gram[n : 2 * n, n : 2 * n] -= d2
@@ -380,6 +374,31 @@ def test_quadratic_form_matches_gradient_differences(op, grid):
     gm = action_gradient(phi + (-eps) * z, op.params)
     fd = pair_inner((1.0 / (2 * eps)) * (gp - gm), z)
     assert op.quadratic_form(z) == pytest.approx(fd, rel=1e-5)
+
+
+@pytest.mark.parametrize("v", [0.0, 0.3])
+def test_matvec_is_the_linearized_gradient(grid, v):
+    """M Z = (S'(Phi + eps Z) - S'(Phi - eps Z)) / (2 eps) + O(eps^2), as vectors.
+    At p = 3 the nonlinearity is cubic, so the remainder is exactly eps^2 times
+    one field: measured 9.40e-4 eps^2 (v = 0) and 9.45e-4 eps^2 (v = 0.3) of
+    ||M Z|| at eps = 0.1 and 0.01."""
+    w, ap, _ = _profile(grid, 0.8, v)
+    op = assemble_second_variation(w, ap)
+    rng = np.random.default_rng(8)
+    k = grid.deriv_wavenumbers
+    mask = np.abs(k) < 0.4 * np.max(np.abs(k))
+    z = Field(
+        np.fft.ifft(mask * (rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points))),
+        np.fft.ifft(mask * (rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points))),
+        grid,
+    )
+    mz = op.matvec(flat(z))
+    errs = []
+    for eps in (0.1, 0.01):
+        fd = (1.0 / (2 * eps)) * (action_gradient(w + eps * z, ap) - action_gradient(w + (-eps) * z, ap))
+        errs.append(np.linalg.norm(flat(fd) - mz) / np.linalg.norm(mz))
+        assert errs[-1] <= 1e-3 * eps**2
+    assert errs[1] / errs[0] == pytest.approx(1e-2, rel=1e-5)
 
 
 def test_morse_index_and_kernel(op):
