@@ -33,12 +33,10 @@ from .functionals import (
     LocalizedQuantities,
     action,
     build_cutoffs,
-    charge_density,
-    energy_density,
+    flux_densities,
     localized_first_variation,
+    localized_hessian_form,
     localized_quantities,
-    momentum_density,
-    second_variation_potential,
     velocity_problems,
 )
 from .grids import Field, Grid, norm_h1l2, raise_problems, spectral_derivative
@@ -419,6 +417,8 @@ def measure_interactions(cfg: MultiSolitonConfig, times: Sequence[float]) -> Int
     times = np.asarray(sorted(times), dtype=float)
     if len(times) == 0:
         raise ValueError("interaction measurement needs at least one time")
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"interaction times must be finite, got {times[~np.isfinite(times)].tolist()}")
     if times[0] < tmin:
         raise ValueError(f"times must be >= max(4/v_star^2, 1) = {tmin}")
     grid, h = cfg.grid, cfg.grid.spacing
@@ -528,13 +528,7 @@ def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
     else:
         mid_v = fastest.v
 
-    def loc_q(g: Field, weight) -> float:
-        return float(np.sum(charge_density(g) * weight) * h)
-
-    def loc_p(g: Field, weight) -> float:
-        du = spectral_derivative(g.u1, grid)
-        return float(np.sum(momentum_density(g, du) * weight) * h)
-
+    window_params = cfg.action_params()[:1]  # the window is one cell; its Q and P are read
     q_mis, p_mis = [], []
     for i in audit:
         t, f = report.times[i], report.fields[i]
@@ -542,16 +536,15 @@ def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
         bwd = evolve(f, 0.0, -cfg.dt, IntegratorConfig(dt=-cfg.dt), cfg.model)
         center = 0.5 * (mid_v * t + (fastest.x0 + fastest.v * t))
         w, dw = _smooth_window(grid, center, math.sqrt(t))
+        loc_f, loc_b = (localized_quantities(g, w[None], window_params) for g in (fwd, bwd))
+        q_flux, p_flux = flux_densities(f, spectral_derivative(f.u1, grid), cfg.model)
 
-        lhs_q = (loc_q(fwd, w) - loc_q(bwd, w)) / (2.0 * cfg.dt)
-        du1 = spectral_derivative(f.u1, grid)
-        rhs_q = float(np.sum(np.imag(du1 * np.conj(f.u1)) * dw) * h)
+        lhs_q = (loc_f.q[0] - loc_b.q[0]) / (2.0 * cfg.dt)
+        rhs_q = float(np.sum(q_flux * dw) * h)
         q_mis.append(abs(lhs_q - rhs_q) / max(abs(lhs_q), abs(rhs_q)))
 
-        lhs_p = (loc_p(fwd, w) - loc_p(bwd, w)) / (2.0 * cfg.dt)
-        # momentum-flux density -|u1'|^2/2 + m|u1|^2/2 - |u2|^2/2 - |u1|^(p+1)/(p+1)
-        dens = energy_density(f, du1, cfg.model) - np.abs(du1) ** 2 - np.abs(f.u2) ** 2
-        rhs_p = float(np.sum(dens * dw) * h)
+        lhs_p = (loc_f.p[0] - loc_b.p[0]) / (2.0 * cfg.dt)
+        rhs_p = float(np.sum(p_flux * dw) * h)
         p_mis.append(abs(lhs_p - rhs_p) / max(abs(lhs_p), abs(rhs_p)))
 
     return AlmostConservationReport(
@@ -595,33 +588,13 @@ class TaylorReport:
         return self.hessian_terms / self.upsilon_norm2
 
 
-def localized_hessian_form(
-    ups: Field,
-    comps: Sequence[Field],
-    cut: np.ndarray,
-    params: Sequence[ActionParams],
-) -> float:
-    """Quadratic Taylor term: 1/2 sum_j <S_j''(R_j) Y, Y> with cutoff weights, for
-    the sampled solitons R_j in ``comps``.  The weights sum to 1, so the part every
-    S_j'' shares, |y1'|^2 + m |y1|^2 + |y2|^2, is integrated once."""
-    y1 = ups.u1
-    du1 = spectral_derivative(y1, ups.grid)
-    dens = np.abs(du1) ** 2 + params[0].model.m * np.abs(y1) ** 2 + np.abs(ups.u2) ** 2
-    qq = 2.0 * charge_density(ups)
-    pp = 2.0 * momentum_density(ups, du1)
-    for w, rj, ap in zip(cut, comps, params):
-        w1, w2 = second_variation_potential(rj.u1, ap.model.p)
-        pot = np.real(np.conj(y1) * (w1 * y1 + w2 * np.conj(y1)))
-        dens = dens + w * (ap.omega_over_gamma * qq + ap.v * pp - pot)
-    return 0.5 * float(np.sum(dens) * ups.grid.spacing)
-
-
 def taylor_expansion_audit(report: DecayReport) -> TaylorReport:
     """Compare the localized action against constant + quadratic term.
 
     The constant is the (time-independent) sum of per-soliton action values
     of the exact solitons; the quadratic term is the cutoff-weighted hessian
-    form at the modulated decomposition.  The lumped remainder S_loc(U) -
+    form at the modulated decomposition (both Taylor terms read the bilinear
+    density forms of ``functionals``).  The lumped remainder S_loc(U) -
     constant - quadratic term is split into the pairwise interaction tail
     of the fitted solitons, the modulation shift of their actions, the
     linear term in the residue and the true Taylor remainder (see
@@ -630,9 +603,7 @@ def taylor_expansion_audit(report: DecayReport) -> TaylorReport:
     cfg = report.config
     grid = cfg.grid
     params = cfg.action_params()
-    const = 0.0
-    for sp, ap in zip(cfg.solitons, params):
-        const += action(sample_soliton(sp, cfg.t_final, grid), ap)
+    const = sum(action(sample_soliton(sp, cfg.t_final, grid), ap) for sp, ap in zip(cfg.solitons, params))
 
     fitted = [st is not None for st in report.modulation]
     if not any(fitted):

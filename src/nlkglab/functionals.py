@@ -11,6 +11,11 @@ whose gradient in the real L2 pairing is
     S'(W) = ( -u1'' + m u1 - |u1|^(p-1) u1 + i (omega/gamma) u2 - v u2',
               u2 - i (omega/gamma) u1 + v u1' ).
 
+The E, Q and P densities are half the diagonals of symmetric bilinear forms
+(``energy_form``, ``charge_form``, ``momentum_form``), which the localized
+quantities, the action and both Taylor terms of the localized action read
+through one weighting by the cutoffs.
+
 The moving cutoff partition splits the line between solitons with ramps of
 width sqrt(t) centered at the velocity midpoints; the ramp is
 
@@ -35,9 +40,13 @@ __all__ = [
     "ActionParams",
     "LocalizedQuantities",
     "velocity_problems",
+    "energy_form",
+    "charge_form",
+    "momentum_form",
     "energy_density",
     "charge_density",
     "momentum_density",
+    "flux_densities",
     "second_variation_potential",
     "energy",
     "charge",
@@ -51,6 +60,7 @@ __all__ = [
     "build_cutoffs",
     "localized_quantities",
     "localized_first_variation",
+    "localized_hessian_form",
 ]
 
 
@@ -73,23 +83,44 @@ class ActionParams:
         return cls(sp.omega / sp.gamma, sp.v, sp.model)
 
 
+def energy_form(a: Field, da1: np.ndarray, b: Field, db1: np.ndarray, m: float) -> np.ndarray:
+    """The symmetric bilinear form Re a1' conj(b1') + m Re a1 conj(b1) + Re a2 conj(b2)
+    of the energy; ``da1`` and ``db1`` are the derivatives of a.u1 and b.u1."""
+    e11 = np.real(da1 * np.conj(db1))
+    return e11 + m * np.real(a.u1 * np.conj(b.u1)) + np.real(a.u2 * np.conj(b.u2))
+
+
+def charge_form(a: Field, b: Field) -> np.ndarray:
+    """The symmetric bilinear form Im a1 conj(b2) + Im b1 conj(a2) of the charge."""
+    return np.imag(a.u1 * np.conj(b.u2)) + np.imag(b.u1 * np.conj(a.u2))
+
+
+def momentum_form(a: Field, da1: np.ndarray, b: Field, db1: np.ndarray) -> np.ndarray:
+    """The symmetric bilinear form Re a1' conj(b2) + Re b1' conj(a2) of the momentum."""
+    return np.real(da1 * np.conj(b.u2)) + np.real(db1 * np.conj(a.u2))
+
+
 def energy_density(w: Field, du1: np.ndarray, model: ModelParams) -> np.ndarray:
     """Pointwise energy; ``du1`` is the spectral derivative of w.u1."""
-    return (
-        0.5 * np.abs(du1) ** 2
-        + 0.5 * model.m * np.abs(w.u1) ** 2
-        + 0.5 * np.abs(w.u2) ** 2
-        - np.abs(w.u1) ** (model.p + 1.0) / (model.p + 1.0)
-    )
+    quad = energy_form(w, du1, w, du1, model.m)
+    return 0.5 * quad - np.abs(w.u1) ** (model.p + 1.0) / (model.p + 1.0)
 
 
 def charge_density(w: Field) -> np.ndarray:
-    return np.imag(w.u1 * np.conj(w.u2))
+    return 0.5 * charge_form(w, w)
 
 
 def momentum_density(w: Field, du1: np.ndarray) -> np.ndarray:
     """Pointwise momentum; ``du1`` is the spectral derivative of w.u1."""
-    return np.real(du1 * np.conj(w.u2))
+    return 0.5 * momentum_form(w, du1, w, du1)
+
+
+def flux_densities(w: Field, du1: np.ndarray, model: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """The charge and momentum fluxes, Im u1' conj(u1) and -|u1'|^2/2 + m|u1|^2/2
+    - |u2|^2/2 - |u1|^(p+1)/(p+1): d/dt int q c = int (charge flux) c' for a
+    fixed window c, and so for p."""
+    momentum_flux = energy_density(w, du1, model) - np.abs(du1) ** 2 - np.abs(w.u2) ** 2
+    return np.imag(du1 * np.conj(w.u1)), momentum_flux
 
 
 def second_variation_potential(q: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -117,7 +148,8 @@ def momentum(w: Field) -> float:
 
 
 def action(w: Field, ap: ActionParams) -> float:
-    return energy(w, ap.model) + ap.omega_over_gamma * charge(w) + ap.v * momentum(w)
+    """S(W) = E + (omega/gamma) Q + v P: the localized action of one cell of unit weight."""
+    return localized_quantities(w, np.ones((1, w.grid.points)), [ap]).action_total
 
 
 def action_symbol(ap: ActionParams, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -189,63 +221,66 @@ class LocalizedQuantities:
     action_total: float
 
 
+def _cell_model(weights: np.ndarray, params: Sequence[ActionParams], *per_cell: Sequence):
+    """The model of the cutoff cells, once ``params`` and every ``per_cell``
+    sequence (the quadratic term's soliton samples) hold one entry per weight
+    row, of which there is one or more."""
+    n, counts = len(weights), [len(params)] + [len(c) for c in per_cell]
+    if n == 0 or any(c != n for c in counts):
+        raise ValueError(f"{n} cutoff weight rows need as many ActionParams and samples, got {counts}")
+    return params[0].model
+
+
 def _localize(
-    e_dens: np.ndarray,
-    q_dens: np.ndarray,
-    p_dens: np.ndarray,
-    weights: np.ndarray,
-    params: Sequence[ActionParams],
-    h: float,
+    e_dens: np.ndarray, q_dens: np.ndarray, p_dens: np.ndarray,
+    weights: np.ndarray, params: Sequence[ActionParams], h: float,
 ) -> LocalizedQuantities:
-    """Weight the E, Q and P densities by the cutoffs and sum the actions."""
-    e_j = weights @ e_dens * h
+    """Weight the E, Q and P densities by the cutoffs and sum the actions.  The
+    E density is one row that every cell shares, or one row per cell."""
+    e_j = (np.einsum("jx,jx->j", weights, e_dens) if e_dens.ndim == 2 else weights @ e_dens) * h
     q_j = weights @ q_dens * h
     p_j = weights @ p_dens * h
-    total = float(
-        sum(
-            e_j[j] + params[j].omega_over_gamma * q_j[j] + params[j].v * p_j[j]
-            for j in range(len(weights))
-        )
-    )
-    return LocalizedQuantities(e_j, q_j, p_j, total)
+    total = sum(e_j[j] + ap.omega_over_gamma * q_j[j] + ap.v * p_j[j] for j, ap in enumerate(params))
+    return LocalizedQuantities(e_j, q_j, p_j, float(total))
 
 
 def localized_quantities(
     w: Field, weights: np.ndarray, params: Sequence[ActionParams]
 ) -> LocalizedQuantities:
     """Cutoff-weighted energies, charges, momenta and their action sum."""
-    if len(params) != len(weights):
-        raise ValueError(f"need {len(weights)} ActionParams, got {len(params)}")
     du1 = spectral_derivative(w.u1, w.grid)
-    return _localize(
-        energy_density(w, du1, params[0].model),
-        charge_density(w),
-        momentum_density(w, du1),
-        weights,
-        params,
-        w.grid.spacing,
-    )
+    e_dens = energy_density(w, du1, _cell_model(weights, params))
+    q_dens, p_dens = charge_density(w), momentum_density(w, du1)
+    return _localize(e_dens, q_dens, p_dens, weights, params, w.grid.spacing)
 
 
 def localized_first_variation(
     r: Field, y: Field, weights: np.ndarray, params: Sequence[ActionParams]
 ) -> float:
-    """Linear Taylor term of the localized action at R in the direction Y.
-
-    The densities of localized_quantities differentiated at R along Y, so
-    the cutoff weights stay outside the derivative."""
-    if len(params) != len(weights):
-        raise ValueError(f"need {len(weights)} ActionParams, got {len(params)}")
-    model = params[0].model
+    """Linear Taylor term of the localized action at R in the direction Y: the
+    forms at (R, Y) less the derivative of the nonlinear term, so the cutoff
+    weights stay outside the derivative."""
+    model = _cell_model(weights, params)
     dr1 = spectral_derivative(r.u1, r.grid)
     dy1 = spectral_derivative(y.u1, r.grid)
-    r1y1 = np.real(r.u1 * np.conj(y.u1))
-    e_dens = (
-        np.real(dr1 * np.conj(dy1))
-        + model.m * r1y1
-        + np.real(r.u2 * np.conj(y.u2))
-        - np.abs(r.u1) ** (model.p - 1.0) * r1y1
-    )
-    q_dens = np.imag(y.u1 * np.conj(r.u2)) + np.imag(r.u1 * np.conj(y.u2))
-    p_dens = np.real(dy1 * np.conj(r.u2)) + np.real(dr1 * np.conj(y.u2))
+    nonlinear = np.abs(r.u1) ** (model.p - 1.0) * np.real(r.u1 * np.conj(y.u1))
+    e_dens = energy_form(r, dr1, y, dy1, model.m) - nonlinear
+    q_dens, p_dens = charge_form(r, y), momentum_form(r, dr1, y, dy1)
     return _localize(e_dens, q_dens, p_dens, weights, params, r.grid.spacing).action_total
+
+
+def localized_hessian_form(
+    y: Field, comps: Sequence[Field], weights: np.ndarray, params: Sequence[ActionParams]
+) -> float:
+    """Quadratic Taylor term: 1/2 sum_j <S_j''(R_j) Y, Y> with cutoff weights, for
+    the sampled solitons R_j in ``comps``: the forms at (Y, Y), less the
+    potential of each S_j'' at R_j, one row per cell, halved."""
+    model = _cell_model(weights, params, comps)
+    dy1 = spectral_derivative(y.u1, y.grid)
+    pots = np.empty((len(comps), y.grid.points))
+    for row, rj in zip(pots, comps):
+        w1, w2 = second_variation_potential(rj.u1, model.p)
+        row[:] = np.real(np.conj(y.u1) * (w1 * y.u1 + w2 * np.conj(y.u1)))
+    e_dens = energy_form(y, dy1, y, dy1, model.m) - pots
+    q_dens, p_dens = charge_form(y, y), momentum_form(y, dy1, y, dy1)
+    return 0.5 * _localize(e_dens, q_dens, p_dens, weights, params, y.grid.spacing).action_total

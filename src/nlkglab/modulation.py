@@ -15,8 +15,9 @@ quadratic from reasonable seeds.
 The pairings are matrix products: every direction and tangent is one real
 row of length 4N (``grids.flat``), so the 3N residuals are one mat-vec and
 the Jacobian's cross term one (3N, 3N) Gram.  Its residue term moves the
-symmetry maps onto Upsilon by their adjoints, with Upsilon' = U' - sum_j R_j'
-from U', which the fit takes once: a Newton iterate takes no FFT.  An
+symmetry maps onto Upsilon by their adjoints.  The maps are linear, so
+Upsilon's directions are U's less those of the R_j: the fit writes U's
+three rows once, from the U' it takes, and a Newton iterate takes no FFT.  An
 accepted backtracking trial's sample is the next iterate's, so an iterate
 samples each soliton once: that sample gives the residual, the directions
 and the omega-tangent.
@@ -120,40 +121,30 @@ def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     return (dirs @ flat(ups)) * g.spacing, ups, dirs, rows[3 * n :].view(float)
 
 
-def _residue_directions(ups: Field, du: np.ndarray, dirs: np.ndarray) -> np.ndarray:
-    """The symmetry directions of Upsilon as three real ``flat`` rows, with
-    Upsilon' = U' - sum_j R_j' from the ``flat`` row ``du`` of U' and the
-    R_j' rows of ``dirs``: no FFT."""
-    size = ups.grid.points
-    d_ups = (du - dirs[2::3].sum(axis=0)).view(complex)
-    out = np.empty((3, 2 * size), complex)
-    _write_directions(out, ups.u1, ups.u2, d_ups[:size], d_ups[size:])
-    return out.view(float)
-
-
 # <a, D_k b> = ADJOINT_SIGNS[k] * <D_k a, b> in the real L2 x L2 pairing: i and d/dx
 # (Nyquist zeroed) are skew, i J is symmetric
 ADJOINT_SIGNS = np.array([-1.0, 1.0, -1.0])
 
 
-def _jacobian(ups: Field, du: np.ndarray, dirs: np.ndarray, d_omega: np.ndarray) -> np.ndarray:
+def _jacobian(u_rows: np.ndarray, dirs: np.ndarray, d_omega: np.ndarray, h: float) -> np.ndarray:
     """Derivative of the orthogonality residuals in (theta_l, omega_l, x_l).
 
     With T_j = (i R_j, dR_j/domega, -R_j') the tangents of R_j and D_k the
     real-linear symmetry maps, J[(i,k),(j,a)] = -<T_{j,a}, D_k R_i>
     + delta_ij <Upsilon, D_k T_{j,a}>.  The residue term is taken through
     the adjoint, s_k <D_k Upsilon, T_{j,a}>, so the symmetry maps act on
-    Upsilon once instead of on all 3N tangents, and Upsilon' comes from the
-    fit's U' (``du``) and the R_j' rows (``_residue_directions``).
+    Upsilon once instead of on all 3N tangents.  They are linear, so
+    D_k Upsilon = D_k U - sum_j D_k R_j, from the fit's three rows of U
+    (``u_rows``) and the rows of ``dirs``.
     """
-    grid = ups.grid
+    n = len(d_omega)
     tan = dirs.copy()
     tan[1::3] = d_omega
     tan[2::3] *= -1.0
-    jac = -(dirs @ tan.T) * grid.spacing
-    dups = _residue_directions(ups, du, dirs)
-    ups_term = ADJOINT_SIGNS[:, None] * (dups @ tan.T) * grid.spacing
-    for j in range(len(d_omega)):
+    jac = -(dirs @ tan.T) * h
+    dups = u_rows - dirs.reshape(n, 3, -1).sum(axis=0)
+    ups_term = ADJOINT_SIGNS[:, None] * (dups @ tan.T) * h
+    for j in range(n):
         jac[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] += ups_term[:, 3 * j : 3 * j + 3]
     return jac
 
@@ -184,13 +175,14 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     if not params:
         raise ValueError("need at least one soliton to fit")
     sqm = math.sqrt(params[0].model.m)
-    g = u.grid
-    du1, du2 = spectral_derivative(u.u1, g), spectral_derivative(u.u2, g)  # U', once per fit
-    scale = norm_h1l2(u, du1)
+    g, size = u.grid, u.grid.points
+    u_rows = np.empty((3, 2 * size), complex)  # i U, i J U and U', once per fit
+    _write_directions(u_rows, u.u1, u.u2, spectral_derivative(u.u1, g), spectral_derivative(u.u2, g))
+    scale = norm_h1l2(u, u_rows[2, :size])
     if scale == 0.0:
         raise NotInTubeError("zero field cannot be modulated")
 
-    du = flat(Field(du1, du2, g))
+    u_rows = u_rows.view(float)
     vec = np.array([(sp.theta, sp.omega, sp.x0) for sp in params], dtype=float).ravel()
     current = _apply(params, vec)
     errors, tails = _domain(current, g)
@@ -201,7 +193,7 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     f0, ups, dirs, d_omega = _ortho_vector(u, current)
 
     for it in range(MAX_NEWTON_ITER):
-        jac = _jacobian(ups, du, dirs, d_omega)
+        jac = _jacobian(u_rows, dirs, d_omega, g.spacing)
         cond = float(np.linalg.cond(jac))
         if not np.isfinite(cond) or cond > 1e8:
             raise DegenerateConfigurationError(

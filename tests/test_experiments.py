@@ -242,6 +242,16 @@ def test_interactions_early_times_rejected(grid, pair):
         measure_interactions(cfg, [])
 
 
+@pytest.mark.parametrize("times, bad", [([16.0, 20.0, 24.0, np.nan], "nan"), ([16.0, np.inf, 20.0, 24.0], "inf")])
+def test_interactions_reject_nonfinite_times(grid, pair, times, bad):
+    """A NaN or infinite time is named, not fitted around."""
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=grid, solitons=pair, t_final=40.0, t_start=10.0, dt=0.01
+    )
+    with pytest.raises(ValueError, match=f"finite, got \\[{bad}\\]"):
+        measure_interactions(cfg, times)
+
+
 def test_three_soliton_construction_and_nonadjacent_leakage(grid):
     """Three cells: the construction runs end to end, the partition weights
     pair with their solitons, and the leakage of an outer soliton into the
@@ -509,8 +519,8 @@ def test_localized_hessian_matches_dense_operator():
     dense second-variation quadratic form (independent code paths)."""
     from test_spectrum import _dense_matrix
 
-    from nlkglab.experiments import localized_hessian_form, random_bump
-    from nlkglab.functionals import ActionParams, build_cutoffs
+    from nlkglab.experiments import random_bump
+    from nlkglab.functionals import ActionParams, build_cutoffs, localized_hessian_form
     from nlkglab.spectrum import assemble_second_variation
 
     g = Grid(80.0, 256)

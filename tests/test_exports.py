@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -30,3 +31,32 @@ def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_private_module_name_is_read_in_the_library():
+    """Each module-level private name a library module defines (function, class,
+    assignment or import alias) is read somewhere in ``src/nlkglab``, as a name
+    or an attribute: a helper only the tests call belongs in ``tests/oracles.py``."""
+    defined, read = set(), set()
+    for path in sorted(Path(nlkglab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [(a.asname or a.name).split(".")[0] for a in node.names]
+            else:
+                names = []
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined.add((path.name, name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = sorted(f"{module}:{name}" for module, name in defined if name not in read)
+    assert not unread, f"private names no library code reads: {unread}"

@@ -7,15 +7,19 @@ from nlkglab.functionals import (
     action_gradient,
     build_cutoffs,
     charge,
+    charge_form,
     energy,
+    energy_form,
     gradient_norm,
     localized_first_variation,
+    localized_hessian_form,
     localized_quantities,
     momentum,
+    momentum_form,
     quadratic_gradient,
     ramp,
 )
-from nlkglab.grids import Field, Grid
+from nlkglab.grids import Field, Grid, spectral_derivative
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 from oracles import (
     NehariProjectionError,
@@ -130,6 +134,41 @@ def test_action_boost_identity(grid, standing, boosted):
     lhs = action(wb, ActionParams.from_soliton(spb))
     rhs = (energy(ws, MODEL) + 0.8 * charge(ws)) / spb.gamma
     assert lhs == pytest.approx(rhs, rel=1e-6)
+
+
+def _forms(a, b):
+    """The three bilinear forms at (A, B), with the spectral derivatives of a.u1 and b.u1."""
+    da1, db1 = spectral_derivative(a.u1, a.grid), spectral_derivative(b.u1, b.grid)
+    return energy_form(a, da1, b, db1, MODEL.m), charge_form(a, b), momentum_form(a, da1, b, db1)
+
+
+def test_density_forms_are_symmetric_and_polarize(grid, boosted):
+    """Each density form is symmetric, and (A, B) -> [f(A+B) - f(A-B)]/4 of its
+    diagonal f to 1e-13 of the largest diagonal value, on boosted solitons
+    and random band-limited fields."""
+    sols = [sample_soliton(SolitonParams(MODEL, omega=om, v=v, x0=x0), 0.0, grid)
+            for om, v, x0 in ((0.8, -0.4, -3.0), (0.7, 0.3, 5.0))]
+    fields = [boosted[0], *sols, _random_field(grid, 21), _random_field(grid, 22)]
+    for i, a in enumerate(fields):
+        for b in fields[i + 1 :]:
+            ab, ba = _forms(a, b), _forms(b, a)
+            for f_ab, f_ba, f_plus, f_minus in zip(ab, ba, _forms(a + b, a + b), _forms(a - b, a - b)):
+                assert np.array_equal(f_ab, f_ba)
+                scale = max(np.max(np.abs(f_plus)), np.max(np.abs(f_minus)))
+                assert np.max(np.abs(f_ab - 0.25 * (f_plus - f_minus))) <= 1e-13 * scale
+
+
+def test_action_is_the_sum_of_its_functionals():
+    """S, the localized action of one unit-weight cell, is E + (omega/gamma) Q + v P
+    summed from the three functionals, to 1e-14 relative, on the solitons of
+    the symbol test."""
+    g = Grid(300.0, 1024)
+    for om in (0.6, 0.8, 0.95):
+        for v in (-0.4, 0.0, 0.4):
+            sp = SolitonParams(MODEL, omega=om, v=v)
+            w, ap = sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp)
+            oracle = energy(w, MODEL) + ap.omega_over_gamma * charge(w) + ap.v * momentum(w)
+            assert action(w, ap) == pytest.approx(oracle, rel=1e-14, abs=0.0)
 
 
 def test_gradient_zero_field(grid):
@@ -335,6 +374,29 @@ def test_localized_count_mismatch(grid):
     cp = build_cutoffs([-0.4, 0.4], 12.0, grid)
     with pytest.raises(ValueError):
         localized_quantities(w, cp, [ActionParams(0.5, 0.0, MODEL)])
+
+
+def test_localized_forms_check_every_count(grid, boosted):
+    """Every localized form raises on a count of ActionParams, or of soliton
+    samples for the quadratic term, that is not the number of weight rows
+    (an empty list included)."""
+    r, sp = boosted
+    y = _random_field(grid, 4)
+    one, two = build_cutoffs([0.4], 12.0, grid), build_cutoffs([-0.4, 0.4], 12.0, grid)
+    ap = ActionParams.from_soliton(sp)
+    calls = [
+        lambda: localized_quantities(y, two, [ap]),
+        lambda: localized_quantities(y, one, [ap, ap]),
+        lambda: localized_quantities(y, one, []),
+        lambda: localized_first_variation(r, y, two, [ap]),
+        lambda: localized_hessian_form(y, [r], two, [ap]),
+        lambda: localized_hessian_form(y, [r], two, [ap, ap]),
+        lambda: localized_hessian_form(y, [r, r], one, [ap]),
+        lambda: localized_hessian_form(y, [r], one, [ap, ap]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="cutoff weight rows"):
+            call()
 
 
 def test_localized_first_variation_matches_central_difference(grid):

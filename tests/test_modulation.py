@@ -14,7 +14,6 @@ from nlkglab.modulation import (
     _apply,
     _jacobian,
     _ortho_vector,
-    _residue_directions,
     fit_modulation,
 )
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton, soliton_tangents
@@ -75,6 +74,11 @@ def _jacobian_case(grid, n, eps):
     return u, at
 
 
+def _u_rows(u):
+    """The three symmetry directions of U as the real rows the fit writes once."""
+    return np.stack([flat(d) for d in symmetry_directions(u)])
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.01])
 @pytest.mark.parametrize("n", [2, 3])
 def test_jacobian_matches_finite_difference(grid, n, eps):
@@ -83,7 +87,7 @@ def test_jacobian_matches_finite_difference(grid, n, eps):
     that the residue term counts too."""
     u, at = _jacobian_case(grid, n, eps)
     _, ups, dirs, d_omega = _ortho_vector(u, at)
-    jac = _jacobian(ups, flat(symmetry_directions(u)[2]), dirs, d_omega)
+    jac = _jacobian(_u_rows(u), dirs, d_omega, grid.spacing)
     oracle = _fd_jacobian(u, at)
     assert np.max(np.abs(jac - oracle)) < 1e-6 * np.max(np.abs(oracle))
 
@@ -116,7 +120,7 @@ def test_jacobian_matches_per_tangent_reference(grid, n, eps):
     per-entry formula to rounding."""
     u, at = _jacobian_case(grid, n, eps)
     _, ups, dirs, d_omega = _ortho_vector(u, at)
-    jac = _jacobian(ups, flat(symmetry_directions(u)[2]), dirs, d_omega)
+    jac = _jacobian(_u_rows(u), dirs, d_omega, grid.spacing)
     ref = _per_tangent_jacobian(ups, at)
     assert np.max(np.abs(jac - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -208,27 +212,27 @@ def test_fit_takes_no_fft_per_iterate(grid, pair, monkeypatch):
 @pytest.mark.parametrize("eps", [0.0, 0.01])
 @pytest.mark.parametrize("n", [2, 3])
 def test_residue_directions_match_spectral(grid, n, eps):
-    """i Upsilon and i J Upsilon are those of ``symmetry_directions``, and
-    U' - sum_j R_j' with the closed-form R_j' is the spectral derivative of
-    Upsilon to 1e-11 relative."""
+    """The Jacobian's residue rows D_k U - sum_j D_k R_j, with the closed-form
+    R_j', are the spectral symmetry directions of Upsilon: i Upsilon and
+    i J Upsilon to 1e-15 absolute, Upsilon' to 1e-11 relative."""
     u, at = _jacobian_case(grid, n, eps)
     _, ups, dirs, _ = _ortho_vector(u, at)
-    got = _residue_directions(ups, flat(symmetry_directions(u)[2]), dirs)
-    want = np.stack([flat(d) for d in symmetry_directions(ups)])
-    assert np.array_equal(got[:2], want[:2])
+    got = _u_rows(u) - dirs.reshape(n, 3, -1).sum(axis=0)
+    want = _u_rows(ups)
+    assert np.max(np.abs(got[:2] - want[:2])) <= 1e-15
     assert np.max(np.abs(got[2] - want[2])) <= 1e-11 * np.max(np.abs(want[2]))
 
 
-def _spectral_residue_directions(ups, du, dirs):
-    """Reference: the symmetry directions of Upsilon with its spectral derivative."""
-    return np.stack([flat(d) for d in symmetry_directions(ups)])
+def _spectral_translation(sp, comp):
+    """Reference: the spectral R_j' beside the closed-form dR_j/domega."""
+    return symmetry_directions(comp)[2], soliton_tangents(sp, comp)[1]
 
 
 def test_dense_hook_fits_match_the_spectral_path(monkeypatch):
     """Every fit of the dense-hook pair run (N = 2048, t = 11 -> 10, a hook
     every 0.05) takes the iteration count, 40 over the 21 fits, and lands on
     the roots (to 1e-13) of the same fit with spectral derivatives: in the
-    samples' u2 and in Upsilon'."""
+    samples' u2 and in R_j', so Upsilon' is spectral by linearity."""
     g = Grid(160.0, 2048)
     sols = [SolitonParams(MODEL, omega=0.8, v=v) for v in (-0.4, 0.4)]
     cfg = MultiSolitonConfig(
@@ -241,7 +245,7 @@ def test_dense_hook_fits_match_the_spectral_path(monkeypatch):
         st = real(field, seeds)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(modulation, "sample_soliton", sample_soliton_spectral)
-            mp.setattr(modulation, "_residue_directions", _spectral_residue_directions)
+            mp.setattr(modulation, "soliton_tangents", _spectral_translation)
             fits.append((st, real(field, seeds)))
         return st
 
