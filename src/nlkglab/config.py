@@ -34,8 +34,10 @@ validated ``MultiSolitonConfig`` and the file's ``out_dir``, and
 ``serialize_config`` writes them back with every key resolved.
 
 Validation collects every violation before failing, so a bad file reports
-all its problems at once.  Each rule lives with the class it guards; the
-one added here is that p be mass-subcritical.  ``dt`` is a magnitude.
+all its problems at once.  A key is set once: in the run (whichever section
+holds it, a repeated section included) and in each ``[soliton]``.  Each rule
+lives with the class it guards; the one added here is that p be
+mass-subcritical.  ``dt`` is a magnitude.
 """
 
 from __future__ import annotations
@@ -95,6 +97,8 @@ def parse_config(text: str) -> tuple[MultiSolitonConfig, str]:
     raw: dict = {k: v for name, keys in _DEFAULTS.items() if name != "soliton" for k, v in keys.items()}
     raw["solitons"] = []
     section: Optional[str] = None
+    # the line that set each key: of the run (None), or of the soliton numbered so far
+    set_on: dict[tuple[Optional[int], str], int] = {}
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -119,6 +123,11 @@ def parse_config(text: str) -> tuple[MultiSolitonConfig, str]:
         if key not in keys:
             problems.append(f"line {lineno}: unknown key {key!r} in section [{section}]")
             continue
+        owner = (len(raw["solitons"]) if section == "soliton" else None, key)
+        if owner in set_on:
+            problems.append(f"line {lineno}: key {key!r} is already set on line {set_on[owner]}")
+            continue
+        set_on[owner] = lineno
         val = _convert(value, type(keys[key]), lineno, problems)
         if val is not None:
             (raw["solitons"][-1] if section == "soliton" else raw)[key] = val

@@ -88,7 +88,8 @@ def fit_log_slope(times: np.ndarray, values: np.ndarray) -> tuple[float, float, 
     """Least-squares slope of log(values) vs time.
 
     Returns (slope, slope standard error, rms residual); nonpositive
-    values are excluded from the fit.
+    values are excluded from the fit, which needs 3 positive samples at two
+    or more distinct times.
     """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
@@ -97,6 +98,8 @@ def fit_log_slope(times: np.ndarray, values: np.ndarray) -> tuple[float, float, 
     n = len(t)
     if n < 3:
         raise ValueError("need at least 3 positive samples for a slope fit")
+    if np.all(t == t[0]):
+        raise ValueError(f"the {n} positive samples all share the time {t[0]}: no slope to fit")
     a = np.vstack([t, np.ones_like(t)]).T
     coef, *_ = np.linalg.lstsq(a, y, rcond=None)
     resid = y - a @ coef
@@ -427,12 +430,7 @@ def measure_interactions(cfg: MultiSolitonConfig, times: Sequence[float]) -> Int
     for t in times:
         comps = [sample_soliton(sp, t, grid) for sp in cfg.solitons]
         mags = np.array([_magnitude(c.u1, c.u2) for c in comps])
-        dmags = np.array(
-            [
-                _magnitude(spectral_derivative(c.u1, grid), spectral_derivative(c.u2, grid))
-                for c in comps
-            ]
-        )
+        dmags = np.array([_magnitude(c.du1, spectral_derivative(c.u2, grid)) for c in comps])
         weights = build_cutoffs([sp.v for sp in cfg.solitons], t, grid)
         prods.append(mags @ mags.T * h)
         gprods.append(dmags @ dmags.T * h)
@@ -537,7 +535,7 @@ def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
         center = 0.5 * (mid_v * t + (fastest.x0 + fastest.v * t))
         w, dw = _smooth_window(grid, center, math.sqrt(t))
         loc_f, loc_b = (localized_quantities(g, w[None], window_params) for g in (fwd, bwd))
-        q_flux, p_flux = flux_densities(f, spectral_derivative(f.u1, grid), cfg.model)
+        q_flux, p_flux = flux_densities(f, cfg.model)
 
         lhs_q = (loc_f.q[0] - loc_b.q[0]) / (2.0 * cfg.dt)
         rhs_q = float(np.sum(q_flux * dw) * h)

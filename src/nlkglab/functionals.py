@@ -14,7 +14,9 @@ whose gradient in the real L2 pairing is
 The E, Q and P densities are half the diagonals of symmetric bilinear forms
 (``energy_form``, ``charge_form``, ``momentum_form``), which the localized
 quantities, the action and both Taylor terms of the localized action read
-through one weighting by the cutoffs.
+through one weighting by the cutoffs.  Every form, density and flux reads
+u1' as the field's own ``Field.du1``, so a field's derivative is taken once
+however many of them read it.
 
 The moving cutoff partition splits the line between solitons with ramps of
 width sqrt(t) centered at the velocity midpoints; the ramp is
@@ -33,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import Field, Grid, norm_l2l2, raise_problems, spectral_derivative
+from .grids import Field, Grid, norm_l2l2, raise_problems
 from .profiles import ModelParams, SolitonParams
 
 __all__ = [
@@ -83,10 +85,10 @@ class ActionParams:
         return cls(sp.omega / sp.gamma, sp.v, sp.model)
 
 
-def energy_form(a: Field, da1: np.ndarray, b: Field, db1: np.ndarray, m: float) -> np.ndarray:
+def energy_form(a: Field, b: Field, m: float) -> np.ndarray:
     """The symmetric bilinear form Re a1' conj(b1') + m Re a1 conj(b1) + Re a2 conj(b2)
-    of the energy; ``da1`` and ``db1`` are the derivatives of a.u1 and b.u1."""
-    e11 = np.real(da1 * np.conj(db1))
+    of the energy."""
+    e11 = np.real(a.du1 * np.conj(b.du1))
     return e11 + m * np.real(a.u1 * np.conj(b.u1)) + np.real(a.u2 * np.conj(b.u2))
 
 
@@ -95,14 +97,13 @@ def charge_form(a: Field, b: Field) -> np.ndarray:
     return np.imag(a.u1 * np.conj(b.u2)) + np.imag(b.u1 * np.conj(a.u2))
 
 
-def momentum_form(a: Field, da1: np.ndarray, b: Field, db1: np.ndarray) -> np.ndarray:
+def momentum_form(a: Field, b: Field) -> np.ndarray:
     """The symmetric bilinear form Re a1' conj(b2) + Re b1' conj(a2) of the momentum."""
-    return np.real(da1 * np.conj(b.u2)) + np.real(db1 * np.conj(a.u2))
+    return np.real(a.du1 * np.conj(b.u2)) + np.real(b.du1 * np.conj(a.u2))
 
 
-def energy_density(w: Field, du1: np.ndarray, model: ModelParams) -> np.ndarray:
-    """Pointwise energy; ``du1`` is the spectral derivative of w.u1."""
-    quad = energy_form(w, du1, w, du1, model.m)
+def energy_density(w: Field, model: ModelParams) -> np.ndarray:
+    quad = energy_form(w, w, model.m)
     return 0.5 * quad - np.abs(w.u1) ** (model.p + 1.0) / (model.p + 1.0)
 
 
@@ -110,17 +111,16 @@ def charge_density(w: Field) -> np.ndarray:
     return 0.5 * charge_form(w, w)
 
 
-def momentum_density(w: Field, du1: np.ndarray) -> np.ndarray:
-    """Pointwise momentum; ``du1`` is the spectral derivative of w.u1."""
-    return 0.5 * momentum_form(w, du1, w, du1)
+def momentum_density(w: Field) -> np.ndarray:
+    return 0.5 * momentum_form(w, w)
 
 
-def flux_densities(w: Field, du1: np.ndarray, model: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def flux_densities(w: Field, model: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """The charge and momentum fluxes, Im u1' conj(u1) and -|u1'|^2/2 + m|u1|^2/2
     - |u2|^2/2 - |u1|^(p+1)/(p+1): d/dt int q c = int (charge flux) c' for a
     fixed window c, and so for p."""
-    momentum_flux = energy_density(w, du1, model) - np.abs(du1) ** 2 - np.abs(w.u2) ** 2
-    return np.imag(du1 * np.conj(w.u1)), momentum_flux
+    momentum_flux = energy_density(w, model) - np.abs(w.du1) ** 2 - np.abs(w.u2) ** 2
+    return np.imag(w.du1 * np.conj(w.u1)), momentum_flux
 
 
 def second_variation_potential(q: np.ndarray, p: float) -> tuple[np.ndarray, np.ndarray]:
@@ -134,8 +134,7 @@ def second_variation_potential(q: np.ndarray, p: float) -> tuple[np.ndarray, np.
 
 
 def energy(w: Field, model: ModelParams) -> float:
-    du1 = spectral_derivative(w.u1, w.grid)
-    return float(np.sum(energy_density(w, du1, model)) * w.grid.spacing)
+    return float(np.sum(energy_density(w, model)) * w.grid.spacing)
 
 
 def charge(w: Field) -> float:
@@ -143,8 +142,7 @@ def charge(w: Field) -> float:
 
 
 def momentum(w: Field) -> float:
-    du1 = spectral_derivative(w.u1, w.grid)
-    return float(np.sum(momentum_density(w, du1)) * w.grid.spacing)
+    return float(np.sum(momentum_density(w)) * w.grid.spacing)
 
 
 def action(w: Field, ap: ActionParams) -> float:
@@ -248,9 +246,8 @@ def localized_quantities(
     w: Field, weights: np.ndarray, params: Sequence[ActionParams]
 ) -> LocalizedQuantities:
     """Cutoff-weighted energies, charges, momenta and their action sum."""
-    du1 = spectral_derivative(w.u1, w.grid)
-    e_dens = energy_density(w, du1, _cell_model(weights, params))
-    q_dens, p_dens = charge_density(w), momentum_density(w, du1)
+    e_dens = energy_density(w, _cell_model(weights, params))
+    q_dens, p_dens = charge_density(w), momentum_density(w)
     return _localize(e_dens, q_dens, p_dens, weights, params, w.grid.spacing)
 
 
@@ -261,11 +258,9 @@ def localized_first_variation(
     forms at (R, Y) less the derivative of the nonlinear term, so the cutoff
     weights stay outside the derivative."""
     model = _cell_model(weights, params)
-    dr1 = spectral_derivative(r.u1, r.grid)
-    dy1 = spectral_derivative(y.u1, r.grid)
     nonlinear = np.abs(r.u1) ** (model.p - 1.0) * np.real(r.u1 * np.conj(y.u1))
-    e_dens = energy_form(r, dr1, y, dy1, model.m) - nonlinear
-    q_dens, p_dens = charge_form(r, y), momentum_form(r, dr1, y, dy1)
+    e_dens = energy_form(r, y, model.m) - nonlinear
+    q_dens, p_dens = charge_form(r, y), momentum_form(r, y)
     return _localize(e_dens, q_dens, p_dens, weights, params, r.grid.spacing).action_total
 
 
@@ -276,11 +271,10 @@ def localized_hessian_form(
     the sampled solitons R_j in ``comps``: the forms at (Y, Y), less the
     potential of each S_j'' at R_j, one row per cell, halved."""
     model = _cell_model(weights, params, comps)
-    dy1 = spectral_derivative(y.u1, y.grid)
     pots = np.empty((len(comps), y.grid.points))
     for row, rj in zip(pots, comps):
         w1, w2 = second_variation_potential(rj.u1, model.p)
         row[:] = np.real(np.conj(y.u1) * (w1 * y.u1 + w2 * np.conj(y.u1)))
-    e_dens = energy_form(y, dy1, y, dy1, model.m) - pots
-    q_dens, p_dens = charge_form(y, y), momentum_form(y, dy1, y, dy1)
+    e_dens = energy_form(y, y, model.m) - pots
+    q_dens, p_dens = charge_form(y, y), momentum_form(y, y)
     return 0.5 * _localize(e_dens, q_dens, p_dens, weights, params, y.grid.spacing).action_total

@@ -12,13 +12,16 @@ built on the uniform periodic grid defined here.  Conventions, fixed once:
   (``functionals.action_symbol``, k^2 = -(ik)^2), so that every variational
   identity (integration by parts, gradient of the energy, second variation)
   closes in floating point.
+
+A Field's u1' belongs to the field: ``Field.du1`` takes it once, and every
+form, density, flux and norm of the energy space H1 x L2 reads it there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
 
 import numpy as np
 
@@ -99,7 +102,10 @@ class Grid:
 
 @dataclass
 class Field:
-    """Hamiltonian state (u1, u2) = (u, u_t) as complex grid functions."""
+    """Hamiltonian state (u1, u2) = (u, u_t) as complex grid functions.
+
+    A Field's arrays are not written after it is built: operations return new
+    Fields, so a derivative taken once (``du1``) holds for the field's life."""
 
     u1: np.ndarray
     u2: np.ndarray
@@ -110,6 +116,11 @@ class Field:
         self.u2 = np.asarray(self.u2, dtype=complex)
         self.grid.check(self.u1)
         self.grid.check(self.u2)
+
+    @cached_property
+    def du1(self) -> np.ndarray:
+        """u1' by ``spectral_derivative``, taken on first read and kept."""
+        return spectral_derivative(self.u1, self.grid)
 
     @classmethod
     def zeros(cls, grid: Grid) -> "Field":
@@ -152,17 +163,10 @@ def norm_l2l2(w: Field) -> float:
     return float(np.sqrt(np.sum(np.abs(w.u1) ** 2 + np.abs(w.u2) ** 2) * h))
 
 
-def norm_h1l2(w: Field, du1: Optional[np.ndarray] = None) -> float:
-    """Energy-space norm sqrt(|u1|^2 + |du1|^2 + |u2|^2) with spectral gradient;
-    ``du1`` is that gradient when the caller already holds it."""
-    if du1 is None:
-        du1 = spectral_derivative(w.u1, w.grid)
+def norm_h1l2(w: Field) -> float:
+    """Energy-space norm sqrt(|u1|^2 + |u1'|^2 + |u2|^2), u1' the field's ``du1``."""
     h = w.grid.spacing
-    return float(
-        np.sqrt(
-            np.sum(np.abs(w.u1) ** 2 + np.abs(du1) ** 2 + np.abs(w.u2) ** 2) * h
-        )
-    )
+    return float(np.sqrt(np.sum(np.abs(w.u1) ** 2 + np.abs(w.du1) ** 2 + np.abs(w.u2) ** 2) * h))
 
 
 def symmetry_directions(w: Field) -> tuple[Field, Field, Field]:
@@ -172,7 +176,7 @@ def symmetry_directions(w: Field) -> tuple[Field, Field, Field]:
     return (
         Field(1j * w.u1, 1j * w.u2, g),
         Field(1j * w.u2, -1j * w.u1, g),
-        Field(spectral_derivative(w.u1, g), spectral_derivative(w.u2, g), g),
+        Field(w.du1, spectral_derivative(w.u2, g), g),
     )
 
 

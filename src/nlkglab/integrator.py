@@ -38,6 +38,7 @@ in-place sum, and the kick is added to u2_k in place.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -88,9 +89,12 @@ def period_problems(period: float) -> list[str]:
 
 
 def hook_stride(period: float, dt: float) -> int:
-    """Steps between diagnostic hooks: the period in steps of |dt|, at least 1."""
+    """Steps between diagnostic hooks: the period in steps of |dt|, at least 1.
+    A period too long to count in steps (period/|dt| overflows) gives a stride
+    above any step count, so the hooks fire only at both ends."""
     raise_problems(period_problems(period))
-    return max(1, int(round(period / abs(dt))))
+    steps = period / abs(dt)
+    return max(1, int(round(steps))) if math.isfinite(steps) else sys.maxsize
 
 
 @dataclass

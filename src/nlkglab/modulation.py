@@ -177,8 +177,8 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     sqm = math.sqrt(params[0].model.m)
     g, size = u.grid, u.grid.points
     u_rows = np.empty((3, 2 * size), complex)  # i U, i J U and U', once per fit
-    _write_directions(u_rows, u.u1, u.u2, spectral_derivative(u.u1, g), spectral_derivative(u.u2, g))
-    scale = norm_h1l2(u, u_rows[2, :size])
+    _write_directions(u_rows, u.u1, u.u2, u.du1, spectral_derivative(u.u2, g))
+    scale = norm_h1l2(u)
     if scale == 0.0:
         raise NotInTubeError("zero field cannot be modulated")
 

@@ -144,6 +144,34 @@ def test_seed_key_is_unknown(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "text, problem",
+    [
+        (GOOD.replace("points = 2048\n", "points = 2048\npoints = 1024\n"),
+         "line 10: key 'points' is already set on line 9"),
+        (GOOD + "\n[model]\np = 2.0\n", "line 31: key 'p' is already set on line 4"),
+        (GOOD.replace("v = -0.4\n", "v = -0.4\nomega = 0.7\n"),
+         "line 17: key 'omega' is already set on line 15"),
+    ],
+    ids=["same-section", "repeated-section", "same-soliton"],
+)
+def test_repeated_key_names_both_lines(tmp_path, capsys, text, problem):
+    """A key set twice in the run (in one section or in a repeated one) or
+    twice in one [soliton] is one problem naming both lines, not a silent
+    later value; each [soliton] sets its own keys.  The CLI exits 2."""
+    from nlkglab.cli import main
+
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text)
+    assert exc.value.problems == [problem]
+    path = tmp_path / "twice.cfg"
+    path.write_text(text, encoding="utf-8")
+    code = main(["multisoliton", "--config", str(path), "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert problem in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_serialize_roundtrip():
     cfg, out_dir = parse_config(GOOD)
     cfg2, out_dir2 = parse_config(serialize_config(cfg, out_dir))
@@ -428,6 +456,24 @@ def test_cli_missing_file_exit_code(tmp_path):
                  "--t0", "0", "--t1", "1", "--dt", "0.01",
                  "--out", str(tmp_path / "o.dump")])
     assert code == 4
+
+
+def test_cli_evolve_overflowing_diag_period_writes_the_input_back(tmp_path):
+    """t0 = t1 with a period that overflows in steps of |dt| (1e300 / 1e-300)
+    writes the input field back with the one t0 row, exit 0."""
+    from nlkglab.cli import main
+
+    src, out, diag = tmp_path / "s.dump", tmp_path / "o.dump", tmp_path / "d.csv"
+    grid = Grid(40.0, 256)
+    w = Field(np.exp(-grid.x**2) + 0j, 0.5j * np.exp(-grid.x**2), grid)
+    write_field(src, w)
+    code = main(["evolve", "--from", str(src), "--t0", "0", "--t1", "0", "--dt", "1e-300",
+                 "--diag-period", "1e300", "--diag", str(diag), "--out", str(out)])
+    assert code == 0
+    back, t = read_field(out)
+    assert t == 0.0 and np.array_equal(back.u1, w.u1) and np.array_equal(back.u2, w.u2)
+    header, rows = read_csv_columns(diag)
+    assert header == ["t", "E", "Q", "P"] and rows.shape == (1, 4) and rows[0, 0] == 0.0
 
 
 def test_cli_spectrum_assembly_failure_exit_code(capsys):

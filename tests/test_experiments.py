@@ -111,6 +111,20 @@ def test_fit_log_slope_recovers_exponential():
     assert rms < 1e-10
 
 
+def test_fit_log_slope_needs_two_distinct_times(grid, pair):
+    """Positive samples that all share one time have no slope: a ValueError
+    names that time, in the fit and in the interaction rates built on it."""
+    with pytest.raises(ValueError, match="share the time 5.0"):
+        fit_log_slope([5.0, 5.0, 5.0], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="share the time 5.0"):  # the other time's value is not positive
+        fit_log_slope([1.0, 5.0, 5.0, 5.0], [0.0, 1.0, 2.0, 3.0])
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=grid, solitons=pair, t_final=40.0, t_start=10.0, dt=0.01
+    )
+    with pytest.raises(ValueError, match="share the time 20.0"):
+        measure_interactions(cfg, [20.0, 20.0, 20.0])
+
+
 def test_single_soliton_backward_error_is_integrator_level(grid):
     cfg = MultiSolitonConfig(
         model=MODEL, grid=grid, solitons=[SolitonParams(MODEL, omega=0.8, v=0.4)],
@@ -323,6 +337,36 @@ def test_report_series_align_with_ascending_times(grid, pair, monkeypatch, backw
         assert fitted == [t > rep.tube_exit_time for t in rep.times]
     else:
         assert fitted == [t < rep.tube_exit_time for t in rep.times]
+
+
+def test_a_construction_hook_takes_three_ffts(grid, pair, monkeypatch):
+    """A hook's field takes u1' once, for the record's E and P, the localized
+    quantities and the fit alike: per hook np.fft.fft runs three times (that
+    u1', the error field's u1' and the fit's U2'), not once per reader."""
+    from nlkglab import experiments
+
+    calls, per_run = [], []
+    real_fft, real_evolve = np.fft.fft, experiments.evolve
+
+    def counted_fft(*args, **kwargs):
+        calls.append(1)
+        return real_fft(*args, **kwargs)
+
+    def counted_evolve(*args, **kwargs):  # the stepper's own transforms are scipy.fft's
+        before = len(calls)
+        out = real_evolve(*args, **kwargs)
+        per_run.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(np.fft, "fft", counted_fft)
+    monkeypatch.setattr(experiments, "evolve", counted_evolve)
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=grid, solitons=pair,
+        t_final=11.0, t_start=10.0, dt=0.005, diag_period=0.25,
+    )
+    rep = run_backward_construction(cfg)
+    assert len(rep.times) == 5 and all(st is not None for st in rep.modulation)
+    assert per_run == [3 * 5]
 
 
 def test_interaction_gram_products_match_pointwise_quadrature(grid):

@@ -60,3 +60,20 @@ def test_every_private_module_name_is_read_in_the_library():
                 read.add(node.attr)
     unread = sorted(f"{module}:{name}" for module, name in defined if name not in read)
     assert not unread, f"private names no library code reads: {unread}"
+
+
+def test_only_grids_differentiates_a_field_u1():
+    """No library module but ``grids`` calls ``spectral_derivative`` on a ``.u1``:
+    a field's u1' is its ``Field.du1``, taken once for every reader."""
+    found = []
+    for path in sorted(Path(nlkglab.__file__).parent.glob("*.py")):
+        if path.name == "grids.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            arg = node.args[0]
+            if name == "spectral_derivative" and isinstance(arg, ast.Attribute) and arg.attr == "u1":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"spectral_derivative of a .u1 outside grids: {found}"

@@ -298,6 +298,17 @@ def test_hooks_fire_at_stride(grid):
     assert recs[0].field is not None
 
 
+def test_overflowing_hook_stride_fires_at_both_ends(grid):
+    """A period too long to count in steps of |dt| (1e300 / 1e-300 overflows)
+    gives a stride above any step count: the hooks fire at t0 and t1 only."""
+    stride = integrator.hook_stride(1e300, 1e-300)
+    assert stride >= 2**62
+    w = sample_soliton(SolitonParams(MODEL, omega=0.8), 0.0, grid)
+    recs = []
+    evolve(w, 0.0, 0.5, IntegratorConfig(dt=0.01), MODEL, hooks=[recs.append], diag_stride=stride)
+    assert [rec.t for rec in recs] == pytest.approx([0.0, 0.5])
+
+
 @pytest.mark.parametrize("stride", [{}, {"diag_stride": -3}], ids=["default", "negative"])
 def test_hooks_need_a_stride(grid, stride):
     """Hooks without a stride of at least 1 are refused before a step is taken."""

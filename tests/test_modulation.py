@@ -194,7 +194,8 @@ def _counted(calls, fn):
 def test_fit_takes_no_fft_per_iterate(grid, pair, monkeypatch):
     """A fit takes U' (both components, four FFTs) once, and then no FFT:
     the samples write u2 in closed form and Upsilon' is U' - sum_j R_j'.
-    So fits of 0, 5 and 6 iterations take the same four FFTs."""
+    So fits of 0, 5 and 6 iterations take the same four FFTs (each fit gets
+    a fresh copy of U, whose u1' no earlier fit has taken)."""
     calls = []
     for name in ("fft", "ifft", "rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, _counted(calls, getattr(np.fft, name)))
@@ -203,7 +204,7 @@ def test_fit_takes_no_fft_per_iterate(grid, pair, monkeypatch):
     for k in (0.0, 1.0, 4.0):
         seeds = [replace(sp, theta=sp.theta + 0.05 * k, omega=sp.omega - 0.01 * k, x0=sp.x0 + 0.1 * k) for sp in pair]
         calls.clear()
-        st = fit_modulation(u, seeds)
+        st = fit_modulation(u.copy(), seeds)
         assert st.converged and len(calls) == 4
         iterations.add(st.iterations)
     assert len(iterations) == 3
