@@ -28,8 +28,8 @@ from .fieldio import (
     write_field,
 )
 from .functionals import ActionParams, charge, energy, gradient_norm, momentum
-from .grids import Field, Grid
-from .integrator import BlowUpError, DiagnosticsRecord, IntegratorConfig, evolve, hook_stride
+from .grids import Field, Grid, raise_problems
+from .integrator import BlowUpError, DiagnosticsRecord, IntegratorConfig, evolve, period_problems
 from .modulation import DegenerateConfigurationError, NotInTubeError, fit_modulation
 from .profiles import (
     ModelParams,
@@ -142,13 +142,14 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     else:
         model = _model(args)
     cfg = IntegratorConfig(dt=args.dt)
+    raise_problems(period_problems(args.diag_period))  # also when no --diag asks for hooks
     rows: list[list[float]] = []
 
     def hook(rec: DiagnosticsRecord) -> None:
         rows.append([rec.t, rec.energy, rec.charge, rec.momentum])
 
-    stride = hook_stride(args.diag_period, args.dt)
-    out = evolve(w, args.t0, args.t1, cfg, model, hooks=[hook] if args.diag else [], diag_stride=stride)
+    hooks = [hook] if args.diag else []
+    out = evolve(w, args.t0, args.t1, cfg, model, hooks=hooks, diag_period=args.diag_period)
     write_field(args.out, out, args.t1)
     print(f"field written to {args.out}")
     if args.diag:

@@ -36,7 +36,8 @@ validated ``MultiSolitonConfig`` and the file's ``out_dir``, and
 Validation collects every violation before failing, so a bad file reports
 all its problems at once.  A key is set once: in the run (whichever section
 holds it, a repeated section included) and in each ``[soliton]``.  Each rule
-lives with the class it guards; the one added here is that p be
+lives with the class it guards; the ones added here are that the run be
+one-dimensional, as its solitons are sampled in 1D, and that p be
 mass-subcritical.  ``dt`` is a magnitude.
 """
 
@@ -160,6 +161,8 @@ def _validate(raw: dict) -> tuple[list[str], Optional[ModelParams]]:
     model_probs = model_problems(m, p, d)
     problems = grid_probs + model_probs
     model = None if model_probs else ModelParams(m, p, d)
+    if model is not None and d != 1:
+        problems.append(f"dimension d must be 1 for a run (got {d}): its solitons are sampled in 1D")
     if model is not None and not model.mass_subcritical:
         problems.append(
             f"model.p={p} is not mass-subcritical for d={d}: no soliton is orbitally stable"

@@ -44,7 +44,6 @@ from .integrator import (
     DiagnosticsRecord,
     IntegratorConfig,
     evolve,
-    hook_stride,
     period_problems,
     step_problems,
 )
@@ -261,7 +260,6 @@ def _run_construction(cfg: MultiSolitonConfig, t0: float, t1: float, w0: Field) 
     wall0 = _time.perf_counter()
     grid, model = cfg.grid, cfg.model
     params = cfg.action_params()
-    stride = hook_stride(cfg.diag_period, cfg.dt)
 
     # one record per hook: (t, error, E, Q, P, localized, fit or None, field)
     records: list[tuple] = []
@@ -285,7 +283,7 @@ def _run_construction(cfg: MultiSolitonConfig, t0: float, t1: float, w0: Field) 
         records.append((t, error, rec.energy, rec.charge, rec.momentum, loc, st, field))
 
     dt = math.copysign(cfg.dt, t1 - t0)
-    final = evolve(w0, t0, t1, IntegratorConfig(dt=dt), model, hooks=[hook], diag_stride=stride)
+    final = evolve(w0, t0, t1, IntegratorConfig(dt=dt), model, hooks=[hook], diag_period=cfg.diag_period)
     if dt < 0:  # hook times are monotone in the run's direction
         records.reverse()
     times, errors, energies, charges, momenta, localized, modulation, fields = zip(*records)

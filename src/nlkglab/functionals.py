@@ -92,14 +92,26 @@ def energy_form(a: Field, b: Field, m: float) -> np.ndarray:
     return e11 + m * np.real(a.u1 * np.conj(b.u1)) + np.real(a.u2 * np.conj(b.u2))
 
 
+# np.real and np.imag are strided views, which a BLAS product with the cutoff
+# weights sums in another order than a contiguous array: the halves are copied
+def _charge_half(a: Field, b: Field) -> np.ndarray:
+    """Im a1 conj(b2): the charge form is its symmetrization, the density its diagonal."""
+    return np.imag(a.u1 * np.conj(b.u2)).copy()
+
+
+def _momentum_half(a: Field, b: Field) -> np.ndarray:
+    """Re a1' conj(b2): the momentum form is its symmetrization, the density its diagonal."""
+    return np.real(a.du1 * np.conj(b.u2)).copy()
+
+
 def charge_form(a: Field, b: Field) -> np.ndarray:
     """The symmetric bilinear form Im a1 conj(b2) + Im b1 conj(a2) of the charge."""
-    return np.imag(a.u1 * np.conj(b.u2)) + np.imag(b.u1 * np.conj(a.u2))
+    return _charge_half(a, b) + _charge_half(b, a)
 
 
 def momentum_form(a: Field, b: Field) -> np.ndarray:
     """The symmetric bilinear form Re a1' conj(b2) + Re b1' conj(a2) of the momentum."""
-    return np.real(a.du1 * np.conj(b.u2)) + np.real(b.du1 * np.conj(a.u2))
+    return _momentum_half(a, b) + _momentum_half(b, a)
 
 
 def energy_density(w: Field, model: ModelParams) -> np.ndarray:
@@ -108,11 +120,11 @@ def energy_density(w: Field, model: ModelParams) -> np.ndarray:
 
 
 def charge_density(w: Field) -> np.ndarray:
-    return 0.5 * charge_form(w, w)
+    return _charge_half(w, w)
 
 
 def momentum_density(w: Field) -> np.ndarray:
-    return 0.5 * momentum_form(w, w)
+    return _momentum_half(w, w)
 
 
 def flux_densities(w: Field, model: ModelParams) -> tuple[np.ndarray, np.ndarray]:
@@ -187,7 +199,7 @@ def ramp(s: np.ndarray | float):
 
 
 def build_cutoffs(velocities: Sequence[float], t: float, grid: Grid) -> np.ndarray:
-    """The moving partition of unity at time t > 0 separating solitons by
+    """The moving partition of unity at a finite time t > 0 separating solitons by
     velocity, as its (N, points) weights, one row per velocity in ascending order.
 
     Weight j is psi_j - psi_{j+1} (the last one is psi_N), where
@@ -195,8 +207,8 @@ def build_cutoffs(velocities: Sequence[float], t: float, grid: Grid) -> np.ndarr
     psi_1 = 1; midpoint_j is the mean of velocities j-1 and j.  The telescoping
     sum is identically 1.
     """
-    if t <= 0:
-        raise ValueError(f"cutoff time must be positive, got {t}")
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"cutoff time must be positive and finite, got {t}")
     raise_problems(velocity_problems(velocities))
     vel = np.asarray(sorted(velocities), dtype=float)
     n = len(vel)

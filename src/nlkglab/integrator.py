@@ -54,7 +54,6 @@ __all__ = [
     "DiagnosticsRecord",
     "BlowUpError",
     "period_problems",
-    "hook_stride",
     "evolve",
 ]
 
@@ -86,15 +85,6 @@ def period_problems(period: float) -> list[str]:
     if math.isfinite(period) and period > 0:
         return []
     return [f"diag_period must be positive and finite (got {period})"]
-
-
-def hook_stride(period: float, dt: float) -> int:
-    """Steps between diagnostic hooks: the period in steps of |dt|, at least 1.
-    A period too long to count in steps (period/|dt| overflows) gives a stride
-    above any step count, so the hooks fire only at both ends."""
-    raise_problems(period_problems(period))
-    steps = period / abs(dt)
-    return max(1, int(round(steps))) if math.isfinite(steps) else sys.maxsize
 
 
 @dataclass
@@ -152,25 +142,30 @@ def evolve(
     cfg: IntegratorConfig,
     model: ModelParams,
     hooks: Sequence[Callable[[DiagnosticsRecord], None]] = (),
-    diag_stride: int = 0,
+    diag_period: float = 0.0,
 ) -> Field:
     """Integrate from t0 to t1; t1 < t0 needs dt < 0.
 
     Both times must be finite and (t1 - t0)/dt a whole number of steps,
-    positive unless t1 == t0.  Hooks fire at t0, every ``diag_stride`` steps
-    (at least 1 when there are hooks) and at the final step with a
-    DiagnosticsRecord; blow-up aborts with the failure time attached.  The
-    amplitude is checked every 16 steps, before each hook and at the end;
-    these are the sync points, the only steps that return to physical space.
+    positive unless t1 == t0.  Hooks fire at t0, every ``diag_period`` and at
+    the final step with a DiagnosticsRecord.  With hooks the period must be
+    positive and finite (``period_problems``); it is rounded to whole steps of
+    |dt|, at least one, and a period too long to count in steps (period/|dt|
+    overflows) fires the hooks at both ends only.  Blow-up aborts with the
+    failure time attached.  The amplitude is checked every 16 steps, before
+    each hook and at the end; these are the sync points, the only steps that
+    return to physical space.
     """
     from scipy.fft import fft, ifft  # lazy: see the module docstring
 
     cfg.check_grid(w.grid)
     times = {"t0": t0, "t1": t1}
     problems = [f"{name}={t} must be finite" for name, t in times.items() if not math.isfinite(t)]
-    if hooks and diag_stride < 1:
-        problems.append(f"diag_stride={diag_stride} must be at least 1 to fire the hooks")
+    if hooks:
+        problems += period_problems(diag_period)
     raise_problems(problems)
+    steps = diag_period / abs(cfg.dt)
+    stride = max(1, int(round(steps))) if math.isfinite(steps) else sys.maxsize
     span, nsteps = t1 - t0, 0
     if span != 0.0:
         ratio = span / cfg.dt
@@ -203,7 +198,7 @@ def evolve(
             kick = fft(np.abs(u1) ** (p - 1.0) * u1)
             kick *= dt
             f2 += kick
-        hook_due = firing and (n % diag_stride == 0 or n == nsteps)
+        hook_due = firing and (n % stride == 0 or n == nsteps)
         if n % 16 == 0 or n == nsteps or hook_due:  # sync: close the step, leave, reopen
             f1, f2 = half(f1, f2)
             u1, u2 = ifft(f1), ifft(f2)

@@ -26,15 +26,13 @@ and the omega-tangent.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .grids import Field, Grid, flat, norm_h1l2, spectral_derivative
-from .profiles import SolitonParams, boundary_ratio, domain_problems
-from .profiles import sample_soliton, soliton_tangents
+from .grids import Field, flat, norm_h1l2, spectral_derivative
+from .profiles import DomainTooSmallError, SolitonParams, sample_soliton, soliton_tangents
 
 __all__ = [
     "ModulationState",
@@ -106,9 +104,7 @@ def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     derivative; all 4N rows are written straight into one array."""
     g = u.grid
     n, size = len(params), g.points
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # the fit warns for its iterates' tails
-        comps = [sample_soliton(sp, 0.0, g) for sp in params]
+    comps = [sample_soliton(sp, 0.0, g) for sp in params]
     ups = u.copy()
     for c in comps:
         ups = ups - c
@@ -154,12 +150,6 @@ def _apply(params: Sequence[SolitonParams], vec: np.ndarray) -> list[SolitonPara
     return [replace(sp, theta=th, omega=om, x0=x) for sp, (th, om, x) in zip(params, triples)]
 
 
-def _domain(params: Sequence[SolitonParams], grid: Grid) -> tuple[list[str], list[str]]:
-    """``profiles.domain_problems`` of every soliton: (errors, tail warnings)."""
-    rules = [domain_problems(boundary_ratio(sp.model, sp.omega, grid)) for sp in params]
-    return [e for r in rules for e in r[0]], [w for r in rules for w in r[1]]
-
-
 def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationState:
     """Newton-solve the orthogonality system for (theta_j, omega_j, x_j).
 
@@ -167,9 +157,11 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     is declared when every orthogonality residual is below NEWTON_TOL * ||U||;
     seeds the domain cannot hold or a Jacobian condition number above 1e8
     raise instead of silently projecting.  ``condition_number`` is that of
-    the Jacobian at the returned parameters.  A backtracking trial is sampled
-    only inside the frequency band and ``profiles.domain_problems``; once
-    accepted, it is the next iterate, which warns for every reported tail.
+    the Jacobian at the returned parameters.  The domain rule is the
+    sampler's: a seed whose sample raises ``DomainTooSmallError`` raises
+    NotInTubeError, a backtracking trial (sampled only inside the frequency
+    band) whose sample raises it halves the step, and the tail warnings are
+    those of the samples themselves.
     """
     params = list(initial)
     if not params:
@@ -185,12 +177,10 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     u_rows = u_rows.view(float)
     vec = np.array([(sp.theta, sp.omega, sp.x0) for sp in params], dtype=float).ravel()
     current = _apply(params, vec)
-    errors, tails = _domain(current, g)
-    if errors:
-        raise NotInTubeError(f"iterate left the profile family: {errors[0]}")
-    for tail in tails:
-        warnings.warn(tail)
-    f0, ups, dirs, d_omega = _ortho_vector(u, current)
+    try:
+        f0, ups, dirs, d_omega = _ortho_vector(u, current)
+    except DomainTooSmallError as exc:
+        raise NotInTubeError(f"iterate left the profile family: {exc}") from exc
 
     for it in range(MAX_NEWTON_ITER):
         jac = _jacobian(u_rows, dirs, d_omega, g.spacing)
@@ -209,19 +199,18 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
             trial = vec - lam * full_step
             if np.all(np.abs(trial[1::3]) < sqm - OMEGA_MARGIN):  # admissible frequencies
                 candidate = _apply(params, trial)
-                errors, tails = _domain(candidate, g)
-                if not errors:
+                try:
                     sampled = _ortho_vector(u, candidate)
                     if np.max(np.abs(sampled[0])) < norm0:
                         break
+                except DomainTooSmallError:  # the domain cannot hold the trial
+                    pass
             lam *= 0.5
         else:
             raise NotInTubeError(
                 "modulation Newton stalled (no descent direction within the "
                 "admissible frequency band)"
             )
-        for tail in tails:
-            warnings.warn(tail)
         vec, current = trial, candidate
         f0, ups, dirs, d_omega = sampled
     raise NotInTubeError(

@@ -113,8 +113,11 @@ def peak_problems(model: ModelParams, omega: float) -> list[str]:
 def soliton_problems(
     model: Optional[ModelParams], omega: float, theta: float, v: float, x0: float
 ) -> list[str]:
-    """The rules one boosted standing wave breaks; the band only with a model."""
+    """The rules one boosted standing wave breaks; the band only with a model,
+    and the ground-state peak once the band holds."""
     problems = frequency_problems(model, omega) if model is not None else []
+    if model is not None and not problems:
+        problems = peak_problems(model, omega)
     if not abs(v) < 1.0:
         problems.append(f"|v|={abs(v)} not below the speed of light 1")
     for name, val in (("theta", theta), ("x0", x0)):

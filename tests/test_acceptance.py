@@ -167,7 +167,7 @@ def test_criterion_3_conservation_and_transport():
         gap = abs(wrap_coordinate(grid.x[ipk] - expected, grid.length))
         peaks_ok.append(gap <= grid.spacing + 1e-12)
 
-    evolve(w, 0.0, 50.0, IntegratorConfig(dt=0.01), MODEL, hooks=[hook], diag_stride=500)
+    evolve(w, 0.0, 50.0, IntegratorConfig(dt=0.01), MODEL, hooks=[hook], diag_period=5.0)
     elapsed = time.perf_counter() - t0
     ok = all(v < 1e-6 for v in drifts.values()) and all(peaks_ok) and elapsed < 120.0
     _report(

@@ -83,6 +83,40 @@ def test_all_violations_reported():
     assert "dt" in text
 
 
+def test_run_dimension_must_be_one(tmp_path, capsys):
+    """A run's solitons are sampled in 1D: d = 2 (p = 2 is mass-subcritical
+    there) is listed with the other problems, and both the multisoliton and
+    the evolve commands exit 2 on it before anything runs."""
+    from nlkglab.cli import main
+
+    text = GOOD.replace("d = 1", "d = 2").replace("p = 3.0", "p = 2.0")
+    with pytest.raises(ConfigError) as exc:
+        parse_config(text.replace("dt = 0.005", "dt = 0.0"))
+    assert "dimension d must be 1 for a run (got 2)" in str(exc.value)
+    assert "dt=0.0 must be positive" in str(exc.value)
+    cfg = tmp_path / "d2.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    src, out = tmp_path / "zero.dump", tmp_path / "o.dump"
+    write_field(src, Field.zeros(Grid(40.0, 256)))
+    for args in (["multisoliton", "--config", str(cfg), "--out-dir", str(tmp_path / "run")],
+                 ["evolve", "--from", str(src), "--config", str(cfg),
+                  "--t0", "0", "--t1", "0.1", "--dt", "0.01", "--out", str(out)]):
+        assert main(args) == 2
+        assert "dimension d must be 1 for a run" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() and not out.exists()
+
+
+def test_soliton_peak_underflow_listed_per_soliton():
+    """p = 1.001 at omega = 0.8 puts the ground-state peak below the floats:
+    SolitonParams refuses it, and parse_config names each soliton it breaks."""
+    with pytest.raises(ValueError, match="underflows to 0"):
+        SolitonParams(ModelParams(1.0, 1.001, 1), omega=0.8)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(GOOD.replace("p = 3.0", "p = 1.001"))
+    text = str(exc.value)
+    assert "soliton #1: ground-state peak" in text and "soliton #2: ground-state peak" in text
+
+
 def test_negative_dt_rejected():
     """dt is the step magnitude; the run sets the direction."""
     with pytest.raises(ConfigError, match="dt=-0.005 must be positive"):
@@ -932,17 +966,18 @@ def test_cli_groundstate_radial_rejects_bad_length(tmp_path, capsys, length):
 @pytest.mark.parametrize("period", ["-1", "0", "inf"])
 def test_cli_evolve_rejects_bad_diag_period(tmp_path, capsys, period):
     """A diagnostic period that is not positive and finite is a configuration
-    error (exit 2), reported before anything is evolved or written."""
+    error (exit 2), reported before anything is evolved or written, with or
+    without --diag."""
     from nlkglab.cli import main
 
     src = tmp_path / "zero.dump"
     write_field(src, Field.zeros(Grid(40.0, 256)))
-    code = main(["evolve", "--from", str(src), "--t0", "0", "--t1", "0.1", "--dt", "0.01",
-                 "--diag", str(tmp_path / "d.csv"), "--diag-period", period,
-                 "--out", str(tmp_path / "o.dump")])
-    assert code == 2
-    assert "diag_period" in capsys.readouterr().err
-    assert not (tmp_path / "o.dump").exists()
+    for diag in (["--diag", str(tmp_path / "d.csv")], []):
+        code = main(["evolve", "--from", str(src), "--t0", "0", "--t1", "0.1", "--dt", "0.01",
+                     *diag, "--diag-period", period, "--out", str(tmp_path / "o.dump")])
+        assert code == 2
+        assert "diag_period must be positive and finite" in capsys.readouterr().err
+        assert not (tmp_path / "o.dump").exists()
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -444,15 +445,15 @@ def test_interaction_decay_rates(grid, pair):
     assert lslope < 0 and lstderr < 0.1 * abs(lslope)
 
 
-@pytest.mark.filterwarnings("error::UserWarning")  # rejected Newton trials must not warn
+@pytest.mark.filterwarnings("error::UserWarning")  # a trial outside the domain must not warn
 def test_asymmetric_pair_drift_and_tube_exit(grid):
     """An asymmetric pair with one frequency near the stability boundary:
     the localized charges drift oppositely (they telescope to the conserved
     total) with a decaying trend, and the backward run reports a tube exit
     when the fitted frequency reaches the window edge, where the
     frequency-charge derivative degenerates.  Near the exit, a Newton
-    step is rejected after its trial was sampled with a boundary tail: the
-    trial's warning is not issued."""
+    trial leaves the domain (boundary value 2.4e-5 of the peak): its
+    sample raises, the step is halved and no warning is issued."""
     sols = [
         SolitonParams(MODEL, omega=0.75, v=-0.4),
         SolitonParams(MODEL, omega=0.85, v=0.4),
@@ -479,6 +480,32 @@ def test_asymmetric_pair_drift_and_tube_exit(grid):
     slope, stderr, _ = fit_log_slope(rep.times[mask], d0[mask])
     assert slope < 0
     assert stderr < 0.1 * abs(slope)
+
+
+def test_marginal_run_warns_once_per_tail_and_location():
+    """On a marginal domain every sample warns about its boundary value.  The
+    fit issues no warning of its own and mutates no warning filter, so under
+    the default filter a backward run records each distinct tail once per
+    location: R(t)'s at its sampling in ``soliton_sum`` once, not again at
+    every hook, and each fit's from the modulation module."""
+    import scipy.fft  # noqa: F401  (evolve imports it lazily, and the import resets the registry)
+
+    g = Grid(80.0, 1024)
+    sols = [
+        SolitonParams(MODEL, omega=0.9, v=0.3, x0=-8.0),
+        SolitonParams(MODEL, omega=0.9, v=-0.3, x0=8.0),
+    ]
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=g, solitons=sols, t_final=12.0, t_start=10.0, dt=0.01, diag_period=0.25,
+    )
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        rep = run_backward_construction(cfg)
+    assert len(rep.times) == 9 and rep.tube_exit_time is None
+    places = [(str(w.message), Path(w.filename).name, w.lineno) for w in caught]
+    assert all("boundary value" in message for message, _, _ in places)
+    assert len(places) == len(set(places))  # measured: 10 records
+    assert {name for _, name, _ in places} == {"experiments.py", "modulation.py"}
 
 
 def test_modulation_rates_of_a_backward_run(short_run):

@@ -77,3 +77,19 @@ def test_only_grids_differentiates_a_field_u1():
             if name == "spectral_derivative" and isinstance(arg, ast.Attribute) and arg.attr == "u1":
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"spectral_derivative of a .u1 outside grids: {found}"
+
+
+def test_no_library_module_changes_the_warning_filters():
+    """No library module calls ``warnings.catch_warnings``, ``simplefilter`` or
+    ``filterwarnings``: each call resets every module's warning registry, so a
+    warning the default filter showed once comes back, and a caller's filter
+    is the caller's to set."""
+    banned = {"catch_warnings", "simplefilter", "filterwarnings"}
+    found = []
+    for path in sorted(Path(nlkglab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in banned:
+                    found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found, f"warning filters changed in the library: {found}"

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -340,8 +342,10 @@ def test_cutoff_partition_of_unity(grid):
 
 
 def test_cutoff_requires_positive_time(grid):
-    with pytest.raises(ValueError):
-        build_cutoffs([-0.4, 0.4], 0.0, grid)
+    """Zero, NaN and inf are refused: the last two gave NaN weights."""
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="cutoff time must be positive and finite"):
+            build_cutoffs([-0.4, 0.4], t, grid)
 
 
 def test_localized_reduces_to_global(grid):

@@ -137,7 +137,7 @@ def test_conservation_short(grid):
     recs = []
     out = evolve(
         w, 0.0, 5.0, IntegratorConfig(dt=0.01), MODEL,
-        hooks=[recs.append], diag_stride=100,
+        hooks=[recs.append], diag_period=1.0,
     )
     for rec in recs:
         assert abs(rec.energy - e0) / abs(e0) < 1e-8
@@ -203,7 +203,8 @@ def test_evolve_matches_reference_stepper(moving, strang_oracle, stride):
     step round more, so the oracle runs in extended precision.
     """
     hooks = [lambda rec: None] if stride else []
-    out = evolve(moving, 0.0, LONG_T, IntegratorConfig(dt=LONG_DT), MODEL, hooks=hooks, diag_stride=stride)
+    out = evolve(moving, 0.0, LONG_T, IntegratorConfig(dt=LONG_DT), MODEL,
+                 hooks=hooks, diag_period=stride * LONG_DT)
     assert norm_h1l2(out - strang_oracle) <= 1e-12 * norm_h1l2(strang_oracle)
 
 
@@ -211,7 +212,7 @@ def test_long_reversibility_with_syncs(moving):
     """2000 steps forward with hooks every 7 steps, then back without: the
     initial field returns to rounding (measured 8e-14 relative)."""
     fwd = evolve(moving, 0.0, LONG_T, IntegratorConfig(dt=LONG_DT), MODEL,
-                 hooks=[lambda rec: None], diag_stride=7)
+                 hooks=[lambda rec: None], diag_period=0.07)
     back = evolve(fwd, LONG_T, 0.0, IntegratorConfig(dt=-LONG_DT), MODEL)
     assert norm_h1l2(back - moving) < 1e-12 * norm_h1l2(moving)
 
@@ -222,7 +223,7 @@ def test_charge_drift_at_rounding(moving):
     q0 = charge(moving)
     charges = []
     evolve(moving, 0.0, LONG_T, IntegratorConfig(dt=LONG_DT), MODEL,
-           hooks=[lambda rec: charges.append(rec.charge)], diag_stride=7)
+           hooks=[lambda rec: charges.append(rec.charge)], diag_period=0.07)
     assert len(charges) == 287
     assert max(abs(q - q0) for q in charges) < 1e-13 * abs(q0)
 
@@ -249,7 +250,7 @@ def test_ffts_per_step(moving, monkeypatch, stride, syncs):
     monkeypatch.setattr(scipy.fft, "fft", counted(scipy.fft.fft))
     monkeypatch.setattr(scipy.fft, "ifft", counted(scipy.fft.ifft))
     hooks = [lambda rec: None] if stride else []
-    evolve(moving, 0.0, 3.2, IntegratorConfig(dt=0.01), MODEL, hooks=hooks, diag_stride=stride)
+    evolve(moving, 0.0, 3.2, IntegratorConfig(dt=0.01), MODEL, hooks=hooks, diag_period=stride * 0.01)
     assert len(calls) == 2 + 2 * 320 + 2 * syncs
     assert len(calls) / 320 <= 2.2
 
@@ -279,7 +280,7 @@ def test_evolve_writes_no_caller_array(moving, stride):
         copies.append(rec.field.copy())
 
     out = evolve(moving, 0.0, 0.5, IntegratorConfig(dt=0.01), MODEL,
-                 hooks=[hook] if stride else [], diag_stride=stride)
+                 hooks=[hook] if stride else [], diag_period=stride * 0.01)
     for got, want in ((moving.u1, before.u1), (moving.u2, before.u2)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert len(records) == (9 if stride else 0)  # t = 0, every 7th of 50 steps and the last
@@ -292,30 +293,28 @@ def test_evolve_writes_no_caller_array(moving, stride):
 def test_hooks_fire_at_stride(grid):
     w = sample_soliton(SolitonParams(MODEL, omega=0.8), 0.0, grid)
     recs = []
-    evolve(w, 0.0, 1.0, IntegratorConfig(dt=0.01), MODEL, hooks=[recs.append], diag_stride=25)
+    evolve(w, 0.0, 1.0, IntegratorConfig(dt=0.01), MODEL, hooks=[recs.append], diag_period=0.25)
     times = [rec.t for rec in recs]
     assert times == pytest.approx([0.0, 0.25, 0.5, 0.75, 1.0])
     assert recs[0].field is not None
 
 
 def test_overflowing_hook_stride_fires_at_both_ends(grid):
-    """A period too long to count in steps of |dt| (1e300 / 1e-300 overflows)
-    gives a stride above any step count: the hooks fire at t0 and t1 only."""
-    stride = integrator.hook_stride(1e300, 1e-300)
-    assert stride >= 2**62
+    """A period too long to count in steps of |dt| (1e308 / 0.01 overflows)
+    fires the hooks at t0 and t1 only."""
     w = sample_soliton(SolitonParams(MODEL, omega=0.8), 0.0, grid)
     recs = []
-    evolve(w, 0.0, 0.5, IntegratorConfig(dt=0.01), MODEL, hooks=[recs.append], diag_stride=stride)
+    evolve(w, 0.0, 0.5, IntegratorConfig(dt=0.01), MODEL, hooks=[recs.append], diag_period=1e308)
     assert [rec.t for rec in recs] == pytest.approx([0.0, 0.5])
 
 
-@pytest.mark.parametrize("stride", [{}, {"diag_stride": -3}], ids=["default", "negative"])
-def test_hooks_need_a_stride(grid, stride):
-    """Hooks without a stride of at least 1 are refused before a step is taken."""
+@pytest.mark.parametrize("period", [{}, {"diag_period": -0.03}], ids=["default", "negative"])
+def test_hooks_need_a_stride(grid, period):
+    """Hooks without a positive finite period are refused before a step is taken."""
     w = sample_soliton(SolitonParams(MODEL, omega=0.8), 0.0, grid)
     calls = []
-    with pytest.raises(ValueError, match=r"diag_stride=-?\d+ must be at least 1 to fire the hooks"):
-        evolve(w, 0.0, 0.1, IntegratorConfig(dt=0.01), MODEL, hooks=[calls.append], **stride)
+    with pytest.raises(ValueError, match=r"diag_period must be positive and finite \(got -?0\.0"):
+        evolve(w, 0.0, 0.1, IntegratorConfig(dt=0.01), MODEL, hooks=[calls.append], **period)
     assert calls == []
 
 
@@ -327,5 +326,5 @@ def test_amplitude_checked_once_per_check_point(grid, monkeypatch):
         integrator, "_check_amplitude", lambda u1, t: (checked.append(t), real(u1, t))
     )
     w = sample_soliton(SolitonParams(MODEL, omega=0.8), 0.0, grid)
-    evolve(w, 0.0, 0.36, IntegratorConfig(dt=0.01), MODEL, hooks=[lambda rec: None], diag_stride=12)
+    evolve(w, 0.0, 0.36, IntegratorConfig(dt=0.01), MODEL, hooks=[lambda rec: None], diag_period=0.12)
     assert checked == pytest.approx([0.12, 0.16, 0.24, 0.32, 0.36])
