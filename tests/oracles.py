@@ -4,7 +4,8 @@ Closed forms and second computations that no nlkglab program runs: the
 Nehari functional and its ray projection, the ramp derivative, the
 standing-wave energy by quadrature and by scaling, the Pohozaev ratio, the
 profile tail slope, the closed-form frequency slope, the differentiated
-critical-point residual, the essential-spectrum floor, the radial stencil
+critical-point residual, the essential-spectrum floor, the Schur complement
+of the second variation as a dense matrix, the radial stencil
 residual by index gathers, Petviashvili's iteration with a stencil every
 step, the soliton sample with a spectral derivative in u2, and the action
 gradient by three spectral derivatives in physical space.
@@ -16,8 +17,9 @@ import math
 from typing import Callable
 
 import numpy as np
+import scipy.linalg as sla
 
-from nlkglab.functionals import ActionParams, action_gradient, energy
+from nlkglab.functionals import ActionParams, action_gradient, action_symbol, energy
 from nlkglab import profiles
 from nlkglab.grids import Field, Grid, flat, spectral_derivative, symmetry_directions
 from nlkglab.grids import wrap_coordinate
@@ -236,3 +238,22 @@ def free_operator_floor(ap: ActionParams, grid: Grid) -> float:
     """Smallest eigenvalue of the potential-free operator (essential-spectrum floor):
     the lowest unwhitened symbol eigenvalue (``_free_symbol_eigenvalues``, g = 1)."""
     return float(np.min(_free_symbol_eigenvalues(ap, grid.deriv_wavenumbers, 1.0)[0]))
+
+
+def schur_complement(op: RealizedOperator) -> np.ndarray:
+    """The 2N x 2N Schur complement S = A - B B^T of M = [[A, B], [B^T, I]] as a
+    dense matrix: the real view of the complex circulant with symbol a - b^2
+    (``functionals.action_symbol``), less a 2 x 2 potential block per sample."""
+    n = op.grid.points
+    a, b = action_symbol(op.params, op.grid.deriv_wavenumbers)
+    c = sla.circulant(np.fft.ifft(a - b * b))
+    s = np.empty((n, 2, n, 2))
+    s[:, 0, :, 0] = s[:, 1, :, 1] = c.real
+    s[:, 1, :, 0] = c.imag
+    s[:, 0, :, 1] = -c.imag
+    i = np.arange(n)
+    s[i, 0, i, 0] -= op.w1 + op.w2.real
+    s[i, 1, i, 1] -= op.w1 - op.w2.real
+    s[i, 0, i, 1] -= op.w2.imag
+    s[i, 1, i, 0] -= op.w2.imag
+    return s.reshape(2 * n, 2 * n)

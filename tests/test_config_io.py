@@ -439,14 +439,19 @@ def test_cli_spectrum_and_modulate(tmp_path, capsys):
     assert "kernel dimension     : 2" in text
     header, data = read_csv_columns(out_csv)
     assert header == ["index", "eigenvalue"]
-    assert data.shape == (20, 2)
+    # the rows are the report's certified low end of S, not 20 of its 2N eigenvalues
+    from nlkglab.functionals import ActionParams
+    from nlkglab.spectrum import assemble_second_variation, spectrum_report
+
+    sp = SolitonParams(ModelParams(1.0, 3.0, 1), omega=0.8, v=0.0)
+    phi = sample_soliton(sp, 0.0, Grid(80.0, 256))
+    rep = spectrum_report(assemble_second_variation(phi, ActionParams.from_soliton(sp)))
+    assert len(data) >= 4
+    assert np.array_equal(data[:, 0], np.arange(len(data)))
+    assert np.array_equal(data[:, 1], np.sort(rep.eigenvalues))
+    assert abs(data[0, 1] + 3.0 * (1.0 - 0.8**2)) < 1e-10
 
     # modulate an exact pair dump with the config as seed
-    import numpy as np  # noqa: F811
-
-    from nlkglab.experiments import soliton_sum
-    from nlkglab.profiles import ModelParams, SolitonParams
-
     cfg_path = tmp_path / "seed.cfg"
     cfg_path.write_text(GOOD.replace("points = 2048", "points = 1024"), encoding="utf-8")
     run, _ = parse_config(cfg_path.read_text(encoding="utf-8"))
@@ -538,6 +543,28 @@ def test_cli_spectrum_lanczos_no_convergence_exit_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("numerical failure: coercivity eigensolve did not converge")
+
+
+def test_cli_spectrum_uncertified_low_end_exit_code(monkeypatch, capsys):
+    """A low end of S that LOBPCG did not converge fails its Kahan certificate:
+    the report raises AssemblyError instead of counting its Ritz values, and
+    the CLI ends with a numerical failure (exit 3, one stderr line), not a
+    traceback."""
+    from nlkglab import spectrum
+    from nlkglab.cli import main
+    from nlkglab.functionals import ActionParams
+
+    monkeypatch.setattr(spectrum, "LOBPCG_MAXITER", 1)
+    sp = SolitonParams(ModelParams(1.0, 3.0, 1), omega=0.8, v=0.0)
+    phi = sample_soliton(sp, 0.0, Grid(80.0, 256))
+    op = spectrum.assemble_second_variation(phi, ActionParams.from_soliton(sp))
+    with pytest.raises(spectrum.AssemblyError, match="low end of the Schur complement not certified"):
+        spectrum.spectrum_report(op)
+    code = main(["spectrum", "--omega", "0.8", "--grid-points", "256", "--length", "80"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("numerical failure: low end of the Schur complement not certified")
 
 
 def test_every_library_error_has_an_exit_code(capsys):

@@ -29,6 +29,7 @@ from oracles import (
     free_operator_floor,
     frequency_derivative_residual,
     pair_inner,
+    schur_complement,
     slope_analytic,
 )
 
@@ -259,8 +260,8 @@ def test_lanczos_delta_matches_dense_oracle(n, omega, v, theta, cells):
 @pytest.mark.parametrize("v", [0.0, 0.3, 0.6])
 @pytest.mark.parametrize("n", [256, 255])
 def test_structured_operator_matches_dense_oracle(n, v, p):
-    """The FFT product and the directly built Schur complement equal the dense
-    oracle's M x and A - B B^T, and the lift from the whitened free symbol bounds
+    """The FFT product and the oracle's circulant Schur complement equal the
+    dense oracle's M x and A - B B^T, and the lift from the whitened free symbol bounds
     the dense W M W, on the benchmark's phased, shifted profile; odd N has no
     Nyquist mode to zero.  p = 2 decays slower and gets a longer box."""
     g = Grid(100.0 if p == 2.0 else 80.0, n)
@@ -277,7 +278,7 @@ def test_structured_operator_matches_dense_oracle(n, v, p):
     assert np.array_equal(dense[n2:, n2:], np.eye(n2))  # M = [[A, B], [B^T, I]]
     b = dense[:n2, n2:]
     schur = dense[:n2, :n2] - b @ b.T
-    assert np.max(np.abs(op.schur_complement() - schur)) < 1e-13 * np.max(np.abs(schur))
+    assert np.max(np.abs(schur_complement(op) - schur)) < 1e-13 * np.max(np.abs(schur))
 
     k = g.deriv_wavenumbers
     _assert_lift_bounds(op, np.max(_free_symbol_eigenvalues(op.params, k, 1.0 + k * k)[1]))
@@ -306,22 +307,94 @@ def test_schur_ground_state_closed_form(p, omega, v):
     grid = Grid(100.0, 640) if p == 2.0 else Grid(80.0, 512)
     sp = SolitonParams(ModelParams(1.0, p, 1), omega=omega, v=v)
     op = assemble_second_variation(sample_soliton(sp, 0.0, grid), ActionParams.from_soliton(sp))
-    ev = sla.eigvalsh(op.schur_complement())
+    ev = sla.eigvalsh(schur_complement(op))
     mu = 1.0 - omega**2
     assert abs(ev[0] + mu * ((p + 1) ** 2 / 4 - 1)) < 1e-10 * mu
     assert np.sum(np.abs(ev) < 1e-12) == 2
 
 
 def test_schur_p2_higher_bound_state():
-    """At p = 2 both Poschl-Teller blocks have one more bound state, at 3 mu / 4.
-    Matched by the nearest eigenvalue, not by sorted index: box states just
-    below the continuum edge move with L and sit 4e-4 mu from it at L = 80."""
+    """At p = 2 both Poschl-Teller blocks have one more bound state, at 3 mu / 4,
+    and the report's low end holds it.  Matched by the nearest eigenvalue, not
+    by sorted index: box states just below the continuum edge move with L and
+    sit 4e-4 mu from it at L = 80."""
     grid = Grid(160.0, 1024)
     sp = SolitonParams(ModelParams(1.0, 2.0, 1), omega=0.8, v=0.0)
     op = assemble_second_variation(sample_soliton(sp, 0.0, grid), ActionParams.from_soliton(sp))
-    ev = sla.eigvalsh(op.schur_complement())
+    ev = spectrum_report(op).eigenvalues
     mu = 1.0 - 0.8**2
     assert np.min(np.abs(ev - 0.75 * mu)) < 1e-10 * mu
+
+
+@pytest.mark.parametrize(
+    "n, length, p, omega, v, theta, cells",
+    [
+        (256, 80.0, 3.0, 0.6, 0.0, 0.0, 0),  # outside the window: delta < 0
+        (256, 80.0, 3.0, 0.8, 0.0, 0.0, 0),
+        (256, 80.0, 3.0, 0.8, 0.3, 0.0, 0),
+        (256, 80.0, 3.0, 0.75, 0.6, 0.0, 0),
+        (512, 80.0, 3.0, 0.8, 0.0, 1.3, 7),  # the spectrum benchmark's phased, shifted profile
+        (128, 80.0, 3.0, 0.3, -0.9, 0.0, 0),  # Morse index 2, no kernel
+        (255, 80.0, 3.0, 0.8, 0.3, 1.3, 7),  # odd N: no Nyquist mode to zero
+        (255, 100.0, 2.0, 0.8, 0.0, 1.3, 7),
+        (255, 100.0, 2.0, 0.8, 0.6, 1.3, 7),
+        (255, 80.0, 4.0, 0.8, 0.0, 1.3, 7),
+        (255, 80.0, 4.0, 0.8, 0.6, 1.3, 7),
+    ],
+)
+def test_low_end_matches_dense_schur_oracle(n, length, p, omega, v, theta, cells):
+    """The report's low end of S equals the bottom of the dense oracle's
+    eigenvalues to 1e-10, its counts are the oracle's under the report's
+    tolerance, its Kahan bound is at most KAHAN_MARGIN of that tolerance, and a
+    second report repeats it to the bit."""
+    g = Grid(length, n)
+    sp = SolitonParams(ModelParams(1.0, p, 1), omega=omega, v=v, theta=theta, x0=cells * g.spacing)
+    op = _operator(sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp))
+    want = sla.eigvalsh(schur_complement(op))
+    rep = spectrum_report(op)
+    ev, ktol = rep.eigenvalues, rep.kernel_tolerance
+    assert len(ev) == spectrum.LOW_END_BLOCK + spectrum.LOW_END_GUARD
+    assert np.max(np.abs(ev - want[: len(ev)])) < 1e-10
+    assert rep.negative_count == np.sum(want < -ktol)
+    assert rep.kernel_dimension == np.sum(np.abs(want) < ktol)
+    assert ev[spectrum.LOW_END_BLOCK - 1] > ktol
+    assert spectrum._schur_low_end(op)[1] <= spectrum.KAHAN_MARGIN * ktol
+    again = spectrum_report(op)
+    assert np.array_equal(again.eigenvalues, ev)
+    assert again.coercivity_delta == rep.coercivity_delta
+
+
+def test_low_end_block_doubles_past_the_kernel():
+    """Twice the profile in the potential deepens the well to seven negative
+    eigenvalues: the block of four doubles to eight and the counts still equal
+    the dense oracle's."""
+    g = Grid(80.0, 256)
+    sp = SolitonParams(MODEL, omega=0.8, v=0.0)
+    phi = sample_soliton(sp, 0.0, g)
+    deeper = second_variation_potential(2.0 * phi.u1, 3.0)
+    op = RealizedOperator(g, phi, ActionParams.from_soliton(sp), *deeper)
+    want = sla.eigvalsh(schur_complement(op))
+    ev, eps, ktol = spectrum._schur_low_end(op)
+    assert len(ev) == 2 * spectrum.LOW_END_BLOCK + spectrum.LOW_END_GUARD
+    assert np.sum(ev < -ktol) == np.sum(want < -ktol) == 7
+    assert np.sum(np.abs(ev) < ktol) == np.sum(np.abs(want) < ktol) == 0
+    assert np.max(np.abs(ev - want[: len(ev)])) < 1e-10
+    assert eps <= spectrum.KAHAN_MARGIN * ktol
+
+
+@pytest.mark.parametrize("v", [-0.4, 0.4])
+def test_morse_index_and_kernel_on_the_construction_grid(v):
+    """At the backward construction's own grid, (L, N) = (160, 2048), where S is
+    4096 x 4096, the report gives Morse index 1 and kernel 2 at omega = 0.8."""
+    g = Grid(160.0, 2048)
+    sp = SolitonParams(MODEL, omega=0.8, v=v)
+    op = assemble_second_variation(sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp))
+    rep = spectrum_report(op)
+    print(f"v = {v:+.1f}: Morse {rep.negative_count}, kernel {rep.kernel_dimension}, "
+          f"delta {rep.coercivity_delta:.13g}")
+    assert rep.negative_count == 1
+    assert rep.kernel_dimension == 2
+    assert rep.coercivity_delta > 0
 
 
 def test_kernel_vectors(op, grid):
