@@ -42,6 +42,7 @@ __all__ = [
     "soliton_problems",
     "boundary_ratio",
     "domain_problems",
+    "points_per_width",
     "GroundState",
     "FrequencyRangeError",
     "DomainTooSmallError",
@@ -131,6 +132,17 @@ def boundary_ratio(model: ModelParams, omega: float, grid: Grid) -> float:
     nearest 0, which holds the grid's peak as phi is even and decreasing in |x|."""
     left, peak, right = phi_omega(grid.x[[0, grid.points // 2, -1]], model, omega)
     return float(max(left, right) / peak)
+
+
+def points_per_width(model: ModelParams, omega: float, v: float, grid: Grid) -> float:
+    """w/h: the width w = 1/(gamma sqrt(mu) (p-1)/2), mu = m - omega^2, of the
+    boosted profile phi_omega(gamma y), which falls like sech^(2/(p-1))(y/w),
+    over the grid spacing h.  NaN where there is no profile (|omega| >= sqrt(m)
+    or |v| >= 1)."""
+    if not (abs(omega) < math.sqrt(model.m) and abs(v) < 1.0):
+        return math.nan
+    gamma_rmu = math.sqrt((model.m - omega * omega) / (1.0 - v * v))
+    return 2.0 / (gamma_rmu * (model.p - 1.0) * grid.spacing)
 
 
 def domain_problems(rel: float, what: str = "ground state") -> tuple[list[str], list[str]]:

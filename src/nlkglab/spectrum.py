@@ -22,15 +22,17 @@ symbol finds its lowest eigenvalues, and a Rayleigh-Ritz step on the returned
 block certifies them by Kahan's residual bound.  On the subspace
 L2-orthogonal to {Phi', iJPhi, iPhi} the quadratic form is coercive in the
 H1 x L2 metric; delta, the minimal constrained Rayleigh quotient, is the
-lowest eigenvalue of the Gram-whitened operator with the constraints lifted
-to the top of the whitened free symbol's spectrum, which bounds it: Lanczos
-on FFT products with M.
+lowest eigenvalue of the Gram-whitened operator W M W with the constraints
+lifted to the top of the whitened free symbol's spectrum, which bounds it:
+Lanczos (``_constrained_lowest``) on W M W applied in Fourier space, six
+transforms a product (``RealizedOperator.whitened_matvec``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -39,6 +41,7 @@ import scipy.linalg as sla
 from .functionals import ActionParams, action_symbol, gradient_norm, quadratic_gradient
 from .functionals import second_variation_potential
 from .grids import Field, Grid, flat, symmetry_directions
+from .profiles import points_per_width
 
 __all__ = [
     "RealizedOperator",
@@ -57,7 +60,7 @@ KERNEL_REL_TOL = 1e-6
 # The low end of S: LOBPCG on a block of LOW_END_BLOCK wanted and LOW_END_GUARD
 # guard vectors, preconditioned by 1/(a - b^2 - min(a - b^2) + PRECONDITIONER_SHIFT),
 # until the block residual is at most LOBPCG_TOL or after LOBPCG_MAXITER steps.
-# Block, guard and shift are measured: the tested profiles take 31 to 101 steps.
+# Block, guard and shift are measured: the tested profiles take 26 to 90 steps.
 LOW_END_BLOCK = 4
 LOW_END_GUARD = 2
 PRECONDITIONER_SHIFT = 0.05
@@ -97,7 +100,8 @@ class RealizedOperator:
         M Z = (a z1 + i b z2 - w1 z1 - w2 conj(z1),  z2 - i b z1).
 
     ``matvec`` applies it by ``functionals.quadratic_gradient`` less the
-    potential."""
+    potential, and ``whitened_matvec`` applies W M W, with W the H1 x L2
+    whitening of ``_whiten``, in Fourier space."""
 
     grid: Grid
     profile: Field
@@ -113,6 +117,37 @@ class RealizedOperator:
         z1, z2 = zc[..., :n], zc[..., n:]
         l1, l2 = quadratic_gradient(z1, z2, self.params, self.grid)
         return np.concatenate((l1 - self.w1 * z1 - self.w2 * np.conj(z1), l2), axis=-1).view(float)
+
+    @cached_property
+    def _whitened_symbol(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(a g^-1, i b g^-1/2, g^-1/2): the Fourier multipliers of W M_free W
+        and the whitening, with a and b from ``action_symbol`` and g from
+        ``_gram_symbol``."""
+        a, b = action_symbol(self.params, self.grid.deriv_wavenumbers)
+        r = _gram_symbol(self.grid) ** -0.5
+        return a * r * r, 1j * b * r, r
+
+    def whitened_matvec(self, z: np.ndarray) -> np.ndarray:
+        """W M W z for a flattened field of length 4N, or for each row of a
+        (k, 4N) stack.  With r = g^-1/2 and hats for Fourier transforms:
+
+            W M W Z = (ifft(a/g z1^ + i b r z2^ - r fft(w1 y1 + w2 conj(y1))),
+                       ifft(z2^ - i b r z1^)),   y1 = ifft(r z1^),
+
+        six transforms: one stacked FFT of (z1, z2), the inverse FFT of y1
+        where the potential acts, the FFT of the potential term and one
+        stacked inverse FFT of both components.  Equals
+        ``_whiten(matvec(_whiten(z)))`` (eight) to rounding."""
+        a_g, ibr, r = self._whitened_symbol
+        zc = np.ascontiguousarray(z).view(complex)
+        f = np.fft.fft(zc.reshape(zc.shape[:-1] + (2, self.grid.points)))
+        f1, f2 = f[..., 0, :], f[..., 1, :]
+        rf1 = r * f1
+        y1 = np.fft.ifft(rf1)
+        out = np.empty_like(f)
+        out[..., 0, :] = a_g * f1 + ibr * f2 - r * np.fft.fft(self.w1 * y1 + self.w2 * np.conj(y1))
+        out[..., 1, :] = f2 - ibr * f1
+        return np.fft.ifft(out).reshape(zc.shape).view(float)
 
     def quadratic_form(self, z: Field) -> float:
         zf = flat(z)
@@ -142,29 +177,42 @@ def _free_symbol_eigenvalues(
     operator's symbol whitened by g: [[a/g, i b/sqrt(g)], [-i b/sqrt(g), 1]] with
     a and b from ``functionals.action_symbol``.  That operator is
     complex-linear and Fourier-diagonal, so these are its eigenvalues
-    (g = 1), or those of W M_free W (g = 1 + k^2, the H1 x L2 whitening of
-    ``_whiten``)."""
+    (g = 1), or those of W M_free W (g = 1 + k^2 of ``_gram_symbol``, the
+    H1 x L2 Gram that W whitens)."""
     a, b = action_symbol(ap, k)
     a, b2 = a / g, b * b / g
     root = np.sqrt((a - 1.0) ** 2 + 4.0 * b2)
     return 0.5 * ((a + 1.0) - root), 0.5 * ((a + 1.0) + root)
 
 
+def _gram_symbol(grid: Grid) -> np.ndarray:
+    """g = 1 + k^2: the H1 x L2 Gram G of the flattening in Fourier space on z1,
+    the first half of the complex view (G is the identity on z2)."""
+    return 1.0 + grid.deriv_wavenumbers**2
+
+
 def _whiten(z: np.ndarray, grid: Grid) -> np.ndarray:
-    """G^(-1/2) z, row by row, for the H1 x L2 Gram G of the flattening: the
-    multiplier (1 + k^2)^(-1/2) on z1, the first half of the complex view."""
+    """W z = G^(-1/2) z, row by row: the multiplier g^(-1/2) of ``_gram_symbol``
+    on z1."""
     out = z.copy()
     z1 = out.view(complex)[..., : grid.points]
-    z1[...] = np.fft.ifft((1.0 + grid.deriv_wavenumbers**2) ** -0.5 * np.fft.fft(z1))
+    z1[...] = np.fft.ifft(_gram_symbol(grid) ** -0.5 * np.fft.fft(z1))
     return out
 
 
 def assemble_second_variation(phi: Field, ap: ActionParams) -> RealizedOperator:
     """The second variation Z -> S''(Phi) Z at a profile, as a structured operator;
-    AssemblyError unless the profile is a converged critical point."""
+    AssemblyError unless the profile is a converged critical point.  Its message
+    gives the profile's points per width (``profiles.points_per_width``): below
+    about 6 an exact profile is not critical on the grid, as N does not resolve it."""
     gn = gradient_norm(phi, ap)
     if not gn < 1e-7:  # a NaN norm fails too
-        raise AssemblyError(f"profile is not a converged critical point (||S'|| = {gn:.3e})")
+        gamma = 1.0 / math.sqrt(1.0 - ap.v * ap.v) if abs(ap.v) < 1.0 else math.nan
+        ppw = points_per_width(ap.model, ap.omega_over_gamma * gamma, ap.v, phi.grid)
+        raise AssemblyError(
+            f"profile is not a converged critical point (||S'|| = {gn:.3e}; "
+            f"{ppw:.1f} points per profile width)"
+        )
     w1, w2 = second_variation_potential(phi.u1, ap.model.p)
     return RealizedOperator(phi.grid, phi.copy(), ap, w1, w2)
 
@@ -178,8 +226,10 @@ def _lobpcg(apply, precondition, x: np.ndarray) -> np.ndarray:
     """Knyazev's locally optimal block preconditioned conjugate gradient for the
     lowest len(x) eigenpairs of a symmetric operator on rows.  Each step is a
     Rayleigh-Ritz on the span of the block X, its preconditioned residuals and
-    P, the part of X outside the previous block, orthonormalized by a QR that
-    keeps X's rows first, so only the new rows are multiplied by the operator.
+    P, the part of X outside the previous block.  X = c basis already has
+    orthonormal rows, so the new rows are the residuals and P with X projected
+    out twice (once is not enough once they lie close to X), orthonormalized
+    by a QR of those rows alone; only they are multiplied by the operator.
     Returns the block once its residual's Frobenius norm, which bounds the
     2-norm, is at most LOBPCG_TOL, else after LOBPCG_MAXITER steps: the caller
     certifies what it gets."""
@@ -191,11 +241,16 @@ def _lobpcg(apply, precondition, x: np.ndarray) -> np.ndarray:
         c = c[:, :m].T
         x, sx = c @ basis, c @ s_basis
         r = sx - theta[:m, None] * x
-        if np.linalg.norm(r) <= LOBPCG_TOL:
+        # not np.linalg.norm: on two unpinned OpenBLAS threads its BLAS dot took
+        # about 4 ms a step at N = 1024 (shared 2-vCPU VM), this sum about 0.01 ms
+        if math.sqrt(np.sum(r * r)) <= LOBPCG_TOL:
             break
         if len(basis) > m:
             p = c[:, m:] @ basis[m:]
-        new = _orthonormal(np.vstack([x, precondition(r), p]))[m:]
+        new = np.vstack([precondition(r), p])
+        for _ in range(2):
+            new -= (new @ x.T) @ x
+        new = _orthonormal(new)
         basis, s_basis = np.vstack([x, new]), np.vstack([sx, apply(new)])
     return x
 
@@ -209,9 +264,11 @@ def _schur_low_end(op: RealizedOperator) -> tuple[np.ndarray, float, float]:
 
     applied to each row of a (k, 2N) stack of real views of z1.  By Haynsworth
     inertia additivity In(M) = In(I) + In(S), so S has M's negative count and
-    kernel dimension.  ``_lobpcg`` runs from a seeded block; the returned block
-    X is orthonormalized, its Ritz values are the eigenvalues of X^T S X and
-    eps = ||S X - X (X^T S X)||_2.  By Kahan's residual theorem (Parlett, The
+    kernel dimension.  ``_lobpcg`` starts from the z1 parts of Phi, i Phi and
+    Phi' (a direction of negative form, and the kernel of S when the profile
+    is critical) in the first three rows of a block of seeded draws; the
+    returned block X is orthonormalized, its Ritz values are the eigenvalues
+    of X^T S X and eps = ||S X - X (X^T S X)||_2.  By Kahan's residual theorem (Parlett, The
     Symmetric Eigenvalue Problem, 11.5) each Ritz value lies within eps of an
     eigenvalue of S.  The block doubles until its LOW_END_BLOCK-th (then 2x,
     4x, ...) Ritz value is above the kernel tolerance."""
@@ -228,10 +285,14 @@ def _schur_low_end(op: RealizedOperator) -> tuple[np.ndarray, float, float]:
         return np.fft.ifft(precond * np.fft.fft(np.ascontiguousarray(x).view(complex))).view(float)
 
     ktol = KERNEL_REL_TOL * float(np.max(free))
+    phi = op.profile
+    symmetric = np.stack([phi.u1, 1j * phi.u1, phi.du1]).view(float)
     rng = np.random.default_rng(0)
     k = LOW_END_BLOCK
     while True:
-        x = _orthonormal(_lobpcg(schur, precondition, rng.standard_normal((k + LOW_END_GUARD, 2 * n))))
+        start = rng.standard_normal((k + LOW_END_GUARD, 2 * n))
+        start[: len(symmetric)] = symmetric
+        x = _orthonormal(_lobpcg(schur, precondition, start))
         sx = schur(x)
         h = x @ sx.T
         ev = sla.eigvalsh(h)
@@ -242,11 +303,45 @@ def _schur_low_end(op: RealizedOperator) -> tuple[np.ndarray, float, float]:
         k = min(2 * k, 2 * n - LOW_END_GUARD)
 
 
+def _constrained_lowest(matvec, constraints: np.ndarray, lift: float) -> float:
+    """The lowest eigenvalue of x -> P A P x + s q q^T x, for the symmetric
+    product A = ``matvec`` on vectors of length n, q orthonormal on the rows
+    of the (c, n) ``constraints`` (a reduced QR), P = I - q q^T and s = ``lift``.
+    When s bounds A from above, the constraint directions sit above every
+    eigenvalue of P A P, and this is the lowest Rayleigh quotient of A on the
+    constraints' orthogonal complement.
+
+    Lanczos (ARPACK ``eigsh``, ``which="SA"``, to machine precision) starts from
+    a fixed vector with no symmetry (an even start could miss an odd lowest mode
+    of an unshifted profile) and a seeded generator, so repeated calls agree to
+    the bit.  AssemblyError if it does not converge."""
+    q, _ = np.linalg.qr(constraints.T)
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        qx = q.T @ x
+        y = matvec(x - q @ qx)
+        return y - q @ (q.T @ y - lift * qx)
+
+    # imported here: scipy.sparse adds about 40 ms and 4 MB to every start-up
+    from scipy.sparse import linalg as spla
+
+    n = constraints.shape[1]
+    rng = np.random.default_rng(0)  # ARPACK draws one vector of its own from it
+    try:
+        return float(spla.eigsh(
+            spla.LinearOperator((n, n), matvec=apply, dtype=float), k=1, which="SA",
+            tol=0, v0=rng.standard_normal(n), rng=rng, return_eigenvectors=False,
+        )[0])
+    except spla.ArpackNoConvergence as exc:
+        raise AssemblyError(f"coercivity eigensolve did not converge: {exc}") from None
+
+
 def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     """The Morse index and kernel dimension of M from the certified low end of
     its Schur complement S (``_schur_low_end``), and delta: the lowest
-    eigenvalue of x -> P W M W P x + s q q^T x, with W = G^(-1/2) (``_whiten``),
-    q orthonormal on W Y, P = I - q q^T and s the largest eigenvalue of
+    eigenvalue of x -> P W M W P x + s q q^T x (``_constrained_lowest``), with
+    W = G^(-1/2) the whitening, W M W from ``op.whitened_matvec``, q
+    orthonormal on W Y, P = I - q q^T and s the largest eigenvalue of
     W M_free W, M without its potential (``_free_symbol_eigenvalues``).
 
     A Ritz value below -tol counts as negative and one of magnitude below tol as
@@ -256,11 +351,8 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     eigenvalue of S it approximates.
 
     The potential part of M is negative semidefinite (w1 - |w2| = |q|^(p-1) >= 0),
-    so W M W <= W M_free W <= s and the constraints sit above delta.  Lanczos
-    (ARPACK, to machine precision) on FFT products with M (``op.matvec``) starts
-    from a fixed vector with no symmetry (an even start could miss an odd lowest
-    mode of an unshifted profile) and a seeded generator, so repeated calls
-    agree to the bit.  AssemblyError if it does not converge."""
+    so W M W <= W M_free W <= s and the constraints sit above delta.
+    AssemblyError if the Lanczos solve for delta does not converge."""
     ev, eps, ktol = _schur_low_end(op)
     if not (eps <= KAHAN_MARGIN * ktol and np.all(np.abs(np.abs(ev) - ktol) > eps)):
         raise AssemblyError(
@@ -272,34 +364,15 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
 
     i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
     cons = np.stack([flat(f) for f in (dphi, i_j_phi, i_phi)])
-    q, _ = np.linalg.qr(_whiten(cons, op.grid).T)
     k = op.grid.deriv_wavenumbers
-    s = float(np.max(_free_symbol_eigenvalues(op.params, k, 1.0 + k * k)[1]))
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        qx = q.T @ x
-        y = _whiten(op.matvec(_whiten(x - q @ qx, op.grid)), op.grid)
-        return y - q @ (q.T @ y - s * qx)
-
-    # imported here: scipy.sparse adds about 40 ms and 4 MB to every start-up
-    from scipy.sparse import linalg as spla
-
-    n4 = 4 * op.grid.points
-    rng = np.random.default_rng(0)  # ARPACK draws one vector of its own from it
-    try:
-        delta = float(spla.eigsh(
-            spla.LinearOperator((n4, n4), matvec=apply, dtype=float), k=1, which="SA",
-            tol=0, v0=rng.standard_normal(n4), rng=rng, return_eigenvectors=False,
-        )[0])
-    except spla.ArpackNoConvergence as exc:
-        raise AssemblyError(f"coercivity eigensolve did not converge: {exc}") from None
+    s = float(np.max(_free_symbol_eigenvalues(op.params, k, _gram_symbol(op.grid))[1]))
 
     return SpectrumReport(
         negative_count=int(len(negative)),
         negative_eigenvalue=float(negative[0]) if len(negative) else 0.0,
         kernel_dimension=kernel_dim,
         kernel_tolerance=ktol,
-        coercivity_delta=delta,
+        coercivity_delta=_constrained_lowest(op.whitened_matvec, _whiten(cons, op.grid), s),
         eigenvalues=ev,
     )
 

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -522,6 +524,18 @@ def test_cli_spectrum_assembly_failure_exit_code(capsys):
     code = main(["spectrum", "--omega", "0.8", "--grid-points", "256", "--length", "120"])
     assert code == 3
     assert "not a converged critical point" in capsys.readouterr().err
+
+
+def test_cli_spectrum_unresolved_profile_gives_points_per_width(capsys):
+    """An exact profile that the grid does not resolve fails the criticality
+    check with exit 3, and the message gives its points per width: 4.0 at
+    (80, 256), omega = 0.6, v = 0, where ||S'|| is about 5.5e-7."""
+    from nlkglab.cli import main
+
+    code = main(["spectrum", "--omega", "0.6", "--grid-points", "256", "--length", "80"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert re.search(r"\(\|\|S'\|\| = 5\.\d+e-07; 4\.0 points per profile width\)$", err.strip())
 
 
 def test_cli_spectrum_lanczos_no_convergence_exit_code(monkeypatch, capsys):

@@ -20,6 +20,7 @@ from nlkglab.profiles import (
     ground_state_radial,
     phi_omega,
     phi_tilde,
+    points_per_width,
     profile_norms,
     sample_soliton,
     soliton_tangents,
@@ -116,6 +117,20 @@ def test_domain_marginal_warns(grid):
     # boundary tail between 1e-10 and 1e-6 of the peak: warn, don't fail
     with pytest.warns(UserWarning, match="boundary value"):
         ground_state_1d(MODEL, 0.9, grid)
+
+
+@pytest.mark.parametrize("p, omega, v", [(3.0, 0.6, 0.0), (2.0, 0.8, 0.5), (5.0, 0.9, -0.3)])
+def test_points_per_width(grid, p, omega, v):
+    """The boosted profile phi_omega(gamma y) falls to sech(1)^(2/(p-1)) of its
+    peak at y = w, with w = h times the points per width; none where there is no
+    profile."""
+    model = ModelParams(1.0, p, 1)
+    w = points_per_width(model, omega, v, grid) * grid.spacing
+    gamma = 1.0 / math.sqrt(1.0 - v * v)
+    ratio = phi_omega(gamma * w, model, omega) / phi_omega(0.0, model, omega)
+    assert ratio == pytest.approx(math.cosh(1.0) ** (-2.0 / (p - 1.0)), rel=1e-12)
+    assert math.isnan(points_per_width(model, 1.0, v, grid))
+    assert math.isnan(points_per_width(model, omega, 1.0, grid))
 
 
 def test_energy_formula_discrepancy(grid):

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from nlkglab.functionals import (
     second_variation_potential,
 )
 from nlkglab.grids import Field, Grid, flat, symmetry_directions
-from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton, soliton_tangents
+from nlkglab.profiles import (
+    ModelParams,
+    SolitonParams,
+    boundary_ratio,
+    points_per_width,
+    sample_soliton,
+    soliton_tangents,
+)
 from nlkglab.spectrum import (
     KERNEL_REL_TOL,
     AssemblyError,
@@ -261,9 +269,10 @@ def test_lanczos_delta_matches_dense_oracle(n, omega, v, theta, cells):
 @pytest.mark.parametrize("n", [256, 255])
 def test_structured_operator_matches_dense_oracle(n, v, p):
     """The FFT product and the oracle's circulant Schur complement equal the
-    dense oracle's M x and A - B B^T, and the lift from the whitened free symbol bounds
-    the dense W M W, on the benchmark's phased, shifted profile; odd N has no
-    Nyquist mode to zero.  p = 2 decays slower and gets a longer box."""
+    dense oracle's M x and A - B B^T, the six-transform W M W equals W applied
+    around that product (eight transforms), and the lift from the whitened free
+    symbol bounds the dense W M W, on the benchmark's phased, shifted profile;
+    odd N has no Nyquist mode to zero.  p = 2 decays slower and gets a longer box."""
     g = Grid(100.0 if p == 2.0 else 80.0, n)
     sp = SolitonParams(ModelParams(1.0, p, 1), omega=0.8, v=v, theta=1.3, x0=7 * g.spacing)
     op = _operator(sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp))
@@ -273,6 +282,9 @@ def test_structured_operator_matches_dense_oracle(n, v, p):
     want = dense @ x
     assert np.max(np.abs(op.matvec(x.T) - want.T)) < 1e-13 * np.max(np.abs(want))
     assert np.max(np.abs(op.matvec(x[:, 0]) - want[:, 0])) < 1e-13 * np.max(np.abs(want[:, 0]))
+    for z in (x.T, x[:, 0]):
+        whitened = _whiten(op.matvec(_whiten(z, g)), g)
+        assert np.max(np.abs(op.whitened_matvec(z) - whitened)) < 1e-13 * np.max(np.abs(whitened))
 
     n2 = 2 * n
     assert np.array_equal(dense[n2:, n2:], np.eye(n2))  # M = [[A, B], [B^T, I]]
@@ -524,6 +536,47 @@ def test_delta_vanishes_at_stability_threshold(p, length, n):
     omega_c = math.sqrt((p - 1.0) / 4.0)
     root = brentq(delta, omega_c - 0.03, omega_c + 0.03, xtol=1e-12)
     assert abs(root - omega_c) <= 1e-10
+
+
+# Seeded draws for the Grillakis-Shatah-Strauss property test: for each p,
+# default_rng(p) draws omega uniform on (0, 1) and v uniform on [-0.6, 0.6],
+# both rounded to 3 digits; a draw within 0.03 of omega_c is skipped, and the
+# first five that pass the domain and resolution rules below are kept.
+GSS_DRAWS = [
+    (2, 0.262, -0.242), (2, 0.814, -0.49), (2, 0.6, 0.274), (2, 0.188, -0.534), (2, 0.275, 0.189),
+    (3, 0.801, 0.099), (3, 0.892, 0.102), (3, 0.83, 0.189), (3, 0.878, -0.477), (3, 0.85, -0.127),
+    (4, 0.902, -0.027), (4, 0.915, 0.045), (4, 0.903, -0.126), (4, 0.91, 0.005), (4, 0.916, 0.238),
+    (5, 0.898, 0.413), (5, 0.924, -0.207), (5, 0.89, -0.023), (5, 0.922, -0.358), (5, 0.89, -0.309),
+]
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_grillakis_shatah_strauss_across_the_window(p):
+    """On seeded draws of (omega, v) the report gives Morse index 1 and kernel 2,
+    delta has the opposite sign of the slope d/domega [omega ||phi||^2] / gamma,
+    and the slope is negative exactly when omega > omega_c = sqrt((p - 1)/4):
+    Grillakis, Shatah and Strauss across the window, boosted.  Each draw is
+    checked against the two rules that kept it: its profiles raise no tail
+    warning (boundary ratio at omega + OMEGA_STEP, the slope's largest sample,
+    at most 1e-10) and have at least 6.5 points per width.  p = 2-4 run at
+    (L, N) = (120, 512), and p = 5, which there needs sqrt(mu) >= 0.39 for the
+    first rule and gamma sqrt(mu) <= 0.33 for the second, at (160, 1024)."""
+    g = Grid(160.0, 1024) if p == 5 else Grid(120.0, 512)
+    model = ModelParams(1.0, float(p), 1)
+    omega_c = math.sqrt((p - 1.0) / 4.0)
+    for _, omega, v in [d for d in GSS_DRAWS if d[0] == p]:
+        assert boundary_ratio(model, omega + spectrum.OMEGA_STEP, g) <= 1e-10, (omega, v)
+        assert points_per_width(model, omega, v, g) >= 6.5, (omega, v)
+        sp = SolitonParams(model, omega=omega, v=v)
+        ap = ActionParams.from_soliton(sp)
+        op = assemble_second_variation(sample_soliton(sp, 0.0, g), ap)
+        rep = spectrum_report(op)
+        slope = slope_test(lambda om: sample_soliton(replace(sp, omega=om), 0.0, g), ap, omega, op=op)
+        print(f"p = {p}, omega = {omega:.3f}, v = {v:+.3f}: delta {rep.coercivity_delta:+.6f}, "
+              f"slope {slope:+.6f}")
+        assert (rep.negative_count, rep.kernel_dimension) == (1, 2), (omega, v)
+        assert np.sign(rep.coercivity_delta) == -np.sign(slope), (omega, v)
+        assert (slope < 0) == (omega > omega_c), (omega, v)
 
 
 def test_slope_at_stable_point(op, grid):
