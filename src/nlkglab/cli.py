@@ -104,10 +104,7 @@ def cmd_groundstate(args: argparse.Namespace) -> int:
         print(f"phi(0) = {gs.samples[0]:.12g}")
     print(f"ODE residual (sup) = {gs.residual:.3e}")
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write("x,phi\n")
-            for x, v in zip(xs, gs.samples):
-                fh.write(f"{format_float(x)},{format_float(v)}\n")
+        write_diagnostics_csv(args.out, ["x", "phi"], np.column_stack((xs, gs.samples)))
         print(f"profile written to {args.out}")
     return EXIT_OK
 

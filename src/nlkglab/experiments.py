@@ -45,6 +45,7 @@ from .integrator import (
     IntegratorConfig,
     evolve,
     period_problems,
+    span_problems,
     step_problems,
 )
 from .modulation import (
@@ -123,16 +124,20 @@ def run_problems(
     spacing: Optional[float],
 ) -> list[str]:
     """The rules one construction run breaks.  ``dt`` is the step magnitude (the
-    run sets the direction); with a grid ``spacing`` the step rules apply too."""
+    run sets the direction) and must step the window in a whole number of
+    steps; with a grid ``spacing`` the step rules apply too."""
     problems = []
     if not velocities:
         problems.append("need at least one soliton")
-    if not (math.isfinite(t_start) and math.isfinite(t_final) and t_final > t_start):
+    window = math.isfinite(t_start) and math.isfinite(t_final) and t_final > t_start
+    if not window:
         problems.append(f"t_final={t_final} must exceed t_start={t_start}, both finite")
     if not dt > 0:
         problems.append(f"dt={dt} must be positive: it is the step magnitude")
     elif spacing is not None:
         problems += step_problems(dt, spacing)
+    if window and dt > 0:
+        problems += span_problems(t_start, t_final, dt)
     return problems + period_problems(diag_period) + velocity_problems(velocities)
 
 
@@ -357,9 +362,8 @@ def run_ladder(cfg: MultiSolitonConfig, t_finals: Sequence[float]) -> LadderRepo
     solution to the bare sum, from below.  Both the distances and the
     differences carry the splitting error of the step size, which grows
     with the length of the run."""
-    return LadderReport(
-        [run_backward_construction(replace(cfg, t_final=float(tf))) for tf in t_finals]
-    )
+    rungs = [replace(cfg, t_final=float(tf)) for tf in t_finals]  # every rung checked first
+    return LadderReport([run_backward_construction(rung) for rung in rungs])
 
 
 # random_bump keeps the wavenumbers up to this fraction of the largest

@@ -51,6 +51,7 @@ from .profiles import ModelParams
 __all__ = [
     "IntegratorConfig",
     "step_problems",
+    "span_problems",
     "DiagnosticsRecord",
     "BlowUpError",
     "period_problems",
@@ -77,6 +78,20 @@ def step_problems(dt: float, spacing: Optional[float]) -> list[str]:
         return [f"dt must be nonzero and finite (got {dt})"]
     if spacing is not None and abs(dt) > 0.5 * spacing + 1e-15:
         return [f"|dt|={abs(dt)} exceeds the stability heuristic 0.5*spacing={0.5 * spacing}"]
+    return []
+
+
+def span_problems(t0: float, t1: float, dt: float) -> list[str]:
+    """The rules a time span breaks for a signed step dt: both times finite and
+    (t1 - t0)/dt a finite whole number of steps, positive unless t1 == t0."""
+    times = {"t0": t0, "t1": t1}
+    problems = [f"{name}={t} must be finite" for name, t in times.items() if not math.isfinite(t)]
+    if problems or t1 == t0:
+        return problems
+    ratio = (t1 - t0) / dt
+    nsteps = round(ratio) if math.isfinite(ratio) else 0
+    if nsteps <= 0 or abs(ratio - nsteps) > 1e-8 * max(1.0, abs(ratio)):
+        return [f"(t1-t0)/dt = {ratio} is not a finite positive whole number of steps"]
     return []
 
 
@@ -146,34 +161,25 @@ def evolve(
 ) -> Field:
     """Integrate from t0 to t1; t1 < t0 needs dt < 0.
 
-    Both times must be finite and (t1 - t0)/dt a whole number of steps,
-    positive unless t1 == t0.  Hooks fire at t0, every ``diag_period`` and at
-    the final step with a DiagnosticsRecord.  With hooks the period must be
-    positive and finite (``period_problems``); it is rounded to whole steps of
-    |dt|, at least one, and a period too long to count in steps (period/|dt|
-    overflows) fires the hooks at both ends only.  Blow-up aborts with the
-    failure time attached.  The amplitude is checked every 16 steps, before
-    each hook and at the end; these are the sync points, the only steps that
-    return to physical space.
+    The span keeps the rule of ``span_problems``.  Hooks fire at t0, every
+    ``diag_period`` and at the final step with a DiagnosticsRecord.  With
+    hooks the period must be positive and finite (``period_problems``); it is
+    rounded to whole steps of |dt|, at least one, and a period too long to
+    count in steps (period/|dt| overflows) fires the hooks at both ends only.
+    Blow-up aborts with the failure time attached.  The amplitude is checked
+    every 16 steps, before each hook and at the end; these are the sync
+    points, the only steps that return to physical space.
     """
     from scipy.fft import fft, ifft  # lazy: see the module docstring
 
     cfg.check_grid(w.grid)
-    times = {"t0": t0, "t1": t1}
-    problems = [f"{name}={t} must be finite" for name, t in times.items() if not math.isfinite(t)]
+    problems = span_problems(t0, t1, cfg.dt)
     if hooks:
         problems += period_problems(diag_period)
     raise_problems(problems)
     steps = diag_period / abs(cfg.dt)
     stride = max(1, int(round(steps))) if math.isfinite(steps) else sys.maxsize
-    span, nsteps = t1 - t0, 0
-    if span != 0.0:
-        ratio = span / cfg.dt
-        nsteps = int(round(ratio))
-        if nsteps <= 0 or abs(ratio - nsteps) > 1e-8 * max(1.0, abs(ratio)):
-            raise ValueError(
-                f"(t1-t0)/dt = {ratio} is not a positive integer step count"
-            )
+    nsteps = round((t1 - t0) / cfg.dt)
     k = w.grid.deriv_wavenumbers
     omega = np.sqrt(model.m + k * k)
     half, full = _Rotation(omega, 0.5 * cfg.dt), _Rotation(omega, cfg.dt)

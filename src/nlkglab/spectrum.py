@@ -11,21 +11,22 @@ linearizes to terms in both z1 and conj(z1)), so a field is flattened by
     second component:  z2 - i (omega/gamma) z1 + v z1'
 
 with q the first component of the profile.  M is never formed: it is held as
-its potential and constants and applied as S' is, by the potential-free
-gradient ``functionals.quadratic_gradient`` less the potential; its z2 block
-is the identity.  The kernel is spanned by the phase and translation modes
-i*Phi and Phi', and there is exactly one negative eigenvalue inside the
-stability window.  Both counts are read off the low end of the 2N x 2N Schur
-complement S of the identity z2 block, applied by one complex FFT pair plus
-the potential: block LOBPCG preconditioned by the inverse of S's shifted free
-symbol finds its lowest eigenvalues, and a Rayleigh-Ritz step on the returned
-block certifies them by Kahan's residual bound.  On the subspace
+its potential and constants, and each question is asked of the realization
+that answers it in the fewest transforms.  The kernel is spanned by the phase
+and translation modes i*Phi and Phi', and there is exactly one negative
+eigenvalue inside the stability window.  Both counts are read off the low end
+of the 2N x 2N Schur complement S of the identity z2 block, applied by one
+complex FFT pair plus the potential: block LOBPCG preconditioned by the
+inverse of S's shifted free symbol finds its lowest eigenvalues, and Kahan's
+residual bound on its last block certifies them.  On the subspace
 L2-orthogonal to {Phi', iJPhi, iPhi} the quadratic form is coercive in the
 H1 x L2 metric; delta, the minimal constrained Rayleigh quotient, is the
 lowest eigenvalue of the Gram-whitened operator W M W with the constraints
 lifted to the top of the whitened free symbol's spectrum, which bounds it:
 Lanczos (``_constrained_lowest``) on W M W applied in Fourier space, six
-transforms a product (``RealizedOperator.whitened_matvec``).
+transforms a product (``RealizedOperator.whitened_matvec``).  The slope test
+reads the quadratic form from the density forms of the localized action
+(``functionals.localized_hessian_form``).
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from typing import Callable
 import numpy as np
 import scipy.linalg as sla
 
-from .functionals import ActionParams, action_symbol, gradient_norm, quadratic_gradient
+from .functionals import ActionParams, action_symbol, gradient_norm, localized_hessian_form
 from .functionals import second_variation_potential
 from .grids import Field, Grid, flat, symmetry_directions
 from .profiles import points_per_width
@@ -99,24 +100,15 @@ class RealizedOperator:
 
         M Z = (a z1 + i b z2 - w1 z1 - w2 conj(z1),  z2 - i b z1).
 
-    ``matvec`` applies it by ``functionals.quadratic_gradient`` less the
-    potential, and ``whitened_matvec`` applies W M W, with W the H1 x L2
-    whitening of ``_whiten``, in Fourier space."""
+    ``whitened_matvec`` applies W M W, with W the H1 x L2 whitening of
+    ``_whiten``, in Fourier space; ``_schur_low_end`` applies its Schur
+    complement."""
 
     grid: Grid
     profile: Field
     params: ActionParams
     w1: np.ndarray
     w2: np.ndarray
-
-    def matvec(self, z: np.ndarray) -> np.ndarray:
-        """M z for a flattened field of length 4N, or for each row of a (k, 4N)
-        stack: one complex FFT pair per component."""
-        n = self.grid.points
-        zc = np.ascontiguousarray(z).view(complex)
-        z1, z2 = zc[..., :n], zc[..., n:]
-        l1, l2 = quadratic_gradient(z1, z2, self.params, self.grid)
-        return np.concatenate((l1 - self.w1 * z1 - self.w2 * np.conj(z1), l2), axis=-1).view(float)
 
     @cached_property
     def _whitened_symbol(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -136,22 +128,18 @@ class RealizedOperator:
 
         six transforms: one stacked FFT of (z1, z2), the inverse FFT of y1
         where the potential acts, the FFT of the potential term and one
-        stacked inverse FFT of both components.  Equals
-        ``_whiten(matvec(_whiten(z)))`` (eight) to rounding."""
+        stacked inverse FFT of both components.  Equals W around M z by
+        ``functionals.quadratic_gradient`` less the potential (eight) to
+        rounding."""
         a_g, ibr, r = self._whitened_symbol
         zc = np.ascontiguousarray(z).view(complex)
         f = np.fft.fft(zc.reshape(zc.shape[:-1] + (2, self.grid.points)))
         f1, f2 = f[..., 0, :], f[..., 1, :]
-        rf1 = r * f1
-        y1 = np.fft.ifft(rf1)
+        y1 = np.fft.ifft(r * f1)
         out = np.empty_like(f)
         out[..., 0, :] = a_g * f1 + ibr * f2 - r * np.fft.fft(self.w1 * y1 + self.w2 * np.conj(y1))
         out[..., 1, :] = f2 - ibr * f1
         return np.fft.ifft(out).reshape(zc.shape).view(float)
-
-    def quadratic_form(self, z: Field) -> float:
-        zf = flat(z)
-        return float(self.grid.spacing * zf @ self.matvec(zf))
 
 
 @dataclass
@@ -168,21 +156,6 @@ class SpectrumReport:
     kernel_tolerance: float
     coercivity_delta: float
     eigenvalues: np.ndarray
-
-
-def _free_symbol_eigenvalues(
-    ap: ActionParams, k: np.ndarray, g: np.ndarray | float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) eigenvalues, at each wavenumber k, of the potential-free
-    operator's symbol whitened by g: [[a/g, i b/sqrt(g)], [-i b/sqrt(g), 1]] with
-    a and b from ``functionals.action_symbol``.  That operator is
-    complex-linear and Fourier-diagonal, so these are its eigenvalues
-    (g = 1), or those of W M_free W (g = 1 + k^2 of ``_gram_symbol``, the
-    H1 x L2 Gram that W whitens)."""
-    a, b = action_symbol(ap, k)
-    a, b2 = a / g, b * b / g
-    root = np.sqrt((a - 1.0) ** 2 + 4.0 * b2)
-    return 0.5 * ((a + 1.0) - root), 0.5 * ((a + 1.0) + root)
 
 
 def _gram_symbol(grid: Grid) -> np.ndarray:
@@ -222,7 +195,7 @@ def _orthonormal(v: np.ndarray) -> np.ndarray:
     return sla.qr(v.T, mode="economic", check_finite=False)[0].T
 
 
-def _lobpcg(apply, precondition, x: np.ndarray) -> np.ndarray:
+def _lobpcg(apply, precondition, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Knyazev's locally optimal block preconditioned conjugate gradient for the
     lowest len(x) eigenpairs of a symmetric operator on rows.  Each step is a
     Rayleigh-Ritz on the span of the block X, its preconditioned residuals and
@@ -230,9 +203,10 @@ def _lobpcg(apply, precondition, x: np.ndarray) -> np.ndarray:
     orthonormal rows, so the new rows are the residuals and P with X projected
     out twice (once is not enough once they lie close to X), orthonormalized
     by a QR of those rows alone; only they are multiplied by the operator.
-    Returns the block once its residual's Frobenius norm, which bounds the
-    2-norm, is at most LOBPCG_TOL, else after LOBPCG_MAXITER steps: the caller
-    certifies what it gets."""
+    Returns the block X, orthonormal rows to rounding, and its product S X,
+    once the residual's Frobenius norm, which bounds the 2-norm, is at most
+    LOBPCG_TOL, else after LOBPCG_MAXITER steps: the caller certifies what it
+    gets."""
     m = len(x)
     basis = _orthonormal(x)
     s_basis, p = apply(basis), x[:0]
@@ -252,7 +226,7 @@ def _lobpcg(apply, precondition, x: np.ndarray) -> np.ndarray:
             new -= (new @ x.T) @ x
         new = _orthonormal(new)
         basis, s_basis = np.vstack([x, new]), np.vstack([sx, apply(new)])
-    return x
+    return x, sx
 
 
 def _schur_low_end(op: RealizedOperator) -> tuple[np.ndarray, float, float]:
@@ -266,12 +240,13 @@ def _schur_low_end(op: RealizedOperator) -> tuple[np.ndarray, float, float]:
     inertia additivity In(M) = In(I) + In(S), so S has M's negative count and
     kernel dimension.  ``_lobpcg`` starts from the z1 parts of Phi, i Phi and
     Phi' (a direction of negative form, and the kernel of S when the profile
-    is critical) in the first three rows of a block of seeded draws; the
-    returned block X is orthonormalized, its Ritz values are the eigenvalues
-    of X^T S X and eps = ||S X - X (X^T S X)||_2.  By Kahan's residual theorem (Parlett, The
-    Symmetric Eigenvalue Problem, 11.5) each Ritz value lies within eps of an
-    eigenvalue of S.  The block doubles until its LOW_END_BLOCK-th (then 2x,
-    4x, ...) Ritz value is above the kernel tolerance."""
+    is critical) in the first three rows of a block of seeded draws.  Its
+    returned block X and product S X give the Ritz values, the eigenvalues of
+    X^T S X, and eps = ||S X - X (X^T S X)||_2; by Kahan's residual theorem
+    (Parlett, The Symmetric Eigenvalue Problem, 11.5) each Ritz value lies
+    within eps of an eigenvalue of S.  The block doubles until its
+    LOW_END_BLOCK-th (then 2x, 4x, ...) Ritz value is above the kernel
+    tolerance."""
     n = op.grid.points
     a, b = action_symbol(op.params, op.grid.deriv_wavenumbers)
     free = a - b * b
@@ -292,8 +267,7 @@ def _schur_low_end(op: RealizedOperator) -> tuple[np.ndarray, float, float]:
     while True:
         start = rng.standard_normal((k + LOW_END_GUARD, 2 * n))
         start[: len(symmetric)] = symmetric
-        x = _orthonormal(_lobpcg(schur, precondition, start))
-        sx = schur(x)
+        x, sx = _lobpcg(schur, precondition, start)
         h = x @ sx.T
         ev = sla.eigvalsh(h)
         eps = float(np.linalg.norm(sx - h.T @ x, 2))
@@ -306,16 +280,16 @@ def _schur_low_end(op: RealizedOperator) -> tuple[np.ndarray, float, float]:
 def _constrained_lowest(matvec, constraints: np.ndarray, lift: float) -> float:
     """The lowest eigenvalue of x -> P A P x + s q q^T x, for the symmetric
     product A = ``matvec`` on vectors of length n, q orthonormal on the rows
-    of the (c, n) ``constraints`` (a reduced QR), P = I - q q^T and s = ``lift``.
-    When s bounds A from above, the constraint directions sit above every
-    eigenvalue of P A P, and this is the lowest Rayleigh quotient of A on the
-    constraints' orthogonal complement.
+    of the (c, n) ``constraints`` (``_orthonormal``), P = I - q q^T and
+    s = ``lift``.  When s bounds A from above, the constraint directions sit
+    above every eigenvalue of P A P, and this is the lowest Rayleigh quotient
+    of A on the constraints' orthogonal complement.
 
     Lanczos (ARPACK ``eigsh``, ``which="SA"``, to machine precision) starts from
     a fixed vector with no symmetry (an even start could miss an odd lowest mode
     of an unshifted profile) and a seeded generator, so repeated calls agree to
     the bit.  AssemblyError if it does not converge."""
-    q, _ = np.linalg.qr(constraints.T)
+    q = _orthonormal(constraints).T
 
     def apply(x: np.ndarray) -> np.ndarray:
         qx = q.T @ x
@@ -342,7 +316,8 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     eigenvalue of x -> P W M W P x + s q q^T x (``_constrained_lowest``), with
     W = G^(-1/2) the whitening, W M W from ``op.whitened_matvec``, q
     orthonormal on W Y, P = I - q q^T and s the largest eigenvalue of
-    W M_free W, M without its potential (``_free_symbol_eigenvalues``).
+    W M_free W, M without its potential: at each wavenumber the larger
+    eigenvalue of its symbol [[a/g, i b r], [-i b r, 1]] (``_whitened_symbol``).
 
     A Ritz value below -tol counts as negative and one of magnitude below tol as
     kernel, with tol = KERNEL_REL_TOL * max(a - b^2).  AssemblyError unless the
@@ -364,8 +339,8 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
 
     i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
     cons = np.stack([flat(f) for f in (dphi, i_j_phi, i_phi)])
-    k = op.grid.deriv_wavenumbers
-    s = float(np.max(_free_symbol_eigenvalues(op.params, k, _gram_symbol(op.grid))[1]))
+    a_g, ibr, _ = op._whitened_symbol
+    s = float(np.max(0.5 * (a_g + 1.0 + np.sqrt((a_g - 1.0) ** 2 + 4.0 * np.abs(ibr) ** 2))))
 
     return SpectrumReport(
         negative_count=int(len(negative)),
@@ -383,7 +358,9 @@ def slope_test(
     omega: float,
     op: RealizedOperator,
 ) -> float:
-    """Quadratic form of S'' on the omega-derivative of the profile family.
+    """Quadratic form <S'' Y, Y> on Y, the omega-derivative of the profile
+    family: twice the localized quadratic Taylor term of one cell of unit
+    weight (``functionals.localized_hessian_form``) at ``op.profile``.
 
     The value equals d/domega [omega ||phi_omega||^2] / gamma by the scaling
     law; it is negative exactly when (omega, v) lies inside the stability
@@ -392,4 +369,5 @@ def slope_test(
     """
     if abs(omega) + OMEGA_STEP >= math.sqrt(ap.model.m):
         raise ValueError("omega too close to sqrt(m) for centered differencing")
-    return op.quadratic_form(_frequency_derivative(phi_family, omega))
+    y, one = _frequency_derivative(phi_family, omega), np.ones((1, op.grid.points))
+    return 2.0 * localized_hessian_form(y, [op.profile], one, [op.params])

@@ -4,11 +4,13 @@ Closed forms and second computations that no nlkglab program runs: the
 Nehari functional and its ray projection, the ramp derivative, the
 standing-wave energy by quadrature and by scaling, the Pohozaev ratio, the
 profile tail slope, the closed-form frequency slope, the differentiated
-critical-point residual, the essential-spectrum floor, the Schur complement
-of the second variation as a dense matrix, the radial stencil
-residual by index gathers, Petviashvili's iteration with a stencil every
-step, the soliton sample with a spectral derivative in u2, and the action
-gradient by three spectral derivatives in physical space.
+critical-point residual, the second variation's product M z and its
+quadratic form h z^T M z, the essential-spectrum floor from the free
+symbol, the Schur complement of the second variation as a dense matrix,
+the radial stencil residual by index gathers, Petviashvili's iteration
+with a stencil every step, the soliton sample with a spectral derivative
+in u2, and the action gradient by three spectral derivatives in physical
+space.
 """
 
 from __future__ import annotations
@@ -20,16 +22,13 @@ import numpy as np
 import scipy.linalg as sla
 
 from nlkglab.functionals import ActionParams, action_gradient, action_symbol, energy
+from nlkglab.functionals import quadratic_gradient
 from nlkglab import profiles
 from nlkglab.grids import Field, Grid, flat, spectral_derivative, symmetry_directions
 from nlkglab.grids import wrap_coordinate
 from nlkglab.profiles import GroundState, ModelParams, SolitonParams, ground_state_1d
 from nlkglab.profiles import free_flow, phi_omega
-from nlkglab.spectrum import (
-    RealizedOperator,
-    _free_symbol_eigenvalues,
-    _frequency_derivative,
-)
+from nlkglab.spectrum import RealizedOperator, _frequency_derivative
 
 
 def pair_inner(a: Field, b: Field) -> float:
@@ -217,6 +216,24 @@ def slope_analytic(model: ModelParams, omega: float, gamma: float, phi_tilde_nor
     return (mu**e - 2.0 * e * omega**2 * mu ** (e - 1.0)) * phi_tilde_norm2 / gamma
 
 
+def matvec(op: RealizedOperator, z: np.ndarray) -> np.ndarray:
+    """M z for a flattened field of length 4N, or for each row of a (k, 4N)
+    stack: ``functionals.quadratic_gradient`` less the potential, one complex
+    FFT pair per component.  The reference for ``op.whitened_matvec``, the
+    Schur complement and the slope's density forms."""
+    n = op.grid.points
+    zc = np.ascontiguousarray(z).view(complex)
+    z1, z2 = zc[..., :n], zc[..., n:]
+    l1, l2 = quadratic_gradient(z1, z2, op.params, op.grid)
+    return np.concatenate((l1 - op.w1 * z1 - op.w2 * np.conj(z1), l2), axis=-1).view(float)
+
+
+def quadratic_form(op: RealizedOperator, z: Field) -> float:
+    """<S'' Z, Z> = h z^T M z on the flattened field, by ``matvec``."""
+    zf = flat(z)
+    return float(op.grid.spacing * zf @ matvec(op, zf))
+
+
 def frequency_derivative_residual(
     phi_family: Callable[[float], Field],
     omega: float,
@@ -230,14 +247,17 @@ def frequency_derivative_residual(
     """
     lam = _frequency_derivative(phi_family, omega)
     i_j_phi = symmetry_directions(op.profile)[1]
-    res = op.matvec(flat(lam)) + (1.0 / gamma) * flat(i_j_phi)
+    res = matvec(op, flat(lam)) + (1.0 / gamma) * flat(i_j_phi)
     return float(np.linalg.norm(res) * math.sqrt(op.grid.spacing))
 
 
 def free_operator_floor(ap: ActionParams, grid: Grid) -> float:
-    """Smallest eigenvalue of the potential-free operator (essential-spectrum floor):
-    the lowest unwhitened symbol eigenvalue (``_free_symbol_eigenvalues``, g = 1)."""
-    return float(np.min(_free_symbol_eigenvalues(ap, grid.deriv_wavenumbers, 1.0)[0]))
+    """Smallest eigenvalue of the potential-free operator (essential-spectrum floor).
+    It is complex-linear and Fourier-diagonal, so at each wavenumber its
+    eigenvalues are those of the symbol [[a, i b], [-i b, 1]] with a and b from
+    ``functionals.action_symbol``: the floor is the lower one's minimum."""
+    a, b = action_symbol(ap, grid.deriv_wavenumbers)
+    return float(np.min(0.5 * ((a + 1.0) - np.sqrt((a - 1.0) ** 2 + 4.0 * b * b))))
 
 
 def schur_complement(op: RealizedOperator) -> np.ndarray:

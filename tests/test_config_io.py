@@ -490,6 +490,58 @@ def test_cli_config_error_exit_code(tmp_path):
     assert code == 2
 
 
+def test_parse_config_lists_a_window_that_is_not_whole_steps():
+    """t_final - t_start must be a whole number of steps of dt: parse_config
+    lists the rule beside the file's other problems, before any run starts."""
+    text = GOOD.replace("t_start = 10.0", "t_start = 10.0011").replace("t_final = 40.0", "t_final = 12")
+    with pytest.raises(ConfigError) as err:
+        parse_config(text.replace("dt = 0.005", "dt = 0.002").replace("v = -0.4", "v = 1.4"))
+    assert len(err.value.problems) == 2
+    assert "soliton #1" in err.value.problems[0]
+    assert err.value.problems[1].startswith("(t1-t0)/dt = 999.45")
+    assert err.value.problems[1].endswith("is not a finite positive whole number of steps")
+
+
+def test_cli_step_too_small_to_count_is_a_config_error(tmp_path, capsys):
+    """A dt so small that the span overflows its step count is a configuration
+    error (exit 2) naming the count, in evolve and in a multisoliton config:
+    not an OverflowError traceback when the run starts."""
+    from nlkglab.cli import main
+
+    src, out = tmp_path / "s.dump", tmp_path / "e.dump"
+    write_field(src, sample_soliton(SolitonParams(ModelParams(), omega=0.8), 0.0, Grid(80.0, 256)))
+    argv = ["evolve", "--from", str(src), "--t0", "0", "--t1", "30", "--dt", "2e-311", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: (t1-t0)/dt = inf is not a finite positive whole number of steps\n"
+    assert not out.exists()
+
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text(GOOD.replace("dt = 0.005", "dt = 2e-311"), encoding="utf-8")
+    assert main(["multisoliton", "--config", str(cfg), "--out-dir", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert err == "invalid configuration:\n  (t1-t0)/dt = inf is not a finite positive whole number of steps\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_groundstate_out_is_the_diagnostics_csv(tmp_path):
+    """groundstate --out writes through the one CSV writer: an ``x,phi`` header
+    and one line per sample at 17 significant digits, which reads back to the
+    bit."""
+    from nlkglab.cli import main
+    from nlkglab.profiles import ground_state_1d
+
+    out, g = tmp_path / "gs.csv", Grid(80.0, 256)
+    assert main(["groundstate", "--omega", "0.8", "--grid-points", "256", "--length", "80.0",
+                 "--out", str(out)]) == 0
+    phi = ground_state_1d(ModelParams(), 0.8, g).samples
+    lines = [f"{format(float(x), '.17g')},{format(float(v), '.17g')}" for x, v in zip(g.x, phi)]
+    assert out.read_bytes() == ("x,phi\n" + "\n".join(lines) + "\n").encode("ascii")
+    header, data = read_csv_columns(out)
+    assert header == ["x", "phi"]
+    assert np.array_equal(data[:, 0], g.x) and np.array_equal(data[:, 1], phi)
+
+
 def test_cli_missing_file_exit_code(tmp_path):
     from nlkglab.cli import main
 

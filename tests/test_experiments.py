@@ -160,6 +160,21 @@ def test_backward_forward_consistency(short_run, grid, pair):
     assert norm_h1l2(back - final) < 1e-9 * norm_h1l2(final)
 
 
+def test_ladder_checks_every_rung_before_the_first_run(grid, pair, monkeypatch):
+    """A rung whose window is not a whole number of steps fails the ladder
+    before any rung runs."""
+    from nlkglab import experiments
+
+    runs = []
+    monkeypatch.setattr(experiments, "run_backward_construction", runs.append)
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=grid, solitons=pair, t_final=24.0, t_start=18.0, dt=0.01,
+    )
+    with pytest.raises(ValueError, match="not a finite positive whole number of steps"):
+        run_ladder(cfg, [21.0, 24.005])
+    assert runs == []
+
+
 def test_localized_energy_sums_to_global(short_run):
     for i in (0, len(short_run.times) // 2):
         loc = short_run.localized[i]

@@ -93,3 +93,19 @@ def test_no_library_module_changes_the_warning_filters():
                 if name in banned:
                     found.append(f"{path.name}:{node.lineno} {name}")
     assert not found, f"warning filters changed in the library: {found}"
+
+
+def test_one_qr_helper():
+    """The library's only QR call is the one in ``spectrum._orthonormal``: the
+    LOBPCG block and the delta constraints are orthonormalized by one path."""
+    found = []
+    for path in sorted(Path(nlkglab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so the innermost one wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "qr":
+                found.append(f"{path.name}:{owner.get(node)}")
+    assert found == ["spectrum.py:_orthonormal"], f"QR calls in the library: {found}"

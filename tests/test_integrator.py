@@ -6,7 +6,7 @@ import pytest
 from nlkglab import integrator
 from nlkglab.functionals import charge, energy, momentum
 from nlkglab.grids import Field, Grid, norm_h1l2
-from nlkglab.integrator import BlowUpError, IntegratorConfig, evolve
+from nlkglab.integrator import BlowUpError, IntegratorConfig, evolve, span_problems
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 
 MODEL = ModelParams(1.0, 3.0, 1)
@@ -122,11 +122,17 @@ def test_identity_when_no_span(grid):
 
 
 def test_non_integer_count_rejected(grid):
+    """One rule for the step count (``span_problems``), which ``evolve`` keeps:
+    a count that is not whole, not positive or not finite (the span over a
+    denormal dt overflows) is a ValueError, and t1 == t0 is zero steps."""
     w = Field.zeros(grid)
-    with pytest.raises(ValueError):
-        evolve(w, 0.0, 1.0, IntegratorConfig(dt=0.003), MODEL)
-    with pytest.raises(ValueError):
-        evolve(w, 0.0, -1.0, IntegratorConfig(dt=0.01), MODEL)
+    for t1, dt in ((1.0, 0.003), (-1.0, 0.01), (30.0, 2e-311)):
+        (problem,) = span_problems(0.0, t1, dt)
+        assert problem.endswith("is not a finite positive whole number of steps")
+        with pytest.raises(ValueError, match="is not a finite positive whole number"):
+            evolve(w, 0.0, t1, IntegratorConfig(dt=dt), MODEL)
+    assert span_problems(0.0, 1.0, 0.01) == span_problems(1.0, 0.0, -0.01) == []
+    assert span_problems(5.0, 5.0, 0.01) == []
 
 
 def test_conservation_short(grid):

@@ -12,6 +12,7 @@ from nlkglab.functionals import (
     ActionParams,
     action,
     action_gradient,
+    localized_hessian_form,
     second_variation_potential,
 )
 from nlkglab.grids import Field, Grid, flat, symmetry_directions
@@ -27,7 +28,6 @@ from nlkglab.spectrum import (
     KERNEL_REL_TOL,
     AssemblyError,
     RealizedOperator,
-    _free_symbol_eigenvalues,
     _whiten,
     assemble_second_variation,
     slope_test,
@@ -36,7 +36,9 @@ from nlkglab.spectrum import (
 from oracles import (
     free_operator_floor,
     frequency_derivative_residual,
+    matvec,
     pair_inner,
+    quadratic_form,
     schur_complement,
     slope_analytic,
 )
@@ -141,10 +143,10 @@ def test_flatten_roundtrip(grid):
 
 
 def test_assembly_symmetric(op, grid):
-    """The structured operator is symmetric by construction: <x, M y> = <M x, y>
-    to rounding on random vectors."""
+    """The whitened product the delta solve runs is symmetric by construction:
+    <x, W M W y> = <W M W x, y> to rounding on random vectors."""
     x, y = np.random.default_rng(2).standard_normal((2, 4 * grid.points))
-    mx, my = op.matvec(x), op.matvec(y)
+    mx, my = op.whitened_matvec(x), op.whitened_matvec(y)
     assert abs(x @ my - mx @ y) < 1e-13 * np.linalg.norm(mx) * np.linalg.norm(y)
 
 
@@ -201,6 +203,22 @@ def _top_eigenvalue(a):
     return sla.eigvalsh(a, subset_by_index=[len(a) - 1, len(a) - 1])[0]
 
 
+def _report_lift(op, scale=1.0):
+    """(delta, lift) of a report, the lift as the report passes it to
+    ``_constrained_lowest``, which gets it multiplied by ``scale``."""
+    solve, lifts = spectrum._constrained_lowest, []
+
+    def scaled(product, constraints, lift):
+        lifts.append(lift)
+        return solve(product, constraints, scale * lift)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectrum, "_constrained_lowest", scaled)
+        delta = spectrum_report(op).coercivity_delta
+    (lift,) = lifts
+    return delta, lift
+
+
 def _assert_lift_bounds(op, s):
     """The lift s is the top of the whitened potential-free operator W M_free W
     (the zero profile's), and bounds W M W: the potential part is negative
@@ -249,18 +267,8 @@ def test_lanczos_delta_matches_dense_oracle(n, omega, v, theta, cells):
     assert delta == pytest.approx(want, rel=1e-12)
     assert spectrum_report(op).coercivity_delta == delta
 
-    lifts = []
-
-    def doubled_lift(ap, k, g):
-        lower, upper = _free_symbol_eigenvalues(ap, k, g)
-        lifts.append(float(np.max(upper)))
-        return lower, 2.0 * upper
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectrum, "_free_symbol_eigenvalues", doubled_lift)
-        doubled = spectrum_report(op).coercivity_delta
-    assert len(lifts) == 1
-    _assert_lift_bounds(op, lifts[0])
+    doubled, lift = _report_lift(op, 2.0)
+    _assert_lift_bounds(op, lift)
     assert doubled == pytest.approx(want, rel=1e-12)
 
 
@@ -268,11 +276,12 @@ def test_lanczos_delta_matches_dense_oracle(n, omega, v, theta, cells):
 @pytest.mark.parametrize("v", [0.0, 0.3, 0.6])
 @pytest.mark.parametrize("n", [256, 255])
 def test_structured_operator_matches_dense_oracle(n, v, p):
-    """The FFT product and the oracle's circulant Schur complement equal the
-    dense oracle's M x and A - B B^T, the six-transform W M W equals W applied
-    around that product (eight transforms), and the lift from the whitened free
-    symbol bounds the dense W M W, on the benchmark's phased, shifted profile;
-    odd N has no Nyquist mode to zero.  p = 2 decays slower and gets a longer box."""
+    """The oracle's FFT product and circulant Schur complement equal the dense
+    oracle's M x and A - B B^T, the six-transform W M W equals W applied
+    around that product (eight transforms), and the report's lift from the
+    whitened free symbol bounds the dense W M W, on the benchmark's phased,
+    shifted profile; odd N has no Nyquist mode to zero.  p = 2 decays slower
+    and gets a longer box."""
     g = Grid(100.0 if p == 2.0 else 80.0, n)
     sp = SolitonParams(ModelParams(1.0, p, 1), omega=0.8, v=v, theta=1.3, x0=7 * g.spacing)
     op = _operator(sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp))
@@ -280,10 +289,10 @@ def test_structured_operator_matches_dense_oracle(n, v, p):
 
     x = np.random.default_rng(3).standard_normal((4 * n, 3))
     want = dense @ x
-    assert np.max(np.abs(op.matvec(x.T) - want.T)) < 1e-13 * np.max(np.abs(want))
-    assert np.max(np.abs(op.matvec(x[:, 0]) - want[:, 0])) < 1e-13 * np.max(np.abs(want[:, 0]))
+    assert np.max(np.abs(matvec(op, x.T) - want.T)) < 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(matvec(op, x[:, 0]) - want[:, 0])) < 1e-13 * np.max(np.abs(want[:, 0]))
     for z in (x.T, x[:, 0]):
-        whitened = _whiten(op.matvec(_whiten(z, g)), g)
+        whitened = _whiten(matvec(op, _whiten(z, g)), g)
         assert np.max(np.abs(op.whitened_matvec(z) - whitened)) < 1e-13 * np.max(np.abs(whitened))
 
     n2 = 2 * n
@@ -292,8 +301,7 @@ def test_structured_operator_matches_dense_oracle(n, v, p):
     schur = dense[:n2, :n2] - b @ b.T
     assert np.max(np.abs(schur_complement(op) - schur)) < 1e-13 * np.max(np.abs(schur))
 
-    k = g.deriv_wavenumbers
-    _assert_lift_bounds(op, np.max(_free_symbol_eigenvalues(op.params, k, 1.0 + k * k)[1]))
+    _assert_lift_bounds(op, _report_lift(op)[1])
 
 
 @pytest.mark.parametrize("omega, v", [(0.6, 0.0), (0.8, 0.0), (0.8, 0.3), (0.75, 0.6)])
@@ -423,7 +431,13 @@ def test_kernel_vectors(op, grid):
         rayleigh = abs(zf @ (dense @ zf)) / (zf @ zf)
         assert rayleigh < 1e-6 * rho
         # the action of the operator is itself small on kernel vectors
-        assert np.linalg.norm(op.matvec(zf)) / np.linalg.norm(zf) < 1e-7
+        assert np.linalg.norm(matvec(op, zf)) / np.linalg.norm(zf) < 1e-7
+
+
+def _hessian_form(op, z):
+    """<S'' Z, Z> as ``slope_test`` reads it: twice the localized quadratic term
+    of one unit-weight cell at the operator's profile."""
+    return 2.0 * localized_hessian_form(z, [op.profile], np.ones((1, op.grid.points)), [op.params])
 
 
 def test_quadratic_form_matches_action_differences(op, grid):
@@ -441,7 +455,7 @@ def test_quadratic_form_matches_action_differences(op, grid):
     sp_ = action(phi + eps * z, op.params)
     sm_ = action(phi + (-eps) * z, op.params)
     fd = (sp_ - 2 * s0 + sm_) / eps**2
-    assert op.quadratic_form(z) == pytest.approx(fd, rel=1e-5)
+    assert _hessian_form(op, z) == pytest.approx(fd, rel=1e-5)
 
 
 def test_quadratic_form_matches_gradient_differences(op, grid):
@@ -458,7 +472,7 @@ def test_quadratic_form_matches_gradient_differences(op, grid):
     gp = action_gradient(phi + eps * z, op.params)
     gm = action_gradient(phi + (-eps) * z, op.params)
     fd = pair_inner((1.0 / (2 * eps)) * (gp - gm), z)
-    assert op.quadratic_form(z) == pytest.approx(fd, rel=1e-5)
+    assert _hessian_form(op, z) == pytest.approx(fd, rel=1e-5)
 
 
 @pytest.mark.parametrize("v", [0.0, 0.3])
@@ -477,7 +491,7 @@ def test_matvec_is_the_linearized_gradient(grid, v):
         np.fft.ifft(mask * (rng.standard_normal(grid.points) + 1j * rng.standard_normal(grid.points))),
         grid,
     )
-    mz = op.matvec(flat(z))
+    mz = matvec(op, flat(z))
     errs = []
     for eps in (0.1, 0.01):
         fd = (1.0 / (2 * eps)) * (action_gradient(w + eps * z, ap) - action_gradient(w + (-eps) * z, ap))
@@ -579,6 +593,25 @@ def test_grillakis_shatah_strauss_across_the_window(p):
         assert (slope < 0) == (omega > omega_c), (omega, v)
 
 
+@pytest.mark.parametrize(
+    "length, n, v, theta, cells",
+    [(80.0, 512, 0.0, 1.3, 7), (160.0, 2048, 0.4, 0.0, 0)],  # the benchmark's; the construction's
+)
+def test_slope_is_the_oracle_form(length, n, v, theta, cells):
+    """The slope, read from the density forms, equals h y^T M y by the oracle
+    product on the same omega-derivative y to 1e-13 relative."""
+    g = Grid(length, n)
+    sp = SolitonParams(MODEL, omega=0.8, v=v, theta=theta, x0=cells * g.spacing)
+    ap = ActionParams.from_soliton(sp)
+    op = assemble_second_variation(sample_soliton(sp, 0.0, g), ap)
+
+    def family(om):
+        return sample_soliton(replace(sp, omega=om), 0.0, g)
+
+    want = quadratic_form(op, spectrum._frequency_derivative(family, 0.8))
+    assert slope_test(family, ap, 0.8, op=op) == pytest.approx(want, rel=1e-13)
+
+
 def test_slope_at_stable_point(op, grid):
     slope = slope_test(_family(grid, 0.0), op.params, 0.8, op=op)
     assert slope == pytest.approx(-28.0 / 15.0, abs=1e-4)
@@ -620,7 +653,7 @@ def test_frequency_tangent_identity(points, v):
     sp = SolitonParams(MODEL, omega=0.8, v=v)
     phi = sample_soliton(sp, 0.0, g)
     op = assemble_second_variation(phi, ActionParams.from_soliton(sp))
-    res = op.matvec(flat(soliton_tangents(sp, phi)[1])) + flat(symmetry_directions(phi)[1]) / sp.gamma
+    res = matvec(op, flat(soliton_tangents(sp, phi)[1])) + flat(symmetry_directions(phi)[1]) / sp.gamma
     assert np.linalg.norm(res) * math.sqrt(g.spacing) < 1e-11
 
 
