@@ -39,7 +39,7 @@ from .functionals import (
     localized_quantities,
     velocity_problems,
 )
-from .grids import Field, Grid, norm_h1l2, raise_problems, spectral_derivative
+from .grids import Field, Grid, norm_h1l2, raise_problems, symmetry_rows
 from .integrator import (
     DiagnosticsRecord,
     IntegratorConfig,
@@ -410,9 +410,10 @@ def _magnitude(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def measure_interactions(cfg: MultiSolitonConfig, times: Sequence[float]) -> InteractionReport:
     """Quadrature of pairwise interaction integrals and their decay-rate fits.
 
-    Pointwise magnitudes are Euclidean over the two components; stacked as
-    (n, N) arrays, every pair's integral at one time comes from one Gram
-    product.  Valid for t >= max(4 / v_star^2, 1), where the moving cutoffs
+    Pointwise magnitudes are Euclidean over the two components, |dR_j| that
+    of the translation row of ``grids.symmetry_rows``; stacked as (n, N)
+    arrays, every pair's integral at one time comes from one Gram product.
+    Valid for t >= max(4 / v_star^2, 1), where the moving cutoffs
     have pulled apart.
     """
     n = len(cfg.solitons)
@@ -432,7 +433,7 @@ def measure_interactions(cfg: MultiSolitonConfig, times: Sequence[float]) -> Int
     for t in times:
         comps = [sample_soliton(sp, t, grid) for sp in cfg.solitons]
         mags = np.array([_magnitude(c.u1, c.u2) for c in comps])
-        dmags = np.array([_magnitude(c.du1, spectral_derivative(c.u2, grid)) for c in comps])
+        dmags = np.array([_magnitude(*symmetry_rows(c)[2].reshape(2, -1)) for c in comps])
         weights = build_cutoffs([sp.v for sp in cfg.solitons], t, grid)
         prods.append(mags @ mags.T * h)
         gprods.append(dmags @ dmags.T * h)

@@ -15,6 +15,8 @@ built on the uniform periodic grid defined here.  Conventions, fixed once:
 
 A Field's u1' belongs to the field: ``Field.du1`` takes it once, and every
 form, density, flux and norm of the energy space H1 x L2 reads it there.
+The symmetry directions have one writer, ``symmetry_rows``, the only place
+u2' is taken: the fit, delta's constraints and |dR_j| read its rows.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ __all__ = [
     "norm_l2",
     "norm_l2l2",
     "norm_h1l2",
-    "symmetry_directions",
+    "symmetry_rows",
     "wrap_coordinate",
 ]
 
@@ -169,15 +171,26 @@ def norm_h1l2(w: Field) -> float:
     return float(np.sqrt(np.sum(np.abs(w.u1) ** 2 + np.abs(w.du1) ** 2 + np.abs(w.u2) ** 2) * h))
 
 
-def symmetry_directions(w: Field) -> tuple[Field, Field, Field]:
+# <a, D_k b> = ADJOINT_SIGNS[k] * <D_k a, b> in the real L2 x L2 pairing for the maps
+# of ``symmetry_rows``: i and d/dx (Nyquist zeroed) are skew, i J is symmetric
+ADJOINT_SIGNS = np.array([-1.0, 1.0, -1.0])
+
+
+def symmetry_rows(w: Field, dw: Field | None = None, out: np.ndarray | None = None) -> np.ndarray:
     """The symmetry directions at w that a modulation residue is kept
-    orthogonal to: i w (phase), i J w = (i u2, -i u1) and w' (translation)."""
-    g = w.grid
-    return (
-        Field(1j * w.u1, 1j * w.u2, g),
-        Field(1j * w.u2, -1j * w.u1, g),
-        Field(w.du1, spectral_derivative(w.u2, g), g),
-    )
+    orthogonal to, as three complex rows whose real views are ``flat`` rows:
+    i w (phase), i J w = (i u2, -i u1) and w' (translation).  w' is ``dw``
+    when given (a closed form), else (``w.du1``, u2' by ``spectral_derivative``).
+    The rows go into ``out``, a (3, 2N) complex array or view, when given."""
+    size = w.grid.points
+    out = np.empty((3, 2 * size), complex) if out is None else out
+    np.multiply(1j, w.u1, out=out[0, :size])
+    np.multiply(1j, w.u2, out=out[0, size:])
+    np.multiply(1j, w.u2, out=out[1, :size])
+    np.multiply(-1j, w.u1, out=out[1, size:])
+    d1, d2 = (w.du1, spectral_derivative(w.u2, w.grid)) if dw is None else (dw.u1, dw.u2)
+    out[2, :size], out[2, size:] = d1, d2
+    return out
 
 
 def wrap_coordinate(y: np.ndarray | float, length: float):

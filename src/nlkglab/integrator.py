@@ -38,7 +38,6 @@ in-place sum, and the kick is added to u2_k in place.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -83,7 +82,8 @@ def step_problems(dt: float, spacing: Optional[float]) -> list[str]:
 
 def span_problems(t0: float, t1: float, dt: float) -> list[str]:
     """The rules a time span breaks for a signed step dt: both times finite and
-    (t1 - t0)/dt a finite whole number of steps, positive unless t1 == t0."""
+    (t1 - t0)/dt a finite whole number of steps, positive unless t1 == t0, and
+    small enough that its float holds a fraction of a step (below 2**52)."""
     times = {"t0": t0, "t1": t1}
     problems = [f"{name}={t} must be finite" for name, t in times.items() if not math.isfinite(t)]
     if problems or t1 == t0:
@@ -92,6 +92,8 @@ def span_problems(t0: float, t1: float, dt: float) -> list[str]:
     nsteps = round(ratio) if math.isfinite(ratio) else 0
     if nsteps <= 0 or abs(ratio - nsteps) > 1e-8 * max(1.0, abs(ratio)):
         return [f"(t1-t0)/dt = {ratio} is not a finite positive whole number of steps"]
+    if math.ulp(ratio) >= 1.0:  # every float this large is whole: the test above cannot fail
+        return [f"(t1-t0)/dt = {ratio} steps is too large a count to check as whole steps"]
     return []
 
 
@@ -164,8 +166,8 @@ def evolve(
     The span keeps the rule of ``span_problems``.  Hooks fire at t0, every
     ``diag_period`` and at the final step with a DiagnosticsRecord.  With
     hooks the period must be positive and finite (``period_problems``); it is
-    rounded to whole steps of |dt|, at least one, and a period too long to
-    count in steps (period/|dt| overflows) fires the hooks at both ends only.
+    rounded to whole steps of |dt|, at least one, and a period longer than
+    the span fires the hooks at both ends only.
     Blow-up aborts with the failure time attached.  The amplitude is checked
     every 16 steps, before each hook and at the end; these are the sync
     points, the only steps that return to physical space.
@@ -177,9 +179,9 @@ def evolve(
     if hooks:
         problems += period_problems(diag_period)
     raise_problems(problems)
-    steps = diag_period / abs(cfg.dt)
-    stride = max(1, int(round(steps))) if math.isfinite(steps) else sys.maxsize
     nsteps = round((t1 - t0) / cfg.dt)
+    # min gives nsteps when period/|dt| is inf (an overflow) or NaN (a NaN period, only without hooks)
+    stride = max(1, round(min(nsteps, diag_period / abs(cfg.dt))))
     k = w.grid.deriv_wavenumbers
     omega = np.sqrt(model.m + k * k)
     half, full = _Rotation(omega, 0.5 * cfg.dt), _Rotation(omega, cfg.dt)

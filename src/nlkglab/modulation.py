@@ -16,11 +16,11 @@ The pairings are matrix products: every direction and tangent is one real
 row of length 4N (``grids.flat``), so the 3N residuals are one mat-vec and
 the Jacobian's cross term one (3N, 3N) Gram.  Its residue term moves the
 symmetry maps onto Upsilon by their adjoints.  The maps are linear, so
-Upsilon's directions are U's less those of the R_j: the fit writes U's
-three rows once, from the U' it takes, and a Newton iterate takes no FFT.  An
-accepted backtracking trial's sample is the next iterate's, so an iterate
-samples each soliton once: that sample gives the residual, the directions
-and the omega-tangent.
+Upsilon's directions are U's less those of the R_j, both written by
+``grids.symmetry_rows``: U's once per fit, R_j's from the closed-form R_j', so
+a Newton iterate takes no FFT.  An accepted backtracking trial's sample is the
+next iterate's, so an iterate samples each soliton once: that sample gives
+the residual, the directions and the omega-tangent.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import Field, flat, norm_h1l2, spectral_derivative
+from .grids import ADJOINT_SIGNS, Field, flat, norm_h1l2, symmetry_rows
 from .profiles import DomainTooSmallError, SolitonParams, sample_soliton, soliton_tangents
 
 __all__ = [
@@ -83,25 +83,14 @@ class ModulationState:
         return norm_h1l2(self.residual)
 
 
-def _write_directions(out: np.ndarray, u1, u2, d1, d2) -> None:
-    """Write the symmetry directions i w, i J w = (i u2, -i u1) and
-    w' = (d1, d2) of w = (u1, u2) into the three complex rows ``out``, each
-    the complex view of a ``flat`` row: u1's part, then u2's."""
-    size = len(u1)
-    np.multiply(1j, u1, out=out[0, :size])
-    np.multiply(1j, u2, out=out[0, size:])
-    np.multiply(1j, u2, out=out[1, :size])
-    np.multiply(-1j, u1, out=out[1, size:])
-    out[2, :size], out[2, size:] = d1, d2
-
-
 def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     """The orthogonality residuals, the residue U - sum_j R_j, the
     symmetry directions i R_j, i J R_j and R_j' of every component as the
     real (3N, 4N) array of their ``flat`` rows in (j, k) order, and the
     (N, 4N) rows of the dR_j/domega.  R_j' and dR_j/domega are
     ``profiles.soliton_tangents`` of the sample R_j, with no spectral
-    derivative; all 4N rows are written straight into one array."""
+    derivative; ``grids.symmetry_rows`` writes the directions straight into
+    the one array that holds all 4N rows."""
     g = u.grid
     n, size = len(params), g.points
     comps = [sample_soliton(sp, 0.0, g) for sp in params]
@@ -111,15 +100,10 @@ def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     rows = np.empty((4 * n, 2 * size), complex)  # the 3N directions, then the N omega-tangents
     for j, (sp, c) in enumerate(zip(params, comps)):
         dx, dw = soliton_tangents(sp, c)
-        _write_directions(rows[3 * j : 3 * j + 3], c.u1, c.u2, dx.u1, dx.u2)
+        symmetry_rows(c, dx, out=rows[3 * j : 3 * j + 3])
         rows[3 * n + j, :size], rows[3 * n + j, size:] = dw.u1, dw.u2
     dirs = rows[: 3 * n].view(float)
     return (dirs @ flat(ups)) * g.spacing, ups, dirs, rows[3 * n :].view(float)
-
-
-# <a, D_k b> = ADJOINT_SIGNS[k] * <D_k a, b> in the real L2 x L2 pairing: i and d/dx
-# (Nyquist zeroed) are skew, i J is symmetric
-ADJOINT_SIGNS = np.array([-1.0, 1.0, -1.0])
 
 
 def _jacobian(u_rows: np.ndarray, dirs: np.ndarray, d_omega: np.ndarray, h: float) -> np.ndarray:
@@ -161,20 +145,17 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     sampler's: a seed whose sample raises ``DomainTooSmallError`` raises
     NotInTubeError, a backtracking trial (sampled only inside the frequency
     band) whose sample raises it halves the step, and the tail warnings are
-    those of the samples themselves.
+    those of the samples themselves.  U's rows, ``grids.symmetry_rows(u)``, take its only FFTs.
     """
     params = list(initial)
     if not params:
         raise ValueError("need at least one soliton to fit")
     sqm = math.sqrt(params[0].model.m)
-    g, size = u.grid, u.grid.points
-    u_rows = np.empty((3, 2 * size), complex)  # i U, i J U and U', once per fit
-    _write_directions(u_rows, u.u1, u.u2, u.du1, spectral_derivative(u.u2, g))
+    u_rows = symmetry_rows(u).view(float)  # i U, i J U and U', once per fit
     scale = norm_h1l2(u)
     if scale == 0.0:
         raise NotInTubeError("zero field cannot be modulated")
 
-    u_rows = u_rows.view(float)
     vec = np.array([(sp.theta, sp.omega, sp.x0) for sp in params], dtype=float).ravel()
     current = _apply(params, vec)
     try:
@@ -183,7 +164,7 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
         raise NotInTubeError(f"iterate left the profile family: {exc}") from exc
 
     for it in range(MAX_NEWTON_ITER):
-        jac = _jacobian(u_rows, dirs, d_omega, g.spacing)
+        jac = _jacobian(u_rows, dirs, d_omega, u.grid.spacing)
         cond = float(np.linalg.cond(jac))
         if not np.isfinite(cond) or cond > 1e8:
             raise DegenerateConfigurationError(

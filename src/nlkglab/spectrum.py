@@ -19,9 +19,10 @@ of the 2N x 2N Schur complement S of the identity z2 block, applied by one
 complex FFT pair plus the potential: block LOBPCG preconditioned by the
 inverse of S's shifted free symbol finds its lowest eigenvalues, and Kahan's
 residual bound on its last block certifies them.  On the subspace
-L2-orthogonal to {Phi', iJPhi, iPhi} the quadratic form is coercive in the
-H1 x L2 metric; delta, the minimal constrained Rayleigh quotient, is the
-lowest eigenvalue of the Gram-whitened operator W M W with the constraints
+L2-orthogonal to {Phi', iJPhi, iPhi}, the rows of ``grids.symmetry_rows``
+that the fit also reads, the quadratic form is coercive in the H1 x L2
+metric; delta, the minimal constrained Rayleigh quotient, is the lowest
+eigenvalue of the Gram-whitened operator W M W with the constraints
 lifted to the top of the whitened free symbol's spectrum, which bounds it:
 Lanczos (``_constrained_lowest``) on W M W applied in Fourier space, six
 transforms a product (``RealizedOperator.whitened_matvec``).  The slope test
@@ -41,7 +42,7 @@ import scipy.linalg as sla
 
 from .functionals import ActionParams, action_symbol, gradient_norm, localized_hessian_form
 from .functionals import second_variation_potential
-from .grids import Field, Grid, flat, symmetry_directions
+from .grids import Field, Grid, symmetry_rows
 from .profiles import points_per_width
 
 __all__ = [
@@ -315,7 +316,8 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     its Schur complement S (``_schur_low_end``), and delta: the lowest
     eigenvalue of x -> P W M W P x + s q q^T x (``_constrained_lowest``), with
     W = G^(-1/2) the whitening, W M W from ``op.whitened_matvec``, q
-    orthonormal on W Y, P = I - q q^T and s the largest eigenvalue of
+    orthonormal on W Y, Y the rows of ``grids.symmetry_rows`` reversed (Phi',
+    iJ Phi, i Phi), P = I - q q^T and s the largest eigenvalue of
     W M_free W, M without its potential: at each wavenumber the larger
     eigenvalue of its symbol [[a/g, i b r], [-i b r, 1]] (``_whitened_symbol``).
 
@@ -337,8 +339,7 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     negative = ev[ev < -ktol]
     kernel_dim = int(np.sum(np.abs(ev) < ktol))
 
-    i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
-    cons = np.stack([flat(f) for f in (dphi, i_j_phi, i_phi)])
+    cons = symmetry_rows(op.profile)[::-1].view(float)  # (Phi', iJ Phi, i Phi)
     a_g, ibr, _ = op._whitened_symbol
     s = float(np.max(0.5 * (a_g + 1.0 + np.sqrt((a_g - 1.0) ** 2 + 4.0 * np.abs(ibr) ** 2))))
 

@@ -9,8 +9,8 @@ quadratic form h z^T M z, the essential-spectrum floor from the free
 symbol, the Schur complement of the second variation as a dense matrix,
 the radial stencil residual by index gathers, Petviashvili's iteration
 with a stencil every step, the soliton sample with a spectral derivative
-in u2, and the action gradient by three spectral derivatives in physical
-space.
+in u2, the action gradient by three spectral derivatives in physical
+space, and the symmetry directions as a triple of Fields.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import scipy.linalg as sla
 from nlkglab.functionals import ActionParams, action_gradient, action_symbol, energy
 from nlkglab.functionals import quadratic_gradient
 from nlkglab import profiles
-from nlkglab.grids import Field, Grid, flat, spectral_derivative, symmetry_directions
+from nlkglab.grids import Field, Grid, flat, spectral_derivative
 from nlkglab.grids import wrap_coordinate
 from nlkglab.profiles import GroundState, ModelParams, SolitonParams, ground_state_1d
 from nlkglab.profiles import free_flow, phi_omega
@@ -36,6 +36,18 @@ def pair_inner(a: Field, b: Field) -> float:
     g = a.grid
     return float(
         np.real(np.sum(a.u1 * np.conj(b.u1) + a.u2 * np.conj(b.u2))) * g.spacing
+    )
+
+
+def symmetry_directions(w: Field) -> tuple[Field, Field, Field]:
+    """The symmetry directions i w, i J w = (i u2, -i u1) and w' = (u1', u2')
+    as a Field triple, each built on its own: the reference for the rows of
+    ``grids.symmetry_rows``."""
+    g = w.grid
+    return (
+        Field(1j * w.u1, 1j * w.u2, g),
+        Field(1j * w.u2, -1j * w.u1, g),
+        Field(w.du1, spectral_derivative(w.u2, g), g),
     )
 
 

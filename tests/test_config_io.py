@@ -524,6 +524,27 @@ def test_cli_step_too_small_to_count_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+def test_step_count_too_large_to_check_is_a_config_error(tmp_path, capsys):
+    """A dt whose step count is too large to check as whole steps (30 / 1e-300)
+    is refused before a step: evolve exits 2 with one stderr line, and
+    parse_config lists the rule beside the file's other problems."""
+    from nlkglab.cli import main
+
+    src, out = tmp_path / "s.dump", tmp_path / "e.dump"
+    write_field(src, sample_soliton(SolitonParams(ModelParams(), omega=0.8), 0.0, Grid(80.0, 256)))
+    argv = ["evolve", "--from", str(src), "--t0", "0", "--t1", "30", "--dt", "1e-300", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == "configuration error: (t1-t0)/dt = 3e+301 steps is too large a count to check as whole steps\n"
+    assert not out.exists()
+
+    with pytest.raises(ConfigError) as err:
+        parse_config(GOOD.replace("dt = 0.005", "dt = 1e-300").replace("v = -0.4", "v = 1.4"))
+    assert len(err.value.problems) == 2
+    assert "soliton #1" in err.value.problems[0]
+    assert err.value.problems[1] == "(t1-t0)/dt = 3e+301 steps is too large a count to check as whole steps"
+
+
 def test_cli_groundstate_out_is_the_diagnostics_csv(tmp_path):
     """groundstate --out writes through the one CSV writer: an ``x,phi`` header
     and one line per sample at 17 significant digits, which reads back to the

@@ -79,6 +79,24 @@ def test_only_grids_differentiates_a_field_u1():
     assert not found, f"spectral_derivative of a .u1 outside grids: {found}"
 
 
+def test_only_grids_differentiates_a_field_u2():
+    """No library module but ``grids`` calls ``spectral_derivative`` on a ``.u2``:
+    u2' is taken only by ``grids.symmetry_rows``, the one writer of the
+    symmetry directions."""
+    found = []
+    for path in sorted(Path(nlkglab.__file__).parent.glob("*.py")):
+        if path.name == "grids.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(node, ast.Call) and node.args):
+                continue
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            arg = node.args[0]
+            if name == "spectral_derivative" and isinstance(arg, ast.Attribute) and arg.attr == "u2":
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"spectral_derivative of a .u2 outside grids: {found}"
+
+
 def test_no_library_module_changes_the_warning_filters():
     """No library module calls ``warnings.catch_warnings``, ``simplefilter`` or
     ``filterwarnings``: each call resets every module's warning registry, so a

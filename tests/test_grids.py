@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nlkglab.grids import (
+    ADJOINT_SIGNS,
     DimensionError,
     Field,
     Grid,
@@ -12,10 +13,10 @@ from nlkglab.grids import (
     norm_l2,
     norm_l2l2,
     spectral_derivative,
-    symmetry_directions,
+    symmetry_rows,
     wrap_coordinate,
 )
-from oracles import pair_inner
+from oracles import pair_inner, symmetry_directions
 
 
 @pytest.fixture(scope="module")
@@ -168,16 +169,46 @@ def _random_field(g, rng):
 
 @pytest.mark.parametrize("points", [256, 255])
 def test_symmetry_directions_adjoints(points):
-    """<a, D_k b> = s_k <D_k a, b> under pair_inner with s = (-1, +1, -1):
-    i and d/dx (Nyquist zeroed) are skew and i J is symmetric.  Modulation
-    fitting moves the maps onto the residue by these identities."""
+    """<a, D_k b> = s_k <D_k a, b> under pair_inner with s = ``ADJOINT_SIGNS``
+    = (-1, +1, -1): i and d/dx (Nyquist zeroed) are skew and i J is symmetric.
+    Modulation fitting moves the maps onto the residue by these identities."""
     g = Grid(40.0, points)
     rng = np.random.default_rng(points)
     a, b = _random_field(g, rng), _random_field(g, rng)
-    for k, sign in enumerate((-1.0, 1.0, -1.0)):
+    for k, sign in enumerate(ADJOINT_SIGNS):
         da, db = symmetry_directions(a)[k], symmetry_directions(b)[k]
         lhs, rhs = pair_inner(a, db), sign * pair_inner(da, b)
         assert abs(lhs - rhs) <= 1e-12 * norm_l2l2(a) * norm_l2l2(db)
+
+
+@pytest.mark.parametrize("points", [256, 255])
+def test_symmetry_rows_match_the_field_triple(points):
+    """The rows' real views are ``flat`` of the Field triple, bit for bit."""
+    w = _random_field(Grid(40.0, points), np.random.default_rng(points))
+    want = np.stack([flat(d) for d in symmetry_directions(w)])
+    assert np.array_equal(symmetry_rows(w).view(float), want)
+
+
+def test_symmetry_rows_take_a_given_translation_row():
+    """With ``dw`` the third row is flat(dw): no derivative is taken."""
+    g = Grid(40.0, 256)
+    rng = np.random.default_rng(1)
+    w, dw = _random_field(g, rng), _random_field(g, rng)
+    rows = symmetry_rows(w, dw).view(float)
+    assert np.array_equal(rows[2], flat(dw))
+    assert np.array_equal(rows[:2], symmetry_rows(w).view(float)[:2])
+
+
+def test_symmetry_rows_write_only_their_view():
+    """Written into ``out``, a view of three rows in a larger array, the rows
+    land there and their neighbours are left as they were."""
+    g = Grid(40.0, 256)
+    w = _random_field(g, np.random.default_rng(2))
+    big = np.full((7, 2 * g.points), 5.0 - 3.0j)
+    got = symmetry_rows(w, out=big[2:5])
+    assert np.shares_memory(got, big)
+    assert np.array_equal(big[2:5], symmetry_rows(w))
+    assert np.all(big[:2] == 5.0 - 3.0j) and np.all(big[5:] == 5.0 - 3.0j)
 
 
 @pytest.mark.parametrize("points", [256, 255])

@@ -135,6 +135,17 @@ def test_non_integer_count_rejected(grid):
     assert span_problems(5.0, 5.0, 0.01) == []
 
 
+def test_step_count_too_large_to_check_rejected(grid):
+    """From 2**52 steps on every float count is whole, so the whole-number
+    test cannot fail: such a count is refused before a step is taken."""
+    for t1, dt in ((30.0, 1e-300), (2.0**52, 1.0), (-(2.0**60), -1.0)):
+        (problem,) = span_problems(0.0, t1, dt)
+        assert problem.endswith("steps is too large a count to check as whole steps")
+    assert span_problems(0.0, 2.0**52 - 1.0, 1.0) == []
+    with pytest.raises(ValueError, match="too large a count to check as whole steps"):
+        evolve(Field.zeros(grid), 0.0, 30.0, IntegratorConfig(dt=1e-300), MODEL)
+
+
 def test_conservation_short(grid):
     """Short version of the drift bound (the long run lives in acceptance)."""
     sp = SolitonParams(MODEL, omega=0.8, v=0.4)
@@ -312,6 +323,27 @@ def test_overflowing_hook_stride_fires_at_both_ends(grid):
     recs = []
     evolve(w, 0.0, 0.5, IntegratorConfig(dt=0.01), MODEL, hooks=[recs.append], diag_period=1e308)
     assert [rec.t for rec in recs] == pytest.approx([0.0, 0.5])
+
+
+@pytest.mark.parametrize(
+    "period, times",
+    [(0.3, [0.0, 0.3, 0.6, 0.9, 1.0]), (1e6, [0.0, 1.0]), (1e308, [0.0, 1.0])],
+)
+def test_hook_schedule(period, times):
+    """The period rounds to whole steps, and one longer than the span (1e6) or
+    whose step count overflows (1e308 / 0.05) fires at both ends only."""
+    w = sample_soliton(SolitonParams(MODEL, omega=0.8), 0.0, Grid(80.0, 256))
+    recs = []
+    evolve(w, 0.0, 1.0, IntegratorConfig(dt=0.05), MODEL, hooks=[recs.append], diag_period=period)
+    assert [rec.t for rec in recs] == pytest.approx(times)
+
+
+def test_nan_period_without_hooks_runs(grid):
+    """Without hooks a NaN period is not refused, and the run is the one without a period."""
+    w = sample_soliton(SolitonParams(MODEL, omega=0.8), 0.0, grid)
+    out = evolve(w, 0.0, 0.1, IntegratorConfig(dt=0.01), MODEL, diag_period=float("nan"))
+    want = evolve(w, 0.0, 0.1, IntegratorConfig(dt=0.01), MODEL)
+    assert np.array_equal(out.u1, want.u1) and np.array_equal(out.u2, want.u2)
 
 
 @pytest.mark.parametrize("period", [{}, {"diag_period": -0.03}], ids=["default", "negative"])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlkglab.experiments import MultiSolitonConfig, random_bump, run_forward_stability, soliton_sum
-from nlkglab.grids import Field, Grid, flat, norm_h1l2, symmetry_directions
+from nlkglab.grids import Field, Grid, flat, norm_h1l2
 from nlkglab import experiments, modulation
 from nlkglab.modulation import (
     DegenerateConfigurationError,
@@ -18,7 +18,7 @@ from nlkglab.modulation import (
 )
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton, soliton_tangents
 from nlkglab.spectrum import _frequency_derivative
-from oracles import pair_inner, sample_soliton_spectral
+from oracles import pair_inner, sample_soliton_spectral, symmetry_directions
 
 MODEL = ModelParams(1.0, 3.0, 1)
 

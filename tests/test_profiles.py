@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlkglab import profiles
-from nlkglab.grids import Grid, flat, norm_h1l2, norm_l2, symmetry_directions
+from nlkglab.grids import Grid, flat, norm_h1l2, norm_l2
 from nlkglab.integrator import IntegratorConfig, evolve
 from nlkglab.profiles import (
     DomainTooSmallError,
@@ -32,6 +32,7 @@ from oracles import (
     sample_soliton_spectral,
     standing_wave_energy,
     standing_wave_energy_scaling,
+    symmetry_directions,
     tail_log_slope,
 )
 

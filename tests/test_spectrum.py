@@ -15,7 +15,7 @@ from nlkglab.functionals import (
     localized_hessian_form,
     second_variation_potential,
 )
-from nlkglab.grids import Field, Grid, flat, symmetry_directions
+from nlkglab.grids import Field, Grid, flat
 from nlkglab.profiles import (
     ModelParams,
     SolitonParams,
@@ -41,6 +41,7 @@ from oracles import (
     quadratic_form,
     schur_complement,
     slope_analytic,
+    symmetry_directions,
 )
 
 MODEL = ModelParams(1.0, 3.0, 1)
