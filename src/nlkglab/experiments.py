@@ -89,10 +89,12 @@ def fit_log_slope(times: np.ndarray, values: np.ndarray) -> tuple[float, float, 
 
     Returns (slope, slope standard error, rms residual); nonpositive
     values are excluded from the fit, which needs 3 positive samples at two
-    or more distinct times.
+    or more distinct times.  A non-finite time or value is a ValueError.
     """
-    times = np.asarray(times, dtype=float)
-    values = np.asarray(values, dtype=float)
+    times, values = np.asarray(times, dtype=float), np.asarray(values, dtype=float)
+    for name, a in (("times", times), ("values", values)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError(f"slope fit {name} must be finite, got {a[~np.isfinite(a)].tolist()}")
     mask = values > 0
     t, y = times[mask], np.log(values[mask])
     n = len(t)

@@ -22,12 +22,11 @@ residual bound on its last block certifies them.  On the subspace
 L2-orthogonal to {Phi', iJPhi, iPhi}, the rows of ``grids.symmetry_rows``
 that the fit also reads, the quadratic form is coercive in the H1 x L2
 metric; delta, the minimal constrained Rayleigh quotient, is the lowest
-eigenvalue of the Gram-whitened operator W M W with the constraints
-lifted to the top of the whitened free symbol's spectrum, which bounds it:
-Lanczos (``_constrained_lowest``) on W M W applied in Fourier space, six
-transforms a product (``RealizedOperator.whitened_matvec``).  The slope test
-reads the quadratic form from the density forms of the localized action
-(``functionals.localized_hessian_form``).
+eigenvalue of the Gram-whitened W M W (``RealizedOperator.whitened_matvec``)
+on the complement of the whitened constraints, found by the same LOBPCG on
+one vector held in that complement (``_constrained_lowest``) and certified
+the same way.  The slope test reads the quadratic form from the density
+forms of the localized action (``functionals.localized_hessian_form``).
 """
 
 from __future__ import annotations
@@ -68,6 +67,9 @@ LOW_END_GUARD = 2
 PRECONDITIONER_SHIFT = 0.05
 LOBPCG_TOL = 1e-6
 LOBPCG_MAXITER = 300
+
+# delta's stop residual: delta then agrees with a machine-precision solve to 4e-14 (5e-11 at LOBPCG_TOL)
+DELTA_TOL = 1e-8
 
 # the Kahan bound certifies the counts only when at most KAHAN_MARGIN * the kernel tolerance
 KAHAN_MARGIN = 0.25
@@ -149,7 +151,8 @@ class SpectrumReport:
     complement S, and the coercivity constant delta.  ``eigenvalues`` is that
     certified low end, ascending: the Ritz values of the last LOBPCG block
     (LOW_END_BLOCK or more, plus LOW_END_GUARD), each within the block's Kahan
-    bound of an eigenvalue of S; not all 2N of them."""
+    bound of an eigenvalue of S; not all 2N of them.  ``coercivity_delta`` is
+    certified to DELTA_TOL the same way."""
 
     negative_count: int
     negative_eigenvalue: float
@@ -196,35 +199,37 @@ def _orthonormal(v: np.ndarray) -> np.ndarray:
     return sla.qr(v.T, mode="economic", check_finite=False)[0].T
 
 
-def _lobpcg(apply, precondition, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lobpcg(apply, precondition, x, tol, fixed) -> tuple[np.ndarray, np.ndarray]:
     """Knyazev's locally optimal block preconditioned conjugate gradient for the
-    lowest len(x) eigenpairs of a symmetric operator on rows.  Each step is a
-    Rayleigh-Ritz on the span of the block X, its preconditioned residuals and
-    P, the part of X outside the previous block.  X = c basis already has
-    orthonormal rows, so the new rows are the residuals and P with X projected
-    out twice (once is not enough once they lie close to X), orthonormalized
-    by a QR of those rows alone; only they are multiplied by the operator.
-    Returns the block X, orthonormal rows to rounding, and its product S X,
-    once the residual's Frobenius norm, which bounds the 2-norm, is at most
-    LOBPCG_TOL, else after LOBPCG_MAXITER steps: the caller certifies what it
-    gets."""
+    lowest len(x) eigenpairs of a symmetric operator S on rows, on the
+    orthogonal complement of the orthonormal rows ``fixed`` (none for the low
+    end of S): they are projected out of the start block and of each residual.
+    Each step is a Rayleigh-Ritz on the span of the block X, its preconditioned
+    residuals and P, the part of X outside the previous block.  X = c basis
+    already has orthonormal rows, so the new rows are the residuals and P with
+    ``fixed`` and X projected out twice (once is not enough once they lie close
+    to X), orthonormalized by a QR of those rows alone; only they are
+    multiplied by S.  Returns X, orthonormal rows to rounding, and S X once the
+    projected residual's Frobenius norm, which bounds the 2-norm, is at most
+    ``tol``, else after LOBPCG_MAXITER steps: the caller certifies what it gets."""
     m = len(x)
-    basis = _orthonormal(x)
+    basis = _orthonormal(x - (x @ fixed.T) @ fixed)
     s_basis, p = apply(basis), x[:0]
     for _ in range(LOBPCG_MAXITER):
         theta, c = np.linalg.eigh(basis @ s_basis.T)
         c = c[:, :m].T
         x, sx = c @ basis, c @ s_basis
         r = sx - theta[:m, None] * x
+        r -= (r @ fixed.T) @ fixed
         # not np.linalg.norm: on two unpinned OpenBLAS threads its BLAS dot took
         # about 4 ms a step at N = 1024 (shared 2-vCPU VM), this sum about 0.01 ms
-        if math.sqrt(np.sum(r * r)) <= LOBPCG_TOL:
+        if math.sqrt(np.sum(r * r)) <= tol:
             break
         if len(basis) > m:
             p = c[:, m:] @ basis[m:]
-        new = np.vstack([precondition(r), p])
+        new, against = np.vstack([precondition(r), p]), np.vstack([fixed, x])
         for _ in range(2):
-            new -= (new @ x.T) @ x
+            new -= (new @ against.T) @ against
         new = _orthonormal(new)
         basis, s_basis = np.vstack([x, new]), np.vstack([sx, apply(new)])
     return x, sx
@@ -268,7 +273,7 @@ def _schur_low_end(op: RealizedOperator) -> tuple[np.ndarray, float, float]:
     while True:
         start = rng.standard_normal((k + LOW_END_GUARD, 2 * n))
         start[: len(symmetric)] = symmetric
-        x, sx = _lobpcg(schur, precondition, start)
+        x, sx = _lobpcg(schur, precondition, start, LOBPCG_TOL, start[:0])
         h = x @ sx.T
         ev = sla.eigvalsh(h)
         eps = float(np.linalg.norm(sx - h.T @ x, 2))
@@ -278,58 +283,41 @@ def _schur_low_end(op: RealizedOperator) -> tuple[np.ndarray, float, float]:
         k = min(2 * k, 2 * n - LOW_END_GUARD)
 
 
-def _constrained_lowest(matvec, constraints: np.ndarray, lift: float) -> float:
-    """The lowest eigenvalue of x -> P A P x + s q q^T x, for the symmetric
-    product A = ``matvec`` on vectors of length n, q orthonormal on the rows
-    of the (c, n) ``constraints`` (``_orthonormal``), P = I - q q^T and
-    s = ``lift``.  When s bounds A from above, the constraint directions sit
-    above every eigenvalue of P A P, and this is the lowest Rayleigh quotient
-    of A on the constraints' orthogonal complement.
-
-    Lanczos (ARPACK ``eigsh``, ``which="SA"``, to machine precision) starts from
-    a fixed vector with no symmetry (an even start could miss an odd lowest mode
-    of an unshifted profile) and a seeded generator, so repeated calls agree to
-    the bit.  AssemblyError if it does not converge."""
-    q = _orthonormal(constraints).T
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        qx = q.T @ x
-        y = matvec(x - q @ qx)
-        return y - q @ (q.T @ y - lift * qx)
-
-    # imported here: scipy.sparse adds about 40 ms and 4 MB to every start-up
-    from scipy.sparse import linalg as spla
-
-    n = constraints.shape[1]
-    rng = np.random.default_rng(0)  # ARPACK draws one vector of its own from it
-    try:
-        return float(spla.eigsh(
-            spla.LinearOperator((n, n), matvec=apply, dtype=float), k=1, which="SA",
-            tol=0, v0=rng.standard_normal(n), rng=rng, return_eigenvectors=False,
-        )[0])
-    except spla.ArpackNoConvergence as exc:
-        raise AssemblyError(f"coercivity eigensolve did not converge: {exc}") from None
+def _constrained_lowest(matvec, precondition, constraints: np.ndarray) -> float:
+    """The lowest eigenvalue of the symmetric product A = ``matvec`` on the
+    orthogonal complement of the rows of ``constraints``: ``_lobpcg`` to
+    DELTA_TOL on one seeded row with no symmetry (an even start could miss an
+    odd lowest mode of an unshifted profile), so repeated calls agree to the
+    bit.  It is the Ritz value theta of the returned row x; AssemblyError unless
+    the Kahan bound ||P (A x - x theta)||_2, P the projection on the complement,
+    is at most DELTA_TOL, so that theta lies that close to an eigenvalue there."""
+    q = _orthonormal(constraints)
+    start = np.random.default_rng(0).standard_normal((1, constraints.shape[1]))
+    x, ax = _lobpcg(matvec, precondition, start, DELTA_TOL, q)
+    theta = float(x[0] @ ax[0])
+    r = ax - theta * x
+    eps = math.sqrt(np.sum((r - (r @ q.T) @ q) ** 2))  # the 2-norm of one row, no BLAS dot
+    if not eps <= DELTA_TOL:
+        raise AssemblyError(
+            f"coercivity eigensolve did not converge: Kahan bound {eps:.3e} "
+            f"against stop tolerance {DELTA_TOL:.0e}"
+        )
+    return theta
 
 
 def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     """The Morse index and kernel dimension of M from the certified low end of
-    its Schur complement S (``_schur_low_end``), and delta: the lowest
-    eigenvalue of x -> P W M W P x + s q q^T x (``_constrained_lowest``), with
-    W = G^(-1/2) the whitening, W M W from ``op.whitened_matvec``, q
-    orthonormal on W Y, Y the rows of ``grids.symmetry_rows`` reversed (Phi',
-    iJ Phi, i Phi), P = I - q q^T and s the largest eigenvalue of
-    W M_free W, M without its potential: at each wavenumber the larger
-    eigenvalue of its symbol [[a/g, i b r], [-i b r, 1]] (``_whitened_symbol``).
+    its Schur complement S (``_schur_low_end``), and delta, the lowest eigenvalue
+    of W M W (``op.whitened_matvec``, W = G^(-1/2) the whitening) on the
+    complement of W Y, Y the rows of ``grids.symmetry_rows`` (``_constrained_lowest``).
 
     A Ritz value below -tol counts as negative and one of magnitude below tol as
     kernel, with tol = KERNEL_REL_TOL * max(a - b^2).  AssemblyError unless the
     Kahan bound eps is at most KAHAN_MARGIN * tol and no Ritz value lies within
     eps of +-tol, so that each Ritz value falls in the same class as the
-    eigenvalue of S it approximates.
-
-    The potential part of M is negative semidefinite (w1 - |w2| = |q|^(p-1) >= 0),
-    so W M W <= W M_free W <= s and the constraints sit above delta.
-    AssemblyError if the Lanczos solve for delta does not converge."""
+    eigenvalue of S it approximates, and unless delta is certified.  delta's
+    preconditioner follows S's rule on the symbol of W M_free W (``_whitened_symbol``):
+    the inverse of it shifted PRECONDITIONER_SHIFT below its minimum."""
     ev, eps, ktol = _schur_low_end(op)
     if not (eps <= KAHAN_MARGIN * ktol and np.all(np.abs(np.abs(ev) - ktol) > eps)):
         raise AssemblyError(
@@ -339,16 +327,25 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     negative = ev[ev < -ktol]
     kernel_dim = int(np.sum(np.abs(ev) < ktol))
 
-    cons = symmetry_rows(op.profile)[::-1].view(float)  # (Phi', iJ Phi, i Phi)
     a_g, ibr, _ = op._whitened_symbol
-    s = float(np.max(0.5 * (a_g + 1.0 + np.sqrt((a_g - 1.0) ** 2 + 4.0 * np.abs(ibr) ** 2))))
+    b2 = np.abs(ibr) ** 2
+    sigma = float(np.min(0.5 * (a_g + 1.0 - np.sqrt((a_g - 1.0) ** 2 + 4.0 * b2)))) - PRECONDITIONER_SHIFT
+    # the inverse of [[a/g - sigma, i b r], [-i b r, 1 - sigma]] at each wavenumber
+    det = (a_g - sigma) * (1.0 - sigma) - b2
+    c11, c12, c22 = (1.0 - sigma) / det, -ibr / det, (a_g - sigma) / det
 
+    def precondition(x: np.ndarray) -> np.ndarray:
+        f = np.fft.fft(np.ascontiguousarray(x).view(complex).reshape(len(x), 2, -1))
+        out = np.stack([c11 * f[:, 0] + c12 * f[:, 1], c22 * f[:, 1] - c12 * f[:, 0]], axis=1)
+        return np.fft.ifft(out).reshape(len(x), -1).view(float)
+
+    cons = _whiten(symmetry_rows(op.profile).view(float), op.grid)
     return SpectrumReport(
         negative_count=int(len(negative)),
         negative_eigenvalue=float(negative[0]) if len(negative) else 0.0,
         kernel_dimension=kernel_dim,
         kernel_tolerance=ktol,
-        coercivity_delta=_constrained_lowest(op.whitened_matvec, _whiten(cons, op.grid), s),
+        coercivity_delta=_constrained_lowest(op.whitened_matvec, precondition, cons),
         eigenvalues=ev,
     )
 

@@ -612,19 +612,20 @@ def test_cli_spectrum_unresolved_profile_gives_points_per_width(capsys):
 
 
 def test_cli_spectrum_lanczos_no_convergence_exit_code(monkeypatch, capsys):
-    """ARPACK giving up on delta is a numerical failure (exit 3, one stderr
-    line), not a traceback."""
-    from scipy.sparse import linalg as spla
-
+    """A delta solve that misses its stop tolerance fails its Kahan certificate
+    while the low end of S passes its own: the report raises AssemblyError,
+    and the CLI ends with a numerical failure (exit 3, one stderr line), not a
+    traceback."""
+    from nlkglab import spectrum
     from nlkglab.cli import main
+    from nlkglab.functionals import ActionParams
 
-    def no_convergence(a, **kwargs):
-        raise spla.ArpackNoConvergence(
-            "ARPACK error -1: No convergence (2561 iterations, 0/1 eigenvectors converged)",
-            np.zeros(0), np.zeros((a.shape[0], 0)),
-        )
-
-    monkeypatch.setattr(spla, "eigsh", no_convergence)
+    monkeypatch.setattr(spectrum, "DELTA_TOL", 0.0)  # no residual reaches it
+    sp = SolitonParams(ModelParams(1.0, 3.0, 1), omega=0.8, v=0.0)
+    phi = sample_soliton(sp, 0.0, Grid(80.0, 256))
+    op = spectrum.assemble_second_variation(phi, ActionParams.from_soliton(sp))
+    with pytest.raises(spectrum.AssemblyError, match="coercivity eigensolve did not converge: Kahan bound"):
+        spectrum.spectrum_report(op)
     code = main(["spectrum", "--omega", "0.8", "--grid-points", "256", "--length", "80"])
     assert code == 3
     err = capsys.readouterr().err

@@ -1,3 +1,4 @@
+import math
 import warnings
 from pathlib import Path
 
@@ -110,6 +111,24 @@ def test_fit_log_slope_recovers_exponential():
     assert slope == pytest.approx(-0.7, abs=1e-10)
     assert stderr < 1e-10
     assert rms < 1e-10
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_log_slope_refuses_non_finite_times(bad):
+    """A non-finite time is a ValueError that names it, not a LAPACK error
+    from the least-squares solve."""
+    with pytest.raises(ValueError, match=r"slope fit times must be finite, got \[" + str(bad)):
+        fit_log_slope([1.0, 2.0, bad, 4.0], [1.0, 0.5, 0.25, 0.125])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fit_log_slope_refuses_non_finite_values(bad):
+    """A non-finite value is a ValueError that names it, not a NaN slope; a
+    nonpositive value is still left out of the fit."""
+    with pytest.raises(ValueError, match=r"slope fit values must be finite, got \[" + str(bad)):
+        fit_log_slope([1.0, 2.0, 3.0, 4.0], [1.0, 0.5, bad, 0.125])
+    slope, _, _ = fit_log_slope([1.0, 2.0, 3.0, 4.0, 5.0], [1.0, 0.5, -1.0, 0.125, 0.0])
+    assert slope == pytest.approx(-math.log(2.0), rel=1e-12)
 
 
 def test_fit_log_slope_needs_two_distinct_times(grid, pair):

@@ -20,8 +20,10 @@ def test_every_exported_name_resolves():
 
 def test_cli_import_leaves_heavy_scipy_modules_unloaded():
     """``import nlkglab.cli`` loads none of ``scipy.fft``, ``scipy.sparse`` or
-    ``scipy.special``: the stepper and the spectrum import them when called, so a
-    command that needs neither starts without their cost."""
+    ``scipy.special``: the stepper imports ``scipy.fft``, which pulls in
+    ``scipy.special``, when it is called, and no library module imports
+    ``scipy.sparse``, so a command that steps nothing starts without their
+    cost."""
     src = str(Path(nlkglab.__file__).resolve().parents[1])
     code = (
         "import sys, nlkglab.cli\n"
@@ -127,3 +129,32 @@ def test_one_qr_helper():
             if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "qr":
                 found.append(f"{path.name}:{owner.get(node)}")
     assert found == ["spectrum.py:_orthonormal"], f"QR calls in the library: {found}"
+
+
+def test_one_eigensolver_for_the_spectrum():
+    """No library module imports ``scipy.sparse`` or calls ``eigsh``, and the
+    only callers of ``spectrum._lobpcg`` are ``_schur_low_end`` (the low end of
+    S) and ``_constrained_lowest`` (delta): one eigensolver for the spectrum."""
+    sparse, callers = [], []
+    for path in sorted(Path(nlkglab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so the innermost one wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [f"{node.module}.{a.name}" for a in node.names]
+            else:
+                modules = []
+            sparse += [f"{path.name}:{node.lineno} {m}" for m in modules if m.startswith("scipy.sparse")]
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name == "eigsh":
+                    sparse.append(f"{path.name}:{node.lineno} eigsh")
+                elif name == "_lobpcg":
+                    callers.append(f"{path.name}:{owner.get(node)}")
+    assert not sparse, f"scipy.sparse in the library: {sparse}"
+    assert sorted(callers) == ["spectrum.py:_constrained_lowest", "spectrum.py:_schur_low_end"], callers

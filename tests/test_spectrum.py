@@ -87,8 +87,8 @@ def _flat_order(n):
 def _dense_matrix(op):
     """The dense symmetric 4N x 4N matrix of the structured operator, assembled
     block by block from derivative matrices and permuted to the ``flat`` layout:
-    the oracle for its product, Schur complement and lift, and for the dense
-    eigensolves below."""
+    the oracle for its product, Schur complement and free part, and for the
+    dense eigensolves below."""
     grid, ap = op.grid, op.params
     n = grid.points
     og, v = ap.omega_over_gamma, ap.v
@@ -200,33 +200,28 @@ def _whitened_dense(op):
     return _whiten(_whiten(_dense_matrix(op), op.grid).T, op.grid)
 
 
-def _top_eigenvalue(a):
-    return sla.eigvalsh(a, subset_by_index=[len(a) - 1, len(a) - 1])[0]
+def _delta_solve(op):
+    """(delta, preconditioner, Ritz row x, W M W x) of a report: the last three
+    from its delta call of ``_lobpcg``, the one with fixed rows."""
+    solve, calls = spectrum._lobpcg, []
 
-
-def _report_lift(op, scale=1.0):
-    """(delta, lift) of a report, the lift as the report passes it to
-    ``_constrained_lowest``, which gets it multiplied by ``scale``."""
-    solve, lifts = spectrum._constrained_lowest, []
-
-    def scaled(product, constraints, lift):
-        lifts.append(lift)
-        return solve(product, constraints, scale * lift)
+    def spy(apply, precondition, x, tol, fixed):
+        out = solve(apply, precondition, x, tol, fixed)
+        if len(fixed):
+            calls.append((precondition, *out))
+        return out
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spectrum, "_constrained_lowest", scaled)
+        mp.setattr(spectrum, "_lobpcg", spy)
         delta = spectrum_report(op).coercivity_delta
-    (lift,) = lifts
-    return delta, lift
+    (call,) = calls
+    return (delta, *call)
 
 
-def _assert_lift_bounds(op, s):
-    """The lift s is the top of the whitened potential-free operator W M_free W
-    (the zero profile's), and bounds W M W: the potential part is negative
-    semidefinite."""
-    free = _operator(Field.zeros(op.grid), op.params)
-    assert s == pytest.approx(_top_eigenvalue(_whitened_dense(free)), rel=1e-12)
-    assert _top_eigenvalue(_whitened_dense(op)) <= s
+def _whitened_constraints(op):
+    """Orthonormal columns spanning G^(-1/2) Y, Y the oracle's symmetry directions."""
+    cons = np.stack([flat(f) for f in symmetry_directions(op.profile)])
+    return np.linalg.qr(_whiten(cons, op.grid).T)[0]
 
 
 def _dense_delta(op):
@@ -257,20 +252,23 @@ def _dense_delta(op):
     ],
 )
 def test_lanczos_delta_matches_dense_oracle(n, omega, v, theta, cells):
-    """The Lanczos delta equals the dense whitened, deflated eigensolve, repeats
-    to the bit, and does not move when the lift s, the top of the whitened free
-    symbol, is doubled: the three constraint directions sit above delta."""
+    """The LOBPCG delta equals the dense whitened, deflated eigensolve and
+    repeats to the bit; its Ritz row is orthogonal to the whitened constraints
+    to 1e-12, and its Kahan bound ||P (W M W x - x delta)||_2 is at most
+    DELTA_TOL."""
     g = Grid(80.0, n)
     sp = SolitonParams(MODEL, omega=omega, v=v, theta=theta, x0=cells * g.spacing)
     op = _operator(sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp))
     want = _dense_delta(op)
     delta = spectrum_report(op).coercivity_delta
     assert delta == pytest.approx(want, rel=1e-12)
-    assert spectrum_report(op).coercivity_delta == delta
-
-    doubled, lift = _report_lift(op, 2.0)
-    _assert_lift_bounds(op, lift)
-    assert doubled == pytest.approx(want, rel=1e-12)
+    again, _, x, ax = _delta_solve(op)  # a second report, its delta solve spied on
+    assert again == delta
+    q = _whitened_constraints(op)
+    assert np.max(np.abs(x @ q)) < 1e-12
+    r = ax - delta * x
+    r -= (r @ q) @ q.T
+    assert np.linalg.norm(r) <= spectrum.DELTA_TOL
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0])
@@ -279,10 +277,11 @@ def test_lanczos_delta_matches_dense_oracle(n, omega, v, theta, cells):
 def test_structured_operator_matches_dense_oracle(n, v, p):
     """The oracle's FFT product and circulant Schur complement equal the dense
     oracle's M x and A - B B^T, the six-transform W M W equals W applied
-    around that product (eight transforms), and the report's lift from the
-    whitened free symbol bounds the dense W M W, on the benchmark's phased,
-    shifted profile; odd N has no Nyquist mode to zero.  p = 2 decays slower
-    and gets a longer box."""
+    around that product (eight transforms), and the report's delta
+    preconditioner equals the dense inverse of W M_free W - sigma, M_free the
+    zero profile's operator and sigma PRECONDITIONER_SHIFT below its lowest
+    eigenvalue, on the benchmark's phased, shifted profile; odd N has no
+    Nyquist mode to zero.  p = 2 decays slower and gets a longer box."""
     g = Grid(100.0 if p == 2.0 else 80.0, n)
     sp = SolitonParams(ModelParams(1.0, p, 1), omega=0.8, v=v, theta=1.3, x0=7 * g.spacing)
     op = _operator(sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp))
@@ -302,7 +301,11 @@ def test_structured_operator_matches_dense_oracle(n, v, p):
     schur = dense[:n2, :n2] - b @ b.T
     assert np.max(np.abs(schur_complement(op) - schur)) < 1e-13 * np.max(np.abs(schur))
 
-    _assert_lift_bounds(op, _report_lift(op)[1])
+    free = _whitened_dense(_operator(Field.zeros(g), op.params))
+    sigma = sla.eigvalsh(free, subset_by_index=[0, 0])[0] - spectrum.PRECONDITIONER_SHIFT
+    inverse = np.linalg.solve(free - sigma * np.eye(4 * n), x)
+    precondition = _delta_solve(op)[1]
+    assert np.max(np.abs(precondition(x.T) - inverse.T)) < 1e-12 * np.max(np.abs(inverse))
 
 
 @pytest.mark.parametrize("omega, v", [(0.6, 0.0), (0.8, 0.0), (0.8, 0.3), (0.75, 0.6)])
@@ -513,7 +516,7 @@ def test_morse_index_and_kernel(op):
 def test_morse_window_sample(grid):
     """Morse index 1 and kernel dim 2 across the sampled stability window.
 
-    Coarse grids here keep the Schur eigensolves and the Lanczos delta fast; the resulting
+    Coarse grids here keep the Schur eigensolves and the delta solve fast; the resulting
     profile error (up to ~1e-5 in ||S'||) is far below the spectral gap,
     so the eigenvalue counts are unaffected (the criticality precondition
     is relaxed explicitly for this sweep).  omega >= 0.9 decays slowly and
@@ -680,8 +683,6 @@ def test_spectrum_report_memory_below_one_dense_matrix():
     """Assembly and the full report at N = 512 peak below the 32 MiB that one
     dense 4N x 4N float64 matrix would take (traced Python and numpy
     allocations)."""
-    from scipy.sparse import linalg  # noqa: F401  (imported lazily by the report)
-
     g = Grid(80.0, 512)
     sp = SolitonParams(MODEL, omega=0.8, v=0.0, theta=1.3, x0=7 * g.spacing)
     phi, ap = sample_soliton(sp, 0.0, g), ActionParams.from_soliton(sp)
