@@ -80,6 +80,17 @@ def _grid(args: argparse.Namespace) -> Grid:
     return Grid(args.length, points)
 
 
+def _soliton_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--omega", type=float, required=True)
+    p.add_argument("--theta", type=float, default=0.0)
+    p.add_argument("--v", type=float, default=0.0)
+    p.add_argument("--x0", type=float, default=0.0)
+
+
+def _soliton_from_args(args: argparse.Namespace, model: ModelParams) -> SolitonParams:
+    return SolitonParams(model, omega=args.omega, theta=args.theta, v=args.v, x0=args.x0)
+
+
 def cmd_groundstate(args: argparse.Namespace) -> int:
     if args.d > 1 and args.grid_points is not None:
         raise ValueError(
@@ -107,10 +118,6 @@ def cmd_groundstate(args: argparse.Namespace) -> int:
         write_diagnostics_csv(args.out, ["x", "phi"], np.column_stack((xs, gs.samples)))
         print(f"profile written to {args.out}")
     return EXIT_OK
-
-
-def _soliton_from_args(args: argparse.Namespace, model: ModelParams) -> SolitonParams:
-    return SolitonParams(model, omega=args.omega, theta=args.theta, v=args.v, x0=args.x0)
 
 
 def cmd_soliton(args: argparse.Namespace) -> int:
@@ -185,23 +192,15 @@ def cmd_modulate(args: argparse.Namespace) -> int:
     w, _ = read_field(args.src)
     cfg, _ = parse_config(Path(args.seed).read_text(encoding="utf-8"))
     state = fit_modulation(w, cfg.solitons)
-    print("j,theta,omega,x0,v")
-    for j, s in enumerate(state.solitons):
-        print(
-            f"{j},{format_float(s.theta)},{format_float(s.omega)},"
-            f"{format_float(s.x0)},{format_float(s.v)}"
-        )
+    header = ["j", "theta", "omega", "x0", "v"]
+    rows = [[float(j), s.theta, s.omega, s.x0, s.v] for j, s in enumerate(state.solitons)]
+    print(",".join(header))  # the lines of the --out CSV
+    for row in rows:
+        print(",".join(format_float(x) for x in row))
     print(f"residual H1xL2 norm = {state.residual_norm:.6e}")
     print(f"max orthogonality residual = {np.max(np.abs(state.ortho_residuals)):.3e}")
     if args.out:
-        write_diagnostics_csv(
-            args.out,
-            ["j", "theta", "omega", "x0", "v"],
-            [
-                [float(j), s.theta, s.omega, s.x0, s.v]
-                for j, s in enumerate(state.solitons)
-            ],
-        )
+        write_diagnostics_csv(args.out, header, rows)
     return EXIT_OK
 
 
@@ -318,10 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("soliton", help="sample an exact soliton to a field dump")
     _model_args(s)
     _grid_args(s)
-    s.add_argument("--omega", type=float, required=True)
-    s.add_argument("--theta", type=float, default=0.0)
-    s.add_argument("--v", type=float, default=0.0)
-    s.add_argument("--x0", type=float, default=0.0)
+    _soliton_args(s)
     s.add_argument("--t", type=float, default=0.0)
     s.add_argument("--out", type=str, required=True)
     s.set_defaults(func=cmd_soliton)
@@ -334,17 +330,14 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--t1", type=float, required=True)
     e.add_argument("--dt", type=float, required=True)
     e.add_argument("--diag", type=str, default="")
-    e.add_argument("--diag-period", type=float, default=0.5)
+    e.add_argument("--diag-period", type=float, default=MultiSolitonConfig.diag_period)
     e.add_argument("--out", type=str, required=True)
     e.set_defaults(func=cmd_evolve)
 
     sp = sub.add_parser("spectrum", help="second-variation spectrum at a soliton")
     _model_args(sp)
     _grid_args(sp)
-    sp.add_argument("--omega", type=float, required=True)
-    sp.add_argument("--theta", type=float, default=0.0)
-    sp.add_argument("--v", type=float, default=0.0)
-    sp.add_argument("--x0", type=float, default=0.0)
+    _soliton_args(sp)
     sp.add_argument("--out", type=str, default="")
     sp.set_defaults(func=cmd_spectrum)
 

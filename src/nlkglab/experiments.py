@@ -532,7 +532,7 @@ def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
         mid_v = fastest.v
 
     window_params = cfg.action_params()[:1]  # the window is one cell; its Q and P are read
-    q_mis, p_mis = [], []
+    mismatch = ([], [])  # charge, momentum
     for i in audit:
         t, f = report.times[i], report.fields[i]
         fwd = evolve(f, 0.0, cfg.dt, IntegratorConfig(dt=cfg.dt), cfg.model)
@@ -540,22 +540,18 @@ def almost_conservation_audit(report: DecayReport) -> AlmostConservationReport:
         center = 0.5 * (mid_v * t + (fastest.x0 + fastest.v * t))
         w, dw = _smooth_window(grid, center, math.sqrt(t))
         loc_f, loc_b = (localized_quantities(g, w[None], window_params) for g in (fwd, bwd))
-        q_flux, p_flux = flux_densities(f, cfg.model)
-
-        lhs_q = (loc_f.q[0] - loc_b.q[0]) / (2.0 * cfg.dt)
-        rhs_q = float(np.sum(q_flux * dw) * h)
-        q_mis.append(abs(lhs_q - rhs_q) / max(abs(lhs_q), abs(rhs_q)))
-
-        lhs_p = (loc_f.p[0] - loc_b.p[0]) / (2.0 * cfg.dt)
-        rhs_p = float(np.sum(p_flux * dw) * h)
-        p_mis.append(abs(lhs_p - rhs_p) / max(abs(lhs_p), abs(rhs_p)))
+        ends = ((loc_f.q[0], loc_b.q[0]), (loc_f.p[0], loc_b.p[0]))
+        for out, flux, (forward, backward) in zip(mismatch, flux_densities(f, cfg.model), ends):
+            lhs = (forward - backward) / (2.0 * cfg.dt)
+            rhs = float(np.sum(flux * dw) * h)
+            out.append(abs(lhs - rhs) / max(abs(lhs), abs(rhs)))
 
     return AlmostConservationReport(
         times=t_arr[1:-1],
         action_rate=rate,
         global_drift=drift,
-        charge_flux_mismatch=np.asarray(q_mis),
-        momentum_flux_mismatch=np.asarray(p_mis),
+        charge_flux_mismatch=np.asarray(mismatch[0]),
+        momentum_flux_mismatch=np.asarray(mismatch[1]),
     )
 
 

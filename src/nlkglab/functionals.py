@@ -165,7 +165,7 @@ def action(w: Field, ap: ActionParams) -> float:
 def action_symbol(ap: ActionParams, k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The Fourier symbol of the quadratic part of S at wavenumbers k: a = k^2 + m
     on u1, and b = omega/gamma - v k, the symbol of the coupling i b between u1
-    and u2.  S', S'' and the spectrum's Schur complement and lift all read it."""
+    and u2.  S', S'' and the spectrum's Schur complement and whitened product all read it."""
     return k * k + ap.model.m, ap.omega_over_gamma - ap.v * k
 
 

@@ -70,14 +70,15 @@ class Grid:
     """Uniform periodic mesh on [-length/2, length/2).
 
     A power-of-two point count is recommended (fastest FFT path), not
-    required.
+    required.  Length and point count define a grid, and only they are
+    compared: the other fields derive from them.
     """
 
     length: float
     points: int
-    spacing: float = field(init=False)
-    x: np.ndarray = field(init=False, repr=False)
-    deriv_wavenumbers: np.ndarray = field(init=False, repr=False)
+    spacing: float = field(init=False, compare=False)
+    x: np.ndarray = field(init=False, repr=False, compare=False)
+    deriv_wavenumbers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         raise_problems(grid_problems(self.length, self.points))
@@ -93,13 +94,6 @@ class Grid:
             raise DimensionError(
                 f"expected {self.points} samples, got array of shape {f.shape}"
             )
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Grid)
-            and other.points == self.points
-            and other.length == self.length
-        )
 
 
 @dataclass

@@ -44,7 +44,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .functionals import charge, energy, momentum
-from .grids import Field, Grid, raise_problems
+from .grids import Field, raise_problems
 from .profiles import ModelParams
 
 __all__ = [
@@ -113,9 +113,6 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         raise_problems(step_problems(self.dt, None))
 
-    def check_grid(self, grid: Grid) -> None:
-        raise_problems(step_problems(self.dt, grid.spacing))
-
 
 @dataclass
 class DiagnosticsRecord:
@@ -163,19 +160,20 @@ def evolve(
 ) -> Field:
     """Integrate from t0 to t1; t1 < t0 needs dt < 0.
 
-    The span keeps the rule of ``span_problems``.  Hooks fire at t0, every
-    ``diag_period`` and at the final step with a DiagnosticsRecord.  With
-    hooks the period must be positive and finite (``period_problems``); it is
-    rounded to whole steps of |dt|, at least one, and a period longer than
-    the span fires the hooks at both ends only.
+    The step keeps the rules of ``step_problems`` on the field's grid and the
+    span those of ``span_problems``; one ValueError names every rule a call
+    breaks.  Hooks fire at t0, every ``diag_period`` and at the final step
+    with a DiagnosticsRecord.  With hooks the period must be positive and
+    finite (``period_problems``); it is rounded to whole steps of |dt|, at
+    least one, and a period longer than the span fires the hooks at both
+    ends only.
     Blow-up aborts with the failure time attached.  The amplitude is checked
     every 16 steps, before each hook and at the end; these are the sync
     points, the only steps that return to physical space.
     """
     from scipy.fft import fft, ifft  # lazy: see the module docstring
 
-    cfg.check_grid(w.grid)
-    problems = span_problems(t0, t1, cfg.dt)
+    problems = step_problems(cfg.dt, w.grid.spacing) + span_problems(t0, t1, cfg.dt)
     if hooks:
         problems += period_problems(diag_period)
     raise_problems(problems)

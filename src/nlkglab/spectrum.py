@@ -41,7 +41,7 @@ import scipy.linalg as sla
 
 from .functionals import ActionParams, action_symbol, gradient_norm, localized_hessian_form
 from .functionals import second_variation_potential
-from .grids import Field, Grid, symmetry_rows
+from .grids import Field, symmetry_rows
 from .profiles import points_per_width
 
 __all__ = [
@@ -103,11 +103,11 @@ class RealizedOperator:
 
         M Z = (a z1 + i b z2 - w1 z1 - w2 conj(z1),  z2 - i b z1).
 
-    ``whitened_matvec`` applies W M W, with W the H1 x L2 whitening of
-    ``_whiten``, in Fourier space; ``_schur_low_end`` applies its Schur
-    complement."""
+    ``whitened_matvec`` applies W M W in Fourier space, with W = G^(-1/2) the
+    H1 x L2 whitening: G is the Gram of the flattening, the multiplier
+    g = 1 + k^2 on z1 and the identity on z2.  ``_schur_low_end`` applies its
+    Schur complement."""
 
-    grid: Grid
     profile: Field
     params: ActionParams
     w1: np.ndarray
@@ -116,10 +116,11 @@ class RealizedOperator:
     @cached_property
     def _whitened_symbol(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(a g^-1, i b g^-1/2, g^-1/2): the Fourier multipliers of W M_free W
-        and the whitening, with a and b from ``action_symbol`` and g from
-        ``_gram_symbol``."""
-        a, b = action_symbol(self.params, self.grid.deriv_wavenumbers)
-        r = _gram_symbol(self.grid) ** -0.5
+        and the whitening on z1, with a and b from ``action_symbol`` and
+        g = 1 + k^2."""
+        k = self.profile.grid.deriv_wavenumbers
+        a, b = action_symbol(self.params, k)
+        r = (1.0 + k**2) ** -0.5
         return a * r * r, 1j * b * r, r
 
     def whitened_matvec(self, z: np.ndarray) -> np.ndarray:
@@ -136,7 +137,7 @@ class RealizedOperator:
         rounding."""
         a_g, ibr, r = self._whitened_symbol
         zc = np.ascontiguousarray(z).view(complex)
-        f = np.fft.fft(zc.reshape(zc.shape[:-1] + (2, self.grid.points)))
+        f = np.fft.fft(zc.reshape(zc.shape[:-1] + (2, self.profile.grid.points)))
         f1, f2 = f[..., 0, :], f[..., 1, :]
         y1 = np.fft.ifft(r * f1)
         out = np.empty_like(f)
@@ -162,21 +163,6 @@ class SpectrumReport:
     eigenvalues: np.ndarray
 
 
-def _gram_symbol(grid: Grid) -> np.ndarray:
-    """g = 1 + k^2: the H1 x L2 Gram G of the flattening in Fourier space on z1,
-    the first half of the complex view (G is the identity on z2)."""
-    return 1.0 + grid.deriv_wavenumbers**2
-
-
-def _whiten(z: np.ndarray, grid: Grid) -> np.ndarray:
-    """W z = G^(-1/2) z, row by row: the multiplier g^(-1/2) of ``_gram_symbol``
-    on z1."""
-    out = z.copy()
-    z1 = out.view(complex)[..., : grid.points]
-    z1[...] = np.fft.ifft(_gram_symbol(grid) ** -0.5 * np.fft.fft(z1))
-    return out
-
-
 def assemble_second_variation(phi: Field, ap: ActionParams) -> RealizedOperator:
     """The second variation Z -> S''(Phi) Z at a profile, as a structured operator;
     AssemblyError unless the profile is a converged critical point.  Its message
@@ -191,7 +177,7 @@ def assemble_second_variation(phi: Field, ap: ActionParams) -> RealizedOperator:
             f"{ppw:.1f} points per profile width)"
         )
     w1, w2 = second_variation_potential(phi.u1, ap.model.p)
-    return RealizedOperator(phi.grid, phi.copy(), ap, w1, w2)
+    return RealizedOperator(phi.copy(), ap, w1, w2)
 
 
 def _orthonormal(v: np.ndarray) -> np.ndarray:
@@ -253,8 +239,8 @@ def _schur_low_end(op: RealizedOperator) -> tuple[np.ndarray, float, float]:
     within eps of an eigenvalue of S.  The block doubles until its
     LOW_END_BLOCK-th (then 2x, 4x, ...) Ritz value is above the kernel
     tolerance."""
-    n = op.grid.points
-    a, b = action_symbol(op.params, op.grid.deriv_wavenumbers)
+    n = op.profile.grid.points
+    a, b = action_symbol(op.params, op.profile.grid.deriv_wavenumbers)
     free = a - b * b
     precond = 1.0 / (free - np.min(free) + PRECONDITIONER_SHIFT)
 
@@ -327,7 +313,7 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
     negative = ev[ev < -ktol]
     kernel_dim = int(np.sum(np.abs(ev) < ktol))
 
-    a_g, ibr, _ = op._whitened_symbol
+    a_g, ibr, r = op._whitened_symbol
     b2 = np.abs(ibr) ** 2
     sigma = float(np.min(0.5 * (a_g + 1.0 - np.sqrt((a_g - 1.0) ** 2 + 4.0 * b2)))) - PRECONDITIONER_SHIFT
     # the inverse of [[a/g - sigma, i b r], [-i b r, 1 - sigma]] at each wavenumber
@@ -339,13 +325,14 @@ def spectrum_report(op: RealizedOperator) -> SpectrumReport:
         out = np.stack([c11 * f[:, 0] + c12 * f[:, 1], c22 * f[:, 1] - c12 * f[:, 0]], axis=1)
         return np.fft.ifft(out).reshape(len(x), -1).view(float)
 
-    cons = _whiten(symmetry_rows(op.profile).view(float), op.grid)
+    cons, n = symmetry_rows(op.profile), op.profile.grid.points
+    cons[:, :n] = np.fft.ifft(r * np.fft.fft(cons[:, :n]))  # W Y: W is g^-1/2 on z1
     return SpectrumReport(
         negative_count=int(len(negative)),
         negative_eigenvalue=float(negative[0]) if len(negative) else 0.0,
         kernel_dimension=kernel_dim,
         kernel_tolerance=ktol,
-        coercivity_delta=_constrained_lowest(op.whitened_matvec, precondition, cons),
+        coercivity_delta=_constrained_lowest(op.whitened_matvec, precondition, cons.view(float)),
         eigenvalues=ev,
     )
 
@@ -367,5 +354,5 @@ def slope_test(
     """
     if abs(omega) + OMEGA_STEP >= math.sqrt(ap.model.m):
         raise ValueError("omega too close to sqrt(m) for centered differencing")
-    y, one = _frequency_derivative(phi_family, omega), np.ones((1, op.grid.points))
+    y, one = _frequency_derivative(phi_family, omega), np.ones((1, op.profile.grid.points))
     return 2.0 * localized_hessian_form(y, [op.profile], one, [op.params])

@@ -7,6 +7,7 @@ profile tail slope, the closed-form frequency slope, the differentiated
 critical-point residual, the second variation's product M z and its
 quadratic form h z^T M z, the essential-spectrum floor from the free
 symbol, the Schur complement of the second variation as a dense matrix,
+the H1 x L2 whitening W = G^(-1/2) on flattened fields,
 the radial stencil residual by index gathers, Petviashvili's iteration
 with a stencil every step, the soliton sample with a spectral derivative
 in u2, the action gradient by three spectral derivatives in physical
@@ -228,22 +229,33 @@ def slope_analytic(model: ModelParams, omega: float, gamma: float, phi_tilde_nor
     return (mu**e - 2.0 * e * omega**2 * mu ** (e - 1.0)) * phi_tilde_norm2 / gamma
 
 
+def whiten(z: np.ndarray, grid: Grid) -> np.ndarray:
+    """W z = G^(-1/2) z for each row of a stack of flattened fields: the
+    multiplier g^(-1/2), g = 1 + k^2, on z1, the first half of the complex view,
+    and the identity on z2; G is the H1 x L2 Gram of the flattening.  The
+    reference for the whitening of ``RealizedOperator.whitened_matvec``."""
+    out = z.copy()
+    z1 = out.view(complex)[..., : grid.points]
+    z1[...] = np.fft.ifft((1.0 + grid.deriv_wavenumbers**2) ** -0.5 * np.fft.fft(z1))
+    return out
+
+
 def matvec(op: RealizedOperator, z: np.ndarray) -> np.ndarray:
     """M z for a flattened field of length 4N, or for each row of a (k, 4N)
     stack: ``functionals.quadratic_gradient`` less the potential, one complex
     FFT pair per component.  The reference for ``op.whitened_matvec``, the
     Schur complement and the slope's density forms."""
-    n = op.grid.points
+    n = op.profile.grid.points
     zc = np.ascontiguousarray(z).view(complex)
     z1, z2 = zc[..., :n], zc[..., n:]
-    l1, l2 = quadratic_gradient(z1, z2, op.params, op.grid)
+    l1, l2 = quadratic_gradient(z1, z2, op.params, op.profile.grid)
     return np.concatenate((l1 - op.w1 * z1 - op.w2 * np.conj(z1), l2), axis=-1).view(float)
 
 
 def quadratic_form(op: RealizedOperator, z: Field) -> float:
     """<S'' Z, Z> = h z^T M z on the flattened field, by ``matvec``."""
     zf = flat(z)
-    return float(op.grid.spacing * zf @ matvec(op, zf))
+    return float(op.profile.grid.spacing * zf @ matvec(op, zf))
 
 
 def frequency_derivative_residual(
@@ -260,7 +272,7 @@ def frequency_derivative_residual(
     lam = _frequency_derivative(phi_family, omega)
     i_j_phi = symmetry_directions(op.profile)[1]
     res = matvec(op, flat(lam)) + (1.0 / gamma) * flat(i_j_phi)
-    return float(np.linalg.norm(res) * math.sqrt(op.grid.spacing))
+    return float(np.linalg.norm(res) * math.sqrt(op.profile.grid.spacing))
 
 
 def free_operator_floor(ap: ActionParams, grid: Grid) -> float:
@@ -276,8 +288,8 @@ def schur_complement(op: RealizedOperator) -> np.ndarray:
     """The 2N x 2N Schur complement S = A - B B^T of M = [[A, B], [B^T, I]] as a
     dense matrix: the real view of the complex circulant with symbol a - b^2
     (``functionals.action_symbol``), less a 2 x 2 potential block per sample."""
-    n = op.grid.points
-    a, b = action_symbol(op.params, op.grid.deriv_wavenumbers)
+    n = op.profile.grid.points
+    a, b = action_symbol(op.params, op.profile.grid.deriv_wavenumbers)
     c = sla.circulant(np.fft.ifft(a - b * b))
     s = np.empty((n, 2, n, 2))
     s[:, 0, :, 0] = s[:, 1, :, 1] = c.real

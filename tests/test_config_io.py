@@ -15,7 +15,7 @@ from nlkglab.fieldio import (
     write_field,
 )
 from nlkglab.grids import Field, Grid, flat
-from nlkglab.integrator import IntegratorConfig
+from nlkglab.integrator import step_problems
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 
 GOOD = """
@@ -1195,7 +1195,7 @@ def test_parse_config_returns_runnable_config_or_config_error(text):
     except ConfigError:
         return
     assert isinstance(cfg, MultiSolitonConfig)
-    IntegratorConfig(dt=-cfg.dt).check_grid(cfg.grid)
+    assert step_problems(-cfg.dt, cfg.grid.spacing) == []
 
 
 # values every run accepts, whatever the other keys hold: only repeated velocities fail

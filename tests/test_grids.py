@@ -32,6 +32,20 @@ def test_grid_invariants(grid):
     assert k[grid.points // 2] == 0.0
 
 
+def test_grid_equality_is_length_and_points():
+    """Grids are equal when their length and point count are, whatever else
+    they hold; unequal when either differs; never equal to a non-Grid; and,
+    being mutable, unhashable."""
+    g = Grid(80.0, 64)
+    assert g == Grid(80.0, 64)
+    assert Grid(80.0, 64) == Grid(80, np.int64(64))
+    assert g != Grid(80.0, 128)
+    assert g != Grid(40.0, 64)
+    assert g != (80.0, 64)
+    with pytest.raises(TypeError):
+        hash(g)
+
+
 def test_grid_rejects_bad_sizes():
     with pytest.raises(ValueError):
         Grid(-1.0, 64)

@@ -5,7 +5,7 @@ import pytest
 
 from nlkglab import integrator
 from nlkglab.functionals import charge, energy, momentum
-from nlkglab.grids import Field, Grid, norm_h1l2
+from nlkglab.grids import Field, Grid, norm_h1l2, wrap_coordinate
 from nlkglab.integrator import BlowUpError, IntegratorConfig, evolve, span_problems
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 
@@ -173,6 +173,44 @@ def test_stability_heuristic_enforced(grid):
     w = Field.zeros(grid)
     with pytest.raises(ValueError):
         evolve(w, 0.0, 1.0, IntegratorConfig(dt=0.1), MODEL)
+
+
+def test_step_and_span_rules_raise_together(grid):
+    """A step over 0.5 * spacing with a fractional step count is one
+    ValueError that names both rules."""
+    with pytest.raises(ValueError) as info:
+        evolve(Field.zeros(grid), 0.0, 1.0, IntegratorConfig(dt=0.3), MODEL)
+    message = str(info.value)
+    assert "exceeds the stability heuristic 0.5*spacing" in message
+    assert "is not a finite positive whole number of steps" in message
+
+
+def test_finite_speed_of_propagation():
+    """The paper's first ingredient: a perturbation moves no faster than light.
+    A C^inf bump 1e-3 e exp(-1/(1 - s^2)), s = (x - 40)/3, on u1 of the mirror
+    pair at t = 40 is evolved back to t = 30 beside the unperturbed pair.
+    Their difference, |.| over both components, is 5.2e-4 at most inside the
+    light cone |x - 40| <= 3 + 10, and one unit or more beyond it at most
+    9.8e-9 (6.6e-10 eight units beyond).  That floor is band-limiting, not
+    rounding: the discrete flow has no sharp cone.  The bound, 1e-4 of the
+    inside value, holds it with 5x headroom (measured 1.9e-5)."""
+    g = Grid(160.0, 2048)
+    pair = [SolitonParams(MODEL, omega=0.8, v=-0.4), SolitonParams(MODEL, omega=0.8, v=0.4)]
+    w = sample_soliton(pair[0], 40.0, g) + sample_soliton(pair[1], 40.0, g)
+    s = (g.x - 40.0) / 3.0
+    bump = np.zeros(g.points)
+    support = np.abs(s) < 1.0
+    bump[support] = 1e-3 * math.e * np.exp(-1.0 / (1.0 - s[support] ** 2))
+    cfg = IntegratorConfig(dt=-0.002)
+    plain = evolve(w, 40.0, 30.0, cfg, MODEL)
+    bumped = evolve(w + Field(bump, np.zeros(g.points), g), 40.0, 30.0, cfg, MODEL)
+    diff = np.sqrt(np.abs(bumped.u1 - plain.u1) ** 2 + np.abs(bumped.u2 - plain.u2) ** 2)
+    distance = np.abs(wrap_coordinate(g.x - 40.0, g.length))
+    inside = np.max(diff[distance <= 13.0])
+    outside = np.max(diff[distance >= 14.0])
+    print(f"inside {inside:.3e}, one unit beyond the cone {outside:.3e}")
+    assert inside > 1e-4
+    assert outside < 1e-4 * inside
 
 
 def test_flow_matches_hamiltonian_vector_field(grid):

@@ -28,7 +28,6 @@ from nlkglab.spectrum import (
     KERNEL_REL_TOL,
     AssemblyError,
     RealizedOperator,
-    _whiten,
     assemble_second_variation,
     slope_test,
     spectrum_report,
@@ -42,6 +41,7 @@ from oracles import (
     schur_complement,
     slope_analytic,
     symmetry_directions,
+    whiten,
 )
 
 MODEL = ModelParams(1.0, 3.0, 1)
@@ -49,7 +49,7 @@ MODEL = ModelParams(1.0, 3.0, 1)
 
 def _operator(phi, ap):
     """The second variation at any profile: assembly without its criticality check."""
-    return RealizedOperator(phi.grid, phi.copy(), ap, *second_variation_potential(phi.u1, ap.model.p))
+    return RealizedOperator(phi.copy(), ap, *second_variation_potential(phi.u1, ap.model.p))
 
 
 @pytest.fixture(scope="module")
@@ -89,7 +89,7 @@ def _dense_matrix(op):
     block by block from derivative matrices and permuted to the ``flat`` layout:
     the oracle for its product, Schur complement and free part, and for the
     dense eigensolves below."""
-    grid, ap = op.grid, op.params
+    grid, ap = op.profile.grid, op.params
     n = grid.points
     og, v = ap.omega_over_gamma, ap.v
     d1, d2 = _derivative_matrices(grid)
@@ -197,7 +197,7 @@ def test_delta_matches_dense_generalized_eigenproblem(grid, omega, v):
 
 def _whitened_dense(op):
     """a = G^(-1/2) M G^(-1/2), the dense oracle whitened in full."""
-    return _whiten(_whiten(_dense_matrix(op), op.grid).T, op.grid)
+    return whiten(whiten(_dense_matrix(op), op.profile.grid).T, op.profile.grid)
 
 
 def _delta_solve(op):
@@ -221,7 +221,7 @@ def _delta_solve(op):
 def _whitened_constraints(op):
     """Orthonormal columns spanning G^(-1/2) Y, Y the oracle's symmetry directions."""
     cons = np.stack([flat(f) for f in symmetry_directions(op.profile)])
-    return np.linalg.qr(_whiten(cons, op.grid).T)[0]
+    return np.linalg.qr(whiten(cons, op.profile.grid).T)[0]
 
 
 def _dense_delta(op):
@@ -231,7 +231,7 @@ def _dense_delta(op):
     a = _whitened_dense(op)
     i_phi, i_j_phi, dphi = symmetry_directions(op.profile)
     cons = np.stack([flat(f) for f in (dphi, i_j_phi, i_phi)])
-    q, _ = np.linalg.qr(_whiten(cons, op.grid).T)
+    q, _ = np.linalg.qr(whiten(cons, op.profile.grid).T)
     s = np.linalg.norm(a, np.inf)
     aq = a @ q
     a -= aq @ q.T
@@ -292,7 +292,7 @@ def test_structured_operator_matches_dense_oracle(n, v, p):
     assert np.max(np.abs(matvec(op, x.T) - want.T)) < 1e-13 * np.max(np.abs(want))
     assert np.max(np.abs(matvec(op, x[:, 0]) - want[:, 0])) < 1e-13 * np.max(np.abs(want[:, 0]))
     for z in (x.T, x[:, 0]):
-        whitened = _whiten(matvec(op, _whiten(z, g)), g)
+        whitened = whiten(matvec(op, whiten(z, g)), g)
         assert np.max(np.abs(op.whitened_matvec(z) - whitened)) < 1e-13 * np.max(np.abs(whitened))
 
     n2 = 2 * n
@@ -388,6 +388,35 @@ def test_low_end_matches_dense_schur_oracle(n, length, p, omega, v, theta, cells
     assert again.coercivity_delta == rep.coercivity_delta
 
 
+def _report_with_low_end(op, monkeypatch, ev, eps, ktol):
+    """``spectrum_report`` of a real operator with ``_schur_low_end`` crafted to
+    return (ev, eps, ktol)."""
+    monkeypatch.setattr(spectrum, "_schur_low_end", lambda _: (np.asarray(ev), eps, ktol))
+    return spectrum_report(op)
+
+
+def test_low_end_refused_when_the_kahan_bound_exceeds_its_margin(op, monkeypatch):
+    """The first clause of the certificate alone: a Kahan bound above
+    KAHAN_MARGIN * tol is refused although every Ritz value is more than the
+    bound from +-tol."""
+    ev, eps, ktol = [-1.16, -1e-15, 1e-15, 0.27, 0.31, 0.36], 5e-7, 1e-6
+    assert eps > spectrum.KAHAN_MARGIN * ktol
+    assert np.all(np.abs(np.abs(ev) - ktol) > eps)
+    with pytest.raises(AssemblyError, match="not certified"):
+        _report_with_low_end(op, monkeypatch, ev, eps, ktol)
+
+
+def test_low_end_refused_when_a_ritz_value_is_within_the_bound_of_tol(op, monkeypatch):
+    """The second clause of the certificate alone: a Ritz value within 5e-12 of
+    tol, inside the Kahan bound, could belong to either class and is refused
+    although the bound is within its margin."""
+    ktol = 1e-6
+    ev, eps = [-1.16, -1e-15, ktol + 5e-12, 0.27, 0.31, 0.36], 1e-8
+    assert eps <= spectrum.KAHAN_MARGIN * ktol
+    with pytest.raises(AssemblyError, match="not certified"):
+        _report_with_low_end(op, monkeypatch, ev, eps, ktol)
+
+
 def test_low_end_block_doubles_past_the_kernel():
     """Twice the profile in the potential deepens the well to seven negative
     eigenvalues: the block of four doubles to eight and the counts still equal
@@ -396,7 +425,7 @@ def test_low_end_block_doubles_past_the_kernel():
     sp = SolitonParams(MODEL, omega=0.8, v=0.0)
     phi = sample_soliton(sp, 0.0, g)
     deeper = second_variation_potential(2.0 * phi.u1, 3.0)
-    op = RealizedOperator(g, phi, ActionParams.from_soliton(sp), *deeper)
+    op = RealizedOperator(phi, ActionParams.from_soliton(sp), *deeper)
     want = sla.eigvalsh(schur_complement(op))
     ev, eps, ktol = spectrum._schur_low_end(op)
     assert len(ev) == 2 * spectrum.LOW_END_BLOCK + spectrum.LOW_END_GUARD
@@ -441,7 +470,7 @@ def test_kernel_vectors(op, grid):
 def _hessian_form(op, z):
     """<S'' Z, Z> as ``slope_test`` reads it: twice the localized quadratic term
     of one unit-weight cell at the operator's profile."""
-    return 2.0 * localized_hessian_form(z, [op.profile], np.ones((1, op.grid.points)), [op.params])
+    return 2.0 * localized_hessian_form(z, [op.profile], np.ones((1, op.profile.grid.points)), [op.params])
 
 
 def test_quadratic_form_matches_action_differences(op, grid):
