@@ -3,8 +3,9 @@
 Subcommands: groundstate, soliton, evolve, spectrum, modulate,
 multisoliton, sweep.  NLKG_OUT_DIR sets the default output root.
 Exit codes: 0 success, 2 configuration or usage error, 3 numerical failure
-(blow-up, tube exit, a degenerate modulation Jacobian, a failed operator
-assembly or radial ground-state iteration), 4 I/O error.
+(``grids.NumericalFailure``: blow-up, tube exit, a degenerate modulation
+Jacobian, a failed operator assembly or radial ground-state iteration),
+4 I/O error.
 """
 
 from __future__ import annotations
@@ -28,12 +29,11 @@ from .fieldio import (
     write_field,
 )
 from .functionals import ActionParams, charge, energy, gradient_norm, momentum
-from .grids import Field, Grid, raise_problems
-from .integrator import BlowUpError, DiagnosticsRecord, IntegratorConfig, evolve, period_problems
-from .modulation import DegenerateConfigurationError, NotInTubeError, fit_modulation
+from .grids import Field, Grid, NumericalFailure, raise_problems
+from .integrator import DiagnosticsRecord, IntegratorConfig, evolve, period_problems
+from .modulation import fit_modulation
 from .profiles import (
     ModelParams,
-    ShootingError,
     SolitonParams,
     ground_state_1d,
     ground_state_radial,
@@ -41,7 +41,7 @@ from .profiles import (
     profile_norms,
     sample_soliton,
 )
-from .spectrum import AssemblyError, assemble_second_variation, slope_test, spectrum_report
+from .spectrum import assemble_second_variation, slope_test, spectrum_report
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -204,7 +204,7 @@ def cmd_modulate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _write_multisoliton_outputs(outdir: Path, out_dir: str, report) -> None:
+def _write_multisoliton_outputs(outdir: Path, out_dir: str, report, warnings: list[str]) -> None:
     cfg = report.config
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "resolved.cfg").write_text(serialize_config(cfg, out_dir), encoding="utf-8")
@@ -237,19 +237,18 @@ def _write_multisoliton_outputs(outdir: Path, out_dir: str, report) -> None:
         f"slope significant (stderr < 10% of |slope|): {stderr < 0.1 * abs(slope)}",
         f"tube exit: {report.tube_exit_time}",
         f"runtime: {report.runtime_seconds:.1f} s",
-    ]
-    for w in stability_warnings(cfg):
-        lines.append(f"warning: {w}")
+    ] + [f"warning: {w}" for w in warnings]
     (outdir / "summary.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _multisoliton(cfg: MultiSolitonConfig, out_dir: str, outdir: Path) -> int:
     """The backward construction of ``cfg``, its outputs written to ``outdir``;
     ``out_dir`` is the config's own key, which ``resolved.cfg`` keeps."""
-    for warning in stability_warnings(cfg):
+    warnings = stability_warnings(cfg)
+    for warning in warnings:
         print(f"warning: {warning}", file=sys.stderr)
     report = run_backward_construction(cfg)
-    _write_multisoliton_outputs(outdir, out_dir, report)
+    _write_multisoliton_outputs(outdir, out_dir, report, warnings)
     print(f"outputs in {outdir}")
     if report.tube_exit_time is not None:
         print(f"trajectory left the modulation tube at t={report.tube_exit_time}", file=sys.stderr)
@@ -270,9 +269,7 @@ def _run_command(command, args, label: str = "") -> int:
         code, message = EXIT_CONFIG, str(exc)
     except ValueError as exc:
         code, message = EXIT_CONFIG, f"configuration error: {exc}"
-    except (
-        BlowUpError, NotInTubeError, DegenerateConfigurationError, AssemblyError, ShootingError
-    ) as exc:
+    except NumericalFailure as exc:
         code, message = EXIT_NUMERICAL, f"numerical failure: {exc}"
     except OSError as exc:  # FieldFormatError is an OSError
         code, message = EXIT_IO, f"I/O error: {exc}"

@@ -33,6 +33,7 @@ __all__ = [
     "raise_problems",
     "Field",
     "DimensionError",
+    "NumericalFailure",
     "spectral_derivative",
     "flat",
     "norm_l2",
@@ -45,6 +46,11 @@ __all__ = [
 
 class DimensionError(ValueError):
     """Sample count does not match the grid."""
+
+
+class NumericalFailure(RuntimeError):
+    """A computation on valid input that did not succeed (blow-up, tube exit, a
+    degenerate fit, a failed assembly or ground-state iteration): exit 3."""
 
 
 def raise_problems(problems: list[str], error: type[Exception] = ValueError) -> None:

@@ -44,7 +44,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .functionals import charge, energy, momentum
-from .grids import Field, raise_problems
+from .grids import Field, NumericalFailure, raise_problems
 from .profiles import ModelParams
 
 __all__ = [
@@ -60,7 +60,7 @@ __all__ = [
 BLOWUP_AMPLITUDE = 1e6
 
 
-class BlowUpError(RuntimeError):
+class BlowUpError(NumericalFailure):
     """Focusing blow-up (or discrete instability) detected."""
 
     def __init__(self, t: float, amplitude: float):
@@ -186,7 +186,7 @@ def evolve(
     dt, p = cfg.dt, model.p
 
     def fire(n: int, u1: np.ndarray, u2: np.ndarray) -> None:
-        f = Field(u1.copy(), u2.copy(), w.grid)
+        f = Field(u1, u2, w.grid)  # fresh arrays from a sync (or w's own): none is written again
         rec = DiagnosticsRecord(t0 + n * dt, energy(f, model), charge(f), momentum(f), f)
         for hook in hooks:
             hook(rec)

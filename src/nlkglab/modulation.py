@@ -31,7 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import ADJOINT_SIGNS, Field, flat, norm_h1l2, symmetry_rows
+from .grids import ADJOINT_SIGNS, Field, NumericalFailure, flat, norm_h1l2, symmetry_rows
 from .profiles import DomainTooSmallError, SolitonParams, sample_soliton, soliton_tangents
 
 __all__ = [
@@ -47,11 +47,11 @@ NEWTON_TOL = 1e-12
 MAX_NEWTON_ITER = 50
 
 
-class NotInTubeError(RuntimeError):
+class NotInTubeError(NumericalFailure):
     """Newton did not converge: the field is not close to a soliton sum."""
 
 
-class DegenerateConfigurationError(RuntimeError):
+class DegenerateConfigurationError(NumericalFailure):
     """The modulation Jacobian is numerically singular."""
 
 
@@ -94,7 +94,7 @@ def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     g = u.grid
     n, size = len(params), g.points
     comps = [sample_soliton(sp, 0.0, g) for sp in params]
-    ups = u.copy()
+    ups = u
     for c in comps:
         ups = ups - c
     rows = np.empty((4 * n, 2 * size), complex)  # the 3N directions, then the N omega-tangents

@@ -31,7 +31,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grids import Field, Grid, norm_l2, raise_problems, spectral_derivative, wrap_coordinate
+from .grids import Field, Grid, NumericalFailure, norm_l2, raise_problems, spectral_derivative
+from .grids import wrap_coordinate
 
 __all__ = [
     "ModelParams",
@@ -65,7 +66,7 @@ class DomainTooSmallError(ValueError):
     """The profile has not decayed at the domain boundary."""
 
 
-class ShootingError(RuntimeError):
+class ShootingError(NumericalFailure):
     """The radial ground-state iteration did not converge or is not positive decreasing."""
 
 

@@ -41,7 +41,7 @@ import scipy.linalg as sla
 
 from .functionals import ActionParams, action_symbol, gradient_norm, localized_hessian_form
 from .functionals import second_variation_potential
-from .grids import Field, symmetry_rows
+from .grids import Field, NumericalFailure, symmetry_rows
 from .profiles import points_per_width
 
 __all__ = [
@@ -86,7 +86,7 @@ def _frequency_derivative(phi_family, omega):
     return (1.0 / (2.0 * OMEGA_STEP)) * (wp - wm)
 
 
-class AssemblyError(RuntimeError):
+class AssemblyError(NumericalFailure):
     """Profile failed the criticality precondition, the low end of S was not
     certified, or the delta solve did not converge."""
 
@@ -177,7 +177,7 @@ def assemble_second_variation(phi: Field, ap: ActionParams) -> RealizedOperator:
             f"{ppw:.1f} points per profile width)"
         )
     w1, w2 = second_variation_potential(phi.u1, ap.model.p)
-    return RealizedOperator(phi.copy(), ap, w1, w2)
+    return RealizedOperator(phi, ap, w1, w2)
 
 
 def _orthonormal(v: np.ndarray) -> np.ndarray:

@@ -524,6 +524,20 @@ def test_cli_step_too_small_to_count_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
+@pytest.mark.parametrize("dt", ["0", "nan", "inf"])
+def test_cli_evolve_step_must_be_nonzero_and_finite(tmp_path, capsys, dt):
+    """A zero or non-finite --dt is refused before a step: exit 2 with one stderr
+    line, and no output written."""
+    from nlkglab.cli import main
+
+    src, out = tmp_path / "s.dump", tmp_path / "e.dump"
+    write_field(src, sample_soliton(SolitonParams(ModelParams(), omega=0.8), 0.0, Grid(80.0, 256)))
+    argv = ["evolve", "--from", str(src), "--t0", "0", "--t1", "1", "--dt", dt, "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"configuration error: dt must be nonzero and finite (got {float(dt)})\n"
+    assert not out.exists()
+
+
 def test_step_count_too_large_to_check_is_a_config_error(tmp_path, capsys):
     """A dt whose step count is too large to check as whole steps (30 / 1e-300)
     is refused before a step: evolve exits 2 with one stderr line, and
@@ -656,14 +670,16 @@ def test_cli_spectrum_uncertified_low_end_exit_code(monkeypatch, capsys):
 
 
 def test_every_library_error_has_an_exit_code(capsys):
-    """Each exception class the package defines ends a command with exit 2, 3
-    or 4, never with a traceback."""
+    """Each exception class the package defines ends a command with the exit code
+    of its one base, never with a traceback: 3 for a ``NumericalFailure``, 2 for a
+    ValueError and 4 for an OSError."""
     import importlib
     import inspect
     import pkgutil
 
     import nlkglab
     from nlkglab.cli import _run_command
+    from nlkglab.grids import NumericalFailure
 
     errors = set()
     for info in pkgutil.iter_modules(nlkglab.__path__):
@@ -673,15 +689,18 @@ def test_every_library_error_has_an_exit_code(capsys):
             for _, cls in inspect.getmembers(mod, inspect.isclass)
             if issubclass(cls, Exception) and cls.__module__ == mod.__name__
         }
-    assert {"AssemblyError", "ShootingError", "DegenerateConfigurationError"} <= {
-        cls.__name__ for cls in errors
-    }
+    numerical = {"NumericalFailure", "BlowUpError", "NotInTubeError", "DegenerateConfigurationError",
+                 "AssemblyError", "ShootingError"}
+    assert numerical <= {cls.__name__ for cls in errors}
+    codes = {NumericalFailure: 3, ValueError: 2, OSError: 4}
     for cls in errors:
+        (want,) = [code for base, code in codes.items() if issubclass(cls, base)]
+        assert (want == 3) == (cls.__name__ in numerical), cls.__name__
 
         def fail(args, cls=cls):
             raise cls.__new__(cls)  # bypasses the constructors, whose arguments differ
 
-        assert _run_command(fail, None) in (2, 3, 4), cls.__name__
+        assert _run_command(fail, None) == want, cls.__name__
 
 
 @pytest.mark.parametrize("command", ["soliton", "spectrum"])

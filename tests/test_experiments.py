@@ -579,6 +579,40 @@ def test_almost_conservation_audit(short_run):
     assert np.max(np.abs(aud.action_rate)) < 1e-2
 
 
+def test_flux_audit_of_one_soliton():
+    """With one soliton the window sits at its centre, as the neighbour formula
+    gives for v and v.  The mismatches are finite and keep the bits they had when
+    the audit read the window's Q and P through a one-cell ``localized_quantities``."""
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=Grid(80.0, 512), solitons=[SolitonParams(MODEL, omega=0.8, v=0.3, x0=-2.0)],
+        t_final=6.0, t_start=4.0, dt=0.005, diag_period=0.5,
+    )
+    aud = almost_conservation_audit(run_backward_construction(cfg))
+    got = np.concatenate((aud.charge_flux_mismatch, aud.momentum_flux_mismatch))
+    assert np.all(np.isfinite(got))
+    assert [float(x).hex() for x in got] == [
+        "0x1.38fbf44066084p-20", "0x1.372e6d08d167ap-20", "0x1.3580d7dc08069p-20",
+        "0x1.0491e2c6fde00p-19", "0x1.03d625d86e78bp-19", "0x1.032a33befc701p-19",
+    ]
+
+
+def test_taylor_audit_needs_a_fit(grid, pair, monkeypatch):
+    """A run whose every fit left the tube has nothing to expand around."""
+    from nlkglab import experiments
+
+    def no_fit(*args):
+        raise NotInTubeError("no fit")
+
+    monkeypatch.setattr(experiments, "fit_modulation", no_fit)
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=grid, solitons=pair, t_final=15.5, t_start=15.0, dt=0.005, diag_period=0.5,
+    )
+    rep = run_backward_construction(cfg)
+    assert rep.tube_exit_time == 15.5 and rep.modulation == [None, None]
+    with pytest.raises(ValueError, match=r"^no modulated snapshots available \(trajectory left the tube\)$"):
+        taylor_expansion_audit(rep)
+
+
 def test_taylor_audit_structure(short_run):
     tay = taylor_expansion_audit(short_run)
     assert np.all(tay.hessian_terms > 0)

@@ -358,6 +358,17 @@ def test_divergence_raises(grid, pair):
         fit_modulation(junk, list(pair))
 
 
+def test_iteration_cap_is_not_in_tube(grid, pair, monkeypatch):
+    """A fit that needs more Newton iterations than MAX_NEWTON_ITER allows raises
+    NotInTubeError naming the cap: these seeds converge in two, the cap is one."""
+    u = soliton_sum(pair, 0.0, grid)
+    seeds = [replace(sp, theta=sp.theta + 1e-4, omega=sp.omega - 1e-4, x0=sp.x0 + 1e-4) for sp in pair]
+    assert fit_modulation(u, seeds).iterations == 2
+    monkeypatch.setattr(modulation, "MAX_NEWTON_ITER", 1)
+    with pytest.raises(NotInTubeError, match=r"did not converge in 1 iterations \(last residual"):
+        fit_modulation(u, seeds)
+
+
 def test_zero_field_is_not_in_tube(grid, pair):
     with pytest.raises(NotInTubeError, match="zero field"):
         fit_modulation(Field.zeros(grid), list(pair))

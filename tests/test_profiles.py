@@ -108,6 +108,25 @@ def test_ground_state_peak_must_be_a_positive_float(m, omega, fate):
         ground_state_1d(ModelParams(m, 1.0001, 1), omega, Grid(80.0, 1024))
 
 
+@pytest.mark.parametrize("p", [5.0, 7.0])
+def test_no_stability_window_past_mass_subcritical(p):
+    """At p >= 1 + 4/d the stability window is empty: the threshold is inf and
+    no soliton is stable, however close omega is to sqrt(m)."""
+    model = ModelParams(1.0, p, 1)
+    assert not model.mass_subcritical
+    assert model.stability_threshold() == math.inf
+    assert not any(SolitonParams(model, omega=om, v=0.3).stable for om in (0.0, 0.5, 0.9, 0.999))
+
+
+def test_one_dimensional_profiles_refuse_d2(grid):
+    """The grid-sampled ground state and the soliton sampler are d = 1 only."""
+    model = ModelParams(1.0, 3.0, 2)
+    with pytest.raises(ValueError, match="ground_state_1d requires d=1"):
+        ground_state_1d(model, 0.8, grid)
+    with pytest.raises(ValueError, match="soliton sampling is implemented for d=1 dynamics"):
+        sample_soliton(SolitonParams(model, omega=0.8), 0.0, grid)
+
+
 def test_domain_too_small():
     small = Grid(10.0, 128)
     with pytest.raises(DomainTooSmallError):
@@ -229,6 +248,31 @@ def test_radial_polish_cap_raises(monkeypatch):
     monkeypatch.setattr(profiles, "POLISH_MAX_ITER", 1)
     with pytest.raises(ShootingError, match="polish did not converge"):
         ground_state_radial(ModelParams(1.0, 3.0, 3), 0.0, rmax=20.0, n=4000)
+
+
+def test_radial_profile_with_a_bump_is_refused(monkeypatch, capsys):
+    """A polished profile that rises anywhere is not a ground state: ShootingError,
+    and exit 3 through ``groundstate --d 3``."""
+    from nlkglab.cli import main
+
+    polish = profiles._polish_radial
+
+    def bumped(phi, *args):
+        out = polish(phi, *args)
+        out[len(out) // 2] += 0.1 * out[0]
+        return out
+
+    monkeypatch.setattr(profiles, "_polish_radial", bumped)
+    with pytest.raises(ShootingError, match="^polished profile is not positive decreasing$"):
+        ground_state_radial(ModelParams(1.0, 3.0, 3), 0.0, rmax=15.0, n=3000)
+    assert main(["groundstate", "--d", "3", "--omega", "0"]) == 3
+    assert capsys.readouterr().err == "numerical failure: polished profile is not positive decreasing\n"
+
+
+def test_profile_norms_need_a_grid_sampled_ground_state():
+    gs = ground_state_radial(ModelParams(1.0, 3.0, 3), 0.0, rmax=15.0, n=3000)
+    with pytest.raises(ValueError, match="^profile_norms needs a grid-sampled ground state$"):
+        profile_norms(gs)
 
 
 def test_radial_singular_operator_raises(monkeypatch):

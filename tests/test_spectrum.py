@@ -435,6 +435,22 @@ def test_low_end_block_doubles_past_the_kernel():
     assert eps <= spectrum.KAHAN_MARGIN * ktol
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_low_end_block_that_spans_the_whole_space(n):
+    """With w1 = 100 and w2 = 0 every eigenvalue of S is negative, so no block
+    size puts a Ritz value above tol: the block grows to all 2N directions and
+    returns every eigenvalue.  At N = 3 the first block already spans 2N; at
+    N = 4 its one doubling is clamped to 2N - LOW_END_GUARD."""
+    g = Grid(80.0, n)
+    rng = np.random.default_rng(n)
+    phi = Field(rng.standard_normal(n) + 1j * rng.standard_normal(n), np.zeros(n, complex), g)
+    op = RealizedOperator(phi, ActionParams(0.8, 0.0, MODEL), np.full(n, 100.0), np.zeros(n, complex))
+    want = sla.eigvalsh(schur_complement(op))
+    ev, _, ktol = spectrum._schur_low_end(op)
+    assert len(ev) == 2 * n and np.sum(ev < -ktol) == 2 * n
+    assert np.max(np.abs(ev - want)) < 1e-12
+
+
 @pytest.mark.parametrize("v", [-0.4, 0.4])
 def test_morse_index_and_kernel_on_the_construction_grid(v):
     """At the backward construction's own grid, (L, N) = (160, 2048), where S is
@@ -664,6 +680,13 @@ def test_slope_outside_window_positive(grid):
     assert slope > 0
     # analytic value: (1 - 2 w^2)/sqrt(1 - w^2) * 4 with w = 0.6
     assert slope == pytest.approx(4.0 * (1 - 0.72) / math.sqrt(0.64), abs=1e-4)
+
+
+def test_slope_refused_within_its_step_of_sqrt_m(op, grid):
+    """The centred omega-difference needs omega +- OMEGA_STEP inside the band:
+    5e-5 below sqrt(m) is a ValueError before the family is sampled."""
+    with pytest.raises(ValueError, match="^omega too close to sqrt\\(m\\) for centered differencing$"):
+        slope_test(_family(grid, 0.0), op.params, math.sqrt(MODEL.m) - 5e-5, op=op)
 
 
 def test_slope_zero_at_window_boundary():
