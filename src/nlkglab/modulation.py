@@ -6,21 +6,22 @@ residue Upsilon = U - sum_j R_j(theta_j, omega_j, x_j) is L2 x L2
 orthogonal to the symmetry directions i R_j, i J R_j and R_j' of every
 component.  That is a 3N-dimensional root-finding problem solved by
 Newton; the theta and x tangents of R_j are its symmetry directions i R_j
-and -R_j'.  R_j' and dR_j/domega are the closed forms
-``profiles.soliton_tangents`` of the sample R_j itself, and the sample is
-closed-form too.  Near a genuine soliton sum the Jacobian is diagonally dominant
-(cross terms decay exponentially in the separation), so convergence is
-quadratic from reasonable seeds.
+and -R_j'.  R_j' and dR_j/domega are closed forms of the sample R_j itself,
+and the sample is closed-form too.  Near a genuine soliton sum the Jacobian
+is diagonally dominant (cross terms decay exponentially in the separation),
+so convergence is quadratic from reasonable seeds.
 
 The pairings are matrix products: every direction and tangent is one real
 row of length 4N (``grids.flat``), so the 3N residuals are one mat-vec and
 the Jacobian's cross term one (3N, 3N) Gram.  Its residue term moves the
 symmetry maps onto Upsilon by their adjoints.  The maps are linear, so
-Upsilon's directions are U's less those of the R_j, both written by
-``grids.symmetry_rows``: U's once per fit, R_j's from the closed-form R_j', so
-a Newton iterate takes no FFT.  An accepted backtracking trial's sample is the
-next iterate's, so an iterate samples each soliton once: that sample gives
-the residual, the directions and the omega-tangent.
+Upsilon's directions are U's less those of the R_j: U's written once per
+fit by ``grids.symmetry_rows``, and R_j's with its omega-tangent by the
+sampler, ``profiles.sample_soliton`` with views into the fit's one array,
+in the pass that samples R_j.  So a Newton iterate takes no FFT.  An
+accepted backtracking trial's sample is the next iterate's, so an iterate
+samples each soliton once: that one pass gives the residual, the
+directions and the omega-tangent.
 """
 
 from __future__ import annotations
@@ -31,8 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .grids import ADJOINT_SIGNS, Field, NumericalFailure, flat, norm_h1l2, symmetry_rows
-from .profiles import DomainTooSmallError, SolitonParams, sample_soliton, soliton_tangents
+from .grids import ADJOINT_SIGNS, Field, NumericalFailure, norm_h1l2, symmetry_rows
+from .profiles import DomainTooSmallError, SolitonParams, sample_soliton
 
 __all__ = [
     "ModulationState",
@@ -87,23 +88,20 @@ def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
     """The orthogonality residuals, the residue U - sum_j R_j, the
     symmetry directions i R_j, i J R_j and R_j' of every component as the
     real (3N, 4N) array of their ``flat`` rows in (j, k) order, and the
-    (N, 4N) rows of the dR_j/domega.  R_j' and dR_j/domega are
-    ``profiles.soliton_tangents`` of the sample R_j, with no spectral
-    derivative; ``grids.symmetry_rows`` writes the directions straight into
-    the one array that holds all 4N rows."""
+    (N, 4N) rows of the dR_j/domega.  One array holds all 4N rows, and each
+    sample writes its own four in the pass that samples R_j
+    (``profiles.sample_soliton`` with views), with no spectral derivative."""
     g = u.grid
     n, size = len(params), g.points
-    comps = [sample_soliton(sp, 0.0, g) for sp in params]
-    ups = u
-    for c in comps:
-        ups = ups - c
     rows = np.empty((4 * n, 2 * size), complex)  # the 3N directions, then the N omega-tangents
-    for j, (sp, c) in enumerate(zip(params, comps)):
-        dx, dw = soliton_tangents(sp, c)
-        symmetry_rows(c, dx, out=rows[3 * j : 3 * j + 3])
-        rows[3 * n + j, :size], rows[3 * n + j, size:] = dw.u1, dw.u2
+    ups = np.concatenate((u.u1, u.u2))
+    for j, sp in enumerate(params):
+        c = sample_soliton(sp, 0.0, g, rows[3 * j : 3 * j + 3], rows[3 * n + j])
+        ups[:size] -= c.u1
+        ups[size:] -= c.u2
     dirs = rows[: 3 * n].view(float)
-    return (dirs @ flat(ups)) * g.spacing, ups, dirs, rows[3 * n :].view(float)
+    f = (dirs @ ups.view(float)) * g.spacing
+    return f, Field(ups[:size], ups[size:], g), dirs, rows[3 * n :].view(float)
 
 
 def _jacobian(u_rows: np.ndarray, dirs: np.ndarray, d_omega: np.ndarray, h: float) -> np.ndarray:

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .grids import Field, Grid, NumericalFailure, norm_l2, raise_problems, spectral_derivative
-from .grids import wrap_coordinate
+from .grids import symmetry_rows, wrap_coordinate
 
 __all__ = [
     "ModelParams",
@@ -446,33 +446,64 @@ def _log_slope(sp: SolitonParams, y: np.ndarray):
     return s, th, -(sp.gamma * rmu) * th
 
 
-def sample_soliton(sp: SolitonParams, t: float, grid: Grid) -> Field:
+def sample_soliton(
+    sp: SolitonParams,
+    t: float,
+    grid: Grid,
+    rows: Optional[np.ndarray] = None,
+    d_omega: Optional[np.ndarray] = None,
+) -> Field:
     """Exact soliton at time t: the boost formula of the module docstring at
     y = x - x0(t) wrapped onto the torus, times e^{i theta(t)} (``free_flow``).
     gamma phi'(gamma y) is the closed form h phi(gamma y) of ``_log_slope``, so
     sampling takes no FFT.
 
+    Given ``rows``, a (3, 2N) complex array or view, and ``d_omega``, a (2N,)
+    one, the same pass writes the sample's symmetry directions i R, i J R and
+    R' (``grids.symmetry_rows``) into ``rows`` and dR/domega into ``d_omega``,
+    the closed forms of ``_write_tangents`` from the y, tanh and phase it
+    already holds: the tangents of the soliton at (theta(t), omega, x0(t)),
+    which ``soliton_tangents(sp.advanced(t), sample)`` returns as Fields.
+
     DomainTooSmallError, or a UserWarning, when the unshifted profile has not
-    decayed at the boundary (``domain_problems``)."""
+    decayed at the boundary (``domain_problems``); like the other errors,
+    before anything is written."""
     if sp.model.d != 1:
         raise ValueError("soliton sampling is implemented for d=1 dynamics")
     _check_domain(sp.model, sp.omega, grid)
     angle, shift = free_flow(sp, t)
     y = wrap_coordinate(grid.x - shift, grid.length)
     prof = phi_omega(sp.gamma * y, sp.model, sp.omega)
-    dprof = _log_slope(sp, y)[2] * prof  # = gamma * phi'(gamma y)
+    s, th, h = _log_slope(sp, y)
+    dprof = h * prof  # = gamma * phi'(gamma y)
     phase = np.exp(1j * angle) * np.exp(-1j * sp.gamma * sp.omega * sp.v * y)
-    return Field(phase * prof, phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof), grid)
+    sample = Field(phase * prof, phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof), grid)
+    if rows is not None:
+        size = grid.points
+        _write_tangents(sp, y, s, th, h, sample, rows[2], d_omega)
+        symmetry_rows(sample, Field(rows[2, :size], rows[2, size:], grid), out=rows)
+    return sample
 
 
-def soliton_tangents(sp: SolitonParams, sample: Field) -> tuple[Field, Field]:
-    """d/dx and d/domega of ``sample_soliton(sp, 0, grid)`` in closed form, from that sample.
+def _write_tangents(
+    sp: SolitonParams,
+    y: np.ndarray,
+    s: np.ndarray,
+    th: np.ndarray,
+    h: np.ndarray,
+    sample: Field,
+    dx: np.ndarray,
+    dw: np.ndarray,
+) -> None:
+    """d/dx and d/domega of ``sample``, the soliton sp at the wrapped y with
+    (s, th, h) = ``_log_slope(sp, y)``, in closed form: each written into a
+    (2N,) complex array or view, u1's part then u2's.
 
-    With y = wrap(x - x0), mu = m - omega^2, s = sqrt(mu) gamma y and
-    b = (p-1)/2, the profile phi_omega(gamma y) has the real log-derivatives
-    h = -gamma sqrt(mu) tanh(bs) in x, with h' = -b gamma^2 mu sech^2(bs), and
-    g = (omega/mu)(s tanh(bs) - 1/b) in omega, with g' = dg/dx.  The boost
-    phase e^{cy}, c = -i gamma omega v, gives c in x and i a in omega, a = -gamma v y.  Then
+    With mu = m - omega^2, s = sqrt(mu) gamma y and b = (p-1)/2, the profile
+    phi_omega(gamma y) has the real log-derivatives h = -gamma sqrt(mu) tanh(bs)
+    in x, with h' = -b gamma^2 mu sech^2(bs), and g = (omega/mu)(s tanh(bs) - 1/b)
+    in omega, with g' = dg/dx.  The boost phase e^{cy}, c = -i gamma omega v,
+    gives c in x and i a in omega, a = -gamma v y.  Then
 
         dx u1 = u1 (h + c),      dx u2 = c u2 + u1 (i gamma omega h - v (h' + h^2)),
         dw u1 = u1 (g + i a),    dw u2 = i a u2 + u1 (i gamma (1 + omega g) - v (g' + g h)).
@@ -481,21 +512,31 @@ def soliton_tangents(sp: SolitonParams, sample: Field) -> tuple[Field, Field]:
     derivatives of the sampled formula.
     """
     model, om, gam, v = sp.model, sp.omega, sp.gamma, sp.v
-    u1, u2, grid = sample.u1, sample.u2, sample.grid
+    u1, u2, size = sample.u1, sample.u2, sample.grid.points
     mu = model.m - om * om
     rmu = math.sqrt(mu)
     b = 0.5 * (model.p - 1.0)
-    y = wrap_coordinate(grid.x - sp.x0, grid.length)
-    s, th, h = _log_slope(sp, y)
     sech2 = 1.0 - th * th
     c = -1j * gam * om * v
     dh = (-b * gam * gam * mu) * sech2
-    dx = Field(u1 * (h + c), c * u2 + u1 * ((1j * gam * om) * h - v * (dh + h * h)), grid)
+    np.multiply(u1, h + c, out=dx[:size])
+    np.add(c * u2, u1 * ((1j * gam * om) * h - v * (dh + h * h)), out=dx[size:])
     g = (om / mu) * (s * th - 1.0 / b)
     dg = (om * gam / rmu) * (th + b * s * sech2)
     ia = (-1j * gam * v) * y
-    dw = Field(u1 * (g + ia), ia * u2 + u1 * (1j * gam * (1.0 + om * g) - v * (dg + g * h)), grid)
-    return dx, dw
+    np.multiply(u1, g + ia, out=dw[:size])
+    np.add(ia * u2, u1 * (1j * gam * (1.0 + om * g) - v * (dg + g * h)), out=dw[size:])
+
+
+def soliton_tangents(sp: SolitonParams, sample: Field) -> tuple[Field, Field]:
+    """d/dx and d/domega of ``sample_soliton(sp, 0, grid)`` in closed form,
+    from that sample: the Fields of ``_write_tangents``."""
+    grid = sample.grid
+    size = grid.points
+    y = wrap_coordinate(grid.x - sp.x0, grid.length)
+    dx, dw = np.empty((2, 2 * size), complex)
+    _write_tangents(sp, y, *_log_slope(sp, y), sample, dx, dw)
+    return Field(dx[:size], dx[size:], grid), Field(dw[:size], dw[size:], grid)
 
 
 def profile_norms(gs: GroundState) -> tuple[float, float]:

@@ -10,8 +10,9 @@ symbol, the Schur complement of the second variation as a dense matrix,
 the H1 x L2 whitening W = G^(-1/2) on flattened fields,
 the radial stencil residual by index gathers, Petviashvili's iteration
 with a stencil every step, the soliton sample with a spectral derivative
-in u2, the action gradient by three spectral derivatives in physical
-space, and the symmetry directions as a triple of Fields.
+in u2, a sampler that fills the fit's rows in separate steps, the action
+gradient by three spectral derivatives in physical space, and the
+symmetry directions as a triple of Fields.
 """
 
 from __future__ import annotations
@@ -220,6 +221,30 @@ def sample_soliton_spectral(sp: SolitonParams, t: float, grid: Grid) -> Field:
     dprof = spectral_derivative(prof, grid)
     phase = np.exp(1j * angle) * np.exp(-1j * sp.gamma * sp.omega * sp.v * y)
     return Field(phase * prof, phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof), grid)
+
+
+def sampler_with_views(
+    sample: Callable[[SolitonParams, float, Grid], Field],
+    d_omega_of: Callable[[SolitonParams, Field], Field],
+):
+    """A stand-in for ``profiles.sample_soliton(sp, t, grid, rows, d_omega)``
+    that fills the two views in separate steps: ``sample(sp, t, grid)``, its
+    ``symmetry_directions`` (spectral w') into ``rows`` and
+    ``d_omega_of(sp, sample)`` into ``d_omega``.  Its ``calls`` list holds
+    the soliton of every call that filled views."""
+    calls = []
+
+    def sampler(sp, t, grid, rows=None, d_omega=None):
+        w = sample(sp, t, grid)
+        if rows is not None:
+            for row, d in zip(rows, symmetry_directions(w)):
+                row[:] = flat(d).view(complex)
+            d_omega[:] = flat(d_omega_of(sp, w)).view(complex)
+            calls.append(sp)
+        return w
+
+    sampler.calls = calls
+    return sampler
 
 
 def slope_analytic(model: ModelParams, omega: float, gamma: float, phi_tilde_norm2: float) -> float:

@@ -1,3 +1,4 @@
+import inspect
 import math
 import warnings
 from dataclasses import replace
@@ -7,7 +8,7 @@ import pytest
 
 from nlkglab.experiments import MultiSolitonConfig, random_bump, run_forward_stability, soliton_sum
 from nlkglab.grids import Field, Grid, flat, norm_h1l2
-from nlkglab import experiments, modulation
+from nlkglab import experiments, modulation, profiles
 from nlkglab.modulation import (
     DegenerateConfigurationError,
     NotInTubeError,
@@ -18,7 +19,7 @@ from nlkglab.modulation import (
 )
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton, soliton_tangents
 from nlkglab.spectrum import _frequency_derivative
-from oracles import pair_inner, sample_soliton_spectral, symmetry_directions
+from oracles import pair_inner, sample_soliton_spectral, sampler_with_views, symmetry_directions
 
 MODEL = ModelParams(1.0, 3.0, 1)
 
@@ -125,62 +126,84 @@ def test_jacobian_matches_per_tangent_reference(grid, n, eps):
     assert np.max(np.abs(jac - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
-def _reference_tangents(sp, comp):
-    """Oracle: the path the closed forms replace, the spectral derivative of
-    the sample and the centered omega-difference of two more samples."""
-    d_omega = _frequency_derivative(
+def _omega_difference(sp, comp):
+    """Oracle: the centered omega-difference of two more samples, the path
+    the closed-form dR_j/domega replaces."""
+    return _frequency_derivative(
         lambda om: sample_soliton(replace(sp, omega=om), 0.0, comp.grid), sp.omega
     )
-    return symmetry_directions(comp)[2], d_omega
 
 
-def test_fits_match_the_omega_difference_reference(monkeypatch):
-    """Every fit of a 21-hook backward pair run takes the iteration count and
-    lands on the roots (to 1e-12) of the same fit with the reference tangents:
-    the spectral R_j' and the omega-difference dR_j/domega."""
-    g = Grid(160.0, 1024)
-    sols = [SolitonParams(MODEL, omega=0.8, v=v, theta=0.3, x0=5 * g.spacing) for v in (-0.4, 0.4)]
-    cfg = MultiSolitonConfig(
-        model=MODEL, grid=g, solitons=sols, t_final=11.0, t_start=10.0, dt=0.002, diag_period=0.05
-    )
+def _fits_beside_reference(cfg, monkeypatch, reference):
+    """Every fit of the backward run of ``cfg`` beside the same fit with
+    ``reference`` (an ``oracles.sampler_with_views``) as the fit's sampler,
+    with the number of samples the reference wrote views for in that fit."""
     fits = []
     real = experiments.fit_modulation
 
     def both(field, seeds):
         st = real(field, seeds)
+        before = len(reference.calls)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(modulation, "soliton_tangents", _reference_tangents)
-            fits.append((st, real(field, seeds)))
+            mp.setattr(modulation, "sample_soliton", reference)
+            ref = real(field, seeds)
+        fits.append((st, ref, len(reference.calls) - before))
         return st
 
     monkeypatch.setattr(experiments, "fit_modulation", both)
     rep = experiments.run_backward_construction(cfg)
-    assert rep.tube_exit_time is None and len(fits) == 21
-    for st, ref in fits:
+    assert rep.tube_exit_time is None
+    return fits
+
+
+def test_fits_match_the_omega_difference_reference(monkeypatch):
+    """Every fit of a 21-hook backward pair run takes the iteration count and
+    lands on the roots (to 1e-12) of the same fit with the reference tangents:
+    the spectral R_j' and the omega-difference dR_j/domega, which the
+    reference sampler writes for every soliton of every iterate, N(it + 1)
+    times per fit."""
+    g = Grid(160.0, 1024)
+    sols = [SolitonParams(MODEL, omega=0.8, v=v, theta=0.3, x0=5 * g.spacing) for v in (-0.4, 0.4)]
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=g, solitons=sols, t_final=11.0, t_start=10.0, dt=0.002, diag_period=0.05
+    )
+    fits = _fits_beside_reference(cfg, monkeypatch, sampler_with_views(sample_soliton, _omega_difference))
+    assert len(fits) == 21
+    for st, ref, samples in fits:
         assert st.converged and st.iterations == ref.iterations
+        assert samples == len(sols) * (ref.iterations + 1)
         for name in ("thetas", "omegas", "positions"):
             assert np.max(np.abs(getattr(st, name) - getattr(ref, name))) <= 1e-12
 
 
 def test_fit_samples_each_soliton_once_per_iterate(grid, pair, monkeypatch):
-    """Each iterate samples every soliton once, for the residual, and takes
-    its translation and omega tangents from that sample; an accepted Newton
-    step's sample is the next iterate's residual sample, so nothing is
-    sampled twice."""
-    calls = []
+    """Each iterate samples every soliton once, and that sample writes the
+    iterate's symmetry rows and omega-tangent in the same pass, so the fit
+    calls ``soliton_tangents`` not at all; an accepted Newton step's sample
+    is the next iterate's, so nothing is sampled twice."""
+    calls, tangents = [], []
     real = modulation.sample_soliton
+    signature = inspect.signature(real)
 
-    def counted(*args):
-        calls.append(1)
-        return real(*args)
+    def counted(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        calls.append(bound.get("rows") is not None and bound.get("d_omega") is not None)
+        return real(*args, **kwargs)
+
+    def counted_tangents(*args, **kwargs):
+        tangents.append(1)
+        return soliton_tangents(*args, **kwargs)
 
     monkeypatch.setattr(modulation, "sample_soliton", counted)
+    monkeypatch.setattr(profiles, "soliton_tangents", counted_tangents)
+    monkeypatch.setattr(modulation, "soliton_tangents", counted_tangents, raising=False)
     u = soliton_sum(pair, 0.0, grid)
     seeds = [replace(sp, theta=sp.theta + 0.05, omega=sp.omega - 0.01, x0=sp.x0 + 0.1) for sp in pair]
     st = fit_modulation(u, seeds)
     n, it = len(pair), st.iterations
     assert st.converged and it >= 2
-    assert len(calls) == n * (it + 1)
+    assert len(calls) == n * (it + 1) and all(calls)
+    assert not tangents
 
 
 def _counted(calls, fn):
@@ -224,38 +247,30 @@ def test_residue_directions_match_spectral(grid, n, eps):
     assert np.max(np.abs(got[2] - want[2])) <= 1e-11 * np.max(np.abs(want[2]))
 
 
-def _spectral_translation(sp, comp):
-    """Reference: the spectral R_j' beside the closed-form dR_j/domega."""
-    return symmetry_directions(comp)[2], soliton_tangents(sp, comp)[1]
+def _closed_omega_tangent(sp, comp):
+    """The closed-form dR_j/domega, taken of the spectral sample."""
+    return soliton_tangents(sp, comp)[1]
 
 
 def test_dense_hook_fits_match_the_spectral_path(monkeypatch):
     """Every fit of the dense-hook pair run (N = 2048, t = 11 -> 10, a hook
     every 0.05) takes the iteration count, 40 over the 21 fits, and lands on
     the roots (to 1e-13) of the same fit with spectral derivatives: in the
-    samples' u2 and in R_j', so Upsilon' is spectral by linearity."""
+    samples' u2 and in R_j', so Upsilon' is spectral by linearity.  The
+    reference sampler writes them for every soliton of every iterate,
+    N(it + 1) times per fit."""
     g = Grid(160.0, 2048)
     sols = [SolitonParams(MODEL, omega=0.8, v=v) for v in (-0.4, 0.4)]
     cfg = MultiSolitonConfig(
         model=MODEL, grid=g, solitons=sols, t_final=11.0, t_start=10.0, dt=0.002, diag_period=0.05
     )
-    fits = []
-    real = experiments.fit_modulation
-
-    def both(field, seeds):
-        st = real(field, seeds)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(modulation, "sample_soliton", sample_soliton_spectral)
-            mp.setattr(modulation, "soliton_tangents", _spectral_translation)
-            fits.append((st, real(field, seeds)))
-        return st
-
-    monkeypatch.setattr(experiments, "fit_modulation", both)
-    rep = experiments.run_backward_construction(cfg)
-    assert rep.tube_exit_time is None and len(fits) == 21
-    assert sum(st.iterations for st, _ in fits) == 40
-    for st, ref in fits:
+    reference = sampler_with_views(sample_soliton_spectral, _closed_omega_tangent)
+    fits = _fits_beside_reference(cfg, monkeypatch, reference)
+    assert len(fits) == 21
+    assert sum(st.iterations for st, _, _ in fits) == 40
+    for st, ref, samples in fits:
         assert st.converged and st.iterations == ref.iterations
+        assert samples == len(sols) * (ref.iterations + 1)
         for name in ("thetas", "omegas", "positions"):
             assert np.max(np.abs(getattr(st, name) - getattr(ref, name))) <= 1e-13
 

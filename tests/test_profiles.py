@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from nlkglab import profiles
-from nlkglab.grids import Grid, flat, norm_h1l2, norm_l2
+from nlkglab.grids import Grid, flat, norm_h1l2, norm_l2, symmetry_rows
 from nlkglab.integrator import IntegratorConfig, evolve
 from nlkglab.profiles import (
     DomainTooSmallError,
@@ -613,6 +613,67 @@ def test_translation_tangent_matches_spectral_derivative(v):
     spectral = flat(symmetry_directions(sample)[2])
     tangent = flat(soliton_tangents(sp, sample)[0])
     assert np.max(np.abs(tangent - spectral)) <= 1e-12 * np.max(np.abs(spectral))
+
+
+SENTINEL = 5.0 - 3.0j
+
+
+def _sample_with_views(sp, t, g):
+    """One ``sample_soliton`` call with views into a sentinel-filled array,
+    its rows at [2:5] and its omega-tangent at [6]: the sample and the array."""
+    big = np.full((9, 2 * g.points), SENTINEL)
+    sample = sample_soliton(sp, t, g, big[2:5], big[6])
+    return sample, big
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+@pytest.mark.parametrize("v", [-0.6, 0.0, 0.4])
+def test_sampler_views_match_the_three_step_path(p, v):
+    """With views, the sampler writes ``symmetry_rows`` of its sample with the
+    closed-form R' and ``soliton_tangents``' dR/domega bit for bit, returns
+    the sample it returns without views and writes nothing else; near the
+    band edge, centred within h/3 of either end of the box (where the sample
+    wraps around), and after the soliton has moved."""
+    g = Grid(160.0, 512)
+    edge = 0.5 * g.length - g.spacing / 3.0
+    for x0 in (edge, -edge):
+        sp = SolitonParams(ModelParams(1.0, p, 1), omega=0.95, theta=0.7, v=v, x0=x0)
+        for t in (0.0, 1.7):
+            sample, big = _sample_with_views(sp, t, g)
+            plain = sample_soliton(sp, t, g)
+            assert np.array_equal(sample.u1, plain.u1) and np.array_equal(sample.u2, plain.u2)
+            dx, d_omega = soliton_tangents(sp.advanced(t), plain)
+            assert np.array_equal(big[2:5], symmetry_rows(plain, dx))
+            assert np.array_equal(big[6], flat(d_omega).view(complex))
+            assert np.all(big[[0, 1, 5, 7, 8]] == SENTINEL)
+
+
+@pytest.mark.parametrize(
+    "model, omega, g, error, match",
+    [
+        (ModelParams(1.0, 3.0, 2), 0.8, Grid(80.0, 512), ValueError, "d=1 dynamics"),
+        (MODEL, 0.8, Grid(10.0, 256), DomainTooSmallError, "enlarge the domain"),
+        (MODEL, 1.0, Grid(80.0, 512), FrequencyRangeError, "not below sqrt"),
+    ],
+)
+def test_sampler_raises_before_writing_its_views(model, omega, g, error, match):
+    """d = 2, a domain too small for the profile and |omega| >= sqrt(m) (set
+    on a soliton built inside the band) raise before any row is written."""
+    sp = SolitonParams(model, omega=0.8, v=0.4)
+    sp.omega = omega
+    big = np.full((9, 2 * g.points), SENTINEL)
+    with pytest.raises(error, match=match):
+        sample_soliton(sp, 0.0, g, big[2:5], big[6])
+    assert np.all(big == SENTINEL)
+
+
+def test_sampler_with_views_warns_once_for_its_caller():
+    """On a marginal domain the sampler with views warns once about the
+    boundary value, naming the file of its caller."""
+    g = Grid(80.0, 1024)
+    with pytest.warns(UserWarning, match="boundary value") as caught:
+        _sample_with_views(SolitonParams(MODEL, omega=0.9, v=0.2), 0.0, g)
+    assert len(caught) == 1 and caught[0].filename == __file__
 
 
 def test_standing_wave_rotation(grid):
