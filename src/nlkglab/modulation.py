@@ -27,7 +27,7 @@ directions and the omega-tangent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -129,7 +129,7 @@ def _jacobian(u_rows: np.ndarray, dirs: np.ndarray, d_omega: np.ndarray, h: floa
 
 def _apply(params: Sequence[SolitonParams], vec: np.ndarray) -> list[SolitonParams]:
     triples = vec.reshape(-1, 3)
-    return [replace(sp, theta=th, omega=om, x0=x) for sp, (th, om, x) in zip(params, triples)]
+    return [SolitonParams(sp.model, om, th, sp.v, x) for sp, (th, om, x) in zip(params, triples)]
 
 
 def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationState:
@@ -163,7 +163,9 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
 
     for it in range(MAX_NEWTON_ITER):
         jac = _jacobian(u_rows, dirs, d_omega, u.grid.spacing)
-        cond = float(np.linalg.cond(jac))
+        s = np.linalg.svd(jac, compute_uv=False)
+        with np.errstate(divide="ignore", invalid="ignore"):  # s[-1] = 0: inf or NaN, refused below
+            cond = float(s[0] / s[-1])
         if not np.isfinite(cond) or cond > 1e8:
             raise DegenerateConfigurationError(
                 f"modulation Jacobian condition number {cond:.3e}"

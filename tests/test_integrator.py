@@ -251,9 +251,9 @@ def strang_oracle(grid, moving):
 @pytest.mark.parametrize("stride", [0, 7])
 def test_evolve_matches_reference_stepper(moving, strang_oracle, stride):
     """The chained stepper computes the reference Strang solution to rounding,
-    with and without sync points off the 16-step grid (stride 7).
+    with and without sync points at hook steps (stride 7).
 
-    Measured 4.5e-14 (no hooks) and 6.0e-14 (stride 7).  A float64 run of
+    Measured 4.1e-14 (no hooks) and 4.9e-14 (stride 7).  A float64 run of
     the reference stepper is itself 6.7e-12 from the oracle: its 8 FFTs per
     step round more, so the oracle runs in extended precision.
     """
@@ -265,7 +265,7 @@ def test_evolve_matches_reference_stepper(moving, strang_oracle, stride):
 
 def test_long_reversibility_with_syncs(moving):
     """2000 steps forward with hooks every 7 steps, then back without: the
-    initial field returns to rounding (measured 8e-14 relative)."""
+    initial field returns to rounding (measured 9e-14 relative)."""
     fwd = evolve(moving, 0.0, LONG_T, IntegratorConfig(dt=LONG_DT), MODEL,
                  hooks=[lambda rec: None], diag_period=0.07)
     back = evolve(fwd, LONG_T, 0.0, IntegratorConfig(dt=-LONG_DT), MODEL)
@@ -274,7 +274,7 @@ def test_long_reversibility_with_syncs(moving):
 
 def test_charge_drift_at_rounding(moving):
     """Charge over 2000 steps, read at every 7th step: drift at rounding
-    (measured 7e-15 relative)."""
+    (measured 5e-15 relative)."""
     q0 = charge(moving)
     charges = []
     evolve(moving, 0.0, LONG_T, IntegratorConfig(dt=LONG_DT), MODEL,
@@ -283,31 +283,35 @@ def test_charge_drift_at_rounding(moving):
     assert max(abs(q - q0) for q in charges) < 1e-13 * abs(q0)
 
 
-@pytest.mark.parametrize("stride, syncs", [(0, 20), (100, 23)])
-def test_ffts_per_step(moving, monkeypatch, stride, syncs):
-    """Two FFTs per step, two to enter Fourier space and two inverse FFTs per
-    sync point: every 16th step (20 of 320), each hook step (100, 200 and 300
-    are off that grid) and the last step (on it).  Without hooks that is
-    (2 + 2*320 + 2*20)/320 = 2.13 per step.  ``evolve`` imports its
-    transforms from ``scipy.fft`` when called, so counting wrappers set on
-    that module see every call."""
+def _count_transforms(monkeypatch, events: list) -> None:
+    """Log every ``scipy.fft`` call of ``evolve`` into ``events`` by name.
+    ``evolve`` imports its transforms from ``scipy.fft`` when called, so
+    counting wrappers set on that module see every call."""
     import scipy.fft
 
-    calls = []
-
-    def counted(transform):
+    def counted(name, transform):
         def call(*args, **kwargs):
-            calls.append(transform)
+            events.append(name)
             return transform(*args, **kwargs)
 
         return call
 
-    monkeypatch.setattr(scipy.fft, "fft", counted(scipy.fft.fft))
-    monkeypatch.setattr(scipy.fft, "ifft", counted(scipy.fft.ifft))
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(scipy.fft, name, counted(name, getattr(scipy.fft, name)))
+
+
+@pytest.mark.parametrize("stride, syncs", [(0, 1), (100, 4)])
+def test_ffts_per_step(moving, monkeypatch, stride, syncs):
+    """Two FFTs per step, two to enter Fourier space and two inverse FFTs per
+    sync point: each hook step (100, 200 and 300) and the last step.  The
+    blow-up check every 16th step takes none.  Without hooks that is
+    (2 + 2*320 + 2)/320 = 2.0125 per step."""
+    calls = []
+    _count_transforms(monkeypatch, calls)
     hooks = [lambda rec: None] if stride else []
     evolve(moving, 0.0, 3.2, IntegratorConfig(dt=0.01), MODEL, hooks=hooks, diag_period=stride * 0.01)
     assert len(calls) == 2 + 2 * 320 + 2 * syncs
-    assert len(calls) / 320 <= 2.2
+    assert len(calls) / 320 <= 2.05
 
 
 @pytest.mark.parametrize("n", [255, 256, 512, 1024, 2048])
@@ -395,12 +399,38 @@ def test_hooks_need_a_stride(grid, period):
 
 
 def test_amplitude_checked_once_per_check_point(grid, monkeypatch):
-    """Every 16th step, each hook step and the last step are checked, each once."""
-    checked = []
+    """Every 16th step, each hook step and the last step are checked, each once.
+    Steps 16 and 32 are read from the modulus of the kick's input, right after
+    that step's one inverse FFT; the syncs at 0.12, 0.24 and 0.36 (the hook
+    steps, the last among them) after the two inverse FFTs of u1 and u2."""
+    events = []
+    _count_transforms(monkeypatch, events)
     real = integrator._check_amplitude
-    monkeypatch.setattr(
-        integrator, "_check_amplitude", lambda u1, t: (checked.append(t), real(u1, t))
-    )
+
+    def check(modulus, t):
+        events.append(t)
+        assert modulus.dtype == float and np.all(modulus >= 0.0)
+        real(modulus, t)
+
+    monkeypatch.setattr(integrator, "_check_amplitude", check)
     w = sample_soliton(SolitonParams(MODEL, omega=0.8), 0.0, grid)
     evolve(w, 0.0, 0.36, IntegratorConfig(dt=0.01), MODEL, hooks=[lambda rec: None], diag_period=0.12)
-    assert checked == pytest.approx([0.12, 0.16, 0.24, 0.32, 0.36])
+    checks = [(i, t) for i, t in enumerate(events) if not isinstance(t, str)]
+    assert [t for _, t in checks] == pytest.approx([0.12, 0.16, 0.24, 0.32, 0.36])
+    before = [tuple(events[i - 2 : i]) for i, _ in checks]
+    sync, modulus = ("ifft", "ifft"), ("fft", "ifft")
+    assert before == [sync, modulus, sync, modulus, sync]
+
+
+def test_blowup_without_hooks_takes_no_sync(monkeypatch):
+    """A focusing blow-up with no hooks is caught by the check on the kick's
+    modulus: it raises at step 80 (t = 0.8, as when every 16th step synced)
+    after one inverse FFT per step, none of them of u2."""
+    events = []
+    _count_transforms(monkeypatch, events)
+    g = Grid(120.0, 1024)
+    w = Field(3.0 * np.exp(-g.x**2) + 0j, np.zeros(g.points, dtype=complex), g)
+    with pytest.raises(BlowUpError) as err:
+        evolve(w, 0.0, 2.0, IntegratorConfig(dt=0.01), MODEL)
+    assert err.value.t == pytest.approx(0.8)
+    assert events.count("ifft") == 80

@@ -413,6 +413,18 @@ def test_near_coincident_pair_is_degenerate():
     assert st.converged and st.condition_number == pytest.approx(5.7655e6, rel=1e-4)
 
 
+def test_zero_jacobian_is_degenerate_without_warning(monkeypatch):
+    """An all-zero Jacobian has condition number 0/0: it is refused as
+    degenerate, and the division warns nothing."""
+    g = Grid(80.0, 512)
+    sp = [SolitonParams(MODEL, omega=0.8)]
+    monkeypatch.setattr(modulation, "_jacobian", lambda u_rows, dirs, *args: np.zeros((3, 3)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateConfigurationError, match=r"condition number nan"):
+            fit_modulation(soliton_sum(sp, 0.0, g), sp)
+
+
 def _offset(sp):
     """A seed off the soliton in all three fitted parameters."""
     return replace(sp, theta=sp.theta + 0.04, omega=sp.omega - 0.01, x0=sp.x0 + 0.05)
