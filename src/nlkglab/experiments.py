@@ -80,7 +80,15 @@ __all__ = [
 
 
 def soliton_sum(solitons: Sequence[SolitonParams], t: float, grid: Grid) -> Field:
-    return sum((sample_soliton(sp, t, grid) for sp in solitons), Field.zeros(grid))
+    """The sum of the samples of one or more solitons at time t: the first
+    sample, with the others added into its arrays before anyone reads it."""
+    first, *rest = solitons
+    total = sample_soliton(first, t, grid)
+    for sp in rest:
+        w = sample_soliton(sp, t, grid)
+        total.u1 += w.u1
+        total.u2 += w.u2
+    return total
 
 
 def fit_log_slope(times: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:

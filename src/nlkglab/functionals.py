@@ -192,9 +192,12 @@ def gradient_norm(w: Field, ap: ActionParams) -> float:
 
 
 def ramp(s: np.ndarray | float):
-    """C^1 ramp: 0 for s < -1, sin^2(pi (s+1)/4) on [-1, 1], 1 above."""
+    """C^1 ramp: 0 for s < -1, sin^2(pi (s+1)/4) on [-1, 1], 1 above; NaN
+    stays NaN.  The sine is taken only on (-1, 1)."""
     s = np.asarray(s, dtype=float)
-    out = np.where(s <= -1.0, 0.0, np.where(s >= 1.0, 1.0, np.sin(np.pi * (s + 1.0) / 4.0) ** 2))
+    out = np.where(s >= 1.0, 1.0, 0.0)
+    inside = ~((s <= -1.0) | (s >= 1.0))  # (-1, 1) and NaN
+    out[inside] = np.sin(np.pi * (s[inside] + 1.0) / 4.0) ** 2
     return out
 
 

@@ -17,11 +17,18 @@ the Jacobian's cross term one (3N, 3N) Gram.  Its residue term moves the
 symmetry maps onto Upsilon by their adjoints.  The maps are linear, so
 Upsilon's directions are U's less those of the R_j: U's written once per
 fit by ``grids.symmetry_rows``, and R_j's with its omega-tangent by the
-sampler, ``profiles.sample_soliton`` with views into the fit's one array,
-in the pass that samples R_j.  So a Newton iterate takes no FFT.  An
-accepted backtracking trial's sample is the next iterate's, so an iterate
-samples each soliton once: that one pass gives the residual, the
-directions and the omega-tangent.
+sampler, ``profiles.sample_soliton`` with views into a row buffer, in the
+pass that samples R_j.  So a Newton iterate takes no FFT.  An accepted
+backtracking trial's sample is the next iterate's, so an iterate samples
+each soliton once: that one pass gives the residual, the directions and
+the omega-tangent.
+
+A fit allocates its workspace once: two (4N, 2N) row buffers and a (3, 4N)
+scratch for D_k Upsilon.  The iterate's rows sit in one buffer and every
+backtracking trial writes into the other, so a rejected trial leaves the
+iterate's rows as they were; an accepted trial's buffer becomes the
+iterate's.  The Jacobian pairs the rows in place, so a Newton iterate
+allocates nothing larger than a field: the residue and the samples.
 """
 
 from __future__ import annotations
@@ -84,27 +91,25 @@ class ModulationState:
         return norm_h1l2(self.residual)
 
 
-def _ortho_vector(u: Field, params: Sequence[SolitonParams]):
-    """The orthogonality residuals, the residue U - sum_j R_j, the
-    symmetry directions i R_j, i J R_j and R_j' of every component as the
-    real (3N, 4N) array of their ``flat`` rows in (j, k) order, and the
-    (N, 4N) rows of the dR_j/domega.  One array holds all 4N rows, and each
+def _ortho_vector(u: Field, params: Sequence[SolitonParams], rows: np.ndarray):
+    """The orthogonality residuals, the residue U - sum_j R_j and ``rows``
+    itself: a (4N, 2N) complex buffer that the samples fill with the symmetry
+    directions i R_j, i J R_j and R_j' of every component in (j, k) order,
+    then the N dR_j/domega, each row the complex view of a ``flat`` row.  Each
     sample writes its own four in the pass that samples R_j
     (``profiles.sample_soliton`` with views), with no spectral derivative."""
     g = u.grid
     n, size = len(params), g.points
-    rows = np.empty((4 * n, 2 * size), complex)  # the 3N directions, then the N omega-tangents
     ups = np.concatenate((u.u1, u.u2))
     for j, sp in enumerate(params):
         c = sample_soliton(sp, 0.0, g, rows[3 * j : 3 * j + 3], rows[3 * n + j])
         ups[:size] -= c.u1
         ups[size:] -= c.u2
-    dirs = rows[: 3 * n].view(float)
-    f = (dirs @ ups.view(float)) * g.spacing
-    return f, Field(ups[:size], ups[size:], g), dirs, rows[3 * n :].view(float)
+    f = (rows[: 3 * n].view(float) @ ups.view(float)) * g.spacing
+    return f, Field(ups[:size], ups[size:], g), rows
 
 
-def _jacobian(u_rows: np.ndarray, dirs: np.ndarray, d_omega: np.ndarray, h: float) -> np.ndarray:
+def _jacobian(u_rows: np.ndarray, rows: np.ndarray, h: float, dups: np.ndarray) -> np.ndarray:
     """Derivative of the orthogonality residuals in (theta_l, omega_l, x_l).
 
     With T_j = (i R_j, dR_j/domega, -R_j') the tangents of R_j and D_k the
@@ -113,15 +118,21 @@ def _jacobian(u_rows: np.ndarray, dirs: np.ndarray, d_omega: np.ndarray, h: floa
     the adjoint, s_k <D_k Upsilon, T_{j,a}>, so the symmetry maps act on
     Upsilon once instead of on all 3N tangents.  They are linear, so
     D_k Upsilon = D_k U - sum_j D_k R_j, from the fit's three rows of U
-    (``u_rows``) and the rows of ``dirs``.
+    (``u_rows``) and the directions among ``rows`` (``_ortho_vector``),
+    written into ``dups``, a (3, 4N) scratch.  Both terms pair with every
+    row of ``rows`` at once; the tangents are columns of those products,
+    picked and signed.
     """
-    n = len(d_omega)
-    tan = dirs.copy()
-    tan[1::3] = d_omega
-    tan[2::3] *= -1.0
-    jac = -(dirs @ tan.T) * h
-    dups = u_rows - dirs.reshape(n, 3, -1).sum(axis=0)
-    ups_term = ADJOINT_SIGNS[:, None] * (dups @ tan.T) * h
+    n = len(rows) // 4
+    flat_rows = rows.view(float)
+    dirs = flat_rows[: 3 * n]
+    # T_{j,a}: the rows i R_j and R_j' of the directions, and the j-th omega-tangent row
+    cols = np.array([(3 * j, 3 * n + j, 3 * j + 2) for j in range(n)]).ravel()
+    signs = np.tile([1.0, 1.0, -1.0], n)
+    jac = (dirs @ flat_rows.T)[:, cols] * (-h * signs)
+    dirs.reshape(n, 3, -1).sum(axis=0, out=dups)
+    np.subtract(u_rows, dups, out=dups)
+    ups_term = (dups @ flat_rows.T)[:, cols] * (ADJOINT_SIGNS[:, None] * signs * h)
     for j in range(n):
         jac[3 * j : 3 * j + 3, 3 * j : 3 * j + 3] += ups_term[:, 3 * j : 3 * j + 3]
     return jac
@@ -154,15 +165,19 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
     if scale == 0.0:
         raise NotInTubeError("zero field cannot be modulated")
 
+    # the workspace: the iterate's rows, the trial's rows and D_k Upsilon
+    n, size = len(params), u.grid.points
+    rows, spare = (np.empty((4 * n, 2 * size), complex) for _ in range(2))
+    dups = np.empty((3, 4 * size))
     vec = np.array([(sp.theta, sp.omega, sp.x0) for sp in params], dtype=float).ravel()
     current = _apply(params, vec)
     try:
-        f0, ups, dirs, d_omega = _ortho_vector(u, current)
+        f0, ups, rows = _ortho_vector(u, current, rows)
     except DomainTooSmallError as exc:
         raise NotInTubeError(f"iterate left the profile family: {exc}") from exc
 
     for it in range(MAX_NEWTON_ITER):
-        jac = _jacobian(u_rows, dirs, d_omega, u.grid.spacing)
+        jac = _jacobian(u_rows, rows, u.grid.spacing, dups)
         s = np.linalg.svd(jac, compute_uv=False)
         with np.errstate(divide="ignore", invalid="ignore"):  # s[-1] = 0: inf or NaN, refused below
             cond = float(s[0] / s[-1])
@@ -181,7 +196,7 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
             if np.all(np.abs(trial[1::3]) < sqm - OMEGA_MARGIN):  # admissible frequencies
                 candidate = _apply(params, trial)
                 try:
-                    sampled = _ortho_vector(u, candidate)
+                    sampled = _ortho_vector(u, candidate, spare)
                     if np.max(np.abs(sampled[0])) < norm0:
                         break
                 except DomainTooSmallError:  # the domain cannot hold the trial
@@ -193,9 +208,10 @@ def fit_modulation(u: Field, initial: Sequence[SolitonParams]) -> ModulationStat
                 "admissible frequency band)"
             )
         vec, current = trial, candidate
-        f0, ups, dirs, d_omega = sampled
+        # the accepted trial's buffer holds the next iterate's rows; the old one takes the next trials
+        spare = rows
+        f0, ups, rows = sampled
     raise NotInTubeError(
         f"modulation Newton did not converge in {MAX_NEWTON_ITER} iterations "
         f"(last residual {norm0:.3e}, tol {NEWTON_TOL * scale:.3e})"
     )
-

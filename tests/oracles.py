@@ -1,18 +1,20 @@
 """Reference implementations the tests compare the library against.
 
 Closed forms and second computations that no nlkglab program runs: the
-Nehari functional and its ray projection, the ramp derivative, the
-standing-wave energy by quadrature and by scaling, the Pohozaev ratio, the
-profile tail slope, the closed-form frequency slope, the differentiated
-critical-point residual, the second variation's product M z and its
-quadratic form h z^T M z, the essential-spectrum floor from the free
-symbol, the Schur complement of the second variation as a dense matrix,
-the H1 x L2 whitening W = G^(-1/2) on flattened fields,
-the radial stencil residual by index gathers, Petviashvili's iteration
-with a stencil every step, the soliton sample with a spectral derivative
-in u2, a sampler that fills the fit's rows in separate steps, the action
-gradient by three spectral derivatives in physical space, and the
-symmetry directions as a triple of Fields.
+Nehari functional and its ray projection, the ramp as one ``np.where``,
+the ramp derivative, the standing-wave energy by quadrature and by
+scaling, the Pohozaev ratio, the profile tail slope, the closed-form
+frequency slope, the differentiated critical-point residual, the second
+variation's product M z and its quadratic form h z^T M z, the
+essential-spectrum floor from the free symbol, the Schur complement of the
+second variation as a dense matrix, the H1 x L2 whitening W = G^(-1/2) on
+flattened fields, the radial stencil residual by index gathers,
+Petviashvili's iteration with a stencil every step, the soliton sample
+with a spectral derivative in u2, the sampler with its boost phase by one
+complex exponential per point and its tangent formulas in terms of the
+sample, a sampler that fills the fit's rows in separate steps, the action
+gradient by three spectral derivatives in physical space, and the symmetry
+directions as a triple of Fields.
 """
 
 from __future__ import annotations
@@ -26,10 +28,10 @@ import scipy.linalg as sla
 from nlkglab.functionals import ActionParams, action_gradient, action_symbol, energy
 from nlkglab.functionals import quadratic_gradient
 from nlkglab import profiles
-from nlkglab.grids import Field, Grid, flat, spectral_derivative
+from nlkglab.grids import Field, Grid, flat, spectral_derivative, symmetry_rows
 from nlkglab.grids import wrap_coordinate
 from nlkglab.profiles import GroundState, ModelParams, SolitonParams, ground_state_1d
-from nlkglab.profiles import free_flow, phi_omega
+from nlkglab.profiles import _check_domain, _log_slope, free_flow, phi_omega
 from nlkglab.spectrum import RealizedOperator, _frequency_derivative
 
 
@@ -98,6 +100,14 @@ def nehari_project(w: Field, ap: ActionParams) -> tuple[float, Field]:
         raise NehariProjectionError("quadratic part non-positive; no interior maximum")
     s_star = (quad / nonlin) ** (1.0 / (ap.model.p - 1.0))
     return s_star, s_star * w
+
+
+def ramp_where(s: np.ndarray | float):
+    """``functionals.ramp`` as one ``np.where`` over a sine of every input."""
+    s = np.asarray(s, dtype=float)
+    with np.errstate(invalid="ignore", over="ignore"):  # sin(+-inf) and pi * 1e308
+        sine = np.sin(np.pi * (s + 1.0) / 4.0) ** 2
+    return np.where(s <= -1.0, 0.0, np.where(s >= 1.0, 1.0, sine))
 
 
 def ramp_derivative(s: np.ndarray | float):
@@ -214,13 +224,67 @@ def petviashvili_stencil_every_iteration(
 
 def sample_soliton_spectral(sp: SolitonParams, t: float, grid: Grid) -> Field:
     """``profiles.sample_soliton`` with gamma phi'(gamma y) in u2 taken as the
-    spectral derivative of the sampled profile; no domain check."""
+    spectral derivative of the sampled profile; no domain check.  The phase is
+    the sampler's own (``profiles._boost_phase``), so u1 is the sampler's."""
     angle, shift = free_flow(sp, t)
     y = wrap_coordinate(grid.x - shift, grid.length)
     prof = phi_omega(sp.gamma * y, sp.model, sp.omega)
     dprof = spectral_derivative(prof, grid)
-    phase = np.exp(1j * angle) * np.exp(-1j * sp.gamma * sp.omega * sp.v * y)
+    phase = profiles._boost_phase(angle, -sp.gamma * sp.omega * sp.v, y, grid)
     return Field(phase * prof, phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof), grid)
+
+
+def sample_soliton_reference(sp: SolitonParams, t: float, grid: Grid, rows=None, d_omega=None) -> Field:
+    """``profiles.sample_soliton`` with its boost phase e^{-i gamma omega v y}
+    taken by one complex exponential per grid point, and, given the views
+    ``rows`` and ``d_omega``, its tangents from ``_tangents_of_sample``: the
+    reference for the tabled phase and the one-pass tangents."""
+    if sp.model.d != 1:
+        raise ValueError("soliton sampling is implemented for d=1 dynamics")
+    _check_domain(sp.model, sp.omega, grid)
+    angle, shift = free_flow(sp, t)
+    y = wrap_coordinate(grid.x - shift, grid.length)
+    prof = phi_omega(sp.gamma * y, sp.model, sp.omega)
+    s, th, h = _log_slope(sp, y)
+    dprof = h * prof
+    phase = np.exp(1j * angle) * np.exp(-1j * sp.gamma * sp.omega * sp.v * y)
+    sample = Field(phase * prof, phase * (1j * sp.omega * sp.gamma * prof - sp.v * dprof), grid)
+    if rows is not None:
+        size = grid.points
+        _tangents_of_sample(sp, y, s, th, h, sample, rows[2], d_omega)
+        symmetry_rows(sample, Field(rows[2, :size], rows[2, size:], grid), out=rows)
+    return sample
+
+
+def _tangents_of_sample(sp, y, s, th, h, sample, dx, dw) -> None:
+    """d/dx and d/domega of ``sample``, the soliton sp at the wrapped y with
+    (s, th, h) = ``profiles._log_slope(sp, y)``, in closed form from the
+    sample's u1 and u2: each written into a (2N,) complex array or view.
+
+    With mu = m - omega^2, s = sqrt(mu) gamma y and b = (p-1)/2, the profile
+    phi_omega(gamma y) has the real log-derivatives h = -gamma sqrt(mu) tanh(bs)
+    in x, with h' = -b gamma^2 mu sech^2(bs), and g = (omega/mu)(s tanh(bs) - 1/b)
+    in omega, with g' = dg/dx.  The boost phase e^{cy}, c = -i gamma omega v,
+    gives c in x and i a in omega, a = -gamma v y.  Then
+
+        dx u1 = u1 (h + c),      dx u2 = c u2 + u1 (i gamma omega h - v (h' + h^2)),
+        dw u1 = u1 (g + i a),    dw u2 = i a u2 + u1 (i gamma (1 + omega g) - v (g' + g h)).
+    """
+    model, om, gam, v = sp.model, sp.omega, sp.gamma, sp.v
+    u1, u2, size = sample.u1, sample.u2, sample.grid.points
+    mu = model.m - om * om
+    rmu = math.sqrt(mu)
+    b = 0.5 * (model.p - 1.0)
+    sech2 = 1.0 - th * th
+    c = -1j * gam * om * v
+    dh = (-b * gam * gam * mu) * sech2
+    np.multiply(u1, h + c, out=dx[:size])
+    np.add(c * u2, u1 * ((1j * gam * om) * h - v * (dh + h * h)), out=dx[size:])
+    g = (om / mu) * (s * th - 1.0 / b)
+    dg = (om * gam / rmu) * (th + b * s * sech2)
+    ia = (-1j * gam * v) * y
+    np.multiply(u1, g + ia, out=dw[:size])
+    np.add(ia * u2, u1 * (1j * gam * (1.0 + om * g) - v * (dg + g * h)), out=dw[size:])
 
 
 def sampler_with_views(

@@ -99,3 +99,27 @@ def test_traced_workloads_open_every_span(tmp_path):
         finally:
             case.cleanup()
     assert problems == {name: [] for name in workloads.PREPARE}
+
+
+def test_traced_diag_dense_counts_one_sample_per_soliton_per_iterate(tmp_path):
+    """A traced ``diag_dense`` call at seed 1 counts the samples the benchmark
+    has always counted: 122 ``modulation.sample_soliton`` calls inside the 21
+    fits (one per soliton per Newton iterate, 5.81 per fit) and 166 in all."""
+    layers, tracer, workloads = _import_bench("layers", "tracer", "workloads")
+    case = workloads.PREPARE["diag_dense"](1, tmp_path)
+    tr = tracer.Tracer()
+    try:
+        case.before()
+        layers.install(tr)
+        root = tr.open("diag_dense")
+        try:
+            out = case.call()
+        finally:
+            tr.close(root)
+            tr.restore()
+        metrics, problems = layers.layer_metrics("diag_dense", tr, root, out)
+    finally:
+        case.cleanup()
+    assert problems == []
+    assert metrics["modulation.samples_per_fit"] == 122 / 21
+    assert metrics["profiles.sample_soliton_calls"] == 166

@@ -104,6 +104,43 @@ def test_config_orders_solitons_by_velocity(grid):
     assert cfg.solitons[0].omega == 0.75
 
 
+def test_soliton_sum_adds_into_the_first_sample(grid, monkeypatch):
+    """The sum starts from the first sample and adds the others into it: the
+    bits of the old sum from a zero Field, one sample per soliton through
+    ``experiments.sample_soliton`` (the attribute the benchmark wraps), no
+    ``Field.zeros`` and no Field but the samples."""
+    from nlkglab import experiments, grids
+
+    trio = [
+        SolitonParams(MODEL, omega=0.8, theta=0.3, v=-0.4, x0=-30.0),
+        SolitonParams(MODEL, omega=0.7, theta=-1.1, v=0.1, x0=5.0),
+        SolitonParams(MODEL, omega=0.9, theta=2.0, v=0.5, x0=40.0),
+    ]
+    t = 3.7
+    want = sum((sample_soliton(sp, t, grid) for sp in trio), grids.Field.zeros(grid))
+    samples, fields = [], []
+    real_sample, real_init = experiments.sample_soliton, grids.Field.__post_init__
+
+    def sample(sp, t, g):
+        samples.append(sp)
+        return real_sample(sp, t, g)
+
+    def init(self):
+        fields.append(self)
+        real_init(self)
+
+    def zeros(cls, g):
+        raise AssertionError("soliton_sum built a zero Field")
+
+    monkeypatch.setattr(experiments, "sample_soliton", sample)
+    monkeypatch.setattr(grids.Field, "__post_init__", init)
+    monkeypatch.setattr(grids.Field, "zeros", classmethod(zeros))
+    got = soliton_sum(trio, t, grid)
+    assert samples == trio and len(fields) == len(trio) and got is fields[0]
+    for a, b in ((got.u1, want.u1), (got.u2, want.u2)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_fit_log_slope_recovers_exponential():
     t = np.linspace(0, 10, 40)
     y = 3.0 * np.exp(-0.7 * t)
@@ -583,9 +620,9 @@ def test_flux_audit_of_one_soliton():
     """With one soliton the window sits at its centre, as the neighbour formula
     gives for v and v.  The mismatches are finite and keep the bits they had when
     the audit read the window's Q and P through a one-cell ``localized_quantities``.
-    The bits also ride on the stepper's rounding: two half rotations round
-    differently from one full rotation, so moving a sync point moves them (by
-    up to 3e-13)."""
+    The bits also ride on the stepper's and the sampler's rounding: moving a
+    sync point moved them by up to 3e-13, and the sampler's tabled boost phase
+    by up to 2.4e-13."""
     cfg = MultiSolitonConfig(
         model=MODEL, grid=Grid(80.0, 512), solitons=[SolitonParams(MODEL, omega=0.8, v=0.3, x0=-2.0)],
         t_final=6.0, t_start=4.0, dt=0.005, diag_period=0.5,
@@ -594,8 +631,8 @@ def test_flux_audit_of_one_soliton():
     got = np.concatenate((aud.charge_flux_mismatch, aud.momentum_flux_mismatch))
     assert np.all(np.isfinite(got))
     assert [float(x).hex() for x in got] == [
-        "0x1.38fbf4411475cp-20", "0x1.372e6d076b5eep-20", "0x1.3580d7db508c2p-20",
-        "0x1.0491e005059dfp-19", "0x1.03d624e671380p-19", "0x1.032a33bc831b1p-19",
+        "0x1.38fbf883efa65p-20", "0x1.372e6ad963940p-20", "0x1.3580d7da9911ap-20",
+        "0x1.0491e0f121993p-19", "0x1.03d625dbc1364p-19", "0x1.032a34b79e2e9p-19",
     ]
 
 

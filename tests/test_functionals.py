@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -28,6 +29,7 @@ from oracles import (
     action_gradient_three_derivatives,
     nehari_project,
     nehari_value,
+    ramp_where,
     pair_inner,
     ramp_derivative,
 )
@@ -312,6 +314,27 @@ def test_ramp_endpoints():
     assert ramp(1.0) == 1.0
     s = np.linspace(-1, 1, 301)
     assert np.all(np.diff(ramp(s)) >= 0)
+
+
+def test_ramp_keeps_the_bits_of_the_where_form():
+    """Taking the sine only on (-1, 1) gives the bits of ``oracles.ramp_where``
+    for every input: both ends, their neighbours, signed zeros, subnormals,
+    the largest floats, +-inf and NaN, scattered through arrays of many
+    lengths and given alone as 0-d arrays; and it warns nothing."""
+    special = [math.nan, math.inf, -math.inf, -1.0, 1.0, 0.0, -0.0, 5e-324, 1e-300, 1e308, -1e308]
+    special += [np.nextafter(e, d) for e in (-1.0, 1.0) for d in (-2.0, 2.0)]
+    rng = np.random.default_rng(7)
+    cases = [np.array(x) for x in special]
+    for n in (1, 7, 64, 301, 2048, 2051):
+        s = rng.uniform(-3.0, 3.0, n)
+        s[rng.integers(0, n, min(n, 12))] = rng.choice(special, min(n, 12))
+        cases.append(s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [ramp(s) for s in cases]
+    for s, out in zip(cases, got):
+        want = ramp_where(s)
+        assert out.shape == want.shape and np.array_equal(out.view(np.uint64), want.view(np.uint64))
 
 
 def test_ramp_ims_bound():

@@ -56,8 +56,8 @@ def _fd_jacobian(u, params, step=1e-6):
         vp, vm = vec.copy(), vec.copy()
         vp[col] += step
         vm[col] -= step
-        fp = _ortho_vector(u, _apply(params, vp))[0]
-        fm = _ortho_vector(u, _apply(params, vm))[0]
+        fp = _sampled(u, _apply(params, vp))[0]
+        fm = _sampled(u, _apply(params, vm))[0]
         cols.append((fp - fm) / (2.0 * step))
     return np.column_stack(cols)
 
@@ -80,6 +80,16 @@ def _u_rows(u):
     return np.stack([flat(d) for d in symmetry_directions(u)])
 
 
+def _sampled(u, params):
+    """``_ortho_vector`` into a fresh row buffer: residuals, residue, rows."""
+    return _ortho_vector(u, params, np.empty((4 * len(params), 2 * u.grid.points), complex))
+
+
+def _jacobian_of(u, rows):
+    """``_jacobian`` at the rows of ``_sampled``, with a fresh scratch."""
+    return _jacobian(_u_rows(u), rows, u.grid.spacing, np.empty((3, 4 * u.grid.points)))
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.01])
 @pytest.mark.parametrize("n", [2, 3])
 def test_jacobian_matches_finite_difference(grid, n, eps):
@@ -87,8 +97,7 @@ def test_jacobian_matches_finite_difference(grid, n, eps):
     agrees with a centered difference of the residual map, off the root so
     that the residue term counts too."""
     u, at = _jacobian_case(grid, n, eps)
-    _, ups, dirs, d_omega = _ortho_vector(u, at)
-    jac = _jacobian(_u_rows(u), dirs, d_omega, grid.spacing)
+    jac = _jacobian_of(u, _sampled(u, at)[2])
     oracle = _fd_jacobian(u, at)
     assert np.max(np.abs(jac - oracle)) < 1e-6 * np.max(np.abs(oracle))
 
@@ -102,7 +111,7 @@ def _per_tangent_jacobian(ups, params):
     dirs, d_omegas = [], []
     for sp in params:
         sample = sample_soliton(sp, 0.0, g)
-        dx, d_omega = soliton_tangents(sp, sample)
+        dx, d_omega = soliton_tangents(sp, g)
         dirs.append((*symmetry_directions(sample)[:2], dx))
         d_omegas.append(d_omega)
     jac = np.empty((3 * len(params), 3 * len(params)))
@@ -120,8 +129,8 @@ def test_jacobian_matches_per_tangent_reference(grid, n, eps):
     """The stacked Gram with the residue term taken by adjoints is the
     per-entry formula to rounding."""
     u, at = _jacobian_case(grid, n, eps)
-    _, ups, dirs, d_omega = _ortho_vector(u, at)
-    jac = _jacobian(_u_rows(u), dirs, d_omega, grid.spacing)
+    _, ups, rows = _sampled(u, at)
+    jac = _jacobian_of(u, rows)
     ref = _per_tangent_jacobian(ups, at)
     assert np.max(np.abs(jac - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -206,6 +215,75 @@ def test_fit_samples_each_soliton_once_per_iterate(grid, pair, monkeypatch):
     assert not tangents
 
 
+def _address(a):
+    return a.__array_interface__["data"][0]
+
+
+def test_fit_writes_only_into_its_two_row_buffers(grid, pair, monkeypatch):
+    """A fit of at least 3 iterates hands ``_ortho_vector`` one of two row
+    buffers, taking turns as every trial is accepted, and each of its samples
+    writes its views into the buffer of its own call."""
+    buffers, inside = [], []
+    real_ortho, real_sample = modulation._ortho_vector, modulation.sample_soliton
+
+    def ortho(u, params, rows):
+        buffers.append(rows)
+        return real_ortho(u, params, rows)
+
+    def sample(sp, t, g, rows, d_omega):
+        inside.append(np.shares_memory(rows, buffers[-1]) and np.shares_memory(d_omega, buffers[-1]))
+        return real_sample(sp, t, g, rows, d_omega)
+
+    monkeypatch.setattr(modulation, "_ortho_vector", ortho)
+    monkeypatch.setattr(modulation, "sample_soliton", sample)
+    seeds = [replace(sp, theta=sp.theta + 0.05, omega=sp.omega - 0.01, x0=sp.x0 + 0.1) for sp in pair]
+    st = fit_modulation(soliton_sum(pair, 0.0, grid), seeds)
+    assert st.converged and st.iterations >= 3 and len(buffers) == st.iterations + 1
+    addresses = [_address(b) for b in buffers]
+    assert len(set(addresses)) == 2
+    assert all(a != b for a, b in zip(addresses, addresses[1:]))
+    assert len(inside) == len(pair) * len(buffers) and all(inside)
+
+
+def _fit_bits(st):
+    """A fit's parameters, residuals, condition number and residue as float.hex."""
+    values = [*st.thetas, *st.omegas, *st.positions, *st.ortho_residuals, st.condition_number]
+    residue = np.concatenate((st.residual.u1, st.residual.u2)).view(float)
+    return [st.iterations, [float(x).hex() for x in values], [float(x).hex() for x in residue]]
+
+
+def test_backtracking_halves_the_step_and_keeps_the_iterate(grid, pair, monkeypatch):
+    """From seeds 0.06 below both frequencies a full Newton step raises the
+    largest residual and is halved: a spy on ``_ortho_vector`` replays the
+    acceptance rule over every sample of the fit and counts the halvings.
+    The fit still lands on the planted parameters to 1e-10.  No trial writes
+    into the buffer that holds the iterate's rows, and the fit is the same,
+    as float.hex, as one that samples every trial into a fresh buffer."""
+    u = soliton_sum(pair, 0.0, grid)
+    seeds = [replace(sp, omega=sp.omega - 0.06) for sp in pair]
+    real = modulation._ortho_vector
+    calls = []
+
+    def spy(u, params, rows):
+        out = real(u, params, rows)
+        calls.append((_address(rows), np.max(np.abs(out[0]))))
+        return out
+
+    monkeypatch.setattr(modulation, "_ortho_vector", spy)
+    st = fit_modulation(u, seeds)
+    (iterate, norm), halvings = calls[0], 0
+    for buffer, residual in calls[1:]:
+        assert buffer != iterate
+        if residual < norm:
+            iterate, norm = buffer, residual
+        else:
+            halvings += 1
+    assert st.converged and halvings >= 1 and len(calls) == 1 + st.iterations + halvings
+    assert _recovery_error(st, pair) < 1e-10
+    monkeypatch.setattr(modulation, "_ortho_vector", lambda u, params, rows: real(u, params, np.empty_like(rows)))
+    assert _fit_bits(fit_modulation(u, seeds)) == _fit_bits(st)
+
+
 def _counted(calls, fn):
     def call(*args, **kwargs):
         calls.append(fn)
@@ -240,16 +318,16 @@ def test_residue_directions_match_spectral(grid, n, eps):
     R_j', are the spectral symmetry directions of Upsilon: i Upsilon and
     i J Upsilon to 1e-15 absolute, Upsilon' to 1e-11 relative."""
     u, at = _jacobian_case(grid, n, eps)
-    _, ups, dirs, _ = _ortho_vector(u, at)
-    got = _u_rows(u) - dirs.reshape(n, 3, -1).sum(axis=0)
+    _, ups, rows = _sampled(u, at)
+    got = _u_rows(u) - rows[: 3 * n].view(float).reshape(n, 3, -1).sum(axis=0)
     want = _u_rows(ups)
     assert np.max(np.abs(got[:2] - want[:2])) <= 1e-15
     assert np.max(np.abs(got[2] - want[2])) <= 1e-11 * np.max(np.abs(want[2]))
 
 
 def _closed_omega_tangent(sp, comp):
-    """The closed-form dR_j/domega, taken of the spectral sample."""
-    return soliton_tangents(sp, comp)[1]
+    """The closed-form dR_j/domega on the spectral sample's grid."""
+    return soliton_tangents(sp, comp.grid)[1]
 
 
 def test_dense_hook_fits_match_the_spectral_path(monkeypatch):

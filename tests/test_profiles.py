@@ -29,6 +29,7 @@ from oracles import (
     petviashvili_stencil_every_iteration,
     pohozaev_ratio,
     radial_stencil_residual_gather,
+    sample_soliton_reference,
     sample_soliton_spectral,
     standing_wave_energy,
     standing_wave_energy_scaling,
@@ -588,7 +589,7 @@ def test_frequency_tangent_matches_richardson_difference(m, p, omega, v, edge):
     gap between the sample's spectral derivative and the exact one."""
     g, sp = _tangent_case(m, p, omega, v, edge)
     oracle = _richardson(lambda d: sample_soliton(replace(sp, omega=omega + d), 0.0, g), 1e-3)
-    tangent = flat(soliton_tangents(sp, sample_soliton(sp, 0.0, g))[1])
+    tangent = flat(soliton_tangents(sp, g)[1])
     assert np.max(np.abs(tangent - oracle)) <= 1e-8 * np.max(np.abs(oracle))
 
 
@@ -599,7 +600,7 @@ def test_translation_tangent_matches_richardson_difference(m, p, omega, v, edge)
     the sample wraps around."""
     g, sp = _tangent_case(m, p, omega, v, edge)
     oracle = -_richardson(lambda d: sample_soliton(replace(sp, x0=sp.x0 + d), 0.0, g), 1e-3)
-    tangent = flat(soliton_tangents(sp, sample_soliton(sp, 0.0, g))[0])
+    tangent = flat(soliton_tangents(sp, g)[0])
     assert np.max(np.abs(tangent - oracle)) <= 1e-8 * np.max(np.abs(oracle))
 
 
@@ -611,7 +612,7 @@ def test_translation_tangent_matches_spectral_derivative(v):
     sp = SolitonParams(MODEL, omega=0.8, theta=0.3, v=v, x0=5 * g.spacing)
     sample = sample_soliton(sp, 0.0, g)
     spectral = flat(symmetry_directions(sample)[2])
-    tangent = flat(soliton_tangents(sp, sample)[0])
+    tangent = flat(soliton_tangents(sp, g)[0])
     assert np.max(np.abs(tangent - spectral)) <= 1e-12 * np.max(np.abs(spectral))
 
 
@@ -642,10 +643,37 @@ def test_sampler_views_match_the_three_step_path(p, v):
             sample, big = _sample_with_views(sp, t, g)
             plain = sample_soliton(sp, t, g)
             assert np.array_equal(sample.u1, plain.u1) and np.array_equal(sample.u2, plain.u2)
-            dx, d_omega = soliton_tangents(sp.advanced(t), plain)
+            dx, d_omega = soliton_tangents(sp.advanced(t), g)
             assert np.array_equal(big[2:5], symmetry_rows(plain, dx))
             assert np.array_equal(big[6], flat(d_omega).view(complex))
             assert np.all(big[[0, 1, 5, 7, 8]] == SENTINEL)
+
+
+@pytest.mark.parametrize("omega", [0.6, 0.95])
+@pytest.mark.parametrize("p", [2.0, 3.0, 5.0])
+@pytest.mark.parametrize("v", [-0.6, 0.0, 0.4])
+def test_sampler_matches_the_reference_sampler(v, p, omega):
+    """The tabled boost phase and the tangents as u1 times a bracket agree with
+    one exponential per point and the tangent formulas in terms of the sample
+    (``oracles.sample_soliton_reference``) to 1e-14 relative in max-norm, for
+    u1, u2, the three rows and dR/domega: centred within h/3 of either end of
+    the box, where the sample wraps around, and at t = 1.7 and 250, where
+    x0 + vt lies up to 230 away, past the next period.  At v = 0 the sample
+    keeps its bits and the rows their values (an exact zero may change sign)."""
+    for g in (Grid(160.0, 512), Grid(160.0, 2048)):
+        edge = 0.5 * g.length - g.spacing / 3.0
+        for x0 in (edge, -edge):
+            sp = SolitonParams(ModelParams(1.0, p, 1), omega=omega, theta=0.7, v=v, x0=x0)
+            for t in (0.0, 1.7, 250.0):
+                got, want = np.empty((2, 4, 2 * g.points), complex)
+                a = sample_soliton(sp, t, g, got[:3], got[3])
+                b = sample_soliton_reference(sp, t, g, want[:3], want[3])
+                pairs = [(a.u1, b.u1), (a.u2, b.u2), *zip(got, want)]
+                for x, y in pairs:
+                    assert np.max(np.abs(x - y)) <= 1e-14 * np.max(np.abs(y))
+                if v == 0.0:
+                    assert all(np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in pairs[:2])
+                    assert all(np.array_equal(x, y) for x, y in pairs[2:])
 
 
 @pytest.mark.parametrize(

@@ -709,7 +709,7 @@ def test_frequency_tangent_identity(points, v):
     sp = SolitonParams(MODEL, omega=0.8, v=v)
     phi = sample_soliton(sp, 0.0, g)
     op = assemble_second_variation(phi, ActionParams.from_soliton(sp))
-    res = matvec(op, flat(soliton_tangents(sp, phi)[1])) + flat(symmetry_directions(phi)[1]) / sp.gamma
+    res = matvec(op, flat(soliton_tangents(sp, g)[1])) + flat(symmetry_directions(phi)[1]) / sp.gamma
     assert np.linalg.norm(res) * math.sqrt(g.spacing) < 1e-11
 
 
