@@ -11,11 +11,20 @@ the step size), while the scalar base-time errors, printed alongside,
 rise along the ladder; 9d bounds the true Taylor remainder of the
 localized action by the quadratic term, while the lumped remainder,
 printed alongside, is dominated by the pair-interaction tail.
+
+Each criterion also hands its printed values, by name, to ``_report``, which
+holds them to ``tests/acceptance_record.json``: a value set by the method
+keeps a relative band no wider than 1e-8 about its recorded value, and a
+value at rounding level stays below a recorded bound, under the one its
+criterion asserts.  Timings are not recorded.  A change that moves a value
+on purpose updates its entry.
 """
 
+import json
 import math
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,22 +66,76 @@ from nlkglab.spectrum import (
 from oracles import nehari_value
 
 MODEL = ModelParams(1.0, 3.0, 1)
+RECORD = Path(__file__).with_name("acceptance_record.json")
 
 
-def _report(criterion: str, detail: str, checks: dict[str, bool]) -> None:
+def _moved(entries: dict, values: dict[str, float]) -> list[str]:
+    """The table rows of the values outside their recorded band (``value``,
+    ``rel``) or bound (``below``), and of the names only one side has."""
+    rows = []
+    for name in sorted(entries.keys() | values.keys()):
+        entry, value = entries.get(name), values.get(name)
+        if entry is None or value is None:
+            rows.append(f"  {name}: {'not in the record' if entry is None else 'not reported'}")
+        elif "below" in entry:
+            if not abs(value) < entry["below"]:
+                rows.append(f"  {name}: measured {value!r}, recorded bound {entry['below']!r}")
+        elif not abs(value - entry["value"]) <= entry["rel"] * abs(entry["value"]):
+            rel = abs(value - entry["value"]) / abs(entry["value"]) if entry["value"] else math.inf
+            rows.append(f"  {name}: measured {value!r}, recorded {entry['value']!r} "
+                        f"(moved {rel:.1e} relative, band {entry['rel']!r})")
+    return rows
+
+
+@pytest.fixture(scope="session")
+def record():
+    """Compare a criterion's named values with its entries in the committed
+    record, failing with a table of the values that moved."""
+    entries = json.loads(RECORD.read_text())["criteria"]
+
+    def compare(criterion: str, values: dict[str, float]) -> None:
+        rows = _moved(entries.get(criterion, {}), values)
+        if rows:
+            pytest.fail(f"ACCEPTANCE {criterion} values moved from {RECORD.name}:\n" + "\n".join(rows))
+
+    return compare
+
+
+def _report(record, criterion: str, detail: str, checks: dict[str, bool], values: dict[str, float]) -> None:
     """Print the criterion's line, PASS only when every named check holds, then
-    assert them all: the failure names each failing check and repeats the detail."""
+    assert them all: the failure names each failing check and repeats the detail.
+    Then hold the criterion's named values to the record."""
     failed = [name for name, ok in checks.items() if not ok]
     print(f"ACCEPTANCE {criterion}: {'FAIL' if failed else 'PASS'} - {detail}")
     assert not failed, f"ACCEPTANCE {criterion} fails {failed}: {detail}"
+    record(criterion, values)
 
 
-def test_report_fails_naming_the_false_check(capsys):
+def test_report_fails_naming_the_false_check(capsys, record):
     """One false check turns the line to FAIL, and the failure names that check
     and repeats the detail."""
     with pytest.raises(AssertionError, match=r"^ACCEPTANCE x fails \['second'\]: some detail"):
-        _report("x", "some detail", {"first": True, "second": False, "third": True})
+        _report(record, "x", "some detail", {"first": True, "second": False, "third": True}, {})
     assert capsys.readouterr().out == "ACCEPTANCE x: FAIL - some detail\n"
+
+
+def test_record_fails_with_a_table_of_the_moved_values(record):
+    """A value outside its band or above its bound, and a name the record and
+    the values do not share, each make a row of the failure's table; values
+    inside their entries pass."""
+    entries = {"band": {"value": 2.0, "rel": 1e-8}, "bound": {"below": 1e-12},
+               "recorded only": {"value": 1.0, "rel": 0.0}}
+    assert _moved(entries, {"band": 2.0 + 1e-8, "bound": 9e-13, "recorded only": 1.0}) == []
+    rows = _moved(entries, {"band": 2.0 + 1e-7, "bound": 1e-12, "extra": 3.0})
+    assert rows == [
+        "  band: measured 2.0000001, recorded 2.0 (moved 5.0e-08 relative, band 1e-08)",
+        "  bound: measured 1e-12, recorded bound 1e-12",
+        "  extra: not in the record",
+        "  recorded only: not reported",
+    ]
+    assert _moved(entries, {"band": math.nan, "bound": math.nan, "recorded only": 1.0}) != []
+    with pytest.raises(pytest.fail.Exception, match=r"^ACCEPTANCE x values moved from acceptance_record.json:\n  y: not in the record$"):
+        record("x", {"y": 1.0})
 
 
 # ---------------------------------------------------------------- fixtures
@@ -114,13 +177,14 @@ def delta_single():
 # ------------------------------------------------------------- criterion 1
 
 
-def test_criterion_1_ground_state_identities():
+def test_criterion_1_ground_state_identities(record):
     t0 = time.perf_counter()
     grid = Grid(80.0, 1024)
     gs = ground_state_1d(MODEL, 0.0, grid)
     n2, dn2 = profile_norms(gs)
     elapsed = time.perf_counter() - t0
     _report(
+        record,
         "1",
         f"||phi||^2={n2:.9f} (4), ||phi'||^2={dn2:.9f} (4/3), "
         f"residual={gs.residual:.2e}, {elapsed * 1e3:.0f} ms",
@@ -129,13 +193,14 @@ def test_criterion_1_ground_state_identities():
          "Pohozaev ratio ||phi'||^2/||phi||^2": dn2 / n2 == pytest.approx(1.0 / 3.0, rel=1e-6),
          "residual": gs.residual < 1e-8,
          "elapsed": elapsed < 1.0},
+        {"||phi||^2": n2, "||phi'||^2": dn2, "residual": gs.residual},
     )
 
 
 # ------------------------------------------------------------- criterion 2
 
 
-def test_criterion_2_critical_points():
+def test_criterion_2_critical_points(record):
     grid = Grid(160.0, 2048)
     worst_grad = 0.0
     worst_nehari = 0.0
@@ -147,17 +212,19 @@ def test_criterion_2_critical_points():
             worst_grad = max(worst_grad, gradient_norm(phi, ap))
             worst_nehari = max(worst_nehari, abs(nehari_value(phi, ap)))
     _report(
+        record,
         "2",
         f"max ||S'||={worst_grad:.2e}, max |I|={worst_nehari:.2e}",
         {"max ||S'||": worst_grad < 1e-7,
          "max |I|": worst_nehari < 1e-7},
+        {"max ||S'||": worst_grad, "max |I|": worst_nehari},
     )
 
 
 # ------------------------------------------------------------- criterion 3
 
 
-def test_criterion_3_conservation_and_transport():
+def test_criterion_3_conservation_and_transport(record):
     t0 = time.perf_counter()
     grid = Grid(160.0, 2048)
     sp = SolitonParams(MODEL, omega=0.8, v=0.4)
@@ -178,32 +245,35 @@ def test_criterion_3_conservation_and_transport():
     evolve(w, 0.0, 50.0, IntegratorConfig(dt=0.01), MODEL, hooks=[hook], diag_period=5.0)
     elapsed = time.perf_counter() - t0
     _report(
+        record,
         "3",
         f"rel drift E={drifts['E']:.1e} Q={drifts['Q']:.1e} P={drifts['P']:.1e}, "
         f"peak within h at all {len(peaks_ok)} checks, {elapsed:.0f} s",
         {**{f"{name} drift": drift < 1e-6 for name, drift in drifts.items()},
          "peak within h at every check": all(peaks_ok),
          "elapsed": elapsed < 120.0},
+        {**{f"{name} drift": drift for name, drift in drifts.items()}, "peak checks": len(peaks_ok)},
     )
 
 
 # ------------------------------------------------------------- criterion 4
 
 
-def test_criterion_4_reversibility():
+def test_criterion_4_reversibility(record):
     grid = Grid(80.0, 1024)
     sp = SolitonParams(MODEL, omega=0.8, v=0.4)
     w = sample_soliton(sp, 0.0, grid)
     fwd = evolve(w, 0.0, 10.0, IntegratorConfig(dt=0.01), MODEL)
     back = evolve(fwd, 10.0, 0.0, IntegratorConfig(dt=-0.01), MODEL)
     rel = norm_h1l2(back - w) / norm_h1l2(w)
-    _report("4", f"forward+backward 10 units: relative error {rel:.2e}", {"relative error": rel < 1e-9})
+    _report(record, "4", f"forward+backward 10 units: relative error {rel:.2e}",
+            {"relative error": rel < 1e-9}, {"relative error": rel})
 
 
 # ------------------------------------------------------------- criterion 5
 
 
-def test_criterion_5_spectrum():
+def test_criterion_5_spectrum(record):
     sp = SolitonParams(MODEL, omega=0.8, v=0.0)
     ap = ActionParams.from_soliton(sp)
     reports = {}
@@ -245,6 +315,7 @@ def test_criterion_5_spectrum():
 
     delta_shift = abs(rep1024.coercivity_delta - rep512.coercivity_delta) / rep512.coercivity_delta
     _report(
+        record,
         "5",
         f"Morse={rep512.negative_count} (lowest {rep512.negative_eigenvalue:.5f}, -3mu), "
         f"kernel={rep512.kernel_dimension}, "
@@ -262,13 +333,17 @@ def test_criterion_5_spectrum():
          # form is positive exactly when the frequency slope is negative
          "sign delta = -sign slope": (np.sign(rep512.coercivity_delta) == -np.sign(slope_stable)
                                       and np.sign(delta_unstable) == -np.sign(slope_unstable))},
+        {"Morse index": rep512.negative_count, "lowest eigenvalue": rep512.negative_eigenvalue,
+         "kernel dimension": rep512.kernel_dimension, "delta(0.8)": rep512.coercivity_delta,
+         "delta shift at N=1024": delta_shift, "slope(0.8)": slope_stable,
+         "slope(0.6)": slope_unstable, "delta(0.6)": delta_unstable, "delta root": root},
     )
 
 
 # ------------------------------------------------------------- criterion 6
 
 
-def test_criterion_6_modulation():
+def test_criterion_6_modulation(record):
     grid = Grid(160.0, 1024)
     s1 = SolitonParams(MODEL, omega=0.8, theta=0.2, v=-0.4, x0=-8.0)
     s2 = SolitonParams(MODEL, omega=0.78, theta=-0.4, v=0.4, x0=9.0)
@@ -324,6 +399,7 @@ def test_criterion_6_modulation():
     th_slope = float(np.polyfit(la, np.log10(th_rates), 1)[0])
 
     _report(
+        record,
         "6",
         f"recovery={recovery:.1e}, ortho={ortho:.1e}, gauge={gauge:.1e}, "
         f"log-log slopes: omega {om_slope:.3f} (2), theta {th_slope:.3f} (1)",
@@ -332,13 +408,15 @@ def test_criterion_6_modulation():
          "gauge": gauge < 1e-12,
          "omega slope": om_slope == pytest.approx(2.0, abs=0.2),
          "theta slope": th_slope == pytest.approx(1.0, abs=0.2)},
+        {"recovery": recovery, "ortho": ortho, "gauge": gauge,
+         "omega slope": om_slope, "theta slope": th_slope},
     )
 
 
 # ------------------------------------------------------------- criterion 7
 
 
-def test_criterion_7_interaction_decay():
+def test_criterion_7_interaction_decay(record):
     grid = Grid(160.0, 2048)
     cfg = MultiSolitonConfig(
         model=MODEL,
@@ -355,18 +433,20 @@ def test_criterion_7_interaction_decay():
     slope, stderr, _ = rep.rates["pair_product"]
     floor = 0.25 * math.sqrt(MODEL.m - 0.8**2) * 0.8 * (1.0 - 0.1)
     _report(
+        record,
         "7",
         f"fitted rate {-slope:.4f} >= floor {floor:.4f} "
         f"(quarter-constant with 10% slack), stderr {stderr:.2e}",
         {"fitted rate": -slope >= floor,
          "slope stderr": stderr < 0.1 * abs(slope)},
+        {"fitted rate": -slope, "slope stderr": stderr},
     )
 
 
 # ------------------------------------------------------------- criterion 8
 
 
-def test_criterion_8_ladder_monotonicity(ladder):
+def test_criterion_8_ladder_monotonicity(ladder, record):
     """The backward construction converges as the final time grows: the
     base-time states U_T(10) of the ladder T in {25, 32.5, 40} approach each
     other, with successive distances strictly decreasing by a contraction
@@ -398,6 +478,7 @@ def test_criterion_8_ladder_monotonicity(ladder):
     errs = ladder.errors_at_start
     diffs = ladder.successive_differences
     _report(
+        record,
         "8a",
         f"base-time state distances (dt-extrapolated) {dists[0]:.4e}, {dists[1]:.4e}, "
         f"factor {factor:.4f} < 0.25 (raw at dt={cfg.dt}: {raw[0]:.3e}, {raw[1]:.3e}, "
@@ -406,14 +487,18 @@ def test_criterion_8_ladder_monotonicity(ladder):
         f"decreasing: {ladder.strictly_decreasing})",
         {f"base-time state distances {dists} decrease": all(a > b for a, b in zip(dists, dists[1:])),
          f"ladder contraction factor {factor:.3f}": factor < 0.25},
+        {"distance 1": dists[0], "distance 2": dists[1], "factor": factor,
+         "raw distance 1": raw[0], "raw distance 2": raw[1], "raw factor": raw[1] / raw[0],
+         **{f"error at t=10, T={t:g}": e for t, e in zip(ladder.t_finals, errs)}},
     )
 
 
-def test_criterion_8_fit_and_tube(ladder, run40):
+def test_criterion_8_fit_and_tube(ladder, run40, record):
     slope, stderr, rms = run40.refit((15.0, 38.0))
     runtime = sum(rep.runtime_seconds for rep in ladder.reports)
     tube_ok = all(rep.tube_exit_time is None for rep in ladder.reports)
     _report(
+        record,
         "8b",
         f"log-error slope on [15,38] = {slope:.4f} (stderr {stderr:.4f} = "
         f"{stderr / abs(slope) * 100:.1f}% of |slope|), tube intact: {tube_ok}, "
@@ -422,13 +507,14 @@ def test_criterion_8_fit_and_tube(ladder, run40):
          "slope stderr": stderr < 0.1 * abs(slope),
          "tube intact": tube_ok,
          "ladder runtime": runtime < 900.0},
+        {"slope": slope, "slope stderr": stderr},
     )
 
 
 # ------------------------------------------------------------- criterion 9
 
 
-def test_criterion_9_global_and_flux(run40):
+def test_criterion_9_global_and_flux(run40, record):
     """Q and P are conserved exactly by both split sub-flows, so their drift
     is pure rounding (< 1e-9); E carries the O(dt^2) bounded oscillation of
     the splitting, whose stated conservation bound is 1e-6."""
@@ -436,6 +522,7 @@ def test_criterion_9_global_and_flux(run40):
     drift = aud.global_drift
     flux = float(np.max(aud.charge_flux_mismatch))
     _report(
+        record,
         "9a",
         f"global drifts E={drift['energy']:.1e} (<1e-6, splitting oscillation) "
         f"Q={drift['charge']:.1e} P={drift['momentum']:.1e} (rounding), "
@@ -444,10 +531,12 @@ def test_criterion_9_global_and_flux(run40):
          "charge drift": drift["charge"] < 1e-9,
          "momentum drift": drift["momentum"] < 1e-9,
          "charge-flux mismatch": flux < 1e-4},
+        {"energy drift": drift["energy"], "charge drift": drift["charge"],
+         "momentum drift": drift["momentum"], "charge-flux mismatch": flux},
     )
 
 
-def test_criterion_9_localized_charge_drift(run40):
+def test_criterion_9_localized_charge_drift(run40, record):
     """Localized charge drift shrinks toward the final time.
 
     For the mirror-symmetric pair the flux through the moving midline
@@ -466,13 +555,15 @@ def test_criterion_9_localized_charge_drift(run40):
         results.append((j, f"trend slope {slope:.3f} (stderr {stderr:.3f})",
                         slope < 0 and stderr < 0.1 * abs(slope)))
     _report(
+        record,
         "9b",
         "; ".join(f"Q_{j}: {msg}" for j, msg, _ in results),
         {f"Q_{j}: {msg}": ok for j, msg, ok in results},
+        {},
     )
 
 
-def test_criterion_9_taylor_expansion(run40, delta_single):
+def test_criterion_9_taylor_expansion(run40, delta_single, record):
     """Coercivity of the localized quadratic form (9c), and the Taylor
     remainder bound |remainder| < 0.1 * quadratic term (9d).
 
@@ -486,11 +577,14 @@ def test_criterion_9_taylor_expansion(run40, delta_single):
     pieces add up to the lumped value to rounding."""
     tay = taylor_expansion_audit(run40)
     _report(
+        record,
         "9c",
         f"hessian/||Y||^2 in [{np.min(tay.coercivity_ratios):.3f}, "
         f"{np.max(tay.coercivity_ratios):.3f}] vs 0.5*delta={0.5 * delta_single:.4f}",
         {"hessian terms positive": np.all(tay.hessian_terms > 0),
          "hessian terms coercive": np.all(tay.hessian_terms >= 0.5 * delta_single * tay.upsilon_norm2)},
+        {"min hessian/||Y||^2": float(np.min(tay.coercivity_ratios)),
+         "max hessian/||Y||^2": float(np.max(tay.coercivity_ratios)), "0.5*delta": 0.5 * delta_single},
     )
 
     pieces = (
@@ -501,6 +595,7 @@ def test_criterion_9_taylor_expansion(run40, delta_single):
     worst = float(np.max(ratios))
     lumped = float(np.max(np.abs(tay.remainders) / tay.hessian_terms))
     _report(
+        record,
         "9d",
         f"max |taylor remainder|/hessian = {worst:.1e} (bound 0.1) at "
         f"t={tay.times[int(np.argmax(ratios))]:g}; lumped max |remainder|/hessian = "
@@ -512,4 +607,10 @@ def test_criterion_9_taylor_expansion(run40, delta_single):
         {"pieces sum to lumped": closure < 1e-15,
          **{f"|taylor remainder|/hessian at t={t:g}: {r!r}": r < 0.1
             for t, r in zip(tay.times, ratios.tolist())}},
+        {"max |taylor remainder|/hessian": worst, "lumped max |remainder|/hessian": lumped,
+         **{f"{name} at t={tay.times[0]:g}": float(terms[0]) for name, terms in (
+             ("interaction tail", tay.interaction_tails), ("linear term", tay.linear_terms),
+             ("modulation shift", tay.modulation_shifts), ("hessian term", tay.hessian_terms),
+             ("taylor remainder", tay.taylor_remainders))},
+         "closure": closure},
     )
