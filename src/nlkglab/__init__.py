@@ -30,8 +30,10 @@ from .spectrum import assemble_second_variation, slope_test, spectrum_report  # 
 from .modulation import fit_modulation  # noqa: F401
 from .experiments import (  # noqa: F401
     MultiSolitonConfig,
+    almost_conservation_audit,
     measure_interactions,
     run_backward_construction,
     run_forward_stability,
     run_ladder,
+    taylor_expansion_audit,
 )

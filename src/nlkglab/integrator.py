@@ -25,8 +25,9 @@ rotated back by half a step and both components inverse transformed; the
 stepping then goes on from the same coefficients.  The blow-up check needs
 no sync: every 16th step it reads |u1| of that step's kick input, the
 modulus the kick computes anyway.  Without hooks a run of n steps takes
-2n + 4 FFTs.  The steps between two sync points run as one stretch inside
-one ``np.errstate``; hooks run outside it.
+2n + 4 FFTs.  A run has one schedule: stretches of one stride, the hook
+period in whole steps, or the whole span when there are no hooks.  The
+steps of a stretch run inside one ``np.errstate``; hooks run outside it.
 
 The transforms are ``scipy.fft``'s, which return the same bits as ``np.fft``
 (both are pocketfft) in less time per call.  ``evolve`` imports them when it
@@ -171,7 +172,8 @@ def evolve(
     with a DiagnosticsRecord.  With hooks the period must be positive and
     finite (``period_problems``); it is rounded to whole steps of |dt|, at
     least one, and a period longer than the span fires the hooks at both
-    ends only.
+    ends only.  That stride sets the stretches the run walks; without hooks
+    the period is not read and the whole span is one stretch.
     Blow-up aborts with the failure time attached.  The amplitude is checked
     every 16 steps on the kick's input and at each sync point: each hook step
     and the last step, the only steps that return to physical space.
@@ -183,8 +185,8 @@ def evolve(
         problems += period_problems(diag_period)
     raise_problems(problems)
     nsteps = round((t1 - t0) / cfg.dt)
-    # min gives nsteps when period/|dt| is inf (an overflow) or NaN (a NaN period, only without hooks)
-    stride = max(1, round(min(nsteps, diag_period / abs(cfg.dt))))
+    # one stretch without hooks; with them, min gives nsteps when period/|dt| overflows to inf
+    stride = max(1, round(min(nsteps, diag_period / abs(cfg.dt)))) if hooks else nsteps
     k = w.grid.deriv_wavenumbers
     omega = np.sqrt(model.m + k * k)
     half, full = _Rotation(omega, 0.5 * cfg.dt), _Rotation(omega, cfg.dt)
@@ -196,15 +198,13 @@ def evolve(
         for hook in hooks:
             hook(rec)
 
-    firing = bool(hooks)
-    if firing:
+    if hooks:
         fire(0, w.u1, w.u2)
     if nsteps == 0:
         return w.copy()
     f1, f2 = fft(w.u1), fft(w.u2)
-    done = 0
-    while done < nsteps:
-        sync = min(nsteps, done + stride) if firing else nsteps
+    for done in range(0, nsteps, stride):
+        sync = min(nsteps, done + stride)
         # overflow to inf/nan is fine here: the blow-up detector reports it
         with np.errstate(over="ignore", invalid="ignore"):
             f1, f2 = half(f1, f2)  # fresh arrays: f2 is written in place below
@@ -220,7 +220,6 @@ def evolve(
                 f1, f2 = full(f1, f2) if n < sync else half(f1, f2)
             u1, u2 = ifft(f1), ifft(f2)
             _check_amplitude(np.abs(u1), t0 + sync * dt)
-        if firing:
+        if hooks:
             fire(sync, u1, u2)
-        done = sync
     return Field(u1, u2, w.grid)

@@ -52,7 +52,6 @@ __all__ = [
     "ground_state_radial",
     "free_flow",
     "sample_soliton",
-    "soliton_tangents",
     "phi_tilde",
     "phi_omega",
 ]
@@ -552,15 +551,6 @@ def sample_soliton(
     np.multiply(u1, bracket, out=d_omega[size:])
     symmetry_rows(sample, Field(rows[2, :size], rows[2, size:], grid), out=rows)
     return sample
-
-
-def soliton_tangents(sp: SolitonParams, grid: Grid) -> tuple[Field, Field]:
-    """d/dx and d/domega of ``sample_soliton(sp, 0, grid)`` in closed form,
-    as Fields: the sampler's own rows R' and dR/domega."""
-    size = grid.points
-    rows, dw = np.empty((3, 2 * size), complex), np.empty(2 * size, complex)
-    sample_soliton(sp, 0.0, grid, rows, dw)
-    return Field(rows[2, :size], rows[2, size:], grid), Field(dw[:size], dw[size:], grid)
 
 
 def profile_norms(gs: GroundState) -> tuple[float, float]:

@@ -12,7 +12,8 @@ flattened fields, the radial stencil residual by index gathers,
 Petviashvili's iteration with a stencil every step, the soliton sample
 with a spectral derivative in u2, the sampler with its boost phase by one
 complex exponential per point and its tangent formulas in terms of the
-sample, a sampler that fills the fit's rows in separate steps, the action
+sample, the sampler's own tangents R' and dR/domega as a pair of Fields, a
+sampler that fills the fit's rows in separate steps, the action
 gradient by three spectral derivatives in physical space, and the symmetry
 directions as a triple of Fields.
 """
@@ -285,6 +286,15 @@ def _tangents_of_sample(sp, y, s, th, h, sample, dx, dw) -> None:
     ia = (-1j * gam * v) * y
     np.multiply(u1, g + ia, out=dw[:size])
     np.add(ia * u2, u1 * (1j * gam * (1.0 + om * g) - v * (dg + g * h)), out=dw[size:])
+
+
+def soliton_tangents(sp: SolitonParams, grid: Grid) -> tuple[Field, Field]:
+    """d/dx and d/domega of ``profiles.sample_soliton(sp, 0, grid)`` in closed
+    form, as Fields: the sampler's own rows R' and dR/domega."""
+    size = grid.points
+    rows, dw = np.empty((3, 2 * size), complex), np.empty(2 * size, complex)
+    profiles.sample_soliton(sp, 0.0, grid, rows, dw)
+    return Field(rows[2, :size], rows[2, size:], grid), Field(dw[:size], dw[size:], grid)
 
 
 def sampler_with_views(

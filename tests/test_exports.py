@@ -8,6 +8,21 @@ from pathlib import Path
 
 import nlkglab
 
+LIBRARY = sorted(Path(nlkglab.__file__).parent.glob("*.py"))
+BENCH = sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py"))
+
+
+def _names_read(paths: list[Path]) -> set[str]:
+    """Every name the files read, as a loaded name or as an attribute."""
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return read
+
 
 def test_every_exported_name_resolves():
     """Each name in a module's ``__all__`` is an attribute of that module, so no
@@ -39,10 +54,9 @@ def test_every_private_module_name_is_read_in_the_library():
     """Each module-level private name a library module defines (function, class,
     assignment or import alias) is read somewhere in ``src/nlkglab``, as a name
     or an attribute: a helper only the tests call belongs in ``tests/oracles.py``."""
-    defined, read = set(), set()
-    for path in sorted(Path(nlkglab.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        for node in tree.body:
+    defined = set()
+    for path in LIBRARY:
+        for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -55,20 +69,32 @@ def test_every_private_module_name_is_read_in_the_library():
             for name in names:
                 if name.startswith("_") and not name.startswith("__"):
                     defined.add((path.name, name))
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+    read = _names_read(LIBRARY)
     unread = sorted(f"{module}:{name}" for module, name in defined if name not in read)
     assert not unread, f"private names no library code reads: {unread}"
+
+
+def test_every_exported_name_has_a_caller_outside_the_tests():
+    """Each name in a library module's ``__all__`` is read somewhere in
+    ``src/nlkglab`` or ``bench/``, or imported by the package root: an entry
+    point only the tests call belongs in ``tests/oracles.py``."""
+    root = ast.parse(Path(nlkglab.__file__).read_text())
+    read = _names_read(LIBRARY + BENCH) | {
+        a.asname or a.name for node in root.body if isinstance(node, ast.ImportFrom) for a in node.names
+    }
+    assert BENCH, "bench/ holds no Python files"
+    uncalled = []
+    for info in pkgutil.iter_modules(nlkglab.__path__):
+        module = importlib.import_module(f"nlkglab.{info.name}")
+        uncalled += [f"{info.name}:{name}" for name in getattr(module, "__all__", []) if name not in read]
+    assert not uncalled, f"exported names only the tests call: {uncalled}"
 
 
 def test_only_grids_differentiates_a_field_u1():
     """No library module but ``grids`` calls ``spectral_derivative`` on a ``.u1``:
     a field's u1' is its ``Field.du1``, taken once for every reader."""
     found = []
-    for path in sorted(Path(nlkglab.__file__).parent.glob("*.py")):
+    for path in LIBRARY:
         if path.name == "grids.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
@@ -86,7 +112,7 @@ def test_only_grids_differentiates_a_field_u2():
     u2' is taken only by ``grids.symmetry_rows``, the one writer of the
     symmetry directions."""
     found = []
-    for path in sorted(Path(nlkglab.__file__).parent.glob("*.py")):
+    for path in LIBRARY:
         if path.name == "grids.py":
             continue
         for node in ast.walk(ast.parse(path.read_text())):
@@ -106,7 +132,7 @@ def test_no_library_module_changes_the_warning_filters():
     is the caller's to set."""
     banned = {"catch_warnings", "simplefilter", "filterwarnings"}
     found = []
-    for path in sorted(Path(nlkglab.__file__).parent.glob("*.py")):
+    for path in LIBRARY:
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
@@ -119,7 +145,7 @@ def test_one_qr_helper():
     """The library's only QR call is the one in ``spectrum._orthonormal``: the
     LOBPCG block and the delta constraints are orthonormalized by one path."""
     found = []
-    for path in sorted(Path(nlkglab.__file__).parent.glob("*.py")):
+    for path in LIBRARY:
         tree = ast.parse(path.read_text())
         owner = {}
         for fn in ast.walk(tree):  # outer functions first, so the innermost one wins
@@ -136,7 +162,7 @@ def test_one_eigensolver_for_the_spectrum():
     only callers of ``spectrum._lobpcg`` are ``_schur_low_end`` (the low end of
     S) and ``_constrained_lowest`` (delta): one eigensolver for the spectrum."""
     sparse, callers = [], []
-    for path in sorted(Path(nlkglab.__file__).parent.glob("*.py")):
+    for path in LIBRARY:
         tree = ast.parse(path.read_text())
         owner = {}
         for fn in ast.walk(tree):  # outer functions first, so the innermost one wins

@@ -8,7 +8,7 @@ import pytest
 
 from nlkglab.experiments import MultiSolitonConfig, random_bump, run_forward_stability, soliton_sum
 from nlkglab.grids import Field, Grid, flat, norm_h1l2
-from nlkglab import experiments, modulation, profiles
+from nlkglab import experiments, modulation
 from nlkglab.modulation import (
     DegenerateConfigurationError,
     NotInTubeError,
@@ -17,9 +17,15 @@ from nlkglab.modulation import (
     _ortho_vector,
     fit_modulation,
 )
-from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton, soliton_tangents
+from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
 from nlkglab.spectrum import _frequency_derivative
-from oracles import pair_inner, sample_soliton_spectral, sampler_with_views, symmetry_directions
+from oracles import (
+    pair_inner,
+    sample_soliton_spectral,
+    sampler_with_views,
+    soliton_tangents,
+    symmetry_directions,
+)
 
 MODEL = ModelParams(1.0, 3.0, 1)
 
@@ -187,10 +193,9 @@ def test_fits_match_the_omega_difference_reference(monkeypatch):
 
 def test_fit_samples_each_soliton_once_per_iterate(grid, pair, monkeypatch):
     """Each iterate samples every soliton once, and that sample writes the
-    iterate's symmetry rows and omega-tangent in the same pass, so the fit
-    calls ``soliton_tangents`` not at all; an accepted Newton step's sample
-    is the next iterate's, so nothing is sampled twice."""
-    calls, tangents = [], []
+    iterate's symmetry rows and omega-tangent in the same pass; an accepted
+    Newton step's sample is the next iterate's, so nothing is sampled twice."""
+    calls = []
     real = modulation.sample_soliton
     signature = inspect.signature(real)
 
@@ -199,20 +204,13 @@ def test_fit_samples_each_soliton_once_per_iterate(grid, pair, monkeypatch):
         calls.append(bound.get("rows") is not None and bound.get("d_omega") is not None)
         return real(*args, **kwargs)
 
-    def counted_tangents(*args, **kwargs):
-        tangents.append(1)
-        return soliton_tangents(*args, **kwargs)
-
     monkeypatch.setattr(modulation, "sample_soliton", counted)
-    monkeypatch.setattr(profiles, "soliton_tangents", counted_tangents)
-    monkeypatch.setattr(modulation, "soliton_tangents", counted_tangents, raising=False)
     u = soliton_sum(pair, 0.0, grid)
     seeds = [replace(sp, theta=sp.theta + 0.05, omega=sp.omega - 0.01, x0=sp.x0 + 0.1) for sp in pair]
     st = fit_modulation(u, seeds)
     n, it = len(pair), st.iterations
     assert st.converged and it >= 2
     assert len(calls) == n * (it + 1) and all(calls)
-    assert not tangents
 
 
 def _address(a):

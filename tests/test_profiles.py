@@ -23,7 +23,6 @@ from nlkglab.profiles import (
     points_per_width,
     profile_norms,
     sample_soliton,
-    soliton_tangents,
 )
 from oracles import (
     petviashvili_stencil_every_iteration,
@@ -31,6 +30,7 @@ from oracles import (
     radial_stencil_residual_gather,
     sample_soliton_reference,
     sample_soliton_spectral,
+    soliton_tangents,
     standing_wave_energy,
     standing_wave_energy_scaling,
     symmetry_directions,

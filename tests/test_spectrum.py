@@ -22,7 +22,6 @@ from nlkglab.profiles import (
     boundary_ratio,
     points_per_width,
     sample_soliton,
-    soliton_tangents,
 )
 from nlkglab.spectrum import (
     KERNEL_REL_TOL,
@@ -40,6 +39,7 @@ from oracles import (
     quadratic_form,
     schur_complement,
     slope_analytic,
+    soliton_tangents,
     symmetry_directions,
     whiten,
 )
