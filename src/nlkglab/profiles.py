@@ -370,7 +370,10 @@ def _petviashvili(r: np.ndarray, mu: float, p: float, d: float, band: np.ndarray
     only solves with the factors (gbtrs).  S = <M phi, phi> / <phi^p, phi>
     weighted by r^(d-1).  The solve gives the next M phi for free:
     M phi_{k+1} = S_k^(p/(p-1)) phi_k^p, so the stencil runs once, on the
-    starting guess.
+    starting guess.  An iterate that leaves the finite numbers (S overflows,
+    or S**(p/(p-1)) does for p near 1) stops the iteration at that step with
+    a ShootingError; the overflow and invalid-value warnings of the step that
+    made it stay inside the loop.
     """
     from scipy.linalg import get_lapack_funcs
 
@@ -389,17 +392,20 @@ def _petviashvili(r: np.ndarray, mu: float, p: float, d: float, band: np.ndarray
     phi[free] = np.exp(-r[free] ** 2)
     power = np.abs(phi[free]) ** (p - 1.0) * phi[free]
     m_phi = power - _radial_stencil_residual(phi, r, mu, p, d)
-    for _ in range(PETVIASHVILI_MAX_ITER):
-        s = np.sum(weight * m_phi * phi[free]) / np.sum(weight * power * phi[free])
-        # unchecked: a diverging (non-finite) iterate runs on to the cap
-        lift = s ** (p / (p - 1.0))
-        m_phi = lift * power
-        new = lift * gbtrs(lu, 2, 2, power, piv, overwrite_b=True)[0]
-        change = np.max(np.abs(new - phi[free]))
-        phi[free] = new
-        if change < PETVIASHVILI_TOL * np.max(np.abs(new)):
-            return phi
-        power = np.abs(new) ** (p - 1.0) * new
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(1, PETVIASHVILI_MAX_ITER + 1):
+            s = np.sum(weight * m_phi * phi[free]) / np.sum(weight * power * phi[free])
+            lift = s ** (p / (p - 1.0))
+            m_phi = lift * power
+            new = lift * gbtrs(lu, 2, 2, power, piv, overwrite_b=True)[0]
+            # phi is finite, so the change is not exactly when S or the update is not
+            change = np.max(np.abs(new - phi[free]))
+            if not math.isfinite(change):
+                raise ShootingError(f"Petviashvili iteration diverged: step {step} gave a non-finite iterate (S = {s:.3g})")
+            phi[free] = new
+            if change < PETVIASHVILI_TOL * np.max(np.abs(new)):
+                return phi
+            power = np.abs(new) ** (p - 1.0) * new
     raise ShootingError(f"Petviashvili iteration did not converge in {PETVIASHVILI_MAX_ITER} steps")
 
 

@@ -18,7 +18,8 @@ from nlkglab.modulation import (
     fit_modulation,
 )
 from nlkglab.profiles import ModelParams, SolitonParams, sample_soliton
-from nlkglab.spectrum import _frequency_derivative
+from nlkglab.functionals import ActionParams
+from nlkglab.spectrum import _frequency_derivative, assemble_second_variation, slope_test
 from oracles import (
     pair_inner,
     sample_soliton_spectral,
@@ -139,6 +140,31 @@ def test_jacobian_matches_per_tangent_reference(grid, n, eps):
     jac = _jacobian_of(u, rows)
     ref = _per_tangent_jacobian(ups, at)
     assert np.max(np.abs(jac - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("v", [0.0, 0.4])
+def test_omega_entry_of_the_jacobian_is_gamma_times_the_slope(grid, v):
+    """At a planted single soliton the omega-omega entry of ``_jacobian`` is
+    gamma times ``spectrum.slope_test``'s value, so it changes sign across
+    omega_c = 1/sqrt(2): the fit's omega-equation folds there, which lets
+    Newton reach a second root on the other side.  The slope is a centered
+    omega-difference, good to about 5.5e-7 relative; the entry does not
+    depend on v, while the slope carries 1/gamma."""
+    omega_c = math.sqrt(MODEL.m * MODEL.stability_threshold())
+    entries = {}
+    for om in (0.6, 0.65, 0.75, 0.8):
+        sp = SolitonParams(MODEL, omega=om, v=v)
+        u = sample_soliton(sp, 0.0, grid)
+        entries[om] = _jacobian_of(u, _sampled(u, [sp])[2])[1, 1]
+        ap = ActionParams.from_soliton(sp)
+
+        def family(w, sp=sp):
+            return sample_soliton(replace(sp, omega=w), 0.0, grid)
+
+        slope = slope_test(family, ap, om, op=assemble_second_variation(u, ap))
+        assert entries[om] == pytest.approx(sp.gamma * slope, rel=1e-5)
+    assert all(entry > 0 for om, entry in entries.items() if om < omega_c)
+    assert all(entry < 0 for om, entry in entries.items() if om > omega_c)
 
 
 def _omega_difference(sp, comp):

@@ -1,6 +1,10 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -241,6 +245,38 @@ def test_radial_iteration_cap_raises(monkeypatch):
     monkeypatch.setattr(profiles, "PETVIASHVILI_MAX_ITER", 1)
     with pytest.raises(ShootingError, match="did not converge"):
         ground_state_radial(ModelParams(1.0, 3.0, 2), 0.0, rmax=20.0, n=4000)
+
+
+@pytest.mark.parametrize(
+    "p, d, omega, step",
+    [(1.001, 2, 0.5, 1), (4.99, 3, 0.0, 42)],
+    ids=["S-power-overflows", "iterate-overflows"],
+)
+def test_radial_diverging_iteration_stops_at_its_first_non_finite_step(p, d, omega, step):
+    """A Petviashvili iterate that leaves the finite numbers stops the
+    iteration with a ShootingError naming the step, long before the cap, and
+    no RuntimeWarning gets out: at p = 1.001 the power S**(p/(p-1)) of the
+    first step overflows, and at p = 4.99 in d = 3 the iterate grows until
+    step 42 overflows.  The mesh is the CLI's default."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ShootingError, match=rf"^Petviashvili iteration diverged: step {step} gave a non-finite"):
+            ground_state_radial(ModelParams(1.0, p, d), omega, rmax=40.0, n=4000)
+
+
+def test_cli_groundstate_of_a_diverging_iteration_exits_3_without_warnings():
+    """``groundstate`` on a diverging radial iteration exits 3 with one line on
+    stderr and no RuntimeWarning, under Python's default warning filters."""
+    src = str(Path(profiles.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-m", "nlkglab.cli", "groundstate", "--d", "3", "--p", "4.99", "--omega", "0"],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True,
+    )
+    assert out.returncode == 3
+    assert "RuntimeWarning" not in out.stderr
+    assert out.stderr == (
+        "numerical failure: Petviashvili iteration diverged: step 42 gave a non-finite iterate (S = nan)\n"
+    )
 
 
 def test_radial_polish_cap_raises(monkeypatch):
