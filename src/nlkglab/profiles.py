@@ -398,10 +398,12 @@ def _petviashvili(r: np.ndarray, mu: float, p: float, d: float, band: np.ndarray
             lift = s ** (p / (p - 1.0))
             m_phi = lift * power
             new = lift * gbtrs(lu, 2, 2, power, piv, overwrite_b=True)[0]
-            # phi is finite, so the change is not exactly when S or the update is not
+            # phi is finite, so the change is finite exactly when S and the update are
             change = np.max(np.abs(new - phi[free]))
             if not math.isfinite(change):
-                raise ShootingError(f"Petviashvili iteration diverged: step {step} gave a non-finite iterate (S = {s:.3g})")
+                raise ShootingError(
+                    f"Petviashvili iteration diverged: step {step} gave a non-finite iterate (S = {s:.3g})"
+                )
             phi[free] = new
             if change < PETVIASHVILI_TOL * np.max(np.abs(new)):
                 return phi

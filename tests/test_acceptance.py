@@ -101,7 +101,9 @@ def record():
     return compare
 
 
-def _report(record, criterion: str, detail: str, checks: dict[str, bool], values: dict[str, float]) -> None:
+def _report(
+    record, criterion: str, detail: str, checks: dict[str, bool], values: dict[str, float]
+) -> None:
     """Print the criterion's line, PASS only when every named check holds, then
     assert them all: the failure names each failing check and repeats the detail.
     Then hold the criterion's named values to the record."""
@@ -134,7 +136,8 @@ def test_record_fails_with_a_table_of_the_moved_values(record):
         "  recorded only: not reported",
     ]
     assert _moved(entries, {"band": math.nan, "bound": math.nan, "recorded only": 1.0}) != []
-    with pytest.raises(pytest.fail.Exception, match=r"^ACCEPTANCE x values moved from acceptance_record.json:\n  y: not in the record$"):
+    table = r"^ACCEPTANCE x values moved from acceptance_record.json:\n  y: not in the record$"
+    with pytest.raises(pytest.fail.Exception, match=table):
         record("x", {"y": 1.0})
 
 

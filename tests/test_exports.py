@@ -78,11 +78,11 @@ def test_every_exported_name_has_a_caller_outside_the_tests():
     """Each name in a library module's ``__all__`` is read somewhere in
     ``src/nlkglab`` or ``bench/``, or imported by the package root: an entry
     point only the tests call belongs in ``tests/oracles.py``."""
+    assert BENCH, "bench/ holds no Python files"
     root = ast.parse(Path(nlkglab.__file__).read_text())
     read = _names_read(LIBRARY + BENCH) | {
         a.asname or a.name for node in root.body if isinstance(node, ast.ImportFrom) for a in node.names
     }
-    assert BENCH, "bench/ holds no Python files"
     uncalled = []
     for info in pkgutil.iter_modules(nlkglab.__path__):
         module = importlib.import_module(f"nlkglab.{info.name}")

@@ -260,7 +260,8 @@ def test_radial_diverging_iteration_stops_at_its_first_non_finite_step(p, d, ome
     step 42 overflows.  The mesh is the CLI's default."""
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ShootingError, match=rf"^Petviashvili iteration diverged: step {step} gave a non-finite"):
+        message = rf"^Petviashvili iteration diverged: step {step} gave a non-finite iterate"
+        with pytest.raises(ShootingError, match=message):
             ground_state_radial(ModelParams(1.0, p, d), omega, rmax=40.0, n=4000)
 
 
