@@ -270,30 +270,66 @@ class DecayReport:
 
 def _run_construction(cfg: MultiSolitonConfig, t0: float, t1: float, w0: Field) -> DecayReport:
     """Evolve ``w0`` from t0 to t1 in steps of ``cfg.dt`` signed by t1 - t0, with a
-    hook every ``cfg.diag_period``."""
+    hook every ``cfg.diag_period``.
+
+    Each hook fits the field.  While the run's last three fits have every
+    soliton on the stable side, the fit is first seeded with the quadratic
+    (Lagrange) extrapolation of their (theta_j, omega_j, x_j) to the hook
+    time, and kept if it returns with every soliton still stable.  Otherwise
+    (fewer than three fits, an unstable side, a predicted omega no soliton
+    takes, a predicted fit that raises or returns across omega_c) the fit is
+    seeded with the last fit advanced by the free flow, and its outcome, a
+    root or a tube exit, is the hook's.  No fit runs after a tube exit."""
     wall0 = _time.perf_counter()
     grid, model = cfg.grid, cfg.model
     params = cfg.action_params()
 
     # one record per hook: (t, error, E, Q, P, localized, fit or None, field)
     records: list[tuple] = []
-    # the last fit's solitons and time seed the next fit; none runs after a tube exit
-    seeds, t_seed = [sp.advanced(t0) for sp in cfg.solitons], t0
+    # (time, solitons) of the last three fits, oldest first
+    recent: list[tuple[float, list[SolitonParams]]] = []
     tube_exit: Optional[float] = None
 
+    def predicted_fit(field: Field, t: float) -> Optional[ModulationState]:
+        """The fit seeded by the last three fits extrapolated to t, or None
+        where the hook falls back to the free-flow seed."""
+        if len(recent) < 3 or not all(sp.stable for _, sols in recent for sp in sols):
+            return None
+        times = [tk for tk, _ in recent]
+        weights = [
+            math.prod((t - tj) / (ti - tj) for j, tj in enumerate(times) if j != i)
+            for i, ti in enumerate(times)
+        ]
+        triples = sum(
+            w * np.array([(sp.theta, sp.omega, sp.x0) for sp in sols]) for w, (_, sols) in zip(weights, recent)
+        )
+        try:
+            guess = [replace(sp, theta=th, omega=om, x0=x) for sp, (th, om, x) in zip(recent[-1][1], triples)]
+        except ValueError:  # a predicted omega outside the band
+            return None
+        try:
+            st = fit_modulation(field, guess)
+        except (NotInTubeError, DegenerateConfigurationError):
+            return None
+        return st if all(sp.stable for sp in st.solitons) else None
+
     def hook(rec: DiagnosticsRecord) -> None:
-        nonlocal seeds, t_seed, tube_exit
+        nonlocal recent, tube_exit
         t, field = rec.t, rec.field
         error = norm_h1l2(field - soliton_sum(cfg.solitons, t, grid))
         cut = build_cutoffs([sp.v for sp in cfg.solitons], max(t, 1e-6), grid)
         loc = localized_quantities(field, cut, params)
         st = None
         if tube_exit is None:
-            try:
-                st = fit_modulation(field, [sp.advanced(t - t_seed) for sp in seeds])
-                seeds, t_seed = st.solitons, t
-            except (NotInTubeError, DegenerateConfigurationError):
-                tube_exit = t
+            st = predicted_fit(field, t)
+            if st is None:
+                t_seed, seeds = recent[-1] if recent else (t0, [sp.advanced(t0) for sp in cfg.solitons])
+                try:
+                    st = fit_modulation(field, [sp.advanced(t - t_seed) for sp in seeds])
+                except (NotInTubeError, DegenerateConfigurationError):
+                    tube_exit = t
+            if st is not None:
+                recent = recent[-2:] + [(t, st.solitons)]
         records.append((t, error, rec.energy, rec.charge, rec.momentum, loc, st, field))
 
     dt = math.copysign(cfg.dt, t1 - t0)

@@ -103,8 +103,9 @@ def test_traced_workloads_open_every_span(tmp_path):
 
 def test_traced_diag_dense_counts_one_sample_per_soliton_per_iterate(tmp_path):
     """A traced ``diag_dense`` call at seed 1 counts the samples the benchmark
-    has always counted: 122 ``modulation.sample_soliton`` calls inside the 21
-    fits (one per soliton per Newton iterate, 5.81 per fit) and 166 in all."""
+    has always counted: 86 ``modulation.sample_soliton`` calls inside the 21
+    fits (one per soliton per Newton iterate, 4.10 per fit, with the fits
+    seeded from the last three) and 130 in all."""
     layers, tracer, workloads = _import_bench("layers", "tracer", "workloads")
     case = workloads.PREPARE["diag_dense"](1, tmp_path)
     tr = tracer.Tracer()
@@ -121,5 +122,5 @@ def test_traced_diag_dense_counts_one_sample_per_soliton_per_iterate(tmp_path):
     finally:
         case.cleanup()
     assert problems == []
-    assert metrics["modulation.samples_per_fit"] == 122 / 21
-    assert metrics["profiles.sample_soliton_calls"] == 166
+    assert metrics["modulation.samples_per_fit"] == 86 / 21
+    assert metrics["profiles.sample_soliton_calls"] == 130

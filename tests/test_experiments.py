@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -401,14 +402,138 @@ def test_report_series_align_with_ascending_times(grid, pair, monkeypatch, backw
     last = rep.fields[0] if backward else rep.fields[-1]
     assert np.array_equal(last.u1, rep.final_field.u1)
     assert np.array_equal(last.u2, rep.final_field.u2)
-    # three fits, then the exit at the fourth hook in the run's direction
-    assert len(calls) == 4
+    # three fits, then the exit at the fourth hook in the run's direction: its
+    # fit from the three fits' extrapolation raises, and so does its fallback
+    assert len(calls) == 5
     assert rep.tube_exit_time == rep.times[n - 4 if backward else 3]
     fitted = [st is not None for st in rep.modulation]
     if backward:
         assert fitted == [t > rep.tube_exit_time for t in rep.times]
     else:
         assert fitted == [t < rep.tube_exit_time for t in rep.times]
+
+
+def _spy_fits(monkeypatch, answer=None):
+    """Record (seeds, fit) of every ``experiments.fit_modulation`` call; the fit
+    is None when the call raised.  ``answer(k, field, seeds)``, when given,
+    stands in for the fit at the k-th call (from 1)."""
+    from nlkglab import experiments
+
+    real, calls = experiments.fit_modulation, []
+
+    def spy(field, seeds):
+        calls.append([list(seeds), None])
+        calls[-1][1] = answer(len(calls), field, seeds) if answer else real(field, seeds)
+        return calls[-1][1]
+
+    monkeypatch.setattr(experiments, "fit_modulation", spy)
+    return calls, real
+
+
+def test_dense_hooks_fit_once_each_on_the_free_flow_seeds_roots(monkeypatch):
+    """On the dense-hook pair run (N = 2048, t = 11 -> 10, a hook every 0.05)
+    each of the 21 hooks calls the fit once, and the 21 fits take 22 Newton
+    iterations (40 with every fit seeded by the last one advanced by the free
+    flow).  Each fit lands within 1e-11 of the fit of its field from that
+    free-flow seed."""
+    g = Grid(160.0, 2048)
+    sols = [SolitonParams(MODEL, omega=0.8, v=v) for v in (-0.4, 0.4)]
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=g, solitons=sols, t_final=11.0, t_start=10.0, dt=0.002, diag_period=0.05
+    )
+    calls, real = _spy_fits(monkeypatch)
+    rep = run_backward_construction(cfg)
+    assert rep.tube_exit_time is None and len(rep.times) == 21
+    assert len(calls) == 21
+    assert all(st is fit for (_, st), fit in zip(calls, rep.modulation[::-1]))
+    assert sum(st.iterations for _, st in calls) == 22
+    hook_times = rep.times[::-1]
+    for k in range(1, 21):
+        prev = calls[k - 1][1]
+        field = rep.fields[20 - k]
+        free = real(field, [sp.advanced(hook_times[k] - hook_times[k - 1]) for sp in prev.solitons])
+        for name in ("thetas", "omegas", "positions"):
+            assert np.max(np.abs(getattr(calls[k][1], name) - getattr(free, name))) <= 1e-11
+
+
+def test_unstable_pair_keeps_its_roots(grid, monkeypatch):
+    """The unstable mirror pair (omega = 0.6, v = +-0.4) fits omega~ = 0.6099 at
+    t = 22.5, across omega_c from its prescribed 0.6, and 0.8219 at t = 10,
+    the roots its free-flow seeds reach.  Only the hooks at t = 12.5 and 10
+    follow three stable fits; they alone fit from extrapolated seeds, once
+    each, and land on the same roots.  Every other hook fits from the last
+    fit advanced by the free flow."""
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=grid, solitons=[SolitonParams(MODEL, omega=0.6, v=v) for v in (-0.4, 0.4)],
+        t_final=40.0, t_start=10.0, dt=0.002, diag_period=2.5,
+    )
+    calls, _ = _spy_fits(monkeypatch)
+    rep = run_backward_construction(cfg)
+    assert rep.tube_exit_time is None and len(calls) == len(rep.times)
+    fits = dict(zip(rep.times, rep.modulation))
+    assert np.allclose(fits[10.0].omegas, 0.8219, rtol=0.0, atol=1e-4)
+    assert np.allclose(fits[22.5].omegas, 0.6099, rtol=0.0, atol=1e-4)
+    hook_times = rep.times[::-1]
+    predicted = [
+        t for k, t in enumerate(hook_times[1:], start=1)
+        if calls[k][0] != [sp.advanced(t - hook_times[k - 1]) for sp in calls[k - 1][1].solitons]
+    ]
+    assert predicted == [12.5, 10.0]
+
+
+@pytest.mark.parametrize("outcome", ["NotInTubeError", "DegenerateConfigurationError", "unstable"])
+def test_a_failed_predicted_fit_falls_back_to_the_free_flow_seed(grid, pair, monkeypatch, outcome):
+    """When the fit from the extrapolated seeds (the fourth hook's first call)
+    raises, or returns a soliton across omega_c, the hook fits again from the
+    last fit advanced by the free flow, keeps that fit and stays in the tube."""
+    from nlkglab import modulation
+
+    def answer(k, field, seeds):
+        if k == 4 and outcome == "unstable":
+            st = real(field, seeds)
+            return replace(st, solitons=[replace(sp, omega=0.6) for sp in st.solitons])
+        if k == 4:
+            raise getattr(modulation, outcome)("forced")
+        return real(field, seeds)
+
+    calls, real = _spy_fits(monkeypatch, answer)
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=grid, solitons=pair,
+        t_final=20.0, t_start=14.0, dt=0.01, diag_period=1.0,
+    )
+    rep = run_backward_construction(cfg)
+    assert rep.tube_exit_time is None
+    # one call per hook, and two at the fourth
+    assert len(calls) == len(rep.times) + 1
+    hook_times = rep.times[::-1]
+    third, fallback = calls[2][1], calls[4]
+    assert calls[3][0] != fallback[0]
+    assert fallback[0] == [sp.advanced(hook_times[3] - hook_times[2]) for sp in third.solitons]
+    assert rep.modulation[::-1][3] is fallback[1]
+
+
+def test_a_predicted_omega_past_the_band_falls_back_without_raising(grid, pair, monkeypatch):
+    """Fits whose omega runs 0.8, 0.9, 0.99 extrapolate to 1.07, past sqrt(m) = 1,
+    where no soliton exists: the fourth hook fits once, from the third fit
+    advanced by the free flow, and the run raises no ValueError."""
+    drift = {1: 0.8, 2: 0.9, 3: 0.99}
+
+    def answer(k, field, seeds):
+        st = real(field, [replace(sp, omega=0.8) for sp in seeds])
+        omega = drift.get(k, 0.99)
+        return replace(st, solitons=[replace(sp, omega=omega) for sp in st.solitons])
+
+    calls, real = _spy_fits(monkeypatch, answer)
+    cfg = MultiSolitonConfig(
+        model=MODEL, grid=grid, solitons=pair,
+        t_final=20.0, t_start=14.0, dt=0.01, diag_period=1.0,
+    )
+    rep = run_backward_construction(cfg)
+    assert rep.tube_exit_time is None and len(calls) == len(rep.times)
+    hook_times = rep.times[::-1]
+    third = calls[2][1]
+    assert [sp.omega for sp in third.solitons] == [0.99, 0.99]
+    assert calls[3][0] == [sp.advanced(hook_times[3] - hook_times[2]) for sp in third.solitons]
 
 
 def test_a_construction_hook_takes_three_ffts(grid, pair, monkeypatch):

@@ -356,7 +356,7 @@ def _closed_omega_tangent(sp, comp):
 
 def test_dense_hook_fits_match_the_spectral_path(monkeypatch):
     """Every fit of the dense-hook pair run (N = 2048, t = 11 -> 10, a hook
-    every 0.05) takes the iteration count, 40 over the 21 fits, and lands on
+    every 0.05) takes the iteration count, 22 over the 21 fits, and lands on
     the roots (to 1e-13) of the same fit with spectral derivatives: in the
     samples' u2 and in R_j', so Upsilon' is spectral by linearity.  The
     reference sampler writes them for every soliton of every iterate,
@@ -369,7 +369,7 @@ def test_dense_hook_fits_match_the_spectral_path(monkeypatch):
     reference = sampler_with_views(sample_soliton_spectral, _closed_omega_tangent)
     fits = _fits_beside_reference(cfg, monkeypatch, reference)
     assert len(fits) == 21
-    assert sum(st.iterations for st, _, _ in fits) == 40
+    assert sum(st.iterations for st, _, _ in fits) == 22
     for st, ref, samples in fits:
         assert st.converged and st.iterations == ref.iterations
         assert samples == len(sols) * (ref.iterations + 1)
